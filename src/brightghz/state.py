@@ -151,7 +151,8 @@ class BGHZState:
     vacuum_projected: bool = False
 
 
-# Resummer per coefficient series and settled series values per gain point.
+# Resummer per coefficient series, and per gain point the settled series
+# value or the ResummationError its ladder ended in.
 _RESUMMERS: dict[tuple[int, int, int], DiagonalResummer] = {}
 _VALUES: dict[tuple, object] = {}
 
@@ -171,32 +172,36 @@ def _series_value(n: int, k: int, gamma: float, policy: NumericPolicy):
     A value is usable when the ladder meets the strict policy tolerance,
     or failing that when its final two diagonal entries still agree to
     SOFT_AGREEMENT relative; otherwise the order budget genuinely cannot
-    resolve this coefficient and ResummationError is raised.
+    resolve this coefficient and ResummationError is raised.  Failures are
+    cached like values, so a warm gain never walks a failed ladder again.
     """
     key = (n, k, float(gamma)) + policy.key()
     got = _VALUES.get(key)
-    if got is not None:
-        return got
-    resummer = _resummer(n, k, 2 * policy.pade_order + 1)
-    u = -(Fraction(gamma) ** 2)
-    result = resummer.resum(
-        u, max_order=policy.pade_order, tol=policy.tol, bits=policy.bits
-    )
-    if not result.converged:
-        vals = [v for _, v in result.diagnostics if v is not None]
-        settled = (
-            len(vals) >= 2
-            and vals[-1] != 0
-            and abs(vals[-1] - vals[-2]) <= SOFT_AGREEMENT * abs(vals[-1])
+    if got is None:
+        resummer = _resummer(n, k, 2 * policy.pade_order + 1)
+        u = -(Fraction(gamma) ** 2)
+        result = resummer.resum(
+            u, max_order=policy.pade_order, tol=policy.tol, bits=policy.bits
         )
-        if not settled:
-            raise ResummationError(
-                f"diagonal ladder for n={n}, k={k} did not settle at"
-                f" gamma={gamma} within order {result.order_used}",
-                order_reached=result.order_used,
+        got = result.value
+        if not result.converged:
+            vals = [v for _, v in result.diagnostics if v is not None]
+            settled = (
+                len(vals) >= 2
+                and vals[-1] != 0
+                and abs(vals[-1] - vals[-2]) <= SOFT_AGREEMENT * abs(vals[-1])
             )
-    _VALUES[key] = result.value
-    return result.value
+            if not settled:
+                got = ResummationError(
+                    f"diagonal ladder for n={n}, k={k} did not settle at"
+                    f" gamma={gamma} within order {result.order_used}",
+                    order_reached=result.order_used,
+                )
+        _VALUES[key] = got
+    if isinstance(got, ResummationError):
+        # raise a fresh copy, so the cached error never holds a traceback
+        raise ResummationError(str(got), got.order_reached)
+    return got
 
 
 def resummed_coefficient(

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from brightghz import pade, state
 from brightghz.cli import EXIT_HARD, EXIT_OK, EXIT_WARNINGS, main, parse_config
 from brightghz.oracles import coherent_pk, squeezed_pk
 
@@ -175,3 +176,30 @@ def test_nan_cells_render_as_nan_token(tmp_path):
     assert code == EXIT_OK
     assert rows[0][2] == "false"
     assert math.isnan(float(rows[0][1]))
+
+
+def test_table1_bytes_match_epsilon_path(tmp_path, monkeypatch):
+    # the continued-fraction ladder and the epsilon recursion it falls
+    # back to must print the same CSV, digit for digit
+    epsilon_calls = []
+    epsilon = pade._epsilon_ladder
+
+    def counted(*args):
+        epsilon_calls.append(args)
+        return epsilon(*args)
+
+    monkeypatch.setattr(pade, "_epsilon_ladder", counted)
+
+    def cold_run(name):
+        monkeypatch.setattr(state, "_VALUES", {})
+        monkeypatch.setattr(state, "_RESUMMERS", {})
+        out = tmp_path / name
+        assert main(["--cmd", "table1", "--gamma-min", "0.8", "--out", str(out)]) == EXIT_OK
+        return out.read_bytes()
+
+    ladder = cold_run("ladder.csv")
+    assert epsilon_calls == []
+    # a qd table that breaks down at once sends every point to epsilon
+    monkeypatch.setattr(pade, "_qd", lambda *args: ())
+    assert cold_run("epsilon.csv") == ladder
+    assert epsilon_calls

@@ -6,7 +6,10 @@ from math import factorial
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from brightghz import pade
 from brightghz.pade import (
     DiagonalResummer,
     PoleProximityError,
@@ -15,6 +18,7 @@ from brightghz.pade import (
     evaluate,
 )
 from brightghz.series_core import c_series
+from brightghz.state import CUTOFF_CAP, DEFAULT_POLICY
 
 
 def _taylor_of_rational(num, den, order):
@@ -163,3 +167,93 @@ def test_short_series_rejected():
         diagonal_resum([1, 1, 1], 0.5, max_order=4)
     with pytest.raises(ValueError):
         build_pade([1, 1], 2, 2)
+
+
+# The C-fraction ladder against the epsilon recursion it replaces: same
+# orders, same stopping decisions, same diagnostics, same values.
+def _epsilon_reference(resummer, x, max_order, tol, bits):
+    return pade._epsilon_ladder(resummer.coeffs[: 2 * max_order + 1], x, tol, bits)
+
+
+def _assert_same_ladder(got, ref):
+    assert got.order_used == ref.order_used
+    assert got.converged == ref.converged
+    assert got.diagnostics == ref.diagnostics
+    assert abs(got.value - ref.value) <= 1e-12 * abs(ref.value)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    k=st.integers(0, CUTOFF_CAP),
+    gamma=st.floats(0, 0.9, exclude_min=True, exclude_max=True),
+    pade_order=st.sampled_from([DEFAULT_POLICY.pade_order, 60]),
+)
+def test_continued_fraction_ladder_equals_epsilon(n, k, gamma, pade_order):
+    tol, bits = DEFAULT_POLICY.tol, DEFAULT_POLICY.bits
+    resummer = DiagonalResummer(c_series(k, n, 2 * pade_order + 1).coeffs)
+    x = -(Fraction(gamma) ** 2)
+    walked = resummer._walk(x, pade_order, tol, bits)
+    if n == 3 and pade_order == DEFAULT_POLICY.pade_order:
+        assert walked is not None, "epsilon fallback fired for the default policy"
+    got = resummer.resum(x, max_order=pade_order, tol=tol, bits=bits)
+    assert walked is None or got == walked
+    try:
+        ref = _epsilon_reference(resummer, x, pade_order, tol, bits)
+    except PoleProximityError:
+        ref = None
+    if ref is None or any(v is None for _, v in ref.diagnostics):
+        # Below gain ~1e-11 a partial sum repeats at the epsilon table's
+        # working precision; the singular lozenge blanks every later order
+        # (all of them when the gain is below ~1e-48).  The continued
+        # fraction has no such patch: it agrees wherever epsilon has a
+        # value and settles on the leading terms.
+        assert gamma < 1e-10
+        assert got.converged
+        for (_, v), (_, r) in zip(got.diagnostics, ref.diagnostics if ref else ()):
+            assert r is None or v == pytest.approx(r, rel=1e-12)
+        return
+    _assert_same_ladder(got, ref)
+
+
+def test_default_policy_never_falls_back_for_three_beams():
+    # every emission order the auto cutoff can reach, across the gain range
+    tol, bits, order = DEFAULT_POLICY.tol, DEFAULT_POLICY.bits, DEFAULT_POLICY.pade_order
+    for k in range(0, CUTOFF_CAP + 1, 3):
+        resummer = DiagonalResummer(c_series(k, 3, 2 * order + 1).coeffs)
+        for gamma in (0.05, 0.45, 0.77, 0.89):
+            x = -(Fraction(gamma) ** 2)
+            assert resummer._walk(x, order, tol, bits) is not None, (k, gamma)
+
+
+def test_qd_breakdown_falls_back_to_epsilon():
+    # a zero interior coefficient is a zero divisor in the qd table
+    series = [Fraction((-1) ** j * factorial(j)) for j in range(25)]
+    series[5] = Fraction(0)
+    resummer = DiagonalResummer(series)
+    x = Fraction(1, 5)
+    assert len(resummer._cfraction(24, 256)[0]) == 5
+    assert resummer._walk(x, 12, 1e-10, 256) is None
+    got = resummer.resum(x, max_order=12, tol=1e-10, bits=256)
+    assert got == _epsilon_reference(resummer, x, 12, 1e-10, 256)
+
+
+def test_precision_guard_falls_back_to_epsilon(monkeypatch):
+    # without qd headroom the check run no longer reproduces the ladder
+    monkeypatch.setattr(pade, "_QD_BITS_PER_TERM", 0)
+    resummer = DiagonalResummer(c_series(40, 3, 81).coeffs)
+    x = -(Fraction(0.6) ** 2)
+    assert resummer._walk(x, 40, 1e-10, 256) is None
+    got = resummer.resum(x, max_order=40, tol=1e-10, bits=256)
+    assert got == _epsilon_reference(resummer, x, 40, 1e-10, 256)
+
+
+def test_two_beam_deep_ladder_matches_epsilon():
+    # two beams at order 60 lose the most bits in qd, in late coefficients
+    tol, bits = DEFAULT_POLICY.tol, DEFAULT_POLICY.bits
+    for k in (0, 30, 60):
+        resummer = DiagonalResummer(c_series(k, 2, 121).coeffs)
+        for gamma in (0.3, 0.89):
+            x = -(Fraction(gamma) ** 2)
+            got = resummer.resum(x, max_order=60, tol=tol, bits=bits)
+            _assert_same_ladder(got, _epsilon_reference(resummer, x, 60, tol, bits))

@@ -6,8 +6,10 @@ import math
 import pytest
 
 from brightghz.oracles import coherent_pk, squeezed_pk
+from brightghz.pade import DiagonalResummer
 from brightghz.state import (
     CUTOFF_CAP,
+    DEFAULT_POLICY,
     BGHZState,
     BrightStateSpec,
     ResummationError,
@@ -249,3 +251,27 @@ def test_state_csv_roundtrip(tmp_path):
     }
     for qm, amp in state.amps.items():
         assert got[qm] == pytest.approx(amp, abs=1e-15)
+
+
+def test_failed_ladder_is_cached(monkeypatch):
+    # At gain 0.59 the auto cutoff stops on the unresolvable k = 41; a
+    # warm rebuild reuses the cached failure instead of walking again.
+    first = build_bghz(0.59)
+    with pytest.raises(ResummationError) as err:
+        resummed_coefficient(3, first.cutoff + 1, 0.59)
+    assert err.value.order_reached == DEFAULT_POLICY.pade_order
+    calls = []
+    resum = DiagonalResummer.resum
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return resum(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiagonalResummer, "resum", counted)
+    second = build_bghz(0.59)
+    assert calls == []
+    assert second.cutoff == first.cutoff
+    with pytest.raises(ResummationError) as again:
+        resummed_coefficient(3, first.cutoff + 1, 0.59)
+    assert again.value is not err.value
+    assert str(again.value) == str(err.value)
