@@ -50,7 +50,7 @@ from brightghz.state import (
     build_bghz,
     project_out_vacuum,
 )
-from brightghz.stokes import _shell_rotation, stokes_expectation, tensor_t
+from brightghz.stokes import _shell_rotation, _shell_vectors, stokes_expectation, tensor_t
 
 __all__ = [
     "LossModel",
@@ -208,21 +208,24 @@ def find_crossing(fn, level, lo, hi, tol=1e-3):
 def gamma_threshold(
     policy: NumericPolicy = DEFAULT_POLICY,
     gamma_min: float = 0.05,
-    gamma_max: float = 0.9,
+    gamma_max: float = 0.85,
     tol: float = 1e-3,
 ) -> float:
     """Gain at which the Mermin violation dies, bisected to tol.
 
     Requires the LHS to sit above 2 at gamma_min and at or below 2 at
     gamma_max; raises "no crossing" otherwise (e.g. on a range that ends
-    while the inequality is still violated).
+    while the inequality is still violated).  The default gamma_max lies
+    past the crossing near 0.77, inside the 0.9 guard, so it does not warn.
     """
     return find_crossing(
         lambda g: mermin_lhs(g, policy), CLASSICAL_BOUND, gamma_min, gamma_max, tol
     )
 
 
-# largest thinning-response table built so far, per efficiency
+# largest table built so far per efficiency, most recently used last; bounded
+# for long sweeps, well above the efficiencies a few eta bisections visit
+LOSS_TABLES_MAX = 64
 _LOSS_TABLES: dict[float, np.ndarray] = {}
 
 
@@ -232,24 +235,22 @@ def _loss_table(eta: float, kmax: int) -> np.ndarray:
     L = B V B^T with B the binomial thinning matrix and V the lossless
     response (count asymmetry, -1 on the double vacuum).
     """
-    got = _LOSS_TABLES.get(eta)
-    if got is not None and got.shape[0] > kmax:
-        return got
-    dim = kmax + 1
-    B = np.zeros((dim, dim))
-    for k in range(dim):
-        for kappa in range(k + 1):
-            B[k, kappa] = (
-                math.comb(k, kappa) * eta**kappa * (1.0 - eta) ** (k - kappa)
-            )
-    counts = np.arange(dim, dtype=float)
-    totals = counts[:, None] + counts[None, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        V = np.where(totals > 0, (counts[:, None] - counts[None, :]) / totals, 0.0)
-    V[0, 0] = -1.0
-    table = B @ V @ B.T
-    _LOSS_TABLES[eta] = table
-    return table
+    got = _LOSS_TABLES.pop(eta, None)
+    if got is None or got.shape[0] <= kmax:
+        dim = kmax + 1
+        B = np.zeros((dim, dim))
+        for k in range(dim):
+            B[k, : k + 1] = [math.comb(k, j) * eta**j * (1.0 - eta) ** (k - j) for j in range(k + 1)]
+        counts = np.arange(dim, dtype=float)
+        totals = counts[:, None] + counts[None, :]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            V = np.where(totals > 0, (counts[:, None] - counts[None, :]) / totals, 0.0)
+        V[0, 0] = -1.0
+        got = B @ V @ B.T
+    _LOSS_TABLES[eta] = got
+    if len(_LOSS_TABLES) > LOSS_TABLES_MAX:
+        del _LOSS_TABLES[next(iter(_LOSS_TABLES))]
+    return got
 
 
 def per_party_loss_factor(k_a: int, k_b: int, eta: float) -> float:
@@ -282,14 +283,7 @@ def lossy_mermin_lhs(
     """
     state = _prepare(gamma, cutoff, policy, state)
     scale = 1.0 - state.norm_residual
-    shells: dict[int, np.ndarray] = {}
-    for (q, m), amp in state.amps.items():
-        k = q + m
-        vec = shells.get(k)
-        if vec is None:
-            vec = np.zeros(k + 1, dtype=complex)
-            shells[k] = vec
-        vec[q] = amp
+    shells = _shell_vectors(state)
     table = _loss_table(eta, max(shells))
     totals = dict.fromkeys(range(len(_SETTINGS)), 0.0)
     for k, vec in shells.items():

@@ -39,6 +39,22 @@ def squeezed_pk(gamma: float, k: int) -> float:
     return (1.0 - t) * t**k
 
 
+def binomial_shell_rotation(u: np.ndarray, k: int) -> np.ndarray:
+    """Shell-k rotation A[kappa, q] (new modes = u @ old) by binomial expansion.
+
+    Column q expands (adag)^q (bdag)^(k-q) |vac> / sqrt(q! (k-q)!) in the
+    rotated modes; the factorial weights cancel ever worse as k grows
+    (max|A^H A - I| about 1e-11 at k = 40), so it is a low-shell reference.
+    """
+    columns = []
+    for q, m in ((q, k - q) for q in range(k + 1)):
+        pa = [math.comb(q, i) * u[0, 0] ** i * u[1, 0] ** (q - i) for i in range(q + 1)]
+        pb = [math.comb(m, i) * u[0, 1] ** i * u[1, 1] ** (m - i) for i in range(m + 1)]
+        weights = [math.sqrt(math.comb(k, q) / math.comb(k, j)) for j in range(k + 1)]
+        columns.append(np.convolve(pa, pb) * weights)
+    return np.column_stack(columns)
+
+
 @lru_cache(maxsize=None)
 def _party_basis(cap: int) -> tuple[tuple[int, int], ...]:
     """Two-mode occupations (q, m) with q + m <= cap, lexicographic."""

@@ -2,11 +2,14 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from brightghz import nonclassicality
 from brightghz.nonclassicality import (
+    LOSS_TABLES_MAX,
     LossModel,
     SweepResult,
     dump_sweep_csv,
@@ -63,6 +66,19 @@ def test_loss_factor_bounded():
                 assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
 
 
+def test_loss_tables_stay_bounded_over_an_efficiency_sweep():
+    tables = nonclassicality._LOSS_TABLES
+    reused = 0.5005
+    etas = [0.001 * i for i in range(1, LOSS_TABLES_MAX + 41)]
+    for eta in etas:
+        per_party_loss_factor(2, 1, reused)
+        per_party_loss_factor(2, 1, eta)
+        assert len(tables) <= LOSS_TABLES_MAX
+    # the least recently used efficiency goes first; a reused one stays
+    assert reused in tables and etas[-1] in tables
+    assert etas[0] not in tables
+
+
 def test_loss_factor_validation():
     with pytest.raises(ValueError):
         per_party_loss_factor(-1, 0, 0.5)
@@ -89,10 +105,11 @@ def test_mermin_violated_through_midrange():
         assert mermin_lhs(gamma) > 2.0
 
 
-@pytest.mark.filterwarnings("ignore:gain 0.9")
 def test_gamma_threshold_matches_reference():
-    # the default bracket ends at the construction guard, which warns
-    threshold = gamma_threshold()
+    # the default bracket ends inside the construction guard, so nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        threshold = gamma_threshold()
     assert threshold == pytest.approx(0.77, abs=0.02)
 
 

@@ -5,10 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from brightghz.oracles import DenseTruncatedState, dense_expectation
-from brightghz.state import BGHZState, build_bghz
+from brightghz.oracles import (
+    DenseTruncatedState,
+    binomial_shell_rotation,
+    dense_expectation,
+)
+from brightghz.state import CUTOFF_CAP, BGHZState, build_bghz
 from brightghz.stokes import (
+    _shell_rotation,
+    _shell_unitary,
     CorrelationTensor,
     JointFockState,
     MeasurementBasis,
@@ -114,6 +122,106 @@ def test_rotation_round_trip_is_identity():
     for key in set(state.amps) | set(back.amps):
         assert back.amps.get(key, 0j) == pytest.approx(
             state.amps.get(key, 0j), abs=1e-12
+        )
+
+
+def _u2(theta, phi, chi, psi):
+    """General 2x2 unitary, det = exp(2 i psi)."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.exp(1j * psi) * np.array(
+        [
+            [c * np.exp(1j * chi), -s * np.exp(-1j * phi)],
+            [s * np.exp(1j * phi), c * np.exp(-1j * chi)],
+        ]
+    )
+
+
+CUSTOM_UNITARIES = {
+    "phase": np.exp(0.7j) * np.eye(2),
+    "near_identity": _u2(1e-9, 0.3, -2e-10, 0.0),
+    "reflection": np.array([[0.6, 0.8], [0.8, -0.6]], dtype=complex),
+    "swap": np.array([[0, 1], [1, 0]], dtype=complex),
+    "generic": _u2(1.1, 0.4, 2.3, -0.9),
+    "near_minus_identity": _u2(math.pi - 1e-9, 0.1, 0.2, 0.0),
+}
+
+
+def _unitarity_error(a):
+    return np.abs(a.conj().T @ a - np.eye(a.shape[0])).max()
+
+
+def test_basis_shell_rotations_unitary_through_twice_cutoff_cap():
+    for index in (1, 2):
+        for k in range(2 * CUTOFF_CAP + 1):
+            assert _unitarity_error(_shell_rotation(index, k)) <= 1e-12, (index, k)
+
+
+@pytest.mark.parametrize("name", sorted(CUSTOM_UNITARIES))
+def test_custom_shell_rotations_unitary(name):
+    u = CUSTOM_UNITARIES[name]
+    for k in (0, 1, 2, 5, 17, 40, 61, 90, 2 * CUTOFF_CAP):
+        assert _unitarity_error(_shell_unitary(u, k)) <= 1e-12, k
+    if name == "phase":
+        # a global phase multiplies every k-photon state by its k-th power
+        for k in (0, 3, 2 * CUTOFF_CAP):
+            assert np.allclose(_shell_unitary(u, k), np.exp(0.7j * k) * np.eye(k + 1))
+
+
+@pytest.mark.parametrize(
+    "u",
+    [basis(1).unitary, basis(2).unitary, *CUSTOM_UNITARIES.values()],
+    ids=["basis1", "basis2", *CUSTOM_UNITARIES],
+)
+def test_shell_rotation_matches_binomial_reference(u):
+    for k in range(21):
+        got = _shell_unitary(u, k)
+        assert np.abs(got - binomial_shell_rotation(u, k)).max() <= 1e-13, k
+
+
+_angles = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    party=st.sampled_from([1, 2, 3]),
+    entries=st.lists(
+        st.tuples(
+            st.integers(0, 2 * CUTOFF_CAP),
+            st.floats(0, 1),
+            st.integers(0, 2),
+            st.integers(0, 2),
+            st.floats(0.1, 1),
+            _angles,
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    angles=st.tuples(_angles, _angles, _angles, _angles),
+)
+def test_rotation_round_trip_and_invariance_at_high_shells(party, entries, angles):
+    """One party up to shell 120, the others small: U then back restores the
+    amplitudes, and no observable moves."""
+    amps = {}
+    for k, frac, k2, k3, weight, phase in entries:
+        q = round(frac * k)
+        pairs = [(0, 0), (0, 0), (0, 0)]
+        pairs[party - 1] = (q, k - q)
+        pairs[party % 3] = (k2, 1)
+        pairs[(party + 1) % 3] = (0, k3)
+        key = tuple(n for pair in pairs for n in pair)
+        amps[key] = amps.get(key, 0j) + weight * complex(math.cos(phase), math.sin(phase))
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    if norm < 1e-3:
+        return
+    state = JointFockState(amps={key: a / norm for key, a in amps.items()})
+    there = rotate_party(state, party, _u2(*angles))
+    back = rotate_party(there, party, 3)
+    assert there.norm_sq() == pytest.approx(1.0, abs=1e-12)
+    for key in set(state.amps) | set(back.amps):
+        assert abs(back.amps.get(key, 0j) - state.amps.get(key, 0j)) <= 1e-12
+    for ops in (("S1", "S2", "S3"), ("S1p", "S2p", "S1p"), ("S3", "Pi", "I")):
+        assert stokes_expectation(there, ops) == pytest.approx(
+            stokes_expectation(state, ops), abs=1e-12
         )
 
 
