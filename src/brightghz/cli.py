@@ -6,8 +6,14 @@ trailing comment with the detected crossing.  Output is deterministic:
 the same configuration produces byte-identical bytes, so downstream
 plotting and regression diffs can rely on it.
 
+The gain-grid commands (mermin, eta, w1, w2) are formatters over the
+library sweeps of `nonclassicality`, which evaluate the grid, mark failed
+points and bisect thresholds; a failed point prints as a row of nan.  The
+numeric knobs travel as one `NumericPolicy`, validated where it is built.
+
 Exit codes: 0 clean, 2 when divergence or validity warnings were raised
-along the way (rows are still emitted), 1 when nothing could be computed.
+along the way or some points failed (rows are still emitted), 1 when
+nothing could be computed or a threshold bisection failed.
 """
 
 from __future__ import annotations
@@ -20,12 +26,10 @@ import warnings
 from dataclasses import dataclass
 
 from brightghz.nonclassicality import (
-    eta_threshold,
-    evaluate_mermin,
-    evaluate_w2,
-    find_crossing,
-    mermin_lhs,
-    witness_w1,
+    SweepResult,
+    eta_threshold_sweep,
+    mermin_sweep,
+    witness_sweep,
 )
 from brightghz.state import (
     BrightStateSpec,
@@ -41,7 +45,6 @@ EXIT_WARNINGS = 2
 BITS_ENV = "BRIGHTGHZ_BITS"
 
 TABLE_MAX_K = 10
-CLASSICAL_BOUND = 2.0
 
 
 @dataclass(frozen=True)
@@ -53,10 +56,7 @@ class RunConfig:
     gamma_max: float
     steps: int
     n: int
-    cutoff: int | None
-    pade_order: int
-    tol: float
-    bits: int
+    policy: NumericPolicy
     eta_min: float
     eta_max: float
     projected: bool
@@ -73,14 +73,6 @@ class RunConfig:
             raise ValueError("eta window must satisfy 0 <= min < max <= 1")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.tol <= 0 or self.bits < 64 or self.pade_order < 2:
-            raise ValueError("policy out of range: tol > 0, bits >= 64, order >= 2")
-
-    @property
-    def policy(self) -> NumericPolicy:
-        return NumericPolicy(
-            pade_order=self.pade_order, tol=self.tol, bits=self.bits, cutoff=self.cutoff
-        )
 
     def grid(self) -> list[float]:
         if self.steps == 1:
@@ -140,14 +132,7 @@ def cmd_table1(config: RunConfig) -> int:
     distributions = []
     warned = False
     for n in (1, 2, 3):
-        spec = BrightStateSpec(
-            n=n,
-            gamma=gamma,
-            cutoff=config.cutoff,
-            pade_order=config.pade_order,
-            tol=config.tol,
-            bits=config.bits,
-        )
+        spec = BrightStateSpec(n=n, gamma=gamma, policy=config.policy)
         warned |= spec.validity_warning
         dist = photon_distribution(spec)
         warned |= dist.diverged
@@ -171,18 +156,11 @@ def cmd_pk_curve(config: RunConfig) -> int:
     warned = False
     failures = 0
     for gamma in config.grid():
-        spec = BrightStateSpec(
-            n=config.n,
-            gamma=gamma,
-            cutoff=config.cutoff,
-            pade_order=config.pade_order,
-            tol=config.tol,
-            bits=config.bits,
-        )
+        spec = BrightStateSpec(n=config.n, gamma=gamma, policy=config.policy)
         warned |= spec.validity_warning
         try:
             dist = photon_distribution(spec)
-        except (ResummationError, ValueError):
+        except ResummationError:
             failures += 1
             emitter.row(
                 [_fmt(gamma), *(["nan"] * (TABLE_MAX_K + 1)), "nan", "error"]
@@ -202,106 +180,91 @@ def cmd_pk_curve(config: RunConfig) -> int:
     return EXIT_WARNINGS if warned or failures else EXIT_OK
 
 
-def _sweep_command(config: RunConfig, evaluate, columns, threshold_hunter) -> int:
-    """Shared skeleton: evaluate per grid point, bracket a threshold, emit."""
+def _format_sweep(config: RunConfig, sweep, columns, cells, summary=None) -> int:
+    """Print a library sweep over the config's grid as CSV rows.
+
+    sweep maps the grid to a SweepResult; cells formats the columns of one
+    point that did not fail; summary, when given, turns the result into
+    the trailing comment unless every point failed.  Warnings raised while
+    the grid is evaluated turn into exit code 2.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = sweep(config.grid())
+    failed = [bool(d.get("failed")) for d in result.diagnostics]
+    line = None if all(failed) or summary is None else summary(result)
     emitter = _Emitter(config)
     emitter.row(["gamma", *columns])
-    points = []
-    failures = 0
-    warned = False
-    for gamma in config.grid():
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                cells, value = evaluate(gamma)
-            warned |= bool(caught)
-        except (ResummationError, ValueError, RuntimeError):
-            failures += 1
-            emitter.row([_fmt(gamma), *(["nan"] * len(columns))])
-            points.append((gamma, None))
-            continue
-        emitter.row([_fmt(gamma), *cells])
-        points.append((gamma, value))
-    line = None if failures == config.steps else threshold_hunter(points)
+    for gamma, value, diag, bad in zip(result.axis, result.values, result.diagnostics, failed):
+        emitter.row([_fmt(gamma), *(["nan"] * len(columns) if bad else cells(value, diag))])
     if line:
         emitter.comment(line)
     emitter.write(config.out)
     if line:
         _echo(config, line)
-    if failures == config.steps:
+    if all(failed):
         return EXIT_HARD
-    return EXIT_WARNINGS if warned or failures else EXIT_OK
+    return EXIT_WARNINGS if caught or any(failed) else EXIT_OK
 
 
 def cmd_mermin(config: RunConfig) -> int:
     """Mermin-like LHS against the gain, with the violation threshold."""
 
-    def evaluate(gamma):
-        e = evaluate_mermin(gamma, config.policy, cutoff=config.cutoff)
-        return [_fmt(e.lhs), _fmt(e.agreement)], e.lhs
+    def summary(result: SweepResult) -> str:
+        if result.threshold is None:
+            return "threshold gamma = none (no crossing on this grid)"
+        return f"threshold gamma = {_fmt(result.threshold)}"
 
-    def hunt(points):
-        for (ga, va), (gb, vb) in zip(points, points[1:]):
-            if va is None or vb is None:
-                continue
-            if va > CLASSICAL_BOUND >= vb:
-                crossing = find_crossing(
-                    lambda g: mermin_lhs(g, config.policy, cutoff=config.cutoff),
-                    CLASSICAL_BOUND,
-                    ga,
-                    gb,
-                )
-                return f"threshold gamma = {_fmt(crossing)}"
-        return "threshold gamma = none (no crossing on this grid)"
-
-    return _sweep_command(config, evaluate, ["lhs", "agreement"], hunt)
+    return _format_sweep(
+        config,
+        lambda grid: mermin_sweep(grid, config.policy),
+        ["lhs", "agreement"],
+        lambda value, diag: [_fmt(value), _fmt(diag["agreement"])],
+        summary,
+    )
 
 
 def cmd_eta(config: RunConfig) -> int:
-    """Critical detector efficiency against the gain."""
+    """Critical detector efficiency against the gain, inside the eta window."""
 
-    def evaluate(gamma):
-        try:
-            value = eta_threshold(gamma, config.policy, cutoff=config.cutoff)
-        except ValueError:
-            return [_fmt(float("nan")), "false"], None
-        if not config.eta_min <= value <= config.eta_max:
-            return [_fmt(float("nan")), "false"], None
-        return [_fmt(value), "true"], value
+    def shown(value, diag) -> bool:
+        # violated, with the efficiency inside the window; failed points
+        # carry no verdict
+        return diag.get("violated", False) and config.eta_min <= value <= config.eta_max
 
-    def hunt(points):
-        for gamma, value in points:
-            if value is not None:
+    def summary(result: SweepResult) -> str:
+        for gamma, value, diag in zip(result.axis, result.values, result.diagnostics):
+            if shown(value, diag):
                 return f"eta threshold at gamma = {_fmt(gamma)}: {_fmt(value)}"
         return "eta threshold = none (no violated point on this grid)"
 
-    return _sweep_command(config, evaluate, ["eta_tr", "violated"], hunt)
+    return _format_sweep(
+        config,
+        lambda grid: eta_threshold_sweep(grid, config.policy),
+        ["eta_tr", "violated"],
+        lambda value, diag: [_fmt(value), "true"] if shown(value, diag) else ["nan", "false"],
+        summary,
+    )
 
 
 def cmd_w1(config: RunConfig) -> int:
     """First witness against the gain, optionally vacuum-projected."""
-
-    def evaluate(gamma):
-        value = witness_w1(
-            gamma, projected=config.projected, policy=config.policy,
-            cutoff=config.cutoff,
-        )
-        return [_fmt(value)], value
-
-    return _sweep_command(config, evaluate, ["w1"], lambda points: None)
+    return _format_sweep(
+        config,
+        lambda grid: witness_sweep(1, grid, config.projected, config.policy),
+        ["w1"],
+        lambda value, diag: [_fmt(value)],
+    )
 
 
 def cmd_w2(config: RunConfig) -> int:
     """Second witness against the gain, optionally vacuum-projected."""
-
-    def evaluate(gamma):
-        e = evaluate_w2(
-            gamma, projected=config.projected, policy=config.policy,
-            cutoff=config.cutoff,
-        )
-        return [_fmt(e.value), _fmt(e.agreement)], e.value
-
-    return _sweep_command(config, evaluate, ["w2", "agreement"], lambda points: None)
+    return _format_sweep(
+        config,
+        lambda grid: witness_sweep(2, grid, config.projected, config.policy),
+        ["w2", "agreement"],
+        lambda value, diag: [_fmt(value), _fmt(diag["agreement"])],
+    )
 
 
 _COMMANDS = {
@@ -380,10 +343,9 @@ def parse_config(argv=None) -> RunConfig:
         gamma_max=gamma_max,
         steps=steps,
         n=args.n,
-        cutoff=args.cutoff,
-        pade_order=args.pade_order,
-        tol=args.tol,
-        bits=args.bits,
+        policy=NumericPolicy(
+            pade_order=args.pade_order, tol=args.tol, bits=args.bits, cutoff=args.cutoff
+        ),
         eta_min=args.eta_min,
         eta_max=args.eta_max,
         projected=args.projected,

@@ -33,13 +33,20 @@ Both witnesses flag entanglement strictly below zero: w1 transplants the
 three-qubit GHZ projector witness to normalized Stokes operators, and w2
 adds the non-vacuum projector to the Mermin operator, lowering the
 separable bound to half the local realistic one.
+
+Every gain grid, for the library sweeps and the CLI threshold commands
+alike, runs through one engine here: a point that fails becomes a NaN value
+marked failed, and the threshold is bisected, in the sweep's direction, when
+it is first read.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -95,21 +102,33 @@ class LossModel:
 class SweepResult:
     """One observable evaluated over a strictly increasing grid.
 
-    threshold, when not None, is a bisected crossing point bracketed by a
-    sign change of (value - bound) between two grid neighbours.
-    diagnostics carries one dict per point.
+    diagnostics carries one dict per point.  A point whose evaluation
+    failed has value NaN and diagnostics {"failed": True, "error": ...}.
+    bracket, when not None, is the first pair of grid neighbours across
+    which the value crosses the sweep's level in the sweep's direction;
+    threshold is the crossing bisected inside it, computed on first access
+    (None without a bracket), so a caller that never reads it never pays
+    for the bisection.  An evaluation that fails during the bisection
+    raises from that access.
     """
 
     axis: tuple[float, ...]
     values: tuple[float, ...]
-    threshold: float | None
     diagnostics: tuple[dict, ...]
+    bracket: tuple[float, float] | None = None
+    bisect: Callable[[float, float], float] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.axis, self.axis[1:])):
             raise ValueError("axis must be strictly increasing")
         if not len(self.axis) == len(self.values) == len(self.diagnostics):
             raise ValueError("axis, values, diagnostics must align")
+
+    @cached_property
+    def threshold(self) -> float | None:
+        return None if self.bracket is None else self.bisect(*self.bracket)
 
 
 @dataclass(frozen=True)
@@ -130,9 +149,9 @@ class WitnessEvaluation:
     agreement: float
 
 
-def _prepare(gamma, cutoff, policy, state):
+def _prepare(gamma, policy, state):
     if state is None:
-        state = build_bghz(gamma, cutoff=cutoff, policy=policy)
+        state = build_bghz(gamma, policy)
     return state
 
 
@@ -144,7 +163,6 @@ def _vacuum_probability(state: BGHZState) -> float:
 def evaluate_mermin(
     gamma: float,
     policy: NumericPolicy = DEFAULT_POLICY,
-    cutoff: int | None = None,
     state: BGHZState | None = None,
 ) -> MerminEvaluation:
     """Mermin-like LHS with primed operators, plus the reduced form.
@@ -155,7 +173,7 @@ def evaluate_mermin(
     Both are partial sums of the untruncated state's expectations (see the
     module docstring), so every term is scaled by the retained mass.
     """
-    state = _prepare(gamma, cutoff, policy, state)
+    state = _prepare(gamma, policy, state)
     scale = 1.0 - state.norm_residual
     total = 0.0
     for sign, (i, j, k) in zip(_SIGNS, _SETTINGS):
@@ -171,19 +189,27 @@ def evaluate_mermin(
 def mermin_lhs(
     gamma: float,
     policy: NumericPolicy = DEFAULT_POLICY,
-    cutoff: int | None = None,
     state: BGHZState | None = None,
 ) -> float:
-    return evaluate_mermin(gamma, policy, cutoff, state).lhs
+    return evaluate_mermin(gamma, policy, state).lhs
 
 
 def find_crossing(fn, level, lo, hi, tol=1e-3):
     """Bisect fn(x) = level on [lo, hi]; fn(lo) and fn(hi) must straddle it.
 
-    Returns the midpoint of the final bracket, accurate to tol in x.
+    Returns the midpoint of the final bracket, accurate to tol in x.  A
+    non-finite value at an endpoint or a midpoint raises ValueError: NaN
+    sits on neither side of the level, so no bracket survives it.
     """
-    flo = fn(lo) - level
-    fhi = fn(hi) - level
+
+    def offset(x):
+        value = fn(x)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {value} at {x}")
+        return value - level
+
+    flo = offset(lo)
+    fhi = offset(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -195,7 +221,7 @@ def find_crossing(fn, level, lo, hi, tol=1e-3):
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        fmid = fn(mid) - level
+        fmid = offset(mid)
         if fmid == 0.0:
             return mid
         if (fmid > 0.0) == (flo > 0.0):
@@ -270,7 +296,6 @@ def lossy_mermin_lhs(
     gamma: float,
     eta: float,
     policy: NumericPolicy = DEFAULT_POLICY,
-    cutoff: int | None = None,
     state: BGHZState | None = None,
 ) -> float:
     """Mermin-like LHS with every detector thinned to efficiency eta.
@@ -281,7 +306,7 @@ def lossy_mermin_lhs(
     lossless kernel.  Reported in the untruncated-state normalization,
     matching mermin_lhs at eta = 1.
     """
-    state = _prepare(gamma, cutoff, policy, state)
+    state = _prepare(gamma, policy, state)
     scale = 1.0 - state.norm_residual
     shells = _shell_vectors(state)
     table = _loss_table(eta, max(shells))
@@ -301,7 +326,6 @@ def lossy_mermin_lhs(
 def eta_threshold(
     gamma: float,
     policy: NumericPolicy = DEFAULT_POLICY,
-    cutoff: int | None = None,
     tol: float = 1e-3,
 ) -> float:
     """Detector efficiency below which the Mermin violation dies.
@@ -310,7 +334,7 @@ def eta_threshold(
     (raises "not violated at eta=1" otherwise).  The lower bracket starts
     just above 0 because eta = 0 gives exactly 2.
     """
-    state = build_bghz(gamma, cutoff=cutoff, policy=policy)
+    state = build_bghz(gamma, policy)
     if mermin_lhs(gamma, policy, state=state) <= CLASSICAL_BOUND:
         raise ValueError(f"not violated at eta=1 (gamma={gamma})")
     return find_crossing(
@@ -326,7 +350,6 @@ def witness_w1(
     gamma: float,
     projected: bool = False,
     policy: NumericPolicy = DEFAULT_POLICY,
-    cutoff: int | None = None,
     state: BGHZState | None = None,
 ) -> float:
     """GHZ projector witness in normalized Stokes operators.
@@ -335,7 +358,7 @@ def witness_w1(
     negative expectation flags entanglement, the three-qubit GHZ state
     reaching -1.  projected evaluates on the vacuum-removed state.
     """
-    state = _prepare(gamma, cutoff, policy, state)
+    state = _prepare(gamma, policy, state)
     if projected:
         state = project_out_vacuum(state)
     value = 1.5 * stokes_expectation(state, ("S0", "S0", "S0"))
@@ -352,7 +375,6 @@ def evaluate_w2(
     gamma: float,
     projected: bool = False,
     policy: NumericPolicy = DEFAULT_POLICY,
-    cutoff: int | None = None,
     state: BGHZState | None = None,
 ) -> WitnessEvaluation:
     """Mermin-operator witness with the non-vacuum projector added.
@@ -362,7 +384,7 @@ def evaluate_w2(
     state, and agreement records their difference.  Negative value flags
     entanglement (separable bound 0).
     """
-    state = _prepare(gamma, cutoff, policy, state)
+    state = _prepare(gamma, policy, state)
     if projected:
         state = project_out_vacuum(state)
     m_value = (
@@ -386,58 +408,70 @@ def witness_w2(
     gamma: float,
     projected: bool = False,
     policy: NumericPolicy = DEFAULT_POLICY,
-    cutoff: int | None = None,
     state: BGHZState | None = None,
 ) -> float:
-    return evaluate_w2(gamma, projected, policy, cutoff, state).value
+    return evaluate_w2(gamma, projected, policy, state).value
 
 
-def mermin_sweep(
-    gammas, policy: NumericPolicy = DEFAULT_POLICY
-) -> SweepResult:
-    """Mermin LHS over a gain grid, with the threshold bisected when the
-    grid brackets the crossing of 2."""
+def _sweep(gammas, evaluate, level=None, rising=False) -> SweepResult:
+    """Evaluate evaluate(g) -> (value, diagnostics) at every gain, then
+    bracket the first crossing of level: falling through it (value > level
+    >= next) or, when rising, rising through it (value < level <= next).
+
+    A point that raises RuntimeError (ResummationError included) or
+    ValueError becomes NaN marked failed, and NaN brackets nothing.
+    """
     gammas = tuple(float(g) for g in gammas)
-    evals = [evaluate_mermin(g, policy) for g in gammas]
-    values = tuple(e.lhs for e in evals)
-    threshold = None
-    for a, b, va, vb in zip(gammas, gammas[1:], values, values[1:]):
-        if (va - CLASSICAL_BOUND) > 0.0 >= (vb - CLASSICAL_BOUND):
-            threshold = find_crossing(
-                lambda g: mermin_lhs(g, policy), CLASSICAL_BOUND, a, b
-            )
-            break
-    return SweepResult(
-        axis=gammas,
-        values=values,
-        threshold=threshold,
-        diagnostics=tuple(
-            {"reduced": e.reduced, "agreement": e.agreement} for e in evals
-        ),
-    )
-
-
-def eta_threshold_sweep(
-    gammas, policy: NumericPolicy = DEFAULT_POLICY
-) -> SweepResult:
-    """eta_threshold per grid point; NaN where the inequality is not
-    violated even with perfect detectors."""
-    gammas = tuple(float(g) for g in gammas)
-    values = []
-    diagnostics = []
+    if any(g < 0 for g in gammas):
+        raise ValueError("gains must be >= 0")
+    values, diagnostics = [], []
     for g in gammas:
         try:
-            values.append(eta_threshold(g, policy))
-            diagnostics.append({"violated": True})
-        except ValueError:
-            values.append(float("nan"))
-            diagnostics.append({"violated": False})
+            value, diag = evaluate(g)
+        except (RuntimeError, ValueError) as err:
+            value, diag = math.nan, {"failed": True, "error": str(err)}
+        values.append(value)
+        diagnostics.append(diag)
+    bracket = None
+    if level is not None:
+        for a, b, va, vb in zip(gammas, gammas[1:], values, values[1:]):
+            if (va < level <= vb) if rising else (va > level >= vb):
+                bracket = (a, b)
+                break
     return SweepResult(
         axis=gammas,
         values=tuple(values),
-        threshold=None,
         diagnostics=tuple(diagnostics),
+        bracket=bracket,
+        bisect=lambda a, b: find_crossing(lambda g: evaluate(g)[0], level, a, b),
     )
+
+
+def mermin_sweep(gammas, policy: NumericPolicy = DEFAULT_POLICY) -> SweepResult:
+    """Mermin LHS over a gain grid; the threshold is where it falls through 2.
+
+    At gain 0 the LHS is exactly 2, so a grid starting there brackets
+    nothing at its first point.
+    """
+
+    def evaluate(g):
+        e = evaluate_mermin(g, policy)
+        return e.lhs, {"reduced": e.reduced, "agreement": e.agreement}
+
+    return _sweep(gammas, evaluate, CLASSICAL_BOUND)
+
+
+def eta_threshold_sweep(gammas, policy: NumericPolicy = DEFAULT_POLICY) -> SweepResult:
+    """eta_threshold per grid point; NaN with violated False where the
+    inequality is not violated even with perfect detectors.  No threshold."""
+
+    def evaluate(g):
+        try:
+            return eta_threshold(g, policy), {"violated": True}
+        except ValueError:
+            return math.nan, {"violated": False}
+
+    return _sweep(gammas, evaluate)
 
 
 def witness_sweep(
@@ -446,28 +480,18 @@ def witness_sweep(
     projected: bool = False,
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> SweepResult:
-    """w1 or w2 over a gain grid; threshold is the zero crossing where the
-    witness loses negativity, when the grid brackets one."""
+    """w1 or w2 over a gain grid; the threshold is where the witness rises
+    through 0 and loses its negativity."""
     if which not in (1, 2):
         raise ValueError(f"witness index must be 1 or 2, got {which}")
-    gammas = tuple(float(g) for g in gammas)
-    if which == 1:
-        values = tuple(witness_w1(g, projected, policy) for g in gammas)
-        diagnostics = tuple({} for _ in gammas)
-        fn = lambda g: witness_w1(g, projected, policy)
-    else:
-        evals = [evaluate_w2(g, projected, policy) for g in gammas]
-        values = tuple(e.value for e in evals)
-        diagnostics = tuple({"agreement": e.agreement} for e in evals)
-        fn = lambda g: witness_w2(g, projected, policy)
-    threshold = None
-    for a, b, va, vb in zip(gammas, gammas[1:], values, values[1:]):
-        if va < 0.0 <= vb:
-            threshold = find_crossing(fn, 0.0, a, b)
-            break
-    return SweepResult(
-        axis=gammas, values=values, threshold=threshold, diagnostics=diagnostics
-    )
+
+    def evaluate(g):
+        if which == 1:
+            return witness_w1(g, projected, policy), {}
+        e = evaluate_w2(g, projected, policy)
+        return e.value, {"agreement": e.agreement}
+
+    return _sweep(gammas, evaluate, 0.0, rising=True)
 
 
 def dump_sweep_csv(result: SweepResult, path: str, axis_label: str = "gamma") -> None:

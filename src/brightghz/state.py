@@ -51,6 +51,9 @@ CUTOFF_CAP = 60
 # probabilities squared at ~0.2 percent: ample for any downstream float
 # use.  Anything looser is treated as unresolved.
 SOFT_AGREEMENT = 1e-3
+# Gain from which three-beam statistics, and with them the bright state,
+# stop converging; at or past it the builders warn.
+GAMMA_GUARD = 0.9
 
 
 class ResummationError(RuntimeError):
@@ -65,17 +68,29 @@ class ResummationError(RuntimeError):
 class NumericPolicy:
     """Precision and truncation knobs shared by every resummed quantity.
 
-    cutoff None means: grow the photon cutoff until the estimated omitted
-    probability mass drops below TAIL_TARGET, capped at CUTOFF_CAP.
+    The only carrier of these four values: specs, states, kernels and the
+    CLI all read them from here.  cutoff None means: grow the photon cutoff
+    until the estimated omitted probability mass drops below TAIL_TARGET,
+    capped at CUTOFF_CAP.
     """
 
     pade_order: int = 40
     tol: float = 1e-10
     bits: int = 256
     cutoff: int | None = None
-    gamma_guard: float = 0.9
+
+    def __post_init__(self):
+        if self.pade_order < 2:
+            raise ValueError(f"pade_order must be >= 2, got {self.pade_order}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if self.bits < 64:
+            raise ValueError(f"bits must be >= 64, got {self.bits}")
+        if self.cutoff is not None and self.cutoff < 0:
+            raise ValueError(f"cutoff must be >= 0, got {self.cutoff}")
 
     def key(self) -> tuple:
+        """Identity of a resummed value: everything but the cutoff."""
         return (self.pade_order, self.tol, self.bits)
 
 
@@ -84,14 +99,15 @@ DEFAULT_POLICY = NumericPolicy()
 
 @dataclass(frozen=True)
 class BrightStateSpec:
-    """One emission configuration: beam count, gain, and numeric policy."""
+    """One emission configuration: beam count, gain, and numeric policy.
+
+    The policy carries pade_order, tol, bits and the cutoff; the spec holds
+    no copies of them.
+    """
 
     n: int
     gamma: float
-    cutoff: int | None = None
-    pade_order: int = 40
-    tol: float = 1e-10
-    bits: int = 256
+    policy: NumericPolicy = DEFAULT_POLICY
 
     def __post_init__(self):
         if self.n < 1:
@@ -100,18 +116,9 @@ class BrightStateSpec:
             raise ValueError(f"gain must be >= 0, got {self.gamma}")
 
     @property
-    def policy(self) -> NumericPolicy:
-        return NumericPolicy(
-            pade_order=self.pade_order,
-            tol=self.tol,
-            bits=self.bits,
-            cutoff=self.cutoff,
-        )
-
-    @property
     def validity_warning(self) -> bool:
         """True past the gain where three-beam statistics stop converging."""
-        return self.n >= 3 and self.gamma >= 0.9
+        return self.n >= 3 and self.gamma >= GAMMA_GUARD
 
 
 @dataclass(frozen=True)
@@ -170,10 +177,12 @@ def _series_value(n: int, k: int, gamma: float, policy: NumericPolicy):
     """Resummed value of sum_j c_j u^j at u = -gamma**2, as a working-precision real.
 
     A value is usable when the ladder meets the strict policy tolerance,
-    or failing that when its final two diagonal entries still agree to
-    SOFT_AGREEMENT relative; otherwise the order budget genuinely cannot
-    resolve this coefficient and ResummationError is raised.  Failures are
-    cached like values, so a warm gain never walks a failed ladder again.
+    or failing that when the last two orders tried both have values that
+    agree to SOFT_AGREEMENT relative; otherwise the order budget genuinely
+    cannot resolve this coefficient and ResummationError is raised.  A
+    skipped final order (None) never settles, so two early orders cannot
+    stand in for a ladder that broke down later.  Failures are cached like
+    values, so a warm gain never walks a failed ladder again.
     """
     key = (n, k, float(gamma)) + policy.key()
     got = _VALUES.get(key)
@@ -185,9 +194,10 @@ def _series_value(n: int, k: int, gamma: float, policy: NumericPolicy):
         )
         got = result.value
         if not result.converged:
-            vals = [v for _, v in result.diagnostics if v is not None]
+            vals = [v for _, v in result.diagnostics[-2:]]
             settled = (
-                len(vals) >= 2
+                len(vals) == 2
+                and None not in vals
                 and vals[-1] != 0
                 and abs(vals[-1] - vals[-2]) <= SOFT_AGREEMENT * abs(vals[-1])
             )
@@ -271,10 +281,8 @@ def photon_distribution(spec: BrightStateSpec) -> TripleDistribution:
             RuntimeWarning,
             stacklevel=2,
         )
-    if spec.cutoff is not None:
-        if spec.cutoff < 0:
-            raise ValueError(f"cutoff must be >= 0, got {spec.cutoff}")
-        w = [_weight(spec.n, spec.gamma, k, policy) for k in range(spec.cutoff + 1)]
+    if policy.cutoff is not None:
+        w = [_weight(spec.n, spec.gamma, k, policy) for k in range(policy.cutoff + 1)]
         tail = _omitted_mass(w)
     else:
         w = [_weight(spec.n, spec.gamma, k, policy) for k in (0, 1)]
@@ -316,25 +324,23 @@ def photon_distribution(spec: BrightStateSpec) -> TripleDistribution:
     )
 
 
-def build_bghz(
-    gamma: float, cutoff: int | None = None, policy: NumericPolicy = DEFAULT_POLICY
-) -> BGHZState:
+def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZState:
     """Construct the normalized bright GHZ state at the given gain.
 
     Raw amplitudes are C_q * C_m * (q! m!)**1.5 over pairs with
-    q, m <= cutoff; the cutoff defaults to the photon-distribution rule.
+    q, m <= policy.cutoff; an auto cutoff follows the photon-distribution
+    rule for three beams.
     """
     if gamma < 0:
         raise ValueError(f"gain must be >= 0, got {gamma}")
-    if gamma >= policy.gamma_guard:
+    if gamma >= GAMMA_GUARD:
         warnings.warn(
-            f"gain {gamma} is at or past the guard {policy.gamma_guard};"
+            f"gain {gamma} is at or past the guard {GAMMA_GUARD};"
             " bright-state construction may not converge",
             RuntimeWarning,
             stacklevel=2,
         )
-    if cutoff is None:
-        cutoff = policy.cutoff
+    cutoff = policy.cutoff
     if gamma == 0:
         return BGHZState(
             gamma=0.0, cutoff=cutoff or 0, amps={(0, 0): 1.0 + 0j}, norm_residual=0.0
@@ -342,17 +348,7 @@ def build_bghz(
     if cutoff is None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            cutoff = photon_distribution(
-                BrightStateSpec(
-                    n=3,
-                    gamma=gamma,
-                    pade_order=policy.pade_order,
-                    tol=policy.tol,
-                    bits=policy.bits,
-                )
-            ).cutoff
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+            cutoff = photon_distribution(BrightStateSpec(3, gamma, policy)).cutoff
 
     with mp.workprec(policy.bits):
         g = mpf(gamma)

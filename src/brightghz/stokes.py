@@ -331,7 +331,6 @@ def _closed_form_t(state: BGHZState) -> float:
 
 def tensor_t(
     gamma: float,
-    cutoff: int | None = None,
     policy: NumericPolicy = DEFAULT_POLICY,
     state: BGHZState | None = None,
 ) -> CorrelationTensor:
@@ -342,7 +341,7 @@ def tensor_t(
     against the generic evaluation of <S1 S1 S1>.
     """
     if state is None:
-        state = build_bghz(gamma, cutoff=cutoff, policy=policy)
+        state = build_bghz(gamma, policy)
     t = _closed_form_t(state)
     generic = stokes_expectation(state, ("S1", "S1", "S1"))
     elements = dict.fromkeys(itertools.product((1, 2, 3), repeat=3), 0.0)

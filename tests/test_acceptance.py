@@ -30,7 +30,7 @@ from brightghz.oracles import (
 )
 from brightghz.pade import build_pade, diagonal_resum, evaluate
 from brightghz.series_core import build_p_table, c_series, p_explicit
-from brightghz.state import BrightStateSpec, build_bghz, photon_distribution
+from brightghz.state import BrightStateSpec, NumericPolicy, build_bghz, photon_distribution
 from brightghz.stokes import stokes_expectation
 
 
@@ -259,7 +259,7 @@ def test_criterion_9_sparse_dense_agreement():
     ]
     worst = 0.0
     for gamma in (0.5, 0.8):
-        state = build_bghz(gamma, cutoff=2)
+        state = build_bghz(gamma, NumericPolicy(cutoff=2))
         dense = DenseTruncatedState.from_amplitudes(state.amps)
         for ops in triples:
             sparse_value = stokes_expectation(state, ops)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from brightghz import pade, state
+from brightghz import nonclassicality, pade, state
 from brightghz.cli import EXIT_HARD, EXIT_OK, EXIT_WARNINGS, main, parse_config
 from brightghz.oracles import coherent_pk, squeezed_pk
 
@@ -133,6 +133,7 @@ def test_pk_curve_flags_divergence_with_exit_code(tmp_path):
         ["--cmd", "w1", "--gamma-min", "-0.1", "--steps", "1"],
         ["--cmd", "eta", "--eta-min", "0.9", "--eta-max", "0.5"],
         ["--cmd", "pk_curve", "--bits", "16", "--steps", "1"],
+        ["--cmd", "eta", "--gamma-min", "0.05", "--steps", "1", "--cutoff", "-1"],
     ],
 )
 def test_invalid_config_exits_hard(argv, capsys):
@@ -140,13 +141,44 @@ def test_invalid_config_exits_hard(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_failed_bisection_aborts_without_csv(tmp_path, monkeypatch, capsys):
+    # the grid brackets the crossing in (0.75, 0.8); every evaluation
+    # inside that bracket fails, so no threshold line can be written
+    evaluate = nonclassicality.evaluate_mermin
+
+    def failing_inside(gamma, *args):
+        if 0.75 < gamma < 0.8:
+            raise state.ResummationError("stub ladder failure", 40)
+        return evaluate(gamma, *args)
+
+    monkeypatch.setattr(nonclassicality, "evaluate_mermin", failing_inside)
+    out = tmp_path / "out.csv"
+    argv = ["--cmd", "mermin", "--gamma-min", "0.7", "--gamma-max", "0.8", "--steps", "3"]
+    assert main([*argv, "--out", str(out)]) == EXIT_HARD
+    assert "error: stub ladder failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_witness_commands_never_bisect(tmp_path, monkeypatch):
+    # w1 and w2 print no threshold, so a bracketed crossing stays unbisected
+    calls = []
+    monkeypatch.setattr(nonclassicality, "find_crossing", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(nonclassicality, "witness_w1", lambda g, projected, policy: g - 0.5)
+    code, _, _, rows = run(
+        tmp_path, "--cmd", "w1", "--gamma-min", "0.2", "--gamma-max", "0.8", "--steps", "2",
+    )
+    assert code == EXIT_OK
+    assert [float(r[1]) for r in rows] == pytest.approx([-0.3, 0.3])
+    assert calls == []
+
+
 def test_bits_env_var_seeds_default(tmp_path, monkeypatch):
     monkeypatch.setenv("BRIGHTGHZ_BITS", "320")
     cfg = parse_config(["--cmd", "table1"])
-    assert cfg.bits == 320
+    assert cfg.policy.bits == 320
     # an explicit flag still wins over the environment
     cfg = parse_config(["--cmd", "table1", "--bits", "128"])
-    assert cfg.bits == 128
+    assert cfg.policy.bits == 128
 
 
 def test_stdout_is_default_sink(capsys):

@@ -1,0 +1,118 @@
+"""Byte contract of the CSV front end against checked-in golden files.
+
+Each case covers a row kind: table1 and pk_curve statistics, a Mermin grid
+that brackets the crossing, eta rows that are violated, outside the
+efficiency window and not violated, both projected witnesses, a witness
+grid with one failed point (exit 2) and a Mermin grid where every point
+fails (exit 1, the CSV still written).
+
+table1 and pk_curve must match byte for byte.  The Stokes commands end in
+LAPACK eigendecompositions whose last digits may differ between machines,
+so their numeric cells need only agree to 1e-12 relative (1e-12 absolute
+below magnitude 1, where the agreement diagnostics are rounding noise);
+comments, headers, row counts, exit codes and every non-numeric cell must
+match exactly.
+
+Regenerate the golden files with the commit the contract pins:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from brightghz.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "cli"
+
+# name, argv, expected exit code
+CASES = [
+    ("table1", ["--cmd", "table1"], 0),
+    ("pk_curve_n3", ["--cmd", "pk_curve", "--n", "3", "--steps", "2"], 0),
+    (
+        "mermin_crossing",
+        ["--cmd", "mermin", "--gamma-min", "0.7", "--gamma-max", "0.8", "--steps", "3"],
+        0,
+    ),
+    (
+        "eta_window",
+        ["--cmd", "eta", "--gamma-min", "0.45", "--gamma-max", "0.85", "--steps", "3",
+         "--eta-max", "0.9"],
+        0,
+    ),
+    (
+        "w1_projected",
+        ["--cmd", "w1", "--gamma-min", "0.1", "--gamma-max", "0.3", "--steps", "2",
+         "--projected"],
+        0,
+    ),
+    (
+        "w2_projected",
+        ["--cmd", "w2", "--gamma-min", "0.1", "--gamma-max", "0.3", "--steps", "2",
+         "--projected"],
+        0,
+    ),
+    (
+        "w1_failed_point",
+        ["--cmd", "w1", "--gamma-min", "0.3", "--gamma-max", "0.59", "--steps", "2",
+         "--cutoff", "45"],
+        2,
+    ),
+    (
+        "mermin_all_failed",
+        ["--cmd", "mermin", "--gamma-min", "0.55", "--gamma-max", "0.59", "--steps", "2",
+         "--cutoff", "45"],
+        1,
+    ),
+]
+
+BYTE_EXACT = {"table1", "pk_curve"}
+
+
+def _number(cell):
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return None if math.isnan(value) else value
+
+
+def _assert_cells_match(got_line, want_line):
+    got, want = got_line.split(","), want_line.split(",")
+    assert len(got) == len(want), (got_line, want_line)
+    for g, w in zip(got, want):
+        gv, wv = _number(g), _number(w)
+        if gv is None or wv is None:
+            assert g == w, (got_line, want_line)
+        else:
+            assert abs(gv - wv) <= 1e-12 * max(1.0, abs(wv)), (got_line, want_line)
+
+
+@pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_cli_matches_golden(name, argv, code, tmp_path, capsys):
+    out = tmp_path / f"{name}.csv"
+    assert main([*argv, "--out", str(out)]) == code
+    capsys.readouterr()
+    got = out.read_bytes()
+    want = (GOLDEN / f"{name}.csv").read_bytes()
+    if argv[1] in BYTE_EXACT:
+        assert got == want
+        return
+    got_lines, want_lines = got.decode().splitlines(), want.decode().splitlines()
+    assert len(got_lines) == len(want_lines)
+    for g, w in zip(got_lines, want_lines):
+        if w.startswith("#"):
+            assert g == w
+        else:
+            _assert_cells_match(g, w)
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    for name, argv, code in CASES:
+        got = main([*argv, "--out", str(GOLDEN / f"{name}.csv")])
+        if got != code:
+            sys.exit(f"{name}: exit {got}, expected {code}")

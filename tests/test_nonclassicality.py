@@ -28,6 +28,7 @@ from brightghz.nonclassicality import (
     witness_w2,
 )
 from brightghz.oracles import random_product_state
+from brightghz.state import NumericPolicy
 from brightghz.stokes import stokes_expectation
 
 
@@ -125,6 +126,17 @@ def test_find_crossing_on_analytic_function():
         find_crossing(lambda x: x * x, -1.0, 0.0, 2.0)
 
 
+def test_find_crossing_rejects_non_finite_values():
+    def f(x):
+        return math.nan if 0.3 < x < 0.7 else x - 0.5
+
+    # NaN at the first midpoint, then at an endpoint
+    with pytest.raises(ValueError, match="non-finite"):
+        find_crossing(f, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        find_crossing(f, 0.0, 0.5, 1.0)
+
+
 def test_lossless_limit_matches_mermin():
     assert lossy_mermin_lhs(0.4, 1.0) == pytest.approx(mermin_lhs(0.4), abs=1e-9)
 
@@ -213,11 +225,9 @@ def test_separable_states_respect_witness_bound():
 
 def test_sweep_result_validates_axis():
     with pytest.raises(ValueError):
-        SweepResult(axis=(0.2, 0.1), values=(1.0, 2.0), threshold=None,
-                    diagnostics=({}, {}))
+        SweepResult(axis=(0.2, 0.1), values=(1.0, 2.0), diagnostics=({}, {}))
     with pytest.raises(ValueError):
-        SweepResult(axis=(0.1, 0.2), values=(1.0,), threshold=None,
-                    diagnostics=({}, {}))
+        SweepResult(axis=(0.1, 0.2), values=(1.0,), diagnostics=({}, {}))
 
 
 def test_mermin_sweep_brackets_threshold():
@@ -225,6 +235,41 @@ def test_mermin_sweep_brackets_threshold():
     assert result.threshold == pytest.approx(0.77, abs=0.02)
     assert result.values[0] > 2.0 > result.values[-1]
     assert all(d["agreement"] <= 1e-8 for d in result.diagnostics)
+
+
+def test_mermin_sweep_from_zero_gain_has_no_threshold():
+    # the LHS is exactly 2 at gain 0 and rises from there: no falling crossing
+    result = mermin_sweep((0.0, 0.1))
+    assert result.values[0] == 2.0 < result.values[1]
+    assert result.bracket is None and result.threshold is None
+
+
+def test_sweep_marks_failed_points_nan():
+    # with the cutoff pinned at 45 the ladder cannot resolve gain 0.59
+    result = witness_sweep(1, (0.3, 0.59), policy=NumericPolicy(cutoff=45))
+    assert not math.isnan(result.values[0]) and "failed" not in result.diagnostics[0]
+    assert math.isnan(result.values[1])
+    assert result.diagnostics[1]["failed"]
+    assert "did not settle" in result.diagnostics[1]["error"]
+
+
+def test_sweep_bisects_only_when_threshold_is_read(monkeypatch):
+    calls = []
+    crossing = nonclassicality.find_crossing
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return crossing(*args, **kwargs)
+
+    monkeypatch.setattr(nonclassicality, "find_crossing", counted)
+    monkeypatch.setattr(nonclassicality, "witness_w1", lambda g, projected, policy: g - 0.5)
+    result = witness_sweep(1, (0.2, 0.8))
+    assert result.bracket == (0.2, 0.8)  # rising through 0
+    assert calls == []
+    # read twice, bisected once
+    assert result.threshold == pytest.approx(0.5, abs=1e-3)
+    assert result.threshold == pytest.approx(0.5, abs=1e-3)
+    assert len(calls) == 1
 
 
 def test_eta_threshold_sweep_flags_unviolated_points():

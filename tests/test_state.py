@@ -4,14 +4,17 @@ import csv
 import math
 
 import pytest
+from mpmath import mpf
 
+import brightghz.state as state_module
 from brightghz.oracles import coherent_pk, squeezed_pk
-from brightghz.pade import DiagonalResummer
+from brightghz.pade import DiagonalResummer, ResummationResult
 from brightghz.state import (
     CUTOFF_CAP,
     DEFAULT_POLICY,
     BGHZState,
     BrightStateSpec,
+    NumericPolicy,
     ResummationError,
     build_bghz,
     dump_distribution_csv,
@@ -49,6 +52,14 @@ def test_spec_validation():
     assert BrightStateSpec(n=3, gamma=0.9).validity_warning
     assert not BrightStateSpec(n=3, gamma=0.89).validity_warning
     assert not BrightStateSpec(n=2, gamma=1.5).validity_warning
+
+
+@pytest.mark.parametrize(
+    "fields", [{"pade_order": 1}, {"tol": 0.0}, {"bits": 32}, {"cutoff": -1}]
+)
+def test_policy_rejects_out_of_range_fields(fields):
+    with pytest.raises(ValueError):
+        NumericPolicy(**fields)
 
 
 def test_coefficient_validation():
@@ -143,7 +154,7 @@ def test_zero_gain_distribution():
 
 
 def test_pinned_cutoff_reports_fat_tail():
-    dist = photon_distribution(BrightStateSpec(n=3, gamma=0.8, cutoff=5))
+    dist = photon_distribution(BrightStateSpec(n=3, gamma=0.8, policy=NumericPolicy(cutoff=5)))
     assert dist.cutoff == 5
     assert dist.tail_bound > 0.01
     assert sum(dist.probs) + dist.tail_bound == pytest.approx(1.0, abs=1e-9)
@@ -159,6 +170,30 @@ def test_validity_boundary_warns_and_flags():
 def test_unresolvable_coefficient_raises():
     with pytest.raises(ResummationError):
         resummed_coefficient(3, 25, 1.2)
+
+
+def test_soft_acceptance_compares_the_last_two_orders(monkeypatch):
+    # a ladder that broke down after two early orders agreed to 1e-3 is
+    # not settled: the orders tried last carry no value
+    early = ((1, 1.0), (2, 1.0001))
+    skipped = tuple((order, None) for order in range(3, 41))
+    late = ((39, 1.0), (40, 1.0001))
+
+    class Stub:
+        def __init__(self, diagnostics):
+            self.diagnostics = diagnostics
+
+        def resum(self, u, max_order, tol, bits):
+            return ResummationResult(mpf(1.0001), False, max_order, self.diagnostics)
+
+    for diagnostics, settles in ((early + skipped, False), (skipped[:-2] + late, True)):
+        monkeypatch.setattr(state_module, "_VALUES", {})
+        monkeypatch.setattr(state_module, "_resummer", lambda n, k, L: Stub(diagnostics))
+        if settles:
+            assert abs(resummed_coefficient(3, 2, 0.5)) == pytest.approx(0.25 * 1.0001)
+        else:
+            with pytest.raises(ResummationError):
+                resummed_coefficient(3, 2, 0.5)
 
 
 def test_state_normalization_and_symmetry():
@@ -196,13 +231,13 @@ def test_state_zero_gain_is_vacuum():
 
 def test_state_guard_warns():
     with pytest.warns(RuntimeWarning):
-        build_bghz(0.95, cutoff=6)
+        build_bghz(0.95, NumericPolicy(cutoff=6))
 
 
 def test_norm_residual_tracks_truncation():
     assert build_bghz(0.3).norm_residual < 1e-8
     with pytest.warns(RuntimeWarning):
-        heavy = build_bghz(0.92, cutoff=20)
+        heavy = build_bghz(0.92, NumericPolicy(cutoff=20))
     assert heavy.norm_residual > 1e-3
 
 
@@ -238,7 +273,7 @@ def test_distribution_csv_roundtrip(tmp_path):
 
 
 def test_state_csv_roundtrip(tmp_path):
-    state = build_bghz(0.5, cutoff=3)
+    state = build_bghz(0.5, NumericPolicy(cutoff=3))
     path = tmp_path / "state.csv"
     dump_state_csv(state, str(path))
     with open(path, newline="") as fh:
@@ -251,6 +286,23 @@ def test_state_csv_roundtrip(tmp_path):
     }
     for qm, amp in state.amps.items():
         assert got[qm] == pytest.approx(amp, abs=1e-15)
+
+
+def test_pinned_cutoff_reuses_auto_cutoff_values(monkeypatch):
+    # resummed values do not depend on the cutoff, so the value cache key
+    # leaves it out: a pinned box inside an auto-cutoff one resums nothing
+    auto = build_bghz(0.3)
+    calls = []
+    resum = DiagonalResummer.resum
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return resum(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiagonalResummer, "resum", counted)
+    pinned = build_bghz(0.3, NumericPolicy(cutoff=4))
+    assert calls == []
+    assert pinned.cutoff == 4 < auto.cutoff
 
 
 def test_failed_ladder_is_cached(monkeypatch):

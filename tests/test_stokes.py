@@ -13,7 +13,7 @@ from brightghz.oracles import (
     binomial_shell_rotation,
     dense_expectation,
 )
-from brightghz.state import CUTOFF_CAP, BGHZState, build_bghz
+from brightghz.state import CUTOFF_CAP, BGHZState, NumericPolicy, build_bghz
 from brightghz.stokes import (
     _shell_rotation,
     _shell_unitary,
@@ -56,7 +56,7 @@ def vacuum():
 
 @pytest.fixture(scope="module")
 def bright_small():
-    return build_bghz(0.3, cutoff=4)
+    return build_bghz(0.3, NumericPolicy(cutoff=4))
 
 
 def test_basis_unitarity_and_unbiasedness():
@@ -361,7 +361,7 @@ def test_party_stokes_vector_in_bloch_ball(gamma):
 
 @pytest.mark.parametrize("gamma", [0.5, 0.8])
 def test_sparse_matches_dense_oracle(gamma):
-    state = build_bghz(gamma, cutoff=2)
+    state = build_bghz(gamma, NumericPolicy(cutoff=2))
     dense = DenseTruncatedState.from_amplitudes(state.amps)
     triples = MERMIN_TRIPLES + [
         ("S1p", "S1p", "S1p"),
