@@ -8,20 +8,13 @@ series tamed with diagonal Pade approximants.
 
 from brightghz.series_core import (
     FormalSeries,
-    RecurrenceTable,
-    build_p_table,
     c_series,
-    ladder_coefficient,
-    p_explicit,
 )
 from brightghz.pade import (
     DiagonalResummer,
-    PadeApproximant,
     PoleProximityError,
     ResummationResult,
-    build_pade,
     diagonal_resum,
-    evaluate,
 )
 from brightghz.state import (
     CUTOFF_CAP,
@@ -32,8 +25,6 @@ from brightghz.state import (
     ResummationError,
     TripleDistribution,
     build_bghz,
-    dump_distribution_csv,
-    dump_state_csv,
     photon_distribution,
     project_out_vacuum,
     resummed_coefficient,
@@ -43,7 +34,6 @@ from brightghz.stokes import (
     JointFockState,
     MeasurementBasis,
     basis,
-    dump_tensor_csv,
     joint_from_bghz,
     rotate_party,
     stokes_expectation,
@@ -54,7 +44,6 @@ from brightghz.nonclassicality import (
     MerminEvaluation,
     SweepResult,
     WitnessEvaluation,
-    dump_sweep_csv,
     eta_threshold,
     eta_threshold_sweep,
     evaluate_mermin,
@@ -72,18 +61,11 @@ from brightghz.nonclassicality import (
 
 __all__ = [
     "FormalSeries",
-    "RecurrenceTable",
-    "build_p_table",
     "c_series",
-    "ladder_coefficient",
-    "p_explicit",
     "DiagonalResummer",
-    "PadeApproximant",
     "PoleProximityError",
     "ResummationResult",
-    "build_pade",
     "diagonal_resum",
-    "evaluate",
     "CUTOFF_CAP",
     "DEFAULT_POLICY",
     "BGHZState",
@@ -92,8 +74,6 @@ __all__ = [
     "ResummationError",
     "TripleDistribution",
     "build_bghz",
-    "dump_distribution_csv",
-    "dump_state_csv",
     "photon_distribution",
     "project_out_vacuum",
     "resummed_coefficient",
@@ -101,7 +81,6 @@ __all__ = [
     "JointFockState",
     "MeasurementBasis",
     "basis",
-    "dump_tensor_csv",
     "joint_from_bghz",
     "rotate_party",
     "stokes_expectation",
@@ -110,7 +89,6 @@ __all__ = [
     "MerminEvaluation",
     "SweepResult",
     "WitnessEvaluation",
-    "dump_sweep_csv",
     "eta_threshold",
     "eta_threshold_sweep",
     "evaluate_mermin",

@@ -19,7 +19,6 @@ nothing could be computed or a threshold bisection failed.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import warnings
@@ -84,13 +83,14 @@ class RunConfig:
 
 
 def _fmt(value: float) -> str:
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
     return f"{value:.17g}"
 
 
 class _Emitter:
-    """Collects CSV lines so a run is written (and hashed) atomically."""
+    """Collects CSV lines so a run is written (and hashed) atomically.
+
+    The package's one CSV writer: the library hands out values, not files.
+    """
 
     def __init__(self, config: RunConfig):
         self.lines: list[str] = []

@@ -42,7 +42,6 @@ it is first read.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -77,7 +76,6 @@ __all__ = [
     "mermin_sweep",
     "eta_threshold_sweep",
     "witness_sweep",
-    "dump_sweep_csv",
 ]
 
 # setting triples of the Mermin combination and their signs
@@ -492,19 +490,3 @@ def witness_sweep(
         return e.value, {"agreement": e.agreement}
 
     return _sweep(gammas, evaluate, 0.0, rising=True)
-
-
-def dump_sweep_csv(result: SweepResult, path: str, axis_label: str = "gamma") -> None:
-    """Write a sweep as CSV: axis, value, then any shared diagnostic keys."""
-    keys = sorted(
-        set.intersection(*(set(d) for d in result.diagnostics))
-        if result.diagnostics
-        else set()
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([axis_label, "value", *keys])
-        for x, v, diag in zip(result.axis, result.values, result.diagnostics):
-            writer.writerow(
-                [f"{x:.17g}", f"{v:.17g}", *(f"{diag[k]}" for k in keys)]
-            )

@@ -1,24 +1,38 @@
 """Reference implementations for the test suite, kept deliberately naive.
 
-Two kinds of oracle live here.  The closed forms cover the one- and
+Five kinds of oracle live here.  The closed forms cover the one- and
 two-beam sources, whose emission statistics are textbook results
 (Poissonian for a coherent state, geometric for squeezed vacuum), so the
 resummation engine can be checked against formulas it never touches.
-The dense machinery builds explicit operator matrices on exhaustively
-enumerated six-mode occupations, per-party total capped low, and takes
-expectations by direct matrix action; the production code computes the
-same numbers without ever materializing a matrix.
+The explicit P sum evaluates the weights P[k, l] of `series_core` from
+their closed nested-sum form, and `build_p_table` snapshots the
+production recurrence into a table to compare it with.  The exact Pade
+construction solves the [N/M] denominator system in rational arithmetic
+and evaluates the rational at a chosen precision, the reference for the
+continued-fraction ladder of `pade`.  The binomial shell rotation expands
+the rotated creation operators term by term, a low-shell reference for
+`stokes`.  The dense machinery builds explicit operator matrices on
+exhaustively enumerated six-mode occupations, per-party total capped low,
+and takes expectations by direct matrix action; the production code
+computes the same numbers without ever materializing a matrix.
 
-Nothing here is exported through the package namespace.
+Nothing here is exported through the package namespace, and no production
+module imports it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
+from mpmath import mp, mpf
+
+from brightghz.pade import PoleProximityError
+from brightghz.series_core import _ensure_store
 
 DENSE_CAP = 4
 
@@ -37,6 +51,214 @@ def squeezed_pk(gamma: float, k: int) -> float:
         raise ValueError(f"photon number must be >= 0, got {k}")
     t = math.tanh(gamma) ** 2
     return (1.0 - t) * t**k
+
+
+@dataclass(frozen=True)
+class RecurrenceTable:
+    """Table of weights P[k, l] for one beam count n, filled to l <= l_max.
+
+    ``entries`` holds exactly the structurally nonzero pairs: 0 <= k <= l,
+    l - k even.  Every stored value is a positive integer.
+    """
+
+    n: int
+    l_max: int
+    entries: dict[tuple[int, int], int]
+
+    def value(self, k: int, l: int) -> int:
+        """Return P[k, l], or 0 for any index outside the nonzero pattern."""
+        if l > self.l_max:
+            raise ValueError(
+                f"table for n={self.n} filled only to l_max={self.l_max}, got l={l}"
+            )
+        return self.entries.get((k, l), 0)
+
+
+def build_p_table(n: int, l_max: int) -> RecurrenceTable:
+    """Fill the recurrence table for n beams up to Hamiltonian power l_max.
+
+    Parameters
+    ----------
+    n : int
+        Number of beams (modes per emitted tuple), n >= 1.
+    l_max : int
+        Largest Hamiltonian power to fill, l_max >= 0.
+    """
+    if n < 1:
+        raise ValueError(f"beam count n must be >= 1, got {n}")
+    if l_max < 0:
+        raise ValueError(f"l_max must be >= 0, got {l_max}")
+    store = _ensure_store(n, l_max)
+    entries = {kl: v for kl, v in store.items() if kl[1] <= l_max}
+    return RecurrenceTable(n=n, l_max=l_max, entries=entries)
+
+
+def p_explicit(k: int, n: int, l: int) -> int:
+    """Evaluate P[k, l] from its closed nested-sum form, bypassing the table.
+
+    The (l - k)/2 nested sums run as
+
+        sum_{i=1}^{k+1} i**n  sum_{j=1}^{i+1} j**n  ...  (innermost empty = 1)
+
+    This route is combinatorial in (l - k)/2 and is meant as an independent
+    cross-check of the recurrence on small indices, not for production use.
+    """
+    if n < 1:
+        raise ValueError(f"beam count n must be >= 1, got {n}")
+    if k < 0 or l < 0:
+        raise ValueError(f"indices must be nonnegative, got k={k}, l={l}")
+    if k > l:
+        raise ValueError(f"nested-sum form needs k <= l, got k={k}, l={l}")
+    if (l - k) % 2:
+        raise ValueError(f"(l - k) must be even, got k={k}, l={l}")
+    depth = (l - k) // 2
+    memo: dict[tuple[int, int], int] = {}
+
+    def tower(d: int, upper: int) -> int:
+        if d == 0:
+            return 1
+        key = (d, upper)
+        got = memo.get(key)
+        if got is None:
+            got = sum(i**n * tower(d - 1, i + 1) for i in range(1, upper + 1))
+            memo[key] = got
+        return got
+
+    return tower(depth, k + 1)
+
+
+# Coefficient magnitudes span hundreds of orders, so explicit approximant
+# construction solves the denominator system in exact rational arithmetic;
+# rounding enters only at evaluation time, at a configurable binary
+# precision.
+
+
+@dataclass(frozen=True)
+class PadeApproximant:
+    """Rational [N/M] approximant with exact coefficients, den[0] = 1.
+
+    ``requested`` records the order originally asked for; it differs from
+    (N, M) when a singular denominator system forced a step-down.
+    """
+
+    N: int
+    M: int
+    num: tuple[Fraction, ...]
+    den: tuple[Fraction, ...]
+    requested: tuple[int, int]
+
+
+def _solve_exact(
+    a: list[list[Fraction]], b: list[Fraction]
+) -> list[Fraction] | None:
+    """Gaussian elimination with exact pivots; None if the system is singular."""
+    m = len(a)
+    aug = [list(a[i]) + [b[i]] for i in range(m)]
+    for col in range(m):
+        piv = next((r for r in range(col, m) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+        pivval = aug[col][col]
+        for r in range(col + 1, m):
+            f = aug[r][col] / pivval
+            if f:
+                row, ref = aug[r], aug[col]
+                for c in range(col, m + 1):
+                    row[c] -= f * ref[c]
+    x = [Fraction(0)] * m
+    for r in range(m - 1, -1, -1):
+        acc = aug[r][m] - sum(aug[r][c] * x[c] for c in range(r + 1, m))
+        x[r] = acc / aug[r][r]
+    return x
+
+
+def build_pade(series: Sequence, N: int, M: int) -> PadeApproximant:
+    """Construct the [N/M] approximant of a series given exactly.
+
+    Needs N + M + 1 leading coefficients.  A singular denominator system
+    (the series is effectively of lower rational degree) steps down to
+    [N-1/M-1] until solvable; [0/0] always exists.
+    """
+    if N < 0 or M < 0:
+        raise ValueError(f"orders must be nonnegative, got N={N}, M={M}")
+    coeffs = [Fraction(c) for c in series]
+    if len(coeffs) < N + M + 1:
+        raise ValueError(
+            f"[{N}/{M}] needs {N + M + 1} coefficients, got {len(coeffs)}"
+        )
+    requested = (N, M)
+
+    def c(i: int) -> Fraction:
+        return coeffs[i] if i >= 0 else Fraction(0)
+
+    n, m_ord = N, M
+    while True:
+        if m_ord == 0:
+            den = [Fraction(1)]
+            y = []
+            break
+        a = [[c(n + j - mm) for mm in range(1, m_ord + 1)] for j in range(1, m_ord + 1)]
+        rhs = [-c(n + j) for j in range(1, m_ord + 1)]
+        y = _solve_exact(a, rhs)
+        if y is not None:
+            den = [Fraction(1)] + y
+            break
+        n, m_ord = max(n - 1, 0), m_ord - 1
+
+    num = [
+        sum(den[mm] * c(i - mm) for mm in range(0, min(i, m_ord) + 1))
+        for i in range(n + 1)
+    ]
+    return PadeApproximant(
+        N=n, M=m_ord, num=tuple(num), den=tuple(den), requested=requested
+    )
+
+
+def _to_mpf(cf: Fraction):
+    return mpf(cf.numerator) / mpf(cf.denominator)
+
+
+def _horner(coeffs: Sequence, x) -> tuple:
+    """Evaluate polynomial and its coefficient-magnitude scale at |x|."""
+    val = mpf(0)
+    scale = mpf(0)
+    ax = abs(x)
+    for cv in reversed(coeffs):
+        val = val * x + cv
+        scale = scale * ax + abs(cv)
+    return val, scale
+
+
+def _eval_rational(num_mpf, den_mpf, x, bits: int, label: str):
+    den, den_scale = _horner(den_mpf, x)
+    if abs(den) < mpf(2) ** (-(bits // 2)) * den_scale:
+        raise PoleProximityError(
+            f"denominator of {label} vanishes near x={float(x)}"
+        )
+    num, _ = _horner(num_mpf, x)
+    return num / den
+
+
+def evaluate(approx: PadeApproximant, x, bits: int = 256):
+    """Evaluate the approximant at x with the given binary working precision.
+
+    Raises PoleProximityError when the denominator lands below
+    2**(-bits/2) relative to its own coefficient scale at x.
+    """
+    if bits < 8:
+        raise ValueError(f"bits must be >= 8, got {bits}")
+    with mp.workprec(bits):
+        if isinstance(x, Fraction):
+            xv = mpf(x.numerator) / mpf(x.denominator)
+        else:
+            xv = mpf(x)
+        num_mpf = tuple(_to_mpf(c) for c in approx.num)
+        den_mpf = tuple(_to_mpf(c) for c in approx.den)
+        return _eval_rational(
+            num_mpf, den_mpf, xv, bits, f"[{approx.N}/{approx.M}]"
+        )
 
 
 def binomial_shell_rotation(u: np.ndarray, k: int) -> np.ndarray:

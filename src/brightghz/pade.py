@@ -10,13 +10,8 @@ series by the [N/M] Pade rational
 whose Taylor expansion matches the series through order N + M, and to walk
 the diagonal [1/1], [2/2], ... until two successive values agree.
 
-Coefficient magnitudes span hundreds of orders, so explicit approximant
-construction solves the denominator system in exact rational arithmetic;
-rounding enters only at evaluation time, at a configurable binary
-precision.
-
-Walking the whole diagonal at one point does not build the rationals at
-all.  The series has a corresponding continued fraction (C-fraction)
+Walking the diagonal does not build the rationals at all.  The series
+has a corresponding continued fraction (C-fraction)
 
     c_0 / (1 - a_1 x / (1 - a_2 x / (1 - ...))),
 
@@ -49,11 +44,8 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_rational, round_nearest, to_rational
 
 __all__ = [
-    "PadeApproximant",
     "ResummationResult",
     "PoleProximityError",
-    "build_pade",
-    "evaluate",
     "diagonal_resum",
     "DiagonalResummer",
 ]
@@ -61,21 +53,6 @@ __all__ = [
 
 class PoleProximityError(ArithmeticError):
     """Evaluation point sits numerically on a denominator zero."""
-
-
-@dataclass(frozen=True)
-class PadeApproximant:
-    """Rational [N/M] approximant with exact coefficients, den[0] = 1.
-
-    ``requested`` records the order originally asked for; it differs from
-    (N, M) when a singular denominator system forced a step-down.
-    """
-
-    N: int
-    M: int
-    num: tuple[Fraction, ...]
-    den: tuple[Fraction, ...]
-    requested: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -93,119 +70,6 @@ class ResummationResult:
     converged: bool
     order_used: int
     diagnostics: tuple[tuple[int, float | None], ...]
-
-
-def _solve_exact(
-    a: list[list[Fraction]], b: list[Fraction]
-) -> list[Fraction] | None:
-    """Gaussian elimination with exact pivots; None if the system is singular."""
-    m = len(a)
-    aug = [list(a[i]) + [b[i]] for i in range(m)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        pivval = aug[col][col]
-        for r in range(col + 1, m):
-            f = aug[r][col] / pivval
-            if f:
-                row, ref = aug[r], aug[col]
-                for c in range(col, m + 1):
-                    row[c] -= f * ref[c]
-    x = [Fraction(0)] * m
-    for r in range(m - 1, -1, -1):
-        acc = aug[r][m] - sum(aug[r][c] * x[c] for c in range(r + 1, m))
-        x[r] = acc / aug[r][r]
-    return x
-
-
-def build_pade(series: Sequence, N: int, M: int) -> PadeApproximant:
-    """Construct the [N/M] approximant of a series given exactly.
-
-    Needs N + M + 1 leading coefficients.  A singular denominator system
-    (the series is effectively of lower rational degree) steps down to
-    [N-1/M-1] until solvable; [0/0] always exists.
-    """
-    if N < 0 or M < 0:
-        raise ValueError(f"orders must be nonnegative, got N={N}, M={M}")
-    coeffs = [Fraction(c) for c in series]
-    if len(coeffs) < N + M + 1:
-        raise ValueError(
-            f"[{N}/{M}] needs {N + M + 1} coefficients, got {len(coeffs)}"
-        )
-    requested = (N, M)
-
-    def c(i: int) -> Fraction:
-        return coeffs[i] if i >= 0 else Fraction(0)
-
-    n, m_ord = N, M
-    while True:
-        if m_ord == 0:
-            den = [Fraction(1)]
-            y = []
-            break
-        a = [[c(n + j - mm) for mm in range(1, m_ord + 1)] for j in range(1, m_ord + 1)]
-        rhs = [-c(n + j) for j in range(1, m_ord + 1)]
-        y = _solve_exact(a, rhs)
-        if y is not None:
-            den = [Fraction(1)] + y
-            break
-        n, m_ord = max(n - 1, 0), m_ord - 1
-
-    num = [
-        sum(den[mm] * c(i - mm) for mm in range(0, min(i, m_ord) + 1))
-        for i in range(n + 1)
-    ]
-    return PadeApproximant(
-        N=n, M=m_ord, num=tuple(num), den=tuple(den), requested=requested
-    )
-
-
-def _to_mpf(cf: Fraction):
-    return mpf(cf.numerator) / mpf(cf.denominator)
-
-
-def _horner(coeffs: Sequence, x) -> tuple:
-    """Evaluate polynomial and its coefficient-magnitude scale at |x|."""
-    val = mpf(0)
-    scale = mpf(0)
-    ax = abs(x)
-    for cv in reversed(coeffs):
-        val = val * x + cv
-        scale = scale * ax + abs(cv)
-    return val, scale
-
-
-def _eval_rational(num_mpf, den_mpf, x, bits: int, label: str):
-    den, den_scale = _horner(den_mpf, x)
-    if abs(den) < mpf(2) ** (-(bits // 2)) * den_scale:
-        raise PoleProximityError(
-            f"denominator of {label} vanishes near x={float(x)}"
-        )
-    num, _ = _horner(num_mpf, x)
-    return num / den
-
-
-def evaluate(approx: PadeApproximant, x, bits: int = 256):
-    """Evaluate the approximant at x with the given binary working precision.
-
-    Raises PoleProximityError when the denominator lands below
-    2**(-bits/2) relative to its own coefficient scale at x.
-    """
-    if bits < 8:
-        raise ValueError(f"bits must be >= 8, got {bits}")
-    with mp.workprec(bits):
-        if isinstance(x, Fraction):
-            xv = mpf(x.numerator) / mpf(x.denominator)
-        else:
-            xv = mpf(x)
-        num_mpf = tuple(_to_mpf(c) for c in approx.num)
-        den_mpf = tuple(_to_mpf(c) for c in approx.den)
-        return _eval_rational(
-            num_mpf, den_mpf, xv, bits, f"[{approx.N}/{approx.M}]"
-        )
 
 
 def _point(x):
@@ -376,9 +240,7 @@ def _epsilon_ladder(coeffs, x, tol: float, bits: int) -> ResummationResult:
 class DiagonalResummer:
     """Reusable diagonal ladder for one coefficient series.
 
-    approximant() builds explicit rationals exactly and caches them; they
-    are independent of the evaluation point.  resum() never constructs
-    them.  It finds the C-fraction coefficients once per working precision
+    resum() finds the C-fraction coefficients once per working precision
     (two qd runs, for the precision check), caches only those, rounded to
     the precision they are walked at, and walks the convergents at each
     point in O(max_order) operations.  Points where qd broke down or the
@@ -387,19 +249,11 @@ class DiagonalResummer:
 
     def __init__(self, series: Sequence):
         self.coeffs = tuple(Fraction(c) for c in series)
-        self._ladder: dict[int, PadeApproximant] = {}
         # bits -> (terms asked for, value-run and check-run coefficients)
         self._fractions: dict[int, tuple[int, tuple, tuple]] = {}
 
     def max_feasible_order(self) -> int:
         return (len(self.coeffs) - 1) // 2
-
-    def approximant(self, order: int) -> PadeApproximant:
-        got = self._ladder.get(order)
-        if got is None:
-            got = build_pade(self.coeffs, order, order)
-            self._ladder[order] = got
-        return got
 
     def _cfraction(self, count: int, bits: int) -> tuple[tuple, tuple]:
         """a_1..a_count of the value and check runs; shorter after a breakdown."""

@@ -21,41 +21,11 @@ series in u and attach the (iG)**k prefactor.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, perm
+from math import factorial
 
-__all__ = [
-    "RecurrenceTable",
-    "FormalSeries",
-    "build_p_table",
-    "p_explicit",
-    "ladder_coefficient",
-    "c_series",
-    "dump_table_csv",
-]
-
-
-@dataclass(frozen=True)
-class RecurrenceTable:
-    """Table of weights P[k, l] for one beam count n, filled to l <= l_max.
-
-    ``entries`` holds exactly the structurally nonzero pairs: 0 <= k <= l,
-    l - k even.  Every stored value is a positive integer.
-    """
-
-    n: int
-    l_max: int
-    entries: dict[tuple[int, int], int]
-
-    def value(self, k: int, l: int) -> int:
-        """Return P[k, l], or 0 for any index outside the nonzero pattern."""
-        if l > self.l_max:
-            raise ValueError(
-                f"table for n={self.n} filled only to l_max={self.l_max}, got l={l}"
-            )
-        return self.entries.get((k, l), 0)
+__all__ = ["FormalSeries", "c_series"]
 
 
 @dataclass(frozen=True)
@@ -71,7 +41,7 @@ class FormalSeries:
     coeffs: tuple[Fraction, ...]
 
 
-# One growable store per n; build_p_table slices exact snapshots out of it.
+# One growable store of P[k, l] per n, filled by the recurrence on demand.
 _STORE: dict[int, tuple[int, dict[tuple[int, int], int]]] = {}
 
 
@@ -88,76 +58,6 @@ def _ensure_store(n: int, l_max: int) -> dict[tuple[int, int], int]:
             entries[(k, l)] = v
     _STORE[n] = (max(built, l_max), entries)
     return entries
-
-
-def build_p_table(n: int, l_max: int) -> RecurrenceTable:
-    """Fill the recurrence table for n beams up to Hamiltonian power l_max.
-
-    Parameters
-    ----------
-    n : int
-        Number of beams (modes per emitted tuple), n >= 1.
-    l_max : int
-        Largest Hamiltonian power to fill, l_max >= 0.
-    """
-    if n < 1:
-        raise ValueError(f"beam count n must be >= 1, got {n}")
-    if l_max < 0:
-        raise ValueError(f"l_max must be >= 0, got {l_max}")
-    store = _ensure_store(n, l_max)
-    entries = {kl: v for kl, v in store.items() if kl[1] <= l_max}
-    return RecurrenceTable(n=n, l_max=l_max, entries=entries)
-
-
-def p_explicit(k: int, n: int, l: int) -> int:
-    """Evaluate P[k, l] from its closed nested-sum form, bypassing the table.
-
-    The (l - k)/2 nested sums run as
-
-        sum_{i=1}^{k+1} i**n  sum_{j=1}^{i+1} j**n  ...  (innermost empty = 1)
-
-    This route is combinatorial in (l - k)/2 and is meant as an independent
-    cross-check of the recurrence on small indices, not for production use.
-    """
-    if n < 1:
-        raise ValueError(f"beam count n must be >= 1, got {n}")
-    if k < 0 or l < 0:
-        raise ValueError(f"indices must be nonnegative, got k={k}, l={l}")
-    if k > l:
-        raise ValueError(f"nested-sum form needs k <= l, got k={k}, l={l}")
-    if (l - k) % 2:
-        raise ValueError(f"(l - k) must be even, got k={k}, l={l}")
-    depth = (l - k) // 2
-    memo: dict[tuple[int, int], int] = {}
-
-    def tower(d: int, upper: int) -> int:
-        if d == 0:
-            return 1
-        key = (d, upper)
-        got = memo.get(key)
-        if got is None:
-            got = sum(i**n * tower(d - 1, i + 1) for i in range(1, upper + 1))
-            memo[key] = got
-        return got
-
-    return tower(depth, k + 1)
-
-
-def ladder_coefficient(n: int, l: int, p: int) -> int:
-    """Weight picked up when l collective annihilations act on p stored tuples.
-
-    Acting with the n-mode annihilation product l times on the p-th power of
-    the n-mode creation product over vacuum multiplies the state by
-    (p * (p-1) * ... * (p-l+1))**n.  Over-annihilation (l > p) kills the
-    state, returned as 0.
-    """
-    if n < 1:
-        raise ValueError(f"beam count n must be >= 1, got {n}")
-    if l < 0 or p < 0:
-        raise ValueError(f"powers must be nonnegative, got l={l}, p={p}")
-    if l > p:
-        return 0
-    return perm(p, l) ** n
 
 
 def c_series(k: int, n: int, L: int) -> FormalSeries:
@@ -177,12 +77,3 @@ def c_series(k: int, n: int, L: int) -> FormalSeries:
         for j in range(L)
     )
     return FormalSeries(k=k, n=n, coeffs=coeffs)
-
-
-def dump_table_csv(table: RecurrenceTable, path: str) -> None:
-    """Write the table as CSV rows k,l,n,value with plain decimal integers."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "l", "n", "value"])
-        for (k, l) in sorted(table.entries, key=lambda kl: (kl[1], kl[0])):
-            writer.writerow([k, l, table.n, str(table.entries[(k, l)])])

@@ -18,7 +18,6 @@ normalized amplitudes are handed out as machine floats.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,6 +29,8 @@ from brightghz.pade import DiagonalResummer
 from brightghz.series_core import c_series
 
 __all__ = [
+    "CUTOFF_CAP",
+    "DEFAULT_POLICY",
     "NumericPolicy",
     "BrightStateSpec",
     "TripleDistribution",
@@ -39,8 +40,6 @@ __all__ = [
     "photon_distribution",
     "build_bghz",
     "project_out_vacuum",
-    "dump_state_csv",
-    "dump_distribution_csv",
 ]
 
 TAIL_TARGET = 1e-10
@@ -71,7 +70,8 @@ class NumericPolicy:
     The only carrier of these four values: specs, states, kernels and the
     CLI all read them from here.  cutoff None means: grow the photon cutoff
     until the estimated omitted probability mass drops below TAIL_TARGET,
-    capped at CUTOFF_CAP.
+    capped at CUTOFF_CAP.  tol must lie below SOFT_AGREEMENT: a looser
+    strict level stops the ladder as soon as two early orders roughly agree.
     """
 
     pade_order: int = 40
@@ -82,8 +82,10 @@ class NumericPolicy:
     def __post_init__(self):
         if self.pade_order < 2:
             raise ValueError(f"pade_order must be >= 2, got {self.pade_order}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not 0 < self.tol < SOFT_AGREEMENT:
+            raise ValueError(
+                f"tol must be > 0 and below the soft level {SOFT_AGREEMENT}, got {self.tol}"
+            )
         if self.bits < 64:
             raise ValueError(f"bits must be >= 64, got {self.bits}")
         if self.cutoff is not None and self.cutoff < 0:
@@ -159,9 +161,14 @@ class BGHZState:
 
 
 # Resummer per coefficient series, and per gain point the settled series
-# value or the ResummationError its ladder ended in.
+# value or the ResummationError its ladder ended in.  _RESUMMERS is bounded
+# by construction: its key (n, k, L) does not depend on the gain.  Every
+# new gain adds about cutoff + 1 values per beam count, so _VALUES is a
+# most-recently-used dict capped at VALUES_MAX entries, over ten times what
+# any benchmark workload holds.
 _RESUMMERS: dict[tuple[int, int, int], DiagonalResummer] = {}
 _VALUES: dict[tuple, object] = {}
+VALUES_MAX = 32768
 
 
 def _resummer(n: int, k: int, L: int) -> DiagonalResummer:
@@ -185,7 +192,7 @@ def _series_value(n: int, k: int, gamma: float, policy: NumericPolicy):
     values, so a warm gain never walks a failed ladder again.
     """
     key = (n, k, float(gamma)) + policy.key()
-    got = _VALUES.get(key)
+    got = _VALUES.pop(key, None)
     if got is None:
         resummer = _resummer(n, k, 2 * policy.pade_order + 1)
         u = -(Fraction(gamma) ** 2)
@@ -207,7 +214,9 @@ def _series_value(n: int, k: int, gamma: float, policy: NumericPolicy):
                     f" gamma={gamma} within order {result.order_used}",
                     order_reached=result.order_used,
                 )
-        _VALUES[key] = got
+    _VALUES[key] = got
+    if len(_VALUES) > VALUES_MAX:
+        del _VALUES[next(iter(_VALUES))]
     if isinstance(got, ResummationError):
         # raise a fresh copy, so the cached error never holds a traceback
         raise ResummationError(str(got), got.order_reached)
@@ -390,22 +399,3 @@ def project_out_vacuum(state: BGHZState) -> BGHZState:
         norm_residual=state.norm_residual,
         vacuum_projected=True,
     )
-
-
-def dump_state_csv(state: BGHZState, path: str) -> None:
-    """Write amplitudes as CSV rows q,m,re_amp,im_amp in (q, m) order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["q", "m", "re_amp", "im_amp"])
-        for (q, m) in sorted(state.amps):
-            a = state.amps[(q, m)]
-            writer.writerow([q, m, f"{a.real:.17g}", f"{a.imag:.17g}"])
-
-
-def dump_distribution_csv(dist: TripleDistribution, path: str) -> None:
-    """Write the distribution as CSV rows k,p."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "p"])
-        for k, p in enumerate(dist.probs):
-            writer.writerow([k, f"{p:.17g}"])

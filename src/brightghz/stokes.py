@@ -24,7 +24,6 @@ joint states and doubles as a cross-check of the fast kernel.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -42,7 +41,6 @@ __all__ = [
     "rotate_party",
     "stokes_expectation",
     "tensor_t",
-    "dump_tensor_csv",
 ]
 
 _SQ = 1.0 / math.sqrt(2.0)
@@ -194,6 +192,9 @@ def _diagonal_values(kind: str, k: int) -> np.ndarray:
     return np.array([_count_value(kind, kappa, k - kappa) for kappa in range(k + 1)])
 
 
+# Bounded by construction: the keys do not depend on the gain, only on one
+# of 2 fixed bases or 10 selectors and a photon shell, and a bright state's
+# shells stop at twice its cutoff (2 * CUTOFF_CAP unless the cutoff is pinned).
 _SHELL_ROTATIONS: dict[tuple[int, int], np.ndarray] = {}
 _SHELL_BLOCKS: dict[tuple[str, int], np.ndarray] = {}
 
@@ -352,23 +353,3 @@ def tensor_t(
         elements=elements,
         cross_check=abs(t - generic),
     )
-
-
-def dump_tensor_csv(tensors, path: str) -> None:
-    """Write tensors as CSV rows gamma,i,j,k,value (27 rows per tensor)."""
-    if isinstance(tensors, CorrelationTensor):
-        tensors = [tensors]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gamma", "i", "j", "k", "value"])
-        for tensor in tensors:
-            for (i, j, k) in sorted(tensor.elements):
-                writer.writerow(
-                    [
-                        f"{tensor.gamma:.17g}",
-                        i,
-                        j,
-                        k,
-                        f"{tensor.elements[(i, j, k)]:.17g}",
-                    ]
-                )

@@ -24,12 +24,16 @@ from brightghz.nonclassicality import (
 )
 from brightghz.oracles import (
     DenseTruncatedState,
+    build_p_table,
+    build_pade,
     coherent_pk,
     dense_expectation,
+    evaluate,
+    p_explicit,
     squeezed_pk,
 )
-from brightghz.pade import build_pade, diagonal_resum, evaluate
-from brightghz.series_core import build_p_table, c_series, p_explicit
+from brightghz.pade import diagonal_resum
+from brightghz.series_core import c_series
 from brightghz.state import BrightStateSpec, NumericPolicy, build_bghz, photon_distribution
 from brightghz.stokes import stokes_expectation
 

@@ -134,6 +134,7 @@ def test_pk_curve_flags_divergence_with_exit_code(tmp_path):
         ["--cmd", "eta", "--eta-min", "0.9", "--eta-max", "0.5"],
         ["--cmd", "pk_curve", "--bits", "16", "--steps", "1"],
         ["--cmd", "eta", "--gamma-min", "0.05", "--steps", "1", "--cutoff", "-1"],
+        ["--cmd", "table1", "--tol", "0.5"],
     ],
 )
 def test_invalid_config_exits_hard(argv, capsys):

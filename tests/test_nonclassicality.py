@@ -1,6 +1,5 @@
 """Mermin-like inequality, detector loss, thresholds, and witnesses."""
 
-import csv
 import math
 import warnings
 
@@ -12,7 +11,6 @@ from brightghz.nonclassicality import (
     LOSS_TABLES_MAX,
     LossModel,
     SweepResult,
-    dump_sweep_csv,
     eta_threshold,
     eta_threshold_sweep,
     evaluate_mermin,
@@ -288,14 +286,3 @@ def test_witness_sweep_values_and_diagnostics():
     assert all(d["agreement"] <= 1e-8 for d in result.diagnostics)
     with pytest.raises(ValueError):
         witness_sweep(3, (0.2, 0.4))
-
-
-def test_sweep_csv_roundtrip(tmp_path):
-    result = mermin_sweep((0.3, 0.5))
-    path = tmp_path / "sweep.csv"
-    dump_sweep_csv(result, str(path))
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [float(r["gamma"]) for r in rows] == [0.3, 0.5]
-    assert float(rows[0]["value"]) == pytest.approx(result.values[0])
-    assert "agreement" in rows[0]

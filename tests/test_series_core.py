@@ -3,17 +3,10 @@
 from fractions import Fraction
 from math import factorial
 
-import numpy as np
 import pytest
 
-from brightghz.series_core import (
-    FormalSeries,
-    build_p_table,
-    c_series,
-    dump_table_csv,
-    ladder_coefficient,
-    p_explicit,
-)
+from brightghz.oracles import build_p_table, p_explicit
+from brightghz.series_core import FormalSeries, c_series
 
 
 def test_base_cases():
@@ -97,43 +90,6 @@ def test_argument_validation():
         table.value(0, 8)
 
 
-def test_ladder_coefficient_examples():
-    assert ladder_coefficient(1, 1, 1) == 1
-    assert ladder_coefficient(3, 1, 2) == 8
-    assert ladder_coefficient(2, 2, 2) == 4
-    assert ladder_coefficient(2, 3, 2) == 0  # over-annihilation
-    assert ladder_coefficient(4, 0, 5) == 1  # empty product
-    with pytest.raises(ValueError):
-        ladder_coefficient(0, 1, 1)
-    with pytest.raises(ValueError):
-        ladder_coefficient(2, -1, 3)
-
-
-def test_ladder_coefficient_against_dense_two_mode():
-    # brute force A^l (Adag)^p |0,0> for A = a x b on a truncated grid
-    dim = 7
-    a = np.zeros((dim, dim))
-    for i in range(1, dim):
-        a[i - 1, i] = np.sqrt(i)
-    eye = np.eye(dim)
-    A = np.kron(a, eye) @ np.kron(eye, a)
-    Adag = A.T
-    vac = np.zeros(dim * dim)
-    vac[0] = 1.0
-    for p in range(0, 4):
-        for l in range(0, p + 1):
-            psi = vac.copy()
-            for _ in range(p):
-                psi = Adag @ psi
-            for _ in range(l):
-                psi = A @ psi
-            q = p - l
-            idx = q * dim + q
-            # (Adag)^q |0,0> has amplitude q! on the normalised |q,q> ket
-            expected = ladder_coefficient(2, l, p) * factorial(q)
-            assert psi[idx] == pytest.approx(expected, rel=1e-12)
-
-
 def test_c_series_leading_coefficient():
     for k in range(7):
         for n in (1, 2, 3):
@@ -181,18 +137,3 @@ def test_c_series_validation():
         c_series(0, 2, 0)
     with pytest.raises(ValueError):
         c_series(0, 0, 3)
-
-
-def test_dump_table_csv(tmp_path):
-    table = build_p_table(2, 4)
-    path = tmp_path / "table.csv"
-    dump_table_csv(table, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k,l,n,value"
-    rows = [line.split(",") for line in lines[1:]]
-    assert rows[0] == ["0", "0", "2", "1"]
-    assert ["2", "4", "2", "14"] in rows
-    # plain decimal integers, ordered by (l, k)
-    assert all("e" not in r[3] and "." not in r[3] for r in rows)
-    keys = [(int(r[1]), int(r[0])) for r in rows]
-    assert keys == sorted(keys)

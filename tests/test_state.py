@@ -1,6 +1,5 @@
 """Resummed coefficients, photon statistics, and bright-state construction."""
 
-import csv
 import math
 
 import pytest
@@ -17,8 +16,6 @@ from brightghz.state import (
     NumericPolicy,
     ResummationError,
     build_bghz,
-    dump_distribution_csv,
-    dump_state_csv,
     photon_distribution,
     project_out_vacuum,
     resummed_coefficient,
@@ -55,7 +52,15 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize(
-    "fields", [{"pade_order": 1}, {"tol": 0.0}, {"bits": 32}, {"cutoff": -1}]
+    "fields",
+    [
+        {"pade_order": 1},
+        {"tol": 0.0},
+        {"tol": 0.5},
+        {"tol": float("inf")},
+        {"bits": 32},
+        {"cutoff": -1},
+    ],
 )
 def test_policy_rejects_out_of_range_fields(fields):
     with pytest.raises(ValueError):
@@ -259,35 +264,6 @@ def test_vacuum_projection_needs_support():
         project_out_vacuum(build_bghz(0.0))
 
 
-def test_distribution_csv_roundtrip(tmp_path):
-    dist = photon_distribution(BrightStateSpec(n=2, gamma=0.6))
-    path = tmp_path / "pk.csv"
-    dump_distribution_csv(dist, str(path))
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["k", "p"]
-    assert len(rows) == len(dist.probs) + 1
-    for k, row in enumerate(rows[1:]):
-        assert int(row[0]) == k
-        assert float(row[1]) == pytest.approx(dist.probs[k], rel=1e-15)
-
-
-def test_state_csv_roundtrip(tmp_path):
-    state = build_bghz(0.5, NumericPolicy(cutoff=3))
-    path = tmp_path / "state.csv"
-    dump_state_csv(state, str(path))
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["q", "m", "re_amp", "im_amp"]
-    assert len(rows) == len(state.amps) + 1
-    got = {
-        (int(q), int(m)): complex(float(re), float(im))
-        for q, m, re, im in rows[1:]
-    }
-    for qm, amp in state.amps.items():
-        assert got[qm] == pytest.approx(amp, abs=1e-15)
-
-
 def test_pinned_cutoff_reuses_auto_cutoff_values(monkeypatch):
     # resummed values do not depend on the cutoff, so the value cache key
     # leaves it out: a pinned box inside an auto-cutoff one resums nothing
@@ -327,3 +303,16 @@ def test_failed_ladder_is_cached(monkeypatch):
         resummed_coefficient(3, first.cutoff + 1, 0.59)
     assert again.value is not err.value
     assert str(again.value) == str(err.value)
+
+
+def test_value_cache_is_bounded(monkeypatch):
+    # a long sweep never grows the value cache past its cap, and a value
+    # evicted on the way resums to the same number
+    monkeypatch.setattr(state_module, "_VALUES", {})
+    monkeypatch.setattr(state_module, "VALUES_MAX", 8)
+    first = resummed_coefficient(3, 2, 0.3)
+    for i in range(12):
+        resummed_coefficient(3, 2, 0.31 + 0.01 * i)
+        assert len(state_module._VALUES) <= 8
+    assert not any(key[2] == 0.3 for key in state_module._VALUES)
+    assert resummed_coefficient(3, 2, 0.3) == first

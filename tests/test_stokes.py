@@ -1,6 +1,5 @@
 """Basis rotations, Stokes expectations, and the correlation tensor."""
 
-import csv
 import math
 
 import numpy as np
@@ -21,7 +20,6 @@ from brightghz.stokes import (
     JointFockState,
     MeasurementBasis,
     basis,
-    dump_tensor_csv,
     joint_from_bghz,
     rotate_party,
     stokes_expectation,
@@ -373,19 +371,3 @@ def test_sparse_matches_dense_oracle(gamma):
         sparse = stokes_expectation(state, ops)
         brute = dense_expectation(dense, ops)
         assert sparse == pytest.approx(brute, abs=1e-10)
-
-
-def test_tensor_csv_roundtrip(tmp_path):
-    tensor = tensor_t(0.4)
-    path = tmp_path / "tensor.csv"
-    dump_tensor_csv(tensor, str(path))
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 27
-    values = {
-        (int(r["i"]), int(r["j"]), int(r["k"])): float(r["value"]) for r in rows
-    }
-    assert values[(1, 1, 1)] == pytest.approx(tensor.t)
-    assert values[(1, 2, 2)] == pytest.approx(-tensor.t)
-    assert values[(3, 3, 3)] == 0.0
-    assert all(float(r["gamma"]) == 0.4 for r in rows)
