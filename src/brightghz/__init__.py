@@ -31,11 +31,6 @@ from brightghz.state import (
 )
 from brightghz.stokes import (
     CorrelationTensor,
-    JointFockState,
-    MeasurementBasis,
-    basis,
-    joint_from_bghz,
-    rotate_party,
     stokes_expectation,
     tensor_t,
 )
@@ -78,11 +73,6 @@ __all__ = [
     "project_out_vacuum",
     "resummed_coefficient",
     "CorrelationTensor",
-    "JointFockState",
-    "MeasurementBasis",
-    "basis",
-    "joint_from_bghz",
-    "rotate_party",
     "stokes_expectation",
     "tensor_t",
     "LossModel",

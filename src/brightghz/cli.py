@@ -19,7 +19,7 @@ nothing could be computed or a threshold bisection failed.
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -31,6 +31,7 @@ from brightghz.nonclassicality import (
     witness_sweep,
 )
 from brightghz.state import (
+    DEFAULT_POLICY,
     BrightStateSpec,
     NumericPolicy,
     ResummationError,
@@ -40,8 +41,6 @@ from brightghz.state import (
 EXIT_OK = 0
 EXIT_HARD = 1
 EXIT_WARNINGS = 2
-
-BITS_ENV = "BRIGHTGHZ_BITS"
 
 TABLE_MAX_K = 10
 
@@ -66,8 +65,8 @@ class RunConfig:
             raise ValueError("steps must be >= 1")
         if self.steps > 1 and not self.gamma_min < self.gamma_max:
             raise ValueError("gamma grid needs gamma-min < gamma-max")
-        if self.gamma_min < 0:
-            raise ValueError("gains must be >= 0")
+        if not (0 <= self.gamma_min < math.inf and 0 <= self.gamma_max < math.inf):
+            raise ValueError("gains must be finite and >= 0")
         if not 0.0 <= self.eta_min < self.eta_max <= 1.0:
             raise ValueError("eta window must satisfy 0 <= min < max <= 1")
         if self.n < 1:
@@ -305,13 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="pin the photon cutoff instead of growing it adaptively",
     )
-    parser.add_argument("--pade-order", type=int, default=40)
-    parser.add_argument("--tol", type=float, default=1e-10)
+    parser.add_argument("--pade-order", type=int, default=DEFAULT_POLICY.pade_order)
+    parser.add_argument("--tol", type=float, default=DEFAULT_POLICY.tol)
     parser.add_argument(
-        "--bits",
-        type=int,
-        default=None,
-        help=f"working precision; defaults to ${BITS_ENV} or 256",
+        "--bits", type=int, default=DEFAULT_POLICY.bits, help="working precision in bits"
     )
     parser.add_argument("--eta-min", type=float, default=0.0)
     parser.add_argument("--eta-max", type=float, default=1.0)
@@ -323,9 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_config(argv=None) -> RunConfig:
     args = build_parser().parse_args(argv)
-    if args.bits is None:
-        env = os.environ.get(BITS_ENV, "")
-        args.bits = int(env) if env else 256
     if args.cmd == "table1":
         gamma_min = 0.8 if args.gamma_min is None else args.gamma_min
         gamma_max, steps = gamma_min, 1

@@ -1,6 +1,6 @@
 """Reference implementations for the test suite, kept deliberately naive.
 
-Five kinds of oracle live here.  The closed forms cover the one- and
+Six kinds of oracle live here.  The closed forms cover the one- and
 two-beam sources, whose emission statistics are textbook results
 (Poissonian for a coherent state, geometric for squeezed vacuum), so the
 resummation engine can be checked against formulas it never touches.
@@ -8,8 +8,10 @@ The explicit P sum evaluates the weights P[k, l] of `series_core` from
 their closed nested-sum form, and `build_p_table` snapshots the
 production recurrence into a table to compare it with.  The exact Pade
 construction solves the [N/M] denominator system in rational arithmetic
-and evaluates the rational at a chosen precision, the reference for the
-continued-fraction ladder of `pade`.  The binomial shell rotation expands
+and evaluates the rational at a chosen precision, and Wynn's epsilon
+recursion on partial sums walks the same diagonal ladder with its own
+stopping decisions: the two references for the continued-fraction ladder
+of `pade`.  The binomial shell rotation expands
 the rotated creation operators term by term, a low-shell reference for
 `stokes`.  The dense machinery builds explicit operator matrices on
 exhaustively enumerated six-mode occupations, per-party total capped low,
@@ -31,7 +33,7 @@ from typing import Sequence
 import numpy as np
 from mpmath import mp, mpf
 
-from brightghz.pade import PoleProximityError
+from brightghz.pade import PoleProximityError, ResummationResult, _point
 from brightghz.series_core import _ensure_store
 
 DENSE_CAP = 4
@@ -261,6 +263,91 @@ def evaluate(approx: PadeApproximant, x, bits: int = 256):
         )
 
 
+def epsilon_ladder(coeffs, x, tol: float, bits: int) -> ResummationResult:
+    """The diagonal ladder by Wynn's epsilon recursion on partial sums.
+
+    The even columns of the epsilon table are the diagonal approximant
+    values, so one pass over the 2 * max_order + 1 given coefficients
+    costs O(max_order**2) operations at a working precision sized to the
+    partial-sum overshoot.  A partial sum that repeats at that precision
+    is a singular lozenge: the row stays too short, and every later order
+    is skipped with a None diagnostic.
+    """
+    need = len(coeffs)
+    # Partial sums of a divergent series overshoot the resummed value by
+    # the full divergence before the table cancels it back down, so the
+    # working precision must cover that overshoot on top of the requested
+    # precision.
+    with mp.workprec(bits + 64):
+        xv = _point(x)
+        total = mpf(0)
+        power = mpf(1)
+        peak = mpf(0)
+        scale = None
+        for q in coeffs:
+            term = mpf(q.numerator) / q.denominator * power
+            if scale is None and term != 0:
+                scale = abs(term)
+            total += term
+            power *= xv
+            if abs(total) > peak:
+                peak = abs(total)
+        if scale is None or scale == 0:
+            scale = mpf(1)
+        excess = 0
+        if peak > scale:
+            excess = int(mp.ceil(mp.log(peak / scale, 2)))
+    work = min(bits + excess + 64, 1 << 16)
+
+    diagnostics: list[tuple[int, float | None]] = []
+    prev = None
+    value = None
+    order_used = 0
+    converged = False
+    with mp.workprec(work):
+        xv = _point(x)
+        older: list = []
+        total = mpf(0)
+        power = mpf(1)
+        for m in range(need):
+            q = coeffs[m]
+            total += mpf(q.numerator) / q.denominator * power
+            power *= xv
+            newer = [total]
+            for r in range(1, min(m, len(older)) + 1):
+                diff = newer[r - 1] - older[r - 1]
+                if diff == 0:
+                    # singular patch: drop this lozenge; the row then
+                    # stays too short, so every later order is skipped
+                    break
+                tail = older[r - 2] if r >= 2 else mpf(0)
+                newer.append(tail + 1 / diff)
+            older = newer
+            if m >= 2 and m % 2 == 0:
+                order = m // 2
+                if len(newer) > m and mp.isfinite(newer[m]):
+                    v = newer[m]
+                    diagnostics.append((order, float(v)))
+                    value = v
+                    order_used = order
+                    if prev is not None and abs(v - prev) <= tol * abs(v):
+                        converged = True
+                        break
+                    prev = v
+                else:
+                    diagnostics.append((order, None))
+    if value is None:
+        raise PoleProximityError(
+            "every diagonal order was skipped for pole proximity"
+        )
+    return ResummationResult(
+        value=value,
+        converged=converged,
+        order_used=order_used,
+        diagnostics=tuple(diagnostics),
+    )
+
+
 def binomial_shell_rotation(u: np.ndarray, k: int) -> np.ndarray:
     """Shell-k rotation A[kappa, q] (new modes = u @ old) by binomial expansion.
 
@@ -310,7 +397,12 @@ def _party_operators(cap: int) -> dict[str, np.ndarray]:
     nonvac = np.diag([0.0 if t == 0 else 1.0 for t in total]).astype(complex)
     vac = np.diag([1.0 if t == 0 else 0.0 for t in total]).astype(complex)
 
-    ops: dict[str, np.ndarray] = {"Pi": nonvac, "I": np.eye(dim, dtype=complex)}
+    ops: dict[str, np.ndarray] = {
+        "Pi": nonvac,
+        "S0": nonvac,
+        "Pvac": vac,
+        "I": np.eye(dim, dtype=complex),
+    }
     for j, th in theta.items():
         s = ninv @ th
         ops[f"S{j}"] = s
@@ -361,41 +453,37 @@ def dense_expectation(state: DenseTruncatedState, tokens: tuple[str, str, str]) 
     """<state| O1 x O2 x O3 |state> by direct matrix action.
 
     Each token is one of S1, S2, S3 (normalized Stokes), S1p, S2p, S3p
-    (vacuum-penalized), Pi (non-vacuum projector), or I.
+    (vacuum-penalized), Pi or its alias S0 (non-vacuum projector), Pvac
+    (vacuum projector), or I.
     """
     ops = _party_operators(state.cap)
     try:
         o1, o2, o3 = (ops[t] for t in tokens)
     except KeyError as err:
         raise ValueError(f"unknown operator token {err.args[0]!r}") from None
-    acted = np.einsum("ai,bj,ck,ijk->abc", o1, o2, o3, state.amp)
+    acted = np.einsum("ai,bj,ck,ijk->abc", o1, o2, o3, state.amp, optimize=True)
     value = complex(np.vdot(state.amp, acted))
     return value.real
 
 
-def random_product_state(rng, max_photons: int = 2):
+def random_product_state(rng, max_photons: int = 2) -> DenseTruncatedState:
     """Random fully separable three-party state for separability checks.
 
-    Each party gets a Fock occupation from {0..max_photons} placed along a
-    uniformly drawn polarization direction, realized by tagging the party
-    with a random custom basis.  The joint state is an exact product, so
-    any separable bound must hold on it.
+    Each party holds n photons, n drawn from {0..max_photons}, in the one
+    mode polarized along a uniformly drawn direction (cos t, sin t e^{i phi}):
+    amplitude sqrt(C(n, q)) cos(t)^q (sin(t) e^{i phi})^(n - q) on (q, n - q).
+    The dense state is the exact outer product of the three, so any
+    separable bound must hold on it.
     """
-    from brightghz.stokes import JointFockState, MeasurementBasis
-
-    key = []
-    bases = []
+    index = {qm: i for i, qm in enumerate(_party_basis(max_photons))}
+    parties = []
     for _ in range(3):
-        key.extend([int(rng.integers(0, max_photons + 1)), 0])
+        n = int(rng.integers(0, max_photons + 1))
         theta = rng.uniform(0.0, math.pi)
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        c, s = math.cos(theta), math.sin(theta)
-        bases.append(
-            MeasurementBasis(
-                0,
-                np.array(
-                    [[c, -s * np.exp(-1j * phi)], [s * np.exp(1j * phi), c]]
-                ),
-            )
-        )
-    return JointFockState(amps={tuple(key): 1.0 + 0j}, bases=tuple(bases))
+        c, s = math.cos(theta), math.sin(theta) * np.exp(1j * phi)
+        local = np.zeros(len(index), dtype=complex)
+        for q in range(n + 1):
+            local[index[q, n - q]] = math.sqrt(math.comb(n, q)) * c**q * s ** (n - q)
+        parties.append(local)
+    return DenseTruncatedState(cap=max_photons, amp=np.einsum("i,j,k->ijk", *parties))

@@ -21,10 +21,9 @@ finds them once per series with O(order**2) high-precision operations;
 each evaluation point then costs one O(order) forward (Wallis) recurrence.
 Both steps lose bits to cancellation, so each runs well above the
 requested precision, and an independent run with 64 fewer bits in both
-steps must reproduce every ladder value to 2**-bits relative.  Where qd
-breaks down (a zero divisor) or that check fails, the point falls back to
-Wynn's epsilon recursion on partial sums, which yields the same [N/N]
-values with O(order**2) operations per point.
+steps must reproduce every ladder value to 2**-bits relative.  The first
+order that qd did not reach (a zero divisor broke the table) or that
+fails this check ends the walk unconverged, recorded with no value.
 
 The continued-fraction steps compute in the standard decimal module, whose
 C implementation runs this arithmetic about three times faster than
@@ -60,10 +59,10 @@ class ResummationResult:
     """Outcome of walking the diagonal approximant ladder at one point.
 
     ``value`` carries the full working precision; ``diagnostics`` holds one
-    (order, value) pair per diagonal order tried, value None where the order
-    was skipped (pole at the evaluation point, or a singular patch of the
-    value table).  converged means the last two retained values agreed to
-    tol relative, which also bounds them by tol * max(1, |value|).
+    (order, value) pair per diagonal order tried, and a final value None
+    marks the order at which the ladder stopped without a value.  converged
+    means the last two retained values agreed to tol relative, which also
+    bounds them by tol * max(1, |value|).
     """
 
     value: object  # mpmath.mpf
@@ -154,97 +153,13 @@ def _even_convergents(c0: Decimal, coeffs, x: Decimal, ctx: Context):
             yield ctx.divide(mul(c0, b_cur), a_cur) if a_cur else None
 
 
-def _epsilon_ladder(coeffs, x, tol: float, bits: int) -> ResummationResult:
-    """The diagonal ladder by Wynn's epsilon recursion on partial sums.
-
-    The even columns of the epsilon table are the diagonal approximant
-    values, so one pass over the 2 * max_order + 1 given coefficients
-    costs O(max_order**2) operations at a working precision sized to the
-    partial-sum overshoot.
-    """
-    need = len(coeffs)
-    # Partial sums of a divergent series overshoot the resummed value by
-    # the full divergence before the table cancels it back down, so the
-    # working precision must cover that overshoot on top of the requested
-    # precision.
-    with mp.workprec(bits + 64):
-        xv = _point(x)
-        total = mpf(0)
-        power = mpf(1)
-        peak = mpf(0)
-        scale = None
-        for q in coeffs:
-            term = mpf(q.numerator) / q.denominator * power
-            if scale is None and term != 0:
-                scale = abs(term)
-            total += term
-            power *= xv
-            if abs(total) > peak:
-                peak = abs(total)
-        if scale is None or scale == 0:
-            scale = mpf(1)
-        excess = 0
-        if peak > scale:
-            excess = int(mp.ceil(mp.log(peak / scale, 2)))
-    work = min(bits + excess + 64, 1 << 16)
-
-    diagnostics: list[tuple[int, float | None]] = []
-    prev = None
-    value = None
-    order_used = 0
-    converged = False
-    with mp.workprec(work):
-        xv = _point(x)
-        older: list = []
-        total = mpf(0)
-        power = mpf(1)
-        for m in range(need):
-            q = coeffs[m]
-            total += mpf(q.numerator) / q.denominator * power
-            power *= xv
-            newer = [total]
-            for r in range(1, min(m, len(older)) + 1):
-                diff = newer[r - 1] - older[r - 1]
-                if diff == 0:
-                    # singular patch: drop this lozenge; the row then
-                    # stays too short, so every later order is skipped
-                    break
-                tail = older[r - 2] if r >= 2 else mpf(0)
-                newer.append(tail + 1 / diff)
-            older = newer
-            if m >= 2 and m % 2 == 0:
-                order = m // 2
-                if len(newer) > m and mp.isfinite(newer[m]):
-                    v = newer[m]
-                    diagnostics.append((order, float(v)))
-                    value = v
-                    order_used = order
-                    if prev is not None and abs(v - prev) <= tol * abs(v):
-                        converged = True
-                        break
-                    prev = v
-                else:
-                    diagnostics.append((order, None))
-    if value is None:
-        raise PoleProximityError(
-            "every diagonal order was skipped for pole proximity"
-        )
-    return ResummationResult(
-        value=value,
-        converged=converged,
-        order_used=order_used,
-        diagnostics=tuple(diagnostics),
-    )
-
-
 class DiagonalResummer:
     """Reusable diagonal ladder for one coefficient series.
 
     resum() finds the C-fraction coefficients once per working precision
     (two qd runs, for the precision check), caches only those, rounded to
     the precision they are walked at, and walks the convergents at each
-    point in O(max_order) operations.  Points where qd broke down or the
-    check failed go to the epsilon recursion, O(max_order**2) per point.
+    point in O(max_order) operations.
     """
 
     def __init__(self, series: Sequence):
@@ -278,8 +193,13 @@ class DiagonalResummer:
             self._fractions[bits] = got
         return got[1], got[2]
 
-    def _walk(self, x, max_order: int, tol: float, bits: int) -> ResummationResult | None:
-        """The ladder from the C-fraction, or None where epsilon must decide."""
+    def _walk(self, x, max_order: int, tol: float, bits: int) -> ResummationResult:
+        """The ladder from the C-fraction, up to the first order without a value.
+
+        That order (its convergent vanished, qd did not reach it, or the
+        check run does not reproduce it) is recorded as (order, None) and
+        ends the walk unconverged.
+        """
         value_coeffs, check_coeffs = self._cfraction(2 * max_order, bits)
         check_bits = bits + 2 * _GUARD_BITS
         value_bits = check_bits + _GUARD_BITS
@@ -301,26 +221,26 @@ class DiagonalResummer:
         limit = value_ctx.power(Decimal(2), -bits)
         tolerance = Decimal(tol)
         diagnostics: list[tuple[int, float | None]] = []
-        prev = v = None
+        value = None
         converged = False
-        for order, (v, check) in enumerate(walks, 1):
-            if v is None or check is None:
-                return None
-            size = v.copy_abs()
-            if sub(v, check).copy_abs() > mul(limit, size):
-                return None
-            diagnostics.append((order, float(v)))
-            if prev is not None and sub(v, prev).copy_abs() <= mul(tolerance, size):
-                converged = True
+        for v, check in walks:
+            if v is None or check is None or sub(v, check).copy_abs() > mul(limit, v.copy_abs()):
                 break
-            prev = v
-        if not converged and len(diagnostics) < max_order:
-            return None  # qd broke down inside the order budget
-        value = mp.make_mpf(from_rational(*v.as_integer_ratio(), value_bits, round_nearest))
+            diagnostics.append((len(diagnostics) + 1, float(v)))
+            if value is not None and sub(v, value).copy_abs() <= mul(tolerance, v.copy_abs()):
+                value, converged = v, True
+                break
+            value = v
+        if value is None:
+            raise PoleProximityError("no diagonal order has a value at this point")
+        order_used = len(diagnostics)
+        if not converged and order_used < max_order:
+            diagnostics.append((order_used + 1, None))
+        value = mp.make_mpf(from_rational(*value.as_integer_ratio(), value_bits, round_nearest))
         return ResummationResult(
             value=value,
             converged=converged,
-            order_used=len(diagnostics),
+            order_used=order_used,
             diagnostics=tuple(diagnostics),
         )
 
@@ -364,8 +284,7 @@ class DiagonalResummer:
                 diagnostics=((order, float(value)),),
             )
 
-        walked = self._walk(x, max_order, tol, bits)
-        return walked if walked is not None else _epsilon_ladder(coeffs, x, tol, bits)
+        return self._walk(x, max_order, tol, bits)
 
 
 def diagonal_resum(
@@ -376,8 +295,9 @@ def diagonal_resum(
     Agreement means |v_N - v_{N-1}| <= tol * |v_N|, a relative criterion:
     the resummed values here range over hundreds of orders of magnitude,
     and any absolute floor would declare victory on pure noise at the
-    small end.  Orders whose value is unavailable at x (pole, or a
-    singular patch of the table) are recorded with a None diagnostic; if
-    every order is skipped the pole error propagates.
+    small end.  The first order whose value is unavailable at x (a
+    vanishing convergent, a qd breakdown, or a failed precision check) is
+    recorded with a None diagnostic and ends the walk unconverged; if no
+    order has a value the pole error is raised.
     """
     return DiagonalResummer(series).resum(x, max_order=max_order, tol=tol, bits=bits)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf
 
 from mpmath import mp, mpf
 
@@ -114,8 +114,8 @@ class BrightStateSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"beam count n must be >= 1, got {self.n}")
-        if self.gamma < 0:
-            raise ValueError(f"gain must be >= 0, got {self.gamma}")
+        if not 0 <= self.gamma < inf:
+            raise ValueError(f"gain must be finite and >= 0, got {self.gamma}")
 
     @property
     def validity_warning(self) -> bool:
@@ -231,8 +231,8 @@ def resummed_coefficient(
         raise ValueError(f"beam count n must be >= 1, got {n}")
     if k < 0:
         raise ValueError(f"tuple number k must be >= 0, got {k}")
-    if gamma < 0:
-        raise ValueError(f"gain must be >= 0, got {gamma}")
+    if not 0 <= gamma < inf:
+        raise ValueError(f"gain must be finite and >= 0, got {gamma}")
     if gamma == 0:
         return complex(1.0) if k == 0 else complex(0.0)
     s = _series_value(n, k, gamma, policy)
@@ -340,8 +340,8 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
     q, m <= policy.cutoff; an auto cutoff follows the photon-distribution
     rule for three beams.
     """
-    if gamma < 0:
-        raise ValueError(f"gain must be >= 0, got {gamma}")
+    if not 0 <= gamma < inf:
+        raise ValueError(f"gain must be finite and >= 0, got {gamma}")
     if gamma >= GAMMA_GUARD:
         warnings.warn(
             f"gain {gamma} is at or past the guard {GAMMA_GUARD};"

@@ -18,27 +18,21 @@ Bright states are diagonal across the three parties, which collapses the
 six-mode sum: the expectation reduces to one quadratic form per photon
 shell, with the three per-party operator blocks multiplied entrywise.
 That path never materializes a rotated state and stays quadratic in the
-cutoff; the explicit rotate-then-sum path remains available for arbitrary
-joint states and doubles as a cross-check of the fast kernel.
+cutoff.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from brightghz.state import BGHZState, DEFAULT_POLICY, NumericPolicy, build_bghz
 
 __all__ = [
-    "MeasurementBasis",
-    "JointFockState",
     "CorrelationTensor",
-    "basis",
-    "joint_from_bghz",
-    "rotate_party",
     "stokes_expectation",
     "tensor_t",
 ]
@@ -46,58 +40,13 @@ __all__ = [
 _SQ = 1.0 / math.sqrt(2.0)
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementBasis:
-    """Polarization basis: its conventional index and mode-mapping unitary.
-
-    The unitary maps canonical-basis (H/V) mode operators to this basis's
-    mode operators, new = U @ old.  Index 0 marks a caller-supplied custom
-    unitary.
-    """
-
-    index: int
-    unitary: np.ndarray
-
-
+# Mode unitaries of the rotated bases, new modes = U @ old (H/V) modes.
 _BASES = {
     # diagonal: difference of +-45 mode counts is adag b + bdag a
-    1: MeasurementBasis(1, np.array([[_SQ, _SQ], [_SQ, -_SQ]], dtype=complex)),
+    1: np.array([[_SQ, _SQ], [_SQ, -_SQ]], dtype=complex),
     # circular: difference of R/L mode counts is i(bdag a - adag b)
-    2: MeasurementBasis(2, np.array([[_SQ, -1j * _SQ], [_SQ, 1j * _SQ]], dtype=complex)),
-    3: MeasurementBasis(3, np.eye(2, dtype=complex)),
+    2: np.array([[_SQ, -1j * _SQ], [_SQ, 1j * _SQ]], dtype=complex),
 }
-
-
-def basis(index: int) -> MeasurementBasis:
-    """The shared basis object for index 1 (+-45), 2 (circular), or 3 (H/V)."""
-    try:
-        return _BASES[index]
-    except KeyError:
-        raise ValueError(f"basis index must be 1, 2, or 3, got {index}") from None
-
-
-@dataclass(frozen=True)
-class JointFockState:
-    """Finite-support amplitude map over six-mode occupation numbers.
-
-    Keys are (k_a1, k_b1, k_a2, k_b2, k_a3, k_b3); each party's pair is
-    expressed in that party's current basis.
-    """
-
-    amps: dict[tuple[int, int, int, int, int, int], complex]
-    bases: tuple[MeasurementBasis, MeasurementBasis, MeasurementBasis] = field(
-        default=(_BASES[3], _BASES[3], _BASES[3])
-    )
-
-    def norm_sq(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amps.values()))
-
-
-def joint_from_bghz(state: BGHZState) -> JointFockState:
-    """Expand the three-party diagonal amplitude map to six-mode keys."""
-    return JointFockState(
-        amps={(q, m, q, m, q, m): a for (q, m), a in state.amps.items()}
-    )
 
 
 def _shell_unitary(u: np.ndarray, k: int) -> np.ndarray:
@@ -117,47 +66,6 @@ def _shell_unitary(u: np.ndarray, k: int) -> np.ndarray:
     gen = np.diag(h[0, 0].real * n + h[1, 1].real * (k - n)) + np.diag(hop, -1)
     lam, w = np.linalg.eigh(gen + np.diag(hop.conj(), 1))
     return phase**k * (w * np.exp(1j * lam)) @ w.conj().T
-
-
-def _as_basis(target) -> MeasurementBasis:
-    if isinstance(target, MeasurementBasis):
-        return target
-    if isinstance(target, int):
-        return basis(target)
-    u = np.asarray(target, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValueError(f"custom basis needs a 2x2 unitary, got shape {u.shape}")
-    if not np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12):
-        raise ValueError("custom basis matrix is not unitary")
-    return MeasurementBasis(0, u)
-
-
-def rotate_party(state: JointFockState, party: int, target) -> JointFockState:
-    """Re-express one party's occupations in another basis.
-
-    party is 1, 2, or 3; target is a basis index, a MeasurementBasis, or a
-    raw 2x2 unitary.  The transformation is passive, so each party shell
-    (fixed photon total) maps onto itself and the norm is preserved.
-    """
-    if party not in (1, 2, 3):
-        raise ValueError(f"party must be 1, 2, or 3, got {party}")
-    tb = _as_basis(target)
-    slot = party - 1
-    rel = tb.unitary @ state.bases[slot].unitary.conj().T
-    new_bases = (*state.bases[:slot], tb, *state.bases[slot + 1 :])
-    if np.allclose(rel, np.eye(2), atol=1e-15):
-        return JointFockState(amps=dict(state.amps), bases=new_bases)
-    out: dict[tuple[int, int, int, int, int, int], complex] = {}
-    shells: dict[int, np.ndarray] = {}
-    for key, amp in state.amps.items():
-        q, k = key[2 * slot], key[2 * slot] + key[2 * slot + 1]
-        if k not in shells:
-            shells[k] = _shell_unitary(rel, k)
-        for kappa, c in enumerate(shells[k][:, q]):
-            if c != 0:
-                new_key = key[: 2 * slot] + (kappa, k - kappa) + key[2 * slot + 2 :]
-                out[new_key] = out.get(new_key, 0j) + amp * complex(c)
-    return JointFockState(amps=out, bases=new_bases)
 
 
 # selector -> (measurement basis index, diagonal functional id)
@@ -202,7 +110,7 @@ _SHELL_BLOCKS: dict[tuple[str, int], np.ndarray] = {}
 def _shell_rotation(basis_index: int, k: int) -> np.ndarray:
     """The shell-k rotation into fixed basis 1 or 2, cached."""
     if (basis_index, k) not in _SHELL_ROTATIONS:
-        _SHELL_ROTATIONS[basis_index, k] = _shell_unitary(_BASES[basis_index].unitary, k)
+        _SHELL_ROTATIONS[basis_index, k] = _shell_unitary(_BASES[basis_index], k)
     return _SHELL_ROTATIONS[basis_index, k]
 
 
@@ -252,41 +160,18 @@ def _bghz_expectation(state: BGHZState, ops: tuple[str, str, str]) -> float:
     return total
 
 
-def _joint_expectation(state: JointFockState, ops: tuple[str, str, str]) -> float:
-    norm = state.norm_sq()
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"state norm^2 is {norm}, expected 1")
-    work = state
-    for party, op in enumerate(ops, start=1):
-        work = rotate_party(work, party, _SELECTORS[op][0])
-    kinds = [_SELECTORS[op][1] for op in ops]
-    total = 0.0
-    for key, amp in work.amps.items():
-        weight = abs(amp) ** 2
-        if weight == 0:
-            continue
-        value = weight
-        for party in range(3):
-            value *= _count_value(kinds[party], key[2 * party], key[2 * party + 1])
-        total += value
-    return total
-
-
 def stokes_expectation(state, ops) -> float:
     """Expectation of a product of one per-party polarization observable.
 
     ops is a 3-sequence of selectors: S1/S2/S3 (normalized Stokes in the
     +-45, circular, H/V bases), S1p/S2p/S3p (vacuum counted as -1), S0 or
     Pi (non-vacuum projector), Pvac (vacuum projector), I (identity, for
-    marginals).  Bright states use the diagonal shell kernel; joint states
-    are rotated explicitly.
+    marginals).  state must be a BGHZState.
     """
     ops = _validate_selectors(ops)
-    if isinstance(state, BGHZState):
-        return _bghz_expectation(state, ops)
-    if isinstance(state, JointFockState):
-        return _joint_expectation(state, ops)
-    raise TypeError(f"unsupported state type {type(state).__name__}")
+    if not isinstance(state, BGHZState):
+        raise TypeError(f"unsupported state type {type(state).__name__}")
+    return _bghz_expectation(state, ops)
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,9 @@ def test_pk_curve_flags_divergence_with_exit_code(tmp_path):
         ["--cmd", "pk_curve", "--bits", "16", "--steps", "1"],
         ["--cmd", "eta", "--gamma-min", "0.05", "--steps", "1", "--cutoff", "-1"],
         ["--cmd", "table1", "--tol", "0.5"],
+        ["--cmd", "table1", "--gamma-min", "nan"],
+        ["--cmd", "table1", "--gamma-min", "inf"],
+        ["--cmd", "w1", "--gamma-max", "inf"],
     ],
 )
 def test_invalid_config_exits_hard(argv, capsys):
@@ -173,11 +176,11 @@ def test_witness_commands_never_bisect(tmp_path, monkeypatch):
     assert calls == []
 
 
-def test_bits_env_var_seeds_default(tmp_path, monkeypatch):
+def test_bits_default_ignores_environment(monkeypatch):
+    # --bits is the one way to set the precision; the old variable is inert
     monkeypatch.setenv("BRIGHTGHZ_BITS", "320")
     cfg = parse_config(["--cmd", "table1"])
-    assert cfg.policy.bits == 320
-    # an explicit flag still wins over the environment
+    assert cfg.policy.bits == state.DEFAULT_POLICY.bits == 256
     cfg = parse_config(["--cmd", "table1", "--bits", "128"])
     assert cfg.policy.bits == 128
 
@@ -211,28 +214,16 @@ def test_nan_cells_render_as_nan_token(tmp_path):
     assert math.isnan(float(rows[0][1]))
 
 
-def test_table1_bytes_match_epsilon_path(tmp_path, monkeypatch):
-    # the continued-fraction ladder and the epsilon recursion it falls
-    # back to must print the same CSV, digit for digit
-    epsilon_calls = []
-    epsilon = pade._epsilon_ladder
-
-    def counted(*args):
-        epsilon_calls.append(args)
-        return epsilon(*args)
-
-    monkeypatch.setattr(pade, "_epsilon_ladder", counted)
-
-    def cold_run(name):
-        monkeypatch.setattr(state, "_VALUES", {})
-        monkeypatch.setattr(state, "_RESUMMERS", {})
-        out = tmp_path / name
-        assert main(["--cmd", "table1", "--gamma-min", "0.8", "--out", str(out)]) == EXIT_OK
-        return out.read_bytes()
-
-    ladder = cold_run("ladder.csv")
-    assert epsilon_calls == []
-    # a qd table that breaks down at once sends every point to epsilon
-    monkeypatch.setattr(pade, "_qd", lambda *args: ())
-    assert cold_run("epsilon.csv") == ladder
-    assert epsilon_calls
+def test_broken_continued_fraction_prints_no_number(tmp_path, monkeypatch):
+    # a qd table cut after two orders stops every ladder without a value;
+    # each gain becomes an error row and the run fails instead of printing
+    # a resummed probability
+    qd = pade._qd
+    monkeypatch.setattr(pade, "_qd", lambda *args: qd(*args)[:4])
+    monkeypatch.setattr(state, "_VALUES", {})
+    monkeypatch.setattr(state, "_RESUMMERS", {})
+    code, _, header, rows = run(tmp_path, "--cmd", "pk_curve")
+    assert code == EXIT_HARD
+    assert len(rows) == 17
+    for row in rows:
+        assert row[1:] == ["nan"] * (len(header) - 2) + ["error"]

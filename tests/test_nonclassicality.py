@@ -25,9 +25,8 @@ from brightghz.nonclassicality import (
     witness_w1,
     witness_w2,
 )
-from brightghz.oracles import random_product_state
+from brightghz.oracles import dense_expectation, random_product_state
 from brightghz.state import NumericPolicy
-from brightghz.stokes import stokes_expectation
 
 
 def test_loss_model_validation():
@@ -210,10 +209,10 @@ def test_separable_states_respect_witness_bound():
     for _ in range(200):
         state = random_product_state(rng)
         m_value = (
-            stokes_expectation(state, ("S1", "S2", "S2"))
-            + stokes_expectation(state, ("S2", "S1", "S2"))
-            + stokes_expectation(state, ("S2", "S2", "S1"))
-            - stokes_expectation(state, ("S1", "S1", "S1"))
+            dense_expectation(state, ("S1", "S2", "S2"))
+            + dense_expectation(state, ("S2", "S1", "S2"))
+            + dense_expectation(state, ("S2", "S2", "S1"))
+            - dense_expectation(state, ("S1", "S1", "S1"))
         )
         assert abs(m_value) <= 1.0 + 1e-9
         largest = max(largest, abs(m_value))

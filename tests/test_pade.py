@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brightghz import pade
-from brightghz.oracles import build_pade, evaluate
+from brightghz import pade, state
+from brightghz.oracles import build_pade, epsilon_ladder, evaluate
 from brightghz.pade import DiagonalResummer, PoleProximityError, diagonal_resum
 from brightghz.series_core import c_series
-from brightghz.state import CUTOFF_CAP, DEFAULT_POLICY
+from brightghz.state import CUTOFF_CAP, DEFAULT_POLICY, NumericPolicy, ResummationError
 
 
 def _taylor_of_rational(num, den, order):
@@ -156,10 +156,10 @@ def test_short_series_rejected():
         build_pade([1, 1], 2, 2)
 
 
-# The C-fraction ladder against the epsilon recursion it replaces: same
-# orders, same stopping decisions, same diagnostics, same values.
+# The C-fraction ladder against the epsilon recursion on partial sums:
+# same orders, same stopping decisions, same diagnostics, same values.
 def _epsilon_reference(resummer, x, max_order, tol, bits):
-    return pade._epsilon_ladder(resummer.coeffs[: 2 * max_order + 1], x, tol, bits)
+    return epsilon_ladder(resummer.coeffs[: 2 * max_order + 1], x, tol, bits)
 
 
 def _assert_same_ladder(got, ref):
@@ -180,11 +180,8 @@ def test_continued_fraction_ladder_equals_epsilon(n, k, gamma, pade_order):
     tol, bits = DEFAULT_POLICY.tol, DEFAULT_POLICY.bits
     resummer = DiagonalResummer(c_series(k, n, 2 * pade_order + 1).coeffs)
     x = -(Fraction(gamma) ** 2)
-    walked = resummer._walk(x, pade_order, tol, bits)
-    if n == 3 and pade_order == DEFAULT_POLICY.pade_order:
-        assert walked is not None, "epsilon fallback fired for the default policy"
     got = resummer.resum(x, max_order=pade_order, tol=tol, bits=bits)
-    assert walked is None or got == walked
+    assert all(v is not None for _, v in got.diagnostics), "the ladder stopped without a value"
     try:
         ref = _epsilon_reference(resummer, x, pade_order, tol, bits)
     except PoleProximityError:
@@ -203,36 +200,50 @@ def test_continued_fraction_ladder_equals_epsilon(n, k, gamma, pade_order):
     _assert_same_ladder(got, ref)
 
 
-def test_default_policy_never_falls_back_for_three_beams():
+def test_default_policy_ladder_never_stops_for_three_beams():
     # every emission order the auto cutoff can reach, across the gain range
     tol, bits, order = DEFAULT_POLICY.tol, DEFAULT_POLICY.bits, DEFAULT_POLICY.pade_order
     for k in range(0, CUTOFF_CAP + 1, 3):
         resummer = DiagonalResummer(c_series(k, 3, 2 * order + 1).coeffs)
         for gamma in (0.05, 0.45, 0.77, 0.89):
             x = -(Fraction(gamma) ** 2)
-            assert resummer._walk(x, order, tol, bits) is not None, (k, gamma)
+            got = resummer.resum(x, max_order=order, tol=tol, bits=bits)
+            assert all(v is not None for _, v in got.diagnostics), (k, gamma)
 
 
-def test_qd_breakdown_falls_back_to_epsilon():
+def _assert_unsettled(got, order):
+    # the ladder stops at the order without a value, and the state layer
+    # turns that into an error instead of a number
+    assert not got.converged
+    assert got.diagnostics[-1] == (order, None)
+    assert all(v is not None for _, v in got.diagnostics[:-1])
+    assert got.order_used == order - 1
+
+
+def test_qd_breakdown_ends_the_ladder_unsettled(monkeypatch):
     # a zero interior coefficient is a zero divisor in the qd table
     series = [Fraction((-1) ** j * factorial(j)) for j in range(25)]
     series[5] = Fraction(0)
     resummer = DiagonalResummer(series)
-    x = Fraction(1, 5)
     assert len(resummer._cfraction(24, 256)[0]) == 5
-    assert resummer._walk(x, 12, 1e-10, 256) is None
-    got = resummer.resum(x, max_order=12, tol=1e-10, bits=256)
-    assert got == _epsilon_reference(resummer, x, 12, 1e-10, 256)
+    # a_1..a_4 give orders 1 and 2; order 3 needs the missing a_6
+    _assert_unsettled(resummer.resum(Fraction(1, 5), max_order=12, tol=1e-10, bits=256), 3)
+    monkeypatch.setattr(state, "_VALUES", {})
+    monkeypatch.setattr(state, "_resummer", lambda n, k, L: resummer)
+    with pytest.raises(ResummationError):
+        state._series_value(3, 2, 0.5, NumericPolicy(pade_order=12))
 
 
-def test_precision_guard_falls_back_to_epsilon(monkeypatch):
+def test_failed_precision_guard_ends_the_ladder_unsettled(monkeypatch):
     # without qd headroom the check run no longer reproduces the ladder
     monkeypatch.setattr(pade, "_QD_BITS_PER_TERM", 0)
+    monkeypatch.setattr(state, "_VALUES", {})
+    monkeypatch.setattr(state, "_RESUMMERS", {})
     resummer = DiagonalResummer(c_series(40, 3, 81).coeffs)
-    x = -(Fraction(0.6) ** 2)
-    assert resummer._walk(x, 40, 1e-10, 256) is None
-    got = resummer.resum(x, max_order=40, tol=1e-10, bits=256)
-    assert got == _epsilon_reference(resummer, x, 40, 1e-10, 256)
+    got = resummer.resum(-(Fraction(0.6) ** 2), max_order=40, tol=1e-10, bits=256)
+    _assert_unsettled(got, got.diagnostics[-1][0])
+    with pytest.raises(ResummationError):
+        state._series_value(3, 40, 0.6, DEFAULT_POLICY)
 
 
 def test_two_beam_deep_ladder_matches_epsilon():

@@ -51,6 +51,16 @@ def test_spec_validation():
     assert not BrightStateSpec(n=2, gamma=1.5).validity_warning
 
 
+@pytest.mark.parametrize("gamma", [-0.1, float("nan"), float("inf")])
+def test_gain_must_be_finite_and_non_negative(gamma):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        BrightStateSpec(n=3, gamma=gamma)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        build_bghz(gamma)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        resummed_coefficient(3, 2, gamma)
+
+
 @pytest.mark.parametrize(
     "fields",
     [

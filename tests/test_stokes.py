@@ -4,9 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from brightghz import stokes
 from brightghz.oracles import (
     DenseTruncatedState,
     binomial_shell_rotation,
@@ -17,11 +16,6 @@ from brightghz.stokes import (
     _shell_rotation,
     _shell_unitary,
     CorrelationTensor,
-    JointFockState,
-    MeasurementBasis,
-    basis,
-    joint_from_bghz,
-    rotate_party,
     stokes_expectation,
     tensor_t,
 )
@@ -58,69 +52,39 @@ def bright_small():
 
 
 def test_basis_unitarity_and_unbiasedness():
-    for index in (1, 2, 3):
-        u = basis(index).unitary
+    bases = {**stokes._BASES, 3: np.eye(2)}
+    for u in bases.values():
         assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-14)
     # any two different bases are mutually unbiased
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
+    for a in bases:
+        for b in bases:
             if a == b:
                 continue
-            overlap = basis(a).unitary @ basis(b).unitary.conj().T
+            overlap = bases[a] @ bases[b].conj().T
             assert np.allclose(np.abs(overlap) ** 2, 0.5, atol=1e-14)
 
 
-def test_basis_accessor_validates():
-    with pytest.raises(ValueError):
-        basis(0)
-    with pytest.raises(ValueError):
-        basis(4)
-    assert basis(2) is basis(2)
-
-
 def test_single_photon_rotation_amplitudes():
-    state = JointFockState(amps={(1, 0, 0, 0, 0, 0): 1.0 + 0j})
-    rotated = rotate_party(state, 1, 1)
-    amps = rotated.amps
-    assert amps[(1, 0, 0, 0, 0, 0)] == pytest.approx(1 / SQ2)
-    assert amps[(0, 1, 0, 0, 0, 0)] == pytest.approx(1 / SQ2)
+    # |1, 0> splits evenly between the +45 and -45 modes
+    column = _shell_rotation(1, 1)[:, 1]
+    assert column[1] == pytest.approx(1 / SQ2)
+    assert column[0] == pytest.approx(1 / SQ2)
 
 
 def test_two_photon_rotation_amplitudes():
-    state = JointFockState(amps={(0, 0, 2, 0, 0, 0): 1.0 + 0j})
-    rotated = rotate_party(state, 2, 1)
-    amps = rotated.amps
-    assert abs(amps[(0, 0, 2, 0, 0, 0)]) == pytest.approx(0.5)
-    assert abs(amps[(0, 0, 1, 1, 0, 0)]) == pytest.approx(1 / SQ2)
-    assert abs(amps[(0, 0, 0, 2, 0, 0)]) == pytest.approx(0.5)
-
-
-def test_rotation_preserves_norm_and_shells():
-    state = JointFockState(
-        amps={
-            (1, 0, 2, 1, 0, 0): 0.6 + 0j,
-            (0, 1, 1, 2, 0, 0): 0.8j,
-        }
-    )
-    for party, target in ((1, 1), (2, 2), (3, 1)):
-        state = rotate_party(state, party, target)
-    assert state.norm_sq() == pytest.approx(1.0, abs=1e-12)
-    # per-party photon totals are conserved by every passive rotation
-    for key in state.amps:
-        totals = (key[0] + key[1], key[2] + key[3], key[4] + key[5])
-        assert totals == (1, 3, 0)
+    # |2, 0> in the +-45 basis: amplitudes 1/2, 1/sqrt(2), 1/2 over kappa = 2, 1, 0
+    column = np.abs(_shell_rotation(1, 2)[:, 2])
+    assert column[2] == pytest.approx(0.5)
+    assert column[1] == pytest.approx(1 / SQ2)
+    assert column[0] == pytest.approx(0.5)
 
 
 def test_rotation_round_trip_is_identity():
-    state = JointFockState(
-        amps={(2, 1, 1, 0, 0, 1): 0.5 + 0.5j, (1, 2, 0, 1, 1, 0): 0.5 - 0.5j}
-    )
-    there = rotate_party(state, 1, 2)
-    back = rotate_party(there, 1, 3)
-    for key in set(state.amps) | set(back.amps):
-        assert back.amps.get(key, 0j) == pytest.approx(
-            state.amps.get(key, 0j), abs=1e-12
-        )
+    # rotating into the circular basis and back restores every shell
+    back = stokes._BASES[2].conj().T
+    for k in range(6):
+        there = _shell_rotation(2, k)
+        assert np.allclose(_shell_unitary(back, k) @ there, np.eye(k + 1), atol=1e-12)
 
 
 def _u2(theta, phi, chi, psi):
@@ -167,89 +131,13 @@ def test_custom_shell_rotations_unitary(name):
 
 @pytest.mark.parametrize(
     "u",
-    [basis(1).unitary, basis(2).unitary, *CUSTOM_UNITARIES.values()],
+    [stokes._BASES[1], stokes._BASES[2], *CUSTOM_UNITARIES.values()],
     ids=["basis1", "basis2", *CUSTOM_UNITARIES],
 )
 def test_shell_rotation_matches_binomial_reference(u):
     for k in range(21):
         got = _shell_unitary(u, k)
         assert np.abs(got - binomial_shell_rotation(u, k)).max() <= 1e-13, k
-
-
-_angles = st.floats(-math.pi, math.pi)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(
-    party=st.sampled_from([1, 2, 3]),
-    entries=st.lists(
-        st.tuples(
-            st.integers(0, 2 * CUTOFF_CAP),
-            st.floats(0, 1),
-            st.integers(0, 2),
-            st.integers(0, 2),
-            st.floats(0.1, 1),
-            _angles,
-        ),
-        min_size=1,
-        max_size=4,
-    ),
-    angles=st.tuples(_angles, _angles, _angles, _angles),
-)
-def test_rotation_round_trip_and_invariance_at_high_shells(party, entries, angles):
-    """One party up to shell 120, the others small: U then back restores the
-    amplitudes, and no observable moves."""
-    amps = {}
-    for k, frac, k2, k3, weight, phase in entries:
-        q = round(frac * k)
-        pairs = [(0, 0), (0, 0), (0, 0)]
-        pairs[party - 1] = (q, k - q)
-        pairs[party % 3] = (k2, 1)
-        pairs[(party + 1) % 3] = (0, k3)
-        key = tuple(n for pair in pairs for n in pair)
-        amps[key] = amps.get(key, 0j) + weight * complex(math.cos(phase), math.sin(phase))
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-    if norm < 1e-3:
-        return
-    state = JointFockState(amps={key: a / norm for key, a in amps.items()})
-    there = rotate_party(state, party, _u2(*angles))
-    back = rotate_party(there, party, 3)
-    assert there.norm_sq() == pytest.approx(1.0, abs=1e-12)
-    for key in set(state.amps) | set(back.amps):
-        assert abs(back.amps.get(key, 0j) - state.amps.get(key, 0j)) <= 1e-12
-    for ops in (("S1", "S2", "S3"), ("S1p", "S2p", "S1p"), ("S3", "Pi", "I")):
-        assert stokes_expectation(there, ops) == pytest.approx(
-            stokes_expectation(state, ops), abs=1e-12
-        )
-
-
-def test_rotation_validates_input():
-    state = JointFockState(amps={(0, 0, 0, 0, 0, 0): 1.0 + 0j})
-    with pytest.raises(ValueError):
-        rotate_party(state, 0, 1)
-    with pytest.raises(ValueError):
-        rotate_party(state, 1, np.eye(3))
-    with pytest.raises(ValueError):
-        rotate_party(state, 1, np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
-def test_expectations_invariant_under_passive_rotation():
-    """Re-expressing the state in other bases must not move any observable."""
-    state = JointFockState(
-        amps={(1, 0, 2, 0, 1, 1): 0.6 + 0j, (0, 1, 1, 1, 2, 0): 0.8j}
-    )
-    rng = np.random.default_rng(11)
-    reference = {
-        ops: stokes_expectation(state, ops)
-        for ops in MERMIN_TRIPLES + [("S3", "Pi", "S0"), ("S1p", "S2p", "S3p")]
-    }
-    for party in (1, 2, 3):
-        theta, phi = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
-        c, s = math.cos(theta), math.sin(theta)
-        u = np.array([[c, -s * np.exp(-1j * phi)], [s * np.exp(1j * phi), c]])
-        state = rotate_party(state, party, u)
-    for ops, want in reference.items():
-        assert stokes_expectation(state, ops) == pytest.approx(want, abs=1e-12)
 
 
 def test_ghz_correlations(ghz):
@@ -282,14 +170,9 @@ def test_selector_validation(ghz):
         stokes_expectation({(0, 0): 1.0}, ("S1", "S1", "S1"))
 
 
-def test_joint_norm_guard():
-    lopsided = JointFockState(amps={(1, 0, 1, 0, 1, 0): 0.5 + 0j})
-    with pytest.raises(ValueError):
-        stokes_expectation(lopsided, ("S1", "S1", "S1"))
-
-
 def test_fast_path_matches_joint_path(bright_small):
-    joint = joint_from_bghz(bright_small)
+    # the shell kernel against the dense six-mode state, every shell kept
+    joint = DenseTruncatedState.from_amplitudes(bright_small.amps, cap=8)
     triples = MERMIN_TRIPLES + [
         ("S1p", "S2p", "S2p"),
         ("S3", "S3", "S3"),
@@ -298,7 +181,7 @@ def test_fast_path_matches_joint_path(bright_small):
     ]
     for ops in triples:
         fast = stokes_expectation(bright_small, ops)
-        generic = stokes_expectation(joint, ops)
+        generic = dense_expectation(joint, ops)
         assert fast == pytest.approx(generic, abs=1e-10)
 
 
