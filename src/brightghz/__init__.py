@@ -35,7 +35,6 @@ from brightghz.stokes import (
     tensor_t,
 )
 from brightghz.nonclassicality import (
-    LossModel,
     MerminEvaluation,
     SweepResult,
     WitnessEvaluation,
@@ -75,7 +74,6 @@ __all__ = [
     "CorrelationTensor",
     "stokes_expectation",
     "tensor_t",
-    "LossModel",
     "MerminEvaluation",
     "SweepResult",
     "WitnessEvaluation",

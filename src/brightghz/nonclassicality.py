@@ -3,10 +3,11 @@
 The Mermin-like combination takes the four setting triples 111, 122, 212,
 221 over bases 1 (+-45) and 2 (circular) with primed Stokes operators, so
 no-photon events answer -1 instead of dropping out; any local realistic
-model keeps the combination at or below 2.  On the diagonal bright states
-the combination reduces to |4t + 2 p_vac| with t the only independent
-tensor element, which this module cross-checks against the generic
-evaluation at every point.
+model keeps the combination at or below 2.  The lossless, the lossy and
+the w2 Mermin terms are each one call of the `stokes` shell kernel.  On the
+diagonal bright states the combination reduces to |4t + 2 p_vac| with t
+the only independent tensor element, whose closed-form double sum this
+module cross-checks against the kernel at every point.
 
 Normalization convention for the Bell test: the retained amplitude box
 carries squared mass 1 - norm_residual of the untruncated state, and the
@@ -27,7 +28,9 @@ assigns -1 to the all-lost outcome; that is a congruence of the lossless
 response table by the thinning matrix, computed here as one dense matrix
 product per shell rather than term-by-term rational sums, which keeps
 threshold sweeps over a gain grid at interactive speed for an error far
-below the 1e-3 bisection tolerance.
+below the 1e-3 bisection tolerance.  Thinning commutes with the basis
+rotations, so the lossy responses feed the same kernel; at eta = 1 the
+thinning matrix is exactly the identity and the result is the lossless one.
 
 Both witnesses flag entanglement strictly below zero: w1 transplants the
 three-qubit GHZ projector witness to normalized Stokes operators, and w2
@@ -45,7 +48,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -56,10 +59,15 @@ from brightghz.state import (
     build_bghz,
     project_out_vacuum,
 )
-from brightghz.stokes import _shell_rotation, _shell_vectors, stokes_expectation, tensor_t
+from brightghz.stokes import (
+    _closed_form_t,
+    _diagonal_block,
+    _mermin_form,
+    _shell_block,
+    stokes_expectation,
+)
 
 __all__ = [
-    "LossModel",
     "SweepResult",
     "MerminEvaluation",
     "WitnessEvaluation",
@@ -78,22 +86,7 @@ __all__ = [
     "witness_sweep",
 ]
 
-# setting triples of the Mermin combination and their signs
-_SETTINGS = ((1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1))
-_SIGNS = (1.0, -1.0, -1.0, -1.0)
-
 CLASSICAL_BOUND = 2.0
-
-
-@dataclass(frozen=True)
-class LossModel:
-    """Uniform detector efficiency for all six detectors."""
-
-    eta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"efficiency must lie in [0, 1], got {self.eta}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +124,7 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class MerminEvaluation:
-    """Generic four-term evaluation next to its diagonal-state reduction."""
+    """Shell-kernel Mermin LHS next to its closed-form reduction."""
 
     gamma: float
     lhs: float
@@ -158,38 +151,36 @@ def _vacuum_probability(state: BGHZState) -> float:
     return float(abs(amp) ** 2) if amp is not None else 0.0
 
 
-def evaluate_mermin(
-    gamma: float,
-    policy: NumericPolicy = DEFAULT_POLICY,
-    state: BGHZState | None = None,
-) -> MerminEvaluation:
-    """Mermin-like LHS with primed operators, plus the reduced form.
-
-    The generic evaluation sums the four setting triples; the reduced form
-    |4t + 2 p_vac| follows from <S'S'S'> = T - p_vac on states whose
-    support is exchange-diagonal.  agreement records their difference.
-    Both are partial sums of the untruncated state's expectations (see the
-    module docstring), so every term is scaled by the retained mass.
-    """
-    state = _prepare(gamma, policy, state)
-    scale = 1.0 - state.norm_residual
-    total = 0.0
-    for sign, (i, j, k) in zip(_SIGNS, _SETTINGS):
-        total += sign * stokes_expectation(state, (f"S{i}p", f"S{j}p", f"S{k}p"))
-    lhs = scale * abs(total)
-    tensor = tensor_t(state.gamma, policy=policy, state=state)
-    reduced = scale * abs(4.0 * tensor.t + 2.0 * _vacuum_probability(state))
-    return MerminEvaluation(
-        gamma=state.gamma, lhs=lhs, reduced=reduced, agreement=abs(lhs - reduced)
-    )
-
-
 def mermin_lhs(
     gamma: float,
     policy: NumericPolicy = DEFAULT_POLICY,
     state: BGHZState | None = None,
 ) -> float:
-    return evaluate_mermin(gamma, policy, state).lhs
+    """Mermin-like LHS with primed operators, scaled by the retained mass."""
+    state = _prepare(gamma, policy, state)
+    total = _mermin_form(state, partial(_shell_block, "S1p"))
+    return (1.0 - state.norm_residual) * abs(total)
+
+
+def evaluate_mermin(
+    gamma: float,
+    policy: NumericPolicy = DEFAULT_POLICY,
+    state: BGHZState | None = None,
+) -> MerminEvaluation:
+    """mermin_lhs plus the reduced form.
+
+    The reduced form |4t + 2 p_vac| follows from <S'S'S'> = T - p_vac on
+    states whose support is exchange-diagonal, with t the closed-form
+    double sum; agreement records its difference from the kernel's LHS.
+    Both carry the same retained-mass scale.
+    """
+    state = _prepare(gamma, policy, state)
+    lhs = mermin_lhs(gamma, policy, state)
+    t = _closed_form_t(state)
+    reduced = (1.0 - state.norm_residual) * abs(4.0 * t + 2.0 * _vacuum_probability(state))
+    return MerminEvaluation(
+        gamma=state.gamma, lhs=lhs, reduced=reduced, agreement=abs(lhs - reduced)
+    )
 
 
 def find_crossing(fn, level, lo, hi, tol=1e-3):
@@ -299,26 +290,19 @@ def lossy_mermin_lhs(
     """Mermin-like LHS with every detector thinned to efficiency eta.
 
     Thinning commutes with the (photon-number-conserving) basis rotations,
-    so each party contributes a shell matrix congruent to the diagonal
-    lossy response; the three parties combine entrywise exactly as in the
-    lossless kernel.  Reported in the untruncated-state normalization,
-    matching mermin_lhs at eta = 1.
+    so each party's shell block is the rotated diagonal lossy response, and
+    the Mermin kernel combines the parties exactly as without loss.
+    Reported in the untruncated-state normalization; at eta = 1 it equals
+    mermin_lhs exactly.
     """
     state = _prepare(gamma, policy, state)
-    scale = 1.0 - state.norm_residual
-    shells = _shell_vectors(state)
-    table = _loss_table(eta, max(shells))
-    totals = dict.fromkeys(range(len(_SETTINGS)), 0.0)
-    for k, vec in shells.items():
-        values = np.array([table[kappa, k - kappa] for kappa in range(k + 1)])
-        blocks = {}
-        for b in (1, 2):
-            rot = _shell_rotation(b, k)
-            blocks[b] = rot.conj().T @ (values[:, None] * rot)
-        for s, (i, j, l) in enumerate(_SETTINGS):
-            prod = blocks[i] * blocks[j] * blocks[l]
-            totals[s] += float(np.real(np.vdot(vec, prod @ vec)))
-    return scale * abs(sum(sign * totals[s] for s, sign in enumerate(_SIGNS)))
+    table = _loss_table(eta, max(q + m for q, m in state.amps))
+
+    def block(k):
+        kappa = np.arange(k + 1)
+        return _diagonal_block(table[kappa, k - kappa], k)
+
+    return (1.0 - state.norm_residual) * abs(_mermin_form(state, block))
 
 
 def eta_threshold(
@@ -377,23 +361,18 @@ def evaluate_w2(
 ) -> WitnessEvaluation:
     """Mermin-operator witness with the non-vacuum projector added.
 
-    value is <S1 S2 S2 + S2 S1 S2 + S2 S2 S1 - S1 S1 S1> + <Pi Pi Pi>,
-    evaluated generically; closed_form is -4t + 1 - p_vac on the same
-    state, and agreement records their difference.  Negative value flags
-    entanglement (separable bound 0).
+    value is <S1 S2 S2 + S2 S1 S2 + S2 S2 S1 - S1 S1 S1> + <Pi Pi Pi>, the
+    Mermin part being the negated shell kernel on unprimed operators;
+    closed_form is -4t + 1 - p_vac on the same state, t the closed-form
+    double sum, and agreement records their difference.  Negative value
+    flags entanglement (separable bound 0).
     """
     state = _prepare(gamma, policy, state)
     if projected:
         state = project_out_vacuum(state)
-    m_value = (
-        stokes_expectation(state, ("S1", "S2", "S2"))
-        + stokes_expectation(state, ("S2", "S1", "S2"))
-        + stokes_expectation(state, ("S2", "S2", "S1"))
-        - stokes_expectation(state, ("S1", "S1", "S1"))
-    )
+    m_value = -_mermin_form(state, partial(_shell_block, "S1"))
     value = m_value + stokes_expectation(state, ("Pi", "Pi", "Pi"))
-    tensor = tensor_t(state.gamma, policy=policy, state=state)
-    closed = -4.0 * tensor.t + 1.0 - _vacuum_probability(state)
+    closed = -4.0 * _closed_form_t(state) + 1.0 - _vacuum_probability(state)
     return WitnessEvaluation(
         gamma=state.gamma,
         value=value,

@@ -25,7 +25,7 @@ from math import factorial, inf
 
 from mpmath import mp, mpf
 
-from brightghz.pade import DiagonalResummer
+from brightghz.pade import DiagonalResummer, PoleProximityError
 from brightghz.series_core import c_series
 
 __all__ = [
@@ -188,7 +188,8 @@ def _series_value(n: int, k: int, gamma: float, policy: NumericPolicy):
     agree to SOFT_AGREEMENT relative; otherwise the order budget genuinely
     cannot resolve this coefficient and ResummationError is raised.  A
     skipped final order (None) never settles, so two early orders cannot
-    stand in for a ladder that broke down later.  Failures are cached like
+    stand in for a ladder that broke down later, and a ladder without any
+    value (PoleProximityError) fails at order 0.  Failures are cached like
     values, so a warm gain never walks a failed ladder again.
     """
     key = (n, k, float(gamma)) + policy.key()
@@ -196,24 +197,31 @@ def _series_value(n: int, k: int, gamma: float, policy: NumericPolicy):
     if got is None:
         resummer = _resummer(n, k, 2 * policy.pade_order + 1)
         u = -(Fraction(gamma) ** 2)
-        result = resummer.resum(
-            u, max_order=policy.pade_order, tol=policy.tol, bits=policy.bits
-        )
-        got = result.value
-        if not result.converged:
-            vals = [v for _, v in result.diagnostics[-2:]]
-            settled = (
-                len(vals) == 2
-                and None not in vals
-                and vals[-1] != 0
-                and abs(vals[-1] - vals[-2]) <= SOFT_AGREEMENT * abs(vals[-1])
+        try:
+            result = resummer.resum(
+                u, max_order=policy.pade_order, tol=policy.tol, bits=policy.bits
             )
-            if not settled:
-                got = ResummationError(
-                    f"diagonal ladder for n={n}, k={k} did not settle at"
-                    f" gamma={gamma} within order {result.order_used}",
-                    order_reached=result.order_used,
+        except PoleProximityError as err:
+            got = ResummationError(
+                f"diagonal ladder for n={n}, k={k} has no value at gamma={gamma}: {err}",
+                order_reached=0,
+            )
+        else:
+            got = result.value
+            if not result.converged:
+                vals = [v for _, v in result.diagnostics[-2:]]
+                settled = (
+                    len(vals) == 2
+                    and None not in vals
+                    and vals[-1] != 0
+                    and abs(vals[-1] - vals[-2]) <= SOFT_AGREEMENT * abs(vals[-1])
                 )
+                if not settled:
+                    got = ResummationError(
+                        f"diagonal ladder for n={n}, k={k} did not settle at"
+                        f" gamma={gamma} within order {result.order_used}",
+                        order_reached=result.order_used,
+                    )
     _VALUES[key] = got
     if len(_VALUES) > VALUES_MAX:
         del _VALUES[next(iter(_VALUES))]

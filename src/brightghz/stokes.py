@@ -6,25 +6,30 @@ operator takes (k_a - k_b)/(k_a + k_b) on the photon counts of the two
 measured modes and 0 on the party vacuum, its primed variant takes -1 on
 the vacuum instead, and the projector family counts vacuum/non-vacuum.
 Measuring in basis 1 (+-45 degrees) or 2 (circular) means rotating the
-party's two modes by the basis unitary first; the rotation is passive, so
-it acts inside each fixed-total-photon shell.  A mode unitary U = exp(iK)
-acts on the k-photon shell as the spin-k/2 representation
-exp(i dGamma_k(K)), dGamma_k(K) the tridiagonal Hermitian matrix of
-sum_ij K_ij adag_i a_j.  Every shell rotation, fixed basis or custom, is
-one eigendecomposition of that matrix, so it stays unitary to rounding
-(max|A^H A - I| ~ 1e-14) through shell 120.
+party's two modes first; the rotation is passive, so it acts inside each
+fixed-total-photon shell.  On the k-photon shell the +-45 count difference
+is the real tridiagonal hop matrix adag b + bdag a, with eigenvalues
+2 kappa - k for kappa photons in the +45 mode.  Its real eigenbasis W, one
+eigendecomposition per shell, stays orthogonal to rounding (~1e-15)
+through shell 120, and an operator taking values v on the rotated counts
+is W diag(v) W^T.  The circular basis is the diagonal one after a quarter
+wave on the b mode, so its block is the basis-1 block times i^(q'-q), and
+in basis 3 the block is diag(v) itself.
 
 Bright states are diagonal across the three parties, which collapses the
 six-mode sum: the expectation reduces to one quadratic form per photon
 shell, with the three per-party operator blocks multiplied entrywise.
 That path never materializes a rotated state and stays quadratic in the
-cutoff.
+cutoff.  The Mermin combination <111> - <122> - <212> - <221> needs only
+the basis-1 block B: entrywise products commute, so the three mixed
+settings give one term, and B2*B2 = B*B*Sigma entrywise, with
+Sigma[q, q'] = (-1)^(q-q').  On each shell it is the one real quadratic
+form psi^H (B*B*B*(J - 3 Sigma)) psi, J the all-ones matrix.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,37 +41,6 @@ __all__ = [
     "stokes_expectation",
     "tensor_t",
 ]
-
-_SQ = 1.0 / math.sqrt(2.0)
-
-
-# Mode unitaries of the rotated bases, new modes = U @ old (H/V) modes.
-_BASES = {
-    # diagonal: difference of +-45 mode counts is adag b + bdag a
-    1: np.array([[_SQ, _SQ], [_SQ, -_SQ]], dtype=complex),
-    # circular: difference of R/L mode counts is i(bdag a - adag b)
-    2: np.array([[_SQ, -1j * _SQ], [_SQ, 1j * _SQ]], dtype=complex),
-}
-
-
-def _shell_unitary(u: np.ndarray, k: int) -> np.ndarray:
-    """A[kappa, q] = <kappa photons in rotated a | q, k-q>, new modes = u @ old.
-
-    u = e^{i phi} exp(i h), h traceless Hermitian with angle within pi/2.
-    """
-    phase = np.sqrt(np.linalg.det(u))
-    v = u / phase
-    if v.trace().real < 0:  # so theta <= pi/2: theta / sin(theta) stays bounded
-        v, phase = -v, -phase
-    s = (v - v.conj().T) / 2j  # v = cos(theta) + i s, |s| = sin(theta)
-    sin = math.hypot(abs(s[0, 0]), abs(s[0, 1]))
-    h = s * (math.atan2(sin, v.trace().real / 2) / sin) if sin else 0 * s
-    n = np.arange(k + 1)
-    hop = h[0, 1] * np.sqrt(n[1:] * (k - n[:-1]))
-    gen = np.diag(h[0, 0].real * n + h[1, 1].real * (k - n)) + np.diag(hop, -1)
-    lam, w = np.linalg.eigh(gen + np.diag(hop.conj(), 1))
-    return phase**k * (w * np.exp(1j * lam)) @ w.conj().T
-
 
 # selector -> (measurement basis index, diagonal functional id)
 _SELECTORS = {
@@ -100,18 +74,35 @@ def _diagonal_values(kind: str, k: int) -> np.ndarray:
     return np.array([_count_value(kind, kappa, k - kappa) for kappa in range(k + 1)])
 
 
-# Bounded by construction: the keys do not depend on the gain, only on one
-# of 2 fixed bases or 10 selectors and a photon shell, and a bright state's
+# Bounded by construction: the keys do not depend on the gain, only on a
+# photon shell, or on one of 10 selectors and a shell, and a bright state's
 # shells stop at twice its cutoff (2 * CUTOFF_CAP unless the cutoff is pinned).
-_SHELL_ROTATIONS: dict[tuple[int, int], np.ndarray] = {}
+_SHELL_BASES: dict[int, np.ndarray] = {}
 _SHELL_BLOCKS: dict[tuple[str, int], np.ndarray] = {}
 
+# i^(q'-q) by (q'-q) mod 4, exact
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
-def _shell_rotation(basis_index: int, k: int) -> np.ndarray:
-    """The shell-k rotation into fixed basis 1 or 2, cached."""
-    if (basis_index, k) not in _SHELL_ROTATIONS:
-        _SHELL_ROTATIONS[basis_index, k] = _shell_unitary(_BASES[basis_index], k)
-    return _SHELL_ROTATIONS[basis_index, k]
+
+def _shell_basis(k: int) -> np.ndarray:
+    """Real orthogonal W of shell k in the H/V basis |q, k-q>, cached.
+
+    Column kappa is the eigenvector of the hop matrix adag b + bdag a with
+    eigenvalue 2 kappa - k: the state with kappa photons in the +45 mode.
+    """
+    got = _SHELL_BASES.get(k)
+    if got is None:
+        q = np.arange(k)
+        hop = np.sqrt((q + 1.0) * (k - q))
+        got = np.linalg.eigh(np.diag(hop, -1) + np.diag(hop, 1))[1]
+        _SHELL_BASES[k] = got
+    return got
+
+
+def _diagonal_block(values: np.ndarray, k: int) -> np.ndarray:
+    """Shell-k block of the operator taking values[kappa] on kappa +45 photons."""
+    w = _shell_basis(k)
+    return (w * values) @ w.T
 
 
 def _shell_block(selector: str, k: int) -> np.ndarray:
@@ -122,10 +113,12 @@ def _shell_block(selector: str, k: int) -> np.ndarray:
         basis_index, kind = _SELECTORS[selector]
         values = _diagonal_values(kind, k)
         if basis_index == 3:
-            got = np.diag(values).astype(complex)
+            got = np.diag(values)
         else:
-            rot = _shell_rotation(basis_index, k)
-            got = rot.conj().T @ (values[:, None] * rot)
+            got = _diagonal_block(values, k)
+            if basis_index == 2:
+                q = np.arange(k + 1)
+                got = got * _QUARTER_TURNS[(q[None, :] - q[:, None]) % 4]
         _SHELL_BLOCKS[key] = got
     return got
 
@@ -157,6 +150,21 @@ def _bghz_expectation(state: BGHZState, ops: tuple[str, str, str]) -> float:
     for k, vec in _shell_vectors(state).items():
         block = _shell_block(ops[0], k) * _shell_block(ops[1], k) * _shell_block(ops[2], k)
         total += float(np.real(np.vdot(vec, block @ vec)))
+    return total
+
+
+def _mermin_form(state: BGHZState, block) -> float:
+    """<111> - <122> - <212> - <221> of one per-party operator on a bright state.
+
+    block(k) is the operator's basis-1 block on shell k; its basis-2 block
+    is the same times i^(q'-q).  See the module docstring for the reduction.
+    """
+    total = 0.0
+    for k, vec in _shell_vectors(state).items():
+        b = block(k)
+        q = np.arange(k + 1)
+        signs = np.where((q[:, None] - q[None, :]) % 2, 4.0, -2.0)  # J - 3 Sigma
+        total += float(np.real(np.vdot(vec, (b * b * b * signs) @ vec)))
     return total
 
 

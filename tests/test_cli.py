@@ -215,15 +215,17 @@ def test_nan_cells_render_as_nan_token(tmp_path):
 
 
 def test_broken_continued_fraction_prints_no_number(tmp_path, monkeypatch):
-    # a qd table cut after two orders stops every ladder without a value;
-    # each gain becomes an error row and the run fails instead of printing
-    # a resummed probability
+    # a qd table cut after two orders stops every ladder short of a settled
+    # value, and an empty one leaves no order with a value at all; either way
+    # each gain becomes an error row and the run fails instead of printing a
+    # resummed probability
     qd = pade._qd
-    monkeypatch.setattr(pade, "_qd", lambda *args: qd(*args)[:4])
-    monkeypatch.setattr(state, "_VALUES", {})
-    monkeypatch.setattr(state, "_RESUMMERS", {})
-    code, _, header, rows = run(tmp_path, "--cmd", "pk_curve")
-    assert code == EXIT_HARD
-    assert len(rows) == 17
-    for row in rows:
-        assert row[1:] == ["nan"] * (len(header) - 2) + ["error"]
+    for keep, extra, count in ((4, [], 17), (0, ["--steps", "2"], 2)):
+        monkeypatch.setattr(pade, "_qd", lambda *args: qd(*args)[:keep])
+        monkeypatch.setattr(state, "_VALUES", {})
+        monkeypatch.setattr(state, "_RESUMMERS", {})
+        code, _, header, rows = run(tmp_path, "--cmd", "pk_curve", *extra)
+        assert code == EXIT_HARD
+        assert len(rows) == count
+        for row in rows:
+            assert row[1:] == ["nan"] * (len(header) - 2) + ["error"]

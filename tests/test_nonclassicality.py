@@ -9,7 +9,6 @@ import pytest
 from brightghz import nonclassicality
 from brightghz.nonclassicality import (
     LOSS_TABLES_MAX,
-    LossModel,
     SweepResult,
     eta_threshold,
     eta_threshold_sweep,
@@ -26,16 +25,7 @@ from brightghz.nonclassicality import (
     witness_w2,
 )
 from brightghz.oracles import dense_expectation, random_product_state
-from brightghz.state import NumericPolicy
-
-
-def test_loss_model_validation():
-    LossModel(eta=0.0)
-    LossModel(eta=1.0)
-    with pytest.raises(ValueError):
-        LossModel(eta=1.2)
-    with pytest.raises(ValueError):
-        LossModel(eta=-0.1)
+from brightghz.state import NumericPolicy, build_bghz
 
 
 def test_loss_factor_hand_values():
@@ -135,7 +125,10 @@ def test_find_crossing_rejects_non_finite_values():
 
 
 def test_lossless_limit_matches_mermin():
-    assert lossy_mermin_lhs(0.4, 1.0) == pytest.approx(mermin_lhs(0.4), abs=1e-9)
+    # at eta = 1 the thinning matrix is exactly the identity, so both calls
+    # feed the Mermin kernel the same blocks
+    state = build_bghz(0.4)
+    assert lossy_mermin_lhs(0.4, 1.0, state=state) == mermin_lhs(0.4, state=state)
 
 
 def test_all_lost_detectors_pin_the_bound():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from brightghz import stokes
 from brightghz.oracles import (
@@ -13,14 +15,24 @@ from brightghz.oracles import (
 )
 from brightghz.state import CUTOFF_CAP, BGHZState, NumericPolicy, build_bghz
 from brightghz.stokes import (
-    _shell_rotation,
-    _shell_unitary,
+    _mermin_form,
+    _shell_basis,
+    _shell_block,
     CorrelationTensor,
     stokes_expectation,
     tensor_t,
 )
 
 SQ2 = math.sqrt(2.0)
+
+# Mode unitaries of the rotated bases, new modes = U @ old (H/V) modes: the
+# inputs of the binomial reference for the shell blocks.
+BASES = {
+    # diagonal: difference of +-45 mode counts is adag b + bdag a
+    1: np.array([[1, 1], [1, -1]], dtype=complex) / SQ2,
+    # circular: difference of R/L mode counts is i(bdag a - adag b)
+    2: np.array([[1, -1j], [1, 1j]], dtype=complex) / SQ2,
+}
 
 MERMIN_TRIPLES = [
     ("S1", "S1", "S1"),
@@ -52,7 +64,7 @@ def bright_small():
 
 
 def test_basis_unitarity_and_unbiasedness():
-    bases = {**stokes._BASES, 3: np.eye(2)}
+    bases = {**BASES, 3: np.eye(2)}
     for u in bases.values():
         assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-14)
     # any two different bases are mutually unbiased
@@ -66,78 +78,81 @@ def test_basis_unitarity_and_unbiasedness():
 
 def test_single_photon_rotation_amplitudes():
     # |1, 0> splits evenly between the +45 and -45 modes
-    column = _shell_rotation(1, 1)[:, 1]
-    assert column[1] == pytest.approx(1 / SQ2)
-    assert column[0] == pytest.approx(1 / SQ2)
+    row = np.abs(_shell_basis(1)[1])
+    assert row[1] == pytest.approx(1 / SQ2)
+    assert row[0] == pytest.approx(1 / SQ2)
 
 
 def test_two_photon_rotation_amplitudes():
     # |2, 0> in the +-45 basis: amplitudes 1/2, 1/sqrt(2), 1/2 over kappa = 2, 1, 0
-    column = np.abs(_shell_rotation(1, 2)[:, 2])
-    assert column[2] == pytest.approx(0.5)
-    assert column[1] == pytest.approx(1 / SQ2)
-    assert column[0] == pytest.approx(0.5)
-
-
-def test_rotation_round_trip_is_identity():
-    # rotating into the circular basis and back restores every shell
-    back = stokes._BASES[2].conj().T
-    for k in range(6):
-        there = _shell_rotation(2, k)
-        assert np.allclose(_shell_unitary(back, k) @ there, np.eye(k + 1), atol=1e-12)
-
-
-def _u2(theta, phi, chi, psi):
-    """General 2x2 unitary, det = exp(2 i psi)."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.exp(1j * psi) * np.array(
-        [
-            [c * np.exp(1j * chi), -s * np.exp(-1j * phi)],
-            [s * np.exp(1j * phi), c * np.exp(-1j * chi)],
-        ]
-    )
-
-
-CUSTOM_UNITARIES = {
-    "phase": np.exp(0.7j) * np.eye(2),
-    "near_identity": _u2(1e-9, 0.3, -2e-10, 0.0),
-    "reflection": np.array([[0.6, 0.8], [0.8, -0.6]], dtype=complex),
-    "swap": np.array([[0, 1], [1, 0]], dtype=complex),
-    "generic": _u2(1.1, 0.4, 2.3, -0.9),
-    "near_minus_identity": _u2(math.pi - 1e-9, 0.1, 0.2, 0.0),
-}
-
-
-def _unitarity_error(a):
-    return np.abs(a.conj().T @ a - np.eye(a.shape[0])).max()
+    row = np.abs(_shell_basis(2)[2])
+    assert row[2] == pytest.approx(0.5)
+    assert row[1] == pytest.approx(1 / SQ2)
+    assert row[0] == pytest.approx(0.5)
 
 
 def test_basis_shell_rotations_unitary_through_twice_cutoff_cap():
-    for index in (1, 2):
-        for k in range(2 * CUTOFF_CAP + 1):
-            assert _unitarity_error(_shell_rotation(index, k)) <= 1e-12, (index, k)
+    # one real eigenbasis per shell: orthogonal, and column kappa holds
+    # kappa photons in the +45 mode, eigenvalue 2 kappa - k of adag b + bdag a
+    for k in range(2 * CUTOFF_CAP + 1):
+        w = _shell_basis(k)
+        assert w.dtype == np.float64
+        assert np.abs(w.T @ w - np.eye(k + 1)).max() <= 1e-12, k
+        q = np.arange(k)
+        hop = np.sqrt((q + 1.0) * (k - q))  # <q+1, k-q-1| adag b |q, k-q>
+        gen = np.diag(hop, 1) + np.diag(hop, -1)
+        want = np.diag(2.0 * np.arange(k + 1) - k)
+        assert np.abs(w.T @ gen @ w - want).max() <= 1e-12 * max(k, 1), k
 
 
-@pytest.mark.parametrize("name", sorted(CUSTOM_UNITARIES))
-def test_custom_shell_rotations_unitary(name):
-    u = CUSTOM_UNITARIES[name]
-    for k in (0, 1, 2, 5, 17, 40, 61, 90, 2 * CUTOFF_CAP):
-        assert _unitarity_error(_shell_unitary(u, k)) <= 1e-12, k
-    if name == "phase":
-        # a global phase multiplies every k-photon state by its k-th power
-        for k in (0, 3, 2 * CUTOFF_CAP):
-            assert np.allclose(_shell_unitary(u, k), np.exp(0.7j * k) * np.eye(k + 1))
+def _reference_block(basis, values, k):
+    rot = binomial_shell_rotation(BASES[basis], k)
+    return rot.conj().T @ (values[:, None] * rot)
 
 
-@pytest.mark.parametrize(
-    "u",
-    [stokes._BASES[1], stokes._BASES[2], *CUSTOM_UNITARIES.values()],
-    ids=["basis1", "basis2", *CUSTOM_UNITARIES],
-)
-def test_shell_rotation_matches_binomial_reference(u):
+@pytest.mark.parametrize("basis", [1, 2], ids=["basis1", "basis2"])
+def test_shell_rotation_matches_binomial_reference(basis, monkeypatch):
+    # blocks, unlike the basis vectors, carry no sign or phase convention
     for k in range(21):
-        got = _shell_unitary(u, k)
-        assert np.abs(got - binomial_shell_rotation(u, k)).max() <= 1e-13, k
+        for kind, suffix in (("S", ""), ("Sp", "p")):
+            got = _shell_block(f"S{basis}{suffix}", k)
+            want = _reference_block(basis, stokes._diagonal_values(kind, k), k)
+            assert np.abs(got - want).max() <= 1e-13, (kind, k)
+    # and for arbitrary real values on the rotated counts
+    rng = np.random.default_rng(basis)
+    values = {k: rng.standard_normal(k + 1) for k in range(21)}
+    monkeypatch.setattr(stokes, "_SHELL_BLOCKS", {})
+    monkeypatch.setattr(stokes, "_diagonal_values", lambda kind, k: values[k])
+    for k in range(21):
+        want = _reference_block(basis, values[k], k)
+        assert np.abs(_shell_block(f"S{basis}", k) - want).max() <= 1e-13, k
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 12).flatmap(
+        lambda cutoff: st.lists(
+            st.floats(-1.0, 1.0), min_size=(cutoff + 1) ** 2, max_size=(cutoff + 1) ** 2
+        )
+    )
+)
+def test_mermin_kernel_equals_four_setting_sum(reals):
+    # exchange-diagonal states with the bright state's phases i^(q+m)
+    side = math.isqrt(len(reals))
+    norm = math.sqrt(sum(x * x for x in reals))
+    assume(norm > 1e-6)
+    amps = {
+        (q, m): 1j ** (q + m) * reals[q * side + m] / norm
+        for q in range(side)
+        for m in range(side)
+    }
+    state = BGHZState(gamma=0.0, cutoff=side - 1, amps=amps, norm_residual=0.0)
+    for suffix in ("p", ""):
+        triples = [tuple(op + suffix for op in ops) for ops in MERMIN_TRIPLES]
+        terms = [stokes_expectation(state, ops) for ops in triples]
+        want = terms[0] - sum(terms[1:])
+        got = _mermin_form(state, lambda k: _shell_block(f"S1{suffix}", k))
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_ghz_correlations(ghz):
