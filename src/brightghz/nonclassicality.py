@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -158,7 +158,7 @@ def mermin_lhs(
 ) -> float:
     """Mermin-like LHS with primed operators, scaled by the retained mass."""
     state = _prepare(gamma, policy, state)
-    total = _mermin_form(state, partial(_shell_block, "S1p"))
+    total = _mermin_form(state, lambda k, rows: _shell_block("S1p", k)[rows, rows])
     return (1.0 - state.norm_residual) * abs(total)
 
 
@@ -296,11 +296,11 @@ def lossy_mermin_lhs(
     mermin_lhs exactly.
     """
     state = _prepare(gamma, policy, state)
-    table = _loss_table(eta, max(q + m for q, m in state.amps))
+    table = _loss_table(eta, max((shell[0] for shell in state._shells), default=0))
 
-    def block(k):
+    def block(k, rows):
         kappa = np.arange(k + 1)
-        return _diagonal_block(table[kappa, k - kappa], k)
+        return _diagonal_block(table[kappa, k - kappa], k, rows)
 
     return (1.0 - state.norm_residual) * abs(_mermin_form(state, block))
 
@@ -309,14 +309,16 @@ def eta_threshold(
     gamma: float,
     policy: NumericPolicy = DEFAULT_POLICY,
     tol: float = 1e-3,
+    state: BGHZState | None = None,
 ) -> float:
     """Detector efficiency below which the Mermin violation dies.
 
-    Bisects lossy_mermin_lhs = 2 in eta; requires a violation at eta = 1
-    (raises "not violated at eta=1" otherwise).  The lower bracket starts
-    just above 0 because eta = 0 gives exactly 2.
+    Bisects lossy_mermin_lhs = 2 in eta on one state, built here or
+    reused when given; requires a violation at eta = 1 (raises "not
+    violated at eta=1" otherwise).  The lower bracket starts just above 0
+    because eta = 0 gives exactly 2.
     """
-    state = build_bghz(gamma, policy)
+    state = _prepare(gamma, policy, state)
     if mermin_lhs(gamma, policy, state=state) <= CLASSICAL_BOUND:
         raise ValueError(f"not violated at eta=1 (gamma={gamma})")
     return find_crossing(
@@ -370,7 +372,7 @@ def evaluate_w2(
     state = _prepare(gamma, policy, state)
     if projected:
         state = project_out_vacuum(state)
-    m_value = -_mermin_form(state, partial(_shell_block, "S1"))
+    m_value = -_mermin_form(state, lambda k, rows: _shell_block("S1", k)[rows, rows])
     value = m_value + stokes_expectation(state, ("Pi", "Pi", "Pi"))
     closed = -4.0 * _closed_form_t(state) + 1.0 - _vacuum_probability(state)
     return WitnessEvaluation(
@@ -390,13 +392,16 @@ def witness_w2(
     return evaluate_w2(gamma, projected, policy, state).value
 
 
-def _sweep(gammas, evaluate, level=None, rising=False) -> SweepResult:
+def _sweep(gammas, evaluate, level=None, rising=False, bisect_value=None) -> SweepResult:
     """Evaluate evaluate(g) -> (value, diagnostics) at every gain, then
     bracket the first crossing of level: falling through it (value > level
     >= next) or, when rising, rising through it (value < level <= next).
 
-    A point that raises RuntimeError (ResummationError included) or
-    ValueError becomes NaN marked failed, and NaN brackets nothing.
+    The bisection calls bisect_value(g), which must equal evaluate(g)[0];
+    it defaults to that, and a sweep passes a leaner function when the
+    diagnostics cost extra.  A point that raises RuntimeError (ResummationError
+    included) or ValueError becomes NaN marked failed, and NaN brackets
+    nothing.
     """
     gammas = tuple(float(g) for g in gammas)
     if any(g < 0 for g in gammas):
@@ -420,7 +425,9 @@ def _sweep(gammas, evaluate, level=None, rising=False) -> SweepResult:
         values=tuple(values),
         diagnostics=tuple(diagnostics),
         bracket=bracket,
-        bisect=lambda a, b: find_crossing(lambda g: evaluate(g)[0], level, a, b),
+        bisect=lambda a, b: find_crossing(
+            bisect_value or (lambda g: evaluate(g)[0]), level, a, b
+        ),
     )
 
 
@@ -435,7 +442,9 @@ def mermin_sweep(gammas, policy: NumericPolicy = DEFAULT_POLICY) -> SweepResult:
         e = evaluate_mermin(g, policy)
         return e.lhs, {"reduced": e.reduced, "agreement": e.agreement}
 
-    return _sweep(gammas, evaluate, CLASSICAL_BOUND)
+    return _sweep(
+        gammas, evaluate, CLASSICAL_BOUND, bisect_value=lambda g: mermin_lhs(g, policy)
+    )
 
 
 def eta_threshold_sweep(gammas, policy: NumericPolicy = DEFAULT_POLICY) -> SweepResult:

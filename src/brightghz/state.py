@@ -21,8 +21,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, inf
 
+import numpy as np
 from mpmath import mp, mpf
 
 from brightghz.pade import DiagonalResummer, PoleProximityError
@@ -159,6 +161,33 @@ class BGHZState:
     norm_residual: float
     vacuum_projected: bool = False
 
+    @cached_property
+    def _shells(self) -> tuple[tuple[int, slice, np.ndarray, np.ndarray], ...]:
+        """Support of each photon shell and its amplitudes, in increasing k.
+
+        One (k, rows, psi, v) per shell k with a nonzero amplitude: rows
+        runs over q from the first to the last nonzero amplitude of
+        |q, k-q>, psi = x + iy holds the amplitudes over rows, and the
+        columns of v are x, y, s*x and s*y, with s_q = (-1)^q.  Computed
+        once per state, so every Stokes kernel call on it shares them.
+        """
+        vectors: dict[int, np.ndarray] = {}
+        for (q, m), amp in self.amps.items():
+            if q + m not in vectors:
+                vectors[q + m] = np.zeros(q + m + 1, dtype=complex)
+            vectors[q + m][q] = amp
+        shells = []
+        for k in sorted(vectors):
+            nonzero = np.flatnonzero(vectors[k])
+            if nonzero.size == 0:
+                continue
+            lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
+            psi = vectors[k][lo:hi]
+            s = 1.0 - 2.0 * (np.arange(lo, hi) % 2)
+            v = np.stack([psi.real, psi.imag, s * psi.real, s * psi.imag], axis=1)
+            shells.append((k, slice(lo, hi), psi, v))
+        return tuple(shells)
+
 
 # Resummer per coefficient series, and per gain point the settled series
 # value or the ResummationError its ladder ended in.  _RESUMMERS is bounded
@@ -169,6 +198,13 @@ class BGHZState:
 _RESUMMERS: dict[tuple[int, int, int], DiagonalResummer] = {}
 _VALUES: dict[tuple, object] = {}
 VALUES_MAX = 32768
+# Auto cutoff of the bright state per gain point, most recently used last.
+# Finding it runs photon_distribution again, which re-reads every cached
+# value and sums the weights at working precision: about a third of a
+# warm build_bghz, paid on every state rebuilt at a known gain.  The
+# cutoff follows from the same values and policy, so it is keyed like
+# them (three beams, no tuple number) and capped like _VALUES.
+_CUTOFFS: dict[tuple, int] = {}
 
 
 def _resummer(n: int, k: int, L: int) -> DiagonalResummer:
@@ -363,9 +399,15 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
             gamma=0.0, cutoff=cutoff or 0, amps={(0, 0): 1.0 + 0j}, norm_residual=0.0
         )
     if cutoff is None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            cutoff = photon_distribution(BrightStateSpec(3, gamma, policy)).cutoff
+        key = (float(gamma),) + policy.key()
+        cutoff = _CUTOFFS.pop(key, None)
+        if cutoff is None:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                cutoff = photon_distribution(BrightStateSpec(3, gamma, policy)).cutoff
+        _CUTOFFS[key] = cutoff
+        if len(_CUTOFFS) > VALUES_MAX:
+            del _CUTOFFS[next(iter(_CUTOFFS))]
 
     with mp.workprec(policy.bits):
         g = mpf(gamma)
@@ -378,10 +420,13 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
         col = sum(m * m for m in mags)
         norm_residual = float(abs(1 - col * col))
         root = col**0.5  # amplitude normalization per factor state
+        # each division done once: the same mp operations, hence the same
+        # bits, as mags[q] / root * (mags[m] / root) per pair
+        unit = [m / root for m in mags]
         amps: dict[tuple[int, int], complex] = {}
         for q in range(cutoff + 1):
             for m in range(cutoff + 1):
-                mag = float(mags[q] / root * (mags[m] / root))
+                mag = float(unit[q] * unit[m])
                 phase = (1j) ** ((q + m) % 4)
                 amps[(q, m)] = phase * (signs[q] * signs[m] * mag)
     return BGHZState(

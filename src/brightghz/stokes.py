@@ -25,6 +25,16 @@ the basis-1 block B: entrywise products commute, so the three mixed
 settings give one term, and B2*B2 = B*B*Sigma entrywise, with
 Sigma[q, q'] = (-1)^(q-q').  On each shell it is the one real quadratic
 form psi^H (B*B*B*(J - 3 Sigma)) psi, J the all-ones matrix.
+
+Both forms read only the support of each shell: the rows q from the first
+to the last nonzero amplitude.  A shell k above the cutoff holds
+2 cutoff - k + 1 of its k + 1 rows, so a block rotated for the lossy test
+is built on those rows alone, W[rows] diag(v) W[rows]^T.  The Mermin form
+runs in real arithmetic: with psi = x + iy, s_q = (-1)^q and C = B*B*B it
+is the sum over v in {x, y} of v^T C v - 3 (s v)^T C (s v), one real
+product of C with the four columns x, y, s x, s y.  The state computes
+those columns once (BGHZState._shells), so the many kernel calls of one
+threshold bisection share them.
 """
 
 from __future__ import annotations
@@ -99,9 +109,12 @@ def _shell_basis(k: int) -> np.ndarray:
     return got
 
 
-def _diagonal_block(values: np.ndarray, k: int) -> np.ndarray:
-    """Shell-k block of the operator taking values[kappa] on kappa +45 photons."""
-    w = _shell_basis(k)
+def _diagonal_block(values: np.ndarray, k: int, rows: slice) -> np.ndarray:
+    """Rows-by-rows part of the shell-k operator taking values[kappa] on kappa +45 photons.
+
+    It costs |rows|^2 (k+1) flops, against (k+1)^3 for the whole block.
+    """
+    w = _shell_basis(k)[rows]
     return (w * values) @ w.T
 
 
@@ -115,7 +128,7 @@ def _shell_block(selector: str, k: int) -> np.ndarray:
         if basis_index == 3:
             got = np.diag(values)
         else:
-            got = _diagonal_block(values, k)
+            got = _diagonal_block(values, k, slice(None))
             if basis_index == 2:
                 q = np.arange(k + 1)
                 got = got * _QUARTER_TURNS[(q[None, :] - q[:, None]) % 4]
@@ -135,36 +148,33 @@ def _validate_selectors(ops) -> tuple[str, str, str]:
     return ops
 
 
-def _shell_vectors(state: BGHZState) -> dict[int, np.ndarray]:
-    """Amplitudes of |q, k-q> per photon shell k, indexed by q."""
-    shells: dict[int, np.ndarray] = {}
-    for (q, m), amp in state.amps.items():
-        if q + m not in shells:
-            shells[q + m] = np.zeros(q + m + 1, dtype=complex)
-        shells[q + m][q] = amp
-    return shells
-
-
 def _bghz_expectation(state: BGHZState, ops: tuple[str, str, str]) -> float:
     total = 0.0
-    for k, vec in _shell_vectors(state).items():
-        block = _shell_block(ops[0], k) * _shell_block(ops[1], k) * _shell_block(ops[2], k)
-        total += float(np.real(np.vdot(vec, block @ vec)))
+    for k, rows, psi, _ in state._shells:
+        block = (
+            _shell_block(ops[0], k)[rows, rows]
+            * _shell_block(ops[1], k)[rows, rows]
+            * _shell_block(ops[2], k)[rows, rows]
+        )
+        total += float(np.real(np.vdot(psi, block @ psi)))
     return total
+
+
+# weights of the columns x, y, s*x, s*y of BGHZState._shells: J - 3 Sigma
+_MERMIN_WEIGHTS = np.array([1.0, 1.0, -3.0, -3.0])
 
 
 def _mermin_form(state: BGHZState, block) -> float:
     """<111> - <122> - <212> - <221> of one per-party operator on a bright state.
 
-    block(k) is the operator's basis-1 block on shell k; its basis-2 block
-    is the same times i^(q'-q).  See the module docstring for the reduction.
+    block(k, rows) is the rows-by-rows part of the operator's basis-1 block
+    on shell k; its basis-2 block is the same times i^(q'-q).  See the
+    module docstring for the reduction.
     """
     total = 0.0
-    for k, vec in _shell_vectors(state).items():
-        b = block(k)
-        q = np.arange(k + 1)
-        signs = np.where((q[:, None] - q[None, :]) % 2, 4.0, -2.0)  # J - 3 Sigma
-        total += float(np.real(np.vdot(vec, (b * b * b * signs) @ vec)))
+    for k, rows, _, v in state._shells:
+        b = block(k, rows)
+        total += float((v * ((b * b * b) @ v)).sum(axis=0) @ _MERMIN_WEIGHTS)
     return total
 
 

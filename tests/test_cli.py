@@ -146,16 +146,16 @@ def test_invalid_config_exits_hard(argv, capsys):
 
 
 def test_failed_bisection_aborts_without_csv(tmp_path, monkeypatch, capsys):
-    # the grid brackets the crossing in (0.75, 0.8); every evaluation
+    # the grid brackets the crossing in (0.75, 0.8); every LHS evaluation
     # inside that bracket fails, so no threshold line can be written
-    evaluate = nonclassicality.evaluate_mermin
+    lhs = nonclassicality.mermin_lhs
 
     def failing_inside(gamma, *args):
         if 0.75 < gamma < 0.8:
             raise state.ResummationError("stub ladder failure", 40)
-        return evaluate(gamma, *args)
+        return lhs(gamma, *args)
 
-    monkeypatch.setattr(nonclassicality, "evaluate_mermin", failing_inside)
+    monkeypatch.setattr(nonclassicality, "mermin_lhs", failing_inside)
     out = tmp_path / "out.csv"
     argv = ["--cmd", "mermin", "--gamma-min", "0.7", "--gamma-max", "0.8", "--steps", "3"]
     assert main([*argv, "--out", str(out)]) == EXIT_HARD

@@ -101,6 +101,14 @@ def test_gamma_threshold_matches_reference():
     assert threshold == pytest.approx(0.77, abs=0.02)
 
 
+def test_thresholds_hold_under_a_deeper_ladder():
+    # the printed thresholds rest on the default order budget; one ten orders
+    # deeper moves them by less than their bisection tolerance
+    deeper = NumericPolicy(pade_order=50)
+    assert gamma_threshold() == pytest.approx(gamma_threshold(deeper), abs=1e-3)
+    assert eta_threshold(0.05) == pytest.approx(eta_threshold(0.05, deeper), abs=1e-3)
+
+
 def test_gamma_threshold_no_crossing_on_restricted_range():
     with pytest.raises(ValueError, match="no crossing"):
         gamma_threshold(gamma_min=0.05, gamma_max=0.3)
@@ -145,11 +153,19 @@ def test_eta_threshold_small_gain():
     assert eta_threshold(0.05) == pytest.approx(0.79, abs=0.01)
 
 
-def test_eta_threshold_brackets_violation():
+def test_eta_threshold_brackets_violation(monkeypatch):
     gamma = 0.4
     threshold = eta_threshold(gamma)
     assert lossy_mermin_lhs(gamma, threshold + 0.01) > 2.0
     assert lossy_mermin_lhs(gamma, threshold - 0.01) < 2.0
+    # a given state is reused, not rebuilt
+    state = build_bghz(gamma)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("eta_threshold rebuilt the state it was given")
+
+    monkeypatch.setattr(nonclassicality, "build_bghz", no_build)
+    assert eta_threshold(gamma, state=state) == threshold
 
 
 def test_eta_threshold_requires_violation():
@@ -220,11 +236,18 @@ def test_sweep_result_validates_axis():
         SweepResult(axis=(0.1, 0.2), values=(1.0,), diagnostics=({}, {}))
 
 
-def test_mermin_sweep_brackets_threshold():
+def test_mermin_sweep_brackets_threshold(monkeypatch):
     result = mermin_sweep((0.6, 0.7, 0.75, 0.8))
-    assert result.threshold == pytest.approx(0.77, abs=0.02)
     assert result.values[0] > 2.0 > result.values[-1]
     assert all(d["agreement"] <= 1e-8 for d in result.diagnostics)
+
+    def no_diagnostics(*args, **kwargs):
+        raise AssertionError("the bisection built a MerminEvaluation")
+
+    # the bisection reads the LHS alone, not the grid points' diagnostics
+    monkeypatch.setattr(nonclassicality, "evaluate_mermin", no_diagnostics)
+    assert result.threshold == pytest.approx(0.77, abs=0.02)
+    assert result.threshold == gamma_threshold(gamma_min=0.75, gamma_max=0.8)
 
 
 def test_mermin_sweep_from_zero_gain_has_no_threshold():

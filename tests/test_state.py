@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 import brightghz.state as state_module
 from brightghz.oracles import coherent_pk, squeezed_pk
@@ -326,3 +326,50 @@ def test_value_cache_is_bounded(monkeypatch):
         assert len(state_module._VALUES) <= 8
     assert not any(key[2] == 0.3 for key in state_module._VALUES)
     assert resummed_coefficient(3, 2, 0.3) == first
+
+
+def test_cutoff_cache_is_bounded(monkeypatch):
+    # the auto-cutoff memo keeps to the value cache's cap, and a gain
+    # evicted on the way finds the same cutoff again
+    monkeypatch.setattr(state_module, "_VALUES", {})
+    monkeypatch.setattr(state_module, "_CUTOFFS", {})
+    monkeypatch.setattr(state_module, "VALUES_MAX", 4)
+    first = build_bghz(0.1)
+    for i in range(8):
+        build_bghz(0.11 + 0.01 * i)
+        assert len(state_module._CUTOFFS) <= 4
+    assert not any(key[0] == 0.1 for key in state_module._CUTOFFS)
+    assert build_bghz(0.1).cutoff == first.cutoff
+
+
+def test_warm_state_equals_cold_state(monkeypatch):
+    build_bghz(0.563)
+    warm = build_bghz(0.563)
+    assert (0.563,) + DEFAULT_POLICY.key() in state_module._CUTOFFS
+    monkeypatch.setattr(state_module, "_VALUES", {})
+    monkeypatch.setattr(state_module, "_CUTOFFS", {})
+    cold = build_bghz(0.563)
+    assert warm.cutoff == cold.cutoff
+    assert warm.amps == cold.amps
+    assert warm.norm_residual == cold.norm_residual
+
+
+def test_amplitudes_pin_the_per_pair_formula():
+    # each amplitude is the working-precision product of the two normalized
+    # factor magnitudes, rounded to a float once
+    gamma, policy = 0.352, DEFAULT_POLICY
+    state = build_bghz(gamma, policy)
+    assert state.cutoff == CUTOFF_CAP
+    with mp.workprec(policy.bits):
+        values = [
+            state_module._series_value(3, q, gamma, policy) for q in range(state.cutoff + 1)
+        ]
+        mags = [
+            abs(s) * mpf(gamma) ** q * mpf(math.factorial(q)) ** mpf(1.5)
+            for q, s in enumerate(values)
+        ]
+        root = sum(x * x for x in mags) ** 0.5
+        for (q, m), amp in state.amps.items():
+            sign = (1 if values[q] >= 0 else -1) * (1 if values[m] >= 0 else -1)
+            mag = float(mags[q] / root * (mags[m] / root))
+            assert amp == 1j ** ((q + m) % 4) * (sign * mag), (q, m)

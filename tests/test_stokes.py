@@ -1,5 +1,7 @@
 """Basis rotations, Stokes expectations, and the correlation tensor."""
 
+import cmath
+import itertools
 import math
 
 import numpy as np
@@ -13,8 +15,15 @@ from brightghz.oracles import (
     binomial_shell_rotation,
     dense_expectation,
 )
-from brightghz.state import CUTOFF_CAP, BGHZState, NumericPolicy, build_bghz
+from brightghz.state import (
+    CUTOFF_CAP,
+    BGHZState,
+    NumericPolicy,
+    build_bghz,
+    project_out_vacuum,
+)
 from brightghz.stokes import (
+    _diagonal_block,
     _mermin_form,
     _shell_basis,
     _shell_block,
@@ -128,30 +137,58 @@ def test_shell_rotation_matches_binomial_reference(basis, monkeypatch):
         assert np.abs(_shell_block(f"S{basis}", k) - want).max() <= 1e-13, k
 
 
+def _full_shell_expectation(state, ops):
+    # the whole shell vectors and blocks, without the support restriction
+    shells = {}
+    for (q, m), amp in state.amps.items():
+        shells.setdefault(q + m, np.zeros(q + m + 1, dtype=complex))[q] = amp
+    total = 0.0
+    for k, vec in shells.items():
+        block = _shell_block(ops[0], k) * _shell_block(ops[1], k) * _shell_block(ops[2], k)
+        total += np.real(np.vdot(vec, block @ vec))
+    return total
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     st.integers(0, 12).flatmap(
         lambda cutoff: st.lists(
-            st.floats(-1.0, 1.0), min_size=(cutoff + 1) ** 2, max_size=(cutoff + 1) ** 2
+            st.tuples(st.floats(0.0, 1.0), st.floats(-math.pi, math.pi), st.booleans()),
+            min_size=(cutoff + 1) ** 2,
+            max_size=(cutoff + 1) ** 2,
         )
-    )
+    ),
+    st.booleans(),
 )
-def test_mermin_kernel_equals_four_setting_sum(reals):
-    # exchange-diagonal states with the bright state's phases i^(q+m)
-    side = math.isqrt(len(reals))
-    norm = math.sqrt(sum(x * x for x in reals))
-    assume(norm > 1e-6)
-    amps = {
-        (q, m): 1j ** (q + m) * reals[q * side + m] / norm
-        for q in range(side)
-        for m in range(side)
+def test_mermin_kernel_equals_four_setting_sum(entries, projected):
+    # exchange-diagonal states with arbitrary complex amplitudes and zeros
+    # anywhere, so a shell's support may start or end inside it or be empty;
+    # projected drops the (0, 0) entry the way the witnesses do
+    side = math.isqrt(len(entries))
+    raw = {
+        (q, m): r * cmath.exp(1j * phi) if keep else 0j
+        for (q, m), (r, phi, keep) in zip(itertools.product(range(side), repeat=2), entries)
     }
+    norm = math.sqrt(sum(abs(a) ** 2 for a in raw.values()))
+    assume(norm > 1e-6)
+    amps = {qm: a / norm for qm, a in raw.items()}
     state = BGHZState(gamma=0.0, cutoff=side - 1, amps=amps, norm_residual=0.0)
-    for suffix in ("p", ""):
+    if projected:
+        assume(1.0 - abs(amps[(0, 0)]) ** 2 > 1e-12)
+        state = project_out_vacuum(state)
+    for suffix, kind in (("p", "Sp"), ("", "S")):
         triples = [tuple(op + suffix for op in ops) for ops in MERMIN_TRIPLES]
         terms = [stokes_expectation(state, ops) for ops in triples]
+        for ops, term in zip(triples, terms):
+            assert term == pytest.approx(_full_shell_expectation(state, ops), abs=1e-12)
         want = terms[0] - sum(terms[1:])
-        got = _mermin_form(state, lambda k: _shell_block(f"S1{suffix}", k))
+        got = _mermin_form(state, lambda k, rows: _shell_block(f"S1{suffix}", k)[rows, rows])
+        assert got == pytest.approx(want, abs=1e-12)
+        # the lossy kernel's blocks: the rotation restricted to the rows
+        got = _mermin_form(
+            state,
+            lambda k, rows: _diagonal_block(stokes._diagonal_values(kind, k), k, rows),
+        )
         assert got == pytest.approx(want, abs=1e-12)
 
 
