@@ -316,13 +316,16 @@ def eta_threshold(
     Bisects lossy_mermin_lhs = 2 in eta on one state, built here or
     reused when given; requires a violation at eta = 1 (raises "not
     violated at eta=1" otherwise).  The lower bracket starts just above 0
-    because eta = 0 gives exactly 2.
+    because eta = 0 gives exactly 2.  At eta = 1, the upper bracket, the
+    lossy LHS equals mermin_lhs exactly, so the violation check's value
+    stands in for it.
     """
     state = _prepare(gamma, policy, state)
-    if mermin_lhs(gamma, policy, state=state) <= CLASSICAL_BOUND:
+    lossless = mermin_lhs(gamma, policy, state=state)
+    if lossless <= CLASSICAL_BOUND:
         raise ValueError(f"not violated at eta=1 (gamma={gamma})")
     return find_crossing(
-        lambda e: lossy_mermin_lhs(gamma, e, policy, state=state),
+        lambda e: lossless if e == 1.0 else lossy_mermin_lhs(gamma, e, policy, state=state),
         CLASSICAL_BOUND,
         1e-6,
         1.0,

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Sequence
@@ -135,99 +135,121 @@ def _qd(coeffs, count: int, ctx: Context, keep: Context) -> tuple[Decimal, ...]:
     return tuple(found)
 
 
-def _even_convergents(c0: Decimal, coeffs, x: Decimal, ctx: Context):
-    """Yield c_0 B_2N / A_2N, the [N/N] value at x, for N = 1, 2, ...
+@dataclass(frozen=True)
+class _Ladder:
+    """C-fraction of one series at one working precision, with its walk constants.
 
-    Forward recurrence A_i = A_{i-1} - a_i x A_{i-2} from A_{-1} = A_0 = 1,
-    and the same for B from B_{-1} = 0, B_0 = 1, in ctx.  Yields None
-    where A_2N vanishes.
+    The value and check runs' coefficients a_1..a_count (shorter after a
+    qd breakdown), and what every walk at this precision shares: the two
+    contexts, c_0 in each, and the 2**-bits acceptance limit.
     """
-    sub, mul = ctx.subtract, ctx.multiply
-    a_prev = a_cur = b_cur = Decimal(1)
-    b_prev = Decimal(0)
-    for i, coeff in enumerate(coeffs, 1):
-        t = mul(coeff, x)
-        a_prev, a_cur = a_cur, sub(a_cur, mul(t, a_prev))
-        b_prev, b_cur = b_cur, sub(b_cur, mul(t, b_prev))
-        if i % 2 == 0:
-            yield ctx.divide(mul(c0, b_cur), a_cur) if a_cur else None
+
+    count: int
+    value: tuple[Decimal, ...]
+    check: tuple[Decimal, ...]
+    value_ctx: Context
+    check_ctx: Context
+    c0_value: Decimal
+    c0_check: Decimal
+    limit: Decimal
 
 
 class DiagonalResummer:
     """Reusable diagonal ladder for one coefficient series.
 
-    resum() finds the C-fraction coefficients once per working precision
-    (two qd runs, for the precision check), caches only those, rounded to
-    the precision they are walked at, and walks the convergents at each
-    point in O(max_order) operations.
+    Once per series and working precision, resum() finds the C-fraction
+    coefficients (two qd runs, for the precision check), rounded to the
+    precision they are walked at, and builds the walk's contexts, c_0 in
+    each and the acceptance limit; once per series and length it finds
+    whether the truncated series terminates.  Each point then costs one
+    O(max_order) walk of the paired value and check recurrences.
     """
 
     def __init__(self, series: Sequence):
         self.coeffs = tuple(Fraction(c) for c in series)
-        # bits -> (terms asked for, value-run and check-run coefficients)
-        self._fractions: dict[int, tuple[int, tuple, tuple]] = {}
+        # working bits -> the C-fraction and walk constants at that precision
+        self._fractions: dict[int, _Ladder] = {}
+        # coefficients used -> degree of their polynomial, -1 when all vanish
+        self._degrees: dict[int, int] = {}
 
     def max_feasible_order(self) -> int:
         return (len(self.coeffs) - 1) // 2
 
-    def _cfraction(self, count: int, bits: int) -> tuple[tuple, tuple]:
-        """a_1..a_count of the value and check runs; shorter after a breakdown."""
+    def _cfraction(self, count: int, bits: int) -> _Ladder:
+        """The ladder at bits, its qd runs asked for at least count terms."""
         got = self._fractions.get(bits)
-        if got is None or got[0] < count:
-            check_bits = bits + 2 * _GUARD_BITS
-            value_bits = check_bits + _GUARD_BITS
-            qd_bits = check_bits + _QD_BITS_PER_TERM * count
+        check_bits = bits + 2 * _GUARD_BITS
+        if got is None:
+            value_ctx = _context(check_bits + _GUARD_BITS)
             check_ctx = _context(check_bits)
-            value = _qd(
-                self.coeffs,
-                count,
-                _context(qd_bits + _GUARD_BITS),
-                _context(value_bits),
+            c0 = (Decimal(self.coeffs[0].numerator), Decimal(self.coeffs[0].denominator))
+            got = _Ladder(
+                count=0,
+                value=(),
+                check=(),
+                value_ctx=value_ctx,
+                check_ctx=check_ctx,
+                c0_value=value_ctx.divide(*c0),
+                c0_check=check_ctx.divide(*c0),
+                limit=value_ctx.power(Decimal(2), -bits),
             )
-            check = _qd(self.coeffs, count, _context(qd_bits), check_ctx)
+        if got.count < count:
+            qd_bits = check_bits + _QD_BITS_PER_TERM * count
+            value = _qd(self.coeffs, count, _context(qd_bits + _GUARD_BITS), got.value_ctx)
+            check = _qd(self.coeffs, count, _context(qd_bits), got.check_ctx)
             # where the runs agree to the check's precision, keep one number
             check = tuple(
-                v if check_ctx.plus(v) == w else w for v, w in zip(value, check)
+                v if got.check_ctx.plus(v) == w else w for v, w in zip(value, check)
             )
-            got = (count, value, check)
+            got = replace(got, count=count, value=value, check=check)
             self._fractions[bits] = got
-        return got[1], got[2]
+        return got
 
     def _walk(self, x, max_order: int, tol: float, bits: int) -> ResummationResult:
         """The ladder from the C-fraction, up to the first order without a value.
 
-        That order (its convergent vanished, qd did not reach it, or the
-        check run does not reproduce it) is recorded as (order, None) and
-        ends the walk unconverged.
+        One forward (Wallis) recurrence per run, A_i = A_{i-1} - a_i x A_{i-2}
+        from A_{-1} = A_0 = 1 and the same for B from B_{-1} = 0, B_0 = 1,
+        gives the [N/N] value c_0 B_2N / A_2N at every even i.  The first
+        order without a value (its convergent vanished, qd did not reach
+        it, or the check run does not reproduce it) is recorded as
+        (order, None) and ends the walk unconverged.
         """
-        value_coeffs, check_coeffs = self._cfraction(2 * max_order, bits)
-        check_bits = bits + 2 * _GUARD_BITS
-        value_bits = check_bits + _GUARD_BITS
-        check_ctx, value_ctx = _context(check_bits), _context(value_bits)
-        sub, mul = value_ctx.subtract, value_ctx.multiply
+        ladder = self._cfraction(2 * max_order, bits)
+        value_ctx, check_ctx = ladder.value_ctx, ladder.check_ctx
+        vsub, vmul = value_ctx.subtract, value_ctx.multiply
+        csub, cmul = check_ctx.subtract, check_ctx.multiply
+        value_bits = bits + 3 * _GUARD_BITS  # the value run's precision
         with mp.workprec(value_bits):
             point = x if isinstance(x, Fraction) else Fraction(*to_rational(_point(x)._mpf_))
         num, den = Decimal(point.numerator), Decimal(point.denominator)
-        c0 = (Decimal(self.coeffs[0].numerator), Decimal(self.coeffs[0].denominator))
-
-        def convergents(coeffs, ctx):
-            return _even_convergents(
-                ctx.divide(*c0), coeffs[: 2 * max_order], ctx.divide(num, den), ctx
-            )
-
-        walks = zip(
-            convergents(value_coeffs, value_ctx), convergents(check_coeffs, check_ctx)
-        )
-        limit = value_ctx.power(Decimal(2), -bits)
+        vx, cx = value_ctx.divide(num, den), check_ctx.divide(num, den)
+        limit = ladder.limit
         tolerance = Decimal(tol)
+        # value-run and check-run recurrences, A and B, previous and current
+        va_prev = va_cur = vb_cur = ca_prev = ca_cur = cb_cur = Decimal(1)
+        vb_prev = cb_prev = Decimal(0)
         diagnostics: list[tuple[int, float | None]] = []
         value = None
         converged = False
-        for v, check in walks:
-            if v is None or check is None or sub(v, check).copy_abs() > mul(limit, v.copy_abs()):
+        pairs = zip(ladder.value[: 2 * max_order], ladder.check[: 2 * max_order])
+        for i, (va, ca) in enumerate(pairs, 1):
+            t = vmul(va, vx)
+            va_prev, va_cur = va_cur, vsub(va_cur, vmul(t, va_prev))
+            vb_prev, vb_cur = vb_cur, vsub(vb_cur, vmul(t, vb_prev))
+            t = cmul(ca, cx)
+            ca_prev, ca_cur = ca_cur, csub(ca_cur, cmul(t, ca_prev))
+            cb_prev, cb_cur = cb_cur, csub(cb_cur, cmul(t, cb_prev))
+            if i % 2:
+                continue
+            if not va_cur or not ca_cur:
+                break
+            v = value_ctx.divide(vmul(ladder.c0_value, vb_cur), va_cur)
+            check = check_ctx.divide(cmul(ladder.c0_check, cb_cur), ca_cur)
+            if vsub(v, check).copy_abs() > vmul(limit, v.copy_abs()):
                 break
             diagnostics.append((len(diagnostics) + 1, float(v)))
-            if value is not None and sub(v, value).copy_abs() <= mul(tolerance, v.copy_abs()):
+            if value is not None and vsub(v, value).copy_abs() <= vmul(tolerance, v.copy_abs()):
                 value, converged = v, True
                 break
             value = v
@@ -267,8 +289,11 @@ class DiagonalResummer:
                 diagnostics=((1, float(value)),),
             )
 
-        degree = max((j for j, c in enumerate(coeffs) if c != 0), default=-1)
-        if degree <= max_order and all(c == 0 for c in coeffs[degree + 1 :]):
+        degree = self._degrees.get(need)
+        if degree is None:
+            degree = max((j for j, c in enumerate(coeffs) if c != 0), default=-1)
+            self._degrees[need] = degree
+        if degree <= max_order:
             # Terminating series: every [N/N] with N >= degree is the
             # polynomial itself, so sum it directly.
             with mp.workprec(bits + 64):

@@ -306,26 +306,40 @@ def _tail_estimate(w: list) -> float:
     return float(w[-1] * r / (1 - r))
 
 
-def _omitted_mass(w: list) -> float:
-    """Best estimate of the probability mass beyond the retained orders.
+def _omitted_mass(w: list, mass) -> float:
+    """Best estimate of the probability mass beyond the retained weights w.
 
-    The weights of a normalized emission state must total exactly 1, so
-    the retained-sum shortfall measures the omitted mass directly; it
-    stays honest even while the weight ratio is still climbing toward its
-    limit, where a geometric extrapolation from the last two entries
-    undershoots.  The larger of the two estimates is kept, which also
-    preserves the geometric bound as the conservative choice whenever the
-    ratio is falling instead.
+    mass is sum(w).  The weights of a normalized emission state must
+    total exactly 1, so the retained-sum shortfall measures the omitted
+    mass directly; it stays honest even while the weight ratio is still
+    climbing toward its limit, where a geometric extrapolation from the
+    last two entries undershoots.  The larger of the two estimates is
+    kept, which also preserves the geometric bound as the conservative
+    choice whenever the ratio is falling instead.
     """
     geometric = _tail_estimate(w)
     if geometric == float("inf"):
         return geometric
-    shortfall = float(1 - sum(w))
+    shortfall = float(1 - mass)
     return max(geometric, shortfall, 0.0)
 
 
+# Precision of the statistics built from the weights: the retained mass,
+# the tail estimate, the normalization and the mean.  Pinned, so a caller's
+# global mpmath precision cannot move them; 53 bits is the precision the
+# checked-in golden CSVs were made at.
+_STATS_BITS = 53
+
+
 def photon_distribution(spec: BrightStateSpec) -> TripleDistribution:
-    """Probability of observing k emitted n-tuples, up to an adaptive cutoff."""
+    """Probability of observing k emitted n-tuples, up to an adaptive cutoff.
+
+    One pass over the photon ladder: each appended weight is added once to
+    a running retained mass, left to right as sum() adds, so the auto
+    cutoff's stopping rule costs O(cutoff) additions, not O(cutoff**2).
+    Everything after the weights runs at _STATS_BITS whatever the global
+    mpmath precision.
+    """
     policy = spec.policy
     if spec.validity_warning:
         warnings.warn(
@@ -334,39 +348,41 @@ def photon_distribution(spec: BrightStateSpec) -> TripleDistribution:
             RuntimeWarning,
             stacklevel=2,
         )
-    if policy.cutoff is not None:
-        w = [_weight(spec.n, spec.gamma, k, policy) for k in range(policy.cutoff + 1)]
-        tail = _omitted_mass(w)
-    else:
-        w = [_weight(spec.n, spec.gamma, k, policy) for k in (0, 1)]
-        tail = _omitted_mass(w)
-        while not (
-            tail < TAIL_TARGET * float(sum(w) + tail)
-        ) and len(w) - 1 < CUTOFF_CAP:
-            try:
-                w.append(_weight(spec.n, spec.gamma, len(w), policy))
-            except ResummationError:
-                # the order budget cannot resolve deeper coefficients; stop
-                # here and let the omitted-mass estimate carry the rest
-                break
-            tail = _omitted_mass(w)
+    with mp.workprec(_STATS_BITS):
+        w: list = []
+        mass = 0
+        for k in range(2 if policy.cutoff is None else policy.cutoff + 1):
+            w.append(_weight(spec.n, spec.gamma, k, policy))
+            mass = mass + w[-1]
+        tail = _omitted_mass(w, mass)
+        if policy.cutoff is None:
+            while not (
+                tail < TAIL_TARGET * float(mass + tail)
+            ) and len(w) - 1 < CUTOFF_CAP:
+                try:
+                    w.append(_weight(spec.n, spec.gamma, len(w), policy))
+                except ResummationError:
+                    # the order budget cannot resolve deeper coefficients; stop
+                    # here and let the omitted-mass estimate carry the rest
+                    break
+                mass = mass + w[-1]
+                tail = _omitted_mass(w, mass)
 
-    # no decay across the last five retained orders marks a diverging tail
-    scaled = [float(w[k]) * k * k for k in range(len(w))]
-    diverged = len(scaled) >= 5 and all(
-        scaled[k + 1] >= scaled[k] for k in range(len(scaled) - 5, len(scaled) - 1)
-    )
-    if tail == float("inf"):
-        diverged = True
-        total = sum(w)
-        probs = tuple(float(x / total) for x in w)
-        tail_bound = float("inf")
-        mean = None
-    else:
-        total = sum(w) + mpf(tail)
-        probs = tuple(float(x / total) for x in w)
-        tail_bound = float(mpf(tail) / total)
-        mean = None if diverged else float(sum(k * p for k, p in enumerate(probs)))
+        # no decay across the last five retained orders marks a diverging tail
+        scaled = [float(w[k]) * k * k for k in range(len(w))]
+        diverged = len(scaled) >= 5 and all(
+            scaled[k + 1] >= scaled[k] for k in range(len(scaled) - 5, len(scaled) - 1)
+        )
+        if tail == float("inf"):
+            diverged = True
+            probs = tuple(float(x / mass) for x in w)
+            tail_bound = float("inf")
+            mean = None
+        else:
+            total = mass + mpf(tail)
+            probs = tuple(float(x / total) for x in w)
+            tail_bound = float(mpf(tail) / total)
+            mean = None if diverged else float(sum(k * p for k, p in enumerate(probs)))
     return TripleDistribution(
         n=spec.n,
         gamma=spec.gamma,
@@ -423,12 +439,18 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
         # each division done once: the same mp operations, hence the same
         # bits, as mags[q] / root * (mags[m] / root) per pair
         unit = [m / root for m in mags]
-        amps: dict[tuple[int, int], complex] = {}
-        for q in range(cutoff + 1):
-            for m in range(cutoff + 1):
-                mag = float(unit[q] * unit[m])
-                phase = (1j) ** ((q + m) % 4)
-                amps[(q, m)] = phase * (signs[q] * signs[m] * mag)
+        # each unordered pair's product once: mpf multiplication commutes
+        # exactly, so the (m, q) entry gets the same float as (q, m)
+        size = cutoff + 1
+        real = [[0.0] * size for _ in range(size)]
+        for q in range(size):
+            for m in range(q, size):
+                real[q][m] = real[m][q] = signs[q] * signs[m] * float(unit[q] * unit[m])
+    phases = [(1j) ** r for r in range(4)]
+    # q-major insertion order: project_out_vacuum sums in dict order
+    amps = {
+        (q, m): phases[(q + m) % 4] * real[q][m] for q in range(size) for m in range(size)
+    }
     return BGHZState(
         gamma=gamma, cutoff=cutoff, amps=amps, norm_residual=norm_residual
     )

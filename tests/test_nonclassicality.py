@@ -168,6 +168,26 @@ def test_eta_threshold_brackets_violation(monkeypatch):
     assert eta_threshold(gamma, state=state) == threshold
 
 
+def test_eta_threshold_reuses_the_lossless_value(monkeypatch):
+    # the violation check's mermin_lhs stands in for the lossy LHS at
+    # eta = 1, the upper bracket, which it equals exactly
+    gamma = 0.4
+    state = build_bghz(gamma)
+    reference = find_crossing(
+        lambda e: lossy_mermin_lhs(gamma, e, state=state), 2.0, 1e-6, 1.0, 1e-3
+    )
+    etas = []
+
+    def counted(gamma, eta, policy, state):
+        etas.append(eta)
+        return lossy_mermin_lhs(gamma, eta, policy, state)
+
+    monkeypatch.setattr(nonclassicality, "lossy_mermin_lhs", counted)
+    assert eta_threshold(gamma, state=state) == reference
+    assert len(etas) == 11
+    assert 1.0 not in etas
+
+
 def test_eta_threshold_requires_violation():
     with pytest.raises(ValueError, match="not violated"):
         eta_threshold(0.85)

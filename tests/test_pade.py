@@ -149,6 +149,34 @@ def test_ladder_values_match_explicit_approximants():
         assert value == pytest.approx(float(explicit), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "series",
+    [
+        # degree 5: orders 2 and 3 walk the ladder, 5 and 6 sum the polynomial
+        [Fraction(1, j + 1) for j in range(6)] + [Fraction(0)] * 7,
+        # a gap: the first five terms end at degree 2, so order 2 sums them
+        [Fraction(1), Fraction(1, 2), Fraction(1, 3), 0, 0, Fraction(1, 6)] + [0] * 7,
+    ],
+)
+def test_terminating_series_branch_follows_the_length_used(series):
+    # one resummer, orders below and above the degree in either sequence:
+    # each call walks or sums exactly as a fresh resummer does
+    x, tol, bits = Fraction(-1, 3), 1e-10, 256
+    for orders in ((2, 3, 5, 6), (6, 5, 3, 2)):
+        resummer = DiagonalResummer(series)
+        for order in orders:
+            got = resummer.resum(x, max_order=order, tol=tol, bits=bits)
+            assert got == DiagonalResummer(series).resum(x, max_order=order, tol=tol, bits=bits)
+            prefix = series[: 2 * order + 1]
+            degree = max(j for j, c in enumerate(prefix) if c)
+            summed = degree <= order
+            assert (got.diagnostics == ((max(1, degree), float(got.value)),)) == summed
+            if summed:
+                exact = sum(Fraction(c) * x**j for j, c in enumerate(prefix))
+                value = Fraction(*mpmath.libmp.to_rational(got.value._mpf_))
+                assert abs(value - exact) <= abs(exact) / 2**bits
+
+
 def test_short_series_rejected():
     with pytest.raises(ValueError):
         diagonal_resum([1, 1, 1], 0.5, max_order=4)
@@ -225,7 +253,7 @@ def test_qd_breakdown_ends_the_ladder_unsettled(monkeypatch):
     series = [Fraction((-1) ** j * factorial(j)) for j in range(25)]
     series[5] = Fraction(0)
     resummer = DiagonalResummer(series)
-    assert len(resummer._cfraction(24, 256)[0]) == 5
+    assert len(resummer._cfraction(24, 256).value) == 5
     # a_1..a_4 give orders 1 and 2; order 3 needs the missing a_6
     _assert_unsettled(resummer.resum(Fraction(1, 5), max_order=12, tol=1e-10, bits=256), 3)
     monkeypatch.setattr(state, "_VALUES", {})

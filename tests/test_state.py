@@ -15,6 +15,7 @@ from brightghz.state import (
     BrightStateSpec,
     NumericPolicy,
     ResummationError,
+    TripleDistribution,
     build_bghz,
     photon_distribution,
     project_out_vacuum,
@@ -180,6 +181,75 @@ def test_validity_boundary_warns_and_flags():
         dist = photon_distribution(BrightStateSpec(n=3, gamma=0.95))
     assert dist.diverged
     assert dist.mean is None
+
+
+def _quadratic_distribution(spec):
+    """photon_distribution as it was: every retained sum taken from scratch."""
+    policy = spec.policy
+
+    def weight(k):
+        return state_module._weight(spec.n, spec.gamma, k, policy)
+
+    def omitted(w):
+        geometric = state_module._tail_estimate(w)
+        if geometric == math.inf:
+            return geometric
+        return max(geometric, float(1 - sum(w)), 0.0)
+
+    if policy.cutoff is not None:
+        w = [weight(k) for k in range(policy.cutoff + 1)]
+        tail = omitted(w)
+    else:
+        w = [weight(0), weight(1)]
+        tail = omitted(w)
+        while not (
+            tail < state_module.TAIL_TARGET * float(sum(w) + tail)
+        ) and len(w) - 1 < CUTOFF_CAP:
+            try:
+                w.append(weight(len(w)))
+            except ResummationError:
+                break
+            tail = omitted(w)
+    scaled = [float(w[k]) * k * k for k in range(len(w))]
+    diverged = len(scaled) >= 5 and all(
+        scaled[k + 1] >= scaled[k] for k in range(len(scaled) - 5, len(scaled) - 1)
+    )
+    if tail == math.inf:
+        total = sum(w)
+        probs = tuple(float(x / total) for x in w)
+        return TripleDistribution(spec.n, spec.gamma, probs, math.inf, None, True)
+    total = sum(w) + mpf(tail)
+    probs = tuple(float(x / total) for x in w)
+    mean = None if diverged else float(sum(k * p for k, p in enumerate(probs)))
+    return TripleDistribution(
+        spec.n, spec.gamma, probs, float(mpf(tail) / total), mean, diverged
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("gamma", [0.05, 0.5, 0.77, 0.85])
+@pytest.mark.parametrize("cutoff", [None, 12])
+def test_distribution_equals_the_quadratic_loop(n, gamma, cutoff):
+    spec = BrightStateSpec(n, gamma, NumericPolicy(cutoff=cutoff))
+    assert photon_distribution(spec) == _quadratic_distribution(spec)
+
+
+def test_three_beam_cutoff_stops_at_the_first_unresolved_order():
+    # at the Bell threshold the auto cutoff ends on a ladder that does not
+    # settle, not on the tail target or the cap
+    dist = photon_distribution(BrightStateSpec(3, 0.77))
+    assert dist.cutoff == 32
+    with pytest.raises(ResummationError):
+        resummed_coefficient(3, 33, 0.77)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_distribution_ignores_global_precision(n):
+    spec = BrightStateSpec(n, 0.5)
+    default = photon_distribution(spec)
+    for bits in (300, 20):
+        with mp.workprec(bits):
+            assert photon_distribution(spec) == default, bits
 
 
 def test_unresolvable_coefficient_raises():
@@ -356,10 +426,13 @@ def test_warm_state_equals_cold_state(monkeypatch):
 
 def test_amplitudes_pin_the_per_pair_formula():
     # each amplitude is the working-precision product of the two normalized
-    # factor magnitudes, rounded to a float once
+    # factor magnitudes, rounded to a float once, and the amplitudes run in
+    # q-major order, the order project_out_vacuum sums them in
     gamma, policy = 0.352, DEFAULT_POLICY
     state = build_bghz(gamma, policy)
     assert state.cutoff == CUTOFF_CAP
+    size = state.cutoff + 1
+    assert list(state.amps) == [(q, m) for q in range(size) for m in range(size)]
     with mp.workprec(policy.bits):
         values = [
             state_module._series_value(3, q, gamma, policy) for q in range(state.cutoff + 1)
