@@ -57,7 +57,6 @@ from brightghz.state import (
     BGHZState,
     NumericPolicy,
     build_bghz,
-    project_out_vacuum,
 )
 from brightghz.stokes import (
     _closed_form_t,
@@ -186,10 +185,14 @@ def evaluate_mermin(
 def find_crossing(fn, level, lo, hi, tol=1e-3):
     """Bisect fn(x) = level on [lo, hi]; fn(lo) and fn(hi) must straddle it.
 
-    Returns the midpoint of the final bracket, accurate to tol in x.  A
-    non-finite value at an endpoint or a midpoint raises ValueError: NaN
-    sits on neither side of the level, so no bracket survives it.
+    Returns the midpoint of the final bracket, accurate to tol in x, or
+    to the float spacing there when that is coarser.  tol must be finite
+    and positive.  A non-finite value at an endpoint or a midpoint raises
+    ValueError: NaN sits on neither side of the level, so no bracket
+    survives it.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
     def offset(x):
         value = fn(x)
@@ -210,6 +213,8 @@ def find_crossing(fn, level, lo, hi, tol=1e-3):
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break  # adjacent floats: no narrower bracket exists
         fmid = offset(mid)
         if fmid == 0.0:
             return mid
@@ -248,8 +253,11 @@ def _loss_table(eta: float, kmax: int) -> np.ndarray:
     """Table L[k_a, k_b] of lossy per-party responses up to kmax photons.
 
     L = B V B^T with B the binomial thinning matrix and V the lossless
-    response (count asymmetry, -1 on the double vacuum).
+    response (count asymmetry, -1 on the double vacuum).  eta outside
+    [0, 1], NaN included, raises ValueError.
     """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
     got = _LOSS_TABLES.pop(eta, None)
     if got is None or got.shape[0] <= kmax:
         dim = kmax + 1
@@ -276,8 +284,6 @@ def per_party_loss_factor(k_a: int, k_b: int, eta: float) -> float:
     """
     if k_a < 0 or k_b < 0:
         raise ValueError("photon counts must be non-negative")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
     return float(_loss_table(eta, max(k_a, k_b))[k_a, k_b])
 
 
@@ -347,7 +353,7 @@ def witness_w1(
     """
     state = _prepare(gamma, policy, state)
     if projected:
-        state = project_out_vacuum(state)
+        state = state._vacuum_projected
     value = 1.5 * stokes_expectation(state, ("S0", "S0", "S0"))
     value -= stokes_expectation(state, ("S1", "S1", "S1"))
     value -= 0.5 * (
@@ -374,7 +380,7 @@ def evaluate_w2(
     """
     state = _prepare(gamma, policy, state)
     if projected:
-        state = project_out_vacuum(state)
+        state = state._vacuum_projected
     m_value = -_mermin_form(state, lambda k, rows: _shell_block("S1", k)[rows, rows])
     value = m_value + stokes_expectation(state, ("Pi", "Pi", "Pi"))
     closed = -4.0 * _closed_form_t(state) + 1.0 - _vacuum_probability(state)

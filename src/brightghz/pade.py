@@ -17,8 +17,11 @@ has a corresponding continued fraction (C-fraction)
 
 whose 2N-th convergent is the [N/N] approximant and whose coefficients
 a_j do not depend on x.  Rutishauser's quotient-difference (qd) algorithm
-finds them once per series with O(order**2) high-precision operations;
-each evaluation point then costs one O(order) forward (Wallis) recurrence.
+finds them with O(order**2) high-precision operations, once per series and
+precision, and only as far as some walk has read: a walk that settles at
+[N/N] reads a_1..a_2N, and the table resumes from its last anti-diagonal
+when a later walk reads further.  Each evaluation point then costs one
+O(order) forward (Wallis) recurrence.
 Both steps lose bits to cancellation, so each runs well above the
 requested precision, and an independent run with 64 fewer bits in both
 steps must reproduce every ladder value to 2**-bits relative.  The first
@@ -34,10 +37,10 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
-from typing import Sequence
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_rational, round_nearest, to_rational
@@ -97,8 +100,8 @@ def _context(bits: int) -> Context:
     )
 
 
-def _qd(coeffs, count: int, ctx: Context, keep: Context) -> tuple[Decimal, ...]:
-    """C-fraction coefficients a_1..a_count, by progressive qd.
+def _qd(coeffs, ctx: Context, keep: Context) -> Iterator[Decimal]:
+    """C-fraction coefficients a_1, a_2, ... of coeffs, by progressive qd.
 
     With q_1^(k) = c_{k+1} / c_k and e_0^(k) = 0, the rhombus rules
 
@@ -108,61 +111,85 @@ def _qd(coeffs, count: int, ctx: Context, keep: Context) -> tuple[Decimal, ...]:
     give a_{2m-1} = q_m^(0) and a_{2m} = e_m^(0).  Entry q_m^(k) involves
     c_k..c_{k+2m-1} and e_m^(k) involves c_k..c_{k+2m}, so each term c_s
     adds one anti-diagonal q_1^(s-1), e_1^(s-2), q_2^(s-3), ..., a_s that
-    needs only the previous one.  Arithmetic runs in ctx; results are
-    rounded to keep.  A zero divisor (a zero c_j or e entry) ends the
-    table, and the coefficients found before it are returned.
+    needs only the previous one.  The run reads c_s only when a_s is asked
+    for, and between coefficients holds just that anti-diagonal and
+    c_{s-1}.  Arithmetic runs in ctx; results are rounded to keep.  The run
+    ends after a_{len(coeffs)-1}, or earlier at a zero divisor (a zero c_j
+    or e entry).
     """
     add, sub, mul, div = ctx.add, ctx.subtract, ctx.multiply, ctx.divide
-    c = [div(Decimal(q.numerator), Decimal(q.denominator)) for q in coeffs[: count + 1]]
-    found = []
     prev: list[Decimal] = []
-    for s in range(1, count + 1):
-        if not c[s - 1]:
-            break
-        cur = [div(c[s], c[s - 1])]
+    last = div(Decimal(coeffs[0].numerator), Decimal(coeffs[0].denominator))
+    for s in range(1, len(coeffs)):
+        if not last:
+            return
+        c = div(Decimal(coeffs[s].numerator), Decimal(coeffs[s].denominator))
+        cur = [div(c, last)]
         for j in range(1, s):
             if j % 2:
                 e = sub(cur[j - 1], prev[j - 1])
                 cur.append(add(e, prev[j - 2]) if j > 1 else e)
             elif not prev[j - 1]:
-                break
+                return
             else:
                 cur.append(div(mul(prev[j - 2], cur[j - 1]), prev[j - 1]))
-        if len(cur) < s:
-            break
-        found.append(keep.plus(cur[-1]))
         prev = cur
-    return tuple(found)
+        last = c
+        yield keep.plus(cur[-1])
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _Ladder:
     """C-fraction of one series at one working precision, with its walk constants.
 
-    The value and check runs' coefficients a_1..a_count (shorter after a
-    qd breakdown), and what every walk at this precision shares: the two
+    value and check hold the value and check runs' coefficients a_1, a_2,
+    ... as far as some walk has read them; runs pairs the two suspended qd
+    runs, and is None once the table holds all size coefficients the
+    series determines or either run broke down (the table then ends at
+    the shorter run).  What every walk at this precision shares: the two
     contexts, c_0 in each, and the 2**-bits acceptance limit.
     """
 
-    count: int
-    value: tuple[Decimal, ...]
-    check: tuple[Decimal, ...]
+    size: int
+    value: list[Decimal]
+    check: list[Decimal]
+    runs: Iterator[tuple[Decimal, Decimal]] | None
     value_ctx: Context
     check_ctx: Context
     c0_value: Decimal
     c0_check: Decimal
     limit: Decimal
 
+    def reaches(self, i: int) -> bool:
+        """Whether the table has a_i, running both qd runs up to it in lockstep."""
+        value, check = self.value, self.check
+        while len(value) < i:
+            pair = None if self.runs is None else next(self.runs, None)
+            if pair is None:
+                self.runs = None
+                return False
+            v, w = pair
+            value.append(v)
+            # where the runs agree to the check's precision, keep one number
+            check.append(v if self.check_ctx.plus(v) == w else w)
+            if len(value) == self.size:
+                self.runs = None
+        return True
+
 
 class DiagonalResummer:
     """Reusable diagonal ladder for one coefficient series.
 
-    Once per series and working precision, resum() finds the C-fraction
-    coefficients (two qd runs, for the precision check), rounded to the
-    precision they are walked at, and builds the walk's contexts, c_0 in
-    each and the acceptance limit; once per series and length it finds
-    whether the truncated series terminates.  Each point then costs one
-    O(max_order) walk of the paired value and check recurrences.
+    Once per series and working precision, resum() builds the walk's
+    contexts, c_0 in each and the acceptance limit, and fixes the qd
+    precision from the series length.  The C-fraction coefficients (two
+    qd runs, for the precision check, rounded to the precision they are
+    walked at) are found at most once each, and only as far as the walks
+    read: a coefficient first read by a later walk resumes both runs from
+    their last anti-diagonal, in the same contexts, so every coefficient
+    is the one a complete table would hold.  Once per series and length
+    it finds whether the truncated series terminates.  Each point then
+    costs one O(max_order) walk of the paired value and check recurrences.
     """
 
     def __init__(self, series: Sequence):
@@ -175,33 +202,30 @@ class DiagonalResummer:
     def max_feasible_order(self) -> int:
         return (len(self.coeffs) - 1) // 2
 
-    def _cfraction(self, count: int, bits: int) -> _Ladder:
-        """The ladder at bits, its qd runs asked for at least count terms."""
+    def _cfraction(self, bits: int) -> _Ladder:
+        """The ladder at bits, its qd runs suspended before their first term."""
         got = self._fractions.get(bits)
-        check_bits = bits + 2 * _GUARD_BITS
         if got is None:
+            check_bits = bits + 2 * _GUARD_BITS
             value_ctx = _context(check_bits + _GUARD_BITS)
             check_ctx = _context(check_bits)
+            size = len(self.coeffs) - 1
+            qd_bits = check_bits + _QD_BITS_PER_TERM * size
             c0 = (Decimal(self.coeffs[0].numerator), Decimal(self.coeffs[0].denominator))
             got = _Ladder(
-                count=0,
-                value=(),
-                check=(),
+                size=size,
+                value=[],
+                check=[],
+                runs=zip(
+                    _qd(self.coeffs, _context(qd_bits + _GUARD_BITS), value_ctx),
+                    _qd(self.coeffs, _context(qd_bits), check_ctx),
+                ),
                 value_ctx=value_ctx,
                 check_ctx=check_ctx,
                 c0_value=value_ctx.divide(*c0),
                 c0_check=check_ctx.divide(*c0),
                 limit=value_ctx.power(Decimal(2), -bits),
             )
-        if got.count < count:
-            qd_bits = check_bits + _QD_BITS_PER_TERM * count
-            value = _qd(self.coeffs, count, _context(qd_bits + _GUARD_BITS), got.value_ctx)
-            check = _qd(self.coeffs, count, _context(qd_bits), got.check_ctx)
-            # where the runs agree to the check's precision, keep one number
-            check = tuple(
-                v if got.check_ctx.plus(v) == w else w for v, w in zip(value, check)
-            )
-            got = replace(got, count=count, value=value, check=check)
             self._fractions[bits] = got
         return got
 
@@ -215,7 +239,8 @@ class DiagonalResummer:
         it, or the check run does not reproduce it) is recorded as
         (order, None) and ends the walk unconverged.
         """
-        ladder = self._cfraction(2 * max_order, bits)
+        ladder = self._cfraction(bits)
+        value_run, check_run = ladder.value, ladder.check
         value_ctx, check_ctx = ladder.value_ctx, ladder.check_ctx
         vsub, vmul = value_ctx.subtract, value_ctx.multiply
         csub, cmul = check_ctx.subtract, check_ctx.multiply
@@ -232,8 +257,10 @@ class DiagonalResummer:
         diagnostics: list[tuple[int, float | None]] = []
         value = None
         converged = False
-        pairs = zip(ladder.value[: 2 * max_order], ladder.check[: 2 * max_order])
-        for i, (va, ca) in enumerate(pairs, 1):
+        for i in range(1, 2 * max_order + 1):
+            if i > len(value_run) and not ladder.reaches(i):
+                break
+            va, ca = value_run[i - 1], check_run[i - 1]
             t = vmul(va, vx)
             va_prev, va_cur = va_cur, vsub(va_cur, vmul(t, va_prev))
             vb_prev, vb_cur = vb_cur, vsub(vb_cur, vmul(t, vb_prev))

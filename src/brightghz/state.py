@@ -188,6 +188,11 @@ class BGHZState:
             shells.append((k, slice(lo, hi), psi, v))
         return tuple(shells)
 
+    @cached_property
+    def _vacuum_projected(self) -> BGHZState:
+        """project_out_vacuum(self), built once per state for the projected witnesses."""
+        return project_out_vacuum(self)
+
 
 # Resummer per coefficient series, and per gain point the settled series
 # value or the ResummationError its ladder ended in.  _RESUMMERS is bounded

@@ -1,5 +1,6 @@
 """End-to-end checks of the CSV command line front end."""
 
+import itertools
 import math
 
 import pytest
@@ -221,7 +222,7 @@ def test_broken_continued_fraction_prints_no_number(tmp_path, monkeypatch):
     # resummed probability
     qd = pade._qd
     for keep, extra, count in ((4, [], 17), (0, ["--steps", "2"], 2)):
-        monkeypatch.setattr(pade, "_qd", lambda *args: qd(*args)[:keep])
+        monkeypatch.setattr(pade, "_qd", lambda *args: itertools.islice(qd(*args), keep))
         monkeypatch.setattr(state, "_VALUES", {})
         monkeypatch.setattr(state, "_RESUMMERS", {})
         code, _, header, rows = run(tmp_path, "--cmd", "pk_curve", *extra)

@@ -1,10 +1,10 @@
 """Byte contract of the CSV front end against checked-in golden files.
 
-Each case covers a row kind: table1 and pk_curve statistics, a Mermin grid
-that brackets the crossing, eta rows that are violated, outside the
-efficiency window and not violated, both projected witnesses, a witness
-grid with one failed point (exit 2) and a Mermin grid where every point
-fails (exit 1, the CSV still written).
+Each case covers a row kind: table1 and pk_curve statistics (one, two and
+three beams), a Mermin grid that brackets the crossing, eta rows that are
+violated, outside the efficiency window and not violated, both projected
+witnesses, a witness grid with one failed point (exit 2) and a Mermin grid
+where every point fails (exit 1, the CSV still written).
 
 table1 and pk_curve must match byte for byte.  The Stokes commands end in
 LAPACK eigendecompositions whose last digits may differ between machines,
@@ -31,6 +31,8 @@ GOLDEN = Path(__file__).parent / "data" / "cli"
 # name, argv, expected exit code
 CASES = [
     ("table1", ["--cmd", "table1"], 0),
+    ("pk_curve_n1", ["--cmd", "pk_curve", "--n", "1", "--steps", "3"], 0),
+    ("pk_curve_n2", ["--cmd", "pk_curve", "--n", "2", "--steps", "3"], 0),
     ("pk_curve_n3", ["--cmd", "pk_curve", "--n", "3", "--steps", "2"], 0),
     (
         "mermin_crossing",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from brightghz import nonclassicality
+from brightghz import state as state_module
 from brightghz.nonclassicality import (
     LOSS_TABLES_MAX,
     SweepResult,
@@ -25,7 +26,7 @@ from brightghz.nonclassicality import (
     witness_w2,
 )
 from brightghz.oracles import dense_expectation, random_product_state
-from brightghz.state import NumericPolicy, build_bghz
+from brightghz.state import NumericPolicy, build_bghz, project_out_vacuum
 
 
 def test_loss_factor_hand_values():
@@ -72,6 +73,17 @@ def test_loss_factor_validation():
         per_party_loss_factor(-1, 0, 0.5)
     with pytest.raises(ValueError):
         per_party_loss_factor(0, 0, 1.5)
+
+
+@pytest.mark.parametrize("eta", [1.5, -0.2, math.nan])
+def test_lossy_mermin_rejects_efficiency_outside_unit_interval(eta):
+    # the shared loss table checks the range, so the lossy LHS cannot
+    # extrapolate the thinning matrix past it
+    state = build_bghz(0.5)
+    with pytest.raises(ValueError, match="efficiency"):
+        lossy_mermin_lhs(0.5, eta, state=state)
+    with pytest.raises(ValueError, match="efficiency"):
+        per_party_loss_factor(1, 0, eta)
 
 
 @pytest.mark.parametrize("gamma", [0.1, 0.3, 0.5, 0.7, 0.8])
@@ -130,6 +142,30 @@ def test_find_crossing_rejects_non_finite_values():
         find_crossing(f, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="non-finite"):
         find_crossing(f, 0.0, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
+def test_find_crossing_rejects_bad_tolerance(tol):
+    # NaN used to end the loop at once, 0 to never end it
+    with pytest.raises(ValueError, match="tolerance"):
+        find_crossing(lambda x: x - 0.3, 0.0, 0.0, 1.0, tol=tol)
+
+
+def test_find_crossing_stops_at_adjacent_floats():
+    # a tolerance below the float spacing at the crossing: the bracket
+    # cannot shrink past two neighbouring floats, so the loop ends there
+    evals = 0
+
+    def f(x):
+        nonlocal evals
+        evals += 1
+        if evals > 2000:
+            raise AssertionError("the bisection does not end")
+        return x**3 - 0.1
+
+    root = find_crossing(f, 0.0, 0.0, 1.0, tol=1e-300)
+    assert abs(root - 0.1 ** (1 / 3)) <= 2 * math.ulp(root)
+    assert evals < 100
 
 
 def test_lossless_limit_matches_mermin():
@@ -212,6 +248,24 @@ def test_witness_w2_closed_form_agreement(gamma, projected):
     evaluation = evaluate_w2(gamma, projected=projected)
     assert evaluation.agreement <= 1e-8
     assert evaluation.value == pytest.approx(evaluation.closed_form, abs=1e-8)
+
+
+def test_projected_witnesses_project_each_state_once(monkeypatch):
+    state = build_bghz(0.352)
+    reference = project_out_vacuum(state)
+    want_w1 = witness_w1(0.352, state=reference)
+    want_w2 = evaluate_w2(0.352, state=reference)
+    calls = []
+
+    def counted(state):
+        calls.append(state)
+        return project_out_vacuum(state)
+
+    monkeypatch.setattr(state_module, "project_out_vacuum", counted)
+    for _ in range(2):
+        assert witness_w1(0.352, projected=True, state=state) == want_w1
+        assert evaluate_w2(0.352, projected=True, state=state) == want_w2
+    assert len(calls) == 1 and calls[0] is state
 
 
 def test_witness_w2_limits():

@@ -1,6 +1,7 @@
 """Construction and resummation tests for the diagonal Pade ladder."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
@@ -253,7 +254,9 @@ def test_qd_breakdown_ends_the_ladder_unsettled(monkeypatch):
     series = [Fraction((-1) ** j * factorial(j)) for j in range(25)]
     series[5] = Fraction(0)
     resummer = DiagonalResummer(series)
-    assert len(resummer._cfraction(24, 256).value) == 5
+    ladder = resummer._cfraction(256)
+    ladder.reaches(24)
+    assert len(ladder.value) == 5
     # a_1..a_4 give orders 1 and 2; order 3 needs the missing a_6
     _assert_unsettled(resummer.resum(Fraction(1, 5), max_order=12, tol=1e-10, bits=256), 3)
     monkeypatch.setattr(state, "_VALUES", {})
@@ -283,3 +286,107 @@ def test_two_beam_deep_ladder_matches_epsilon():
             x = -(Fraction(gamma) ** 2)
             got = resummer.resum(x, max_order=60, tol=tol, bits=bits)
             _assert_same_ladder(got, _epsilon_reference(resummer, x, 60, tol, bits))
+
+
+# The resumable qd table against the eager one: the progressive qd loop run
+# to completion on every term, with the value run's number kept where the
+# two runs agree at the check precision, as the table was built before it
+# became resumable.
+def _eager_qd(coeffs, ctx, keep):
+    add, sub, mul, div = ctx.add, ctx.subtract, ctx.multiply, ctx.divide
+    c = [div(Decimal(q.numerator), Decimal(q.denominator)) for q in coeffs]
+    found = []
+    prev = []
+    for s in range(1, len(coeffs)):
+        if not c[s - 1]:
+            break
+        cur = [div(c[s], c[s - 1])]
+        for j in range(1, s):
+            if j % 2:
+                e = sub(cur[j - 1], prev[j - 1])
+                cur.append(add(e, prev[j - 2]) if j > 1 else e)
+            elif not prev[j - 1]:
+                break
+            else:
+                cur.append(div(mul(prev[j - 2], cur[j - 1]), prev[j - 1]))
+        if len(cur) < s:
+            break
+        found.append(keep.plus(cur[-1]))
+        prev = cur
+    return found
+
+
+def _eager_table(coeffs, bits):
+    check_bits = bits + 2 * pade._GUARD_BITS
+    value_ctx = pade._context(check_bits + pade._GUARD_BITS)
+    check_ctx = pade._context(check_bits)
+    qd_bits = check_bits + pade._QD_BITS_PER_TERM * (len(coeffs) - 1)
+    value = _eager_qd(coeffs, pade._context(qd_bits + pade._GUARD_BITS), value_ctx)
+    check = _eager_qd(coeffs, pade._context(qd_bits), check_ctx)
+    check = [v if check_ctx.plus(v) == w else w for v, w in zip(value, check)]
+    return value[: len(check)], check
+
+
+def _broken_euler():
+    # a zero interior coefficient is a zero divisor in the qd table
+    series = [Fraction((-1) ** j * factorial(j)) for j in range(25)]
+    series[5] = Fraction(0)
+    return series
+
+
+@pytest.mark.parametrize(
+    "series",
+    [c_series(k, n, 81).coeffs for n in (1, 2, 3) for k in (0, 7, 40)] + [_broken_euler()],
+    ids=[f"n{n}-k{k}" for n in (1, 2, 3) for k in (0, 7, 40)] + ["breakdown"],
+)
+def test_resumable_table_equals_the_eager_one(series):
+    # walks at rising gains extend the table piece by piece; every
+    # coefficient found on the way is the one the eager table holds
+    bits = DEFAULT_POLICY.bits
+    value, check = _eager_table(series, bits)
+    resummer = DiagonalResummer(series)
+    ladder = resummer._cfraction(bits)
+    order = (len(series) - 1) // 2
+    for gamma in (0.05, 0.3, 0.6, 0.85):
+        try:
+            resummer.resum(-(Fraction(gamma) ** 2), max_order=order, bits=bits)
+        except PoleProximityError:
+            pass
+        assert ladder.value == value[: len(ladder.value)]
+        assert ladder.check == check[: len(ladder.check)]
+    assert ladder.reaches(len(series) - 1) == (len(value) == len(series) - 1)
+    assert (ladder.value, ladder.check) == (value, check)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_walk_builds_only_the_coefficients_it_reads(n):
+    # a walk that settles at order N reads a_1..a_2N, and qd stops there
+    resummer = DiagonalResummer(c_series(4, n, 81).coeffs)
+    got = resummer.resum(-(Fraction(0.3) ** 2), max_order=40)
+    assert got.converged and got.order_used < 40
+    ladder = resummer._cfraction(DEFAULT_POLICY.bits)
+    assert len(ladder.value) == len(ladder.check) == 2 * got.order_used
+    assert ladder.runs is not None
+
+
+@pytest.mark.parametrize("n,k", [(1, 3), (2, 10), (3, 0), (3, 25)])
+def test_resumed_table_gives_a_fresh_resummers_results(n, k):
+    # a low-gain walk leaves the table short; the high-gain walk after it
+    # resumes qd and must land on exactly what a fresh resummer finds
+    series = c_series(k, n, 81).coeffs
+    resummer = DiagonalResummer(series)
+    for gamma in (0.1, 0.8, 0.45):
+        x = -(Fraction(gamma) ** 2)
+        assert resummer.resum(x, max_order=40) == DiagonalResummer(series).resum(x, max_order=40)
+
+
+def test_complete_table_holds_no_suspended_qd_state():
+    series = c_series(12, 3, 41).coeffs
+    ladder = DiagonalResummer(series)._cfraction(DEFAULT_POLICY.bits)
+    assert ladder.reaches(39) and ladder.runs is not None
+    assert ladder.reaches(40) and ladder.runs is None
+    assert not ladder.reaches(41)
+    assert len(ladder.value) == 40
+    # a table that broke down lets its runs go too
+    broken = DiagonalResummer(_broken_euler())._cfraction(DEFAULT_POLICY.bits)
+    assert not broken.reaches(6) and broken.runs is None
