@@ -130,8 +130,14 @@ def _shell_block(selector: str, k: int) -> np.ndarray:
         else:
             got = _diagonal_block(values, k, slice(None))
             if basis_index == 2:
+                # rows q = r mod 4 share the phase row i^(q' - r): four
+                # strided products, and no (k+1)^2 index or phase temporaries
+                # left as holes in the heap between cached blocks
                 q = np.arange(k + 1)
-                got = got * _QUARTER_TURNS[(q[None, :] - q[:, None]) % 4]
+                turned = np.empty(got.shape, complex)
+                for r in range(4):
+                    np.multiply(got[r::4], _QUARTER_TURNS[(q - r) % 4], out=turned[r::4])
+                got = turned
         _SHELL_BLOCKS[key] = got
     return got
 

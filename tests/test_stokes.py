@@ -137,6 +137,20 @@ def test_shell_rotation_matches_binomial_reference(basis, monkeypatch):
         assert np.abs(_shell_block(f"S{basis}", k) - want).max() <= 1e-13, k
 
 
+@pytest.mark.parametrize("kind,suffix", [("S", ""), ("Sp", "p")])
+def test_basis2_block_is_basis1_times_quarter_turns_bit_for_bit(kind, suffix):
+    # the phase i^(q' - q) applied in one broadcast product, signed zeros
+    # included, through every shell a bright state at the cap can reach
+    for k in range(2 * CUTOFF_CAP + 1):
+        q = np.arange(k + 1)
+        real = _diagonal_block(stokes._diagonal_values(kind, k), k, slice(None))
+        want = real * stokes._QUARTER_TURNS[(q[None, :] - q[:, None]) % 4]
+        got = _shell_block(f"S2{suffix}", k)
+        assert got.dtype == want.dtype and np.array_equal(
+            got.view(np.uint64), want.view(np.uint64)
+        ), k
+
+
 def _full_shell_expectation(state, ops):
     # the whole shell vectors and blocks, without the support restriction
     shells = {}
