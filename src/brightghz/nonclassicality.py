@@ -4,7 +4,7 @@ The Mermin-like combination takes the four setting triples 111, 122, 212,
 221 over bases 1 (+-45) and 2 (circular) with primed Stokes operators, so
 no-photon events answer -1 instead of dropping out; any local realistic
 model keeps the combination at or below 2.  The lossless, the lossy and
-the w2 Mermin terms are each one call of the `stokes` shell kernel.  On the
+the w2 Mermin terms all come from the `stokes` shell kernel.  On the
 diagonal bright states the combination reduces to |4t + 2 p_vac| with t
 the only independent tensor element, whose closed-form double sum this
 module cross-checks against the kernel at every point.
@@ -22,15 +22,18 @@ to them, so they stay on the unit-norm truncated state, where their
 closed-form identities are exact.
 
 Detector loss is binomial thinning at efficiency eta on all six
-detectors.  The lossy per-party response on counts (k_a, k_b) averages
-(kappa_a - kappa_b)/(kappa_a + kappa_b) over the thinned counts and
-assigns -1 to the all-lost outcome; that is a congruence of the lossless
-response table by the thinning matrix, computed here as one dense matrix
-product per shell rather than term-by-term rational sums, which keeps
-threshold sweeps over a gain grid at interactive speed for an error far
-below the 1e-3 bisection tolerance.  Thinning commutes with the basis
-rotations, so the lossy responses feed the same kernel; at eta = 1 the
-thinning matrix is exactly the identity and the result is the lossless one.
+detectors.  If j of a party's k photons survive, the surviving split is
+hypergeometric, so the primed response averages to (k_a - k_b)/k over
+every j >= 1, and all k photons are lost, answering -1, with probability
+beta_k = (1 - eta)^k.  The lossy response on shell k is therefore
+alpha_k (2 kappa - k)/k - beta_k with alpha_k = 1 - beta_k: thinning maps
+the primed basis-1 block B to alpha_k B - beta_k I.  B has a zero diagonal
+on every shell past the vacuum, so the entrywise cube is
+alpha_k^3 B*B*B - beta_k^3 I; on the vacuum, where alpha_0 = 0 and
+beta_0 = 1, it is -I, the lossless cube.  The lossy Mermin sum is thus
+sum_k (alpha_k^3 m_k + 2 beta_k^3 p_k) over the lossless per-shell terms
+m_k of the kernel and the shell masses p_k: one kernel pass on a state
+serves every efficiency.
 
 Both witnesses flag entanglement strictly below zero: w1 transplants the
 three-qubit GHZ projector witness to normalized Stokes operators, and w2
@@ -46,6 +49,7 @@ it is first read.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -60,9 +64,7 @@ from brightghz.state import (
 )
 from brightghz.stokes import (
     _closed_form_t,
-    _diagonal_block,
     _mermin_form,
-    _shell_block,
     stokes_expectation,
 )
 
@@ -157,8 +159,7 @@ def mermin_lhs(
 ) -> float:
     """Mermin-like LHS with primed operators, scaled by the retained mass."""
     state = _prepare(gamma, policy, state)
-    total = _mermin_form(state, lambda k, rows: _shell_block("S1p", k)[rows, rows])
-    return (1.0 - state.norm_residual) * abs(total)
+    return (1.0 - state.norm_residual) * abs(float(_mermin_form(state, "S1p").sum()))
 
 
 def evaluate_mermin(
@@ -243,37 +244,20 @@ def gamma_threshold(
     )
 
 
-# largest table built so far per efficiency, most recently used last; bounded
-# for long sweeps, well above the efficiencies a few eta bisections visit
-LOSS_TABLES_MAX = 64
-_LOSS_TABLES: dict[float, np.ndarray] = {}
+# bench/tracing.py reads len(_LOSS_TABLES); ROADMAP item 12 removes that read and this dict
+_LOSS_TABLES: dict = {}
 
 
-def _loss_table(eta: float, kmax: int) -> np.ndarray:
-    """Table L[k_a, k_b] of lossy per-party responses up to kmax photons.
+def _thinning(eta: float, k):
+    """(alpha_k, beta_k) = (1 - (1 - eta)^k, (1 - eta)^k) on shells k.
 
-    L = B V B^T with B the binomial thinning matrix and V the lossless
-    response (count asymmetry, -1 on the double vacuum).  eta outside
-    [0, 1], NaN included, raises ValueError.
+    beta_k is the chance that all k photons are lost.  eta outside [0, 1],
+    NaN included, raises ValueError.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
-    got = _LOSS_TABLES.pop(eta, None)
-    if got is None or got.shape[0] <= kmax:
-        dim = kmax + 1
-        B = np.zeros((dim, dim))
-        for k in range(dim):
-            B[k, : k + 1] = [math.comb(k, j) * eta**j * (1.0 - eta) ** (k - j) for j in range(k + 1)]
-        counts = np.arange(dim, dtype=float)
-        totals = counts[:, None] + counts[None, :]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            V = np.where(totals > 0, (counts[:, None] - counts[None, :]) / totals, 0.0)
-        V[0, 0] = -1.0
-        got = B @ V @ B.T
-    _LOSS_TABLES[eta] = got
-    if len(_LOSS_TABLES) > LOSS_TABLES_MAX:
-        del _LOSS_TABLES[next(iter(_LOSS_TABLES))]
-    return got
+    beta = (1.0 - eta) ** k
+    return 1.0 - beta, beta
 
 
 def per_party_loss_factor(k_a: int, k_b: int, eta: float) -> float:
@@ -281,10 +265,38 @@ def per_party_loss_factor(k_a: int, k_b: int, eta: float) -> float:
 
     Each photon survives independently with probability eta; surviving
     counts answer their count asymmetry, losing everything answers -1.
+    That is alpha_k (k_a - k_b)/k - beta_k on k = k_a + k_b > 0 photons,
+    and -1 on none.  Counts must be non-negative integers.
     """
+    for name, count in (("k_a", k_a), ("k_b", k_b)):
+        try:
+            operator.index(count)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer photon count, got {count!r}") from None
     if k_a < 0 or k_b < 0:
         raise ValueError("photon counts must be non-negative")
-    return float(_loss_table(eta, max(k_a, k_b))[k_a, k_b])
+    k = k_a + k_b
+    alpha, beta = _thinning(eta, k)
+    return alpha * (k_a - k_b) / k - beta if k else -1.0
+
+
+def _lossy_lhs(state: BGHZState) -> Callable[[float], float]:
+    """eta -> lossy Mermin LHS of state, from one pass of the Mermin kernel.
+
+    At eta = 1 it sums the lossless terms as mermin_lhs does.
+    """
+    terms = _mermin_form(state, "S1p")
+    k = np.array([shell[0] for shell in state._shells])
+    mass = np.array([np.vdot(psi, psi).real for _, _, psi, _ in state._shells])
+    scale = 1.0 - state.norm_residual
+
+    def lhs(eta):
+        if eta == 1.0:
+            return scale * abs(float(terms.sum()))
+        alpha, beta = _thinning(eta, k)
+        return scale * abs(float((alpha**3 * terms + 2.0 * beta**3 * mass).sum()))
+
+    return lhs
 
 
 def lossy_mermin_lhs(
@@ -295,20 +307,12 @@ def lossy_mermin_lhs(
 ) -> float:
     """Mermin-like LHS with every detector thinned to efficiency eta.
 
-    Thinning commutes with the (photon-number-conserving) basis rotations,
-    so each party's shell block is the rotated diagonal lossy response, and
-    the Mermin kernel combines the parties exactly as without loss.
-    Reported in the untruncated-state normalization; at eta = 1 it equals
-    mermin_lhs exactly.
+    The closed form over the lossless per-shell Mermin terms and shell
+    masses given in the module docstring.  Reported in the
+    untruncated-state normalization; at eta = 1 it equals mermin_lhs
+    exactly.
     """
-    state = _prepare(gamma, policy, state)
-    table = _loss_table(eta, max((shell[0] for shell in state._shells), default=0))
-
-    def block(k, rows):
-        kappa = np.arange(k + 1)
-        return _diagonal_block(table[kappa, k - kappa], k, rows)
-
-    return (1.0 - state.norm_residual) * abs(_mermin_form(state, block))
+    return _lossy_lhs(_prepare(gamma, policy, state))(eta)
 
 
 def eta_threshold(
@@ -322,21 +326,13 @@ def eta_threshold(
     Bisects lossy_mermin_lhs = 2 in eta on one state, built here or
     reused when given; requires a violation at eta = 1 (raises "not
     violated at eta=1" otherwise).  The lower bracket starts just above 0
-    because eta = 0 gives exactly 2.  At eta = 1, the upper bracket, the
-    lossy LHS equals mermin_lhs exactly, so the violation check's value
-    stands in for it.
+    because eta = 0 gives exactly 2.  The state's Mermin terms are
+    computed once, and every efficiency reweighs them.
     """
-    state = _prepare(gamma, policy, state)
-    lossless = mermin_lhs(gamma, policy, state=state)
-    if lossless <= CLASSICAL_BOUND:
+    lhs = _lossy_lhs(_prepare(gamma, policy, state))
+    if lhs(1.0) <= CLASSICAL_BOUND:
         raise ValueError(f"not violated at eta=1 (gamma={gamma})")
-    return find_crossing(
-        lambda e: lossless if e == 1.0 else lossy_mermin_lhs(gamma, e, policy, state=state),
-        CLASSICAL_BOUND,
-        1e-6,
-        1.0,
-        tol,
-    )
+    return find_crossing(lhs, CLASSICAL_BOUND, 1e-6, 1.0, tol)
 
 
 def witness_w1(
@@ -381,7 +377,7 @@ def evaluate_w2(
     state = _prepare(gamma, policy, state)
     if projected:
         state = state._vacuum_projected
-    m_value = -_mermin_form(state, lambda k, rows: _shell_block("S1", k)[rows, rows])
+    m_value = -float(_mermin_form(state, "S1").sum())
     value = m_value + stokes_expectation(state, ("Pi", "Pi", "Pi"))
     closed = -4.0 * _closed_form_t(state) + 1.0 - _vacuum_probability(state)
     return WitnessEvaluation(

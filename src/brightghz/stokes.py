@@ -8,13 +8,14 @@ the vacuum instead, and the projector family counts vacuum/non-vacuum.
 Measuring in basis 1 (+-45 degrees) or 2 (circular) means rotating the
 party's two modes first; the rotation is passive, so it acts inside each
 fixed-total-photon shell.  On the k-photon shell the +-45 count difference
-is the real tridiagonal hop matrix adag b + bdag a, with eigenvalues
-2 kappa - k for kappa photons in the +45 mode.  Its real eigenbasis W, one
-eigendecomposition per shell, stays orthogonal to rounding (~1e-15)
-through shell 120, and an operator taking values v on the rotated counts
-is W diag(v) W^T.  The circular basis is the diagonal one after a quarter
-wave on the b mode, so its block is the basis-1 block times i^(q'-q), and
-in basis 3 the block is diag(v) itself.
+is the real tridiagonal hop matrix H = adag b + bdag a, with eigenvalues
+2 kappa - k for kappa photons in the +45 mode, and every count function
+above is affine in that difference: a + b (2 kappa - k) (b = 1/k for the
+Stokes operators, b = 0 for the projectors and the identity).  So each
+per-party block in the H/V basis |q, k-q> is closed form and tridiagonal:
+a I + b H in basis 1, the same with the off-diagonals turned by
+i^(q'-q) in basis 2 (a quarter wave on the b mode), and
+diag(a + b (2q - k)) in basis 3.
 
 Bright states are diagonal across the three parties, which collapses the
 six-mode sum: the expectation reduces to one quadratic form per photon
@@ -27,14 +28,12 @@ Sigma[q, q'] = (-1)^(q-q').  On each shell it is the one real quadratic
 form psi^H (B*B*B*(J - 3 Sigma)) psi, J the all-ones matrix.
 
 Both forms read only the support of each shell: the rows q from the first
-to the last nonzero amplitude.  A shell k above the cutoff holds
-2 cutoff - k + 1 of its k + 1 rows, so a block rotated for the lossy test
-is built on those rows alone, W[rows] diag(v) W[rows]^T.  The Mermin form
-runs in real arithmetic: with psi = x + iy, s_q = (-1)^q and C = B*B*B it
-is the sum over v in {x, y} of v^T C v - 3 (s v)^T C (s v), one real
-product of C with the four columns x, y, s x, s y.  The state computes
-those columns once (BGHZState._shells), so the many kernel calls of one
-threshold bisection share them.
+to the last nonzero amplitude.  The Mermin form runs in real arithmetic:
+with psi = x + iy, s_q = (-1)^q and C = B*B*B it is the sum over v in
+{x, y} of v^T C v - 3 (s v)^T C (s v), one real product of C with the four
+columns x, y, s x, s y.  The state computes those columns once
+(BGHZState._shells), so every kernel call on it shares them, and the
+kernel returns its per-shell terms, which the lossy Mermin test reweighs.
 """
 
 from __future__ import annotations
@@ -67,77 +66,39 @@ _SELECTORS = {
 }
 
 
-def _count_value(kind: str, ka: int, kb: int) -> float:
-    total = ka + kb
-    if kind == "S":
-        return (ka - kb) / total if total else 0.0
-    if kind == "Sp":
-        return (ka - kb) / total if total else -1.0
-    if kind == "Pi":
-        return 1.0 if total else 0.0
-    if kind == "Pvac":
-        return 0.0 if total else 1.0
-    return 1.0  # identity
+def _affine(kind: str, k: int) -> tuple[float, float]:
+    """(a, b): the count function of kind is a + b (2 kappa - k) on shell k."""
+    if k == 0:
+        return {"Sp": -1.0, "Pvac": 1.0, "I": 1.0}.get(kind, 0.0), 0.0
+    if kind in ("S", "Sp"):
+        return 0.0, 1.0 / k
+    return float(kind != "Pvac"), 0.0
 
 
-def _diagonal_values(kind: str, k: int) -> np.ndarray:
-    return np.array([_count_value(kind, kappa, k - kappa) for kappa in range(k + 1)])
-
-
-# Bounded by construction: the keys do not depend on the gain, only on a
-# photon shell, or on one of 10 selectors and a shell, and a bright state's
-# shells stop at twice its cutoff (2 * CUTOFF_CAP unless the cutoff is pinned).
-_SHELL_BASES: dict[int, np.ndarray] = {}
+# Bounded by construction: the keys do not depend on the gain, only on one
+# of 10 selectors and a photon shell, and a bright state's shells stop at
+# twice its cutoff (2 * CUTOFF_CAP unless the cutoff is pinned).
 _SHELL_BLOCKS: dict[tuple[str, int], np.ndarray] = {}
-
-# i^(q'-q) by (q'-q) mod 4, exact
-_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
-
-
-def _shell_basis(k: int) -> np.ndarray:
-    """Real orthogonal W of shell k in the H/V basis |q, k-q>, cached.
-
-    Column kappa is the eigenvector of the hop matrix adag b + bdag a with
-    eigenvalue 2 kappa - k: the state with kappa photons in the +45 mode.
-    """
-    got = _SHELL_BASES.get(k)
-    if got is None:
-        q = np.arange(k)
-        hop = np.sqrt((q + 1.0) * (k - q))
-        got = np.linalg.eigh(np.diag(hop, -1) + np.diag(hop, 1))[1]
-        _SHELL_BASES[k] = got
-    return got
-
-
-def _diagonal_block(values: np.ndarray, k: int, rows: slice) -> np.ndarray:
-    """Rows-by-rows part of the shell-k operator taking values[kappa] on kappa +45 photons.
-
-    It costs |rows|^2 (k+1) flops, against (k+1)^3 for the whole block.
-    """
-    w = _shell_basis(k)[rows]
-    return (w * values) @ w.T
 
 
 def _shell_block(selector: str, k: int) -> np.ndarray:
-    """Shell-k matrix of the per-party operator in the canonical basis."""
+    """Shell-k matrix of the per-party operator in the canonical basis, cached."""
     key = (selector, k)
     got = _SHELL_BLOCKS.get(key)
     if got is None:
         basis_index, kind = _SELECTORS[selector]
-        values = _diagonal_values(kind, k)
+        a, b = _affine(kind, k)
+        q = np.arange(k + 1)
+        got = np.zeros((k + 1, k + 1), complex if basis_index == 2 else float)
         if basis_index == 3:
-            got = np.diag(values)
+            np.fill_diagonal(got, a + b * (2 * q - k))
         else:
-            got = _diagonal_block(values, k, slice(None))
-            if basis_index == 2:
-                # rows q = r mod 4 share the phase row i^(q' - r): four
-                # strided products, and no (k+1)^2 index or phase temporaries
-                # left as holes in the heap between cached blocks
-                q = np.arange(k + 1)
-                turned = np.empty(got.shape, complex)
-                for r in range(4):
-                    np.multiply(got[r::4], _QUARTER_TURNS[(q - r) % 4], out=turned[r::4])
-                got = turned
+            np.fill_diagonal(got, a)
+            # b times <q+1, k-q-1| adag b |q, k-q>, turned by i^(q'-q) in basis 2
+            hop = b * np.sqrt(q[1:] * (k + 1.0 - q[1:]))
+            turn = 1j if basis_index == 2 else 1.0
+            got[q[1:], q[:-1]] = turn.conjugate() * hop
+            got[q[:-1], q[1:]] = turn * hop
         _SHELL_BLOCKS[key] = got
     return got
 
@@ -170,18 +131,19 @@ def _bghz_expectation(state: BGHZState, ops: tuple[str, str, str]) -> float:
 _MERMIN_WEIGHTS = np.array([1.0, 1.0, -3.0, -3.0])
 
 
-def _mermin_form(state: BGHZState, block) -> float:
-    """<111> - <122> - <212> - <221> of one per-party operator on a bright state.
+def _mermin_form(state: BGHZState, selector: str) -> np.ndarray:
+    """Per-shell terms of <111> - <122> - <212> - <221> on a bright state.
 
-    block(k, rows) is the rows-by-rows part of the operator's basis-1 block
-    on shell k; its basis-2 block is the same times i^(q'-q).  See the
+    selector names the basis-1 per-party operator ("S1p" or "S1"); its
+    basis-2 block is the same times i^(q'-q).  One term per entry of
+    state._shells, in its order; the combination is their sum.  See the
     module docstring for the reduction.
     """
-    total = 0.0
-    for k, rows, _, v in state._shells:
-        b = block(k, rows)
-        total += float((v * ((b * b * b) @ v)).sum(axis=0) @ _MERMIN_WEIGHTS)
-    return total
+    terms = np.empty(len(state._shells))
+    for i, (k, rows, _, v) in enumerate(state._shells):
+        b = _shell_block(selector, k)[rows, rows]
+        terms[i] = (v * ((b * b * b) @ v)).sum(axis=0) @ _MERMIN_WEIGHTS
+    return terms
 
 
 def stokes_expectation(state, ops) -> float:

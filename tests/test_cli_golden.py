@@ -7,8 +7,9 @@ witnesses, a witness grid with one failed point (exit 2) and a Mermin grid
 where every point fails (exit 1, the CSV still written).
 
 table1 and pk_curve must match byte for byte.  The Stokes commands end in
-LAPACK eigendecompositions whose last digits may differ between machines,
-so their numeric cells need only agree to 1e-12 relative (1e-12 absolute
+BLAS matrix products and floating-point sums whose last digits depend on
+the BLAS build and its reduction order, so their numeric cells need only
+agree to 1e-12 relative (1e-12 absolute
 below magnitude 1, where the agreement diagnostics are rounding noise);
 comments, headers, row counts, exit codes and every non-numeric cell must
 match exactly.

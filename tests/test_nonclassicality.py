@@ -5,11 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from brightghz import nonclassicality
 from brightghz import state as state_module
 from brightghz.nonclassicality import (
-    LOSS_TABLES_MAX,
     SweepResult,
     eta_threshold,
     eta_threshold_sweep,
@@ -27,6 +28,7 @@ from brightghz.nonclassicality import (
 )
 from brightghz.oracles import dense_expectation, random_product_state
 from brightghz.state import NumericPolicy, build_bghz, project_out_vacuum
+from references import amplitude_boxes, diagonal_state, reference_block
 
 
 def test_loss_factor_hand_values():
@@ -55,30 +57,64 @@ def test_loss_factor_bounded():
                 assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
 
 
-def test_loss_tables_stay_bounded_over_an_efficiency_sweep():
-    tables = nonclassicality._LOSS_TABLES
-    reused = 0.5005
-    etas = [0.001 * i for i in range(1, LOSS_TABLES_MAX + 41)]
-    for eta in etas:
-        per_party_loss_factor(2, 1, reused)
-        per_party_loss_factor(2, 1, eta)
-        assert len(tables) <= LOSS_TABLES_MAX
-    # the least recently used efficiency goes first; a reused one stays
-    assert reused in tables and etas[-1] in tables
-    assert etas[0] not in tables
-
-
 def test_loss_factor_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-negative"):
         per_party_loss_factor(-1, 0, 0.5)
+    with pytest.raises(ValueError, match="k_a must be an integer"):
+        per_party_loss_factor(1.5, 0, 0.5)
+    with pytest.raises(ValueError, match="k_b must be an integer"):
+        per_party_loss_factor(2, 1.0, 0.5)
     with pytest.raises(ValueError):
         per_party_loss_factor(0, 0, 1.5)
 
 
+def _thinned_response_table(eta, kmax):
+    """L[k_a, k_b] = B V B^T: the primed response V averaged over binomial thinning B."""
+    dim = kmax + 1
+    B = np.zeros((dim, dim))
+    for k in range(dim):
+        for j in range(k + 1):
+            B[k, j] = math.comb(k, j) * eta**j * (1.0 - eta) ** (k - j)
+    V = np.zeros((dim, dim))
+    for ka in range(dim):
+        for kb in range(dim):
+            V[ka, kb] = (ka - kb) / (ka + kb) if ka + kb else -1.0
+    return B @ V @ B.T
+
+
+def _dense_lossy_mermin(state, eta):
+    """Four-setting Mermin sum over lossy basis-1 and basis-2 blocks built from the table."""
+    table = _thinned_response_table(eta, 2 * state.cutoff)
+    shells = {}
+    for (q, m), amp in state.amps.items():
+        shells.setdefault(q + m, np.zeros(q + m + 1, dtype=complex))[q] = amp
+    total = 0.0
+    for k, psi in shells.items():
+        kappa = np.arange(k + 1)
+        b1, b2 = (reference_block(basis, table[kappa, k - kappa], k) for basis in (1, 2))
+        total += np.vdot(psi, (b1 * b1 * b1 - 3.0 * b1 * b2 * b2) @ psi).real
+    return (1.0 - state.norm_residual) * abs(total)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(amplitude_boxes(10), st.floats(0.0, 1.0))
+def test_lossy_closed_form_matches_thinned_blocks(entries, eta):
+    # random exchange-diagonal states through shell 20, against binomial
+    # thinning of the response table rotated into every shell
+    state = diagonal_state(entries)
+    assume(state is not None)
+    got = lossy_mermin_lhs(0.0, eta, state=state)
+    assert got == pytest.approx(_dense_lossy_mermin(state, eta), abs=1e-12)
+    table = _thinned_response_table(eta, 20)
+    for ka in range(21):
+        for kb in range(21 - ka):
+            assert per_party_loss_factor(ka, kb, eta) == pytest.approx(table[ka, kb], abs=1e-13)
+
+
 @pytest.mark.parametrize("eta", [1.5, -0.2, math.nan])
 def test_lossy_mermin_rejects_efficiency_outside_unit_interval(eta):
-    # the shared loss table checks the range, so the lossy LHS cannot
-    # extrapolate the thinning matrix past it
+    # one shared check on the range, so neither can extrapolate the
+    # all-lost probability (1 - eta)^k past it
     state = build_bghz(0.5)
     with pytest.raises(ValueError, match="efficiency"):
         lossy_mermin_lhs(0.5, eta, state=state)
@@ -169,8 +205,8 @@ def test_find_crossing_stops_at_adjacent_floats():
 
 
 def test_lossless_limit_matches_mermin():
-    # at eta = 1 the thinning matrix is exactly the identity, so both calls
-    # feed the Mermin kernel the same blocks
+    # at eta = 1 nothing is lost, so both calls sum the same lossless
+    # per-shell Mermin terms
     state = build_bghz(0.4)
     assert lossy_mermin_lhs(0.4, 1.0, state=state) == mermin_lhs(0.4, state=state)
 
@@ -205,23 +241,29 @@ def test_eta_threshold_brackets_violation(monkeypatch):
 
 
 def test_eta_threshold_reuses_the_lossless_value(monkeypatch):
-    # the violation check's mermin_lhs stands in for the lossy LHS at
-    # eta = 1, the upper bracket, which it equals exactly
+    # one Mermin kernel pass per threshold: every efficiency reweighs its
+    # terms, and eta = 1, the upper bracket, sums them unweighted
     gamma = 0.4
     state = build_bghz(gamma)
     reference = find_crossing(
         lambda e: lossy_mermin_lhs(gamma, e, state=state), 2.0, 1e-6, 1.0, 1e-3
     )
-    etas = []
+    passes, etas = [], []
+    kernel, thinning = nonclassicality._mermin_form, nonclassicality._thinning
 
-    def counted(gamma, eta, policy, state):
+    def counted_kernel(state, selector):
+        passes.append(selector)
+        return kernel(state, selector)
+
+    def counted_thinning(eta, k):
         etas.append(eta)
-        return lossy_mermin_lhs(gamma, eta, policy, state)
+        return thinning(eta, k)
 
-    monkeypatch.setattr(nonclassicality, "lossy_mermin_lhs", counted)
+    monkeypatch.setattr(nonclassicality, "_mermin_form", counted_kernel)
+    monkeypatch.setattr(nonclassicality, "_thinning", counted_thinning)
     assert eta_threshold(gamma, state=state) == reference
-    assert len(etas) == 11
-    assert 1.0 not in etas
+    assert passes == ["S1p"]
+    assert etas and 1.0 not in etas
 
 
 def test_eta_threshold_requires_violation():

@@ -1,7 +1,5 @@
 """Basis rotations, Stokes expectations, and the correlation tensor."""
 
-import cmath
-import itertools
 import math
 
 import numpy as np
@@ -9,12 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from brightghz import stokes
-from brightghz.oracles import (
-    DenseTruncatedState,
-    binomial_shell_rotation,
-    dense_expectation,
-)
+from brightghz.oracles import DenseTruncatedState, dense_expectation
 from brightghz.state import (
     CUTOFF_CAP,
     BGHZState,
@@ -23,25 +16,16 @@ from brightghz.state import (
     project_out_vacuum,
 )
 from brightghz.stokes import (
-    _diagonal_block,
+    _SELECTORS,
     _mermin_form,
-    _shell_basis,
     _shell_block,
     CorrelationTensor,
     stokes_expectation,
     tensor_t,
 )
+from references import BASES, amplitude_boxes, diagonal_state, reference_block
 
 SQ2 = math.sqrt(2.0)
-
-# Mode unitaries of the rotated bases, new modes = U @ old (H/V) modes: the
-# inputs of the binomial reference for the shell blocks.
-BASES = {
-    # diagonal: difference of +-45 mode counts is adag b + bdag a
-    1: np.array([[1, 1], [1, -1]], dtype=complex) / SQ2,
-    # circular: difference of R/L mode counts is i(bdag a - adag b)
-    2: np.array([[1, -1j], [1, 1j]], dtype=complex) / SQ2,
-}
 
 MERMIN_TRIPLES = [
     ("S1", "S1", "S1"),
@@ -85,70 +69,65 @@ def test_basis_unitarity_and_unbiasedness():
             assert np.allclose(np.abs(overlap) ** 2, 0.5, atol=1e-14)
 
 
-def test_single_photon_rotation_amplitudes():
-    # |1, 0> splits evenly between the +45 and -45 modes
-    row = np.abs(_shell_basis(1)[1])
-    assert row[1] == pytest.approx(1 / SQ2)
-    assert row[0] == pytest.approx(1 / SQ2)
+def _count_values(kind, k):
+    """The count function of kind on kappa photons in the measured mode of shell k."""
+    values = []
+    for ka in range(k + 1):
+        kb = k - ka
+        if kind in ("S", "Sp"):
+            values.append((ka - kb) / k if k else (-1.0 if kind == "Sp" else 0.0))
+        else:
+            values.append({"Pi": float(k > 0), "Pvac": float(k == 0), "I": 1.0}[kind])
+    return np.array(values)
 
 
-def test_two_photon_rotation_amplitudes():
-    # |2, 0> in the +-45 basis: amplitudes 1/2, 1/sqrt(2), 1/2 over kappa = 2, 1, 0
-    row = np.abs(_shell_basis(2)[2])
-    assert row[2] == pytest.approx(0.5)
-    assert row[1] == pytest.approx(1 / SQ2)
-    assert row[0] == pytest.approx(0.5)
+def _eigenbasis_block(values, k):
+    # the rotation as the eigenbasis of the hop matrix adag b + bdag a,
+    # whose column kappa holds kappa photons in the +45 mode
+    q = np.arange(k)
+    hop = np.sqrt((q + 1.0) * (k - q))  # <q+1, k-q-1| adag b |q, k-q>
+    w = np.linalg.eigh(np.diag(hop, 1) + np.diag(hop, -1))[1]
+    return (w * values) @ w.T
 
 
-def test_basis_shell_rotations_unitary_through_twice_cutoff_cap():
-    # one real eigenbasis per shell: orthogonal, and column kappa holds
-    # kappa photons in the +45 mode, eigenvalue 2 kappa - k of adag b + bdag a
-    for k in range(2 * CUTOFF_CAP + 1):
-        w = _shell_basis(k)
-        assert w.dtype == np.float64
-        assert np.abs(w.T @ w - np.eye(k + 1)).max() <= 1e-12, k
-        q = np.arange(k)
-        hop = np.sqrt((q + 1.0) * (k - q))  # <q+1, k-q-1| adag b |q, k-q>
-        gen = np.diag(hop, 1) + np.diag(hop, -1)
-        want = np.diag(2.0 * np.arange(k + 1) - k)
-        assert np.abs(w.T @ gen @ w - want).max() <= 1e-12 * max(k, 1), k
-
-
-def _reference_block(basis, values, k):
-    rot = binomial_shell_rotation(BASES[basis], k)
-    return rot.conj().T @ (values[:, None] * rot)
-
-
-@pytest.mark.parametrize("basis", [1, 2], ids=["basis1", "basis2"])
-def test_shell_rotation_matches_binomial_reference(basis, monkeypatch):
+@pytest.mark.parametrize("basis", [1, 2, 3], ids=["basis1", "basis2", "basis3"])
+def test_shell_rotation_matches_binomial_reference(basis):
     # blocks, unlike the basis vectors, carry no sign or phase convention
+    selectors = [sel for sel, (b, _) in _SELECTORS.items() if b == basis]
     for k in range(21):
-        for kind, suffix in (("S", ""), ("Sp", "p")):
-            got = _shell_block(f"S{basis}{suffix}", k)
-            want = _reference_block(basis, stokes._diagonal_values(kind, k), k)
-            assert np.abs(got - want).max() <= 1e-13, (kind, k)
-    # and for arbitrary real values on the rotated counts
-    rng = np.random.default_rng(basis)
-    values = {k: rng.standard_normal(k + 1) for k in range(21)}
-    monkeypatch.setattr(stokes, "_SHELL_BLOCKS", {})
-    monkeypatch.setattr(stokes, "_diagonal_values", lambda kind, k: values[k])
-    for k in range(21):
-        want = _reference_block(basis, values[k], k)
-        assert np.abs(_shell_block(f"S{basis}", k) - want).max() <= 1e-13, k
+        for sel in selectors:
+            want = reference_block(basis, _count_values(_SELECTORS[sel][1], k), k)
+            assert np.abs(_shell_block(sel, k) - want).max() <= 1e-13, (sel, k)
+
+
+def test_s1_block_matches_eigenbasis_block_through_twice_cutoff_cap():
+    for k in range(2 * CUTOFF_CAP + 1):
+        want = _eigenbasis_block(_count_values("S", k), k)
+        assert np.abs(_shell_block("S1", k) - want).max() <= 2e-15, k
+
+
+def test_basis1_blocks_are_symmetric_with_zero_diagonal():
+    # which makes the entrywise cube of alpha B - beta I equal
+    # alpha^3 B*B*B - beta^3 I, the lossy Mermin closed form
+    for k in range(2 * CUTOFF_CAP + 1):
+        for sel in ("S1", "S1p"):
+            block = _shell_block(sel, k)
+            assert block.dtype == np.float64
+            assert np.array_equal(block, block.T), (sel, k)
+            if k:
+                assert not np.diag(block).any(), (sel, k)
 
 
 @pytest.mark.parametrize("kind,suffix", [("S", ""), ("Sp", "p")])
-def test_basis2_block_is_basis1_times_quarter_turns_bit_for_bit(kind, suffix):
-    # the phase i^(q' - q) applied in one broadcast product, signed zeros
-    # included, through every shell a bright state at the cap can reach
+def test_basis2_block_is_hermitian_basis1_times_quarter_turns(kind, suffix):
+    # the circular basis is the diagonal one after a quarter wave on the b
+    # mode, through every shell a bright state at the cap can reach
     for k in range(2 * CUTOFF_CAP + 1):
         q = np.arange(k + 1)
-        real = _diagonal_block(stokes._diagonal_values(kind, k), k, slice(None))
-        want = real * stokes._QUARTER_TURNS[(q[None, :] - q[:, None]) % 4]
         got = _shell_block(f"S2{suffix}", k)
-        assert got.dtype == want.dtype and np.array_equal(
-            got.view(np.uint64), want.view(np.uint64)
-        ), k
+        want = _shell_block(f"S1{suffix}", k) * 1j ** (q[None, :] - q[:, None])
+        assert np.array_equal(got, got.conj().T), k
+        assert np.abs(got - want).max() <= 1e-15, k
 
 
 def _full_shell_expectation(state, ops):
@@ -164,46 +143,24 @@ def _full_shell_expectation(state, ops):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(
-    st.integers(0, 12).flatmap(
-        lambda cutoff: st.lists(
-            st.tuples(st.floats(0.0, 1.0), st.floats(-math.pi, math.pi), st.booleans()),
-            min_size=(cutoff + 1) ** 2,
-            max_size=(cutoff + 1) ** 2,
-        )
-    ),
-    st.booleans(),
-)
+@given(amplitude_boxes(12), st.booleans())
 def test_mermin_kernel_equals_four_setting_sum(entries, projected):
     # exchange-diagonal states with arbitrary complex amplitudes and zeros
-    # anywhere, so a shell's support may start or end inside it or be empty;
-    # projected drops the (0, 0) entry the way the witnesses do
-    side = math.isqrt(len(entries))
-    raw = {
-        (q, m): r * cmath.exp(1j * phi) if keep else 0j
-        for (q, m), (r, phi, keep) in zip(itertools.product(range(side), repeat=2), entries)
-    }
-    norm = math.sqrt(sum(abs(a) ** 2 for a in raw.values()))
-    assume(norm > 1e-6)
-    amps = {qm: a / norm for qm, a in raw.items()}
-    state = BGHZState(gamma=0.0, cutoff=side - 1, amps=amps, norm_residual=0.0)
+    # anywhere; projected drops the (0, 0) entry the way the witnesses do
+    state = diagonal_state(entries)
+    assume(state is not None)
     if projected:
-        assume(1.0 - abs(amps[(0, 0)]) ** 2 > 1e-12)
+        assume(1.0 - abs(state.amps[(0, 0)]) ** 2 > 1e-12)
         state = project_out_vacuum(state)
-    for suffix, kind in (("p", "Sp"), ("", "S")):
+    for suffix in ("p", ""):
         triples = [tuple(op + suffix for op in ops) for ops in MERMIN_TRIPLES]
         terms = [stokes_expectation(state, ops) for ops in triples]
         for ops, term in zip(triples, terms):
             assert term == pytest.approx(_full_shell_expectation(state, ops), abs=1e-12)
         want = terms[0] - sum(terms[1:])
-        got = _mermin_form(state, lambda k, rows: _shell_block(f"S1{suffix}", k)[rows, rows])
-        assert got == pytest.approx(want, abs=1e-12)
-        # the lossy kernel's blocks: the rotation restricted to the rows
-        got = _mermin_form(
-            state,
-            lambda k, rows: _diagonal_block(stokes._diagonal_values(kind, k), k, rows),
-        )
-        assert got == pytest.approx(want, abs=1e-12)
+        got = _mermin_form(state, f"S1{suffix}")
+        assert got.shape == (len(state._shells),)
+        assert got.sum() == pytest.approx(want, abs=1e-12)
 
 
 def test_ghz_correlations(ghz):
