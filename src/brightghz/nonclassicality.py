@@ -4,10 +4,10 @@ The Mermin-like combination takes the four setting triples 111, 122, 212,
 221 over bases 1 (+-45) and 2 (circular) with primed Stokes operators, so
 no-photon events answer -1 instead of dropping out; any local realistic
 model keeps the combination at or below 2.  The lossless, the lossy and
-the w2 Mermin terms all come from the `stokes` shell kernel.  On the
-diagonal bright states the combination reduces to |4t + 2 p_vac| with t
-the only independent tensor element, whose closed-form double sum this
-module cross-checks against the kernel at every point.
+the w2 Mermin terms all come from the `stokes` Mermin kernel, one term per
+photon shell.  On the diagonal bright states the combination reduces to
+|4t + 2 p_vac| with t the only independent tensor element, whose closed-form
+double sum this module cross-checks against the kernel at every point.
 
 Normalization convention for the Bell test: the retained amplitude box
 carries squared mass 1 - norm_residual of the untruncated state, and the
@@ -32,7 +32,7 @@ on every shell past the vacuum, so the entrywise cube is
 alpha_k^3 B*B*B - beta_k^3 I; on the vacuum, where alpha_0 = 0 and
 beta_0 = 1, it is -I, the lossless cube.  The lossy Mermin sum is thus
 sum_k (alpha_k^3 m_k + 2 beta_k^3 p_k) over the lossless per-shell terms
-m_k of the kernel and the shell masses p_k: one kernel pass on a state
+m_k of the Mermin kernel and the shell masses p_k: one kernel pass on a state
 serves every efficiency.
 
 Both witnesses flag entanglement strictly below zero: w1 transplants the
@@ -65,6 +65,7 @@ from brightghz.state import (
 from brightghz.stokes import (
     _closed_form_t,
     _mermin_form,
+    _shell_terms,
     stokes_expectation,
 )
 
@@ -125,7 +126,7 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class MerminEvaluation:
-    """Shell-kernel Mermin LHS next to its closed-form reduction."""
+    """Band-kernel Mermin LHS next to its closed-form reduction."""
 
     gamma: float
     lhs: float
@@ -148,8 +149,7 @@ def _prepare(gamma, policy, state):
 
 
 def _vacuum_probability(state: BGHZState) -> float:
-    amp = state.amps.get((0, 0))
-    return float(abs(amp) ** 2) if amp is not None else 0.0
+    return float(abs(state._box[0, 0]) ** 2)
 
 
 def mermin_lhs(
@@ -172,7 +172,8 @@ def evaluate_mermin(
     The reduced form |4t + 2 p_vac| follows from <S'S'S'> = T - p_vac on
     states whose support is exchange-diagonal, with t the closed-form
     double sum; agreement records its difference from the kernel's LHS.
-    Both carry the same retained-mass scale.
+    Both carry the same retained-mass scale.  The closed form holds only on
+    exchange-symmetric boxes, A[q, m] = A[m, q], like every bright state.
     """
     state = _prepare(gamma, policy, state)
     lhs = mermin_lhs(gamma, policy, state)
@@ -286,8 +287,8 @@ def _lossy_lhs(state: BGHZState) -> Callable[[float], float]:
     At eta = 1 it sums the lossless terms as mermin_lhs does.
     """
     terms = _mermin_form(state, "S1p")
-    k = np.array([shell[0] for shell in state._shells])
-    mass = np.array([np.vdot(psi, psi).real for _, _, psi, _ in state._shells])
+    mass = _shell_terms(state, ("I", "I", "I"))
+    k = np.arange(len(terms))
     scale = 1.0 - state.norm_residual
 
     def lhs(eta):
@@ -369,7 +370,7 @@ def evaluate_w2(
     """Mermin-operator witness with the non-vacuum projector added.
 
     value is <S1 S2 S2 + S2 S1 S2 + S2 S2 S1 - S1 S1 S1> + <Pi Pi Pi>, the
-    Mermin part being the negated shell kernel on unprimed operators;
+    Mermin part being the negated Mermin kernel on unprimed operators;
     closed_form is -4t + 1 - p_vac on the same state, t the closed-form
     double sum, and agreement records their difference.  Negative value
     flags entanglement (separable bound 0).

@@ -18,6 +18,7 @@ normalized amplitudes are handed out as machine floats.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -149,10 +150,10 @@ class TripleDistribution:
 class BGHZState:
     """Bright GHZ state on the exchange-symmetric diagonal, unit norm.
 
-    amps maps (q, m) to the amplitude of the joint ket in which every one
-    of the three observers holds q photons in its a-mode and m in its
-    b-mode.  norm_residual records |1 - sum|amp|^2| before renormalization,
-    a joint measure of truncation loss and resummation drift.
+    amps maps photon counts (q, m) to the amplitude of the joint ket in
+    which every one of the three observers holds q photons in its a-mode
+    and m in its b-mode.  norm_residual records |1 - sum|amp|^2| before
+    renormalization, a joint measure of truncation loss and resummation drift.
     """
 
     gamma: float
@@ -162,36 +163,40 @@ class BGHZState:
     vacuum_projected: bool = False
 
     @cached_property
-    def _shells(self) -> tuple[tuple[int, slice, np.ndarray, np.ndarray], ...]:
-        """Support of each photon shell and its amplitudes, in increasing k.
+    def _box(self) -> np.ndarray:
+        """The amplitudes as a dense complex array A[q, m], zero off the keys.
 
-        One (k, rows, psi, v) per shell k with a nonzero amplitude: rows
-        runs over q from the first to the last nonzero amplitude of
-        |q, k-q>, psi = x + iy holds the amplitudes over rows, and the
-        columns of v are x, y, s*x and s*y, with s_q = (-1)^q.  Computed
-        once per state, so every Stokes kernel call on it shares them.
+        Built once per state, with one vectorized conversion, and shared by
+        every Stokes kernel call on it.  A key that is not a pair of
+        non-negative integer photon counts raises ValueError naming it.
         """
-        vectors: dict[int, np.ndarray] = {}
-        for (q, m), amp in self.amps.items():
-            if q + m not in vectors:
-                vectors[q + m] = np.zeros(q + m + 1, dtype=complex)
-            vectors[q + m][q] = amp
-        shells = []
-        for k in sorted(vectors):
-            nonzero = np.flatnonzero(vectors[k])
-            if nonzero.size == 0:
-                continue
-            lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
-            psi = vectors[k][lo:hi]
-            s = 1.0 - 2.0 * (np.arange(lo, hi) % 2)
-            v = np.stack([psi.real, psi.imag, s * psi.real, s * psi.imag], axis=1)
-            shells.append((k, slice(lo, hi), psi, v))
-        return tuple(shells)
+        try:
+            index = np.fromiter(itertools.chain.from_iterable(self.amps), float)
+            valid = index.size == 2 * len(self.amps) and np.all(
+                (index >= 0) & (index < np.inf) & (index == np.trunc(index))
+            )
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            bad = next((key for key in self.amps if not _is_count_pair(key)), None)
+            raise ValueError(f"amplitude key {bad!r} is not a pair of photon counts")
+        index = index.astype(np.intp).reshape(-1, 2)
+        box = np.zeros((index.max(initial=0) + 1,) * 2, complex)
+        box[index[:, 0], index[:, 1]] = np.fromiter(self.amps.values(), complex, len(index))
+        return box
 
     @cached_property
     def _vacuum_projected(self) -> BGHZState:
         """project_out_vacuum(self), built once per state for the projected witnesses."""
         return project_out_vacuum(self)
+
+
+def _is_count_pair(key) -> bool:
+    """BGHZState._box's test on the index array, for one key."""
+    try:
+        return all(c >= 0 and c % 1 == 0 for c in key) and len(key) == 2
+    except TypeError:
+        return False
 
 
 # Resummer per coefficient series, and per gain point the settled series

@@ -12,28 +12,28 @@ is the real tridiagonal hop matrix H = adag b + bdag a, with eigenvalues
 2 kappa - k for kappa photons in the +45 mode, and every count function
 above is affine in that difference: a + b (2 kappa - k) (b = 1/k for the
 Stokes operators, b = 0 for the projectors and the identity).  So each
-per-party block in the H/V basis |q, k-q> is closed form and tridiagonal:
-a I + b H in basis 1, the same with the off-diagonals turned by
-i^(q'-q) in basis 2 (a quarter wave on the b mode), and
-diag(a + b (2q - k)) in basis 3.
+per-party operator is tridiagonal in the H/V basis |q, k-q>: a I + b H in
+basis 1, the same with the off-diagonals turned by i^(q'-q) in basis 2 (a
+quarter wave on the b mode), and diag(a + b (2q - k)) in basis 3.
 
-Bright states are diagonal across the three parties, which collapses the
-six-mode sum: the expectation reduces to one quadratic form per photon
-shell, with the three per-party operator blocks multiplied entrywise.
-That path never materializes a rotated state and stays quadratic in the
-cutoff.  The Mermin combination <111> - <122> - <212> - <221> needs only
-the basis-1 block B: entrywise products commute, so the three mixed
-settings give one term, and B2*B2 = B*B*Sigma entrywise, with
-Sigma[q, q'] = (-1)^(q-q').  On each shell it is the one real quadratic
-form psi^H (B*B*B*(J - 3 Sigma)) psi, J the all-ones matrix.
+Bright states are diagonal across the three parties: a state is one
+amplitude box A[q, m] (BGHZState._box), every party holding q photons in
+its a-mode and m in its b-mode, on shell k = q + m.  Over the box grid a
+selector is two bands: its diagonal, a + b (2q - k) in basis 3 and a
+otherwise, and its upper band on (q, m) -> (q+1, m-1), b sqrt((q+1) m),
+times i in basis 2 and zero in basis 3.  An entrywise product of
+tridiagonal operators is tridiagonal, so a selector triple is the band
+product D, O of its diagonals and upper bands, and its expectation is one
+O(k)-per-shell pass over the box, with no dense block:
 
-Both forms read only the support of each shell: the rows q from the first
-to the last nonzero amplitude.  The Mermin form runs in real arithmetic:
-with psi = x + iy, s_q = (-1)^q and C = B*B*B it is the sum over v in
-{x, y} of v^T C v - 3 (s v)^T C (s v), one real product of C with the four
-columns x, y, s x, s y.  The state computes those columns once
-(BGHZState._shells), so every kernel call on it shares them, and the
-kernel returns its per-shell terms, which the lossy Mermin test reweighs.
+    sum D |A|^2 + 2 Re sum conj(A[q, m]) O A[q+1, m-1].
+
+The Mermin combination <111> - <122> - <212> - <221> needs only the
+basis-1 bands: a basis-2 upper band is the basis-1 one times i, so each
+mixed setting is minus the basis-1 cube on the band.  The combination is
+the basis-1 form weighted by J - 3 Sigma (J all ones, Sigma[q, q'] =
+(-1)^(q-q')): -2 on the diagonal, 4 on the band.  `_mermin_form` returns
+it per shell, which the lossy Mermin test reweighs.
 """
 
 from __future__ import annotations
@@ -66,41 +66,59 @@ _SELECTORS = {
 }
 
 
-def _affine(kind: str, k: int) -> tuple[float, float]:
-    """(a, b): the count function of kind is a + b (2 kappa - k) on shell k."""
-    if k == 0:
-        return {"Sp": -1.0, "Pvac": 1.0, "I": 1.0}.get(kind, 0.0), 0.0
+def _affine(kind: str, k: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+    """(a, b) over shells k: the count function of kind is a + b (2 kappa - k)."""
+    vacuum = k == 0
     if kind in ("S", "Sp"):
-        return 0.0, 1.0 / k
-    return float(kind != "Pvac"), 0.0
+        a = np.where(vacuum, -1.0 if kind == "Sp" else 0.0, 0.0)
+        return a, np.divide(1.0, k, out=np.zeros(k.shape), where=~vacuum)
+    if kind == "I":
+        return np.ones(k.shape), 0.0
+    return (vacuum if kind == "Pvac" else ~vacuum).astype(float), 0.0
 
 
-# Bounded by construction: the keys do not depend on the gain, only on one
-# of 10 selectors and a photon shell, and a bright state's shells stop at
-# twice its cutoff (2 * CUTOFF_CAP unless the cutoff is pinned).
-_SHELL_BLOCKS: dict[tuple[str, int], np.ndarray] = {}
+# bench/tracing.py reads _SHELL_BLOCKS; ROADMAP item 12 removes that read and this dict
+_SHELL_BLOCKS: dict = {}
 
 
-def _shell_block(selector: str, k: int) -> np.ndarray:
-    """Shell-k matrix of the per-party operator in the canonical basis, cached."""
-    key = (selector, k)
-    got = _SHELL_BLOCKS.get(key)
-    if got is None:
-        basis_index, kind = _SELECTORS[selector]
-        a, b = _affine(kind, k)
-        q = np.arange(k + 1)
-        got = np.zeros((k + 1, k + 1), complex if basis_index == 2 else float)
-        if basis_index == 3:
-            np.fill_diagonal(got, a + b * (2 * q - k))
-        else:
-            np.fill_diagonal(got, a)
-            # b times <q+1, k-q-1| adag b |q, k-q>, turned by i^(q'-q) in basis 2
-            hop = b * np.sqrt(q[1:] * (k + 1.0 - q[1:]))
-            turn = 1j if basis_index == 2 else 1.0
-            got[q[1:], q[:-1]] = turn.conjugate() * hop
-            got[q[:-1], q[1:]] = turn * hop
-        _SHELL_BLOCKS[key] = got
-    return got
+def _grid(side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shell k = q + m over a side x side box, and the upper band's hop factors.
+
+    The band entry at [q, m-1] couples (q, m) to (q+1, m-1), on shell
+    k[q, m], with hop factor sqrt((q+1) m).
+    """
+    q = np.arange(side)
+    return np.add.outer(q, q), np.sqrt(np.outer(q[1:], q[1:]).astype(float))
+
+
+def _bands(selector: str, k: np.ndarray, hop: np.ndarray):
+    """(diagonal, upper band) of selector over the box grid; no band (None) in basis 3."""
+    basis_index, kind = _SELECTORS[selector]
+    a, b = _affine(kind, k)
+    if basis_index == 3:
+        q = np.arange(len(k))
+        return a + b * (2 * q[:, None] - k), None
+    upper = b[:-1, 1:] * hop
+    return a, 1j * upper if basis_index == 2 else upper
+
+
+def _shell_terms(state: BGHZState, ops, on_diag=1.0, on_band=1.0) -> np.ndarray:
+    """Per-shell terms of the band product of three selectors on a bright state.
+
+    Entry k, for k from 0 to twice the box's largest photon count, is the
+    shell-k part of sum D |A|^2 + 2 Re sum conj(A[q, m]) O A[q+1, m-1],
+    with the diagonal D weighted by on_diag and the band O by on_band.
+    """
+    box = state._box
+    k, hop = _grid(len(box))
+    (d0, u0), (d1, u1), (d2, u2) = (_bands(op, k, hop) for op in ops)
+    terms = (on_diag * d0 * d1 * d2 * (box.real**2 + box.imag**2)).ravel()
+    shells = k.ravel()
+    if not (u0 is None or u1 is None or u2 is None):
+        band = 2.0 * on_band * (box[:-1, 1:].conj() * (u0 * u1 * u2) * box[1:, :-1]).real
+        terms = np.concatenate((terms, band.ravel()))
+        shells = np.concatenate((shells, k[:-1, 1:].ravel()))
+    return np.bincount(shells, terms, minlength=2 * len(box) - 1)
 
 
 def _validate_selectors(ops) -> tuple[str, str, str]:
@@ -115,35 +133,14 @@ def _validate_selectors(ops) -> tuple[str, str, str]:
     return ops
 
 
-def _bghz_expectation(state: BGHZState, ops: tuple[str, str, str]) -> float:
-    total = 0.0
-    for k, rows, psi, _ in state._shells:
-        block = (
-            _shell_block(ops[0], k)[rows, rows]
-            * _shell_block(ops[1], k)[rows, rows]
-            * _shell_block(ops[2], k)[rows, rows]
-        )
-        total += float(np.real(np.vdot(psi, block @ psi)))
-    return total
-
-
-# weights of the columns x, y, s*x, s*y of BGHZState._shells: J - 3 Sigma
-_MERMIN_WEIGHTS = np.array([1.0, 1.0, -3.0, -3.0])
-
-
 def _mermin_form(state: BGHZState, selector: str) -> np.ndarray:
     """Per-shell terms of <111> - <122> - <212> - <221> on a bright state.
 
-    selector names the basis-1 per-party operator ("S1p" or "S1"); its
-    basis-2 block is the same times i^(q'-q).  One term per entry of
-    state._shells, in its order; the combination is their sum.  See the
-    module docstring for the reduction.
+    selector names the basis-1 per-party operator ("S1p" or "S1"); the
+    terms are those of _shell_terms, with the J - 3 Sigma weights of the
+    module docstring, and the combination is their sum.
     """
-    terms = np.empty(len(state._shells))
-    for i, (k, rows, _, v) in enumerate(state._shells):
-        b = _shell_block(selector, k)[rows, rows]
-        terms[i] = (v * ((b * b * b) @ v)).sum(axis=0) @ _MERMIN_WEIGHTS
-    return terms
+    return _shell_terms(state, (selector,) * 3, -2.0, 4.0)
 
 
 def stokes_expectation(state, ops) -> float:
@@ -157,7 +154,7 @@ def stokes_expectation(state, ops) -> float:
     ops = _validate_selectors(ops)
     if not isinstance(state, BGHZState):
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    return _bghz_expectation(state, ops)
+    return float(_shell_terms(state, ops).sum())
 
 
 @dataclass(frozen=True)
@@ -166,7 +163,9 @@ class CorrelationTensor:
 
     Only four elements survive: T_111 = t and T_122 = T_212 = T_221 = -t.
     cross_check records |t - <S1 S1 S1>|, the closed form against the
-    generic shell evaluation of T_111 on the same truncated state.
+    generic band product on the same truncated state.  The closed form
+    equals <S1 S1 S1> only on exchange-symmetric boxes, A[q, m] = A[m, q],
+    which every bright state is; elsewhere cross_check is not rounding.
     """
 
     gamma: float
@@ -178,27 +177,19 @@ class CorrelationTensor:
 def _closed_form_t(state: BGHZState) -> float:
     """Double sum for t over the retained amplitudes.
 
-    Per photon shell k the two terms hop one photon between the a and b
+    Each A[q, m] pairs with its direct partner A[q-1, m+1] and its
+    transposed partner A[m-1, q+1], hopping one photon between the a and b
     modes in every party at once; the (x(y+1))^(3/2) weights are the
-    three-party ladder factors and k^3 the Stokes normalization.
+    three-party ladder factors and k^3 the Stokes normalization.  The
+    transposed partner makes it <S1 S1 S1> only on exchange-symmetric boxes.
     """
-    amps = state.amps
-    total = 0.0
-    kmax = 2 * state.cutoff
-    for k in range(1, kmax + 1):
-        for m in range(0, k + 1):
-            a = amps.get((m, k - m))
-            if a is None or a == 0:
-                continue
-            left = amps.get((k - m - 1, m + 1))
-            if left is not None:
-                w = ((k - m) * (m + 1)) ** 1.5 / k**3
-                total += (left.conjugate() * a * w).real
-            right = amps.get((m - 1, k - m + 1))
-            if right is not None:
-                w = (m * (k - m + 1)) ** 1.5 / k**3
-                total += (right.conjugate() * a * w).real
-    return total
+    box = state._box
+    q = np.arange(len(box))
+    # over (q, m) -> (q+1, m-1), entry [q, m-1]: ((q+1) m)^(3/2) / k^3
+    weight = np.outer(q[1:], q[1:]) ** 1.5 / np.add.outer(q[:-1], q[1:]) ** 3
+    direct = (box[:-1, 1:].conj() * box[1:, :-1]).real
+    transposed = (box.T[1:, :-1].conj() * box[:-1, 1:]).real
+    return float((weight * (direct + transposed)).sum())
 
 
 def tensor_t(
@@ -210,7 +201,8 @@ def tensor_t(
 
     Builds the state (or reuses a provided one), evaluates the closed-form
     double sum for t, fills the GHZ sign pattern, and cross-checks t
-    against the generic evaluation of <S1 S1 S1>.
+    against the generic evaluation of <S1 S1 S1>.  A provided state must be
+    exchange-symmetric, A[q, m] = A[m, q], for t to be its T_111.
     """
     if state is None:
         state = build_bghz(gamma, policy)

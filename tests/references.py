@@ -42,17 +42,20 @@ def amplitude_boxes(max_cutoff):
     )
 
 
-def diagonal_state(entries):
+def diagonal_state(entries, symmetric=False):
     """Unit-norm BGHZState of an amplitude_boxes draw, None if it is (nearly) zero.
 
     Zeros sit anywhere, so a shell's support may start or end inside it or
-    be empty.
+    be empty.  symmetric mirrors the entries with q <= m onto their
+    transposes, so A[q, m] = A[m, q] like a bright state's box.
     """
     side = math.isqrt(len(entries))
     raw = {
         (q, m): r * cmath.exp(1j * phi) if keep else 0j
         for (q, m), (r, phi, keep) in zip(itertools.product(range(side), repeat=2), entries)
     }
+    if symmetric:
+        raw = {(q, m): raw[min(q, m), max(q, m)] for q, m in raw}
     norm = math.sqrt(sum(abs(a) ** 2 for a in raw.values()))
     if norm <= 1e-6:
         return None

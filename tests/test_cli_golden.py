@@ -2,13 +2,14 @@
 
 Each case covers a row kind: table1 and pk_curve statistics (one, two and
 three beams), a Mermin grid that brackets the crossing, eta rows that are
-violated, outside the efficiency window and not violated, both projected
-witnesses, a witness grid with one failed point (exit 2) and a Mermin grid
-where every point fails (exit 1, the CSV still written).
+violated, outside the efficiency window and not violated, one eta row at a
+gain whose auto cutoff reaches CUTOFF_CAP (the largest amplitude box), both
+projected witnesses, a witness grid with one failed point (exit 2) and a
+Mermin grid where every point fails (exit 1, the CSV still written).
 
 table1 and pk_curve must match byte for byte.  The Stokes commands end in
-BLAS matrix products and floating-point sums whose last digits depend on
-the BLAS build and its reduction order, so their numeric cells need only
+floating-point sums over the amplitude box whose last digits depend on
+NumPy's summation order, so their numeric cells need only
 agree to 1e-12 relative (1e-12 absolute
 below magnitude 1, where the agreement diagnostics are rounding noise);
 comments, headers, row counts, exit codes and every non-numeric cell must
@@ -46,6 +47,7 @@ CASES = [
          "--eta-max", "0.9"],
         0,
     ),
+    ("eta_cap", ["--cmd", "eta", "--gamma-min", "0.352", "--steps", "1"], 0),
     (
         "w1_projected",
         ["--cmd", "w1", "--gamma-min", "0.1", "--gamma-max", "0.3", "--steps", "2",

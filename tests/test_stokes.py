@@ -1,6 +1,10 @@
 """Basis rotations, Stokes expectations, and the correlation tensor."""
 
+import functools
+import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +21,10 @@ from brightghz.state import (
 )
 from brightghz.stokes import (
     _SELECTORS,
+    _bands,
+    _closed_form_t,
+    _grid,
     _mermin_form,
-    _shell_block,
     CorrelationTensor,
     stokes_expectation,
     tensor_t,
@@ -90,28 +96,44 @@ def _eigenbasis_block(values, k):
     return (w * values) @ w.T
 
 
+def _band_blocks(selector, top):
+    """Shell-k blocks for k = 0..top, assembled from the production bands
+    of a box that holds every shell through top."""
+    grid, hop = _grid(top + 1)
+    diag, upper = _bands(selector, grid, hop)
+    blocks = []
+    for k in range(top + 1):
+        q = np.arange(k + 1)
+        block = np.diag(diag[q, k - q]).astype(upper.dtype if upper is not None else float)
+        if upper is not None:
+            # the pair (q, k-q) -> (q+1, k-q-1) sits at [q, k-q-1]
+            u = upper[q[:-1], k - 1 - q[:-1]]
+            block += np.diag(u, 1) + np.diag(u.conj(), -1)
+        blocks.append(block)
+    return blocks
+
+
 @pytest.mark.parametrize("basis", [1, 2, 3], ids=["basis1", "basis2", "basis3"])
 def test_shell_rotation_matches_binomial_reference(basis):
     # blocks, unlike the basis vectors, carry no sign or phase convention
     selectors = [sel for sel, (b, _) in _SELECTORS.items() if b == basis]
-    for k in range(21):
-        for sel in selectors:
+    for sel in selectors:
+        for k, block in enumerate(_band_blocks(sel, 20)):
             want = reference_block(basis, _count_values(_SELECTORS[sel][1], k), k)
-            assert np.abs(_shell_block(sel, k) - want).max() <= 1e-13, (sel, k)
+            assert np.abs(block - want).max() <= 1e-13, (sel, k)
 
 
 def test_s1_block_matches_eigenbasis_block_through_twice_cutoff_cap():
-    for k in range(2 * CUTOFF_CAP + 1):
+    for k, block in enumerate(_band_blocks("S1", 2 * CUTOFF_CAP)):
         want = _eigenbasis_block(_count_values("S", k), k)
-        assert np.abs(_shell_block("S1", k) - want).max() <= 2e-15, k
+        assert np.abs(block - want).max() <= 2e-15, k
 
 
 def test_basis1_blocks_are_symmetric_with_zero_diagonal():
     # which makes the entrywise cube of alpha B - beta I equal
     # alpha^3 B*B*B - beta^3 I, the lossy Mermin closed form
-    for k in range(2 * CUTOFF_CAP + 1):
-        for sel in ("S1", "S1p"):
-            block = _shell_block(sel, k)
+    for sel in ("S1", "S1p"):
+        for k, block in enumerate(_band_blocks(sel, 2 * CUTOFF_CAP)):
             assert block.dtype == np.float64
             assert np.array_equal(block, block.T), (sel, k)
             if k:
@@ -122,24 +144,47 @@ def test_basis1_blocks_are_symmetric_with_zero_diagonal():
 def test_basis2_block_is_hermitian_basis1_times_quarter_turns(kind, suffix):
     # the circular basis is the diagonal one after a quarter wave on the b
     # mode, through every shell a bright state at the cap can reach
-    for k in range(2 * CUTOFF_CAP + 1):
+    pairs = zip(
+        _band_blocks(f"S2{suffix}", 2 * CUTOFF_CAP), _band_blocks(f"S1{suffix}", 2 * CUTOFF_CAP)
+    )
+    for k, (got, basis1) in enumerate(pairs):
         q = np.arange(k + 1)
-        got = _shell_block(f"S2{suffix}", k)
-        want = _shell_block(f"S1{suffix}", k) * 1j ** (q[None, :] - q[:, None])
+        want = basis1 * 1j ** (q[None, :] - q[:, None])
         assert np.array_equal(got, got.conj().T), k
         assert np.abs(got - want).max() <= 1e-15, k
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_block(selector, k):
+    basis, kind = _SELECTORS[selector]
+    return reference_block(basis, _count_values(kind, k), k)
+
+
 def _full_shell_expectation(state, ops):
-    # the whole shell vectors and blocks, without the support restriction
+    # whole shell vectors against the binomial reference blocks
     shells = {}
     for (q, m), amp in state.amps.items():
         shells.setdefault(q + m, np.zeros(q + m + 1, dtype=complex))[q] = amp
     total = 0.0
     for k, vec in shells.items():
-        block = _shell_block(ops[0], k) * _shell_block(ops[1], k) * _shell_block(ops[2], k)
+        block = (
+            _reference_block(ops[0], k) * _reference_block(ops[1], k) * _reference_block(ops[2], k)
+        )
         total += np.real(np.vdot(vec, block @ vec))
     return total
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    amplitude_boxes(12),
+    st.tuples(*[st.sampled_from(sorted(_SELECTORS))] * 3),
+)
+def test_band_product_matches_reference_blocks(entries, ops):
+    state = diagonal_state(entries)
+    assume(state is not None)
+    assert stokes_expectation(state, ops) == pytest.approx(
+        _full_shell_expectation(state, ops), abs=1e-12
+    )
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -159,7 +204,7 @@ def test_mermin_kernel_equals_four_setting_sum(entries, projected):
             assert term == pytest.approx(_full_shell_expectation(state, ops), abs=1e-12)
         want = terms[0] - sum(terms[1:])
         got = _mermin_form(state, f"S1{suffix}")
-        assert got.shape == (len(state._shells),)
+        assert got.shape == (2 * len(state._box) - 1,)
         assert got.sum() == pytest.approx(want, abs=1e-12)
 
 
@@ -191,6 +236,17 @@ def test_selector_validation(ghz):
         stokes_expectation(ghz, ("S1", "S4", "S1"))
     with pytest.raises(TypeError):
         stokes_expectation({(0, 0): 1.0}, ("S1", "S1", "S1"))
+
+
+@pytest.mark.parametrize("key", [(-1, 2), (2, -1), (0.5, 1), (1, 2, 0), "ab"])
+def test_amplitude_keys_must_be_photon_counts(key):
+    # a negative count once wrapped round its shell: (-1, 2) answered
+    # <S3 I I> = +1, the value of |1, 0>, where |1, 2> gives -1/3
+    good = BGHZState(gamma=0.0, cutoff=2, amps={(1, 2): 1.0}, norm_residual=0.0)
+    assert stokes_expectation(good, ("S3", "I", "I")) == pytest.approx(-1.0 / 3.0)
+    state = BGHZState(gamma=0.0, cutoff=2, amps={(1, 2): 0.6, key: 0.8}, norm_residual=0.0)
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        stokes_expectation(state, ("S3", "I", "I"))
 
 
 def test_fast_path_matches_joint_path(bright_small):
@@ -226,6 +282,55 @@ def test_tensor_closed_form_matches_generic(gamma):
         ops = tuple(f"S{i}" for i in index)
         state = build_bghz(gamma)
         assert stokes_expectation(state, ops) == pytest.approx(-tensor.t, abs=1e-8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(amplitude_boxes(12))
+def test_closed_form_t_matches_kernel_on_symmetric_boxes(entries):
+    # complex phases and zeros anywhere, mirrored so A[q, m] = A[m, q]
+    state = diagonal_state(entries, symmetric=True)
+    assume(state is not None)
+    generic = stokes_expectation(state, ("S1", "S1", "S1"))
+    assert _closed_form_t(state) == pytest.approx(generic, abs=1e-12)
+
+
+def test_closed_form_t_differs_off_symmetric_boxes():
+    # the closed form reads the transposed partner A[m-1, q+1] in place of
+    # A[q+1, m-1]; off the symmetric boxes it is a different number, which is
+    # what lets cross_check and the agreement diagnostics catch a broken kernel
+    state = BGHZState(
+        gamma=0.0,
+        cutoff=1,
+        amps={(1, 0): 1j / SQ2, (0, 1): 1 / SQ2},
+        norm_residual=0.0,
+    )
+    assert stokes_expectation(state, ("S1", "S1", "S1")) == pytest.approx(0.0, abs=1e-15)
+    assert _closed_form_t(state) == pytest.approx(0.5, abs=1e-15)
+    assert tensor_t(0.0, state=state).cross_check == pytest.approx(0.5, abs=1e-15)
+
+
+def test_kernels_keep_no_memory_between_calls():
+    # the box of the benchmark's synthetic warm-up state: every photon shell
+    # a state at the cutoff cap reaches, all 10 selectors in every position
+    side = CUTOFF_CAP + 1
+    state = BGHZState(
+        gamma=0.0,
+        cutoff=CUTOFF_CAP,
+        amps={(q, m): complex(1.0 / side) for q in range(side) for m in range(side)},
+        norm_residual=0.0,
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for sel, party in itertools.product(sorted(_SELECTORS), range(3)):
+            ops = ["S1", "S3", "Pi"]
+            ops[party] = sel
+            stokes_expectation(state, ops)
+            stokes_expectation(state, (sel, sel, sel))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1e6
 
 
 def test_tensor_limits():
