@@ -11,9 +11,11 @@ prepare the bright GHZ state
 which lives on the exchange-symmetric diagonal: every observer holds the
 same occupation pair (q photons polarized a, m polarized b).
 
-Weights like (q! m!)**1.5 overflow double precision long before the cutoff
-does, so magnitudes are combined at working precision and only the final,
-normalized amplitudes are handed out as machine floats.
+Weights like (q!)**1.5 overflow double precision long before the cutoff
+does, so each factor's magnitudes are normalized at working precision and
+only then converted to machine floats, once per photon count.  The state's
+amplitude box is rank one, A[q, m] = u_q u_m, so one float outer product of
+those cutoff + 1 factor amplitudes fills it.
 """
 
 from __future__ import annotations
@@ -154,6 +156,8 @@ class BGHZState:
     which every one of the three observers holds q photons in its a-mode
     and m in its b-mode.  norm_residual records |1 - sum|amp|^2| before
     renormalization, a joint measure of truncation loss and resummation drift.
+    Any box of amplitudes can be given as amps; build_bghz hands over its
+    box instead (_from_box), and amps is read off it.
     """
 
     gamma: float
@@ -167,12 +171,13 @@ class BGHZState:
         """The amplitudes as a dense complex array A[q, m], zero off the keys.
 
         Built once per state, with one vectorized conversion, and shared by
-        every Stokes kernel call on it.  A key that is not a pair of
-        non-negative integer photon counts raises ValueError naming it.
+        every Stokes kernel call on it; a state from _from_box holds it
+        already.  A key that is not a pair of non-negative integer photon
+        counts raises ValueError naming it.
         """
         try:
             index = np.fromiter(itertools.chain.from_iterable(self.amps), float)
-            valid = index.size == 2 * len(self.amps) and np.all(
+            valid = set(map(len, self.amps)) <= {2} and np.all(
                 (index >= 0) & (index < np.inf) & (index == np.trunc(index))
             )
         except (TypeError, ValueError):
@@ -184,6 +189,25 @@ class BGHZState:
         box = np.zeros((index.max(initial=0) + 1,) * 2, complex)
         box[index[:, 0], index[:, 1]] = np.fromiter(self.amps.values(), complex, len(index))
         return box
+
+    @classmethod
+    def _from_box(
+        cls, gamma: float, cutoff: int, box: np.ndarray, norm_residual: float
+    ) -> BGHZState:
+        """The state with amplitude box `box`.
+
+        amps is read off the box in q-major order, the order
+        project_out_vacuum sums in.
+        """
+        keys = itertools.product(range(len(box)), repeat=2)
+        state = cls(
+            gamma=gamma,
+            cutoff=cutoff,
+            amps=dict(zip(keys, box.ravel().tolist())),
+            norm_residual=norm_residual,
+        )
+        state.__dict__["_box"] = box  # what the _box cached property would store
+        return state
 
     @cached_property
     def _vacuum_projected(self) -> BGHZState:
@@ -408,7 +432,9 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
 
     Raw amplitudes are C_q * C_m * (q! m!)**1.5 over pairs with
     q, m <= policy.cutoff; an auto cutoff follows the photon-distribution
-    rule for three beams.
+    rule for three beams.  The factor magnitudes |C_q| (q!)**1.5 are
+    normalized at working precision and converted to floats once each; the
+    box is their outer product, handed to the state, and amps is read off it.
     """
     if not 0 <= gamma < inf:
         raise ValueError(f"gain must be finite and >= 0, got {gamma}")
@@ -421,9 +447,7 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
         )
     cutoff = policy.cutoff
     if gamma == 0:
-        return BGHZState(
-            gamma=0.0, cutoff=cutoff or 0, amps={(0, 0): 1.0 + 0j}, norm_residual=0.0
-        )
+        return BGHZState._from_box(0.0, cutoff or 0, np.ones((1, 1), complex), 0.0)
     if cutoff is None:
         key = (float(gamma),) + policy.key()
         cutoff = _CUTOFFS.pop(key, None)
@@ -446,24 +470,11 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
         col = sum(m * m for m in mags)
         norm_residual = float(abs(1 - col * col))
         root = col**0.5  # amplitude normalization per factor state
-        # each division done once: the same mp operations, hence the same
-        # bits, as mags[q] / root * (mags[m] / root) per pair
         unit = [m / root for m in mags]
-        # each unordered pair's product once: mpf multiplication commutes
-        # exactly, so the (m, q) entry gets the same float as (q, m)
-        size = cutoff + 1
-        real = [[0.0] * size for _ in range(size)]
-        for q in range(size):
-            for m in range(q, size):
-                real[q][m] = real[m][q] = signs[q] * signs[m] * float(unit[q] * unit[m])
-    phases = [(1j) ** r for r in range(4)]
-    # q-major insertion order: project_out_vacuum sums in dict order
-    amps = {
-        (q, m): phases[(q + m) % 4] * real[q][m] for q in range(size) for m in range(size)
-    }
-    return BGHZState(
-        gamma=gamma, cutoff=cutoff, amps=amps, norm_residual=norm_residual
-    )
+        factor = np.array(
+            [(1j) ** (q % 4) * (signs[q] * float(x)) for q, x in enumerate(unit)]
+        )
+    return BGHZState._from_box(gamma, cutoff, np.outer(factor, factor), norm_residual)
 
 
 def project_out_vacuum(state: BGHZState) -> BGHZState:

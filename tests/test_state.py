@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 
@@ -421,18 +422,22 @@ def test_warm_state_equals_cold_state(monkeypatch):
     cold = build_bghz(0.563)
     assert warm.cutoff == cold.cutoff
     assert warm.amps == cold.amps
+    assert np.array_equal(warm._box, cold._box)
     assert warm.norm_residual == cold.norm_residual
 
 
 def test_amplitudes_pin_the_per_pair_formula():
-    # each amplitude is the working-precision product of the two normalized
-    # factor magnitudes, rounded to a float once, and the amplitudes run in
-    # q-major order, the order project_out_vacuum sums them in
+    # each amplitude is the float outer product of the two normalized factor
+    # magnitudes, each rounded to a float once: three roundings against the
+    # one of the working-precision pair product, so within 2**-51 relative
+    # of it; the amplitudes run in q-major order, the order
+    # project_out_vacuum sums them in, and the box is symmetric bit for bit
     gamma, policy = 0.352, DEFAULT_POLICY
     state = build_bghz(gamma, policy)
     assert state.cutoff == CUTOFF_CAP
     size = state.cutoff + 1
     assert list(state.amps) == [(q, m) for q in range(size) for m in range(size)]
+    assert np.array_equal(state._box, state._box.T)
     with mp.workprec(policy.bits):
         values = [
             state_module._series_value(3, q, gamma, policy) for q in range(state.cutoff + 1)
@@ -444,5 +449,24 @@ def test_amplitudes_pin_the_per_pair_formula():
         root = sum(x * x for x in mags) ** 0.5
         for (q, m), amp in state.amps.items():
             sign = (1 if values[q] >= 0 else -1) * (1 if values[m] >= 0 else -1)
-            mag = float(mags[q] / root * (mags[m] / root))
-            assert amp == 1j ** ((q + m) % 4) * (sign * mag), (q, m)
+            pair = 1j ** ((q + m) % 4) * (sign * float(mags[q] / root * (mags[m] / root)))
+            assert abs(amp - pair) <= 2.0**-51 * abs(pair), (q, m)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 0.352, 0.563])
+@pytest.mark.parametrize("cutoff", [None, 12])
+def test_handed_box_is_the_rank_one_box_of_the_amplitudes(gamma, cutoff):
+    # build_bghz hands the state its box; the box built from the state's own
+    # amps is the same array, and A[q, m] = u_q u_m makes it rank one
+    state = build_bghz(gamma, NumericPolicy(cutoff=cutoff))
+    assert "_box" in vars(state)
+    rebuilt = BGHZState(
+        gamma=state.gamma,
+        cutoff=state.cutoff,
+        amps=state.amps,
+        norm_residual=state.norm_residual,
+    )
+    box = state._box
+    assert np.array_equal(box, rebuilt._box)
+    minors = box * box[0, 0] - np.outer(box[:, 0], box[0, :])
+    assert np.abs(minors).max() <= 1e-15

@@ -238,14 +238,25 @@ def test_selector_validation(ghz):
         stokes_expectation({(0, 0): 1.0}, ("S1", "S1", "S1"))
 
 
-@pytest.mark.parametrize("key", [(-1, 2), (2, -1), (0.5, 1), (1, 2, 0), "ab"])
-def test_amplitude_keys_must_be_photon_counts(key):
+@pytest.mark.parametrize(
+    "bad",
+    [
+        pytest.param({(-1, 2): 0.8}, id="key0"),
+        pytest.param({(2, -1): 0.8}, id="key1"),
+        pytest.param({(0.5, 1): 0.8}, id="key2"),
+        pytest.param({(1, 2, 0): 0.8}, id="key3"),
+        pytest.param({"ab": 0.8}, id="ab"),
+        # lengths that compensate were once read as the pairs (1, 2), (3, 4)
+        pytest.param({(1,): 0.6, (2, 3, 4): 0.2}, id="compensating_lengths"),
+    ],
+)
+def test_amplitude_keys_must_be_photon_counts(bad):
     # a negative count once wrapped round its shell: (-1, 2) answered
     # <S3 I I> = +1, the value of |1, 0>, where |1, 2> gives -1/3
     good = BGHZState(gamma=0.0, cutoff=2, amps={(1, 2): 1.0}, norm_residual=0.0)
     assert stokes_expectation(good, ("S3", "I", "I")) == pytest.approx(-1.0 / 3.0)
-    state = BGHZState(gamma=0.0, cutoff=2, amps={(1, 2): 0.6, key: 0.8}, norm_residual=0.0)
-    with pytest.raises(ValueError, match=re.escape(repr(key))):
+    state = BGHZState(gamma=0.0, cutoff=2, amps={(1, 2): 0.6, **bad}, norm_residual=0.0)
+    with pytest.raises(ValueError, match=re.escape(repr(next(iter(bad))))):
         stokes_expectation(state, ("S3", "I", "I"))
 
 
