@@ -15,7 +15,9 @@ Weights like (q!)**1.5 overflow double precision long before the cutoff
 does, so each factor's magnitudes are normalized at working precision and
 only then converted to machine floats, once per photon count.  The state's
 amplitude box is rank one, A[q, m] = u_q u_m, so one float outer product of
-those cutoff + 1 factor amplitudes fills it.
+those cutoff + 1 factor amplitudes fills it.  The factor amplitudes are
+memoized per gain point and cutoff request: a warm build_bghz does no
+working-precision work at all, only the lookup and the outer product.
 """
 
 from __future__ import annotations
@@ -190,6 +192,31 @@ class BGHZState:
         box[index[:, 0], index[:, 1]] = np.fromiter(self.amps.values(), complex, len(index))
         return box
 
+    @cached_property
+    def _moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-shell moments of the box: all that the selector kernels read of a state.
+
+        M[p, k] = sum (q - m)^p |A[q, m]|^2 for p = 0..3 and the band moment
+        N[k] = sum conj(A[q, m]) ((q+1) m)^(3/2) A[q+1, m-1], both over the
+        pairs on shell k = q + m, for k up to twice the box's largest photon
+        count; the stokes module docstring derives every selector triple
+        from them.  Built once per state, read-only.
+        """
+        box = self._box
+        q = np.arange(len(box))
+        shells = 2 * len(box) - 1
+        k = np.add.outer(q, q)
+        mass = (box.real**2 + box.imag**2).ravel()
+        powers = np.subtract.outer(q, q).ravel() ** np.arange(4)[:, None]
+        moments = np.array([np.bincount(k.ravel(), w, shells) for w in powers * mass])
+        # over (q, m) -> (q+1, m-1), entry [q, m-1], on shell k[q, m]
+        band = (box[:-1, 1:].conj() * np.outer(q[1:], q[1:]) ** 1.5 * box[1:, :-1]).ravel()
+        on = k[:-1, 1:].ravel()
+        hops = np.bincount(on, band.real, shells) + 1j * np.bincount(on, band.imag, shells)
+        moments.setflags(write=False)
+        hops.setflags(write=False)
+        return moments, hops
+
     @classmethod
     def _from_box(
         cls, gamma: float, cutoff: int, box: np.ndarray, norm_residual: float
@@ -232,13 +259,16 @@ def _is_count_pair(key) -> bool:
 _RESUMMERS: dict[tuple[int, int, int], DiagonalResummer] = {}
 _VALUES: dict[tuple, object] = {}
 VALUES_MAX = 32768
-# Auto cutoff of the bright state per gain point, most recently used last.
-# Finding it runs photon_distribution again, which re-reads every cached
-# value and sums the weights at working precision: about a third of a
-# warm build_bghz, paid on every state rebuilt at a known gain.  The
-# cutoff follows from the same values and policy, so it is keyed like
-# them (three beams, no tuple number) and capped like _VALUES.
-_CUTOFFS: dict[tuple, int] = {}
+# Bright-state factor per gain point and cutoff request, most recently used
+# last: the cutoff (the auto one, when the policy pins none), the read-only
+# normalized factor amplitudes u_q and the norm residual.  Rebuilding them
+# re-reads every cached value, runs photon_distribution for an auto cutoff
+# and redoes the working-precision powers and normalization: nearly all of
+# a warm build_bghz.  Keyed like _VALUES (three beams, no tuple number)
+# plus the pinned cutoff or None, and holding only successful builds.  An
+# entry holds at most CUTOFF_CAP + 1 numbers for any auto cutoff, so
+# VALUES_MAX // (CUTOFF_CAP + 1) entries hold no more than _VALUES does.
+_FACTORS: dict[tuple, tuple[int, np.ndarray, float]] = {}
 
 
 def _resummer(n: int, k: int, L: int) -> DiagonalResummer:
@@ -433,8 +463,9 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
     Raw amplitudes are C_q * C_m * (q! m!)**1.5 over pairs with
     q, m <= policy.cutoff; an auto cutoff follows the photon-distribution
     rule for three beams.  The factor magnitudes |C_q| (q!)**1.5 are
-    normalized at working precision and converted to floats once each; the
-    box is their outer product, handed to the state, and amps is read off it.
+    normalized at working precision and converted to floats once each, and
+    memoized per gain; the box is their outer product, handed to the
+    state, and amps is read off it.
     """
     if not 0 <= gamma < inf:
         raise ValueError(f"gain must be finite and >= 0, got {gamma}")
@@ -445,20 +476,26 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
             RuntimeWarning,
             stacklevel=2,
         )
-    cutoff = policy.cutoff
     if gamma == 0:
-        return BGHZState._from_box(0.0, cutoff or 0, np.ones((1, 1), complex), 0.0)
-    if cutoff is None:
-        key = (float(gamma),) + policy.key()
-        cutoff = _CUTOFFS.pop(key, None)
-        if cutoff is None:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                cutoff = photon_distribution(BrightStateSpec(3, gamma, policy)).cutoff
-        _CUTOFFS[key] = cutoff
-        if len(_CUTOFFS) > VALUES_MAX:
-            del _CUTOFFS[next(iter(_CUTOFFS))]
+        return BGHZState._from_box(0.0, policy.cutoff or 0, np.ones((1, 1), complex), 0.0)
+    key = (float(gamma), policy.cutoff) + policy.key()
+    got = _FACTORS.pop(key, None)
+    if got is None:
+        got = _factor(gamma, policy)
+    _FACTORS[key] = got
+    if len(_FACTORS) > VALUES_MAX // (CUTOFF_CAP + 1):
+        del _FACTORS[next(iter(_FACTORS))]
+    cutoff, factor, norm_residual = got
+    return BGHZState._from_box(gamma, cutoff, np.outer(factor, factor), norm_residual)
 
+
+def _factor(gamma: float, policy: NumericPolicy) -> tuple[int, np.ndarray, float]:
+    """(cutoff, read-only factor amplitudes u_q, norm_residual) of the state at gamma > 0."""
+    cutoff = policy.cutoff
+    if cutoff is None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cutoff = photon_distribution(BrightStateSpec(3, gamma, policy)).cutoff
     with mp.workprec(policy.bits):
         g = mpf(gamma)
         mags = []
@@ -474,7 +511,8 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
         factor = np.array(
             [(1j) ** (q % 4) * (signs[q] * float(x)) for q, x in enumerate(unit)]
         )
-    return BGHZState._from_box(gamma, cutoff, np.outer(factor, factor), norm_residual)
+    factor.setflags(write=False)
+    return cutoff, factor, norm_residual
 
 
 def project_out_vacuum(state: BGHZState) -> BGHZState:

@@ -18,15 +18,29 @@ quarter wave on the b mode), and diag(a + b (2q - k)) in basis 3.
 
 Bright states are diagonal across the three parties: a state is one
 amplitude box A[q, m] (BGHZState._box), every party holding q photons in
-its a-mode and m in its b-mode, on shell k = q + m.  Over the box grid a
-selector is two bands: its diagonal, a + b (2q - k) in basis 3 and a
-otherwise, and its upper band on (q, m) -> (q+1, m-1), b sqrt((q+1) m),
-times i in basis 2 and zero in basis 3.  An entrywise product of
-tridiagonal operators is tridiagonal, so a selector triple is the band
-product D, O of its diagonals and upper bands, and its expectation is one
-O(k)-per-shell pass over the box, with no dense block:
+its a-mode and m in its b-mode, on shell k = q + m.  An entrywise product
+of tridiagonal operators is tridiagonal, so a selector triple has a
+diagonal D and an upper band O on (q, m) -> (q+1, m-1), and its
+expectation is
 
     sum D |A|^2 + 2 Re sum conj(A[q, m]) O A[q+1, m-1].
+
+Each party's diagonal is a_k + b_k (q - m), as 2q - k = q - m, with the
+slope b_k in basis 3 only, so D on shell k is a cubic in q - m with
+coefficients e_p[k].  Each party's upper band is b_k sqrt((q+1) m), times
+i in basis 2 and zero in basis 3, so O exists only when no party measures
+in basis 3, and is then i^n2 b0_k b1_k b2_k ((q+1) m)^(3/2), n2 the number
+of basis-2 parties.  Shell k of the expectation is therefore
+
+    sum_p e_p[k] M_p[k] + 2 Re(i^n2 b0_k b1_k b2_k N[k])
+
+over the state's shell moments (BGHZState._moments), M_p[k] = sum
+(q - m)^p |A[q, m]|^2 for p = 0..3 and N[k] = sum conj(A[q, m])
+((q+1) m)^(3/2) A[q+1, m-1], both over the pairs on shell k.  They are
+built once per state; after that a selector triple costs O(cutoff), with
+no pass over the box.  The closed form for t reads the box itself, so
+CorrelationTensor.cross_check and the agreement diagnostics compare two
+different computations.
 
 The Mermin combination <111> - <122> - <212> - <221> needs only the
 basis-1 bands: a basis-2 upper band is the basis-1 one times i, so each
@@ -81,44 +95,35 @@ def _affine(kind: str, k: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
 _SHELL_BLOCKS: dict = {}
 
 
-def _grid(side: int) -> tuple[np.ndarray, np.ndarray]:
-    """Shell k = q + m over a side x side box, and the upper band's hop factors.
-
-    The band entry at [q, m-1] couples (q, m) to (q+1, m-1), on shell
-    k[q, m], with hop factor sqrt((q+1) m).
-    """
-    q = np.arange(side)
-    return np.add.outer(q, q), np.sqrt(np.outer(q[1:], q[1:]).astype(float))
-
-
-def _bands(selector: str, k: np.ndarray, hop: np.ndarray):
-    """(diagonal, upper band) of selector over the box grid; no band (None) in basis 3."""
-    basis_index, kind = _SELECTORS[selector]
-    a, b = _affine(kind, k)
-    if basis_index == 3:
-        q = np.arange(len(k))
-        return a + b * (2 * q[:, None] - k), None
-    upper = b[:-1, 1:] * hop
-    return a, 1j * upper if basis_index == 2 else upper
-
-
 def _shell_terms(state: BGHZState, ops, on_diag=1.0, on_band=1.0) -> np.ndarray:
     """Per-shell terms of the band product of three selectors on a bright state.
 
     Entry k, for k from 0 to twice the box's largest photon count, is the
     shell-k part of sum D |A|^2 + 2 Re sum conj(A[q, m]) O A[q+1, m-1],
-    with the diagonal D weighted by on_diag and the band O by on_band.
+    with the diagonal D weighted by on_diag and the band O by on_band,
+    read off the state's shell moments.
     """
-    box = state._box
-    k, hop = _grid(len(box))
-    (d0, u0), (d1, u1), (d2, u2) = (_bands(op, k, hop) for op in ops)
-    terms = (on_diag * d0 * d1 * d2 * (box.real**2 + box.imag**2)).ravel()
-    shells = k.ravel()
-    if not (u0 is None or u1 is None or u2 is None):
-        band = 2.0 * on_band * (box[:-1, 1:].conj() * (u0 * u1 * u2) * box[1:, :-1]).real
-        terms = np.concatenate((terms, band.ravel()))
-        shells = np.concatenate((shells, k[:-1, 1:].ravel()))
-    return np.bincount(shells, terms, minlength=2 * len(box) - 1)
+    moments, hops = state._moments
+    k = np.arange(len(hops))
+    # the diagonal product as a polynomial in q - m, one coefficient row per power
+    poly = np.zeros(moments.shape)
+    poly[0] = 1.0
+    band = 2.0 * on_band  # None once a basis-3 party leaves no band
+    for op in ops:
+        basis_index, kind = _SELECTORS[op]
+        a, b = _affine(kind, k)
+        if basis_index == 3:
+            poly[1:] = a * poly[1:] + b * poly[:-1]
+            poly[0] *= a
+            band = None
+        else:
+            poly *= a
+            if band is not None:
+                band = band * (1j * b if basis_index == 2 else b)
+    terms = on_diag * (poly * moments).sum(axis=0)
+    if band is not None:
+        terms += (band * hops).real
+    return terms
 
 
 def _validate_selectors(ops) -> tuple[str, str, str]:

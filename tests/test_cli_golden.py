@@ -96,6 +96,19 @@ def _assert_cells_match(got_line, want_line):
             assert abs(gv - wv) <= 1e-12 * max(1.0, abs(wv)), (got_line, want_line)
 
 
+def assert_stokes_csv_matches(got: str, want: str) -> None:
+    """The contract for a Stokes command's CSV: the same lines, comments
+    byte for byte, numeric cells to the 1e-12 rule above.  The CI workflow
+    also runs it on the console script's output."""
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    assert len(got_lines) == len(want_lines)
+    for g, w in zip(got_lines, want_lines):
+        if w.startswith("#"):
+            assert g == w
+        else:
+            _assert_cells_match(g, w)
+
+
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
 def test_cli_matches_golden(name, argv, code, tmp_path, capsys):
     out = tmp_path / f"{name}.csv"
@@ -106,13 +119,7 @@ def test_cli_matches_golden(name, argv, code, tmp_path, capsys):
     if argv[1] in BYTE_EXACT:
         assert got == want
         return
-    got_lines, want_lines = got.decode().splitlines(), want.decode().splitlines()
-    assert len(got_lines) == len(want_lines)
-    for g, w in zip(got_lines, want_lines):
-        if w.startswith("#"):
-            assert g == w
-        else:
-            _assert_cells_match(g, w)
+    assert_stokes_csv_matches(got.decode(), want.decode())
 
 
 if __name__ == "__main__":

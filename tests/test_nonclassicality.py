@@ -28,6 +28,7 @@ from brightghz.nonclassicality import (
 )
 from brightghz.oracles import dense_expectation, random_product_state
 from brightghz.state import NumericPolicy, build_bghz, project_out_vacuum
+from brightghz.stokes import _closed_form_t, stokes_expectation, tensor_t
 from references import amplitude_boxes, diagonal_state, reference_block
 
 
@@ -127,6 +128,26 @@ def test_mermin_reduction_identity(gamma):
     evaluation = evaluate_mermin(gamma)
     assert evaluation.agreement <= 1e-8
     assert evaluation.lhs == pytest.approx(evaluation.reduced, abs=1e-8)
+
+
+def test_cross_checks_never_read_the_shell_moments():
+    # the kernels read only the state's cached shell moments and the closed
+    # form only its box, so corrupted moments move the kernels, leave the
+    # closed form alone and show up in both diagnostics
+    gamma = 0.4
+    state = build_bghz(gamma)
+    t = _closed_form_t(state)
+    s111 = stokes_expectation(state, ("S1", "S1", "S1"))
+    lhs = mermin_lhs(gamma, state=state)
+    assert evaluate_mermin(gamma, state=state).agreement <= 1e-12
+    assert tensor_t(gamma, state=state).cross_check <= 1e-12
+    moments, hops = state._moments
+    state.__dict__["_moments"] = (1.5 * moments, 1.5 * hops)
+    assert abs(stokes_expectation(state, ("S1", "S1", "S1")) - 1.5 * s111) <= 1e-12
+    assert abs(mermin_lhs(gamma, state=state) - lhs) > 0.1
+    assert _closed_form_t(state) == t
+    assert evaluate_mermin(gamma, state=state).agreement > 0.1
+    assert tensor_t(gamma, state=state).cross_check > 0.1
 
 
 def test_mermin_small_gain_limit():

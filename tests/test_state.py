@@ -400,30 +400,63 @@ def test_value_cache_is_bounded(monkeypatch):
 
 
 def test_cutoff_cache_is_bounded(monkeypatch):
-    # the auto-cutoff memo keeps to the value cache's cap, and a gain
-    # evicted on the way finds the same cutoff again
+    # the per-gain factor memo, which holds the auto cutoff, keeps to
+    # VALUES_MAX // (CUTOFF_CAP + 1) entries, and a gain evicted on the way
+    # finds the same cutoff and rebuilds the same box
     monkeypatch.setattr(state_module, "_VALUES", {})
-    monkeypatch.setattr(state_module, "_CUTOFFS", {})
-    monkeypatch.setattr(state_module, "VALUES_MAX", 4)
+    monkeypatch.setattr(state_module, "_FACTORS", {})
+    monkeypatch.setattr(state_module, "VALUES_MAX", 4 * (CUTOFF_CAP + 1))
     first = build_bghz(0.1)
     for i in range(8):
         build_bghz(0.11 + 0.01 * i)
-        assert len(state_module._CUTOFFS) <= 4
-    assert not any(key[0] == 0.1 for key in state_module._CUTOFFS)
-    assert build_bghz(0.1).cutoff == first.cutoff
+        assert len(state_module._FACTORS) <= 4
+    assert len(state_module._FACTORS) == 4
+    assert not any(key[0] == 0.1 for key in state_module._FACTORS)
+    again = build_bghz(0.1)
+    assert again.cutoff == first.cutoff
+    assert np.array_equal(again._box, first._box)
 
 
 def test_warm_state_equals_cold_state(monkeypatch):
     build_bghz(0.563)
     warm = build_bghz(0.563)
-    assert (0.563,) + DEFAULT_POLICY.key() in state_module._CUTOFFS
+    assert (0.563, None) + DEFAULT_POLICY.key() in state_module._FACTORS
     monkeypatch.setattr(state_module, "_VALUES", {})
-    monkeypatch.setattr(state_module, "_CUTOFFS", {})
+    monkeypatch.setattr(state_module, "_FACTORS", {})
     cold = build_bghz(0.563)
     assert warm.cutoff == cold.cutoff
     assert warm.amps == cold.amps
     assert np.array_equal(warm._box, cold._box)
     assert warm.norm_residual == cold.norm_residual
+
+
+def test_warm_build_does_no_working_precision_work(monkeypatch):
+    # a warm build is one memo lookup and one float outer product: no series
+    # value is read and no photon distribution is summed, with the auto
+    # cutoff and with a pinned one, which keep separate entries
+    gamma = 0.352
+    monkeypatch.setattr(state_module, "_FACTORS", {})
+    policies = {cutoff: NumericPolicy(cutoff=cutoff) for cutoff in (None, 12)}
+    cold = {cutoff: build_bghz(gamma, policy) for cutoff, policy in policies.items()}
+    assert cold[None].cutoff == CUTOFF_CAP and cold[12].cutoff == 12
+    assert set(state_module._FACTORS) == {
+        (gamma, cutoff) + DEFAULT_POLICY.key() for cutoff in policies
+    }
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a warm build did working-precision work")
+
+    monkeypatch.setattr(state_module, "_series_value", forbidden)
+    monkeypatch.setattr(state_module, "photon_distribution", forbidden)
+    for cutoff, policy in policies.items():
+        warm = build_bghz(gamma, policy)
+        assert warm.cutoff == cold[cutoff].cutoff
+        assert warm.norm_residual == cold[cutoff].norm_residual
+        assert warm.amps == cold[cutoff].amps
+        assert np.array_equal(warm._box, cold[cutoff]._box)
+    for _, factor, _ in state_module._FACTORS.values():
+        with pytest.raises(ValueError, match="read-only"):
+            factor[0] = 0.0
 
 
 def test_amplitudes_pin_the_per_pair_formula():

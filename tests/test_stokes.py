@@ -21,10 +21,10 @@ from brightghz.state import (
 )
 from brightghz.stokes import (
     _SELECTORS,
-    _bands,
+    _affine,
     _closed_form_t,
-    _grid,
     _mermin_form,
+    _shell_terms,
     CorrelationTensor,
     stokes_expectation,
     tensor_t,
@@ -97,19 +97,24 @@ def _eigenbasis_block(values, k):
 
 
 def _band_blocks(selector, top):
-    """Shell-k blocks for k = 0..top, assembled from the production bands
-    of a box that holds every shell through top."""
-    grid, hop = _grid(top + 1)
-    diag, upper = _bands(selector, grid, hop)
+    """Shell-k blocks for k = 0..top, assembled from the production affine
+    data: a + b (2q - k) on the diagonal in basis 3, a elsewhere, and the
+    upper band b sqrt((q+1)(k-q)) on |q, k-q> -> |q+1, k-q-1>, times i in
+    basis 2."""
+    basis, kind = _SELECTORS[selector]
+    a, b = _affine(kind, np.arange(top + 1))
+    b = np.broadcast_to(b, a.shape)
     blocks = []
     for k in range(top + 1):
         q = np.arange(k + 1)
-        block = np.diag(diag[q, k - q]).astype(upper.dtype if upper is not None else float)
-        if upper is not None:
-            # the pair (q, k-q) -> (q+1, k-q-1) sits at [q, k-q-1]
-            u = upper[q[:-1], k - 1 - q[:-1]]
-            block += np.diag(u, 1) + np.diag(u.conj(), -1)
-        blocks.append(block)
+        if basis == 3:
+            blocks.append(np.diag(a[k] + b[k] * (2 * q - k)))
+            continue
+        u = b[k] * np.sqrt((q[:-1] + 1.0) * (k - q[:-1]))
+        if basis == 2:
+            u = 1j * u
+        block = np.diag(np.full(k + 1, a[k], u.dtype))
+        blocks.append(block + np.diag(u, 1) + np.diag(u.conj(), -1))
     return blocks
 
 
@@ -160,18 +165,42 @@ def _reference_block(selector, k):
     return reference_block(basis, _count_values(kind, k), k)
 
 
-def _full_shell_expectation(state, ops):
-    # whole shell vectors against the binomial reference blocks
+def _reference_shell_terms(state, ops, on_diag=1.0, on_band=1.0):
+    # whole shell vectors against the binomial reference blocks, one term per
+    # shell k = 0..2(side-1), the diagonal weighted by on_diag and the rest by on_band
+    side = 1 + max(max(key) for key in state.amps)
     shells = {}
     for (q, m), amp in state.amps.items():
         shells.setdefault(q + m, np.zeros(q + m + 1, dtype=complex))[q] = amp
-    total = 0.0
+    terms = np.zeros(2 * side - 1)
     for k, vec in shells.items():
         block = (
             _reference_block(ops[0], k) * _reference_block(ops[1], k) * _reference_block(ops[2], k)
         )
-        total += np.real(np.vdot(vec, block @ vec))
-    return total
+        diag = np.diag(np.diag(block))
+        terms[k] = np.real(np.vdot(vec, (on_diag * diag + on_band * (block - diag)) @ vec))
+    return terms
+
+
+def _full_shell_expectation(state, ops):
+    return _reference_shell_terms(state, ops).sum()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    amplitude_boxes(12),
+    st.tuples(*[st.sampled_from(sorted(_SELECTORS))] * 3),
+    st.sampled_from([(1.0, 1.0), (-2.0, 4.0), (0.5, -3.0)]),
+)
+def test_shell_terms_match_reference_per_shell(entries, ops, weights):
+    # the lossy Mermin test reweighs shells, so every term must be right,
+    # not only their sum
+    state = diagonal_state(entries)
+    assume(state is not None)
+    got = _shell_terms(state, ops, *weights)
+    want = _reference_shell_terms(state, ops, *weights)
+    assert got.shape == want.shape == (2 * state.cutoff + 1,)
+    assert np.abs(got - want).max() <= 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
