@@ -114,8 +114,10 @@ class SweepResult:
     )
 
     def __post_init__(self):
-        if any(b <= a for a, b in zip(self.axis, self.axis[1:])):
-            raise ValueError("axis must be strictly increasing")
+        if any(map(math.isnan, self.axis)) or any(
+            b <= a for a, b in zip(self.axis, self.axis[1:])
+        ):
+            raise ValueError("axis must be strictly increasing, without NaN")
         if not len(self.axis) == len(self.values) == len(self.diagnostics):
             raise ValueError("axis, values, diagnostics must align")
 
@@ -316,6 +318,10 @@ def lossy_mermin_lhs(
     return _lossy_lhs(_prepare(gamma, policy, state))(eta)
 
 
+class _NotViolated(ValueError):
+    """eta_threshold at a gain where even perfect detectors see no violation."""
+
+
 def eta_threshold(
     gamma: float,
     policy: NumericPolicy = DEFAULT_POLICY,
@@ -332,7 +338,7 @@ def eta_threshold(
     """
     lhs = _lossy_lhs(_prepare(gamma, policy, state))
     if lhs(1.0) <= CLASSICAL_BOUND:
-        raise ValueError(f"not violated at eta=1 (gamma={gamma})")
+        raise _NotViolated(f"not violated at eta=1 (gamma={gamma})")
     return find_crossing(lhs, CLASSICAL_BOUND, 1e-6, 1.0, tol)
 
 
@@ -407,11 +413,14 @@ def _sweep(gammas, evaluate, level=None, rising=False, bisect_value=None) -> Swe
     it defaults to that, and a sweep passes a leaner function when the
     diagnostics cost extra.  A point that raises RuntimeError (ResummationError
     included) or ValueError becomes NaN marked failed, and NaN brackets
-    nothing.
+    nothing.  The grid must be finite, non-negative and strictly increasing;
+    it is checked before the first evaluation.
     """
     gammas = tuple(float(g) for g in gammas)
-    if any(g < 0 for g in gammas):
-        raise ValueError("gains must be >= 0")
+    if not all(0 <= g < math.inf for g in gammas):
+        raise ValueError("gains must be finite and >= 0")
+    if any(b <= a for a, b in zip(gammas, gammas[1:])):
+        raise ValueError("gains must be strictly increasing")
     values, diagnostics = [], []
     for g in gammas:
         try:
@@ -455,12 +464,13 @@ def mermin_sweep(gammas, policy: NumericPolicy = DEFAULT_POLICY) -> SweepResult:
 
 def eta_threshold_sweep(gammas, policy: NumericPolicy = DEFAULT_POLICY) -> SweepResult:
     """eta_threshold per grid point; NaN with violated False where the
-    inequality is not violated even with perfect detectors.  No threshold."""
+    inequality is not violated even with perfect detectors, and any other
+    failure marked failed as in every sweep.  No threshold."""
 
     def evaluate(g):
         try:
             return eta_threshold(g, policy), {"violated": True}
-        except ValueError:
+        except _NotViolated:
             return math.nan, {"violated": False}
 
     return _sweep(gammas, evaluate)

@@ -15,16 +15,19 @@ Weights like (q!)**1.5 overflow double precision long before the cutoff
 does, so each factor's magnitudes are normalized at working precision and
 only then converted to machine floats, once per photon count.  The state's
 amplitude box is rank one, A[q, m] = u_q u_m, so one float outer product of
-those cutoff + 1 factor amplitudes fills it.  The factor amplitudes are
-memoized per gain point and cutoff request: a warm build_bghz does no
-working-precision work at all, only the lookup and the outer product.
+those cutoff + 1 factor amplitudes fills it.  The factor amplitudes and the
+shell moments of their box, all that the Stokes kernels read of a state,
+are memoized per gain point and cutoff request: a warm build_bghz does no
+working-precision work and bins nothing, only the lookup and the outer
+product.  A built state's amps is a read-only mapping read off its box.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, inf
@@ -158,13 +161,14 @@ class BGHZState:
     which every one of the three observers holds q photons in its a-mode
     and m in its b-mode.  norm_residual records |1 - sum|amp|^2| before
     renormalization, a joint measure of truncation loss and resummation drift.
-    Any box of amplitudes can be given as amps; build_bghz hands over its
-    box instead (_from_box), and amps is read off it.
+    Any mapping of amplitudes can be given as amps.  build_bghz and
+    project_out_vacuum hand over a read-only box instead (_from_box), and
+    amps is then a read-only mapping view of it, in q-major order.
     """
 
     gamma: float
     cutoff: int
-    amps: dict[tuple[int, int], complex]
+    amps: Mapping[tuple[int, int], complex]
     norm_residual: float
     vacuum_projected: bool = False
 
@@ -196,50 +200,104 @@ class BGHZState:
     def _moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-shell moments of the box: all that the selector kernels read of a state.
 
-        M[p, k] = sum (q - m)^p |A[q, m]|^2 for p = 0..3 and the band moment
-        N[k] = sum conj(A[q, m]) ((q+1) m)^(3/2) A[q+1, m-1], both over the
-        pairs on shell k = q + m, for k up to twice the box's largest photon
-        count; the stokes module docstring derives every selector triple
-        from them.  Built once per state, read-only.
+        _shell_moments(self._box), built once per state; build_bghz hands a
+        state the moments memoized for its gain.
         """
-        box = self._box
-        q = np.arange(len(box))
-        shells = 2 * len(box) - 1
-        k = np.add.outer(q, q)
-        mass = (box.real**2 + box.imag**2).ravel()
-        powers = np.subtract.outer(q, q).ravel() ** np.arange(4)[:, None]
-        moments = np.array([np.bincount(k.ravel(), w, shells) for w in powers * mass])
-        # over (q, m) -> (q+1, m-1), entry [q, m-1], on shell k[q, m]
-        band = (box[:-1, 1:].conj() * np.outer(q[1:], q[1:]) ** 1.5 * box[1:, :-1]).ravel()
-        on = k[:-1, 1:].ravel()
-        hops = np.bincount(on, band.real, shells) + 1j * np.bincount(on, band.imag, shells)
-        moments.setflags(write=False)
-        hops.setflags(write=False)
-        return moments, hops
+        return _shell_moments(self._box)
 
     @classmethod
     def _from_box(
-        cls, gamma: float, cutoff: int, box: np.ndarray, norm_residual: float
+        cls,
+        gamma: float,
+        cutoff: int,
+        box: np.ndarray,
+        norm_residual: float,
+        moments: tuple[np.ndarray, np.ndarray] | None = None,
+        vacuum_projected: bool = False,
     ) -> BGHZState:
-        """The state with amplitude box `box`.
+        """The state with amplitude box `box`, made read-only, and its shell moments if known.
 
-        amps is read off the box in q-major order, the order
-        project_out_vacuum sums in.
+        amps is a read-only view of the box (_BoxAmplitudes); a
+        vacuum-projected state's view has no (0, 0) key.
         """
-        keys = itertools.product(range(len(box)), repeat=2)
+        box.setflags(write=False)
         state = cls(
             gamma=gamma,
             cutoff=cutoff,
-            amps=dict(zip(keys, box.ravel().tolist())),
+            amps=_BoxAmplitudes(box, int(vacuum_projected)),
             norm_residual=norm_residual,
+            vacuum_projected=vacuum_projected,
         )
-        state.__dict__["_box"] = box  # what the _box cached property would store
+        # what the cached properties would store
+        state.__dict__["_box"] = box
+        if moments is not None:
+            state.__dict__["_moments"] = moments
         return state
 
     @cached_property
     def _vacuum_projected(self) -> BGHZState:
         """project_out_vacuum(self), built once per state for the projected witnesses."""
         return project_out_vacuum(self)
+
+
+class _BoxAmplitudes(Mapping):
+    """Read-only mapping view {(q, m): complex(box[q, m])} of an amplitude box.
+
+    Keys run over the box in q-major order, the order project_out_vacuum
+    sums in, from flat entry `first` on: 0, or 1 to leave out the (0, 0)
+    entry of a vacuum-projected box.  Any other key raises KeyError.
+    """
+
+    __slots__ = ("_box", "_first")
+
+    def __init__(self, box: np.ndarray, first: int = 0):
+        self._box = box
+        self._first = first
+
+    def __getitem__(self, key) -> complex:
+        side = len(self._box)
+        try:
+            q, m = key
+            if q % 1 == 0 == m % 1 and 0 <= q < side and 0 <= m < side:
+                if q * side + m >= self._first:
+                    return complex(self._box[int(q), int(m)])
+        except (TypeError, ValueError):
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        pairs = itertools.product(range(len(self._box)), repeat=2)
+        return itertools.islice(pairs, self._first, None)
+
+    def __len__(self) -> int:
+        return self._box.size - self._first
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+def _shell_moments(box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only per-shell moments (M, N) of an amplitude box.
+
+    M[p, k] = sum (q - m)^p |A[q, m]|^2 for p = 0..3 and the band moment
+    N[k] = sum conj(A[q, m]) ((q+1) m)^(3/2) A[q+1, m-1], both over the
+    pairs on shell k = q + m, for k up to twice the box's largest photon
+    count; the stokes module docstring derives every selector triple from
+    them.
+    """
+    q = np.arange(len(box))
+    shells = 2 * len(box) - 1
+    k = np.add.outer(q, q)
+    mass = (box.real**2 + box.imag**2).ravel()
+    powers = np.subtract.outer(q, q).ravel() ** np.arange(4)[:, None]
+    moments = np.array([np.bincount(k.ravel(), w, shells) for w in powers * mass])
+    # over (q, m) -> (q+1, m-1), entry [q, m-1], on shell k[q, m]
+    band = (box[:-1, 1:].conj() * np.outer(q[1:], q[1:]) ** 1.5 * box[1:, :-1]).ravel()
+    on = k[:-1, 1:].ravel()
+    hops = np.bincount(on, band.real, shells) + 1j * np.bincount(on, band.imag, shells)
+    moments.setflags(write=False)
+    hops.setflags(write=False)
+    return moments, hops
 
 
 def _is_count_pair(key) -> bool:
@@ -261,14 +319,17 @@ _VALUES: dict[tuple, object] = {}
 VALUES_MAX = 32768
 # Bright-state factor per gain point and cutoff request, most recently used
 # last: the cutoff (the auto one, when the policy pins none), the read-only
-# normalized factor amplitudes u_q and the norm residual.  Rebuilding them
-# re-reads every cached value, runs photon_distribution for an auto cutoff
-# and redoes the working-precision powers and normalization: nearly all of
-# a warm build_bghz.  Keyed like _VALUES (three beams, no tuple number)
-# plus the pinned cutoff or None, and holding only successful builds.  An
-# entry holds at most CUTOFF_CAP + 1 numbers for any auto cutoff, so
-# VALUES_MAX // (CUTOFF_CAP + 1) entries hold no more than _VALUES does.
-_FACTORS: dict[tuple, tuple[int, np.ndarray, float]] = {}
+# normalized factor amplitudes u_q, the norm residual and the read-only shell
+# moments of the box u u^T.  Rebuilding them re-reads every cached value,
+# runs photon_distribution for an auto cutoff, redoes the working-precision
+# powers and normalization and bins the box by shell: nearly all of a warm
+# build_bghz.  Keyed like _VALUES (three beams, no tuple number) plus the
+# pinned cutoff or None, and holding only successful builds.  An entry holds
+# at most CUTOFF_CAP + 1 numbers for any auto cutoff, so the cap of
+# VALUES_MAX // (CUTOFF_CAP + 1) entries (537) holds no more factor numbers
+# than _VALUES holds values; with the moments (4 x 121 floats and 121
+# complex at the auto cutoff's most) an entry is about 7 kB, under 4 MB in all.
+_FACTORS: dict[tuple, tuple[int, np.ndarray, float, tuple[np.ndarray, np.ndarray]]] = {}
 
 
 def _resummer(n: int, k: int, L: int) -> DiagonalResummer:
@@ -464,8 +525,9 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
     q, m <= policy.cutoff; an auto cutoff follows the photon-distribution
     rule for three beams.  The factor magnitudes |C_q| (q!)**1.5 are
     normalized at working precision and converted to floats once each, and
-    memoized per gain; the box is their outer product, handed to the
-    state, and amps is read off it.
+    memoized per gain with the shell moments of their box; the box is their
+    outer product, handed to the state with those moments, and amps is read
+    off it.
     """
     if not 0 <= gamma < inf:
         raise ValueError(f"gain must be finite and >= 0, got {gamma}")
@@ -485,12 +547,13 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
     _FACTORS[key] = got
     if len(_FACTORS) > VALUES_MAX // (CUTOFF_CAP + 1):
         del _FACTORS[next(iter(_FACTORS))]
-    cutoff, factor, norm_residual = got
-    return BGHZState._from_box(gamma, cutoff, np.outer(factor, factor), norm_residual)
+    cutoff, factor, norm_residual, moments = got
+    return BGHZState._from_box(gamma, cutoff, np.outer(factor, factor), norm_residual, moments)
 
 
-def _factor(gamma: float, policy: NumericPolicy) -> tuple[int, np.ndarray, float]:
-    """(cutoff, read-only factor amplitudes u_q, norm_residual) of the state at gamma > 0."""
+def _factor(gamma: float, policy: NumericPolicy) -> tuple:
+    """(cutoff, read-only factor amplitudes u_q, norm_residual, shell moments of u u^T)
+    of the state at gamma > 0."""
     cutoff = policy.cutoff
     if cutoff is None:
         with warnings.catch_warnings():
@@ -512,24 +575,24 @@ def _factor(gamma: float, policy: NumericPolicy) -> tuple[int, np.ndarray, float
             [(1j) ** (q % 4) * (signs[q] * float(x)) for q, x in enumerate(unit)]
         )
     factor.setflags(write=False)
-    return cutoff, factor, norm_residual
+    return cutoff, factor, norm_residual, _shell_moments(np.outer(factor, factor))
 
 
 def project_out_vacuum(state: BGHZState) -> BGHZState:
     """Remove the global vacuum component and renormalize.
 
     On the exchange-symmetric diagonal an observer sees vacuum exactly when
-    all of them do, so local and global vacuum projection coincide.
+    all of them do, so local and global vacuum projection coincide.  The
+    box is copied with A[0, 0] zeroed, its squared magnitudes are summed
+    left to right in q-major order, and the scaled copy is handed to the
+    projected state, whose amps has no (0, 0) key.
     """
-    rest = {qm: a for qm, a in state.amps.items() if qm != (0, 0)}
-    total = sum(abs(a) ** 2 for a in rest.values())
+    box = state._box.copy()
+    box[0, 0] = 0.0
+    total = sum(abs(a) ** 2 for a in box.ravel().tolist())
     if total <= 0:
         raise ValueError("state has no nonvacuum support to keep")
-    scale = total**-0.5
-    return BGHZState(
-        gamma=state.gamma,
-        cutoff=state.cutoff,
-        amps={qm: a * scale for qm, a in rest.items()},
-        norm_residual=state.norm_residual,
-        vacuum_projected=True,
+    box *= total**-0.5
+    return BGHZState._from_box(
+        state.gamma, state.cutoff, box, state.norm_residual, vacuum_projected=True
     )

@@ -36,9 +36,13 @@ of basis-2 parties.  Shell k of the expectation is therefore
 
 over the state's shell moments (BGHZState._moments), M_p[k] = sum
 (q - m)^p |A[q, m]|^2 for p = 0..3 and N[k] = sum conj(A[q, m])
-((q+1) m)^(3/2) A[q+1, m-1], both over the pairs on shell k.  They are
-built once per state; after that a selector triple costs O(cutoff), with
-no pass over the box.  The closed form for t reads the box itself, so
+((q+1) m)^(3/2) A[q+1, m-1], both over the pairs on shell k.  The moments
+are built once per state (build_bghz memoizes them per gain).  The weights
+e_p[k] and i^n2 b0_k b1_k b2_k depend only on the triple and k: they are
+read-only tables built once per triple and band weight (_WEIGHTS) and
+sliced per call, so a selector triple costs one lookup and one weighted
+moment sum, with no pass over the box.  The closed form for t reads the
+box itself, with a hop-weight grid that depends on the box size alone, so
 CorrelationTensor.cross_check and the agreement diagnostics compare two
 different computations.
 
@@ -57,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from brightghz.state import BGHZState, DEFAULT_POLICY, NumericPolicy, build_bghz
+from brightghz.state import CUTOFF_CAP, BGHZState, DEFAULT_POLICY, NumericPolicy, build_bghz
 
 __all__ = [
     "CorrelationTensor",
@@ -94,32 +98,57 @@ def _affine(kind: str, k: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
 # bench/tracing.py reads _SHELL_BLOCKS; ROADMAP item 12 removes that read and this dict
 _SHELL_BLOCKS: dict = {}
 
+# Shell weights per (selector triple, band weight): the cubic coefficients
+# e_p[k] of the diagonal, one row per power p of q - m, and the band weight
+# 2 on_band i^n2 b0_k b1_k b2_k, or None once a basis-3 party leaves no band.
+# They depend on neither the state nor the gain, so each is built once,
+# read-only, through shell 2 CUTOFF_CAP (grown for a box with more shells: a
+# hand-made one, or a cutoff pinned past the cap) and sliced per call; the
+# diagonal weight scales the moment sum per call and is no part of the key.
+# The keys come from the 10-selector alphabet and the callers' band weights
+# (1 and 4 in production): at most 1000 tables per band weight, about 5.8 kB
+# each at 2 CUTOFF_CAP + 1 shells.
+_WEIGHTS: dict[tuple, tuple[np.ndarray, np.ndarray | None]] = {}
+
+
+def _shell_weights(ops: tuple, on_band: float, shells: int):
+    """(e_p[k], band weight[k]) of the selector triple ops over shells 0..shells-1."""
+    got = _WEIGHTS.get((ops, on_band))
+    if got is None or got[0].shape[1] < shells:
+        k = np.arange(max(shells, 2 * CUTOFF_CAP + 1))
+        # the diagonal product as a polynomial in q - m, one coefficient row per power
+        poly = np.zeros((4, len(k)))
+        poly[0] = 1.0
+        band = 2.0 * on_band  # None once a basis-3 party leaves no band
+        for op in ops:
+            basis_index, kind = _SELECTORS[op]
+            a, b = _affine(kind, k)
+            if basis_index == 3:
+                poly[1:] = a * poly[1:] + b * poly[:-1]
+                poly[0] *= a
+                band = None
+            else:
+                poly *= a
+                if band is not None:
+                    band = band * (1j * b if basis_index == 2 else b)
+        poly.setflags(write=False)
+        if band is not None:
+            band.setflags(write=False)
+        got = _WEIGHTS[ops, on_band] = poly, band
+    poly, band = got
+    return poly[:, :shells], None if band is None else band[:shells]
+
 
 def _shell_terms(state: BGHZState, ops, on_diag=1.0, on_band=1.0) -> np.ndarray:
     """Per-shell terms of the band product of three selectors on a bright state.
 
     Entry k, for k from 0 to twice the box's largest photon count, is the
     shell-k part of sum D |A|^2 + 2 Re sum conj(A[q, m]) O A[q+1, m-1],
-    with the diagonal D weighted by on_diag and the band O by on_band,
-    read off the state's shell moments.
+    with the diagonal D weighted by on_diag and the band O by on_band:
+    one weighted sum of the state's shell moments.
     """
     moments, hops = state._moments
-    k = np.arange(len(hops))
-    # the diagonal product as a polynomial in q - m, one coefficient row per power
-    poly = np.zeros(moments.shape)
-    poly[0] = 1.0
-    band = 2.0 * on_band  # None once a basis-3 party leaves no band
-    for op in ops:
-        basis_index, kind = _SELECTORS[op]
-        a, b = _affine(kind, k)
-        if basis_index == 3:
-            poly[1:] = a * poly[1:] + b * poly[:-1]
-            poly[0] *= a
-            band = None
-        else:
-            poly *= a
-            if band is not None:
-                band = band * (1j * b if basis_index == 2 else b)
+    poly, band = _shell_weights(tuple(ops), on_band, len(hops))
     terms = on_diag * (poly * moments).sum(axis=0)
     if band is not None:
         terms += (band * hops).real
@@ -189,12 +218,26 @@ def _closed_form_t(state: BGHZState) -> float:
     transposed partner makes it <S1 S1 S1> only on exchange-symmetric boxes.
     """
     box = state._box
-    q = np.arange(len(box))
-    # over (q, m) -> (q+1, m-1), entry [q, m-1]: ((q+1) m)^(3/2) / k^3
-    weight = np.outer(q[1:], q[1:]) ** 1.5 / np.add.outer(q[:-1], q[1:]) ** 3
     direct = (box[:-1, 1:].conj() * box[1:, :-1]).real
     transposed = (box.T[1:, :-1].conj() * box[:-1, 1:]).real
-    return float((weight * (direct + transposed)).sum())
+    return float((_t_weight(len(box) - 1) * (direct + transposed)).sum())
+
+
+# over (q, m) -> (q+1, m-1), entry [q, m-1]: ((q+1) m)^(3/2) / k^3, that is
+# ((i+1)(j+1))^1.5 / (i+j+1)^3 at [i, j]; it depends on the box size alone,
+# so it is built once, read-only, through CUTOFF_CAP, grown for a larger
+# box, and sliced per box
+_T_WEIGHT = np.empty((0, 0))
+
+
+def _t_weight(size: int) -> np.ndarray:
+    """The closed form's hop weights on a box of side size + 1."""
+    global _T_WEIGHT
+    if len(_T_WEIGHT) < size:
+        q = np.arange(max(size, CUTOFF_CAP) + 1)
+        _T_WEIGHT = np.outer(q[1:], q[1:]) ** 1.5 / np.add.outer(q[:-1], q[1:]) ** 3
+        _T_WEIGHT.setflags(write=False)
+    return _T_WEIGHT[:size, :size]
 
 
 def tensor_t(

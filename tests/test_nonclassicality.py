@@ -371,6 +371,29 @@ def test_sweep_result_validates_axis():
         SweepResult(axis=(0.2, 0.1), values=(1.0, 2.0), diagnostics=({}, {}))
     with pytest.raises(ValueError):
         SweepResult(axis=(0.1, 0.2), values=(1.0,), diagnostics=({}, {}))
+    for axis in [(0.1, math.nan), (math.nan, 0.1), (math.nan,)]:
+        with pytest.raises(ValueError, match="NaN"):
+            SweepResult(axis=axis, values=(1.0,) * len(axis), diagnostics=({},) * len(axis))
+
+
+@pytest.mark.parametrize(
+    "grid", [(0.3, 0.2), (0.2, 0.2), (0.1, math.nan), (math.nan,), (0.1, math.inf), (-0.1, 0.2)]
+)
+def test_sweep_checks_the_grid_before_evaluating(monkeypatch, grid):
+    # a grid that is not finite, non-negative and strictly increasing is
+    # rejected before any point costs a (possibly cold) evaluation
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return 0.0
+
+    monkeypatch.setattr(nonclassicality, "witness_w1", recorded)
+    monkeypatch.setattr(nonclassicality, "eta_threshold", recorded)
+    for sweep in (lambda: witness_sweep(1, grid), lambda: eta_threshold_sweep(grid)):
+        with pytest.raises(ValueError, match="gains must be"):
+            sweep()
+    assert calls == []
 
 
 def test_mermin_sweep_brackets_threshold(monkeypatch):
@@ -429,6 +452,18 @@ def test_eta_threshold_sweep_flags_unviolated_points():
     assert not result.diagnostics[2]["violated"]
     assert math.isnan(result.values[2])
     assert result.values[1] > result.values[0]
+
+
+def test_eta_threshold_sweep_marks_other_errors_failed(monkeypatch):
+    # only "not violated at eta = 1" reads as violated False; any other
+    # ValueError is a failed point, as in every sweep
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(nonclassicality, "eta_threshold", boom)
+    result = eta_threshold_sweep((0.3, 0.4))
+    assert all(math.isnan(v) for v in result.values)
+    assert result.diagnostics == ({"failed": True, "error": "boom"},) * 2
 
 
 def test_witness_sweep_values_and_diagnostics():

@@ -454,7 +454,7 @@ def test_warm_build_does_no_working_precision_work(monkeypatch):
         assert warm.norm_residual == cold[cutoff].norm_residual
         assert warm.amps == cold[cutoff].amps
         assert np.array_equal(warm._box, cold[cutoff]._box)
-    for _, factor, _ in state_module._FACTORS.values():
+    for _, factor, _, _ in state_module._FACTORS.values():
         with pytest.raises(ValueError, match="read-only"):
             factor[0] = 0.0
 
@@ -503,3 +503,69 @@ def test_handed_box_is_the_rank_one_box_of_the_amplitudes(gamma, cutoff):
     assert np.array_equal(box, rebuilt._box)
     minors = box * box[0, 0] - np.outer(box[:, 0], box[0, :])
     assert np.abs(minors).max() <= 1e-15
+
+
+def test_amps_view_reads_the_box():
+    # a built state's amps is a read-only mapping over its box: q-major keys,
+    # one per box entry, values complex(box[q, m]), equal to the dict of the
+    # same items, and a KeyError for any key outside the box
+    state = build_bghz(0.3, NumericPolicy(cutoff=4))
+    box = state._box
+    side = len(box)
+    keys = [(q, m) for q in range(side) for m in range(side)]
+    assert list(state.amps) == keys
+    assert len(state.amps) == box.size == side * side
+    items = {qm: complex(box[qm]) for qm in keys}
+    assert state.amps == items and items == state.amps
+    assert state.amps != {**items, (0, 0): 0j}
+    assert all(type(a) is complex for a in state.amps.values())
+    bad_keys = [(-1, 0), (0, -1), (1, -1), (-1, side + 1), (side, 0), (0, side), (0.5, 1)]
+    for bad in bad_keys + [(1,), (1, 2, 3), "ab", None]:
+        with pytest.raises(KeyError):
+            state.amps[bad]
+        assert bad not in state.amps
+    with pytest.raises(TypeError):
+        state.amps[(0, 0)] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        box[0, 0] = 1.0
+    rebuilt = BGHZState(
+        gamma=state.gamma, cutoff=state.cutoff, amps=state.amps, norm_residual=state.norm_residual
+    )
+    assert np.array_equal(rebuilt._box, box)
+    assert rebuilt == state
+
+
+def test_projected_state_is_read_off_a_scaled_box():
+    # the projected box is the zeroed-vacuum copy scaled by the inverse root
+    # of the left-to-right q-major sum, bit for bit, and its amps leave out (0, 0)
+    state = build_bghz(0.352)
+    projected = project_out_vacuum(state)
+    rest = {qm: a for qm, a in state.amps.items() if qm != (0, 0)}
+    scale = sum(abs(a) ** 2 for a in rest.values()) ** -0.5
+    assert projected.amps == {qm: a * scale for qm, a in rest.items()}
+    assert list(projected.amps) == list(rest)
+    assert len(projected.amps) == state._box.size - 1
+    assert projected._box[0, 0] == 0 and projected._box.shape == state._box.shape
+    with pytest.raises(KeyError):
+        projected.amps[(0, 0)]
+    assert state._box[0, 0] != 0 and (0, 0) in state.amps  # the source keeps its vacuum
+
+
+def test_warm_build_reuses_the_shell_moments(monkeypatch):
+    # the memo keeps the read-only moments of the first box for its gain; a
+    # warm build hands them over without binning the box again
+    gamma = 0.352
+    monkeypatch.setattr(state_module, "_FACTORS", {})
+    cold = build_bghz(gamma)
+    cold_moments = cold._moments
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a warm build binned its box by shell")
+
+    monkeypatch.setattr(state_module.np, "bincount", forbidden)
+    warm = build_bghz(gamma)
+    assert warm is not cold
+    for got, want in zip(warm._moments, cold_moments):
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 0.0

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import brightghz.stokes as stokes_module
 from brightghz.oracles import DenseTruncatedState, dense_expectation
 from brightghz.state import (
     CUTOFF_CAP,
@@ -201,6 +202,143 @@ def test_shell_terms_match_reference_per_shell(entries, ops, weights):
     want = _reference_shell_terms(state, ops, *weights)
     assert got.shape == want.shape == (2 * state.cutoff + 1,)
     assert np.abs(got - want).max() <= 1e-12
+
+
+def _direct_shell_terms(state, ops, on_diag=1.0, on_band=1.0):
+    # the per-shell weights built afresh over exactly the state's shells, by
+    # the same elementwise operations as the production tables
+    moments, hops = state._moments
+    k = np.arange(len(hops))
+    poly = np.zeros(moments.shape)
+    poly[0] = 1.0
+    band = 2.0 * on_band
+    for op in ops:
+        basis_index, kind = _SELECTORS[op]
+        a, b = _affine(kind, k)
+        if basis_index == 3:
+            poly[1:] = a * poly[1:] + b * poly[:-1]
+            poly[0] *= a
+            band = None
+        else:
+            poly *= a
+            if band is not None:
+                band = band * (1j * b if basis_index == 2 else b)
+    terms = on_diag * (poly * moments).sum(axis=0)
+    if band is not None:
+        terms += (band * hops).real
+    return terms
+
+
+def _hand_state(side, amps):
+    # a hand-made state whose box has the given side, amps on a few keys only
+    amps = {(side - 1, side - 1): 0.0, **amps}
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    return BGHZState(
+        gamma=0.0,
+        cutoff=side - 1,
+        amps={qm: a / norm for qm, a in amps.items()},
+        norm_residual=0.0,
+    )
+
+
+def test_shell_terms_do_not_depend_on_the_first_table_size(monkeypatch):
+    # the same small state's terms, bit for bit, whichever box first built
+    # the tables: itself (9 shells), a state at the cutoff cap (121) or a
+    # hand-made box past the cap (131), and equal to weights built afresh
+    # over its own 9 shells
+    small = build_bghz(0.3, NumericPolicy(cutoff=4))
+    firsts = [
+        None,
+        build_bghz(0.352),
+        _hand_state(CUTOFF_CAP + 6, {(0, 0): 1.0, (3, 2): 0.5j, (4, 1): -0.25}),
+    ]
+    triples = list(itertools.product(sorted(_SELECTORS), repeat=3))
+    weights = [(1.0, 1.0), (-2.0, 4.0)]
+    got = []
+    for first in firsts:
+        monkeypatch.setattr(stokes_module, "_WEIGHTS", {})
+        if first is not None:
+            assert len(first._moments[1]) > len(small._moments[1]) == 9
+            for ops in triples:
+                for w in weights:
+                    _shell_terms(first, ops, *w)
+        got.append([_shell_terms(small, ops, *w) for ops in triples for w in weights])
+    want = [_direct_shell_terms(small, ops, *w) for ops in triples for w in weights]
+    for terms in got:
+        assert all(np.array_equal(a, b) for a, b in zip(terms, want))
+
+
+def test_tables_grow_past_the_cap(monkeypatch):
+    # a hand-made box with more than 2 CUTOFF_CAP + 1 shells grows the shell
+    # weights and the closed form's hop weights; every term equals weights
+    # built afresh and matches the reference, whose binomial rotations hold
+    # through shell 2 CUTOFF_CAP (basis-3 blocks are diagonal, exact on all)
+    monkeypatch.setattr(stokes_module, "_WEIGHTS", {})
+    monkeypatch.setattr(stokes_module, "_T_WEIGHT", np.empty((0, 0)))
+    side = CUTOFF_CAP + 5
+    top = side - 1
+    state = _hand_state(
+        side,
+        {
+            (0, 0): 0.6,
+            (30, 20): 0.3,
+            (31, 19): -0.2j,
+            (20, 30): 0.3,
+            (19, 31): -0.2j,
+            (top, top - 1): 0.25 + 0.1j,
+            (top - 1, top): 0.25 + 0.1j,
+            (top, top): 0.15,
+        },
+    )
+    shells = 2 * side - 1
+    assert shells > 2 * CUTOFF_CAP + 1
+    triples = [("S1", "S1", "S1"), ("S1p", "S2p", "S2p"), ("S2", "S2", "S1"), ("S3", "S3", "S0")]
+    small = build_bghz(0.3, NumericPolicy(cutoff=4))
+    _closed_form_t(small)
+    for ops in triples:
+        _shell_terms(small, ops)  # a table first built at the default size
+        assert stokes_module._WEIGHTS[ops, 1.0][0].shape[1] == 2 * CUTOFF_CAP + 1
+        got = _shell_terms(state, ops)
+        assert stokes_module._WEIGHTS[ops, 1.0][0].shape[1] >= shells
+        assert np.array_equal(got, _direct_shell_terms(state, ops))
+        reach = shells if set(ops) <= {"S3", "S0", "I"} else 2 * CUTOFF_CAP + 1
+        want = _reference_shell_terms(state, ops)
+        assert np.abs(got - want)[:reach].max() <= 1e-12
+        assert np.abs(got[2 * top - 1 :]).max() > 0  # the top shells count
+    assert _closed_form_t(state) == pytest.approx(
+        stokes_expectation(state, ("S1", "S1", "S1")), abs=1e-12
+    )
+    assert len(stokes_module._T_WEIGHT) >= side - 1
+
+
+def test_weight_tables_are_read_only():
+    state = build_bghz(0.3, NumericPolicy(cutoff=4))
+    for ops in [("S1", "S2", "S2"), ("S3", "S3", "S0")]:
+        _shell_terms(state, ops)
+        poly, band = stokes_module._WEIGHTS[ops, 1.0]
+        with pytest.raises(ValueError, match="read-only"):
+            poly[0, 0] = 0.0
+        if band is not None:
+            with pytest.raises(ValueError, match="read-only"):
+                band[0] = 0.0
+    _closed_form_t(state)
+    with pytest.raises(ValueError, match="read-only"):
+        stokes_module._T_WEIGHT[0, 0] = 0.0
+
+
+def test_warm_kernels_build_no_weights(monkeypatch):
+    # after warm-up a selector triple is a table lookup and a moment sum
+    state = build_bghz(0.352)
+    triples = [(sel,) * 3 for sel in sorted(_SELECTORS)] + MERMIN_TRIPLES
+    before = [stokes_expectation(state, ops) for ops in triples]
+    t = _closed_form_t(state)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a warm kernel rebuilt its shell weights")
+
+    monkeypatch.setattr(stokes_module, "_affine", forbidden)
+    assert [stokes_expectation(state, ops) for ops in triples] == before
+    assert _closed_form_t(state) == t
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
