@@ -1,0 +1,30 @@
+"""Write the continued-fraction tables that ship with the package.
+
+    PYTHONPATH=src python -m brightghz._cftables
+
+rewrites src/brightghz/cfractions.zip from the code: the complete value
+and check runs of the three-beam series of every tuple number the auto
+cutoff can reach (0..CUTOFF_CAP) at the default policy's length and
+precision.  Run it after any change that moves those tables (the
+recurrence, the qd algorithm, its contexts or the default policy); the
+test suite regenerates them and fails while the shipped file is stale.
+"""
+
+from __future__ import annotations
+
+from brightghz import pade
+from brightghz.series_core import c_series
+from brightghz.state import CUTOFF_CAP, DEFAULT_POLICY
+
+
+def _archive() -> bytes:
+    """The shipped archive's bytes, as the code computes them now."""
+    length = 2 * DEFAULT_POLICY.pade_order + 1
+    series = (c_series(k, 3, length).coeffs for k in range(CUTOFF_CAP + 1))
+    return pade._table_archive(series, DEFAULT_POLICY.bits)
+
+
+if __name__ == "__main__":
+    data = _archive()
+    pade._TABLES.write_bytes(data)
+    print(f"wrote {len(data)} bytes to {pade._TABLES}")

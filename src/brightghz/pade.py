@@ -31,16 +31,35 @@ fails this check ends the walk unconverged, recorded with no value.
 The continued-fraction steps compute in the standard decimal module, whose
 C implementation runs this arithmetic about three times faster than
 mpmath's pure-Python backend; values are handed out as mpmath numbers.
+
+The coefficients depend only on the series and the precision, never on
+the point, so the three-beam tables at the default policy (tuple numbers
+0..CUTOFF_CAP, 81 terms, 256 bits: every table a default Bell scan walks)
+ship with the package as cfractions.zip, one deflated member per series.
+A member is named by a checksum of everything that determines its table:
+the exact coefficients, bits, and the decimal precisions of both qd runs
+and both walks.  So a table is read from the archive (lazily, one member
+at a time, on the first build at that precision) only where the code
+would compute exactly those numbers; any other series or precision,
+including a changed guard constant, runs qd as above.  Decimal rounds
+correctly on every platform, so a stored table is the one the code
+computes.  `python -m brightghz._cftables` rewrites the archive, and a
+test regenerates every member and compares it byte for byte.
 """
 
 from __future__ import annotations
 
 import decimal
+import functools
+import io
 import math
-from collections.abc import Iterator, Sequence
+import zipfile
+import zlib
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
+from pathlib import Path
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_rational, round_nearest, to_rational
@@ -146,7 +165,8 @@ class _Ladder:
     ... as far as some walk has read them; runs pairs the two suspended qd
     runs, and is None once the table holds all size coefficients the
     series determines or either run broke down (the table then ends at
-    the shorter run).  What every walk at this precision shares: the two
+    the shorter run), and from the start for a table read from the
+    shipped archive.  What every walk at this precision shares: the two
     contexts, c_0 in each, and the 2**-bits acceptance limit.
     """
 
@@ -177,6 +197,85 @@ class _Ladder:
         return True
 
 
+def _ladder(coeffs: Sequence[Fraction], bits: int) -> tuple[_Ladder, str]:
+    """The ladder of coeffs at bits with its qd runs unstarted, and its table's name.
+
+    The name is a 64-bit checksum (CRC-32, then Adler-32) of the text of
+    everything that fixes the table: bits, the decimal precisions of both
+    qd runs and both walks, and the exact coefficients.  hashlib would
+    load OpenSSL, about 3.6 MB resident, for the same job.
+    """
+    check_bits = bits + 2 * _GUARD_BITS
+    value_ctx = _context(check_bits + _GUARD_BITS)
+    check_ctx = _context(check_bits)
+    size = len(coeffs) - 1
+    qd_bits = check_bits + _QD_BITS_PER_TERM * size
+    qd_value, qd_check = _context(qd_bits + _GUARD_BITS), _context(qd_bits)
+    precisions = f"{bits} {qd_value.prec} {qd_check.prec} {value_ctx.prec} {check_ctx.prec}"
+    key = "".join([precisions, *(f" {c.numerator}/{c.denominator}" for c in coeffs)]).encode()
+    c0 = (Decimal(coeffs[0].numerator), Decimal(coeffs[0].denominator))
+    ladder = _Ladder(
+        size=size,
+        value=[],
+        check=[],
+        runs=zip(_qd(coeffs, qd_value, value_ctx), _qd(coeffs, qd_check, check_ctx)),
+        value_ctx=value_ctx,
+        check_ctx=check_ctx,
+        c0_value=value_ctx.divide(*c0),
+        c0_check=check_ctx.divide(*c0),
+        limit=value_ctx.power(Decimal(2), -bits),
+    )
+    return ladder, f"{zlib.crc32(key):08x}{zlib.adler32(key):08x}"
+
+
+# The shipped tables: one member per series, named by _ladder, holding one
+# line per coefficient a_i: the value run's number, then the check run's
+# where the two differ.  A table that broke down holds its shorter length.
+_TABLES = Path(__file__).with_name("cfractions.zip")
+
+
+@functools.cache
+def _stored_names() -> frozenset[str]:
+    try:
+        with zipfile.ZipFile(_TABLES) as archive:
+            return frozenset(archive.namelist())
+    except FileNotFoundError:
+        return frozenset()
+
+
+def _stored_table(name: str) -> tuple[list[Decimal], list[Decimal]] | None:
+    """The shipped value and check runs named name, or None when none is shipped."""
+    if name not in _stored_names():
+        return None
+    with zipfile.ZipFile(_TABLES) as archive:
+        text = archive.read(name).decode("ascii")
+    value: list[Decimal] = []
+    check: list[Decimal] = []
+    for line in text.splitlines():
+        v, _, w = line.partition(" ")
+        a = Decimal(v)
+        value.append(a)
+        check.append(Decimal(w) if w else a)
+    return value, check
+
+
+def _table_archive(series: Iterable[Sequence[Fraction]], bits: int) -> bytes:
+    """The archive of the complete tables of series at bits, byte for byte reproducible."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        for coeffs in series:
+            ladder, name = _ladder(coeffs, bits)
+            ladder.reaches(ladder.size)
+            text = "".join(
+                f"{v}\n" if v is w else f"{v} {w}\n" for v, w in zip(ladder.value, ladder.check)
+            )
+            info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+            info.compress_type = zipfile.ZIP_DEFLATED
+            info.create_system = 3  # the default depends on the platform
+            archive.writestr(info, text.encode("ascii"), compresslevel=9)
+    return buffer.getvalue()
+
+
 class DiagonalResummer:
     """Reusable diagonal ladder for one coefficient series.
 
@@ -187,8 +286,10 @@ class DiagonalResummer:
     walked at) are found at most once each, and only as far as the walks
     read: a coefficient first read by a later walk resumes both runs from
     their last anti-diagonal, in the same contexts, so every coefficient
-    is the one a complete table would hold.  Once per series and length
-    it finds whether the truncated series terminates.  Each point then
+    is the one a complete table would hold.  A table shipped with the
+    package (see the module docstring) is read whole instead, on the
+    first build at its precision.  Once per series and length it finds
+    whether the truncated series terminates.  Each point then
     costs one O(max_order) walk of the paired value and check recurrences.
     """
 
@@ -203,29 +304,14 @@ class DiagonalResummer:
         return (len(self.coeffs) - 1) // 2
 
     def _cfraction(self, bits: int) -> _Ladder:
-        """The ladder at bits, its qd runs suspended before their first term."""
+        """The ladder at bits: its shipped table, else its qd runs suspended at the start."""
         got = self._fractions.get(bits)
         if got is None:
-            check_bits = bits + 2 * _GUARD_BITS
-            value_ctx = _context(check_bits + _GUARD_BITS)
-            check_ctx = _context(check_bits)
-            size = len(self.coeffs) - 1
-            qd_bits = check_bits + _QD_BITS_PER_TERM * size
-            c0 = (Decimal(self.coeffs[0].numerator), Decimal(self.coeffs[0].denominator))
-            got = _Ladder(
-                size=size,
-                value=[],
-                check=[],
-                runs=zip(
-                    _qd(self.coeffs, _context(qd_bits + _GUARD_BITS), value_ctx),
-                    _qd(self.coeffs, _context(qd_bits), check_ctx),
-                ),
-                value_ctx=value_ctx,
-                check_ctx=check_ctx,
-                c0_value=value_ctx.divide(*c0),
-                c0_check=check_ctx.divide(*c0),
-                limit=value_ctx.power(Decimal(2), -bits),
-            )
+            got, name = _ladder(self.coeffs, bits)
+            stored = _stored_table(name)
+            if stored is not None:
+                got.value, got.check = stored
+                got.runs = None
             self._fractions[bits] = got
         return got
 
@@ -303,6 +389,11 @@ class DiagonalResummer:
                 f"diagonal order {max_order} needs {2 * max_order + 1}"
                 f" coefficients, got {len(self.coeffs)}"
             )
+        # a Fraction is finite, and mpmath's test would convert it first
+        if not isinstance(x, Fraction) and not mp.isfinite(x):
+            raise ValueError(f"x must be finite, got {x}")
+        if not 0 < tol < math.inf:
+            raise ValueError(f"tol must be finite and > 0, got {tol}")
         need = 2 * max_order + 1
         coeffs = self.coeffs[:need]
 

@@ -219,10 +219,15 @@ def test_broken_continued_fraction_prints_no_number(tmp_path, monkeypatch):
     # a qd table cut after two orders stops every ladder short of a settled
     # value, and an empty one leaves no order with a value at all; either way
     # each gain becomes an error row and the run fails instead of printing a
-    # resummed probability
-    qd = pade._qd
+    # resummed probability.  The shipped tables are cut the same way.
+    qd, stored = pade._qd, pade._stored_table
+
+    def cut(table, keep):
+        return table and (table[0][:keep], table[1][:keep])
+
     for keep, extra, count in ((4, [], 17), (0, ["--steps", "2"], 2)):
         monkeypatch.setattr(pade, "_qd", lambda *args: itertools.islice(qd(*args), keep))
+        monkeypatch.setattr(pade, "_stored_table", lambda name: cut(stored(name), keep))
         monkeypatch.setattr(state, "_VALUES", {})
         monkeypatch.setattr(state, "_RESUMMERS", {})
         code, _, header, rows = run(tmp_path, "--cmd", "pk_curve", *extra)

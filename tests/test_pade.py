@@ -1,8 +1,10 @@
 """Construction and resummation tests for the diagonal Pade ladder."""
 
 import random
+import zipfile
 from decimal import Decimal
 from fractions import Fraction
+from io import BytesIO
 from math import factorial
 
 import mpmath
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brightghz import pade, state
+from brightghz import _cftables, pade, state
 from brightghz.oracles import build_pade, epsilon_ladder, evaluate
 from brightghz.pade import DiagonalResummer, PoleProximityError, diagonal_resum
 from brightghz.series_core import c_series
@@ -360,8 +362,9 @@ def test_resumable_table_equals_the_eager_one(series):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_walk_builds_only_the_coefficients_it_reads(n):
-    # a walk that settles at order N reads a_1..a_2N, and qd stops there
-    resummer = DiagonalResummer(c_series(4, n, 81).coeffs)
+    # a walk that settles at order N reads a_1..a_2N, and qd stops there;
+    # 121 terms, where no table ships, so qd runs for three beams too
+    resummer = DiagonalResummer(c_series(4, n, 121).coeffs)
     got = resummer.resum(-(Fraction(0.3) ** 2), max_order=40)
     assert got.converged and got.order_used < 40
     ladder = resummer._cfraction(DEFAULT_POLICY.bits)
@@ -390,3 +393,106 @@ def test_complete_table_holds_no_suspended_qd_state():
     # a table that broke down lets its runs go too
     broken = DiagonalResummer(_broken_euler())._cfraction(DEFAULT_POLICY.bits)
     assert not broken.reaches(6) and broken.runs is None
+
+
+# The shipped three-beam tables: seeded ladders, the exact match key, and
+# the archive against the code that writes it.
+def _unseeded(monkeypatch):
+    monkeypatch.setattr(pade, "_stored_table", lambda name: None)
+
+
+def test_shipped_tables_are_the_ones_the_code_computes():
+    # every member's uncompressed bytes and header, in order; the deflate
+    # stream itself may differ between zlib builds
+    def members(archive):
+        with zipfile.ZipFile(archive) as z:
+            infos = z.infolist()
+            return [(i.filename, i.date_time, i.compress_type, z.read(i)) for i in infos]
+
+    shipped = members(pade._TABLES)
+    assert len(shipped) == CUTOFF_CAP + 1
+    assert members(BytesIO(_cftables._archive())) == shipped
+
+
+def test_shipped_table_seeds_the_ladder():
+    # the default policy's three-beam series: the ladder holds the complete
+    # table from the start, with no qd run, and shares one number between
+    # the runs exactly where a computed table does
+    bits = DEFAULT_POLICY.bits
+    series = c_series(4, 3, 2 * DEFAULT_POLICY.pade_order + 1).coeffs
+    ladder = DiagonalResummer(series)._cfraction(bits)
+    assert ladder.runs is None
+    assert (ladder.value, ladder.check) == _eager_table(series, bits)
+    computed, _ = pade._ladder(series, bits)
+    assert computed.reaches(computed.size)
+    assert [v is w for v, w in zip(ladder.value, ladder.check)] == [
+        v is w for v, w in zip(computed.value, computed.check)
+    ]
+
+
+@pytest.mark.parametrize("case", ["perturbed", "bits=320", "pade_order=30", "qd_bits"])
+def test_unshipped_series_or_precision_runs_qd(case, monkeypatch):
+    # any change to what fixes the table misses the archive and computes,
+    # giving exactly what a resummer without shipped tables gives
+    series = list(c_series(20, 3, 81).coeffs)
+    order, bits = 40, 256
+    if case == "perturbed":
+        series[37] *= 1 + Fraction(1, 10**30)
+    elif case == "bits=320":
+        bits = 320
+    elif case == "pade_order=30":
+        order = 30
+        series = series[:61]
+    else:
+        monkeypatch.setattr(pade, "_QD_BITS_PER_TERM", pade._QD_BITS_PER_TERM + 1)
+    xs = [-(Fraction(g) ** 2) for g in (0.2, 0.6, 0.85)]
+    resummer = DiagonalResummer(series)
+    assert resummer._cfraction(bits).runs is not None
+    got = [resummer.resum(x, max_order=order, bits=bits) for x in xs]
+    _unseeded(monkeypatch)
+    fresh = DiagonalResummer(series)
+    assert got == [fresh.resum(x, max_order=order, bits=bits) for x in xs]
+
+
+def test_shipped_tables_give_the_computed_series_values(monkeypatch):
+    # at the Bell threshold gain k = 18-21 are soft-accepted and k = 33 ends
+    # the auto cutoff with a ResummationError; both outcomes, and every
+    # value, are the same with and without the shipped tables
+    sample = [(k, 0.77) for k in (0, 9, 18, 19, 20, 21, 22, 32, 33)]
+    sample += [(5, 0.05), (40, 0.45), (60, 0.3), (60, 0.89)]
+
+    def outcomes():
+        monkeypatch.setattr(state, "_VALUES", {})
+        monkeypatch.setattr(state, "_RESUMMERS", {})
+        out = []
+        for k, gamma in sample:
+            try:
+                out.append(state._series_value(3, k, gamma, DEFAULT_POLICY))
+            except ResummationError as err:
+                out.append((str(err), err.order_reached))
+        return out
+
+    seeded = outcomes()
+    for k in (18, 19, 20, 21):
+        assert not state._resummer(3, k, 81).resum(-(Fraction(0.77) ** 2)).converged
+        assert not isinstance(seeded[sample.index((k, 0.77))], tuple)
+    assert isinstance(seeded[sample.index((33, 0.77))], tuple)
+    _unseeded(monkeypatch)
+    assert outcomes() == seeded
+
+
+EULER = [Fraction((-1) ** j * factorial(j)) for j in range(25)]
+
+
+@pytest.mark.parametrize(
+    "x", [float("inf"), float("-inf"), float("nan"), mpmath.inf, mpmath.nan]
+)
+def test_non_finite_point_rejected(x):
+    with pytest.raises(ValueError, match="x must be finite"):
+        diagonal_resum(EULER, x, max_order=12)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
+def test_tol_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        diagonal_resum(EULER, 0.2, max_order=12, tol=tol)
