@@ -144,12 +144,6 @@ class WitnessEvaluation:
     agreement: float
 
 
-def _prepare(gamma, policy, state):
-    if state is None:
-        state = build_bghz(gamma, policy)
-    return state
-
-
 def _vacuum_probability(state: BGHZState) -> float:
     return float(abs(state._box[0, 0]) ** 2)
 
@@ -160,7 +154,7 @@ def mermin_lhs(
     state: BGHZState | None = None,
 ) -> float:
     """Mermin-like LHS with primed operators, scaled by the retained mass."""
-    state = _prepare(gamma, policy, state)
+    state = build_bghz(gamma, policy) if state is None else state
     return (1.0 - state.norm_residual) * abs(float(_mermin_form(state, "S1p").sum()))
 
 
@@ -177,7 +171,7 @@ def evaluate_mermin(
     Both carry the same retained-mass scale.  The closed form holds only on
     exchange-symmetric boxes, A[q, m] = A[m, q], like every bright state.
     """
-    state = _prepare(gamma, policy, state)
+    state = build_bghz(gamma, policy) if state is None else state
     lhs = mermin_lhs(gamma, policy, state)
     t = _closed_form_t(state)
     reduced = (1.0 - state.norm_residual) * abs(4.0 * t + 2.0 * _vacuum_probability(state))
@@ -190,13 +184,15 @@ def find_crossing(fn, level, lo, hi, tol=1e-3):
     """Bisect fn(x) = level on [lo, hi]; fn(lo) and fn(hi) must straddle it.
 
     Returns the midpoint of the final bracket, accurate to tol in x, or
-    to the float spacing there when that is coarser.  tol must be finite
-    and positive.  A non-finite value at an endpoint or a midpoint raises
-    ValueError: NaN sits on neither side of the level, so no bracket
-    survives it.
+    to the float spacing there when that is coarser.  lo must lie below hi,
+    and tol must be finite and positive; fn is not called otherwise.  A
+    non-finite value at an endpoint or a midpoint raises ValueError: NaN
+    sits on neither side of the level, so no bracket survives it.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    if not lo < hi:
+        raise ValueError(f"bracket needs lo < hi, got lo={lo}, hi={hi}")
 
     def offset(x):
         value = fn(x)
@@ -315,7 +311,7 @@ def lossy_mermin_lhs(
     untruncated-state normalization; at eta = 1 it equals mermin_lhs
     exactly.
     """
-    return _lossy_lhs(_prepare(gamma, policy, state))(eta)
+    return _lossy_lhs(build_bghz(gamma, policy) if state is None else state)(eta)
 
 
 class _NotViolated(ValueError):
@@ -336,7 +332,7 @@ def eta_threshold(
     because eta = 0 gives exactly 2.  The state's Mermin terms are
     computed once, and every efficiency reweighs them.
     """
-    lhs = _lossy_lhs(_prepare(gamma, policy, state))
+    lhs = _lossy_lhs(build_bghz(gamma, policy) if state is None else state)
     if lhs(1.0) <= CLASSICAL_BOUND:
         raise _NotViolated(f"not violated at eta=1 (gamma={gamma})")
     return find_crossing(lhs, CLASSICAL_BOUND, 1e-6, 1.0, tol)
@@ -354,7 +350,7 @@ def witness_w1(
     negative expectation flags entanglement, the three-qubit GHZ state
     reaching -1.  projected evaluates on the vacuum-removed state.
     """
-    state = _prepare(gamma, policy, state)
+    state = build_bghz(gamma, policy) if state is None else state
     if projected:
         state = state._vacuum_projected
     value = 1.5 * stokes_expectation(state, ("S0", "S0", "S0"))
@@ -381,7 +377,7 @@ def evaluate_w2(
     double sum, and agreement records their difference.  Negative value
     flags entanglement (separable bound 0).
     """
-    state = _prepare(gamma, policy, state)
+    state = build_bghz(gamma, policy) if state is None else state
     if projected:
         state = state._vacuum_projected
     m_value = -float(_mermin_form(state, "S1").sum())
@@ -404,17 +400,16 @@ def witness_w2(
     return evaluate_w2(gamma, projected, policy, state).value
 
 
-def _sweep(gammas, evaluate, level=None, rising=False, bisect_value=None) -> SweepResult:
+def _sweep(gammas, evaluate, level=None, rising=False) -> SweepResult:
     """Evaluate evaluate(g) -> (value, diagnostics) at every gain, then
     bracket the first crossing of level: falling through it (value > level
     >= next) or, when rising, rising through it (value < level <= next).
 
-    The bisection calls bisect_value(g), which must equal evaluate(g)[0];
-    it defaults to that, and a sweep passes a leaner function when the
-    diagnostics cost extra.  A point that raises RuntimeError (ResummationError
-    included) or ValueError becomes NaN marked failed, and NaN brackets
-    nothing.  The grid must be finite, non-negative and strictly increasing;
-    it is checked before the first evaluation.
+    The bisection reads evaluate(g)[0], the value the grid points carry.
+    A point that raises RuntimeError (ResummationError included) or
+    ValueError becomes NaN marked failed, and NaN brackets nothing.  The
+    grid must be finite, non-negative and strictly increasing; it is
+    checked before the first evaluation.
     """
     gammas = tuple(float(g) for g in gammas)
     if not all(0 <= g < math.inf for g in gammas):
@@ -440,9 +435,7 @@ def _sweep(gammas, evaluate, level=None, rising=False, bisect_value=None) -> Swe
         values=tuple(values),
         diagnostics=tuple(diagnostics),
         bracket=bracket,
-        bisect=lambda a, b: find_crossing(
-            bisect_value or (lambda g: evaluate(g)[0]), level, a, b
-        ),
+        bisect=lambda a, b: find_crossing(lambda g: evaluate(g)[0], level, a, b),
     )
 
 
@@ -457,9 +450,7 @@ def mermin_sweep(gammas, policy: NumericPolicy = DEFAULT_POLICY) -> SweepResult:
         e = evaluate_mermin(g, policy)
         return e.lhs, {"reduced": e.reduced, "agreement": e.agreement}
 
-    return _sweep(
-        gammas, evaluate, CLASSICAL_BOUND, bisect_value=lambda g: mermin_lhs(g, policy)
-    )
+    return _sweep(gammas, evaluate, CLASSICAL_BOUND)
 
 
 def eta_threshold_sweep(gammas, policy: NumericPolicy = DEFAULT_POLICY) -> SweepResult:

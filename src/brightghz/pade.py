@@ -300,9 +300,6 @@ class DiagonalResummer:
         # coefficients used -> degree of their polynomial, -1 when all vanish
         self._degrees: dict[int, int] = {}
 
-    def max_feasible_order(self) -> int:
-        return (len(self.coeffs) - 1) // 2
-
     def _cfraction(self, bits: int) -> _Ladder:
         """The ladder at bits: its shipped table, else its qd runs suspended at the start."""
         got = self._fractions.get(bits)

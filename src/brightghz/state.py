@@ -11,20 +11,22 @@ prepare the bright GHZ state
 which lives on the exchange-symmetric diagonal: every observer holds the
 same occupation pair (q photons polarized a, m polarized b).
 
-Weights like (q!)**1.5 overflow double precision long before the cutoff
-does, so each factor's magnitudes are normalized at working precision and
-only then converted to machine floats, once per photon count.  The state's
-amplitude box is rank one, A[q, m] = u_q u_m, so one float outer product of
-those cutoff + 1 factor amplitudes fills it.  The factor amplitudes and the
-shell moments of their box, all that the Stokes kernels read of a state,
-are memoized per gain point and cutoff request: a warm build_bghz does no
-working-precision work and bins nothing, only the lookup and the outer
-product.  A built state's amps is a read-only mapping read off its box.
+Statistics and states read one photon ladder, _retained_weights, where the
+cutoff is decided: each factor magnitude |u_q| of the state is the square
+root of a normalized three-beam weight, taken at working precision, then
+made a float.  The amplitude box is rank one, A[q, m] = u_q u_m, so one
+float outer product of those cutoff + 1 factor amplitudes fills it.  The
+factor amplitudes and the shell moments of their box, all that the Stokes
+kernels read of a state, are memoized per gain point and cutoff request: a
+warm build_bghz does no working-precision work and bins nothing, only the
+lookup and the outer product.  A built state's amps is a read-only mapping
+read off its box.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -73,6 +75,15 @@ class ResummationError(RuntimeError):
         self.order_reached = order_reached
 
 
+def _is_count(value) -> bool:
+    """True for an integer in the operator.index sense that is not a bool."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class NumericPolicy:
     """Precision and truncation knobs shared by every resummed quantity.
@@ -90,6 +101,10 @@ class NumericPolicy:
     cutoff: int | None = None
 
     def __post_init__(self):
+        for name in ("pade_order", "bits", "cutoff"):
+            value = getattr(self, name)
+            if not (_is_count(value) or name == "cutoff" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.pade_order < 2:
             raise ValueError(f"pade_order must be >= 2, got {self.pade_order}")
         if not 0 < self.tol < SOFT_AGREEMENT:
@@ -320,9 +335,9 @@ VALUES_MAX = 32768
 # Bright-state factor per gain point and cutoff request, most recently used
 # last: the cutoff (the auto one, when the policy pins none), the read-only
 # normalized factor amplitudes u_q, the norm residual and the read-only shell
-# moments of the box u u^T.  Rebuilding them re-reads every cached value,
-# runs photon_distribution for an auto cutoff, redoes the working-precision
-# powers and normalization and bins the box by shell: nearly all of a warm
+# moments of the box u u^T.  Rebuilding them climbs the photon ladder again,
+# re-reading every cached value, redoes the working-precision square roots
+# and normalization and bins the box by shell: nearly all of a warm
 # build_bghz.  Keyed like _VALUES (three beams, no tuple number) plus the
 # pinned cutoff or None, and holding only successful builds.  An entry holds
 # at most CUTOFF_CAP + 1 numbers for any auto cutoff, so the cap of
@@ -456,16 +471,41 @@ def _omitted_mass(w: list, mass) -> float:
 _STATS_BITS = 53
 
 
+def _retained_weights(n: int, gamma: float, policy: NumericPolicy) -> tuple[list, object, float]:
+    """(w, mass, tail): the retained weights |C_k|^2 (k!)^n, their sum and the omitted mass.
+
+    The one place the cutoff is decided: pinned, or grown until the tail
+    drops below TAIL_TARGET of the total, a ladder fails or CUTOFF_CAP.  One
+    pass: each appended weight is added once to the running mass, left to
+    right as sum() adds.  mass and tail are taken at _STATS_BITS whatever the
+    global mpmath precision; the weights are working-precision reals.
+    """
+    with mp.workprec(_STATS_BITS):
+        w: list = []
+        mass = 0
+        for k in range(2 if policy.cutoff is None else policy.cutoff + 1):
+            w.append(_weight(n, gamma, k, policy))
+            mass = mass + w[-1]
+        tail = _omitted_mass(w, mass)
+        if policy.cutoff is None:
+            while not tail < TAIL_TARGET * float(mass + tail) and len(w) - 1 < CUTOFF_CAP:
+                try:
+                    w.append(_weight(n, gamma, len(w), policy))
+                except ResummationError:
+                    # the order budget cannot resolve deeper coefficients; stop
+                    # here and let the omitted-mass estimate carry the rest
+                    break
+                mass = mass + w[-1]
+                tail = _omitted_mass(w, mass)
+    return w, mass, tail
+
+
 def photon_distribution(spec: BrightStateSpec) -> TripleDistribution:
     """Probability of observing k emitted n-tuples, up to an adaptive cutoff.
 
-    One pass over the photon ladder: each appended weight is added once to
-    a running retained mass, left to right as sum() adds, so the auto
-    cutoff's stopping rule costs O(cutoff) additions, not O(cutoff**2).
-    Everything after the weights runs at _STATS_BITS whatever the global
-    mpmath precision.
+    The weights and the cutoff are _retained_weights', the ladder build_bghz
+    reads too; the statistics run at _STATS_BITS whatever the global precision.
     """
-    policy = spec.policy
     if spec.validity_warning:
         warnings.warn(
             f"gain {spec.gamma} is at or past the n={spec.n} validity boundary;"
@@ -473,26 +513,8 @@ def photon_distribution(spec: BrightStateSpec) -> TripleDistribution:
             RuntimeWarning,
             stacklevel=2,
         )
+    w, mass, tail = _retained_weights(spec.n, spec.gamma, spec.policy)
     with mp.workprec(_STATS_BITS):
-        w: list = []
-        mass = 0
-        for k in range(2 if policy.cutoff is None else policy.cutoff + 1):
-            w.append(_weight(spec.n, spec.gamma, k, policy))
-            mass = mass + w[-1]
-        tail = _omitted_mass(w, mass)
-        if policy.cutoff is None:
-            while not (
-                tail < TAIL_TARGET * float(mass + tail)
-            ) and len(w) - 1 < CUTOFF_CAP:
-                try:
-                    w.append(_weight(spec.n, spec.gamma, len(w), policy))
-                except ResummationError:
-                    # the order budget cannot resolve deeper coefficients; stop
-                    # here and let the omitted-mass estimate carry the rest
-                    break
-                mass = mass + w[-1]
-                tail = _omitted_mass(w, mass)
-
         # no decay across the last five retained orders marks a diverging tail
         scaled = [float(w[k]) * k * k for k in range(len(w))]
         diverged = len(scaled) >= 5 and all(
@@ -521,13 +543,12 @@ def photon_distribution(spec: BrightStateSpec) -> TripleDistribution:
 def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZState:
     """Construct the normalized bright GHZ state at the given gain.
 
-    Raw amplitudes are C_q * C_m * (q! m!)**1.5 over pairs with
-    q, m <= policy.cutoff; an auto cutoff follows the photon-distribution
-    rule for three beams.  The factor magnitudes |C_q| (q!)**1.5 are
-    normalized at working precision and converted to floats once each, and
-    memoized per gain with the shell moments of their box; the box is their
-    outer product, handed to the state with those moments, and amps is read
-    off it.
+    Raw amplitudes are C_q * C_m * (q! m!)**1.5 over pairs with q, m <= the
+    cutoff.  The cutoff and the factor magnitudes |C_q| (q!)**1.5, square
+    roots of the three-beam weights, come from _retained_weights.  The
+    factors, normalized at working precision and converted to floats once
+    each, are memoized per gain with the shell moments of their box; the box
+    is their outer product, handed to the state with those moments.
     """
     if not 0 <= gamma < inf:
         raise ValueError(f"gain must be finite and >= 0, got {gamma}")
@@ -552,30 +573,19 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
 
 
 def _factor(gamma: float, policy: NumericPolicy) -> tuple:
-    """(cutoff, read-only factor amplitudes u_q, norm_residual, shell moments of u u^T)
-    of the state at gamma > 0."""
-    cutoff = policy.cutoff
-    if cutoff is None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            cutoff = photon_distribution(BrightStateSpec(3, gamma, policy)).cutoff
+    """(cutoff, read-only u_q = i^q sign(s_q) sqrt(w_q / sum(w)), norm_residual, moments of
+    u u^T) at gamma > 0, over the three-beam weights w_q and the series values s_q."""
+    w, _, _ = _retained_weights(3, gamma, policy)
     with mp.workprec(policy.bits):
-        g = mpf(gamma)
-        mags = []
-        signs = []
-        for q in range(cutoff + 1):
-            s = _series_value(3, q, gamma, policy)
-            mags.append(abs(s) * g**q * mpf(factorial(q)) ** mpf(1.5))
-            signs.append(1 if s >= 0 else -1)
-        col = sum(m * m for m in mags)
+        col = sum(w)
         norm_residual = float(abs(1 - col * col))
         root = col**0.5  # amplitude normalization per factor state
-        unit = [m / root for m in mags]
+        signs = [1 if _series_value(3, q, gamma, policy) >= 0 else -1 for q in range(len(w))]
         factor = np.array(
-            [(1j) ** (q % 4) * (signs[q] * float(x)) for q, x in enumerate(unit)]
+            [(1j) ** (q % 4) * (signs[q] * float(x**0.5 / root)) for q, x in enumerate(w)]
         )
     factor.setflags(write=False)
-    return cutoff, factor, norm_residual, _shell_moments(np.outer(factor, factor))
+    return len(w) - 1, factor, norm_residual, _shell_moments(np.outer(factor, factor))
 
 
 def project_out_vacuum(state: BGHZState) -> BGHZState:

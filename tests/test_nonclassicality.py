@@ -190,6 +190,21 @@ def test_find_crossing_on_analytic_function():
         find_crossing(lambda x: x * x, -1.0, 0.0, 2.0)
 
 
+@pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (0.5, 0.5), (math.nan, 1.0), (0.0, math.nan)])
+def test_find_crossing_needs_an_ordered_bracket(lo, hi):
+    # a reversed or empty bracket used to return its midpoint unbisected
+    calls = []
+    with pytest.raises(ValueError, match="lo < hi"):
+        find_crossing(lambda x: calls.append(x) or x - 0.3, 0.0, lo, hi)
+    assert calls == []
+
+
+def test_gamma_threshold_rejects_a_reversed_range():
+    # the crossing near 0.770 lies inside, but the range runs backwards
+    with pytest.raises(ValueError, match="lo < hi"):
+        gamma_threshold(gamma_min=0.85, gamma_max=0.05)
+
+
 def test_find_crossing_rejects_non_finite_values():
     def f(x):
         return math.nan if 0.3 < x < 0.7 else x - 0.5
@@ -396,16 +411,10 @@ def test_sweep_checks_the_grid_before_evaluating(monkeypatch, grid):
     assert calls == []
 
 
-def test_mermin_sweep_brackets_threshold(monkeypatch):
+def test_mermin_sweep_brackets_threshold():
     result = mermin_sweep((0.6, 0.7, 0.75, 0.8))
     assert result.values[0] > 2.0 > result.values[-1]
     assert all(d["agreement"] <= 1e-8 for d in result.diagnostics)
-
-    def no_diagnostics(*args, **kwargs):
-        raise AssertionError("the bisection built a MerminEvaluation")
-
-    # the bisection reads the LHS alone, not the grid points' diagnostics
-    monkeypatch.setattr(nonclassicality, "evaluate_mermin", no_diagnostics)
     assert result.threshold == pytest.approx(0.77, abs=0.02)
     assert result.threshold == gamma_threshold(gamma_min=0.75, gamma_max=0.8)
 

@@ -21,6 +21,13 @@ def _imports_oracles(node) -> bool:
     return False
 
 
+def _library_block() -> str:
+    """The python block of the README's "Library" section."""
+    text = README.read_text()
+    section = text[text.index("## Library"):]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
 def test_public_surface():
     # the package exports exactly what the layers declare, and every name resolves
     layers = [importlib.import_module(f"brightghz.{name}") for name in LAYERS]
@@ -43,9 +50,7 @@ def test_public_surface():
                 assert not node.name.startswith("dump_"), f"{path.name}: {node.name}"
 
     # the README's library example imports only public names
-    text = README.read_text()
-    section = text[text.index("## Library"):]
-    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    block = _library_block()
     imported = [
         alias.name
         for node in ast.walk(ast.parse(block))
@@ -54,3 +59,25 @@ def test_public_surface():
     ]
     assert imported
     assert set(imported) <= set(brightghz.__all__)
+
+
+def test_readme_library_block_prints_what_its_comments_say(capsys):
+    # every print in the block writes one line; a line whose comment starts
+    # with a number followed by "..." must print a value starting with it
+    block = _library_block()
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    calls = [line for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(calls)
+    stated = {}
+    for call, out in zip(calls, printed):
+        comment = re.search(r"\)\s+#\s*(\d+\.\d+)\.\.\.", call)
+        if comment:
+            expr = call[len("print(") : comment.start()]
+            stated[expr] = comment.group(1)
+            assert out.startswith(comment.group(1)), (expr, out)
+    assert stated == {
+        "mermin_lhs(0.5)": "2.3194",
+        "gamma_threshold()": "0.7699",
+        "eta_threshold(0.05)": "0.7915",
+    }

@@ -1,9 +1,12 @@
 """Resummed coefficients, photon statistics, and bright-state construction."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 import brightghz.state as state_module
@@ -22,6 +25,7 @@ from brightghz.state import (
     project_out_vacuum,
     resummed_coefficient,
 )
+from brightghz.stokes import _mermin_form, _shell_terms
 
 # Reference distribution at gain 0.8, k = 0..10, for one, two, and three
 # beams; entries carry the precision they were published with.
@@ -77,6 +81,35 @@ def test_gain_must_be_finite_and_non_negative(gamma):
 def test_policy_rejects_out_of_range_fields(fields):
     with pytest.raises(ValueError):
         NumericPolicy(**fields)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("pade_order", 40.0),
+        ("pade_order", True),
+        ("pade_order", "40"),
+        ("pade_order", None),
+        ("bits", 256.5),
+        ("bits", np.float64(256)),
+        ("cutoff", 2.5),
+        ("cutoff", True),
+        ("cutoff", False),
+        ("cutoff", np.bool_(True)),
+    ],
+)
+def test_policy_rejects_non_integer_counts(name, value):
+    # the field is named at construction, not met later as a TypeError deep
+    # inside the resummation or the float-to-Decimal conversion
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        NumericPolicy(**{name: value})
+
+
+def test_policy_accepts_integer_counts():
+    policy = NumericPolicy(pade_order=np.int64(30), bits=np.int32(128), cutoff=np.int16(4))
+    assert policy.key() == NumericPolicy(pade_order=30, bits=128).key()
+    assert NumericPolicy(cutoff=None).cutoff is None
+    assert build_bghz(0.3, NumericPolicy(cutoff=0)).cutoff == 0
 
 
 def test_coefficient_validation():
@@ -432,8 +465,8 @@ def test_warm_state_equals_cold_state(monkeypatch):
 
 def test_warm_build_does_no_working_precision_work(monkeypatch):
     # a warm build is one memo lookup and one float outer product: no series
-    # value is read and no photon distribution is summed, with the auto
-    # cutoff and with a pinned one, which keep separate entries
+    # value is read and no photon ladder is climbed, with the auto cutoff and
+    # with a pinned one, which keep separate entries
     gamma = 0.352
     monkeypatch.setattr(state_module, "_FACTORS", {})
     policies = {cutoff: NumericPolicy(cutoff=cutoff) for cutoff in (None, 12)}
@@ -447,7 +480,7 @@ def test_warm_build_does_no_working_precision_work(monkeypatch):
         raise AssertionError("a warm build did working-precision work")
 
     monkeypatch.setattr(state_module, "_series_value", forbidden)
-    monkeypatch.setattr(state_module, "photon_distribution", forbidden)
+    monkeypatch.setattr(state_module, "_retained_weights", forbidden)
     for cutoff, policy in policies.items():
         warm = build_bghz(gamma, policy)
         assert warm.cutoff == cold[cutoff].cutoff
@@ -569,3 +602,80 @@ def test_warm_build_reuses_the_shell_moments(monkeypatch):
         assert np.array_equal(got, want)
         with pytest.raises(ValueError, match="read-only"):
             got[0] = 0.0
+
+
+# Properties of the photon ladder over a small pool of gains up to 0.85 and
+# cheap policies, auto and pinned cutoffs; the pool is small so the resummed
+# values are shared across examples and tests.
+LADDER_GAINS = (0.05, 0.2, 0.352, 0.5, 0.63, 0.77, 0.85)
+ladder_policies = st.builds(
+    NumericPolicy,
+    pade_order=st.sampled_from((20, 30, 40)),
+    cutoff=st.none() | st.integers(0, 12),
+)
+
+
+def _magnitude_formula_factor(gamma, policy, cutoff):
+    """build_bghz's factor and norm residual as they were computed before
+    the factor was read off the weights: |s_q| gamma^q (q!)^1.5, normalized
+    at working precision."""
+    with mp.workprec(policy.bits):
+        values = [state_module._series_value(3, q, gamma, policy) for q in range(cutoff + 1)]
+        mags = [
+            abs(s) * mpf(gamma) ** q * mpf(math.factorial(q)) ** mpf(1.5)
+            for q, s in enumerate(values)
+        ]
+        col = sum(m * m for m in mags)
+        root = col**0.5
+        factor = np.array(
+            [
+                (1j) ** (q % 4) * ((1 if s >= 0 else -1) * float(m / root))
+                for q, (s, m) in enumerate(zip(values, mags))
+            ]
+        )
+        return factor, float(abs(1 - col * col))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(LADDER_GAINS), ladder_policies)
+def test_factor_is_the_square_root_of_the_weights(gamma, policy):
+    # the factor read off the retained weights equals the magnitude formula
+    # bit for bit, and an auto cutoff is the three-beam distribution's
+    state = build_bghz(gamma, policy)
+    cutoff, factor, norm_residual, _ = state_module._FACTORS[
+        (gamma, policy.cutoff) + policy.key()
+    ]
+    assert cutoff == state.cutoff
+    if policy.cutoff is None:
+        assert cutoff == photon_distribution(BrightStateSpec(3, gamma, policy)).cutoff
+    else:
+        assert cutoff == policy.cutoff
+    want, want_residual = _magnitude_formula_factor(gamma, policy, cutoff)
+    assert factor.tobytes() == want.tobytes()
+    assert norm_residual == want_residual
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((1, 2, 3)), st.sampled_from(LADDER_GAINS), ladder_policies)
+def test_distribution_splits_unit_probability(n, gamma, policy):
+    dist = photon_distribution(BrightStateSpec(n, gamma, policy))
+    assert min(dist.probs) >= 0.0
+    if math.isinf(dist.tail_bound):
+        # no finite tail: the retained weights are normalized on their own
+        assert dist.diverged
+        assert abs(math.fsum(dist.probs) - 1.0) <= 1e-12
+    else:
+        assert abs(math.fsum(dist.probs) + dist.tail_bound - 1.0) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(LADDER_GAINS), ladder_policies)
+def test_mermin_terms_are_bounded_by_the_shell_masses(gamma, policy):
+    # every primed selector is bounded by 1 on a photon shell, so the Mermin
+    # operator's norm is at most 4 there: |m_k| <= 4 p_k
+    state = build_bghz(gamma, policy)
+    terms = _mermin_form(state, "S1p")
+    masses = _shell_terms(state, ("I", "I", "I"))
+    assert len(terms) == len(masses) == 2 * state.cutoff + 1
+    assert np.all(masses >= 0.0)
+    assert np.all(np.abs(terms) <= 4.0 * masses)
