@@ -49,13 +49,13 @@ it is first read.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from brightghz.series_core import _count
 from brightghz.state import (
     DEFAULT_POLICY,
     BGHZState,
@@ -267,11 +267,7 @@ def per_party_loss_factor(k_a: int, k_b: int, eta: float) -> float:
     That is alpha_k (k_a - k_b)/k - beta_k on k = k_a + k_b > 0 photons,
     and -1 on none.  Counts must be non-negative integers.
     """
-    for name, count in (("k_a", k_a), ("k_b", k_b)):
-        try:
-            operator.index(count)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer photon count, got {count!r}") from None
+    k_a, k_b = _count("k_a", k_a), _count("k_b", k_b)
     if k_a < 0 or k_b < 0:
         raise ValueError("photon counts must be non-negative")
     k = k_a + k_b

@@ -21,6 +21,7 @@ series in u and attach the (iG)**k prefactor.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -39,6 +40,20 @@ class FormalSeries:
     k: int
     n: int
     coeffs: tuple[Fraction, ...]
+
+
+def _count(name: str, value) -> int:
+    """value as a Python int; ValueError naming it unless it is an integer, not a bool.
+
+    An integer is what operator.index accepts, NumPy integers included;
+    converting them keeps fixed-width arithmetic out of the exact layers.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 # One growable store of P[k, l] per n, filled by the recurrence on demand.
@@ -65,6 +80,7 @@ def c_series(k: int, n: int, L: int) -> FormalSeries:
 
     coeffs[j] = P[k, k + 2j] / (k + 2j)!, so coeffs[0] = 1/k!.
     """
+    k, n, L = _count("k", k), _count("n", n), _count("L", L)
     if k < 0:
         raise ValueError(f"tuple number k must be >= 0, got {k}")
     if L < 1:

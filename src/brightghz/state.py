@@ -26,7 +26,6 @@ read off its box.
 from __future__ import annotations
 
 import itertools
-import operator
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from brightghz.pade import DiagonalResummer, PoleProximityError
-from brightghz.series_core import c_series
+from brightghz.series_core import _count, c_series
 
 __all__ = [
     "CUTOFF_CAP",
@@ -75,15 +74,6 @@ class ResummationError(RuntimeError):
         self.order_reached = order_reached
 
 
-def _is_count(value) -> bool:
-    """True for an integer in the operator.index sense that is not a bool."""
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class NumericPolicy:
     """Precision and truncation knobs shared by every resummed quantity.
@@ -103,8 +93,8 @@ class NumericPolicy:
     def __post_init__(self):
         for name in ("pade_order", "bits", "cutoff"):
             value = getattr(self, name)
-            if not (_is_count(value) or name == "cutoff" and value is None):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if not (name == "cutoff" and value is None):
+                object.__setattr__(self, name, _count(name, value))
         if self.pade_order < 2:
             raise ValueError(f"pade_order must be >= 2, got {self.pade_order}")
         if not 0 < self.tol < SOFT_AGREEMENT:
@@ -137,6 +127,7 @@ class BrightStateSpec:
     policy: NumericPolicy = DEFAULT_POLICY
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _count("n", self.n))
         if self.n < 1:
             raise ValueError(f"beam count n must be >= 1, got {self.n}")
         if not 0 <= self.gamma < inf:
@@ -411,6 +402,7 @@ def resummed_coefficient(
     n: int, k: int, gamma: float, policy: NumericPolicy = DEFAULT_POLICY
 ) -> complex:
     """Emission coefficient C_k = (i*gamma)**k times the resummed series value."""
+    n, k = _count("n", n), _count("k", k)
     if n < 1:
         raise ValueError(f"beam count n must be >= 1, got {n}")
     if k < 0:

@@ -65,6 +65,10 @@ def test_loss_factor_validation():
         per_party_loss_factor(1.5, 0, 0.5)
     with pytest.raises(ValueError, match="k_b must be an integer"):
         per_party_loss_factor(2, 1.0, 0.5)
+    with pytest.raises(ValueError, match="k_a must be an integer, got True"):
+        per_party_loss_factor(True, 0, 0.5)
+    with pytest.raises(ValueError, match="k_b must be an integer, got False"):
+        per_party_loss_factor(1, False, 0.5)
     with pytest.raises(ValueError):
         per_party_loss_factor(0, 0, 1.5)
 

@@ -1,13 +1,16 @@
 """Construction and resummation tests for the diagonal Pade ladder."""
 
+import math
 import random
+import subprocess
+import sys
 import zipfile
-from decimal import Decimal
 from fractions import Fraction
 from io import BytesIO
 from math import factorial
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from brightghz.oracles import build_pade, epsilon_ladder, evaluate
 from brightghz.pade import DiagonalResummer, PoleProximityError, diagonal_resum
 from brightghz.series_core import c_series
 from brightghz.state import CUTOFF_CAP, DEFAULT_POLICY, NumericPolicy, ResummationError
+from references import decimal_walk, qd_runs
 
 
 def _taylor_of_rational(num, den, order):
@@ -290,43 +294,74 @@ def test_two_beam_deep_ladder_matches_epsilon():
             _assert_same_ladder(got, _epsilon_reference(resummer, x, 60, tol, bits))
 
 
+def _outcome(walk):
+    try:
+        return walk()
+    except PoleProximityError as err:
+        return str(err)
+
+
+# The walk on binary fixed-point integers against the decimal walk it
+# replaced (references.decimal_walk): every decision and diagnostic float
+# is the same, and so is the value at the requested precision.
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    k=st.sampled_from(range(CUTOFF_CAP + 1)),
+    gamma=st.floats(0.01, 0.89),
+    order=st.sampled_from(range(20, 41)),
+    bits=st.sampled_from(range(128, 321)),
+)
+def test_integer_walk_equals_the_decimal_walk(n, k, gamma, order, bits):
+    coeffs = c_series(k, n, 2 * order + 1).coeffs
+    x = -(Fraction(gamma) ** 2)
+    tol = DEFAULT_POLICY.tol
+    got = _outcome(lambda: DiagonalResummer(coeffs).resum(x, max_order=order, tol=tol, bits=bits))
+    want = _outcome(lambda: decimal_walk(coeffs, x, order, tol, bits))
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return
+    assert (got.converged, got.order_used, got.diagnostics) == (
+        want.converged,
+        want.order_used,
+        want.diagnostics,
+    )
+    with mpmath.workprec(bits):
+        assert +got.value == +want.value
+
+
+@pytest.mark.parametrize(
+    "m, e",
+    [
+        ((1 << 60) + (1 << 7), -60),  # a tie, to even: down
+        ((1 << 60) + (3 << 7), -60),  # a tie, to even: up
+        ((1 << 60) + (1 << 7) + 1, -60),  # just past the tie
+        (-((1 << 500) + (1 << 447)), -520),  # a tie in a 501-bit mantissa
+        (-((1 << 500) + (1 << 447) + 1), -520),  # past it only in the bits cut
+        ((1 << 500) - 1, 3),
+    ],
+)
+def test_walk_floats_are_correctly_rounded(m, e):
+    assert pade._float(m, e) == float(Fraction(m) * Fraction(2) ** e)
+
+
+def test_walk_floats_past_the_range_are_infinite():
+    assert pade._float(1 << 500, 600) == math.inf
+    assert pade._float(-(1 << 1500), 0) == -math.inf
+    assert pade._float(1, -1200) == 0.0
+
+
 # The resumable qd table against the eager one: the progressive qd loop run
-# to completion on every term, with the value run's number kept where the
-# two runs agree at the check precision, as the table was built before it
+# to completion on every term, each run's number rounded once, half to
+# even, to its walk's fixed-point scale, as the table was built before it
 # became resumable.
-def _eager_qd(coeffs, ctx, keep):
-    add, sub, mul, div = ctx.add, ctx.subtract, ctx.multiply, ctx.divide
-    c = [div(Decimal(q.numerator), Decimal(q.denominator)) for q in coeffs]
-    found = []
-    prev = []
-    for s in range(1, len(coeffs)):
-        if not c[s - 1]:
-            break
-        cur = [div(c[s], c[s - 1])]
-        for j in range(1, s):
-            if j % 2:
-                e = sub(cur[j - 1], prev[j - 1])
-                cur.append(add(e, prev[j - 2]) if j > 1 else e)
-            elif not prev[j - 1]:
-                break
-            else:
-                cur.append(div(mul(prev[j - 2], cur[j - 1]), prev[j - 1]))
-        if len(cur) < s:
-            break
-        found.append(keep.plus(cur[-1]))
-        prev = cur
-    return found
-
-
 def _eager_table(coeffs, bits):
-    check_bits = bits + 2 * pade._GUARD_BITS
-    value_ctx = pade._context(check_bits + pade._GUARD_BITS)
-    check_ctx = pade._context(check_bits)
-    qd_bits = check_bits + pade._QD_BITS_PER_TERM * (len(coeffs) - 1)
-    value = _eager_qd(coeffs, pade._context(qd_bits + pade._GUARD_BITS), value_ctx)
-    check = _eager_qd(coeffs, pade._context(qd_bits), check_ctx)
-    check = [v if check_ctx.plus(v) == w else w for v, w in zip(value, check)]
-    return value[: len(check)], check
+    value, check = qd_runs(coeffs, bits)
+    value_scale, check_scale = bits + 3 * pade._GUARD_BITS, bits + 2 * pade._GUARD_BITS
+    return (
+        [round(Fraction(a) * 2**value_scale) for a in value],
+        [round(Fraction(a) * 2**check_scale) for a in check],
+    )
 
 
 def _broken_euler():
@@ -416,8 +451,7 @@ def test_shipped_tables_are_the_ones_the_code_computes():
 
 def test_shipped_table_seeds_the_ladder():
     # the default policy's three-beam series: the ladder holds the complete
-    # table from the start, with no qd run, and shares one number between
-    # the runs exactly where a computed table does
+    # table from the start, with no qd run, and it is the table qd computes
     bits = DEFAULT_POLICY.bits
     series = c_series(4, 3, 2 * DEFAULT_POLICY.pade_order + 1).coeffs
     ladder = DiagonalResummer(series)._cfraction(bits)
@@ -425,9 +459,45 @@ def test_shipped_table_seeds_the_ladder():
     assert (ladder.value, ladder.check) == _eager_table(series, bits)
     computed, _ = pade._ladder(series, bits)
     assert computed.reaches(computed.size)
-    assert [v is w for v, w in zip(ladder.value, ladder.check)] == [
-        v is w for v, w in zip(computed.value, computed.check)
-    ]
+    assert (ladder.value, ladder.check) == (computed.value, computed.check)
+
+
+def test_cold_cap_build_reads_the_archive_directory_once(monkeypatch):
+    # a cold build at the cutoff cap reads 61 shipped tables, one member
+    # each, from one parse of the archive's central directory
+    parses = []
+    parse = zipfile.ZipFile._RealGetContents
+
+    def counted(archive):
+        parses.append(archive)
+        parse(archive)
+
+    monkeypatch.setattr(zipfile.ZipFile, "_RealGetContents", counted)
+    read = pade._stored_table
+    names = []
+    monkeypatch.setattr(pade, "_stored_table", lambda name: names.append(name) or read(name))
+    for cache in ("_VALUES", "_RESUMMERS", "_FACTORS"):
+        monkeypatch.setattr(state, cache, {})
+    pade._stored_archive.cache_clear()
+    assert state.build_bghz(0.352).cutoff == CUTOFF_CAP
+    assert len(parses) == 1
+    assert len(names) == len(set(names)) == CUTOFF_CAP + 1
+
+
+def test_walk_does_no_decimal_arithmetic(monkeypatch):
+    # once the table is read, a walk runs on integers alone: without the
+    # decimal module and qd it gives the same results
+    resummer = DiagonalResummer(c_series(4, 3, 2 * DEFAULT_POLICY.pade_order + 1).coeffs)
+    xs = [-(Fraction(g) ** 2) for g in (0.1, 0.6, 0.89)]
+    want = [resummer.resum(x) for x in xs]
+    for name in ("decimal", "Decimal", "Context", "_context", "_qd"):
+        monkeypatch.setattr(pade, name, None)
+    assert [resummer.resum(x) for x in xs] == want
+
+
+def test_import_reads_no_table():
+    code = "import brightghz.pade as p; raise SystemExit(p._stored_archive.cache_info().currsize)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 @pytest.mark.parametrize("case", ["perturbed", "bits=320", "pade_order=30", "qd_bits"])
@@ -496,3 +566,17 @@ def test_non_finite_point_rejected(x):
 def test_tol_must_be_finite_and_positive(tol):
     with pytest.raises(ValueError, match="tol must be finite and > 0"):
         diagonal_resum(EULER, 0.2, max_order=12, tol=tol)
+
+
+@pytest.mark.parametrize(
+    "name, value", [("max_order", 12.0), ("max_order", True), ("bits", 256.5), ("bits", "256")]
+)
+def test_order_and_bits_must_be_integers(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        diagonal_resum(EULER, 0.2, **{"max_order": 12, name: value})
+
+
+def test_numpy_order_and_bits_walk_as_python_ints():
+    # a fixed-width shift count would silently zero the fixed-point walk
+    got = diagonal_resum(EULER, 0.2, max_order=np.int64(12), bits=np.int32(128))
+    assert got == diagonal_resum(EULER, 0.2, max_order=12, bits=128)

@@ -1,8 +1,10 @@
 """Exactness tests for the integer recurrence and series assembly."""
 
+import re
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 
 from brightghz.oracles import build_p_table, p_explicit
@@ -88,6 +90,27 @@ def test_argument_validation():
     table = build_p_table(2, 6)
     with pytest.raises(ValueError):
         table.value(0, 8)
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("k", (2.0, 3, 5)),
+        ("k", (True, 3, 5)),
+        ("n", (2, 3.0, 5)),
+        ("n", (2, True, 5)),
+        ("L", (2, 3, 5.5)),
+        ("L", (2, 3, "5")),
+    ],
+)
+def test_c_series_rejects_non_integer_counts(name, args):
+    value = args["knL".index(name)]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        c_series(*args)
+
+
+def test_c_series_accepts_integer_counts():
+    assert c_series(np.int64(2), np.int32(3), np.int16(5)) == c_series(2, 3, 5)
 
 
 def test_c_series_leading_coefficient():

@@ -108,6 +108,7 @@ def test_policy_rejects_non_integer_counts(name, value):
 def test_policy_accepts_integer_counts():
     policy = NumericPolicy(pade_order=np.int64(30), bits=np.int32(128), cutoff=np.int16(4))
     assert policy.key() == NumericPolicy(pade_order=30, bits=128).key()
+    assert all(type(c) is int for c in (policy.pade_order, policy.bits, policy.cutoff))
     assert NumericPolicy(cutoff=None).cutoff is None
     assert build_bghz(0.3, NumericPolicy(cutoff=0)).cutoff == 0
 
@@ -119,6 +120,28 @@ def test_coefficient_validation():
         resummed_coefficient(1, -1, 0.5)
     with pytest.raises(ValueError):
         resummed_coefficient(1, 0, -0.5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: BrightStateSpec(n=2.5, gamma=0.3), "n must be an integer, got 2.5"),
+        (lambda: BrightStateSpec(n=True, gamma=0.3), "n must be an integer, got True"),
+        (lambda: resummed_coefficient(True, 1, 0.3), "n must be an integer, got True"),
+        (lambda: resummed_coefficient(3.0, 1, 0.3), "n must be an integer, got 3.0"),
+        (lambda: resummed_coefficient(3, 1.5, 0.3), "k must be an integer, got 1.5"),
+        (lambda: resummed_coefficient(3, False, 0.3), "k must be an integer, got False"),
+    ],
+)
+def test_counts_must_be_integers(call, message):
+    # named at the call, not met later as a TypeError inside the series
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_counts_accept_numpy_integers():
+    assert type(BrightStateSpec(n=np.int64(3), gamma=0.3).n) is int
+    assert resummed_coefficient(np.int64(3), np.int32(2), 0.3) == resummed_coefficient(3, 2, 0.3)
 
 
 def test_coefficient_at_zero_gain():
