@@ -250,9 +250,9 @@ def _ladder(coeffs: Sequence[Fraction], bits: int) -> tuple[_Ladder, str]:
 
 
 # The shipped tables: one member per series, named by _ladder, holding one
-# line per coefficient a_i in hex: the value run's integer, then the check
-# run's where it differs from _coarse(value).  A table that broke down holds
-# its shorter length.
+# line per coefficient a_i: the value run's integer in hex.  The check run
+# is that value coarsened (_coarse), so only tables whose check run is
+# exactly that are shipped.  A table that broke down holds its shorter length.
 _TABLES = Path(__file__).with_name("cfractions.zip")
 
 
@@ -279,27 +279,24 @@ def _stored_table(name: str) -> tuple[list[int], list[int]] | None:
         text = archive.read(name).decode("ascii")
     except KeyError:  # no member of that name
         return None
-    value: list[int] = []
-    check: list[int] = []
-    for line in text.splitlines():
-        v, _, w = line.partition(" ")
-        a = int(v, 16)
-        value.append(a)
-        check.append(int(w, 16) if w else _coarse(a))
-    return value, check
+    value = [int(line, 16) for line in text.splitlines()]
+    return value, [_coarse(a) for a in value]
 
 
 def _table_archive(series: Iterable[Sequence[Fraction]], bits: int) -> bytes:
-    """The archive of the complete tables of series at bits, byte for byte reproducible."""
+    """The archive of the complete tables of series at bits, byte for byte reproducible.
+
+    A table whose check run is not its value run coarsened cannot be
+    stored one number per line and raises ValueError.
+    """
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w") as archive:
         for coeffs in series:
             ladder, name = _ladder(coeffs, bits)
             ladder.reaches(ladder.size)
-            text = "".join(
-                f"{v:x}\n" if w == _coarse(v) else f"{v:x} {w:x}\n"
-                for v, w in zip(ladder.value, ladder.check)
-            )
+            if ladder.check != [_coarse(v) for v in ladder.value]:
+                raise ValueError(f"table {name}: the check run is not the value run coarsened")
+            text = "".join(f"{v:x}\n" for v in ladder.value)
             info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
             info.compress_type = zipfile.ZIP_DEFLATED
             info.create_system = 3  # the default depends on the platform

@@ -30,8 +30,8 @@ import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import factorial, inf
+from functools import cache, cached_property, lru_cache
+from math import factorial, fsum, inf
 
 import numpy as np
 from mpmath import mp, mpf
@@ -143,8 +143,9 @@ class BrightStateSpec:
 class TripleDistribution:
     """Normalized p(k) over retained k, with an estimate of the omitted tail.
 
-    probs sums to 1 - tail_bound; mean is None when the retained weights
-    show no decay (diverged set) or the tail estimate is infinite.
+    probs sums to 1 - tail_bound; mean, sum k p(k) over the retained
+    probs, is correctly rounded (math.fsum), and None when the retained
+    weights show no decay (diverged set) or the tail estimate is infinite.
     """
 
     n: int
@@ -249,9 +250,9 @@ class BGHZState:
 class _BoxAmplitudes(Mapping):
     """Read-only mapping view {(q, m): complex(box[q, m])} of an amplitude box.
 
-    Keys run over the box in q-major order, the order project_out_vacuum
-    sums in, from flat entry `first` on: 0, or 1 to leave out the (0, 0)
-    entry of a vacuum-projected box.  Any other key raises KeyError.
+    Keys run over the box in q-major order from flat entry `first` on: 0,
+    or 1 to leave out the (0, 0) entry of a vacuum-projected box.  Any other
+    key raises KeyError.
     """
 
     __slots__ = ("_box", "_first")
@@ -314,37 +315,18 @@ def _is_count_pair(key) -> bool:
         return False
 
 
-# Resummer per coefficient series, and per gain point the settled series
-# value or the ResummationError its ladder ended in.  _RESUMMERS is bounded
-# by construction: its key (n, k, L) does not depend on the gain.  Every
-# new gain adds about cutoff + 1 values per beam count, so _VALUES is a
-# most-recently-used dict capped at VALUES_MAX entries, over ten times what
-# any benchmark workload holds.
-_RESUMMERS: dict[tuple[int, int, int], DiagonalResummer] = {}
+# Per gain point, the settled series value or the ResummationError its
+# ladder ended in.  Every new gain adds about cutoff + 1 values per beam
+# count, so _VALUES is a most-recently-used dict capped at VALUES_MAX
+# entries, over ten times what any benchmark workload holds.
 _VALUES: dict[tuple, object] = {}
 VALUES_MAX = 32768
-# Bright-state factor per gain point and cutoff request, most recently used
-# last: the cutoff (the auto one, when the policy pins none), the read-only
-# normalized factor amplitudes u_q, the norm residual and the read-only shell
-# moments of the box u u^T.  Rebuilding them climbs the photon ladder again,
-# re-reading every cached value, redoes the working-precision square roots
-# and normalization and bins the box by shell: nearly all of a warm
-# build_bghz.  Keyed like _VALUES (three beams, no tuple number) plus the
-# pinned cutoff or None, and holding only successful builds.  An entry holds
-# at most CUTOFF_CAP + 1 numbers for any auto cutoff, so the cap of
-# VALUES_MAX // (CUTOFF_CAP + 1) entries (537) holds no more factor numbers
-# than _VALUES holds values; with the moments (4 x 121 floats and 121
-# complex at the auto cutoff's most) an entry is about 7 kB, under 4 MB in all.
-_FACTORS: dict[tuple, tuple[int, np.ndarray, float, tuple[np.ndarray, np.ndarray]]] = {}
 
 
+@cache
 def _resummer(n: int, k: int, L: int) -> DiagonalResummer:
-    key = (n, k, L)
-    got = _RESUMMERS.get(key)
-    if got is None:
-        got = DiagonalResummer(c_series(k, n, L).coeffs)
-        _RESUMMERS[key] = got
-    return got
+    """The resummer of one coefficient series; bounded, as no gain enters its key."""
+    return DiagonalResummer(c_series(k, n, L).coeffs)
 
 
 def _series_value(n: int, k: int, gamma: float, policy: NumericPolicy):
@@ -521,7 +503,7 @@ def photon_distribution(spec: BrightStateSpec) -> TripleDistribution:
             total = mass + mpf(tail)
             probs = tuple(float(x / total) for x in w)
             tail_bound = float(mpf(tail) / total)
-            mean = None if diverged else float(sum(k * p for k, p in enumerate(probs)))
+            mean = None if diverged else fsum(k * p for k, p in enumerate(probs))
     return TripleDistribution(
         n=spec.n,
         gamma=spec.gamma,
@@ -551,22 +533,23 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
             RuntimeWarning,
             stacklevel=2,
         )
-    if gamma == 0:
-        return BGHZState._from_box(0.0, policy.cutoff or 0, np.ones((1, 1), complex), 0.0)
-    key = (float(gamma), policy.cutoff) + policy.key()
-    got = _FACTORS.pop(key, None)
-    if got is None:
-        got = _factor(gamma, policy)
-    _FACTORS[key] = got
-    if len(_FACTORS) > VALUES_MAX // (CUTOFF_CAP + 1):
-        del _FACTORS[next(iter(_FACTORS))]
-    cutoff, factor, norm_residual, moments = got
+    cutoff, factor, norm_residual, moments = _factor(float(gamma), policy)
     return BGHZState._from_box(gamma, cutoff, np.outer(factor, factor), norm_residual, moments)
 
 
+# Bright-state factor per gain point and policy, most recently used kept.
+# Rebuilding it climbs the photon ladder again, re-reading every cached
+# value, redoes the working-precision square roots and normalization and
+# bins the box by shell: nearly all of a warm build_bghz.  A failed build
+# raises, so only successful builds are kept.  An entry holds at most
+# CUTOFF_CAP + 1 numbers for any auto cutoff, so the cap of
+# VALUES_MAX // (CUTOFF_CAP + 1) entries (537) holds no more factor numbers
+# than _VALUES holds values; with the moments (4 x 121 floats and 121
+# complex at the auto cutoff's most) an entry is about 7 kB, under 4 MB in all.
+@lru_cache(maxsize=VALUES_MAX // (CUTOFF_CAP + 1))
 def _factor(gamma: float, policy: NumericPolicy) -> tuple:
     """(cutoff, read-only u_q = i^q sign(s_q) sqrt(w_q / sum(w)), norm_residual, moments of
-    u u^T) at gamma > 0, over the three-beam weights w_q and the series values s_q."""
+    u u^T) at gamma, over the three-beam weights w_q and the series values s_q."""
     w, _, _ = _retained_weights(3, gamma, policy)
     with mp.workprec(policy.bits):
         col = sum(w)
@@ -586,12 +569,13 @@ def project_out_vacuum(state: BGHZState) -> BGHZState:
     On the exchange-symmetric diagonal an observer sees vacuum exactly when
     all of them do, so local and global vacuum projection coincide.  The
     box is copied with A[0, 0] zeroed, its squared magnitudes are summed
-    left to right in q-major order, and the scaled copy is handed to the
-    projected state, whose amps has no (0, 0) key.
+    correctly rounded (math.fsum, the same on every Python version; builtin
+    sum compensates only from 3.12 on), and the scaled copy is handed to
+    the projected state, whose amps has no (0, 0) key.
     """
     box = state._box.copy()
     box[0, 0] = 0.0
-    total = sum(abs(a) ** 2 for a in box.ravel().tolist())
+    total = fsum((np.abs(box) ** 2).ravel().tolist())
     if total <= 0:
         raise ValueError("state has no nonvacuum support to keep")
     box *= total**-0.5

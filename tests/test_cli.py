@@ -1,5 +1,6 @@
 """End-to-end checks of the CSV command line front end."""
 
+import functools
 import itertools
 import math
 
@@ -229,7 +230,7 @@ def test_broken_continued_fraction_prints_no_number(tmp_path, monkeypatch):
         monkeypatch.setattr(pade, "_qd", lambda *args: itertools.islice(qd(*args), keep))
         monkeypatch.setattr(pade, "_stored_table", lambda name: cut(stored(name), keep))
         monkeypatch.setattr(state, "_VALUES", {})
-        monkeypatch.setattr(state, "_RESUMMERS", {})
+        monkeypatch.setattr(state, "_resummer", functools.cache(state._resummer.__wrapped__))
         code, _, header, rows = run(tmp_path, "--cmd", "pk_curve", *extra)
         assert code == EXIT_HARD
         assert len(rows) == count

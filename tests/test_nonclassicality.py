@@ -282,7 +282,8 @@ def test_eta_threshold_brackets_violation(monkeypatch):
 
 def test_eta_threshold_reuses_the_lossless_value(monkeypatch):
     # one Mermin kernel pass per threshold: every efficiency reweighs its
-    # terms, and eta = 1, the upper bracket, sums them unweighted
+    # terms, eta = 1, the upper bracket, too, where the weights (1, 0) give
+    # the unweighted sum bit for bit
     gamma = 0.4
     state = build_bghz(gamma)
     reference = find_crossing(
@@ -303,7 +304,8 @@ def test_eta_threshold_reuses_the_lossless_value(monkeypatch):
     monkeypatch.setattr(nonclassicality, "_thinning", counted_thinning)
     assert eta_threshold(gamma, state=state) == reference
     assert passes == ["S1p"]
-    assert etas and 1.0 not in etas
+    assert 1.0 in etas
+    assert nonclassicality._lossy_lhs(state)(1.0) == mermin_lhs(gamma, state=state)
 
 
 def test_eta_threshold_requires_violation():

@@ -1,5 +1,6 @@
 """Construction and resummation tests for the diagonal Pade ladder."""
 
+import functools
 import math
 import random
 import subprocess
@@ -275,7 +276,7 @@ def test_failed_precision_guard_ends_the_ladder_unsettled(monkeypatch):
     # without qd headroom the check run no longer reproduces the ladder
     monkeypatch.setattr(pade, "_QD_BITS_PER_TERM", 0)
     monkeypatch.setattr(state, "_VALUES", {})
-    monkeypatch.setattr(state, "_RESUMMERS", {})
+    monkeypatch.setattr(state, "_resummer", functools.cache(state._resummer.__wrapped__))
     resummer = DiagonalResummer(c_series(40, 3, 81).coeffs)
     got = resummer.resum(-(Fraction(0.6) ** 2), max_order=40, tol=1e-10, bits=256)
     _assert_unsettled(got, got.diagnostics[-1][0])
@@ -449,6 +450,24 @@ def test_shipped_tables_are_the_ones_the_code_computes():
     assert members(BytesIO(_cftables._archive())) == shipped
 
 
+def test_archive_refuses_a_check_run_of_its_own(monkeypatch):
+    # a member holds one number per line, the value run's, and the reader
+    # coarsens it into the check run; a table whose check run differs from
+    # that in one coefficient cannot be stored
+    bits = DEFAULT_POLICY.bits
+    series = [c_series(4, 3, 21).coeffs]
+    assert pade._table_archive(series, bits)
+    qd, (_, check_scale) = pade._qd, pade._scales(bits)
+
+    def nudged(coeffs, ctx, scale):
+        for i, a in enumerate(qd(coeffs, ctx, scale)):
+            yield a + (scale == check_scale and i == 3)
+
+    monkeypatch.setattr(pade, "_qd", nudged)
+    with pytest.raises(ValueError, match="check run is not the value run coarsened"):
+        pade._table_archive(series, bits)
+
+
 def test_shipped_table_seeds_the_ladder():
     # the default policy's three-beam series: the ladder holds the complete
     # table from the start, with no qd run, and it is the table qd computes
@@ -476,8 +495,9 @@ def test_cold_cap_build_reads_the_archive_directory_once(monkeypatch):
     read = pade._stored_table
     names = []
     monkeypatch.setattr(pade, "_stored_table", lambda name: names.append(name) or read(name))
-    for cache in ("_VALUES", "_RESUMMERS", "_FACTORS"):
-        monkeypatch.setattr(state, cache, {})
+    monkeypatch.setattr(state, "_VALUES", {})
+    monkeypatch.setattr(state, "_resummer", functools.cache(state._resummer.__wrapped__))
+    monkeypatch.setattr(state, "_factor", functools.cache(state._factor.__wrapped__))
     pade._stored_archive.cache_clear()
     assert state.build_bghz(0.352).cutoff == CUTOFF_CAP
     assert len(parses) == 1
@@ -533,7 +553,7 @@ def test_shipped_tables_give_the_computed_series_values(monkeypatch):
 
     def outcomes():
         monkeypatch.setattr(state, "_VALUES", {})
-        monkeypatch.setattr(state, "_RESUMMERS", {})
+        monkeypatch.setattr(state, "_resummer", functools.cache(state._resummer.__wrapped__))
         out = []
         for k, gamma in sample:
             try:

@@ -1,5 +1,6 @@
 """Resummed coefficients, photon statistics, and bright-state construction."""
 
+import functools
 import math
 import re
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 import brightghz.state as state_module
+from brightghz.nonclassicality import mermin_lhs
 from brightghz.oracles import coherent_pk, squeezed_pk
 from brightghz.pade import DiagonalResummer, ResummationResult
 from brightghz.state import (
@@ -241,7 +243,10 @@ def test_validity_boundary_warns_and_flags():
 
 
 def _quadratic_distribution(spec):
-    """photon_distribution as it was: every retained sum taken from scratch."""
+    """photon_distribution as it was: every retained sum taken from scratch.
+
+    The mean is the correctly rounded sum, as photon_distribution takes it.
+    """
     policy = spec.policy
 
     def weight(k):
@@ -277,7 +282,7 @@ def _quadratic_distribution(spec):
         return TripleDistribution(spec.n, spec.gamma, probs, math.inf, None, True)
     total = sum(w) + mpf(tail)
     probs = tuple(float(x / total) for x in w)
-    mean = None if diverged else float(sum(k * p for k, p in enumerate(probs)))
+    mean = None if diverged else math.fsum(k * p for k, p in enumerate(probs))
     return TripleDistribution(
         spec.n, spec.gamma, probs, float(mpf(tail) / total), mean, diverged
     )
@@ -367,8 +372,18 @@ def test_state_small_gain_matches_leading_order():
 
 
 def test_state_zero_gain_is_vacuum():
-    state = build_bghz(0.0)
-    assert state.amps == {(0, 0): 1.0 + 0j}
+    # gain 0 climbs the same photon ladder as any other gain: all the
+    # amplitude sits in the vacuum, the box is cutoff + 1 on a side, and the
+    # cutoff is the photon statistics', auto or pinned
+    for policy in (DEFAULT_POLICY, NumericPolicy(cutoff=0), NumericPolicy(cutoff=5)):
+        state = build_bghz(0.0, policy)
+        assert abs(state.amps[0, 0]) == 1.0
+        assert all(a == 0 for qm, a in state.amps.items() if qm != (0, 0))
+        assert state._box.shape == (state.cutoff + 1,) * 2
+        assert state.cutoff == photon_distribution(BrightStateSpec(3, 0.0, policy)).cutoff
+        assert state.cutoff == (1 if policy.cutoff is None else policy.cutoff)
+        assert mermin_lhs(0.0, policy) == 2.0
+    assert build_bghz(0.0).cutoff == build_bghz(1e-9).cutoff
 
 
 def test_state_guard_warns():
@@ -459,26 +474,31 @@ def test_cutoff_cache_is_bounded(monkeypatch):
     # the per-gain factor memo, which holds the auto cutoff, keeps to
     # VALUES_MAX // (CUTOFF_CAP + 1) entries, and a gain evicted on the way
     # finds the same cutoff and rebuilds the same box
+    cap = state_module.VALUES_MAX // (CUTOFF_CAP + 1)
+    assert state_module._factor.cache_info().maxsize == cap
+    factor = functools.lru_cache(maxsize=4)(state_module._factor.__wrapped__)
     monkeypatch.setattr(state_module, "_VALUES", {})
-    monkeypatch.setattr(state_module, "_FACTORS", {})
+    monkeypatch.setattr(state_module, "_factor", factor)
     monkeypatch.setattr(state_module, "VALUES_MAX", 4 * (CUTOFF_CAP + 1))
     first = build_bghz(0.1)
     for i in range(8):
         build_bghz(0.11 + 0.01 * i)
-        assert len(state_module._FACTORS) <= 4
-    assert len(state_module._FACTORS) == 4
-    assert not any(key[0] == 0.1 for key in state_module._FACTORS)
+        assert factor.cache_info().currsize <= 4
+    assert factor.cache_info().currsize == 4
+    misses = factor.cache_info().misses
     again = build_bghz(0.1)
+    assert factor.cache_info().misses == misses + 1  # 0.1 was evicted
     assert again.cutoff == first.cutoff
     assert np.array_equal(again._box, first._box)
 
 
 def test_warm_state_equals_cold_state(monkeypatch):
     build_bghz(0.563)
+    hits = state_module._factor.cache_info().hits
     warm = build_bghz(0.563)
-    assert (0.563, None) + DEFAULT_POLICY.key() in state_module._FACTORS
+    assert state_module._factor.cache_info().hits == hits + 1
     monkeypatch.setattr(state_module, "_VALUES", {})
-    monkeypatch.setattr(state_module, "_FACTORS", {})
+    monkeypatch.setattr(state_module, "_factor", functools.cache(state_module._factor.__wrapped__))
     cold = build_bghz(0.563)
     assert warm.cutoff == cold.cutoff
     assert warm.amps == cold.amps
@@ -491,13 +511,12 @@ def test_warm_build_does_no_working_precision_work(monkeypatch):
     # value is read and no photon ladder is climbed, with the auto cutoff and
     # with a pinned one, which keep separate entries
     gamma = 0.352
-    monkeypatch.setattr(state_module, "_FACTORS", {})
+    factor = functools.cache(state_module._factor.__wrapped__)
+    monkeypatch.setattr(state_module, "_factor", factor)
     policies = {cutoff: NumericPolicy(cutoff=cutoff) for cutoff in (None, 12)}
     cold = {cutoff: build_bghz(gamma, policy) for cutoff, policy in policies.items()}
     assert cold[None].cutoff == CUTOFF_CAP and cold[12].cutoff == 12
-    assert set(state_module._FACTORS) == {
-        (gamma, cutoff) + DEFAULT_POLICY.key() for cutoff in policies
-    }
+    assert factor.cache_info().currsize == len(policies)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a warm build did working-precision work")
@@ -510,17 +529,19 @@ def test_warm_build_does_no_working_precision_work(monkeypatch):
         assert warm.norm_residual == cold[cutoff].norm_residual
         assert warm.amps == cold[cutoff].amps
         assert np.array_equal(warm._box, cold[cutoff]._box)
-    for _, factor, _, _ in state_module._FACTORS.values():
+    assert factor.cache_info().hits == len(policies)
+    for policy in policies.values():
+        _, u, _, _ = factor(gamma, policy)
         with pytest.raises(ValueError, match="read-only"):
-            factor[0] = 0.0
+            u[0] = 0.0
 
 
 def test_amplitudes_pin_the_per_pair_formula():
     # each amplitude is the float outer product of the two normalized factor
     # magnitudes, each rounded to a float once: three roundings against the
     # one of the working-precision pair product, so within 2**-51 relative
-    # of it; the amplitudes run in q-major order, the order
-    # project_out_vacuum sums them in, and the box is symmetric bit for bit
+    # of it; the amplitudes run in q-major order, and the box is symmetric
+    # bit for bit
     gamma, policy = 0.352, DEFAULT_POLICY
     state = build_bghz(gamma, policy)
     assert state.cutoff == CUTOFF_CAP
@@ -593,11 +614,12 @@ def test_amps_view_reads_the_box():
 
 def test_projected_state_is_read_off_a_scaled_box():
     # the projected box is the zeroed-vacuum copy scaled by the inverse root
-    # of the left-to-right q-major sum, bit for bit, and its amps leave out (0, 0)
+    # of the correctly rounded sum of the squared magnitudes, bit for bit,
+    # and its amps leave out (0, 0)
     state = build_bghz(0.352)
     projected = project_out_vacuum(state)
     rest = {qm: a for qm, a in state.amps.items() if qm != (0, 0)}
-    scale = sum(abs(a) ** 2 for a in rest.values()) ** -0.5
+    scale = math.fsum(abs(a) * abs(a) for a in rest.values()) ** -0.5
     assert projected.amps == {qm: a * scale for qm, a in rest.items()}
     assert list(projected.amps) == list(rest)
     assert len(projected.amps) == state._box.size - 1
@@ -607,11 +629,28 @@ def test_projected_state_is_read_off_a_scaled_box():
     assert state._box[0, 0] != 0 and (0, 0) in state.amps  # the source keeps its vacuum
 
 
+def test_projection_total_is_correctly_rounded():
+    # past the vacuum the squared magnitudes are 1, 1e-16 and 1e-16: added
+    # left to right (builtin sum before Python 3.12) the small ones vanish
+    # against 1, but together they move the total by one unit in the last place
+    tiny = 1e-8
+    squares = [1.0, tiny * tiny, tiny * tiny]
+    assert (squares[0] + squares[1]) + squares[2] != math.fsum(squares)
+    state = BGHZState(
+        gamma=0.1,
+        cutoff=1,
+        amps={(0, 0): 0.5, (0, 1): 1.0, (1, 0): tiny, (1, 1): tiny},
+        norm_residual=0.0,
+    )
+    projected = project_out_vacuum(state)
+    assert projected._box[0, 1] == math.fsum(squares) ** -0.5
+
+
 def test_warm_build_reuses_the_shell_moments(monkeypatch):
     # the memo keeps the read-only moments of the first box for its gain; a
     # warm build hands them over without binning the box again
     gamma = 0.352
-    monkeypatch.setattr(state_module, "_FACTORS", {})
+    monkeypatch.setattr(state_module, "_factor", functools.cache(state_module._factor.__wrapped__))
     cold = build_bghz(gamma)
     cold_moments = cold._moments
 
@@ -665,9 +704,9 @@ def test_factor_is_the_square_root_of_the_weights(gamma, policy):
     # the factor read off the retained weights equals the magnitude formula
     # bit for bit, and an auto cutoff is the three-beam distribution's
     state = build_bghz(gamma, policy)
-    cutoff, factor, norm_residual, _ = state_module._FACTORS[
-        (gamma, policy.cutoff) + policy.key()
-    ]
+    hits = state_module._factor.cache_info().hits
+    cutoff, factor, norm_residual, _ = state_module._factor(gamma, policy)
+    assert state_module._factor.cache_info().hits == hits + 1
     assert cutoff == state.cutoff
     if policy.cutoff is None:
         assert cutoff == photon_distribution(BrightStateSpec(3, gamma, policy)).cutoff
