@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -62,12 +62,7 @@ from brightghz.state import (
     NumericPolicy,
     build_bghz,
 )
-from brightghz.stokes import (
-    _closed_form_t,
-    _mermin_form,
-    _shell_terms,
-    stokes_expectation,
-)
+from brightghz.stokes import _mermin_form, _shell_terms, stokes_expectation
 
 __all__ = [
     "SweepResult",
@@ -144,10 +139,6 @@ class WitnessEvaluation:
     agreement: float
 
 
-def _vacuum_probability(state: BGHZState) -> float:
-    return float(abs(state._box[0, 0]) ** 2)
-
-
 def mermin_lhs(
     gamma: float,
     policy: NumericPolicy = DEFAULT_POLICY,
@@ -166,15 +157,16 @@ def evaluate_mermin(
     """mermin_lhs plus the reduced form.
 
     The reduced form |4t + 2 p_vac| follows from <S'S'S'> = T - p_vac on
-    states whose support is exchange-diagonal, with t the closed-form
-    double sum; agreement records its difference from the kernel's LHS.
+    states whose support is exchange-diagonal, with t the state's
+    closed-form double sum (computed once per state); agreement records
+    its difference from the kernel's LHS.
     Both carry the same retained-mass scale.  The closed form holds only on
     exchange-symmetric boxes, A[q, m] = A[m, q], like every bright state.
     """
     state = build_bghz(gamma, policy) if state is None else state
     lhs = mermin_lhs(gamma, policy, state)
-    t = _closed_form_t(state)
-    reduced = (1.0 - state.norm_residual) * abs(4.0 * t + 2.0 * _vacuum_probability(state))
+    t = state._closed_form_t
+    reduced = (1.0 - state.norm_residual) * abs(4.0 * t + 2.0 * state._vacuum_probability)
     return MerminEvaluation(
         gamma=state.gamma, lhs=lhs, reduced=reduced, agreement=abs(lhs - reduced)
     )
@@ -325,9 +317,10 @@ def eta_threshold(
     reused when given; requires a violation at eta = 1 (raises "not
     violated at eta=1" otherwise).  The lower bracket starts just above 0
     because eta = 0 gives exactly 2.  The state's Mermin terms are
-    computed once, and every efficiency reweighs them.
+    computed once, every efficiency reweighs them, and each efficiency,
+    eta = 1 included, is evaluated once.
     """
-    lhs = _lossy_lhs(build_bghz(gamma, policy) if state is None else state)
+    lhs = cache(_lossy_lhs(build_bghz(gamma, policy) if state is None else state))
     if lhs(1.0) <= CLASSICAL_BOUND:
         raise _NotViolated(f"not violated at eta=1 (gamma={gamma})")
     return find_crossing(lhs, CLASSICAL_BOUND, 1e-6, 1.0, tol)
@@ -368,8 +361,9 @@ def evaluate_w2(
 
     value is <S1 S2 S2 + S2 S1 S2 + S2 S2 S1 - S1 S1 S1> + <Pi Pi Pi>, the
     Mermin part being the negated Mermin kernel on unprimed operators;
-    closed_form is -4t + 1 - p_vac on the same state, t the closed-form
-    double sum, and agreement records their difference.  Negative value
+    closed_form is -4t + 1 - p_vac on the same state, t its closed-form
+    double sum (computed once per state), and agreement records their
+    difference.  Negative value
     flags entanglement (separable bound 0).
     """
     state = build_bghz(gamma, policy) if state is None else state
@@ -377,7 +371,7 @@ def evaluate_w2(
         state = state._vacuum_projected
     m_value = -float(_mermin_form(state, "S1").sum())
     value = m_value + stokes_expectation(state, ("Pi", "Pi", "Pi"))
-    closed = -4.0 * _closed_form_t(state) + 1.0 - _vacuum_probability(state)
+    closed = -4.0 * state._closed_form_t + 1.0 - state._vacuum_probability
     return WitnessEvaluation(
         gamma=state.gamma,
         value=value,

@@ -16,11 +16,11 @@ cutoff is decided: each factor magnitude |u_q| of the state is the square
 root of a normalized three-beam weight, taken at working precision, then
 made a float.  The amplitude box is rank one, A[q, m] = u_q u_m, so one
 float outer product of those cutoff + 1 factor amplitudes fills it.  The
-factor amplitudes and the shell moments of their box, all that the Stokes
-kernels read of a state, are memoized per gain point and cutoff request: a
-warm build_bghz does no working-precision work and bins nothing, only the
-lookup and the outer product.  A built state's amps is a read-only mapping
-read off its box.
+built state itself is memoized per gain point and policy, with the shell
+moments of its box, which the Stokes kernels read, and, once first read,
+its closed-form t and vacuum probability: a warm build_bghz is one lookup
+and returns the same frozen state.  Only this module reads a state's box.
+A built state's amps is a read-only mapping read off its box.
 """
 
 from __future__ import annotations
@@ -207,10 +207,35 @@ class BGHZState:
     def _moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-shell moments of the box: all that the selector kernels read of a state.
 
-        _shell_moments(self._box), built once per state; build_bghz hands a
-        state the moments memoized for its gain.
+        _shell_moments(self._box), built once per state; build_bghz bins
+        the box when it builds the state.
         """
         return _shell_moments(self._box)
+
+    @cached_property
+    def _closed_form_t(self) -> float:
+        """Double sum for t over the box, computed once per state.
+
+        Each A[q, m] pairs with its direct partner A[q-1, m+1] and its
+        transposed partner A[m-1, q+1], hopping one photon between the a and b
+        modes in every party at once; the (x(y+1))^(3/2) weights are the
+        three-party ladder factors and k^3 the Stokes normalization.  The
+        transposed partner makes it <S1 S1 S1> only on exchange-symmetric
+        boxes.  It reads the box, not the shell moments, so the Stokes
+        cross-checks compare two different computations.
+        """
+        box = self._box
+        # over (q, m) -> (q+1, m-1), entry [q, m-1]: ((q+1) m)^(3/2) / k^3
+        q = np.arange(1, len(box))
+        weight = np.outer(q, q) ** 1.5 / np.add.outer(q - 1, q) ** 3
+        direct = (box[:-1, 1:].conj() * box[1:, :-1]).real
+        transposed = (box.T[1:, :-1].conj() * box[:-1, 1:]).real
+        return float((weight * (direct + transposed)).sum())
+
+    @cached_property
+    def _vacuum_probability(self) -> float:
+        """|A[0, 0]|^2, the probability that no observer sees a photon."""
+        return float(abs(self._box[0, 0]) ** 2)
 
     @classmethod
     def _from_box(
@@ -219,10 +244,9 @@ class BGHZState:
         cutoff: int,
         box: np.ndarray,
         norm_residual: float,
-        moments: tuple[np.ndarray, np.ndarray] | None = None,
         vacuum_projected: bool = False,
     ) -> BGHZState:
-        """The state with amplitude box `box`, made read-only, and its shell moments if known.
+        """The state with amplitude box `box`, made read-only.
 
         amps is a read-only view of the box (_BoxAmplitudes); a
         vacuum-projected state's view has no (0, 0) key.
@@ -235,10 +259,7 @@ class BGHZState:
             norm_residual=norm_residual,
             vacuum_projected=vacuum_projected,
         )
-        # what the cached properties would store
-        state.__dict__["_box"] = box
-        if moments is not None:
-            state.__dict__["_moments"] = moments
+        state.__dict__["_box"] = box  # what the cached property would store
         return state
 
     @cached_property
@@ -431,11 +452,8 @@ def _omitted_mass(w: list, mass) -> float:
     kept, which also preserves the geometric bound as the conservative
     choice whenever the ratio is falling instead.
     """
-    geometric = _tail_estimate(w)
-    if geometric == float("inf"):
-        return geometric
     shortfall = float(1 - mass)
-    return max(geometric, shortfall, 0.0)
+    return max(_tail_estimate(w), shortfall, 0.0)
 
 
 # Precision of the statistics built from the weights: the retained mass,
@@ -520,9 +538,9 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
     Raw amplitudes are C_q * C_m * (q! m!)**1.5 over pairs with q, m <= the
     cutoff.  The cutoff and the factor magnitudes |C_q| (q!)**1.5, square
     roots of the three-beam weights, come from _retained_weights.  The
-    factors, normalized at working precision and converted to floats once
-    each, are memoized per gain with the shell moments of their box; the box
-    is their outer product, handed to the state with those moments.
+    factors are normalized at working precision and converted to floats
+    once each; the box is their outer product.  The state is memoized per
+    gain and policy, so a warm call returns the same frozen state.
     """
     if not 0 <= gamma < inf:
         raise ValueError(f"gain must be finite and >= 0, got {gamma}")
@@ -533,23 +551,21 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
             RuntimeWarning,
             stacklevel=2,
         )
-    cutoff, factor, norm_residual, moments = _factor(float(gamma), policy)
-    return BGHZState._from_box(gamma, cutoff, np.outer(factor, factor), norm_residual, moments)
+    return _bright_state(float(gamma), policy)
 
 
-# Bright-state factor per gain point and policy, most recently used kept.
+# Bright state per gain point and policy, most recently used kept.
 # Rebuilding it climbs the photon ladder again, re-reading every cached
 # value, redoes the working-precision square roots and normalization and
-# bins the box by shell: nearly all of a warm build_bghz.  A failed build
-# raises, so only successful builds are kept.  An entry holds at most
-# CUTOFF_CAP + 1 numbers for any auto cutoff, so the cap of
-# VALUES_MAX // (CUTOFF_CAP + 1) entries (537) holds no more factor numbers
-# than _VALUES holds values; with the moments (4 x 121 floats and 121
-# complex at the auto cutoff's most) an entry is about 7 kB, under 4 MB in all.
-@lru_cache(maxsize=VALUES_MAX // (CUTOFF_CAP + 1))
-def _factor(gamma: float, policy: NumericPolicy) -> tuple:
-    """(cutoff, read-only u_q = i^q sign(s_q) sqrt(w_q / sum(w)), norm_residual, moments of
-    u u^T) at gamma, over the three-beam weights w_q and the series values s_q."""
+# bins the box by shell: nearly all of a cold build_bghz once the values are
+# cached.  A failed build raises, so only successful builds are kept.  At
+# the cutoff cap an entry holds a 61 x 61 complex box (59.5 kB) and its
+# moments (5.8 kB), twice that once a witness projects the state, so 32
+# entries stay near 4 MB; no workload revisits more than 17 gains.
+@lru_cache(maxsize=32)
+def _bright_state(gamma: float, policy: NumericPolicy) -> BGHZState:
+    """The state at gamma, box u u^T over u_q = i^q sign(s_q) sqrt(w_q / sum(w)),
+    the three-beam weights w_q and series values s_q, with its shell moments."""
     w, _, _ = _retained_weights(3, gamma, policy)
     with mp.workprec(policy.bits):
         col = sum(w)
@@ -559,8 +575,9 @@ def _factor(gamma: float, policy: NumericPolicy) -> tuple:
         factor = np.array(
             [(1j) ** (q % 4) * (signs[q] * float(x**0.5 / root)) for q, x in enumerate(w)]
         )
-    factor.setflags(write=False)
-    return len(w) - 1, factor, norm_residual, _shell_moments(np.outer(factor, factor))
+    state = BGHZState._from_box(gamma, len(w) - 1, np.outer(factor, factor), norm_residual)
+    state._moments  # binned here, so the first kernel call on a built state bins nothing
+    return state
 
 
 def project_out_vacuum(state: BGHZState) -> BGHZState:

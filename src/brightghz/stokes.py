@@ -37,13 +37,13 @@ of basis-2 parties.  Shell k of the expectation is therefore
 over the state's shell moments (BGHZState._moments), M_p[k] = sum
 (q - m)^p |A[q, m]|^2 for p = 0..3 and N[k] = sum conj(A[q, m])
 ((q+1) m)^(3/2) A[q+1, m-1], both over the pairs on shell k.  The moments
-are built once per state (build_bghz memoizes them per gain).  The weights
-e_p[k] and i^n2 b0_k b1_k b2_k depend only on the triple and k: they are
-read-only tables built once per triple and band weight (_WEIGHTS) and
-sliced per call, so a selector triple costs one lookup and one weighted
-moment sum, with no pass over the box.  The closed form for t reads the
-box itself, with a hop-weight grid that depends on the box size alone, so
-CorrelationTensor.cross_check and the agreement diagnostics compare two
+are built once per state (build_bghz memoizes the state per gain).  The
+weights e_p[k] and i^n2 b0_k b1_k b2_k depend only on the triple and k:
+they are read-only tables built once per triple and band weight (_WEIGHTS)
+and sliced per call, so a selector triple costs one lookup and one
+weighted moment sum, with no pass over the box.  The closed form for t
+(BGHZState._closed_form_t, computed once per state) reads the box itself,
+so CorrelationTensor.cross_check and the agreement diagnostics compare two
 different computations.
 
 The Mermin combination <111> - <122> - <212> - <221> needs only the
@@ -208,38 +208,6 @@ class CorrelationTensor:
     cross_check: float
 
 
-def _closed_form_t(state: BGHZState) -> float:
-    """Double sum for t over the retained amplitudes.
-
-    Each A[q, m] pairs with its direct partner A[q-1, m+1] and its
-    transposed partner A[m-1, q+1], hopping one photon between the a and b
-    modes in every party at once; the (x(y+1))^(3/2) weights are the
-    three-party ladder factors and k^3 the Stokes normalization.  The
-    transposed partner makes it <S1 S1 S1> only on exchange-symmetric boxes.
-    """
-    box = state._box
-    direct = (box[:-1, 1:].conj() * box[1:, :-1]).real
-    transposed = (box.T[1:, :-1].conj() * box[:-1, 1:]).real
-    return float((_t_weight(len(box) - 1) * (direct + transposed)).sum())
-
-
-# over (q, m) -> (q+1, m-1), entry [q, m-1]: ((q+1) m)^(3/2) / k^3, that is
-# ((i+1)(j+1))^1.5 / (i+j+1)^3 at [i, j]; it depends on the box size alone,
-# so it is built once, read-only, through CUTOFF_CAP, grown for a larger
-# box, and sliced per box
-_T_WEIGHT = np.empty((0, 0))
-
-
-def _t_weight(size: int) -> np.ndarray:
-    """The closed form's hop weights on a box of side size + 1."""
-    global _T_WEIGHT
-    if len(_T_WEIGHT) < size:
-        q = np.arange(max(size, CUTOFF_CAP) + 1)
-        _T_WEIGHT = np.outer(q[1:], q[1:]) ** 1.5 / np.add.outer(q[:-1], q[1:]) ** 3
-        _T_WEIGHT.setflags(write=False)
-    return _T_WEIGHT[:size, :size]
-
-
 def tensor_t(
     gamma: float,
     policy: NumericPolicy = DEFAULT_POLICY,
@@ -247,14 +215,14 @@ def tensor_t(
 ) -> CorrelationTensor:
     """Correlation tensor of the bright state at one gain.
 
-    Builds the state (or reuses a provided one), evaluates the closed-form
-    double sum for t, fills the GHZ sign pattern, and cross-checks t
-    against the generic evaluation of <S1 S1 S1>.  A provided state must be
+    Builds the state (or reuses a provided one), reads its closed-form
+    double sum for t (computed once per state), fills the GHZ sign pattern,
+    and cross-checks t against the generic evaluation of <S1 S1 S1>.  A provided state must be
     exchange-symmetric, A[q, m] = A[m, q], for t to be its T_111.
     """
     if state is None:
         state = build_bghz(gamma, policy)
-    t = _closed_form_t(state)
+    t = state._closed_form_t
     generic = stokes_expectation(state, ("S1", "S1", "S1"))
     elements = dict.fromkeys(itertools.product((1, 2, 3), repeat=3), 0.0)
     elements.update({(1, 1, 1): t, (1, 2, 2): -t, (2, 1, 2): -t, (2, 2, 1): -t})

@@ -127,6 +127,19 @@ def test_pk_curve_flags_divergence_with_exit_code(tmp_path):
     assert sum(float(c) for c in rows[0][1:12]) < 1.0 + 1e-9
 
 
+def test_pk_curve_infinite_tail_exits_with_warning(tmp_path):
+    # weights that grow past the cutoff give an infinite tail estimate,
+    # printed as inf and flagged diverged, with exit code 2
+    code, _, header, rows = run(
+        tmp_path,
+        "--cmd", "pk_curve",
+        "--n", "1", "--cutoff", "1", "--gamma-min", "1.5", "--steps", "1",
+    )
+    assert code == EXIT_WARNINGS
+    assert header[-2:] == ["tail", "diverged"]
+    assert rows == [["1.5", *rows[0][1:-2], "inf", "true"]]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

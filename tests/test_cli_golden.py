@@ -4,8 +4,9 @@ Each case covers a row kind: table1 and pk_curve statistics (one, two and
 three beams), a Mermin grid that brackets the crossing, eta rows that are
 violated, outside the efficiency window and not violated, one eta row at a
 gain whose auto cutoff reaches CUTOFF_CAP (the largest amplitude box), both
-projected witnesses, a witness grid with one failed point (exit 2) and a
-Mermin grid where every point fails (exit 1, the CSV still written).
+projected witnesses, the unprojected w2 agreement column up to a gain at
+CUTOFF_CAP, a witness grid with one failed point (exit 2) and a Mermin grid
+where every point fails (exit 1, the CSV still written).
 
 table1 and pk_curve must match byte for byte.  The Stokes commands end in
 floating-point sums over the amplitude box whose last digits depend on
@@ -58,6 +59,11 @@ CASES = [
         "w2_projected",
         ["--cmd", "w2", "--gamma-min", "0.1", "--gamma-max", "0.3", "--steps", "2",
          "--projected"],
+        0,
+    ),
+    (
+        "w2_unprojected",
+        ["--cmd", "w2", "--gamma-min", "0.1", "--gamma-max", "0.35", "--steps", "2"],
         0,
     ),
     (

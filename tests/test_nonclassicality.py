@@ -27,8 +27,8 @@ from brightghz.nonclassicality import (
     witness_w2,
 )
 from brightghz.oracles import dense_expectation, random_product_state
-from brightghz.state import NumericPolicy, build_bghz, project_out_vacuum
-from brightghz.stokes import _closed_form_t, stokes_expectation, tensor_t
+from brightghz.state import BGHZState, NumericPolicy, build_bghz, project_out_vacuum
+from brightghz.stokes import stokes_expectation, tensor_t
 from references import amplitude_boxes, diagonal_state, reference_block
 
 
@@ -137,21 +137,39 @@ def test_mermin_reduction_identity(gamma):
 def test_cross_checks_never_read_the_shell_moments():
     # the kernels read only the state's cached shell moments and the closed
     # form only its box, so corrupted moments move the kernels, leave the
-    # closed form alone and show up in both diagnostics
+    # closed form alone and show up in both diagnostics; the moments are
+    # corrupted on a private copy of the memoized state, before its t is read
     gamma = 0.4
-    state = build_bghz(gamma)
-    t = _closed_form_t(state)
-    s111 = stokes_expectation(state, ("S1", "S1", "S1"))
-    lhs = mermin_lhs(gamma, state=state)
-    assert evaluate_mermin(gamma, state=state).agreement <= 1e-12
-    assert tensor_t(gamma, state=state).cross_check <= 1e-12
-    moments, hops = state._moments
+    built = build_bghz(gamma)
+    t = built._closed_form_t
+    s111 = stokes_expectation(built, ("S1", "S1", "S1"))
+    lhs = mermin_lhs(gamma, state=built)
+    assert evaluate_mermin(gamma, state=built).agreement <= 1e-12
+    assert tensor_t(gamma, state=built).cross_check <= 1e-12
+    state = BGHZState._from_box(gamma, built.cutoff, built._box.copy(), built.norm_residual)
+    moments, hops = built._moments
     state.__dict__["_moments"] = (1.5 * moments, 1.5 * hops)
+    assert "_closed_form_t" not in vars(state)
     assert abs(stokes_expectation(state, ("S1", "S1", "S1")) - 1.5 * s111) <= 1e-12
     assert abs(mermin_lhs(gamma, state=state) - lhs) > 0.1
-    assert _closed_form_t(state) == t
+    assert state._closed_form_t == t
     assert evaluate_mermin(gamma, state=state).agreement > 0.1
     assert tensor_t(gamma, state=state).cross_check > 0.1
+
+
+def test_eta_threshold_evaluates_each_efficiency_once(monkeypatch):
+    # the violation check at eta = 1 and the bisection's upper bracket share
+    # one evaluation, and the threshold is the bisection of lossy_mermin_lhs
+    gamma = 0.3
+    seen = []
+    thinning = nonclassicality._thinning
+    monkeypatch.setattr(
+        nonclassicality, "_thinning", lambda eta, k: seen.append(eta) or thinning(eta, k)
+    )
+    eta = eta_threshold(gamma)
+    assert seen.count(1.0) == 1
+    assert len(seen) == len(set(seen))
+    assert eta == find_crossing(lambda e: lossy_mermin_lhs(gamma, e), 2.0, 1e-6, 1.0)
 
 
 def test_mermin_small_gain_limit():

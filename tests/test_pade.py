@@ -272,6 +272,16 @@ def test_qd_breakdown_ends_the_ladder_unsettled(monkeypatch):
         state._series_value(3, 2, 0.5, NumericPolicy(pade_order=12))
 
 
+def test_zero_e_entry_ends_qd():
+    # the geometric series 1/(1 - x) has e_1 = 0, a zero divisor for q_2:
+    # qd stops after a_1, so order 1 holds the exact value 2 at x = 1/2 and
+    # order 2 has none
+    got = DiagonalResummer([1] * 9).resum(0.5, max_order=4)
+    assert got.value == 2
+    _assert_unsettled(got, 2)
+    assert got.diagnostics == ((1, 2.0), (2, None))
+
+
 def test_failed_precision_guard_ends_the_ladder_unsettled(monkeypatch):
     # without qd headroom the check run no longer reproduces the ladder
     monkeypatch.setattr(pade, "_QD_BITS_PER_TERM", 0)
@@ -497,7 +507,7 @@ def test_cold_cap_build_reads_the_archive_directory_once(monkeypatch):
     monkeypatch.setattr(pade, "_stored_table", lambda name: names.append(name) or read(name))
     monkeypatch.setattr(state, "_VALUES", {})
     monkeypatch.setattr(state, "_resummer", functools.cache(state._resummer.__wrapped__))
-    monkeypatch.setattr(state, "_factor", functools.cache(state._factor.__wrapped__))
+    monkeypatch.setattr(state, "_bright_state", functools.cache(state._bright_state.__wrapped__))
     pade._stored_archive.cache_clear()
     assert state.build_bghz(0.352).cutoff == CUTOFF_CAP
     assert len(parses) == 1
@@ -586,6 +596,11 @@ def test_non_finite_point_rejected(x):
 def test_tol_must_be_finite_and_positive(tol):
     with pytest.raises(ValueError, match="tol must be finite and > 0"):
         diagonal_resum(EULER, 0.2, max_order=12, tol=tol)
+
+
+def test_max_order_must_be_positive():
+    with pytest.raises(ValueError, match="max_order must be >= 1, got 0"):
+        DiagonalResummer([1] * 9).resum(0.5, max_order=0)
 
 
 @pytest.mark.parametrize(

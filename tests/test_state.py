@@ -235,6 +235,18 @@ def test_pinned_cutoff_reports_fat_tail():
     assert sum(dist.probs) + dist.tail_bound == pytest.approx(1.0, abs=1e-9)
 
 
+def test_infinite_tail_estimate_marks_divergence():
+    # a cutoff of 1 at gain 1.5 retains weights 1 and 2.25 (times e^-2.25):
+    # their ratio is at least 1, so the geometric tail estimate, and with it
+    # the omitted mass, is infinite; the retained weights are normalized on
+    # their own, flagged diverged, without a mean
+    dist = photon_distribution(BrightStateSpec(1, 1.5, NumericPolicy(cutoff=1)))
+    assert dist.tail_bound == math.inf
+    assert dist.diverged and dist.mean is None
+    assert dist.probs == pytest.approx((4 / 13, 9 / 13), rel=1e-12)
+    assert math.fsum(dist.probs) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_validity_boundary_warns_and_flags():
     with pytest.warns(RuntimeWarning):
         dist = photon_distribution(BrightStateSpec(n=3, gamma=0.95))
@@ -471,35 +483,38 @@ def test_value_cache_is_bounded(monkeypatch):
 
 
 def test_cutoff_cache_is_bounded(monkeypatch):
-    # the per-gain factor memo, which holds the auto cutoff, keeps to
-    # VALUES_MAX // (CUTOFF_CAP + 1) entries, and a gain evicted on the way
-    # finds the same cutoff and rebuilds the same box
-    cap = state_module.VALUES_MAX // (CUTOFF_CAP + 1)
-    assert state_module._factor.cache_info().maxsize == cap
-    factor = functools.lru_cache(maxsize=4)(state_module._factor.__wrapped__)
+    # the per-gain state memo, which holds the auto cutoff, keeps to 32
+    # entries, and a gain evicted on the way finds the same cutoff and
+    # rebuilds the same box
+    assert state_module._bright_state.cache_info().maxsize == 32
+    bright = functools.lru_cache(maxsize=4)(state_module._bright_state.__wrapped__)
     monkeypatch.setattr(state_module, "_VALUES", {})
-    monkeypatch.setattr(state_module, "_factor", factor)
+    monkeypatch.setattr(state_module, "_bright_state", bright)
     monkeypatch.setattr(state_module, "VALUES_MAX", 4 * (CUTOFF_CAP + 1))
     first = build_bghz(0.1)
     for i in range(8):
         build_bghz(0.11 + 0.01 * i)
-        assert factor.cache_info().currsize <= 4
-    assert factor.cache_info().currsize == 4
-    misses = factor.cache_info().misses
+        assert bright.cache_info().currsize <= 4
+    assert bright.cache_info().currsize == 4
+    misses = bright.cache_info().misses
     again = build_bghz(0.1)
-    assert factor.cache_info().misses == misses + 1  # 0.1 was evicted
+    assert bright.cache_info().misses == misses + 1  # 0.1 was evicted
+    assert again is not first
     assert again.cutoff == first.cutoff
     assert np.array_equal(again._box, first._box)
 
 
 def test_warm_state_equals_cold_state(monkeypatch):
     build_bghz(0.563)
-    hits = state_module._factor.cache_info().hits
+    hits = state_module._bright_state.cache_info().hits
     warm = build_bghz(0.563)
-    assert state_module._factor.cache_info().hits == hits + 1
+    assert state_module._bright_state.cache_info().hits == hits + 1
     monkeypatch.setattr(state_module, "_VALUES", {})
-    monkeypatch.setattr(state_module, "_factor", functools.cache(state_module._factor.__wrapped__))
+    monkeypatch.setattr(
+        state_module, "_bright_state", functools.cache(state_module._bright_state.__wrapped__)
+    )
     cold = build_bghz(0.563)
+    assert warm is not cold
     assert warm.cutoff == cold.cutoff
     assert warm.amps == cold.amps
     assert np.array_equal(warm._box, cold._box)
@@ -507,16 +522,16 @@ def test_warm_state_equals_cold_state(monkeypatch):
 
 
 def test_warm_build_does_no_working_precision_work(monkeypatch):
-    # a warm build is one memo lookup and one float outer product: no series
-    # value is read and no photon ladder is climbed, with the auto cutoff and
-    # with a pinned one, which keep separate entries
+    # a warm build is one memo lookup that returns the same frozen state: no
+    # series value is read and no photon ladder is climbed, with the auto
+    # cutoff and with a pinned one, which keep separate entries
     gamma = 0.352
-    factor = functools.cache(state_module._factor.__wrapped__)
-    monkeypatch.setattr(state_module, "_factor", factor)
+    bright = functools.cache(state_module._bright_state.__wrapped__)
+    monkeypatch.setattr(state_module, "_bright_state", bright)
     policies = {cutoff: NumericPolicy(cutoff=cutoff) for cutoff in (None, 12)}
     cold = {cutoff: build_bghz(gamma, policy) for cutoff, policy in policies.items()}
     assert cold[None].cutoff == CUTOFF_CAP and cold[12].cutoff == 12
-    assert factor.cache_info().currsize == len(policies)
+    assert bright.cache_info().currsize == len(policies)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a warm build did working-precision work")
@@ -525,15 +540,12 @@ def test_warm_build_does_no_working_precision_work(monkeypatch):
     monkeypatch.setattr(state_module, "_retained_weights", forbidden)
     for cutoff, policy in policies.items():
         warm = build_bghz(gamma, policy)
+        assert warm is cold[cutoff]
         assert warm.cutoff == cold[cutoff].cutoff
-        assert warm.norm_residual == cold[cutoff].norm_residual
-        assert warm.amps == cold[cutoff].amps
-        assert np.array_equal(warm._box, cold[cutoff]._box)
-    assert factor.cache_info().hits == len(policies)
-    for policy in policies.values():
-        _, u, _, _ = factor(gamma, policy)
+    assert bright.cache_info().hits == len(policies)
+    for state in cold.values():
         with pytest.raises(ValueError, match="read-only"):
-            u[0] = 0.0
+            state._box[0, 0] = 0.0
 
 
 def test_amplitudes_pin_the_per_pair_formula():
@@ -647,11 +659,14 @@ def test_projection_total_is_correctly_rounded():
 
 
 def test_warm_build_reuses_the_shell_moments(monkeypatch):
-    # the memo keeps the read-only moments of the first box for its gain; a
-    # warm build hands them over without binning the box again
+    # the memo keeps the state with the read-only moments of its box, binned
+    # when it was built; a warm build returns that state without binning again
     gamma = 0.352
-    monkeypatch.setattr(state_module, "_factor", functools.cache(state_module._factor.__wrapped__))
+    monkeypatch.setattr(
+        state_module, "_bright_state", functools.cache(state_module._bright_state.__wrapped__)
+    )
     cold = build_bghz(gamma)
+    assert "_moments" in vars(cold)
     cold_moments = cold._moments
 
     def forbidden(*args, **kwargs):
@@ -659,9 +674,9 @@ def test_warm_build_reuses_the_shell_moments(monkeypatch):
 
     monkeypatch.setattr(state_module.np, "bincount", forbidden)
     warm = build_bghz(gamma)
-    assert warm is not cold
-    for got, want in zip(warm._moments, cold_moments):
-        assert np.array_equal(got, want)
+    assert warm is cold
+    assert warm._moments is cold_moments
+    for got in warm._moments:
         with pytest.raises(ValueError, match="read-only"):
             got[0] = 0.0
 
@@ -701,20 +716,21 @@ def _magnitude_formula_factor(gamma, policy, cutoff):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(LADDER_GAINS), ladder_policies)
 def test_factor_is_the_square_root_of_the_weights(gamma, policy):
-    # the factor read off the retained weights equals the magnitude formula
-    # bit for bit, and an auto cutoff is the three-beam distribution's
+    # the box, the outer product of the factor read off the retained
+    # weights, equals that of the magnitude formula bit for bit, and an auto
+    # cutoff is the three-beam distribution's
     state = build_bghz(gamma, policy)
-    hits = state_module._factor.cache_info().hits
-    cutoff, factor, norm_residual, _ = state_module._factor(gamma, policy)
-    assert state_module._factor.cache_info().hits == hits + 1
-    assert cutoff == state.cutoff
+    hits = state_module._bright_state.cache_info().hits
+    assert build_bghz(gamma, policy) is state
+    assert state_module._bright_state.cache_info().hits == hits + 1
+    cutoff = state.cutoff
     if policy.cutoff is None:
         assert cutoff == photon_distribution(BrightStateSpec(3, gamma, policy)).cutoff
     else:
         assert cutoff == policy.cutoff
     want, want_residual = _magnitude_formula_factor(gamma, policy, cutoff)
-    assert factor.tobytes() == want.tobytes()
-    assert norm_residual == want_residual
+    assert state._box.tobytes() == np.outer(want, want).tobytes()
+    assert state.norm_residual == want_residual
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -23,7 +23,6 @@ from brightghz.state import (
 from brightghz.stokes import (
     _SELECTORS,
     _affine,
-    _closed_form_t,
     _mermin_form,
     _shell_terms,
     CorrelationTensor,
@@ -270,11 +269,11 @@ def test_shell_terms_do_not_depend_on_the_first_table_size(monkeypatch):
 
 def test_tables_grow_past_the_cap(monkeypatch):
     # a hand-made box with more than 2 CUTOFF_CAP + 1 shells grows the shell
-    # weights and the closed form's hop weights; every term equals weights
-    # built afresh and matches the reference, whose binomial rotations hold
-    # through shell 2 CUTOFF_CAP (basis-3 blocks are diagonal, exact on all)
+    # weights; every term equals weights built afresh and matches the
+    # reference, whose binomial rotations hold through shell 2 CUTOFF_CAP
+    # (basis-3 blocks are diagonal, exact on all), and the closed form's t
+    # holds on the whole box
     monkeypatch.setattr(stokes_module, "_WEIGHTS", {})
-    monkeypatch.setattr(stokes_module, "_T_WEIGHT", np.empty((0, 0)))
     side = CUTOFF_CAP + 5
     top = side - 1
     state = _hand_state(
@@ -294,7 +293,6 @@ def test_tables_grow_past_the_cap(monkeypatch):
     assert shells > 2 * CUTOFF_CAP + 1
     triples = [("S1", "S1", "S1"), ("S1p", "S2p", "S2p"), ("S2", "S2", "S1"), ("S3", "S3", "S0")]
     small = build_bghz(0.3, NumericPolicy(cutoff=4))
-    _closed_form_t(small)
     for ops in triples:
         _shell_terms(small, ops)  # a table first built at the default size
         assert stokes_module._WEIGHTS[ops, 1.0][0].shape[1] == 2 * CUTOFF_CAP + 1
@@ -305,10 +303,9 @@ def test_tables_grow_past_the_cap(monkeypatch):
         want = _reference_shell_terms(state, ops)
         assert np.abs(got - want)[:reach].max() <= 1e-12
         assert np.abs(got[2 * top - 1 :]).max() > 0  # the top shells count
-    assert _closed_form_t(state) == pytest.approx(
+    assert state._closed_form_t == pytest.approx(
         stokes_expectation(state, ("S1", "S1", "S1")), abs=1e-12
     )
-    assert len(stokes_module._T_WEIGHT) >= side - 1
 
 
 def test_weight_tables_are_read_only():
@@ -321,24 +318,23 @@ def test_weight_tables_are_read_only():
         if band is not None:
             with pytest.raises(ValueError, match="read-only"):
                 band[0] = 0.0
-    _closed_form_t(state)
-    with pytest.raises(ValueError, match="read-only"):
-        stokes_module._T_WEIGHT[0, 0] = 0.0
 
 
 def test_warm_kernels_build_no_weights(monkeypatch):
-    # after warm-up a selector triple is a table lookup and a moment sum
+    # after warm-up a selector triple is a table lookup and a moment sum,
+    # and the closed-form t, computed once per state, builds no hop weights
     state = build_bghz(0.352)
     triples = [(sel,) * 3 for sel in sorted(_SELECTORS)] + MERMIN_TRIPLES
     before = [stokes_expectation(state, ops) for ops in triples]
-    t = _closed_form_t(state)
+    t = tensor_t(0.352, state=state).t
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a warm kernel rebuilt its shell weights")
 
     monkeypatch.setattr(stokes_module, "_affine", forbidden)
+    monkeypatch.setattr(np, "outer", forbidden)
     assert [stokes_expectation(state, ops) for ops in triples] == before
-    assert _closed_form_t(state) == t
+    assert tensor_t(0.352, state=state).t == state._closed_form_t == t
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -469,7 +465,7 @@ def test_closed_form_t_matches_kernel_on_symmetric_boxes(entries):
     state = diagonal_state(entries, symmetric=True)
     assume(state is not None)
     generic = stokes_expectation(state, ("S1", "S1", "S1"))
-    assert _closed_form_t(state) == pytest.approx(generic, abs=1e-12)
+    assert state._closed_form_t == pytest.approx(generic, abs=1e-12)
 
 
 def test_closed_form_t_differs_off_symmetric_boxes():
@@ -483,7 +479,7 @@ def test_closed_form_t_differs_off_symmetric_boxes():
         norm_residual=0.0,
     )
     assert stokes_expectation(state, ("S1", "S1", "S1")) == pytest.approx(0.0, abs=1e-15)
-    assert _closed_form_t(state) == pytest.approx(0.5, abs=1e-15)
+    assert state._closed_form_t == pytest.approx(0.5, abs=1e-15)
     assert tensor_t(0.0, state=state).cross_check == pytest.approx(0.5, abs=1e-15)
 
 
