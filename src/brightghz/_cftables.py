@@ -3,9 +3,9 @@
     PYTHONPATH=src python -m brightghz._cftables
 
 rewrites src/brightghz/cfractions.zip from the code: the complete value
-and check runs of the three-beam series of every tuple number the auto
-cutoff can reach (0..CUTOFF_CAP) at the default policy's length and
-precision.  Run it after any change that moves those tables (the
+qd runs of the three-beam series of every tuple number the auto cutoff can
+reach (0..CUTOFF_CAP) at the default policy's length and precision, each
+checked against its check run.  Run it after any change that moves those tables (the
 recurrence, the qd algorithm, its contexts or the default policy); the
 test suite regenerates them and fails while the shipped file is stale.
 """

@@ -20,25 +20,17 @@ a_j do not depend on x.  Rutishauser's quotient-difference (qd) algorithm
 finds them with O(order**2) high-precision operations, once per series and
 precision, and only as far as some walk has read: a walk that settles at
 [N/N] reads a_1..a_2N, and the table resumes from its last anti-diagonal
-when a later walk reads further.  Each evaluation point then costs one
-O(order) forward (Wallis) recurrence.
+when a later walk reads further.  qd runs in the C-accelerated decimal
+module, about three times faster than mpmath's pure-Python backend, and
+hands each a_i out once as the fixed-point integer a_i 2**F; each point
+then costs one O(order) forward (Wallis) recurrence on those integers.
 Both steps lose bits to cancellation, so each runs well above the
-requested precision, and an independent run with 64 fewer bits in both
-steps must reproduce every ladder value to 2**-bits relative.  The first
-order that qd did not reach (a zero divisor broke the table) or that
-fails this check ends the walk unconverged, recorded with no value.
-
-qd computes in the standard decimal module, whose C implementation runs
-its divisions about three times faster than mpmath's pure-Python
-backend, and hands each coefficient out once, rounded to a binary fixed
-point integer a_i 2**F.  The walks run on those integers: at 448 bits a
-Python integer multiply, with its shift back to scale, costs about half
-of a decimal multiply and a subtract under a third.  Fixed point needs
-no more guard bits than a floating walk: every pair of recurrence
-values carries its own power of two and is kept at F to F + 64
-significant bits, so each step errs by at most a few units in the F-th
-bit of the larger value, and the check run at 64 fewer bits still has
-to agree.  Values are handed out as mpmath numbers.
+requested precision: a second qd run, 64 bits coarser, sizes each
+coefficient's error, and the walk carries a running bound on its own.
+The first order that qd did not reach (a zero divisor broke the table) or
+whose bound no longer keeps the value within 2**-bits relative ends the
+walk unconverged, recorded with no value.  Values are handed out as
+mpmath numbers.
 
 The coefficients depend only on the series and the precision, never on
 the point, so the three-beam tables at the default policy (tuple numbers
@@ -65,7 +57,7 @@ import math
 import zipfile
 import zlib
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -113,18 +105,15 @@ def _point(x):
 
 # The C-fraction loses bits in qd (about 2.4 per coefficient for three
 # beams at 81 and 121 terms; far more, but only in negligible late
-# coefficients, for one and two beams) and in the fixed-point recurrence
-# (against the exact recurrence on the same integers, at most 61 bits for
-# three beams at order 40 and 90 at order 60, over k = 0..60 and gains
-# 0.05-0.89 at 256 bits).  So the check run walks at bits + 2 * _GUARD_BITS,
-# its qd adds _QD_BITS_PER_TERM per coefficient on top, and the value run
-# does both steps _GUARD_BITS higher.
+# coefficients, for one and two beams) and in the fixed-point recurrence.
+# So the walk runs at F = bits + 3 * _GUARD_BITS, the check qd run at bits +
+# 2 * _GUARD_BITS + _QD_BITS_PER_TERM per term, the value qd run _GUARD_BITS higher.
 _GUARD_BITS = 64
 _QD_BITS_PER_TERM = 3
 
 
 def _scales(bits: int) -> tuple[int, int]:
-    """Fixed-point scales F_v, F_c (fraction bits) of the value and check walks at bits."""
+    """Fixed-point scales F_v, F_c (fraction bits) of the value and check qd runs at bits."""
     return bits + 3 * _GUARD_BITS, bits + 2 * _GUARD_BITS
 
 
@@ -189,30 +178,41 @@ def _qd(coeffs, ctx: Context, scale: int) -> Iterator[int]:
 class _Ladder:
     """C-fraction of one series at one working precision, in binary fixed point.
 
-    value and check hold the value and check runs' coefficients a_1, a_2,
-    ... as the integers a_i 2**F_v and a_i 2**F_c (see _scales), as far as
-    some walk has read them; runs pairs the two suspended qd runs, and is
-    None once the table holds all size coefficients the series determines
-    or either run broke down (the table then ends at the shorter run), and
-    from the start for a table read from the shipped archive.
+    value holds a_1, a_2, ... as far as walks have read them, as a_i 2**F
+    (F the value scale); weight holds each |a_i| as a float, and base and
+    slope the running sums of the walk's error terms (see _walk).  runs
+    pairs the suspended value and check qd runs; it is None for a shipped
+    table and once the table is complete (size coefficients, or up to
+    either run's breakdown).
     """
 
     size: int
-    value: list[int]
-    check: list[int]
+    scale: int
     runs: Iterator[tuple[int, int]] | None
+    value: list[int] = field(default_factory=list)
+    weight: list[float] = field(default_factory=list)
+    base: list[float] = field(default_factory=list)
+    slope: list[float] = field(default_factory=list)
+
+    def append(self, a: int, error: float) -> None:
+        """Add the next coefficient a_i 2**F, known to within error 2**-F."""
+        weight = _float(abs(a), -self.scale)
+        base, slope = (self.base[-1], self.slope[-1]) if self.value else (0.0, 0.0)
+        self.value.append(a)
+        self.weight.append(weight)
+        self.base.append(base + 10 + weight)
+        self.slope.append(slope + error + 5 * weight)
 
     def reaches(self, i: int) -> bool:
         """Whether the table has a_i, running both qd runs up to it in lockstep."""
-        value, check = self.value, self.check
-        while len(value) < i:
+        while len(self.value) < i:
             pair = None if self.runs is None else next(self.runs, None)
             if pair is None:
                 self.runs = None
                 return False
-            value.append(pair[0])
-            check.append(pair[1])
-            if len(value) == self.size:
+            a, c = pair
+            self.append(a, _float(1 + (abs((c << _GUARD_BITS) - a) >> _GUARD_BITS), _GUARD_BITS))
+            if len(self.value) == self.size:
                 self.runs = None
         return True
 
@@ -240,25 +240,15 @@ def _ladder(coeffs: Sequence[Fraction], bits: int) -> tuple[_Ladder, str]:
     for c in coeffs:
         fields += (c.numerator, c.denominator)
     key = b"".join(map(_field, fields))
-    ladder = _Ladder(
-        size=size,
-        value=[],
-        check=[],
-        runs=zip(_qd(coeffs, qd_value, value_scale), _qd(coeffs, qd_check, check_scale)),
-    )
-    return ladder, f"{zlib.crc32(key):08x}{zlib.adler32(key):08x}"
+    runs = zip(_qd(coeffs, qd_value, value_scale), _qd(coeffs, qd_check, check_scale))
+    return _Ladder(size, value_scale, runs), f"{zlib.crc32(key):08x}{zlib.adler32(key):08x}"
 
 
-# The shipped tables: one member per series, named by _ladder, holding one
-# line per coefficient a_i: the value run's integer in hex.  The check run
-# is that value coarsened (_coarse), so only tables whose check run is
-# exactly that are shipped.  A table that broke down holds its shorter length.
+# The shipped tables: one member per series, named by _ladder, one line per
+# coefficient a_i: the value run's integer in hex.  Only tables whose check
+# run is the value run coarsened ship, so each shipped coefficient is read
+# with one check-scale unit of error, as computing it gives.
 _TABLES = Path(__file__).with_name("cfractions.zip")
-
-
-def _coarse(a: int) -> int:
-    """A value-run coefficient rounded to the check run's scale, _GUARD_BITS coarser."""
-    return _round_div(a, 1 << _GUARD_BITS)
 
 
 @functools.cache
@@ -270,8 +260,8 @@ def _stored_archive() -> zipfile.ZipFile | None:
         return None
 
 
-def _stored_table(name: str) -> tuple[list[int], list[int]] | None:
-    """The shipped value and check runs named name, or None when none is shipped."""
+def _stored_table(name: str) -> list[int] | None:
+    """The shipped value run named name, or None when none is shipped."""
     archive = _stored_archive()
     if archive is None:
         return None
@@ -279,8 +269,7 @@ def _stored_table(name: str) -> tuple[list[int], list[int]] | None:
         text = archive.read(name).decode("ascii")
     except KeyError:  # no member of that name
         return None
-    value = [int(line, 16) for line in text.splitlines()]
-    return value, [_coarse(a) for a in value]
+    return [int(line, 16) for line in text.splitlines()]
 
 
 def _table_archive(series: Iterable[Sequence[Fraction]], bits: int) -> bytes:
@@ -293,10 +282,10 @@ def _table_archive(series: Iterable[Sequence[Fraction]], bits: int) -> bytes:
     with zipfile.ZipFile(buffer, "w") as archive:
         for coeffs in series:
             ladder, name = _ladder(coeffs, bits)
-            ladder.reaches(ladder.size)
-            if ladder.check != [_coarse(v) for v in ladder.value]:
+            pairs = list(ladder.runs)
+            if any(c != _round_div(a, 1 << _GUARD_BITS) for a, c in pairs):
                 raise ValueError(f"table {name}: the check run is not the value run coarsened")
-            text = "".join(f"{v:x}\n" for v in ladder.value)
+            text = "".join(f"{a:x}\n" for a, _ in pairs)
             info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
             info.compress_type = zipfile.ZIP_DEFLATED
             info.create_system = 3  # the default depends on the platform
@@ -341,18 +330,14 @@ def _within(v: tuple[int, int], w: tuple[int, int], tol_num: int, tol_den: int) 
 class DiagonalResummer:
     """Reusable diagonal ladder for one coefficient series.
 
-    Once per series and working precision, resum() fixes the qd
-    precision from the series length.  The C-fraction coefficients (two
-    qd runs, for the precision check, each rounded to the fixed-point
-    scale it is walked at) are found at most once each, and only as far
-    as the walks read: a coefficient first read by a later walk resumes
-    both runs from their last anti-diagonal, in the same contexts, so
-    every coefficient is the one a complete table would hold.  A table
-    shipped with the package (see the module docstring) is read whole
-    instead, on the first build at its precision.  Once per series and
-    length it finds whether the truncated series terminates.  Each point
-    then costs one O(max_order) walk of the paired value and check
-    recurrences.
+    Once per series and working precision, resum() fixes the qd precision
+    from the series length.  The C-fraction coefficients (with their errors)
+    are found at most once each, and only as far as the walks read: a
+    coefficient first read by a later walk resumes both qd runs from their
+    last anti-diagonal, so every coefficient is the one a complete table
+    would hold.  A shipped table is read whole instead, on the first build
+    at its precision.  Once per series and length it finds whether the
+    truncated series terminates.  Each point then costs one walk.
     """
 
     def __init__(self, series: Sequence):
@@ -369,49 +354,71 @@ class DiagonalResummer:
             got, name = _ladder(self.coeffs, bits)
             stored = _stored_table(name)
             if stored is not None:
-                got.value, got.check = stored
                 got.runs = None
+                for a in stored:
+                    got.append(a, 2.0**_GUARD_BITS)
             self._fractions[bits] = got
         return got
 
-    def _walk(self, x, max_order: int, tol: float, bits: int) -> ResummationResult:
+    def _walk(
+        self, x, max_order: int, tol: float, bits: int, trace: list | None = None
+    ) -> ResummationResult:
         """The ladder from the C-fraction, up to the first order without a value.
 
-        One forward (Wallis) recurrence per run, A_i = A_{i-1} - a_i x A_{i-2}
-        and the same for B, from A_{-1} = A_0 = q and B_{-1} = 0, B_0 = p
-        where c_0 = p/q, gives the [N/N] value B_2N / A_2N at every even i.
-        Each run computes on integers in binary fixed point at its scale F
-        (see _scales): x and a_i x carry F fraction bits, every product is
-        truncated back to F of them, and each pair (A_i, A_{i-1}) and
-        (B_i, B_{i-1}) carries its own power of two, renormalized at even i
-        when A_i or B_i leaves F to F + 64 bits.  Each value is kept as B/A
-        truncated to at least F + 2 bits plus a sticky bit, so that its
-        float and the returned mpf are both correctly rounded from the exact
-        quotient.
-        The first order without a value (its convergent vanished, qd did
-        not reach it, or the check run does not reproduce B/A to 2**-bits
-        relative) is recorded as (order, None) and ends the walk
-        unconverged.  The check and the tolerance test are both exact
-        integer comparisons.
+        The forward (Wallis) recurrence A_i = A_{i-1} - t_i A_{i-2}, t_i =
+        a_i x, and the same for B, from A_{-1} = A_0 = q, B_{-1} = 0 and
+        B_0 = p where c_0 = p/q, gives [N/N] = B_2N / A_2N.  It runs on
+        integers at the value scale F: x and t_i carry F fraction bits, each
+        product is truncated back to F of them, and the pairs (A_i, A_{i-1})
+        and (B_i, B_{i-1}) each carry a power of two 2**e, renormalized at
+        even i when A_i or B_i leaves F to F + 64 bits.  B/A is kept to
+        F + 2 bits or more plus a sticky bit, so its float and mpf are
+        correctly rounded.
+
+        Error bound.  Against the exact recurrence Â on the true a*_i and
+        point, E_i = A_i - Â_i = E_{i-1} - t_i E_{i-2} - (t_i - a*_i x)
+        Â_{i-2} - r_i, E_0 = E_{-1} = 0, where 0 <= r_i < 2**e truncates
+        t_i A_{i-2} and |t_i - a*_i x| <= 2**-F (1 + |a_i| / 2) + |x| d_i:
+        truncating t_i, rounding x, and the coefficient's error d_i, one
+        check-scale unit plus the qd runs' difference.  The majorant
+        M_i = M_{i-1} + w_i M_{i-2}, M_0 = M_{-1} = q, w_i >= |t_i|, |a*_i x|,
+        bounds |Â_i| and never decreases, so |E_i| <= S_i M_i with
+        S_i = S_{i-1} + |t_i - a*_i x| + r_i / M_i.  A passed test leaves
+        |A| >= 2**(F - 1 + e) within 2**-bits of |Â| <= M, so r_i <=
+        2**(2 - F) M_i; cutting bits in a renormalization adds as much to
+        E_i and |t_{i+1}| times as much to E_{i+1}.  So S_i <= 2**-F (base_i
+        + |x| slope_i), the sums over j <= i of 10 + |a_j| and of d_j 2**F +
+        5 |a_j| (_Ladder.append).  B runs on the same t_i from (0, |p|) <=
+        |p/q| (q, q): the same S_i, and a majorant <= |p/q| M_i.  While S is
+        small, as each passed test keeps it, float rounding in m (M in
+        floats) and the additive parts of w_i (a factor exp(S)) stay within
+        a factor 2, so dA = (base_i + |x| slope_i) m 2**(e + m_exp + 1)
+        >= S M.  The ladder goes on while dA and dB = |p/q| dA keep
+
+            |B/A - B̂/Â| <= (dB/|B| + (1 + 2**-bits) dA/|A|) |B/A| <= 2**-bits |B/A|,
+
+        tested on bit lengths.  trace, if a list, gets [A, B, dA] as Fractions
+        at each even i.  The first order without a value (its convergent
+        vanished, qd did not reach it, or the test failed) is recorded as
+        (order, None) and ends the walk unconverged.
         """
         ladder = self._cfraction(bits)
-        value_run, check_run = ladder.value, ladder.check
-        fv, fc = _scales(bits)
+        value_run, weight, base, slope = ladder.value, ladder.weight, ladder.base, ladder.slope
+        fv = ladder.scale
         with mp.workprec(fv):
             point = x if isinstance(x, Fraction) else Fraction(*to_rational(_point(x)._mpf_))
-        num, den = point.numerator, point.denominator
-        vx, cx = _round_div(num << fv, den), _round_div(num << fc, den)
+        vx = _round_div(point.numerator << fv, point.denominator)
+        ax = _float(abs(vx), -fv)
         tol_num, tol_den = Fraction(tol).as_integer_ratio()
-        # value-run and check-run recurrences, A and B, current and previous,
-        # each pair an integer times 2**(its exponent), kept at F to F + 64 bits
+        # A and B, current and previous, each pair an integer times 2**(its exponent)
         c0_num, c0_den = self.coeffs[0].numerator, self.coeffs[0].denominator
         va = va_prev = c0_den << fv
-        ca = ca_prev = c0_den << fc
-        vb, cb = c0_num << fv, c0_num << fc
-        vb_prev = cb_prev = 0
+        vb, vb_prev = c0_num << fv, 0
         va_exp = vb_exp = -fv
-        ca_exp = cb_exp = -fc
-        v_top, c_top = fv + 64, fc + 64
+        # the majorant m of A at 2**(va_exp + fv + m_exp); |p/q| < 2**(ratio_bits + 1)
+        m_exp = c0_den.bit_length()
+        m = m_prev = c0_den / (1 << m_exp)
+        ratio_bits = c0_num.bit_length() - m_exp
         diagnostics: list[tuple[int, float | None]] = []
         value = None  # (mantissa, exponent)
         converged = False
@@ -421,25 +428,23 @@ class DiagonalResummer:
             t = value_run[i - 1] * vx >> fv
             va_prev, va = va, va - (t * va_prev >> fv)
             vb_prev, vb = vb, vb - (t * vb_prev >> fv)
-            t = check_run[i - 1] * cx >> fc
-            ca_prev, ca = ca, ca - (t * ca_prev >> fc)
-            cb_prev, cb = cb, cb - (t * cb_prev >> fc)
+            m_prev, m = m, m + weight[i - 1] * ax * m_prev
             if i % 2:
                 continue
-            if not va or not ca:
+            if not va or not vb:
                 break
-            # the check run's B'/A' within 2**-bits of B/A: |B A' - B' A| <= 2**-bits |B A'|
-            left, right = vb * ca, cb * va
-            shift = vb_exp + ca_exp - cb_exp - va_exp
-            if shift > 0:
-                left <<= shift
-            else:
-                right <<= -shift
-            if abs(left - right) << bits > abs(left):
+            a_bits, b_bits = va.bit_length(), vb.bit_length()
+            bound = (base[i - 1] + ax * slope[i - 1]) * m
+            if trace is not None:
+                two, parts = Fraction(2), ((va, va_exp), (vb, vb_exp), (bound, va_exp + m_exp + 1))
+                trace.append([Fraction(v) * two**e for v, e in parts])
+            # bound < 2**E; NaN and overflow fail
+            exps = max(va_exp - vb_exp + ratio_bits - b_bits, -a_bits) + m_exp
+            if not bound < math.inf or math.frexp(bound)[1] + exps > -bits - 4:
                 break
             # v = B/A as (mantissa, exponent): floor quotient and sticky bit
             top, bottom = (vb, va) if va > 0 else (-vb, -va)
-            shift = fv + 2 - top.bit_length() + bottom.bit_length()
+            shift = fv + 2 - b_bits + a_bits
             q, r = divmod(top << max(shift, 0), bottom << max(-shift, 0))
             v = (2 * q + (r != 0), vb_exp - va_exp - shift - 1)
             diagnostics.append((len(diagnostics) + 1, _float(*v)))
@@ -447,25 +452,20 @@ class DiagonalResummer:
                 value, converged = v, True
                 break
             value = v
-            if not fv <= va.bit_length() <= v_top:
+            if not fv <= a_bits <= fv + 64:
+                shift = m_exp + va_exp
                 va, va_prev, va_exp = _renormalized(va, va_prev, va_exp, fv)
-            if not fv <= vb.bit_length() <= v_top:
+                shift -= va_exp
+                m, m_prev, m_exp = math.ldexp(m, shift), math.ldexp(m_prev, shift), 0
+            if not fv <= b_bits <= fv + 64:
                 vb, vb_prev, vb_exp = _renormalized(vb, vb_prev, vb_exp, fv)
-            if not fc <= ca.bit_length() <= c_top:
-                ca, ca_prev, ca_exp = _renormalized(ca, ca_prev, ca_exp, fc)
-            if not fc <= cb.bit_length() <= c_top:
-                cb, cb_prev, cb_exp = _renormalized(cb, cb_prev, cb_exp, fc)
         if value is None:
             raise PoleProximityError("no diagonal order has a value at this point")
         order_used = len(diagnostics)
         if not converged and order_used < max_order:
             diagnostics.append((order_used + 1, None))
-        return ResummationResult(
-            value=mp.make_mpf(from_man_exp(*value, fv, round_nearest)),
-            converged=converged,
-            order_used=order_used,
-            diagnostics=tuple(diagnostics),
-        )
+        value = mp.make_mpf(from_man_exp(*value, fv, round_nearest))
+        return ResummationResult(value, converged, order_used, tuple(diagnostics))
 
     def resum(
         self, x, max_order: int = 40, tol: float = 1e-10, bits: int = 256
@@ -528,8 +528,8 @@ def diagonal_resum(
     the resummed values here range over hundreds of orders of magnitude,
     and any absolute floor would declare victory on pure noise at the
     small end.  The first order whose value is unavailable at x (a
-    vanishing convergent, a qd breakdown, or a failed precision check) is
-    recorded with a None diagnostic and ends the walk unconverged; if no
+    vanishing convergent, a qd breakdown, or an error bound past 2**-bits)
+    is recorded with a None diagnostic and ends the walk unconverged; if no
     order has a value the pole error is raised.
     """
     return DiagonalResummer(series).resum(x, max_order=max_order, tol=tol, bits=bits)

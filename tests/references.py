@@ -1,5 +1,6 @@
-"""Random exchange-diagonal states, binomial shell blocks and the decimal
-continued-fraction walk shared by the tests."""
+"""Random exchange-diagonal states, binomial shell blocks, the decimal
+continued-fraction walk and the exact fixed-point recurrence shared by the
+tests."""
 
 import cmath
 import itertools
@@ -174,3 +175,25 @@ def decimal_walk(coeffs, x, max_order, tol, bits):
         order_used=order_used,
         diagnostics=tuple(diagnostics),
     )
+
+
+def exact_recurrence(c0, value_run, x_int, scale):
+    """The walk's recurrence run exactly on its own integers: A_i and B_i at
+    every even i as (N, D), meaning N 2**-D, with a_i = value_run[i - 1]
+    2**-scale and x = x_int 2**-scale, so t_i = a_i x is never truncated."""
+    def step(cur, prev, t):
+        (n, d), (m, e) = cur, prev
+        e += 2 * scale
+        top = max(d, e)
+        return (n << (top - d)) - ((t * m) << (top - e)), top
+
+    a_prev = a = (c0.denominator, 0)
+    b_prev, b = (0, 0), (c0.numerator, 0)
+    out = []
+    for i, coefficient in enumerate(value_run, 1):
+        t = coefficient * x_int
+        a_prev, a = a, step(a, a_prev, t)
+        b_prev, b = b, step(b, b_prev, t)
+        if i % 2 == 0:
+            out.append((a, b))
+    return out

@@ -237,7 +237,7 @@ def test_broken_continued_fraction_prints_no_number(tmp_path, monkeypatch):
     qd, stored = pade._qd, pade._stored_table
 
     def cut(table, keep):
-        return table and (table[0][:keep], table[1][:keep])
+        return table and table[:keep]
 
     for keep, extra, count in ((4, [], 17), (0, ["--steps", "2"], 2)):
         monkeypatch.setattr(pade, "_qd", lambda *args: itertools.islice(qd(*args), keep))

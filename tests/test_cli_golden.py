@@ -1,12 +1,14 @@
 """Byte contract of the CSV front end against checked-in golden files.
 
 Each case covers a row kind: table1 and pk_curve statistics (one, two and
-three beams), a Mermin grid that brackets the crossing, eta rows that are
-violated, outside the efficiency window and not violated, one eta row at a
-gain whose auto cutoff reaches CUTOFF_CAP (the largest amplitude box), both
-projected witnesses, the unprojected w2 agreement column up to a gain at
-CUTOFF_CAP, a witness grid with one failed point (exit 2) and a Mermin grid
-where every point fails (exit 1, the CSV still written).
+three beams, and three beams at a policy whose continued-fraction tables
+are computed at run time rather than shipped), a Mermin grid that brackets
+the crossing, eta rows that are violated, outside the efficiency window and
+not violated, one eta row at a gain whose auto cutoff reaches CUTOFF_CAP
+(the largest amplitude box), both projected witnesses, the unprojected w2
+agreement column up to a gain at CUTOFF_CAP, a witness grid with one failed
+point (exit 2) and a Mermin grid where every point fails (exit 1, the CSV
+still written).
 
 table1 and pk_curve must match byte for byte.  The Stokes commands end in
 floating-point sums over the amplitude box whose last digits depend on
@@ -37,6 +39,11 @@ CASES = [
     ("pk_curve_n1", ["--cmd", "pk_curve", "--n", "1", "--steps", "3"], 0),
     ("pk_curve_n2", ["--cmd", "pk_curve", "--n", "2", "--steps", "3"], 0),
     ("pk_curve_n3", ["--cmd", "pk_curve", "--n", "3", "--steps", "2"], 0),
+    (
+        "pk_curve_n3_order60",
+        ["--cmd", "pk_curve", "--n", "3", "--steps", "2", "--pade-order", "60", "--bits", "320"],
+        0,
+    ),
     (
         "mermin_crossing",
         ["--cmd", "mermin", "--gamma-min", "0.7", "--gamma-max", "0.8", "--steps", "3"],

@@ -21,7 +21,7 @@ from brightghz.oracles import build_pade, epsilon_ladder, evaluate
 from brightghz.pade import DiagonalResummer, PoleProximityError, diagonal_resum
 from brightghz.series_core import c_series
 from brightghz.state import CUTOFF_CAP, DEFAULT_POLICY, NumericPolicy, ResummationError
-from references import decimal_walk, qd_runs
+from references import decimal_walk, exact_recurrence, qd_runs
 
 
 def _taylor_of_rational(num, den, order):
@@ -341,6 +341,62 @@ def test_integer_walk_equals_the_decimal_walk(n, k, gamma, order, bits):
         assert +got.value == +want.value
 
 
+# The walk's running error bound against the exact recurrence on the same
+# integers: never below the true error of A or B at any order walked, and
+# far enough below 2**-bits to keep the ladders the check run kept.  The
+# least margins found on the default policy (k = 0..60 at gains 0.01-0.89
+# in steps of 0.02, and for B/A also k = 40..60 in steps of 0.0025) were
+# 91 bits on A and 34 on B/A, whose B can fall 2**70 below its majorant in
+# ladders that end unconverged with values near zero.
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    k=st.sampled_from(range(CUTOFF_CAP + 1)),
+    gamma=st.floats(0.01, 0.89),
+    order=st.sampled_from(range(20, 41)),
+    bits=st.sampled_from(range(128, 321)),
+)
+def test_error_bound_covers_the_walks_rounding(n, k, gamma, order, bits):
+    resummer = DiagonalResummer(c_series(k, n, 2 * order + 1).coeffs)
+    x = -(Fraction(gamma) ** 2)
+    trace = []
+    try:
+        resummer._walk(x, order, DEFAULT_POLICY.tol, bits, trace)
+    except PoleProximityError:
+        pass
+    ladder = resummer._cfraction(bits)
+    x_int = round(x * 2**ladder.scale)
+    exact = exact_recurrence(resummer.coeffs[0], ladder.value, x_int, ladder.scale)
+    assert trace and len(trace) <= len(exact)
+    for (a, b, da), ((na, ea), (nb, eb)) in zip(trace, exact):
+        db = abs(resummer.coeffs[0]) * da
+        assert abs(a * 2**ea - na) <= da * 2**ea
+        assert abs(b * 2**eb - nb) <= db * 2**eb
+        assert da <= abs(a) / 2 ** (bits + 64)
+        assert db / abs(b) + da / abs(a) <= Fraction(1, 2 ** (bits + 24))
+
+
+def test_qd_disagreement_ends_the_walk(monkeypatch):
+    # the check qd run off by 2**-8 in a_4 of an unshipped series: the
+    # coefficient's error ends the ladder at order 2, the first to read it,
+    # though the value run, and so every value, is unchanged
+    bits = DEFAULT_POLICY.bits
+    series = c_series(4, 3, 41).coeffs
+    x = -(Fraction(0.5) ** 2)
+    clean = DiagonalResummer(series).resum(x, max_order=20)
+    assert clean.order_used > 2
+    qd, (_, check_scale) = pade._qd, pade._scales(bits)
+
+    def nudged(coeffs, ctx, scale):
+        for i, a in enumerate(qd(coeffs, ctx, scale)):
+            yield a + (scale == check_scale and i == 3) * (1 << (check_scale - 8))
+
+    monkeypatch.setattr(pade, "_qd", nudged)
+    got = DiagonalResummer(series).resum(x, max_order=20)
+    _assert_unsettled(got, 2)
+    assert got.diagnostics[0] == clean.diagnostics[0]
+
+
 @pytest.mark.parametrize(
     "m, e",
     [
@@ -364,8 +420,8 @@ def test_walk_floats_past_the_range_are_infinite():
 
 # The resumable qd table against the eager one: the progressive qd loop run
 # to completion on every term, each run's number rounded once, half to
-# even, to its walk's fixed-point scale, as the table was built before it
-# became resumable.
+# even, to its fixed-point scale, as the table was built before it became
+# resumable.
 def _eager_table(coeffs, bits):
     value, check = qd_runs(coeffs, bits)
     value_scale, check_scale = bits + 3 * pade._GUARD_BITS, bits + 2 * pade._GUARD_BITS
@@ -373,6 +429,22 @@ def _eager_table(coeffs, bits):
         [round(Fraction(a) * 2**value_scale) for a in value],
         [round(Fraction(a) * 2**check_scale) for a in check],
     )
+
+
+def _eager_ladder(coeffs, bits):
+    # the walk's lists from the eager table: each value-run coefficient with
+    # its error, the runs' difference in check-scale units rounded down,
+    # plus one unit
+    value, check = _eager_table(coeffs, bits)
+    ladder = pade._Ladder(len(coeffs) - 1, pade._scales(bits)[0], None)
+    unit = 2**pade._GUARD_BITS
+    for a, c in zip(value, check):
+        ladder.append(a, float(unit * (1 + abs(c * unit - a) // unit)))
+    return ladder
+
+
+def _lists(ladder):
+    return ladder.value, ladder.weight, ladder.base, ladder.slope
 
 
 def _broken_euler():
@@ -391,7 +463,7 @@ def test_resumable_table_equals_the_eager_one(series):
     # walks at rising gains extend the table piece by piece; every
     # coefficient found on the way is the one the eager table holds
     bits = DEFAULT_POLICY.bits
-    value, check = _eager_table(series, bits)
+    want = _lists(_eager_ladder(series, bits))
     resummer = DiagonalResummer(series)
     ladder = resummer._cfraction(bits)
     order = (len(series) - 1) // 2
@@ -400,10 +472,9 @@ def test_resumable_table_equals_the_eager_one(series):
             resummer.resum(-(Fraction(gamma) ** 2), max_order=order, bits=bits)
         except PoleProximityError:
             pass
-        assert ladder.value == value[: len(ladder.value)]
-        assert ladder.check == check[: len(ladder.check)]
-    assert ladder.reaches(len(series) - 1) == (len(value) == len(series) - 1)
-    assert (ladder.value, ladder.check) == (value, check)
+        assert _lists(ladder) == tuple(w[: len(ladder.value)] for w in want)
+    assert ladder.reaches(len(series) - 1) == (len(want[0]) == len(series) - 1)
+    assert _lists(ladder) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -414,7 +485,7 @@ def test_walk_builds_only_the_coefficients_it_reads(n):
     got = resummer.resum(-(Fraction(0.3) ** 2), max_order=40)
     assert got.converged and got.order_used < 40
     ladder = resummer._cfraction(DEFAULT_POLICY.bits)
-    assert len(ladder.value) == len(ladder.check) == 2 * got.order_used
+    assert [len(built) for built in _lists(ladder)] == [2 * got.order_used] * 4
     assert ladder.runs is not None
 
 
@@ -462,8 +533,8 @@ def test_shipped_tables_are_the_ones_the_code_computes():
 
 def test_archive_refuses_a_check_run_of_its_own(monkeypatch):
     # a member holds one number per line, the value run's, and the reader
-    # coarsens it into the check run; a table whose check run differs from
-    # that in one coefficient cannot be stored
+    # gives each one check-scale unit of error; a table whose check run is
+    # not its value run coarsened in one coefficient cannot be stored
     bits = DEFAULT_POLICY.bits
     series = [c_series(4, 3, 21).coeffs]
     assert pade._table_archive(series, bits)
@@ -480,15 +551,16 @@ def test_archive_refuses_a_check_run_of_its_own(monkeypatch):
 
 def test_shipped_table_seeds_the_ladder():
     # the default policy's three-beam series: the ladder holds the complete
-    # table from the start, with no qd run, and it is the table qd computes
+    # table from the start, with no qd run, and it is the table qd computes,
+    # each coefficient's error included
     bits = DEFAULT_POLICY.bits
     series = c_series(4, 3, 2 * DEFAULT_POLICY.pade_order + 1).coeffs
     ladder = DiagonalResummer(series)._cfraction(bits)
     assert ladder.runs is None
-    assert (ladder.value, ladder.check) == _eager_table(series, bits)
+    assert _lists(ladder) == _lists(_eager_ladder(series, bits))
     computed, _ = pade._ladder(series, bits)
     assert computed.reaches(computed.size)
-    assert (ladder.value, ladder.check) == (computed.value, computed.check)
+    assert _lists(ladder) == _lists(computed)
 
 
 def test_cold_cap_build_reads_the_archive_directory_once(monkeypatch):
