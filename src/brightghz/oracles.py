@@ -19,7 +19,9 @@ and takes expectations by direct matrix action; the production code
 computes the same numbers without ever materializing a matrix.
 
 Nothing here is exported through the package namespace, and no production
-module imports it.
+module imports it.  It is the one module that needs mpmath, which comes
+with the test extra (`pip install ".[test]"`); the rest of the package
+runs on NumPy and the standard library alone.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from typing import Sequence
 
 import numpy as np
 from mpmath import mp, mpf
+from mpmath.libmp import to_rational
 
-from brightghz.pade import PoleProximityError, ResummationResult, _point
+from brightghz.pade import PoleProximityError, ResummationResult
 from brightghz.series_core import _ensure_store
 
 DENSE_CAP = 4
@@ -218,6 +221,13 @@ def build_pade(series: Sequence, N: int, M: int) -> PadeApproximant:
     )
 
 
+def _point(x):
+    """The evaluation point as mpf at the current working precision."""
+    if isinstance(x, Fraction):
+        return mpf(x.numerator) / mpf(x.denominator)
+    return mp.mpf(x)
+
+
 def _to_mpf(cf: Fraction):
     return mpf(cf.numerator) / mpf(cf.denominator)
 
@@ -252,10 +262,7 @@ def evaluate(approx: PadeApproximant, x, bits: int = 256):
     if bits < 8:
         raise ValueError(f"bits must be >= 8, got {bits}")
     with mp.workprec(bits):
-        if isinstance(x, Fraction):
-            xv = mpf(x.numerator) / mpf(x.denominator)
-        else:
-            xv = mpf(x)
+        xv = _point(x)
         num_mpf = tuple(_to_mpf(c) for c in approx.num)
         den_mpf = tuple(_to_mpf(c) for c in approx.den)
         return _eval_rational(
@@ -272,6 +279,7 @@ def epsilon_ladder(coeffs, x, tol: float, bits: int) -> ResummationResult:
     partial-sum overshoot.  A partial sum that repeats at that precision
     is a singular lozenge: the row stays too short, and every later order
     is skipped with a None diagnostic.
+    The value is handed out exactly, as a Fraction, like pade's.
     """
     need = len(coeffs)
     # Partial sums of a divergent series overshoot the resummed value by
@@ -341,7 +349,7 @@ def epsilon_ladder(coeffs, x, tol: float, bits: int) -> ResummationResult:
             "every diagonal order was skipped for pole proximity"
         )
     return ResummationResult(
-        value=value,
+        value=Fraction(*to_rational(value._mpf_)),
         converged=converged,
         order_used=order_used,
         diagnostics=tuple(diagnostics),

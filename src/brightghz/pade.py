@@ -30,7 +30,9 @@ coefficient's error, and the walk carries a running bound on its own.
 The first order that qd did not reach (a zero divisor broke the table) or
 whose bound no longer keeps the value within 2**-bits relative ends the
 walk unconverged, recorded with no value.  Values are handed out as
-mpmath numbers.
+exact dyadic Fractions, the walk's quotient rounded once (half to even)
+to the walk's precision by _rounded, the one rounding rule that state
+applies too.
 
 The coefficients depend only on the series and the precision, never on
 the point, so the three-beam tables at the default policy (tuple numbers
@@ -62,9 +64,6 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_nearest, to_rational
-
 from brightghz.series_core import _count
 
 __all__ = [
@@ -83,24 +82,19 @@ class PoleProximityError(ArithmeticError):
 class ResummationResult:
     """Outcome of walking the diagonal approximant ladder at one point.
 
-    ``value`` carries the full working precision; ``diagnostics`` holds one
+    ``value`` is an exact dyadic Fraction at the full working precision
+    (bits + 3 * _GUARD_BITS bits for a walk, bits + 64 for a summed
+    polynomial); ``diagnostics`` holds one
     (order, value) pair per diagonal order tried, and a final value None
     marks the order at which the ladder stopped without a value.  converged
     means the last two retained values agreed to tol relative, which also
     bounds them by tol * max(1, |value|).
     """
 
-    value: object  # mpmath.mpf
+    value: Fraction
     converged: bool
     order_used: int
     diagnostics: tuple[tuple[int, float | None], ...]
-
-
-def _point(x):
-    """Convert the evaluation point to mpf at the current working precision."""
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / mpf(x.denominator)
-    return mp.mpf(x)
 
 
 # The C-fraction loses bits in qd (about 2.4 per coefficient for three
@@ -124,6 +118,36 @@ def _context(bits: int) -> Context:
         Emax=decimal.MAX_EMAX,
         Emin=decimal.MIN_EMIN,
     )
+
+
+def _rounded(m: int, e: int, bits: int, q: int = 1) -> tuple[int, int]:
+    """m / q * 2**e rounded half to even to bits significant bits, for q > 0.
+
+    The result is (mantissa, exponent), the mantissa of at most bits bits;
+    zero is (0, 0).  The quotient is taken to bits + 1 or bits + 2 bits and
+    its remainder kept as a sticky bit, so the rounding is exact at any
+    exponent.
+    """
+    if not m:
+        return 0, 0
+    n = abs(m)
+    shift = bits + 1 - n.bit_length() + q.bit_length()
+    top, rest = divmod(n << shift, q) if shift >= 0 else divmod(n, q << -shift)
+    cut = top.bit_length() - bits
+    half = 1 << (cut - 1)
+    low = top & ((half << 1) - 1)
+    top >>= cut
+    if low > half or low == half and (rest or top & 1):
+        top += 1
+        if top >> bits:
+            top >>= 1
+            cut += 1
+    return (top if m > 0 else -top), e - shift + cut
+
+
+def _fraction(m: int, e: int) -> Fraction:
+    """m * 2**e as an exact Fraction."""
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
 def _round_div(num: int, den: int) -> int:
@@ -302,19 +326,12 @@ def _renormalized(cur: int, prev: int, exponent: int, scale: int) -> tuple[int, 
 
 
 def _float(m: int, e: int) -> float:
-    """m * 2**e as the nearest float (inf past the range), for m ending in a sticky bit.
-
-    The bits cut from m past its first 64 are ORed into the last one, which
-    keeps the rounding of any narrower precision, float's 53 bits included.
-    """
-    cut = max(m.bit_length() - 64, 0)
-    top = m >> cut
-    if top << cut != m:
-        top |= 1
+    """m * 2**e as the nearest float (inf past the range)."""
+    m, e = _rounded(m, e, 53)
     try:
-        return math.ldexp(top, e + cut)
+        return math.ldexp(m, e)
     except OverflowError:
-        return math.inf if m > 0 else -math.inf
+        return math.copysign(math.inf, m)
 
 
 def _within(v: tuple[int, int], w: tuple[int, int], tol_num: int, tol_den: int) -> bool:
@@ -361,7 +378,7 @@ class DiagonalResummer:
         return got
 
     def _walk(
-        self, x, max_order: int, tol: float, bits: int, trace: list | None = None
+        self, x: Fraction, max_order: int, tol: float, bits: int, trace: list | None = None
     ) -> ResummationResult:
         """The ladder from the C-fraction, up to the first order without a value.
 
@@ -372,8 +389,8 @@ class DiagonalResummer:
         product is truncated back to F of them, and the pairs (A_i, A_{i-1})
         and (B_i, B_{i-1}) each carry a power of two 2**e, renormalized at
         even i when A_i or B_i leaves F to F + 64 bits.  B/A is kept to
-        F + 2 bits or more plus a sticky bit, so its float and mpf are
-        correctly rounded.
+        F + 2 bits or more plus a sticky bit, so its float and its value,
+        rounded to F bits, are correctly rounded.
 
         Error bound.  Against the exact recurrence Â on the true a*_i and
         point, E_i = A_i - Â_i = E_{i-1} - t_i E_{i-2} - (t_i - a*_i x)
@@ -405,9 +422,7 @@ class DiagonalResummer:
         ladder = self._cfraction(bits)
         value_run, weight, base, slope = ladder.value, ladder.weight, ladder.base, ladder.slope
         fv = ladder.scale
-        with mp.workprec(fv):
-            point = x if isinstance(x, Fraction) else Fraction(*to_rational(_point(x)._mpf_))
-        vx = _round_div(point.numerator << fv, point.denominator)
+        vx = _round_div(x.numerator << fv, x.denominator)
         ax = _float(abs(vx), -fv)
         tol_num, tol_den = Fraction(tol).as_integer_ratio()
         # A and B, current and previous, each pair an integer times 2**(its exponent)
@@ -464,7 +479,7 @@ class DiagonalResummer:
         order_used = len(diagnostics)
         if not converged and order_used < max_order:
             diagnostics.append((order_used + 1, None))
-        value = mp.make_mpf(from_man_exp(*value, fv, round_nearest))
+        value = _fraction(*_rounded(*value, fv))
         return ResummationResult(value, converged, order_used, tuple(diagnostics))
 
     def resum(
@@ -478,42 +493,33 @@ class DiagonalResummer:
                 f"diagonal order {max_order} needs {2 * max_order + 1}"
                 f" coefficients, got {len(self.coeffs)}"
             )
-        # a Fraction is finite, and mpmath's test would convert it first
-        if not isinstance(x, Fraction) and not mp.isfinite(x):
+        # a Fraction is finite, and may be too large for the float test
+        if not isinstance(x, Fraction) and not math.isfinite(x):
             raise ValueError(f"x must be finite, got {x}")
+        x = Fraction(x)
         if not 0 < tol < math.inf:
             raise ValueError(f"tol must be finite and > 0, got {tol}")
         need = 2 * max_order + 1
         coeffs = self.coeffs[:need]
 
-        if x == 0:
-            with mp.workprec(bits):
-                value = mpf(coeffs[0].numerator) / coeffs[0].denominator
-            return ResummationResult(
-                value=value,
-                converged=True,
-                order_used=1,
-                diagnostics=((1, float(value)),),
-            )
-
         degree = self._degrees.get(need)
         if degree is None:
             degree = max((j for j, c in enumerate(coeffs) if c != 0), default=-1)
             self._degrees[need] = degree
-        if degree <= max_order:
-            # Terminating series: every [N/N] with N >= degree is the
-            # polynomial itself, so sum it directly.
-            with mp.workprec(bits + 64):
-                xv = _point(x)
-                value = mpf(0)
-                for q in reversed(coeffs[: degree + 1]):
-                    value = value * xv + mpf(q.numerator) / q.denominator
-            order = max(1, degree)
+        if not x or degree <= max_order:
+            # At x = 0 every order is c_0.  A terminating series has every
+            # [N/N] with N >= degree equal to the polynomial itself.  Either
+            # way sum the polynomial exactly and round it once.
+            total = Fraction(0)
+            for q in reversed(coeffs[: degree + 1]):
+                total = total * x + q
+            m, e = _rounded(total.numerator, 0, bits + 64, total.denominator)
+            order = max(1, degree) if x else 1
             return ResummationResult(
-                value=value,
+                value=_fraction(m, e),
                 converged=True,
                 order_used=order,
-                diagnostics=((order, float(value)),),
+                diagnostics=((order, _float(m, e)),),
             )
 
         return self._walk(x, max_order, tol, bits)

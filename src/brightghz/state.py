@@ -14,8 +14,11 @@ same occupation pair (q photons polarized a, m polarized b).
 Statistics and states read one photon ladder, _retained_weights, where the
 cutoff is decided: each factor magnitude |u_q| of the state is the square
 root of a normalized three-beam weight, taken at working precision, then
-made a float.  The amplitude box is rank one, A[q, m] = u_q u_m, so one
-float outer product of those cutoff + 1 factor amplitudes fills it.  The
+made a float.  Weights and statistics are exact dyadic (mantissa,
+exponent) integer pairs, each operation rounded half to even at its
+precision by pade._rounded.  The amplitude box is rank one,
+A[q, m] = u_q u_m, so one float outer product of those cutoff + 1 factor
+amplitudes fills it.  The
 built state itself is memoized per gain point and policy, with the shell
 moments of its box, which the Stokes kernels read, and, once first read,
 its closed-form t and vacuum probability: a warm build_bghz is one lookup
@@ -26,6 +29,8 @@ A built state's amps is a read-only mapping read off its box.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -34,9 +39,8 @@ from functools import cache, cached_property, lru_cache
 from math import factorial, fsum, inf
 
 import numpy as np
-from mpmath import mp, mpf
 
-from brightghz.pade import DiagonalResummer, PoleProximityError
+from brightghz.pade import DiagonalResummer, PoleProximityError, _float, _rounded
 from brightghz.series_core import _count, c_series
 
 __all__ = [
@@ -64,6 +68,18 @@ SOFT_AGREEMENT = 1e-3
 # Gain from which three-beam statistics, and with them the bright state,
 # stop converging; at or past it the builders warn.
 GAMMA_GUARD = 0.9
+
+
+def _gain(value) -> float:
+    """value as a float; ValueError unless it is a finite real >= 0.
+
+    Any real type is accepted, NumPy scalars and Fractions included, and
+    converted once, so every gain walks the point of its float.
+    """
+    gamma = float(value) if isinstance(value, numbers.Real) else math.nan
+    if not 0 <= gamma < inf:
+        raise ValueError(f"gain must be finite and >= 0, got {value}")
+    return gamma
 
 
 class ResummationError(RuntimeError):
@@ -130,8 +146,7 @@ class BrightStateSpec:
         object.__setattr__(self, "n", _count("n", self.n))
         if self.n < 1:
             raise ValueError(f"beam count n must be >= 1, got {self.n}")
-        if not 0 <= self.gamma < inf:
-            raise ValueError(f"gain must be finite and >= 0, got {self.gamma}")
+        object.__setattr__(self, "gamma", _gain(self.gamma))
 
     @property
     def validity_warning(self) -> bool:
@@ -350,8 +365,8 @@ def _resummer(n: int, k: int, L: int) -> DiagonalResummer:
     return DiagonalResummer(c_series(k, n, L).coeffs)
 
 
-def _series_value(n: int, k: int, gamma: float, policy: NumericPolicy):
-    """Resummed value of sum_j c_j u^j at u = -gamma**2, as a working-precision real.
+def _series_value(n: int, k: int, gamma: float, policy: NumericPolicy) -> tuple[int, int]:
+    """Resummed value of sum_j c_j u^j at u = -gamma**2, as (mantissa, exponent).
 
     A value is usable when the ladder meets the strict policy tolerance,
     or failing that when the last two orders tried both have values that
@@ -362,7 +377,7 @@ def _series_value(n: int, k: int, gamma: float, policy: NumericPolicy):
     value (PoleProximityError) fails at order 0.  Failures are cached like
     values, so a warm gain never walks a failed ladder again.
     """
-    key = (n, k, float(gamma)) + policy.key()
+    key = (n, k, gamma) + policy.key()
     got = _VALUES.pop(key, None)
     if got is None:
         resummer = _resummer(n, k, 2 * policy.pade_order + 1)
@@ -377,7 +392,7 @@ def _series_value(n: int, k: int, gamma: float, policy: NumericPolicy):
                 order_reached=0,
             )
         else:
-            got = result.value
+            got = _dyadic(result.value)
             if not result.converged:
                 vals = [v for _, v in result.diagnostics[-2:]]
                 settled = (
@@ -410,35 +425,77 @@ def resummed_coefficient(
         raise ValueError(f"beam count n must be >= 1, got {n}")
     if k < 0:
         raise ValueError(f"tuple number k must be >= 0, got {k}")
-    if not 0 <= gamma < inf:
-        raise ValueError(f"gain must be finite and >= 0, got {gamma}")
+    gamma = _gain(gamma)
     if gamma == 0:
         return complex(1.0) if k == 0 else complex(0.0)
     s = _series_value(n, k, gamma, policy)
-    with mp.workprec(policy.bits):
-        magnitude = float(mpf(gamma) ** k * s)
+    m, e = _dyadic(gamma)
+    magnitude = _float(*_mul(_rounded(m**k, e * k, policy.bits), s, policy.bits))
     return (1j) ** (k % 4) * magnitude
 
 
-def _weight(n: int, gamma: float, k: int, policy: NumericPolicy):
-    """Unnormalized p-weight |C_k|^2 (k!)^n as a working-precision real."""
-    with mp.workprec(policy.bits):
-        if gamma == 0:
-            return mpf(1) if k == 0 else mpf(0)
-        s = _series_value(n, k, gamma, policy)
-        return mpf(gamma) ** (2 * k) * s * s * mpf(factorial(k)) ** n
+# Values are exact dyadics, (mantissa, exponent) integer pairs.  Each
+# operation rounds its exact result half to even to the bits it is given.
+def _dyadic(x) -> tuple[int, int]:
+    """A finite float or dyadic Fraction as (mantissa, exponent), exactly."""
+    m, d = x.as_integer_ratio()
+    return m, 1 - d.bit_length()
+
+
+def _add(a: tuple[int, int], b: tuple[int, int], bits: int, sign: int = 1) -> tuple[int, int]:
+    """a + sign * b."""
+    (m, e), (n, f) = a, b
+    low = min(e, f)
+    return _rounded((m << (e - low)) + sign * (n << (f - low)), low, bits)
+
+
+def _mul(a: tuple[int, int], b: tuple[int, int], bits: int) -> tuple[int, int]:
+    return _rounded(a[0] * b[0], a[1] + b[1], bits)
+
+
+def _div(a: tuple[int, int], b: tuple[int, int], bits: int) -> tuple[int, int]:
+    """a / b for b > 0."""
+    return _rounded(a[0], a[1] - b[1], bits, b[0])
+
+
+def _sqrt(a: tuple[int, int], bits: int) -> tuple[int, int]:
+    """The square root of a >= 0, from math.isqrt with a sticky bit."""
+    m, e = a
+    if not m:
+        return 0, 0
+    shift = max(2 * bits + 4 - m.bit_length(), 0)
+    shift += (e - shift) & 1  # an even exponent left
+    n = m << shift
+    root = math.isqrt(n)
+    return _rounded(2 * root + (root * root != n), (e - shift) // 2 - 1, bits)
+
+
+def _weight(n: int, gamma: float, k: int, policy: NumericPolicy) -> tuple[int, int]:
+    """Unnormalized p-weight |C_k|^2 (k!)^n at policy.bits, as (mantissa, exponent).
+
+    Taken as gamma^(2k) s s (k!)^n, left to right, every factor and
+    partial product rounded at policy.bits.
+    """
+    if gamma == 0:
+        return (1, 0) if k == 0 else (0, 0)
+    bits, (m, e) = policy.bits, _dyadic(gamma)
+    s = _series_value(n, k, gamma, policy)
+    w = _mul(_mul(_rounded(m ** (2 * k), 2 * k * e, bits), s, bits), s, bits)
+    f = _rounded(factorial(k), 0, bits)
+    return _mul(w, _rounded(f[0] ** n, f[1] * n, bits), bits)
 
 
 def _tail_estimate(w: list) -> float:
     """Geometric extrapolation of the omitted mass from the last two weights."""
-    if len(w) < 2 or w[-1] == 0:
+    if len(w) < 2 or not w[-1][0]:
         return 0.0
-    if w[-2] == 0:
-        return float("inf")
-    r = w[-1] / w[-2]
-    if r >= 1:
-        return float("inf")
-    return float(w[-1] * r / (1 - r))
+    if not w[-2][0]:
+        return inf
+    r = _div(w[-1], w[-2], _STATS_BITS)
+    if _float(*r) >= 1:
+        return inf
+    rest = _add((1, 0), r, _STATS_BITS, -1)
+    return _float(*_div(_mul(w[-1], r, _STATS_BITS), rest, _STATS_BITS))
 
 
 def _omitted_mass(w: list, mass) -> float:
@@ -452,43 +509,46 @@ def _omitted_mass(w: list, mass) -> float:
     kept, which also preserves the geometric bound as the conservative
     choice whenever the ratio is falling instead.
     """
-    shortfall = float(1 - mass)
+    shortfall = _float(*_add((1, 0), mass, _STATS_BITS, -1))
     return max(_tail_estimate(w), shortfall, 0.0)
 
 
 # Precision of the statistics built from the weights: the retained mass,
-# the tail estimate, the normalization and the mean.  Pinned, so a caller's
-# global mpmath precision cannot move them; 53 bits is the precision the
-# checked-in golden CSVs were made at.
+# the tail estimate, the normalization and the probabilities, each rounded
+# to it before it becomes a float.  53 bits is the precision the checked-in
+# golden CSVs were made at.
 _STATS_BITS = 53
 
 
-def _retained_weights(n: int, gamma: float, policy: NumericPolicy) -> tuple[list, object, float]:
+def _retained_weights(
+    n: int, gamma: float, policy: NumericPolicy
+) -> tuple[list, tuple[int, int], float]:
     """(w, mass, tail): the retained weights |C_k|^2 (k!)^n, their sum and the omitted mass.
 
     The one place the cutoff is decided: pinned, or grown until the tail
     drops below TAIL_TARGET of the total, a ladder fails or CUTOFF_CAP.  One
     pass: each appended weight is added once to the running mass, left to
-    right as sum() adds.  mass and tail are taken at _STATS_BITS whatever the
-    global mpmath precision; the weights are working-precision reals.
+    right as sum() adds.  mass is rounded at _STATS_BITS after each addition
+    and tail taken at _STATS_BITS; the weights are at policy.bits.
     """
-    with mp.workprec(_STATS_BITS):
-        w: list = []
-        mass = 0
-        for k in range(2 if policy.cutoff is None else policy.cutoff + 1):
-            w.append(_weight(n, gamma, k, policy))
-            mass = mass + w[-1]
-        tail = _omitted_mass(w, mass)
-        if policy.cutoff is None:
-            while not tail < TAIL_TARGET * float(mass + tail) and len(w) - 1 < CUTOFF_CAP:
-                try:
-                    w.append(_weight(n, gamma, len(w), policy))
-                except ResummationError:
-                    # the order budget cannot resolve deeper coefficients; stop
-                    # here and let the omitted-mass estimate carry the rest
-                    break
-                mass = mass + w[-1]
-                tail = _omitted_mass(w, mass)
+    w: list = []
+    mass = (0, 0)
+    for k in range(2 if policy.cutoff is None else policy.cutoff + 1):
+        w.append(_weight(n, gamma, k, policy))
+        mass = _add(mass, w[-1], _STATS_BITS)
+    tail = _omitted_mass(w, mass)
+    if policy.cutoff is None:
+        while len(w) - 1 < CUTOFF_CAP and (
+            tail == inf or not tail < TAIL_TARGET * _float(*_add(mass, _dyadic(tail), _STATS_BITS))
+        ):
+            try:
+                w.append(_weight(n, gamma, len(w), policy))
+            except ResummationError:
+                # the order budget cannot resolve deeper coefficients; stop
+                # here and let the omitted-mass estimate carry the rest
+                break
+            mass = _add(mass, w[-1], _STATS_BITS)
+            tail = _omitted_mass(w, mass)
     return w, mass, tail
 
 
@@ -496,7 +556,7 @@ def photon_distribution(spec: BrightStateSpec) -> TripleDistribution:
     """Probability of observing k emitted n-tuples, up to an adaptive cutoff.
 
     The weights and the cutoff are _retained_weights', the ladder build_bghz
-    reads too; the statistics run at _STATS_BITS whatever the global precision.
+    reads too; the statistics run at _STATS_BITS.
     """
     if spec.validity_warning:
         warnings.warn(
@@ -506,22 +566,19 @@ def photon_distribution(spec: BrightStateSpec) -> TripleDistribution:
             stacklevel=2,
         )
     w, mass, tail = _retained_weights(spec.n, spec.gamma, spec.policy)
-    with mp.workprec(_STATS_BITS):
-        # no decay across the last five retained orders marks a diverging tail
-        scaled = [float(w[k]) * k * k for k in range(len(w))]
-        diverged = len(scaled) >= 5 and all(
-            scaled[k + 1] >= scaled[k] for k in range(len(scaled) - 5, len(scaled) - 1)
-        )
-        if tail == float("inf"):
-            diverged = True
-            probs = tuple(float(x / mass) for x in w)
-            tail_bound = float("inf")
-            mean = None
-        else:
-            total = mass + mpf(tail)
-            probs = tuple(float(x / total) for x in w)
-            tail_bound = float(mpf(tail) / total)
-            mean = None if diverged else fsum(k * p for k, p in enumerate(probs))
+    # no decay across the last five retained orders marks a diverging tail
+    scaled = [_float(*x) * k * k for k, x in enumerate(w)]
+    diverged = len(scaled) >= 5 and all(
+        scaled[k + 1] >= scaled[k] for k in range(len(scaled) - 5, len(scaled) - 1)
+    )
+    # an infinite tail leaves the retained weights normalized on their own
+    total = mass if tail == inf else _add(mass, _dyadic(tail), _STATS_BITS)
+    probs = tuple(_float(*_div(x, total, _STATS_BITS)) for x in w)
+    if tail == inf:
+        diverged, tail_bound = True, inf
+    else:
+        tail_bound = _float(*_div(_dyadic(tail), total, _STATS_BITS))
+    mean = None if diverged else fsum(k * p for k, p in enumerate(probs))
     return TripleDistribution(
         n=spec.n,
         gamma=spec.gamma,
@@ -542,8 +599,7 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
     once each; the box is their outer product.  The state is memoized per
     gain and policy, so a warm call returns the same frozen state.
     """
-    if not 0 <= gamma < inf:
-        raise ValueError(f"gain must be finite and >= 0, got {gamma}")
+    gamma = _gain(gamma)
     if gamma >= GAMMA_GUARD:
         warnings.warn(
             f"gain {gamma} is at or past the guard {GAMMA_GUARD};"
@@ -551,7 +607,7 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
             RuntimeWarning,
             stacklevel=2,
         )
-    return _bright_state(float(gamma), policy)
+    return _bright_state(gamma, policy)
 
 
 # Bright state per gain point and policy, most recently used kept.
@@ -567,14 +623,19 @@ def _bright_state(gamma: float, policy: NumericPolicy) -> BGHZState:
     """The state at gamma, box u u^T over u_q = i^q sign(s_q) sqrt(w_q / sum(w)),
     the three-beam weights w_q and series values s_q, with its shell moments."""
     w, _, _ = _retained_weights(3, gamma, policy)
-    with mp.workprec(policy.bits):
-        col = sum(w)
-        norm_residual = float(abs(1 - col * col))
-        root = col**0.5  # amplitude normalization per factor state
-        signs = [1 if _series_value(3, q, gamma, policy) >= 0 else -1 for q in range(len(w))]
-        factor = np.array(
-            [(1j) ** (q % 4) * (signs[q] * float(x**0.5 / root)) for q, x in enumerate(w)]
-        )
+    bits = policy.bits
+    col = (0, 0)
+    for x in w:
+        col = _add(col, x, bits)
+    norm_residual = abs(_float(*_add((1, 0), _mul(col, col, bits), bits, -1)))
+    root = _sqrt(col, bits)  # amplitude normalization per factor state
+    signs = [1 if _series_value(3, q, gamma, policy)[0] >= 0 else -1 for q in range(len(w))]
+    factor = np.array(
+        [
+            (1j) ** (q % 4) * (signs[q] * _float(*_div(_sqrt(x, bits), root, bits)))
+            for q, x in enumerate(w)
+        ]
+    )
     state = BGHZState._from_box(gamma, len(w) - 1, np.outer(factor, factor), norm_residual)
     state._moments  # binned here, so the first kernel call on a built state bins nothing
     return state

@@ -1,21 +1,25 @@
 """Random exchange-diagonal states, binomial shell blocks, the decimal
-continued-fraction walk and the exact fixed-point recurrence shared by the
-tests."""
+continued-fraction walk, the exact fixed-point recurrence and the mpmath
+chain of the photon statistics and the bright state's factor, shared by
+the tests."""
 
 import cmath
+import functools
 import itertools
 import math
 from decimal import Decimal
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 from hypothesis import strategies as st
-from mpmath import mp
-from mpmath.libmp import from_rational, round_nearest, to_rational
+from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_rational
 
 from brightghz import pade
+from brightghz import state as state_module
 from brightghz.oracles import binomial_shell_rotation
-from brightghz.state import BGHZState
+from brightghz.state import BGHZState, ResummationError, TripleDistribution
 
 SQ2 = math.sqrt(2.0)
 
@@ -168,9 +172,9 @@ def decimal_walk(coeffs, x, max_order, tol, bits):
     order_used = len(diagnostics)
     if not converged and order_used < max_order:
         diagnostics.append((order_used + 1, None))
-    value = mp.make_mpf(from_rational(*value.as_integer_ratio(), value_bits, round_nearest))
+    rounded = from_rational(*value.as_integer_ratio(), value_bits, round_nearest)
     return pade.ResummationResult(
-        value=value,
+        value=Fraction(*to_rational(rounded)),
         converged=converged,
         order_used=order_used,
         diagnostics=tuple(diagnostics),
@@ -197,3 +201,108 @@ def exact_recurrence(c0, value_run, x_int, scale):
         if i % 2 == 0:
             out.append((a, b))
     return out
+
+
+def to_mpf(value):
+    """An exact dyadic Fraction, or a (mantissa, exponent) pair, as the mpf of
+    the same value, exactly."""
+    if isinstance(value, Fraction):
+        m, d = value.as_integer_ratio()
+        assert d & (d - 1) == 0, "not dyadic"
+        value = (m, 1 - d.bit_length())
+    return mp.make_mpf(from_man_exp(*value))
+
+
+def at_bits(value, bits):
+    """An exact Fraction rounded half to even to bits, as an mpmath tuple."""
+    return from_rational(value.numerator, value.denominator, bits, round_nearest)
+
+
+# The photon statistics and the bright state's factor as mpmath computed
+# them: weights and factors at the policy's working precision, statistics
+# at 53 bits, every sum taken from scratch.  They read the cached series
+# values, so they pin everything after the resummation.
+def mp_weight(n, gamma, k, policy):
+    """Unnormalized p-weight |C_k|^2 (k!)^n as an mpf at policy.bits."""
+    with mp.workprec(policy.bits):
+        if gamma == 0:
+            return mpf(1) if k == 0 else mpf(0)
+        s = to_mpf(state_module._series_value(n, k, gamma, policy))
+        return mpf(gamma) ** (2 * k) * s * s * mpf(factorial(k)) ** n
+
+
+def _mp_tail_estimate(w):
+    if len(w) < 2 or w[-1] == 0:
+        return 0.0
+    if w[-2] == 0:
+        return math.inf
+    r = w[-1] / w[-2]
+    if r >= 1:
+        return math.inf
+    return float(w[-1] * r / (1 - r))
+
+
+def _mp_omitted(w):
+    geometric = _mp_tail_estimate(w)
+    if geometric == math.inf:
+        return geometric
+    return max(geometric, float(1 - sum(w)), 0.0)
+
+
+def mp_retained_weights(n, gamma, policy):
+    """(w, tail): the retained weights as mpfs and the omitted mass, the
+    cutoff grown as photon_distribution grows it."""
+    weight = functools.partial(mp_weight, n, gamma, policy=policy)
+    with mp.workprec(53):
+        if policy.cutoff is not None:
+            w = [weight(k) for k in range(policy.cutoff + 1)]
+            return w, _mp_omitted(w)
+        w = [weight(0), weight(1)]
+        tail = _mp_omitted(w)
+        while not (
+            tail < state_module.TAIL_TARGET * float(sum(w) + tail)
+        ) and len(w) - 1 < state_module.CUTOFF_CAP:
+            try:
+                w.append(weight(len(w)))
+            except ResummationError:
+                break
+            tail = _mp_omitted(w)
+        return w, tail
+
+
+def mp_distribution(spec):
+    """photon_distribution(spec) by the mpmath chain at 53 bits."""
+    w, tail = mp_retained_weights(spec.n, spec.gamma, spec.policy)
+    scaled = [float(w[k]) * k * k for k in range(len(w))]
+    diverged = len(scaled) >= 5 and all(
+        scaled[k + 1] >= scaled[k] for k in range(len(scaled) - 5, len(scaled) - 1)
+    )
+    with mp.workprec(53):
+        if tail == math.inf:
+            total = sum(w)
+            probs = tuple(float(x / total) for x in w)
+            return TripleDistribution(spec.n, spec.gamma, probs, math.inf, None, True)
+        total = sum(w) + mpf(tail)
+        probs = tuple(float(x / total) for x in w)
+        tail_bound = float(mpf(tail) / total)
+    mean = None if diverged else math.fsum(k * p for k, p in enumerate(probs))
+    return TripleDistribution(spec.n, spec.gamma, probs, tail_bound, mean, diverged)
+
+
+def mp_factor(gamma, policy):
+    """(factor, norm_residual) of build_bghz by the mpmath chain: the
+    three-beam weights normalized, their square roots taken and divided at
+    policy.bits, each made a float once."""
+    w, _ = mp_retained_weights(3, gamma, policy)
+    with mp.workprec(policy.bits):
+        col = sum(w)
+        norm_residual = float(abs(1 - col * col))
+        root = col**0.5
+        values = [state_module._series_value(3, q, gamma, policy) for q in range(len(w))]
+        factor = np.array(
+            [
+                (1j) ** (q % 4) * ((1 if s[0] >= 0 else -1) * float(x**0.5 / root))
+                for q, (s, x) in enumerate(zip(values, w))
+            ]
+        )
+    return factor, norm_residual

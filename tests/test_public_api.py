@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import brightghz
@@ -18,6 +21,14 @@ def _imports_oracles(node) -> bool:
         return module.endswith("oracles") or any(a.name == "oracles" for a in node.names)
     if isinstance(node, ast.Import):
         return any(a.name.split(".")[-1] == "oracles" for a in node.names)
+    return False
+
+
+def _imports_mpmath(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "mpmath"
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "mpmath" for a in node.names)
     return False
 
 
@@ -38,14 +49,15 @@ def test_public_surface():
         for name in getattr(module, "__all__", ()):
             assert getattr(brightghz, name) is getattr(module, name), name
 
-    # test references stay in oracles, and no production module writes CSV
-    # outside the CLI emitter
+    # test references stay in oracles, the one module that needs mpmath, and
+    # no production module writes CSV outside the CLI emitter
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         if path.stem == "oracles":
             continue
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
             assert not _imports_oracles(node), f"{path.name} imports oracles"
+            assert not _imports_mpmath(node), f"{path.name} imports mpmath"
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 assert not node.name.startswith("dump_"), f"{path.name}: {node.name}"
 
@@ -81,3 +93,34 @@ def test_readme_library_block_prints_what_its_comments_say(capsys):
         "gamma_threshold()": "0.7699",
         "eta_threshold(0.05)": "0.7915",
     }
+
+
+# Small grids of the six commands: the statistics, a threshold search, a
+# loss scan at the cutoff cap and both projected witnesses.
+RUNTIME_COMMANDS = [
+    ["--cmd", "table1"],
+    ["--cmd", "pk_curve", "--n", "3", "--steps", "2"],
+    ["--cmd", "mermin", "--gamma-min", "0.7", "--gamma-max", "0.8", "--steps", "2"],
+    ["--cmd", "eta", "--gamma-min", "0.352", "--steps", "1"],
+    ["--cmd", "w1", "--gamma-min", "0.1", "--gamma-max", "0.3", "--steps", "2", "--projected"],
+    ["--cmd", "w2", "--gamma-min", "0.1", "--gamma-max", "0.3", "--steps", "2", "--projected"],
+]
+
+
+def test_commands_run_without_mpmath(tmp_path):
+    # a fresh interpreter runs every command and never loads mpmath, which
+    # only the tests and oracles need
+    code = (
+        "import sys\n"
+        "from brightghz.cli import main\n"
+        f"for i, argv in enumerate({RUNTIME_COMMANDS!r}):\n"
+        "    assert main([*argv, '--out', f'{sys.argv[1]}/{i}.csv']) == 0, argv\n"
+        "assert 'mpmath' not in sys.modules, 'a command loaded mpmath'\n"
+    )
+    path = [str(PACKAGE_DIR.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert len(list(tmp_path.glob("*.csv"))) == len(RUNTIME_COMMANDS)

@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,13 +22,13 @@ from brightghz.state import (
     BrightStateSpec,
     NumericPolicy,
     ResummationError,
-    TripleDistribution,
     build_bghz,
     photon_distribution,
     project_out_vacuum,
     resummed_coefficient,
 )
 from brightghz.stokes import _mermin_form, _shell_terms
+from references import mp_distribution, mp_factor, to_mpf
 
 # Reference distribution at gain 0.8, k = 0..10, for one, two, and three
 # beams; entries carry the precision they were published with.
@@ -67,6 +68,21 @@ def test_gain_must_be_finite_and_non_negative(gamma):
         build_bghz(gamma)
     with pytest.raises(ValueError, match="finite and >= 0"):
         resummed_coefficient(3, 2, gamma)
+
+
+@pytest.mark.filterwarnings("ignore:gain 1.0 is at or past")
+@pytest.mark.parametrize(
+    "gamma", [np.float32(0.3), np.float64(0.3), 0.3, 0, 1, Fraction(1, 3), np.float32(0.77)]
+)
+def test_gain_of_any_real_type_is_its_float(gamma):
+    # a gain is converted to float once, so every real type gives the
+    # numbers of its float and shares its cached values
+    g = float(gamma)
+    spec = BrightStateSpec(3, gamma)
+    assert type(spec.gamma) is float and spec.gamma == g
+    assert photon_distribution(spec) == photon_distribution(BrightStateSpec(3, g))
+    assert resummed_coefficient(3, 2, gamma) == resummed_coefficient(3, 2, g)
+    assert build_bghz(gamma) is build_bghz(g)
 
 
 @pytest.mark.parametrize(
@@ -254,58 +270,13 @@ def test_validity_boundary_warns_and_flags():
     assert dist.mean is None
 
 
-def _quadratic_distribution(spec):
-    """photon_distribution as it was: every retained sum taken from scratch.
-
-    The mean is the correctly rounded sum, as photon_distribution takes it.
-    """
-    policy = spec.policy
-
-    def weight(k):
-        return state_module._weight(spec.n, spec.gamma, k, policy)
-
-    def omitted(w):
-        geometric = state_module._tail_estimate(w)
-        if geometric == math.inf:
-            return geometric
-        return max(geometric, float(1 - sum(w)), 0.0)
-
-    if policy.cutoff is not None:
-        w = [weight(k) for k in range(policy.cutoff + 1)]
-        tail = omitted(w)
-    else:
-        w = [weight(0), weight(1)]
-        tail = omitted(w)
-        while not (
-            tail < state_module.TAIL_TARGET * float(sum(w) + tail)
-        ) and len(w) - 1 < CUTOFF_CAP:
-            try:
-                w.append(weight(len(w)))
-            except ResummationError:
-                break
-            tail = omitted(w)
-    scaled = [float(w[k]) * k * k for k in range(len(w))]
-    diverged = len(scaled) >= 5 and all(
-        scaled[k + 1] >= scaled[k] for k in range(len(scaled) - 5, len(scaled) - 1)
-    )
-    if tail == math.inf:
-        total = sum(w)
-        probs = tuple(float(x / total) for x in w)
-        return TripleDistribution(spec.n, spec.gamma, probs, math.inf, None, True)
-    total = sum(w) + mpf(tail)
-    probs = tuple(float(x / total) for x in w)
-    mean = None if diverged else math.fsum(k * p for k, p in enumerate(probs))
-    return TripleDistribution(
-        spec.n, spec.gamma, probs, float(mpf(tail) / total), mean, diverged
-    )
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("gamma", [0.05, 0.5, 0.77, 0.85])
 @pytest.mark.parametrize("cutoff", [None, 12])
 def test_distribution_equals_the_quadratic_loop(n, gamma, cutoff):
+    # every retained sum of the mpmath chain is taken from scratch
     spec = BrightStateSpec(n, gamma, NumericPolicy(cutoff=cutoff))
-    assert photon_distribution(spec) == _quadratic_distribution(spec)
+    assert photon_distribution(spec) == mp_distribution(spec)
 
 
 def test_three_beam_cutoff_stops_at_the_first_unresolved_order():
@@ -343,7 +314,7 @@ def test_soft_acceptance_compares_the_last_two_orders(monkeypatch):
             self.diagnostics = diagnostics
 
         def resum(self, u, max_order, tol, bits):
-            return ResummationResult(mpf(1.0001), False, max_order, self.diagnostics)
+            return ResummationResult(Fraction(1.0001), False, max_order, self.diagnostics)
 
     for diagnostics, settles in ((early + skipped, False), (skipped[:-2] + late, True)):
         monkeypatch.setattr(state_module, "_VALUES", {})
@@ -562,7 +533,8 @@ def test_amplitudes_pin_the_per_pair_formula():
     assert np.array_equal(state._box, state._box.T)
     with mp.workprec(policy.bits):
         values = [
-            state_module._series_value(3, q, gamma, policy) for q in range(state.cutoff + 1)
+            to_mpf(state_module._series_value(3, q, gamma, policy))
+            for q in range(state.cutoff + 1)
         ]
         mags = [
             abs(s) * mpf(gamma) ** q * mpf(math.factorial(q)) ** mpf(1.5)
@@ -697,7 +669,9 @@ def _magnitude_formula_factor(gamma, policy, cutoff):
     the factor was read off the weights: |s_q| gamma^q (q!)^1.5, normalized
     at working precision."""
     with mp.workprec(policy.bits):
-        values = [state_module._series_value(3, q, gamma, policy) for q in range(cutoff + 1)]
+        values = [
+            to_mpf(state_module._series_value(3, q, gamma, policy)) for q in range(cutoff + 1)
+        ]
         mags = [
             abs(s) * mpf(gamma) ** q * mpf(math.factorial(q)) ** mpf(1.5)
             for q, s in enumerate(values)
@@ -731,6 +705,22 @@ def test_factor_is_the_square_root_of_the_weights(gamma, policy):
     want, want_residual = _magnitude_formula_factor(gamma, policy, cutoff)
     assert state._box.tobytes() == np.outer(want, want).tobytes()
     assert state.norm_residual == want_residual
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(LADDER_GAINS), ladder_policies)
+def test_statistics_and_state_equal_the_mpmath_chain(gamma, policy):
+    # the exact dyadic arithmetic gives what the mpmath chain gave: the
+    # distributions field for field, and the state's cutoff, box bytes and
+    # norm residual
+    for n in (1, 2, 3):
+        spec = BrightStateSpec(n, gamma, policy)
+        assert photon_distribution(spec) == mp_distribution(spec)
+    state = build_bghz(gamma, policy)
+    factor, norm_residual = mp_factor(gamma, policy)
+    assert state.cutoff == len(factor) - 1
+    assert state._box.tobytes() == np.outer(factor, factor).tobytes()
+    assert state.norm_residual == norm_residual
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
