@@ -29,10 +29,12 @@ requested precision: a second qd run, 64 bits coarser, sizes each
 coefficient's error, and the walk carries a running bound on its own.
 The first order that qd did not reach (a zero divisor broke the table) or
 whose bound no longer keeps the value within 2**-bits relative ends the
-walk unconverged, recorded with no value.  Values are handed out as
-exact dyadic Fractions, the walk's quotient rounded once (half to even)
-to the walk's precision by _rounded, the one rounding rule that state
-applies too.
+walk unconverged, recorded with no value.  Each order's float comes from
+one int true division, and the tolerance test runs on those floats within
+a proven error margin, falling back to exact integers only inside it.  So
+the exact quotient is formed once per walk, for the value handed out: an
+exact dyadic Fraction, rounded once (half to even) to the walk's precision
+by _rounded, the one rounding rule that state applies too.
 
 The coefficients depend only on the series and the precision, never on
 the point, so the three-beam tables at the default policy (tuple numbers
@@ -56,6 +58,7 @@ import decimal
 import functools
 import io
 import math
+import numbers
 import zipfile
 import zlib
 from collections.abc import Iterable, Iterator, Sequence
@@ -326,12 +329,28 @@ def _renormalized(cur: int, prev: int, exponent: int, scale: int) -> tuple[int, 
 
 
 def _float(m: int, e: int) -> float:
-    """m * 2**e as the nearest float (inf past the range)."""
-    m, e = _rounded(m, e, 53)
+    """m * 2**e as the nearest float (inf past the range).
+
+    Python's int true division and int-to-float conversion round once,
+    half to even, subnormal results included.
+    """
     try:
-        return math.ldexp(m, e)
+        return m / (1 << -e) if e < 0 else float(m << e)
     except OverflowError:
-        return math.copysign(math.inf, m)
+        return math.inf if m > 0 else -math.inf
+
+
+def _quotient(vb: int, va: int, vb_exp: int, va_exp: int, scale: int) -> tuple[int, int]:
+    """(vb 2**vb_exp) / (va 2**va_exp) as (mantissa, exponent), for va != 0.
+
+    The mantissa is the floor quotient to scale + 2 bits or more, doubled,
+    plus a sticky bit for a nonzero remainder, so rounding it to scale bits
+    or fewer rounds the exact quotient.
+    """
+    top, bottom = (vb, va) if va > 0 else (-vb, -va)
+    shift = scale + 2 - vb.bit_length() + va.bit_length()
+    q, r = divmod(top << max(shift, 0), bottom << max(-shift, 0))
+    return 2 * q + (r != 0), vb_exp - va_exp - shift - 1
 
 
 def _within(v: tuple[int, int], w: tuple[int, int], tol_num: int, tol_den: int) -> bool:
@@ -342,6 +361,50 @@ def _within(v: tuple[int, int], w: tuple[int, int], tol_num: int, tol_den: int) 
     else:
         n <<= f - e
     return tol_den * abs(m - n) <= tol_num * abs(m)
+
+
+# Where _agrees may decide: |f| and |g| within (2**-960, 2**1000), so every
+# float it forms is normal and finite, and tol within [2**-45, 1].
+_AGREE_LOW, _AGREE_HIGH, _AGREE_TOL = 2.0**-960, 2.0**1000, 2.0**-45
+
+
+def _agrees(f: float, g: float, tol: float) -> bool | None:
+    """Whether |v - w| <= tol |v|, from the nearest floats f and g of v and w.
+
+    None when the floats cannot tell, and _within must decide on v and w;
+    DiagonalResummer._walk derives the margin.
+    """
+    size = abs(f)
+    if not (
+        _AGREE_LOW < size < _AGREE_HIGH
+        and _AGREE_LOW < abs(g) < _AGREE_HIGH
+        and _AGREE_TOL <= tol <= 1.0
+    ):
+        return None
+    diff, lim = abs(f - g), tol * size
+    margin = 2.0**-50 * (size + diff + lim)
+    if diff > lim + margin:
+        return False
+    if diff < lim - margin:
+        return True
+    return None
+
+
+def _exact(x) -> Fraction:
+    """The point x exactly, as a Fraction of Python ints; ValueError if x is not finite.
+
+    Fraction(x) would keep a NumPy integer as its numerator, which then
+    overflows in the fixed-point walk, and rejects every NumPy float but
+    float64.  A float of any width, and a Decimal, gives its exact ratio.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, numbers.Rational):
+        return Fraction(int(x.numerator), int(x.denominator))
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
+    ratio = getattr(x, "as_integer_ratio", None)
+    return Fraction(*map(int, ratio())) if ratio is not None else Fraction(x)
 
 
 class DiagonalResummer:
@@ -388,9 +451,30 @@ class DiagonalResummer:
         integers at the value scale F: x and t_i carry F fraction bits, each
         product is truncated back to F of them, and the pairs (A_i, A_{i-1})
         and (B_i, B_{i-1}) each carry a power of two 2**e, renormalized at
-        even i when A_i or B_i leaves F to F + 64 bits.  B/A is kept to
-        F + 2 bits or more plus a sticky bit, so its float and its value,
-        rounded to F bits, are correctly rounded.
+        even i when A_i or B_i leaves F to F + 64 bits.
+
+        Values and the tolerance test.  An order's value v is B/A as a
+        sticky quotient (_quotient): F + 2 bits or more plus a sticky bit,
+        so rounding v to F bits or to a float rounds B/A.  Its float is
+        vb / va scaled by 2**(vb_exp - va_exp), without forming v: Python's
+        int true division rounds once, so while vb / va and B/A stay normal
+        floats this is B/A correctly rounded; outside that range it is
+        _float(v).  The walk has converged when |v - w| <= tol |v|, w the
+        previous value.  The floats f and g of v and w decide this
+        (_agrees) where |f|, |g| lie in (2**-960, 2**1000) and tol in
+        [2**-45, 1].  With u = 2**-53, d = fl(|f - g|) and l = fl(tol |f|):
+        rounding to nearest keeps |v - f| <= u |f| and |w - g| <= u |g| <=
+        u (|f| + |f - g|), so ||v - w| - d| <= 2u |f| + 2u d; and tol |v| is
+        within 3u l of l (the rounding of v, of tol to a float and of the
+        product), all up to terms in u**2.  The sum of both stays below
+        margin = 2**-50 (|f| + d + l) = 8u (...), with room for the rounding
+        of the margin itself and of l -+ margin; every float formed stays
+        normal in that range.  So d < l - margin proves agreement and d >
+        l + margin refutes it.  Inside the margin, or outside that range
+        (below tol = 2**-45 the margin is over 1/64 of l, and l can leave
+        the normal range), _within decides on v and w exactly.  Otherwise v
+        is formed once per walk, for the order returned, and rounded to F
+        bits.
 
         Error bound.  Against the exact recurrence Â on the true a*_i and
         point, E_i = A_i - Â_i = E_{i-1} - t_i E_{i-2} - (t_i - a*_i x)
@@ -425,6 +509,8 @@ class DiagonalResummer:
         vx = _round_div(x.numerator << fv, x.denominator)
         ax = _float(abs(vx), -fv)
         tol_num, tol_den = Fraction(tol).as_integer_ratio()
+        # a tol above 1 always takes the exact test
+        ftol = tol_num / tol_den if tol_num <= tol_den else math.inf
         # A and B, current and previous, each pair an integer times 2**(its exponent)
         c0_num, c0_den = self.coeffs[0].numerator, self.coeffs[0].denominator
         va = va_prev = c0_den << fv
@@ -435,7 +521,8 @@ class DiagonalResummer:
         m = m_prev = c0_den / (1 << m_exp)
         ratio_bits = c0_num.bit_length() - m_exp
         diagnostics: list[tuple[int, float | None]] = []
-        value = None  # (mantissa, exponent)
+        # the last value as (B, A, B's exponent, A's exponent), and its float
+        kept, kept_float = None, 0.0
         converged = False
         for i in range(1, 2 * max_order + 1):
             if i > len(value_run) and not ladder.reaches(i):
@@ -457,16 +544,23 @@ class DiagonalResummer:
             exps = max(va_exp - vb_exp + ratio_bits - b_bits, -a_bits) + m_exp
             if not bound < math.inf or math.frexp(bound)[1] + exps > -bits - 4:
                 break
-            # v = B/A as (mantissa, exponent): floor quotient and sticky bit
-            top, bottom = (vb, va) if va > 0 else (-vb, -va)
-            shift = fv + 2 - b_bits + a_bits
-            q, r = divmod(top << max(shift, 0), bottom << max(-shift, 0))
-            v = (2 * q + (r != 0), vb_exp - va_exp - shift - 1)
-            diagnostics.append((len(diagnostics) + 1, _float(*v)))
-            if value is not None and _within(v, value, tol_num, tol_den):
-                value, converged = v, True
-                break
-            value = v
+            cur = (vb, va, vb_exp, va_exp)
+            # |vb / va| lies in [2**(d - 1), 2**(d + 1)); the scaled quotient
+            # rounds B/A correctly where both it and B/A are normal floats
+            d = b_bits - a_bits
+            if -1000 < d < 1000 and -1000 < d + vb_exp - va_exp < 1000:
+                f = math.ldexp(vb / va, vb_exp - va_exp)
+            else:
+                f = _float(*_quotient(*cur, fv))
+            diagnostics.append((len(diagnostics) + 1, f))
+            if kept is not None:
+                agree = _agrees(f, kept_float, ftol)
+                if agree is None:
+                    agree = _within(_quotient(*cur, fv), _quotient(*kept, fv), tol_num, tol_den)
+                if agree:
+                    kept, converged = cur, True
+                    break
+            kept, kept_float = cur, f
             if not fv <= a_bits <= fv + 64:
                 shift = m_exp + va_exp
                 va, va_prev, va_exp = _renormalized(va, va_prev, va_exp, fv)
@@ -474,12 +568,12 @@ class DiagonalResummer:
                 m, m_prev, m_exp = math.ldexp(m, shift), math.ldexp(m_prev, shift), 0
             if not fv <= b_bits <= fv + 64:
                 vb, vb_prev, vb_exp = _renormalized(vb, vb_prev, vb_exp, fv)
-        if value is None:
+        if kept is None:
             raise PoleProximityError("no diagonal order has a value at this point")
         order_used = len(diagnostics)
         if not converged and order_used < max_order:
             diagnostics.append((order_used + 1, None))
-        value = _fraction(*_rounded(*value, fv))
+        value = _fraction(*_rounded(*_quotient(*kept, fv), fv))
         return ResummationResult(value, converged, order_used, tuple(diagnostics))
 
     def resum(
@@ -493,10 +587,7 @@ class DiagonalResummer:
                 f"diagonal order {max_order} needs {2 * max_order + 1}"
                 f" coefficients, got {len(self.coeffs)}"
             )
-        # a Fraction is finite, and may be too large for the float test
-        if not isinstance(x, Fraction) and not math.isfinite(x):
-            raise ValueError(f"x must be finite, got {x}")
-        x = Fraction(x)
+        x = _exact(x)
         if not 0 < tol < math.inf:
             raise ValueError(f"tol must be finite and > 0, got {tol}")
         need = 2 * max_order + 1

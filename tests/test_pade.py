@@ -416,6 +416,27 @@ def test_walk_floats_past_the_range_are_infinite():
     assert pade._float(1, -1200) == 0.0
 
 
+# Below 2**-1021 the floats are the multiples of 2**-1074, so the nearest
+# one is the exact value rounded half to even on that grid.  Rounding to 53
+# bits first and then to the grid rounds twice: a value within 2**-54
+# relative of a grid midpoint rounds to the midpoint, and then to even.
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 53),
+    st.integers(0, (1 << 53) - 1),
+    st.sampled_from((-(1 << 25), -1, 0, 1, 1 << 25)) | st.integers(-(1 << 30), 1 << 30),
+    st.booleans(),
+)
+def test_float_rounds_once_below_the_normal_range(p, q, offset, negative):
+    # m 2**e = (q + 1/2) 2**-1074 + offset 2**e for a p-bit q, m of 80 bits
+    q = q % (1 << (p - 1)) + (1 << (p - 1))
+    m = (q << (80 - p)) + (1 << (79 - p)) + offset
+    m, e = (-m if negative else m), p - 1154
+    exact = Fraction(m, 1 << -e)
+    want = math.ldexp(round(exact * 2**1074), -1074)
+    assert pade._float(m, e) == want == float(exact)
+
+
 # The resumable qd table against the eager one: the progressive qd loop run
 # to completion on every term, each run's number rounded once, half to
 # even, to its fixed-point scale, as the table was built before it became
@@ -687,6 +708,38 @@ def test_numpy_order_and_bits_walk_as_python_ints():
     assert got == diagonal_resum(EULER, 0.2, max_order=12, bits=128)
 
 
+EXP = [Fraction(1, factorial(j)) for j in range(25)]
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.int64(-1),
+        np.int32(-1),
+        np.int64(0),
+        np.uint8(1),
+        np.float64(0.2),
+        np.float32(0.2),
+        np.float16(-0.3),
+        np.longdouble(0.2),
+    ],
+    ids=lambda x: f"{type(x).__name__}({x})",
+)
+def test_numpy_point_walks_as_its_python_value(x):
+    # a NumPy integer numerator overflowed in the fixed-point walk, and
+    # Fraction rejects NumPy floats but float64
+    exact = Fraction(*map(int, x.as_integer_ratio())) if hasattr(x, "as_integer_ratio") else int(x)
+    assert diagonal_resum(EXP, x, max_order=12) == diagonal_resum(EXP, exact, max_order=12)
+    assert diagonal_resum(EULER, abs(x), max_order=12) == diagonal_resum(
+        EULER, abs(exact), max_order=12
+    )
+
+
+def test_mpmath_point_is_rejected():
+    with pytest.raises(TypeError):
+        diagonal_resum(EXP, mpmath.mpf("0.2"), max_order=12)
+
+
 # The dyadic rounding, the float and the square root against mpmath's: half
 # to even at any precision, sign and exponent, exact ties included.
 @st.composite
@@ -713,3 +766,40 @@ def test_rounding_float_and_root_equal_mpmath(value, q):
     assert pade._float(m, e) == mpmath.libmp.to_float(exact, rnd=mpmath.libmp.round_nearest)
     want = mpmath.libmp.mpf_sqrt(mpmath.libmp.from_man_exp(abs(m), e), bits, "n")
     assert mpmath.libmp.from_man_exp(*state._sqrt((abs(m), e), bits)) == want
+
+
+# The walk's tolerance test on floats against the exact one on the sticky
+# quotients: pairs (v, w) whose |v - w| lies within a few units of v's last
+# float bit (or of finer ones) from tol |v|, at both signs, exponents far
+# from 0 and tol from 1e-4 down past 2**-45, where the floats do not decide.
+@st.composite
+def _near_tolerance(draw):
+    tol = draw(st.floats(2.0**-50, 1e-4))
+    bits = draw(st.integers(54, 200))
+    m = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    e = draw(st.integers(-1000, 1000) | st.integers(-1100, 1100)) - bits
+    v = Fraction(m if draw(st.booleans()) else -m) * Fraction(2) ** e
+    step = Fraction(2) ** (e + bits - 53 - draw(st.integers(-12, 8) | st.integers(9, 60)))
+    gap = Fraction(tol) * abs(v) + draw(st.integers(-8, 8)) * step
+    w = v - gap if draw(st.booleans()) else v + gap
+    return tol, v, w
+
+
+def _pair(x: Fraction) -> tuple[int, int]:
+    """A dyadic Fraction as (mantissa, exponent)."""
+    return x.numerator, 1 - x.denominator.bit_length()
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_near_tolerance())
+def test_float_tolerance_test_agrees_with_the_exact_one(case):
+    tol, v, w = case
+    exact = pade._within(_pair(v), _pair(w), *tol.as_integer_ratio())
+    f, g = pade._float(*_pair(v)), pade._float(*_pair(w))
+    got = pade._agrees(f, g, tol)
+    assert got is None or got == exact
+    # the floats must decide when tol |v| is far from |v - w| on their scale
+    in_range = all(2.0**-900 < abs(x) < 2.0**900 for x in (f, g))
+    if in_range and tol >= 2.0**-45 and abs(abs(v - w) - Fraction(tol) * abs(v)) > Fraction(2.0**-46) * abs(v):
+        assert got == exact
+
