@@ -5,22 +5,26 @@
 rewrites src/brightghz/cfractions.zip from the code: the complete value
 qd runs of the three-beam series of every tuple number the auto cutoff can
 reach (0..CUTOFF_CAP) at the default policy's length and precision, each
-checked against its check run.  Run it after any change that moves those tables (the
-recurrence, the qd algorithm, its contexts or the default policy); the
-test suite regenerates them and fails while the shipped file is stale.
+checked against its check run.  Each series is taken as the unreduced
+pairs (P[k, k + 2j], (k + 2j)!) that series_core forms and state's
+resummers hold, so every member is named by the key those resummers look
+up.  Run it after any change that moves those tables or their names (the
+recurrence, the form of the pairs, the qd algorithm, its contexts or the
+default policy); the test suite regenerates them and fails while the
+shipped file is stale.
 """
 
 from __future__ import annotations
 
 from brightghz import pade
-from brightghz.series_core import c_series
+from brightghz.series_core import _series_pairs
 from brightghz.state import CUTOFF_CAP, DEFAULT_POLICY
 
 
 def _archive() -> bytes:
     """The shipped archive's bytes, as the code computes them now."""
     length = 2 * DEFAULT_POLICY.pade_order + 1
-    series = (c_series(k, 3, length).coeffs for k in range(CUTOFF_CAP + 1))
+    series = (_series_pairs(k, 3, length) for k in range(CUTOFF_CAP + 1))
     return pade._table_archive(series, DEFAULT_POLICY.bits)
 
 

@@ -41,11 +41,17 @@ the point, so the three-beam tables at the default policy (tuple numbers
 0..CUTOFF_CAP, 81 terms, 256 bits: every table a default Bell scan walks)
 ship with the package as cfractions.zip, one deflated member per series.
 A member is named by a checksum of everything that determines its table:
-the exact coefficients, bits, the decimal precisions of both qd runs and
-both fixed-point scales.  So a table is read from the archive (lazily,
-one member at a time, on the first build at that precision) only where
-the code would compute exactly those numbers; any other series or
-precision, including a changed guard constant, runs qd as above.
+the coefficients as the exact integer pairs (p_j, q_j) the resummer holds
+(for state's resummers, series_core's unreduced (P[k, k + 2j], (k + 2j)!),
+so no gcd is paid to look a table up), bits, the decimal precisions of
+both qd runs and both fixed-point scales.  Keying on the pairs as held is
+sound: equal pairs are equal rationals, which give equal tables, so a
+table is read from the archive (lazily, one member at a time, on the
+first build at that precision) only where the code would compute exactly
+those numbers.  The same series held in other pairs (its reduced
+Fractions, say) only misses the archive, as does any other series or
+precision, including a changed guard constant, and runs qd as above to
+the identical table.
 Decimal rounds correctly on every platform and the rounding to an
 integer is exact, so a stored table is the one the code computes.
 `python -m brightghz._cftables` rewrites the archive, and a test
@@ -161,8 +167,8 @@ def _round_div(num: int, den: int) -> int:
     return q
 
 
-def _qd(coeffs, ctx: Context, scale: int) -> Iterator[int]:
-    """C-fraction coefficients a_1, a_2, ... of coeffs, by progressive qd.
+def _qd(pairs: Sequence[tuple[int, int]], ctx: Context, scale: int) -> Iterator[int]:
+    """C-fraction coefficients a_1, a_2, ... of the series c_j = p_j / q_j, by progressive qd.
 
     With q_1^(k) = c_{k+1} / c_k and e_0^(k) = 0, the rhombus rules
 
@@ -174,18 +180,19 @@ def _qd(coeffs, ctx: Context, scale: int) -> Iterator[int]:
     adds one anti-diagonal q_1^(s-1), e_1^(s-2), q_2^(s-3), ..., a_s that
     needs only the previous one.  The run reads c_s only when a_s is asked
     for, and between coefficients holds just that anti-diagonal and
-    c_{s-1}.  Arithmetic runs in ctx; each a_s is handed out as the integer
-    a_s 2**scale, rounded once (half to even) from the exact decimal.  The
-    run ends after a_{len(coeffs)-1}, or earlier at a zero divisor (a zero
-    c_j or e entry).
+    c_{s-1}.  Arithmetic runs in ctx, c_s being p_s / q_s correctly
+    rounded, whether or not the pair is in lowest terms; each a_s is handed
+    out as the integer a_s 2**scale, rounded once (half to even) from the
+    exact decimal.  The run ends after a_{len(pairs)-1}, or earlier at a
+    zero divisor (a zero c_j or e entry).
     """
     add, sub, mul, div = ctx.add, ctx.subtract, ctx.multiply, ctx.divide
     prev: list[Decimal] = []
-    last = div(Decimal(coeffs[0].numerator), Decimal(coeffs[0].denominator))
-    for s in range(1, len(coeffs)):
+    last = div(Decimal(pairs[0][0]), Decimal(pairs[0][1]))
+    for s in range(1, len(pairs)):
         if not last:
             return
-        c = div(Decimal(coeffs[s].numerator), Decimal(coeffs[s].denominator))
+        c = div(Decimal(pairs[s][0]), Decimal(pairs[s][1]))
         cur = [div(c, last)]
         for j in range(1, s):
             if j % 2:
@@ -250,24 +257,27 @@ def _field(n: int) -> bytes:
     return len(body).to_bytes(4, "little") + body
 
 
-def _ladder(coeffs: Sequence[Fraction], bits: int) -> tuple[_Ladder, str]:
-    """The ladder of coeffs at bits with its qd runs unstarted, and its table's name.
+def _ladder(pairs: Sequence[tuple[int, int]], bits: int) -> tuple[_Ladder, str]:
+    """The ladder of the series pairs at bits with its qd runs unstarted, and its table's name.
 
     The name is a 64-bit checksum (CRC-32, then Adler-32) of the bytes of
     everything that fixes the table: bits, the decimal precisions of both
-    qd runs, both fixed-point scales, and the exact coefficients, each a
-    length-prefixed integer field.  hashlib would load OpenSSL, about
-    3.6 MB resident, for the same job.
+    qd runs, both fixed-point scales, and each coefficient's integer pair
+    (p_j, q_j) as the resummer holds it, each a length-prefixed integer
+    field.  Equal pairs are equal rationals, so a name stands for one
+    table; the same series held in other pairs (reduced, say) only gets
+    another name, and computes that same table.  hashlib would load
+    OpenSSL, about 3.6 MB resident, for the same job.
     """
     value_scale, check_scale = _scales(bits)
-    size = len(coeffs) - 1
+    size = len(pairs) - 1
     qd_bits = check_scale + _QD_BITS_PER_TERM * size
     qd_value, qd_check = _context(qd_bits + _GUARD_BITS), _context(qd_bits)
     fields = [bits, qd_value.prec, qd_check.prec, value_scale, check_scale]
-    for c in coeffs:
-        fields += (c.numerator, c.denominator)
+    for pair in pairs:
+        fields += pair
     key = b"".join(map(_field, fields))
-    runs = zip(_qd(coeffs, qd_value, value_scale), _qd(coeffs, qd_check, check_scale))
+    runs = zip(_qd(pairs, qd_value, value_scale), _qd(pairs, qd_check, check_scale))
     return _Ladder(size, value_scale, runs), f"{zlib.crc32(key):08x}{zlib.adler32(key):08x}"
 
 
@@ -299,16 +309,16 @@ def _stored_table(name: str) -> list[int] | None:
     return [int(line, 16) for line in text.splitlines()]
 
 
-def _table_archive(series: Iterable[Sequence[Fraction]], bits: int) -> bytes:
-    """The archive of the complete tables of series at bits, byte for byte reproducible.
+def _table_archive(series: Iterable[Sequence[tuple[int, int]]], bits: int) -> bytes:
+    """The archive of the complete tables of series (as pairs) at bits, byte for byte reproducible.
 
     A table whose check run is not its value run coarsened cannot be
     stored one number per line and raises ValueError.
     """
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w") as archive:
-        for coeffs in series:
-            ladder, name = _ladder(coeffs, bits)
+        for held in series:
+            ladder, name = _ladder(held, bits)
             pairs = list(ladder.runs)
             if any(c != _round_div(a, 1 << _GUARD_BITS) for a, c in pairs):
                 raise ValueError(f"table {name}: the check run is not the value run coarsened")
@@ -418,20 +428,46 @@ class DiagonalResummer:
     would hold.  A shipped table is read whole instead, on the first build
     at its precision.  Once per series and length it finds whether the
     truncated series terminates.  Each point then costs one walk.
+
+    The series is held only as exact integer pairs (p_j, q_j), q_j > 0,
+    with c_j = p_j / q_j, not necessarily in lowest terms: the constructor
+    takes rationals and keeps their numerators and denominators, and
+    _from_pairs keeps the pairs series_core forms, unreduced.  Only c_0 is
+    reduced, once, for the walk's start; qd reads each pair's correctly
+    rounded quotient, so any pairs of the same rationals give the same
+    tables and the same results.  A shipped table is found only for the
+    pairs it was written from (see _ladder).
     """
 
     def __init__(self, series: Sequence):
-        self.coeffs = tuple(Fraction(c) for c in series)
+        self._hold(tuple(Fraction(c).as_integer_ratio() for c in series))
+
+    @classmethod
+    def _from_pairs(cls, pairs: Sequence[tuple[int, int]]) -> DiagonalResummer:
+        """The resummer of the series c_j = p_j / q_j, its pairs held as given."""
+        resummer = cls.__new__(cls)
+        resummer._hold(tuple(pairs))
+        return resummer
+
+    def _hold(self, pairs: tuple[tuple[int, int], ...]) -> None:
+        self._pairs = pairs
+        # c_0 = p/q in lowest terms: the walk starts from A_0 = q 2**F, B_0 = p 2**F
+        self._c0 = Fraction(*pairs[0]) if pairs else Fraction(0)
         # working bits -> the C-fraction at that precision
         self._fractions: dict[int, _Ladder] = {}
         # coefficients used -> degree of their polynomial, -1 when all vanish
         self._degrees: dict[int, int] = {}
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The series as Fractions in lowest terms, formed on each read."""
+        return tuple(Fraction(p, q) for p, q in self._pairs)
+
     def _cfraction(self, bits: int) -> _Ladder:
         """The ladder at bits: its shipped table, else its qd runs suspended at the start."""
         got = self._fractions.get(bits)
         if got is None:
-            got, name = _ladder(self.coeffs, bits)
+            got, name = _ladder(self._pairs, bits)
             stored = _stored_table(name)
             if stored is not None:
                 got.runs = None
@@ -512,7 +548,7 @@ class DiagonalResummer:
         # a tol above 1 always takes the exact test
         ftol = tol_num / tol_den if tol_num <= tol_den else math.inf
         # A and B, current and previous, each pair an integer times 2**(its exponent)
-        c0_num, c0_den = self.coeffs[0].numerator, self.coeffs[0].denominator
+        c0_num, c0_den = self._c0.numerator, self._c0.denominator
         va = va_prev = c0_den << fv
         vb, vb_prev = c0_num << fv, 0
         va_exp = vb_exp = -fv
@@ -582,28 +618,27 @@ class DiagonalResummer:
         max_order, bits = _count("max_order", max_order), _count("bits", bits)
         if max_order < 1:
             raise ValueError(f"max_order must be >= 1, got {max_order}")
-        if len(self.coeffs) < 2 * max_order + 1:
+        if len(self._pairs) < 2 * max_order + 1:
             raise ValueError(
                 f"diagonal order {max_order} needs {2 * max_order + 1}"
-                f" coefficients, got {len(self.coeffs)}"
+                f" coefficients, got {len(self._pairs)}"
             )
         x = _exact(x)
         if not 0 < tol < math.inf:
             raise ValueError(f"tol must be finite and > 0, got {tol}")
         need = 2 * max_order + 1
-        coeffs = self.coeffs[:need]
 
         degree = self._degrees.get(need)
         if degree is None:
-            degree = max((j for j, c in enumerate(coeffs) if c != 0), default=-1)
+            degree = max((j for j, (p, _) in enumerate(self._pairs[:need]) if p), default=-1)
             self._degrees[need] = degree
         if not x or degree <= max_order:
             # At x = 0 every order is c_0.  A terminating series has every
             # [N/N] with N >= degree equal to the polynomial itself.  Either
             # way sum the polynomial exactly and round it once.
             total = Fraction(0)
-            for q in reversed(coeffs[: degree + 1]):
-                total = total * x + q
+            for p, q in reversed(self._pairs[: degree + 1]):
+                total = total * x + Fraction(p, q)
             m, e = _rounded(total.numerator, 0, bits + 64, total.denominator)
             order = max(1, degree) if x else 1
             return ResummationResult(

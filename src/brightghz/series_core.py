@@ -15,8 +15,12 @@ in the variable u = -G**2:
     C_k = (iG)**k * sum_j c_j * u**j,    c_j = P[k, k + 2j] / (k + 2j)!
 
 All arithmetic in this module is exact (Python integers and fractions);
-floats never enter.  Downstream modules resum the (generally divergent)
-series in u and attach the (iG)**k prefactor.
+floats never enter.  _series_pairs is the one place a series is formed:
+each c_j as the unreduced integer pair (P[k, k + 2j], (k + 2j)!), read
+from the P store and a factorial list grown alongside it.  c_series
+reduces those pairs to its public Fractions; the resummers hold them as
+they are, so the cold path pays no gcd.  Downstream modules resum the
+(generally divergent) series in u and attach the (iG)**k prefactor.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 __all__ = ["FormalSeries", "c_series"]
 
@@ -56,8 +59,10 @@ def _count(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-# One growable store of P[k, l] per n, filled by the recurrence on demand.
+# One growable store of P[k, l] per n, filled by the recurrence on demand,
+# and the factorials 0!, 1!, ... as far as any series has read.
 _STORE: dict[int, tuple[int, dict[tuple[int, int], int]]] = {}
+_FACTORIALS = [1]
 
 
 def _ensure_store(n: int, l_max: int) -> dict[tuple[int, int], int]:
@@ -75,10 +80,23 @@ def _ensure_store(n: int, l_max: int) -> dict[tuple[int, int], int]:
     return entries
 
 
+def _series_pairs(k: int, n: int, L: int) -> tuple[tuple[int, int], ...]:
+    """The first L coefficients of C_k in u as exact pairs (P[k, k + 2j], (k + 2j)!).
+
+    The pairs are not reduced: c_j is their quotient.  k, n and L must
+    already be valid counts (c_series checks them).
+    """
+    l_max = k + 2 * (L - 1)
+    store = _ensure_store(n, l_max)
+    while len(_FACTORIALS) <= l_max:
+        _FACTORIALS.append(_FACTORIALS[-1] * len(_FACTORIALS))
+    return tuple((store[k, l], _FACTORIALS[l]) for l in range(k, l_max + 1, 2))
+
+
 def c_series(k: int, n: int, L: int) -> FormalSeries:
     """Assemble the first L exact coefficients of C_k as a series in u = -G**2.
 
-    coeffs[j] = P[k, k + 2j] / (k + 2j)!, so coeffs[0] = 1/k!.
+    coeffs[j] = P[k, k + 2j] / (k + 2j)!, in lowest terms, so coeffs[0] = 1/k!.
     """
     k, n, L = _count("k", k), _count("n", n), _count("L", L)
     if k < 0:
@@ -87,9 +105,5 @@ def c_series(k: int, n: int, L: int) -> FormalSeries:
         raise ValueError(f"series length L must be >= 1, got {L}")
     if n < 1:
         raise ValueError(f"beam count n must be >= 1, got {n}")
-    store = _ensure_store(n, k + 2 * (L - 1))
-    coeffs = tuple(
-        Fraction(store.get((k, k + 2 * j), 0), factorial(k + 2 * j))
-        for j in range(L)
-    )
+    coeffs = tuple(Fraction(p, q) for p, q in _series_pairs(k, n, L))
     return FormalSeries(k=k, n=n, coeffs=coeffs)

@@ -41,7 +41,7 @@ from math import factorial, fsum, inf
 import numpy as np
 
 from brightghz.pade import DiagonalResummer, PoleProximityError, _float, _rounded
-from brightghz.series_core import _count, c_series
+from brightghz.series_core import _count, _series_pairs
 
 __all__ = [
     "CUTOFF_CAP",
@@ -361,8 +361,11 @@ VALUES_MAX = 32768
 
 @cache
 def _resummer(n: int, k: int, L: int) -> DiagonalResummer:
-    """The resummer of one coefficient series; bounded, as no gain enters its key."""
-    return DiagonalResummer(c_series(k, n, L).coeffs)
+    """The resummer of one coefficient series, held as series_core's exact pairs.
+
+    Bounded, as no gain enters its key.
+    """
+    return DiagonalResummer._from_pairs(_series_pairs(k, n, L))
 
 
 def _series_value(n: int, k: int, gamma: float, policy: NumericPolicy) -> tuple[int, int]:

@@ -13,13 +13,13 @@ from math import factorial
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brightghz import _cftables, pade, state
 from brightghz.oracles import build_pade, epsilon_ladder, evaluate
 from brightghz.pade import DiagonalResummer, PoleProximityError, diagonal_resum
-from brightghz.series_core import c_series
+from brightghz.series_core import _series_pairs, c_series
 from brightghz.state import CUTOFF_CAP, DEFAULT_POLICY, NumericPolicy, ResummationError
 from references import at_bits, decimal_walk, exact_recurrence, qd_runs, to_mpf
 
@@ -473,24 +473,40 @@ def _broken_euler():
     return series
 
 
+def _scaled_pairs(series):
+    # the series as pairs far from lowest terms: each c_j, c_0 included,
+    # scaled by its own integer factor
+    pairs = [Fraction(c).as_integer_ratio() for c in series]
+    return DiagonalResummer._from_pairs([(p * j, q * j) for j, (p, q) in enumerate(pairs, 2)])
+
+
+_TABLE_SERIES = [c_series(k, n, 81).coeffs for n in (1, 2, 3) for k in (0, 7, 40)]
+_TABLE_IDS = [f"n{n}-k{k}" for n in (1, 2, 3) for k in (0, 7, 40)]
+
+
 @pytest.mark.parametrize(
-    "series",
-    [c_series(k, n, 81).coeffs for n in (1, 2, 3) for k in (0, 7, 40)] + [_broken_euler()],
-    ids=[f"n{n}-k{k}" for n in (1, 2, 3) for k in (0, 7, 40)] + ["breakdown"],
+    "series, build",
+    [(s, DiagonalResummer) for s in _TABLE_SERIES + [_broken_euler()]]
+    + [(s, _scaled_pairs) for s in _TABLE_SERIES + [_broken_euler()]],
+    ids=_TABLE_IDS + ["breakdown"] + [f"{i}-scaled-pairs" for i in _TABLE_IDS + ["breakdown"]],
 )
-def test_resumable_table_equals_the_eager_one(series):
+def test_resumable_table_equals_the_eager_one(series, build):
     # walks at rising gains extend the table piece by piece; every
-    # coefficient found on the way is the one the eager table holds
+    # coefficient found on the way is the one the eager table holds.  The
+    # same series held as pairs out of lowest terms gives that table too,
+    # and every result of a resummer of the reduced series, bit for bit
     bits = DEFAULT_POLICY.bits
     want = _lists(_eager_ladder(series, bits))
-    resummer = DiagonalResummer(series)
+    resummer = build(series)
     ladder = resummer._cfraction(bits)
     order = (len(series) - 1) // 2
+    reduced = DiagonalResummer(series)
+
+    def walk(r, gamma):
+        return _outcome(lambda: r.resum(-(Fraction(gamma) ** 2), max_order=order, bits=bits))
+
     for gamma in (0.05, 0.3, 0.6, 0.85):
-        try:
-            resummer.resum(-(Fraction(gamma) ** 2), max_order=order, bits=bits)
-        except PoleProximityError:
-            pass
+        assert walk(resummer, gamma) == walk(reduced, gamma)
         assert _lists(ladder) == tuple(w[: len(ladder.value)] for w in want)
     assert ladder.reaches(len(series) - 1) == (len(want[0]) == len(series) - 1)
     assert _lists(ladder) == want
@@ -555,7 +571,7 @@ def test_archive_refuses_a_check_run_of_its_own(monkeypatch):
     # gives each one check-scale unit of error; a table whose check run is
     # not its value run coarsened in one coefficient cannot be stored
     bits = DEFAULT_POLICY.bits
-    series = [c_series(4, 3, 21).coeffs]
+    series = [_series_pairs(4, 3, 21)]
     assert pade._table_archive(series, bits)
     qd, (_, check_scale) = pade._qd, pade._scales(bits)
 
@@ -569,22 +585,37 @@ def test_archive_refuses_a_check_run_of_its_own(monkeypatch):
 
 
 def test_shipped_table_seeds_the_ladder():
-    # the default policy's three-beam series: the ladder holds the complete
-    # table from the start, with no qd run, and it is the table qd computes,
-    # each coefficient's error included
-    bits = DEFAULT_POLICY.bits
-    series = c_series(4, 3, 2 * DEFAULT_POLICY.pade_order + 1).coeffs
-    ladder = DiagonalResummer(series)._cfraction(bits)
+    # the default policy's three-beam series, built as production builds
+    # it: the ladder holds the complete table from the start, with no qd
+    # run, and it is the table qd computes, each coefficient's error included
+    bits, length = DEFAULT_POLICY.bits, 2 * DEFAULT_POLICY.pade_order + 1
+    series = c_series(4, 3, length).coeffs
+    seeded = state._resummer.__wrapped__(3, 4, length)
+    ladder = seeded._cfraction(bits)
     assert ladder.runs is None
     assert _lists(ladder) == _lists(_eager_ladder(series, bits))
-    computed, _ = pade._ladder(series, bits)
+    computed, _ = pade._ladder(seeded._pairs, bits)
     assert computed.reaches(computed.size)
     assert _lists(ladder) == _lists(computed)
+    # the same series as reduced Fractions misses the archive, and qd
+    # computes the same ladder and the same results
+    reduced = DiagonalResummer(series)
+    assert reduced._cfraction(bits).runs is not None
+    xs = [-(Fraction(g) ** 2) for g in (0.1, 0.6, 0.77, 0.89)]
+    assert [reduced.resum(x) for x in xs] == [seeded.resum(x) for x in xs]
+    assert reduced._cfraction(bits).reaches(reduced._cfraction(bits).size)
+    assert _lists(reduced._cfraction(bits)) == _lists(ladder)
+
+
+def _no_qd(*args):
+    raise AssertionError("a qd run started")
+    yield
 
 
 def test_cold_cap_build_reads_the_archive_directory_once(monkeypatch):
     # a cold build at the cutoff cap reads 61 shipped tables, one member
-    # each, from one parse of the archive's central directory
+    # each, from one parse of the archive's central directory; every lookup
+    # finds its table, so no qd run starts
     parses = []
     parse = zipfile.ZipFile._RealGetContents
 
@@ -594,8 +625,15 @@ def test_cold_cap_build_reads_the_archive_directory_once(monkeypatch):
 
     monkeypatch.setattr(zipfile.ZipFile, "_RealGetContents", counted)
     read = pade._stored_table
-    names = []
-    monkeypatch.setattr(pade, "_stored_table", lambda name: names.append(name) or read(name))
+    names, tables = [], []
+
+    def logged(name):
+        names.append(name)
+        tables.append(read(name))
+        return tables[-1]
+
+    monkeypatch.setattr(pade, "_stored_table", logged)
+    monkeypatch.setattr(pade, "_qd", _no_qd)
     monkeypatch.setattr(state, "_VALUES", {})
     monkeypatch.setattr(state, "_resummer", functools.cache(state._resummer.__wrapped__))
     monkeypatch.setattr(state, "_bright_state", functools.cache(state._bright_state.__wrapped__))
@@ -603,6 +641,7 @@ def test_cold_cap_build_reads_the_archive_directory_once(monkeypatch):
     assert state.build_bghz(0.352).cutoff == CUTOFF_CAP
     assert len(parses) == 1
     assert len(names) == len(set(names)) == CUTOFF_CAP + 1
+    assert all(table is not None for table in tables)
 
 
 def test_walk_does_no_decimal_arithmetic(monkeypatch):
@@ -623,12 +662,14 @@ def test_import_reads_no_table():
 
 @pytest.mark.parametrize("case", ["perturbed", "bits=320", "pade_order=30", "qd_bits"])
 def test_unshipped_series_or_precision_runs_qd(case, monkeypatch):
-    # any change to what fixes the table misses the archive and computes,
-    # giving exactly what a resummer without shipped tables gives
-    series = list(c_series(20, 3, 81).coeffs)
+    # any change to what fixes the table of a series held as production
+    # holds it misses the archive and computes, giving exactly what a
+    # resummer without shipped tables gives
+    series = list(_series_pairs(20, 3, 81))
     order, bits = 40, 256
     if case == "perturbed":
-        series[37] *= 1 + Fraction(1, 10**30)
+        p, q = series[37]
+        series[37] = (p * (10**30 + 1), q * 10**30)
     elif case == "bits=320":
         bits = 320
     elif case == "pade_order=30":
@@ -637,11 +678,11 @@ def test_unshipped_series_or_precision_runs_qd(case, monkeypatch):
     else:
         monkeypatch.setattr(pade, "_QD_BITS_PER_TERM", pade._QD_BITS_PER_TERM + 1)
     xs = [-(Fraction(g) ** 2) for g in (0.2, 0.6, 0.85)]
-    resummer = DiagonalResummer(series)
+    resummer = DiagonalResummer._from_pairs(series)
     assert resummer._cfraction(bits).runs is not None
     got = [resummer.resum(x, max_order=order, bits=bits) for x in xs]
     _unseeded(monkeypatch)
-    fresh = DiagonalResummer(series)
+    fresh = DiagonalResummer._from_pairs(series)
     assert got == [fresh.resum(x, max_order=order, bits=bits) for x in xs]
 
 
@@ -740,8 +781,10 @@ def test_mpmath_point_is_rejected():
         diagonal_resum(EXP, mpmath.mpf("0.2"), max_order=12)
 
 
-# The dyadic rounding, the float and the square root against mpmath's: half
-# to even at any precision, sign and exponent, exact ties included.
+# The dyadic rounding and the square root against mpmath's, and the float
+# against Fraction's: half to even at any precision, sign and exponent,
+# exact ties included.  mpmath's to_float rounds twice below 2**-1021 (to
+# 53 bits, then to the subnormal grid); float of a Fraction rounds once.
 @st.composite
 def _dyadics(draw):
     bits = draw(st.integers(2, 512))
@@ -757,13 +800,18 @@ def _dyadics(draw):
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_dyadics(), st.integers(1, 1 << 300) | st.just(1))
+# a double-rounding midpoint: 5e-324 rounded once, 1e-323 by to_float
+@example(((1 << 79) + (1 << 78) - (1 << 25), -1153, 53), 1)
 def test_rounding_float_and_root_equal_mpmath(value, q):
     m, e, bits = value
     p, d = (m << e, q) if e >= 0 else (m, q << -e)
     want = mpmath.libmp.from_rational(p, d, bits, mpmath.libmp.round_nearest)
     assert mpmath.libmp.from_man_exp(*pade._rounded(m, e, bits, q)) == want
-    exact = mpmath.libmp.from_man_exp(m, e)
-    assert pade._float(m, e) == mpmath.libmp.to_float(exact, rnd=mpmath.libmp.round_nearest)
+    try:
+        nearest = float(Fraction(m) * Fraction(2) ** e)
+    except OverflowError:
+        nearest = math.inf if m > 0 else -math.inf
+    assert pade._float(m, e) == nearest
     want = mpmath.libmp.mpf_sqrt(mpmath.libmp.from_man_exp(abs(m), e), bits, "n")
     assert mpmath.libmp.from_man_exp(*state._sqrt((abs(m), e), bits)) == want
 
