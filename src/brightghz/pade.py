@@ -458,11 +458,6 @@ class DiagonalResummer:
         # coefficients used -> degree of their polynomial, -1 when all vanish
         self._degrees: dict[int, int] = {}
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The series as Fractions in lowest terms, formed on each read."""
-        return tuple(Fraction(p, q) for p, q in self._pairs)
-
     def _cfraction(self, bits: int) -> _Ladder:
         """The ladder at bits: its shipped table, else its qd runs suspended at the start."""
         got = self._fractions.get(bits)

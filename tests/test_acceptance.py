@@ -22,21 +22,19 @@ from brightghz.nonclassicality import (
     witness_w1,
     witness_w2,
 )
-from brightghz.oracles import (
+from brightghz.oracles import coherent_pk, squeezed_pk
+from brightghz.pade import diagonal_resum
+from brightghz.series_core import _ensure_store, c_series
+from brightghz.state import BrightStateSpec, NumericPolicy, build_bghz, photon_distribution
+from brightghz.stokes import stokes_expectation
+from references import (
     DenseTruncatedState,
-    build_p_table,
     build_pade,
-    coherent_pk,
     dense_expectation,
     evaluate,
     p_explicit,
-    squeezed_pk,
+    to_mpf,
 )
-from brightghz.pade import diagonal_resum
-from brightghz.series_core import c_series
-from brightghz.state import BrightStateSpec, NumericPolicy, build_bghz, photon_distribution
-from brightghz.stokes import stokes_expectation
-from references import to_mpf
 
 
 def _verdict(num, title, ok, detail=""):
@@ -105,13 +103,13 @@ def test_criterion_2_closed_form_oracles():
 def test_criterion_3_recurrence_equals_explicit():
     ok = True
     for n in (1, 2, 3, 4):
-        table = build_p_table(n, 12)
+        store = _ensure_store(n, 12)
         for l in range(13):
             for k in range(l + 1):
                 expected = p_explicit(k, n, l) if (l - k) % 2 == 0 else 0
-                if (l - k) % 2 == 1 and table.value(k, l) != 0:
+                if (l - k) % 2 == 1 and store.get((k, l), 0) != 0:
                     ok = False
-                if table.value(k, l) != expected:
+                if store.get((k, l), 0) != expected:
                     ok = False
     _verdict(
         3,

@@ -26,10 +26,15 @@ from brightghz.nonclassicality import (
     witness_w1,
     witness_w2,
 )
-from brightghz.oracles import dense_expectation, random_product_state
 from brightghz.state import BGHZState, NumericPolicy, build_bghz, project_out_vacuum
 from brightghz.stokes import stokes_expectation, tensor_t
-from references import amplitude_boxes, diagonal_state, reference_block
+from references import (
+    amplitude_boxes,
+    dense_expectation,
+    diagonal_state,
+    random_product_state,
+    reference_block,
+)
 
 
 def test_loss_factor_hand_values():

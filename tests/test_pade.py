@@ -17,11 +17,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brightghz import _cftables, pade, state
-from brightghz.oracles import build_pade, epsilon_ladder, evaluate
 from brightghz.pade import DiagonalResummer, PoleProximityError, diagonal_resum
 from brightghz.series_core import _series_pairs, c_series
 from brightghz.state import CUTOFF_CAP, DEFAULT_POLICY, NumericPolicy, ResummationError
-from references import at_bits, decimal_walk, exact_recurrence, qd_runs, to_mpf
+from references import (
+    at_bits,
+    build_pade,
+    decimal_walk,
+    epsilon_ladder,
+    evaluate,
+    exact_recurrence,
+    qd_runs,
+    to_mpf,
+)
 
 
 def _taylor_of_rational(num, den, order):
@@ -153,7 +161,7 @@ def test_ladder_values_match_explicit_approximants():
     result = resummer.resum(x, max_order=6, tol=1e-80, bits=256)
     assert len(result.diagnostics) == 6
     for order, value in result.diagnostics:
-        explicit = evaluate(build_pade(resummer.coeffs, order, order), x, bits=256)
+        explicit = evaluate(build_pade(series, order, order), x, bits=256)
         assert value == pytest.approx(float(explicit), rel=1e-12)
 
 
@@ -193,8 +201,8 @@ def test_short_series_rejected():
 
 # The C-fraction ladder against the epsilon recursion on partial sums:
 # same orders, same stopping decisions, same diagnostics, same values.
-def _epsilon_reference(resummer, x, max_order, tol, bits):
-    return epsilon_ladder(resummer.coeffs[: 2 * max_order + 1], x, tol, bits)
+def _epsilon_reference(series, x, max_order, tol, bits):
+    return epsilon_ladder(series[: 2 * max_order + 1], x, tol, bits)
 
 
 def _assert_same_ladder(got, ref):
@@ -213,12 +221,12 @@ def _assert_same_ladder(got, ref):
 )
 def test_continued_fraction_ladder_equals_epsilon(n, k, gamma, pade_order):
     tol, bits = DEFAULT_POLICY.tol, DEFAULT_POLICY.bits
-    resummer = DiagonalResummer(c_series(k, n, 2 * pade_order + 1).coeffs)
+    series = c_series(k, n, 2 * pade_order + 1).coeffs
     x = -(Fraction(gamma) ** 2)
-    got = resummer.resum(x, max_order=pade_order, tol=tol, bits=bits)
+    got = DiagonalResummer(series).resum(x, max_order=pade_order, tol=tol, bits=bits)
     assert all(v is not None for _, v in got.diagnostics), "the ladder stopped without a value"
     try:
-        ref = _epsilon_reference(resummer, x, pade_order, tol, bits)
+        ref = _epsilon_reference(series, x, pade_order, tol, bits)
     except PoleProximityError:
         ref = None
     if ref is None or any(v is None for _, v in ref.diagnostics):
@@ -236,10 +244,11 @@ def test_continued_fraction_ladder_equals_epsilon(n, k, gamma, pade_order):
 
 
 def test_default_policy_ladder_never_stops_for_three_beams():
-    # every emission order the auto cutoff can reach, across the gain range
+    # every emission order the auto cutoff can reach, across the gain range,
+    # on the series as state holds them, so the walks read the shipped tables
     tol, bits, order = DEFAULT_POLICY.tol, DEFAULT_POLICY.bits, DEFAULT_POLICY.pade_order
     for k in range(0, CUTOFF_CAP + 1, 3):
-        resummer = DiagonalResummer(c_series(k, 3, 2 * order + 1).coeffs)
+        resummer = DiagonalResummer._from_pairs(_series_pairs(k, 3, 2 * order + 1))
         for gamma in (0.05, 0.45, 0.77, 0.89):
             x = -(Fraction(gamma) ** 2)
             got = resummer.resum(x, max_order=order, tol=tol, bits=bits)
@@ -297,11 +306,12 @@ def test_two_beam_deep_ladder_matches_epsilon():
     # two beams at order 60 lose the most bits in qd, in late coefficients
     tol, bits = DEFAULT_POLICY.tol, DEFAULT_POLICY.bits
     for k in (0, 30, 60):
-        resummer = DiagonalResummer(c_series(k, 2, 121).coeffs)
+        series = c_series(k, 2, 121).coeffs
+        resummer = DiagonalResummer(series)
         for gamma in (0.3, 0.89):
             x = -(Fraction(gamma) ** 2)
             got = resummer.resum(x, max_order=60, tol=tol, bits=bits)
-            _assert_same_ladder(got, _epsilon_reference(resummer, x, 60, tol, bits))
+            _assert_same_ladder(got, _epsilon_reference(series, x, 60, tol, bits))
 
 
 def _outcome(walk):
@@ -355,7 +365,8 @@ def test_integer_walk_equals_the_decimal_walk(n, k, gamma, order, bits):
     bits=st.sampled_from(range(128, 321)),
 )
 def test_error_bound_covers_the_walks_rounding(n, k, gamma, order, bits):
-    resummer = DiagonalResummer(c_series(k, n, 2 * order + 1).coeffs)
+    coeffs = c_series(k, n, 2 * order + 1).coeffs
+    resummer = DiagonalResummer(coeffs)
     x = -(Fraction(gamma) ** 2)
     trace = []
     try:
@@ -364,10 +375,10 @@ def test_error_bound_covers_the_walks_rounding(n, k, gamma, order, bits):
         pass
     ladder = resummer._cfraction(bits)
     x_int = round(x * 2**ladder.scale)
-    exact = exact_recurrence(resummer.coeffs[0], ladder.value, x_int, ladder.scale)
+    exact = exact_recurrence(coeffs[0], ladder.value, x_int, ladder.scale)
     assert trace and len(trace) <= len(exact)
     for (a, b, da), ((na, ea), (nb, eb)) in zip(trace, exact):
-        db = abs(resummer.coeffs[0]) * da
+        db = abs(coeffs[0]) * da
         assert abs(a * 2**ea - na) <= da * 2**ea
         assert abs(b * 2**eb - nb) <= db * 2**eb
         assert da <= abs(a) / 2 ** (bits + 64)
@@ -646,8 +657,11 @@ def test_cold_cap_build_reads_the_archive_directory_once(monkeypatch):
 
 def test_walk_does_no_decimal_arithmetic(monkeypatch):
     # once the table is read, a walk runs on integers alone: without the
-    # decimal module and qd it gives the same results
-    resummer = DiagonalResummer(c_series(4, 3, 2 * DEFAULT_POLICY.pade_order + 1).coeffs)
+    # decimal module and qd it gives the same results.  The series is held
+    # as state holds it, so its ladder is the shipped table, with no qd run
+    length = 2 * DEFAULT_POLICY.pade_order + 1
+    resummer = DiagonalResummer._from_pairs(_series_pairs(4, 3, length))
+    assert resummer._cfraction(DEFAULT_POLICY.bits).runs is None
     xs = [-(Fraction(g) ** 2) for g in (0.1, 0.6, 0.89)]
     want = [resummer.resum(x) for x in xs]
     for name in ("decimal", "Decimal", "Context", "_context", "_qd"):

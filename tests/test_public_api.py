@@ -49,11 +49,10 @@ def test_public_surface():
         for name in getattr(module, "__all__", ()):
             assert getattr(brightghz, name) is getattr(module, name), name
 
-    # test references stay in oracles, the one module that needs mpmath, and
-    # no production module writes CSV outside the CLI emitter
+    # no module of the package imports mpmath or the closed forms in
+    # oracles, which only the tests and the benchmark read, and none writes
+    # CSV outside the CLI emitter
     for path in sorted(PACKAGE_DIR.glob("*.py")):
-        if path.stem == "oracles":
-            continue
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
             assert not _imports_oracles(node), f"{path.name} imports oracles"
@@ -107,9 +106,18 @@ RUNTIME_COMMANDS = [
 ]
 
 
+def _fresh_python(code, *args):
+    """Run code in a new interpreter that imports the package under test."""
+    path = [str(PACKAGE_DIR.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+    )
+
+
 def test_commands_run_without_mpmath(tmp_path):
     # a fresh interpreter runs every command and never loads mpmath, which
-    # only the tests and oracles need
+    # only the tests need
     code = (
         "import sys\n"
         "from brightghz.cli import main\n"
@@ -117,10 +125,24 @@ def test_commands_run_without_mpmath(tmp_path):
         "    assert main([*argv, '--out', f'{sys.argv[1]}/{i}.csv']) == 0, argv\n"
         "assert 'mpmath' not in sys.modules, 'a command loaded mpmath'\n"
     )
-    path = [str(PACKAGE_DIR.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    run = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True
-    )
+    run = _fresh_python(code, str(tmp_path))
     assert run.returncode == 0, run.stderr
     assert len(list(tmp_path.glob("*.csv"))) == len(RUNTIME_COMMANDS)
+
+
+def test_every_module_imports_without_mpmath():
+    # a fresh interpreter in which importing mpmath fails imports every
+    # module of the package, the table writer and the closed forms included
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "import brightghz\n"
+        "names = [m.name for m in pkgutil.iter_modules(brightghz.__path__)]\n"
+        "for name in names:\n"
+        "    importlib.import_module(f'brightghz.{name}')\n"
+        "print(' '.join(sorted(names)))\n"
+    )
+    run = _fresh_python(code)
+    assert run.returncode == 0, run.stderr
+    modules = {path.stem for path in PACKAGE_DIR.glob("*.py")} - {"__init__"}
+    assert run.stdout.split() == sorted(modules)

@@ -196,6 +196,17 @@ def test_distribution_matches_closed_forms(n, oracle):
             assert p == pytest.approx(oracle(gamma, k), abs=1e-6)
 
 
+@pytest.mark.parametrize("oracle", [coherent_pk, squeezed_pk])
+def test_closed_forms_take_only_photon_counts(oracle):
+    # the package's count rule: integers, NumPy ones included, but no bool
+    for k in (2.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):
+            oracle(0.5, k)
+    with pytest.raises(ValueError, match="photon number must be >= 0, got -1"):
+        oracle(0.5, -1)
+    assert oracle(0.5, np.int64(2)) == oracle(0.5, 2)
+
+
 def test_reference_distribution_all_beams():
     for n, column in REFERENCE_PK.items():
         dist = photon_distribution(BrightStateSpec(n=n, gamma=0.8))

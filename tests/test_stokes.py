@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import brightghz.stokes as stokes_module
-from brightghz.oracles import DenseTruncatedState, dense_expectation
 from brightghz.state import (
     CUTOFF_CAP,
     BGHZState,
@@ -29,7 +28,14 @@ from brightghz.stokes import (
     stokes_expectation,
     tensor_t,
 )
-from references import BASES, amplitude_boxes, diagonal_state, reference_block
+from references import (
+    BASES,
+    DenseTruncatedState,
+    amplitude_boxes,
+    dense_expectation,
+    diagonal_state,
+    reference_block,
+)
 
 SQ2 = math.sqrt(2.0)
 
