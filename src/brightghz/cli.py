@@ -8,12 +8,12 @@ plotting and regression diffs can rely on it.
 
 The gain-grid commands (mermin, eta, w1, w2) are formatters over the
 library sweeps of `nonclassicality`, which evaluate the grid, mark failed
-points and bisect thresholds; a failed point prints as a row of nan.  The
+points and solve for thresholds; a failed point prints as a row of nan.  The
 numeric knobs travel as one `NumericPolicy`, validated where it is built.
 
 Exit codes: 0 clean, 2 when divergence or validity warnings were raised
 along the way or some points failed (rows are still emitted), 1 when
-nothing could be computed or a threshold bisection failed.
+nothing could be computed or a threshold search failed.
 """
 
 from __future__ import annotations

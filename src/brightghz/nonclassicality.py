@@ -16,7 +16,7 @@ expectation series, i.e. the unit-state evaluation scaled back by the
 retained mass.  Renormalizing the box instead would inflate correlations
 and vacuum weight together and bias the test toward violation; near the
 threshold the inflation exceeds the distance to the classical bound, so
-the convention moves the detected crossing by more than the bisection
+the convention moves the detected crossing by more than the threshold
 tolerance.  The witnesses are a statement about whatever state is handed
 to them, so they stay on the unit-norm truncated state, where their
 closed-form identities are exact.
@@ -42,8 +42,8 @@ separable bound to half the local realistic one.
 
 Every gain grid, for the library sweeps and the CLI threshold commands
 alike, runs through one engine here: a point that fails becomes a NaN value
-marked failed, and the threshold is bisected, in the sweep's direction, when
-it is first read.
+marked failed, and the threshold is solved for by find_crossing, in the
+sweep's direction, when it is first read.
 """
 
 from __future__ import annotations
@@ -94,10 +94,10 @@ class SweepResult:
     failed has value NaN and diagnostics {"failed": True, "error": ...}.
     bracket, when not None, is the first pair of grid neighbours across
     which the value crosses the sweep's level in the sweep's direction;
-    threshold is the crossing bisected inside it, computed on first access
-    (None without a bracket), so a caller that never reads it never pays
-    for the bisection.  An evaluation that fails during the bisection
-    raises from that access.
+    threshold is the crossing that find_crossing finds inside it, to its
+    default tol of 1e-3, computed on first access (None without a
+    bracket), so a caller that never reads it never pays for the search.
+    An evaluation that fails during the search raises from that access.
     """
 
     axis: tuple[float, ...]
@@ -118,6 +118,8 @@ class SweepResult:
 
     @cached_property
     def threshold(self) -> float | None:
+        """The crossing inside bracket, by find_crossing at its default tol of
+        1e-3, so within 5e-4 of a crossing; None without a bracket."""
         return None if self.bracket is None else self.bisect(*self.bracket)
 
 
@@ -173,18 +175,33 @@ def evaluate_mermin(
 
 
 def find_crossing(fn, level, lo, hi, tol=1e-3):
-    """Bisect fn(x) = level on [lo, hi]; fn(lo) and fn(hi) must straddle it.
+    """Solve fn(x) = level on [lo, hi] by ITP; fn(lo) and fn(hi) must straddle it.
 
-    Returns the midpoint of the final bracket, accurate to tol in x, or
-    to the float spacing there when that is coarser.  lo must lie below hi,
-    and tol must be finite and positive; fn is not called otherwise.  A
-    non-finite value at an endpoint or a midpoint raises ValueError: NaN
-    sits on neither side of the level, so no bracket survives it.
+    ITP (interpolate, truncate, project: Oliveira and Takahashi, ACM TOMS
+    47(1), 2020) keeps a sign-change bracket as bisection does, but steps
+    from the regula falsi point, moved toward the midpoint by k1 w**k2
+    (w the bracket width, k1 = 0.2 over the starting width, k2 = 2) and
+    held within a radius of the midpoint that still leaves the bracket no
+    wider than tol after one step more than bisection takes.  So on any
+    fn, jumps included, it evaluates fn at most once past bisection's
+    count, and where fn is smooth it converges superlinearly.  Widths and
+    steps are formed from half-widths, so a bracket as wide as the floats
+    does not overflow.
+
+    Returns the midpoint of the final bracket, which is at most tol wide
+    (or two adjacent floats, when the float spacing there is coarser), so
+    the result is within tol / 2 of a crossing.  lo and hi must be finite
+    with lo below hi, and tol finite and positive; fn is not called
+    otherwise.  A non-finite value at an endpoint or a step raises
+    ValueError: NaN sits on neither side of the level, so no bracket
+    survives it.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     if not lo < hi:
         raise ValueError(f"bracket needs lo < hi, got lo={lo}, hi={hi}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bracket ends must be finite, got lo={lo}, hi={hi}")
 
     def offset(x):
         value = fn(x)
@@ -203,18 +220,42 @@ def find_crossing(fn, level, lo, hi, tol=1e-3):
             f"no crossing: endpoints give {flo + level} and {fhi + level}, "
             f"both on the same side of {level}"
         )
+    start_half = hi / 2 - lo / 2
+    # bisection's count, the least n with 2 h / 2**n <= tol for a half-width
+    # h no greater than the exact one, plus n0 = 1
+    (m, e), (mt, et) = math.frexp(math.nextafter(start_half, 0.0)), math.frexp(tol)
+    steps = max(0, e + 1 - et + (m > mt)) + 1
+    # the final half-width the steps aim at: tol / 2, less room for what
+    # rounding the midpoints adds (a unit in the last place or so)
+    aim = tol / 2 - 2 * math.ulp(max(-lo, hi))
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+        mid = lo / 2 + hi / 2
         if mid in (lo, hi):
             break  # adjacent floats: no narrower bracket exists
-        fmid = offset(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
+        half = hi / 2 - lo / 2
+        # the step may stray this far from the midpoint and still leave a
+        # bracket that the steps left after it take to the aim
+        try:
+            radius = math.ldexp(aim, steps) - half if aim > 0 else 0.0
+        except OverflowError:
+            radius = half
+        steps -= 1
+        # regula falsi, as an offset from the midpoint (NaN from two infinite
+        # offsets falls back to the midpoint), truncated by k1 (2 half)**2
+        weight = flo / (flo - fhi)
+        falsi = 0.0 if math.isnan(weight) else half * (2.0 * weight - 1.0)
+        truncated = abs(falsi) - 0.4 * half * (half / start_half)
+        x = mid + math.copysign(max(0.0, min(truncated, radius)), falsi)
+        if not lo < x < hi:
+            x = mid
+        fx = offset(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (flo > 0.0):
+            lo, flo = x, fx
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi, fhi = x, fx
+    return lo / 2 + hi / 2
 
 
 def gamma_threshold(
@@ -223,8 +264,9 @@ def gamma_threshold(
     gamma_max: float = 0.85,
     tol: float = 1e-3,
 ) -> float:
-    """Gain at which the Mermin violation dies, bisected to tol.
+    """Gain at which the Mermin violation dies, found by find_crossing to tol.
 
+    The result lies within tol / 2 of a crossing of the LHS through 2.
     Requires the LHS to sit above 2 at gamma_min and at or below 2 at
     gamma_max; raises "no crossing" otherwise (e.g. on a range that ends
     while the inequality is still violated).  The default gamma_max lies
@@ -313,10 +355,11 @@ def eta_threshold(
 ) -> float:
     """Detector efficiency below which the Mermin violation dies.
 
-    Bisects lossy_mermin_lhs = 2 in eta on one state, built here or
-    reused when given; requires a violation at eta = 1 (raises "not
-    violated at eta=1" otherwise).  The lower bracket starts just above 0
-    because eta = 0 gives exactly 2.  The state's Mermin terms are
+    Solves lossy_mermin_lhs = 2 in eta by find_crossing to tol, so within
+    tol / 2 of the crossing, on one state, built here or reused when
+    given; requires a violation at eta = 1 (raises "not violated at
+    eta=1" otherwise).  The lower bracket starts just above 0 because
+    eta = 0 gives exactly 2.  The state's Mermin terms are
     computed once, every efficiency reweighs them, and each efficiency,
     eta = 1 included, is evaluated once.
     """
@@ -394,7 +437,7 @@ def _sweep(gammas, evaluate, level=None, rising=False) -> SweepResult:
     bracket the first crossing of level: falling through it (value > level
     >= next) or, when rising, rising through it (value < level <= next).
 
-    The bisection reads evaluate(g)[0], the value the grid points carry.
+    The threshold search reads evaluate(g)[0], the value the grid points carry.
     A point that raises RuntimeError (ResummationError included) or
     ValueError becomes NaN marked failed, and NaN brackets nothing.  The
     grid must be finite, non-negative and strictly increasing; it is

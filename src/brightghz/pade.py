@@ -39,33 +39,39 @@ by _rounded, the one rounding rule that state applies too.
 The coefficients depend only on the series and the precision, never on
 the point, so the three-beam tables at the default policy (tuple numbers
 0..CUTOFF_CAP, 81 terms, 256 bits: every table a default Bell scan walks)
-ship with the package as cfractions.zip, one deflated member per series.
-A member is named by a checksum of everything that determines its table:
-the coefficients as the exact integer pairs (p_j, q_j) the resummer holds
-(for state's resummers, series_core's unreduced (P[k, k + 2j], (k + 2j)!),
-so no gcd is paid to look a table up), bits, the decimal precisions of
-both qd runs and both fixed-point scales.  Keying on the pairs as held is
-sound: equal pairs are equal rationals, which give equal tables, so a
-table is read from the archive (lazily, one member at a time, on the
-first build at that precision) only where the code would compute exactly
-those numbers.  The same series held in other pairs (its reduced
-Fractions, say) only misses the archive, as does any other series or
-precision, including a changed guard constant, and runs qd as above to
-the identical table.
-Decimal rounds correctly on every platform and the rounding to an
-integer is exact, so a stored table is the one the code computes.
+ship with the package as cfractions.bin: an index of names, counts and
+byte widths, then every table's value-run integers a_i 2**F in fixed-width
+two's complement.  The first lookup reads the file whole, once per
+process; a table's coefficients are decoded one at a time as walks read
+them, through the same ladder runs that qd feeds, so a walk that settles
+at [N/N] decodes a_1..a_2N and no more.  A table is named by a 64-bit
+checksum of the marshal bytes of everything that determines it: the
+coefficients as the exact integer pairs (p_j, q_j) the resummer holds (for
+state's resummers, series_core's unreduced (P[k, k + 2j], (k + 2j)!), so
+no gcd is paid to look a table up), bits, the decimal precisions of both
+qd runs and both fixed-point scales.  A table is therefore read only where
+the code would compute exactly those numbers: the marshal bytes encode
+their values one way (no back-references, and marshal reads them back),
+equal pairs are equal rationals, which give equal tables, and every input
+of qd's arithmetic is in the name, so two series or precisions could
+share a table only through a collision of that checksum.  The same series
+held in other pairs (its reduced Fractions, say) only misses the archive,
+as does any other series or precision, including a changed guard
+constant, and runs qd as above to the identical table.  Decimal rounds
+correctly on every platform and the rounding to an integer is exact, so
+a stored table is the one the code computes.
 `python -m brightghz._cftables` rewrites the archive, and a test
-regenerates every member and compares it byte for byte.
+regenerates it and compares it byte for byte.
 """
 
 from __future__ import annotations
 
 import decimal
 import functools
-import io
+import marshal
 import math
 import numbers
-import zipfile
+import struct
 import zlib
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -215,14 +221,15 @@ class _Ladder:
     value holds a_1, a_2, ... as far as walks have read them, as a_i 2**F
     (F the value scale); weight holds each |a_i| as a float, and base and
     slope the running sums of the walk's error terms (see _walk).  runs
-    pairs the suspended value and check qd runs; it is None for a shipped
-    table and once the table is complete (size coefficients, or up to
-    either run's breakdown).
+    yields each further coefficient with its error: decoded from the
+    shipped table as read, or from the value and check qd runs advanced in
+    lockstep.  It is None once the table is complete (size coefficients,
+    or up to its end or either run's breakdown).
     """
 
     size: int
     scale: int
-    runs: Iterator[tuple[int, int]] | None
+    runs: Iterator[tuple[int, float]] | None
     value: list[int] = field(default_factory=list)
     weight: list[float] = field(default_factory=list)
     base: list[float] = field(default_factory=list)
@@ -238,96 +245,118 @@ class _Ladder:
         self.slope.append(slope + error + 5 * weight)
 
     def reaches(self, i: int) -> bool:
-        """Whether the table has a_i, running both qd runs up to it in lockstep."""
+        """Whether the table has a_i, reading runs up to it."""
         while len(self.value) < i:
             pair = None if self.runs is None else next(self.runs, None)
             if pair is None:
                 self.runs = None
                 return False
-            a, c = pair
-            self.append(a, _float(1 + (abs((c << _GUARD_BITS) - a) >> _GUARD_BITS), _GUARD_BITS))
+            self.append(*pair)
             if len(self.value) == self.size:
                 self.runs = None
         return True
 
 
-def _field(n: int) -> bytes:
-    """n as length-prefixed two's-complement bytes, so a run of fields parses one way."""
-    body = n.to_bytes(n.bit_length() // 8 + 1, "little", signed=True)
-    return len(body).to_bytes(4, "little") + body
+def _plan(pairs: tuple[tuple[int, int], ...], bits: int) -> tuple[str, Context, Context]:
+    """The name of the table of the series pairs at bits, and its value and check qd contexts.
 
-
-def _ladder(pairs: Sequence[tuple[int, int]], bits: int) -> tuple[_Ladder, str]:
-    """The ladder of the series pairs at bits with its qd runs unstarted, and its table's name.
-
-    The name is a 64-bit checksum (CRC-32, then Adler-32) of the bytes of
-    everything that fixes the table: bits, the decimal precisions of both
-    qd runs, both fixed-point scales, and each coefficient's integer pair
-    (p_j, q_j) as the resummer holds it, each a length-prefixed integer
-    field.  Equal pairs are equal rationals, so a name stands for one
-    table; the same series held in other pairs (reduced, say) only gets
-    another name, and computes that same table.  hashlib would load
-    OpenSSL, about 3.6 MB resident, for the same job.
+    The name is a 64-bit checksum (CRC-32, then Adler-32) of the marshal
+    (version 2) bytes of everything that fixes the table: bits, the decimal
+    precisions of both qd runs, both fixed-point scales, and the pairs
+    (p_j, q_j) as the resummer holds them.  Version 2 writes no
+    back-references, so the bytes depend on the values alone, and marshal
+    reads them back, so equal bytes are equal values.  Equal pairs are equal
+    rationals, so a name stands for one table; the same series held in
+    other pairs (reduced, say) only gets another name, and computes that
+    same table.  hashlib would load OpenSSL, about 3.6 MB resident, for
+    the same job.
     """
     value_scale, check_scale = _scales(bits)
-    size = len(pairs) - 1
-    qd_bits = check_scale + _QD_BITS_PER_TERM * size
+    qd_bits = check_scale + _QD_BITS_PER_TERM * (len(pairs) - 1)
     qd_value, qd_check = _context(qd_bits + _GUARD_BITS), _context(qd_bits)
-    fields = [bits, qd_value.prec, qd_check.prec, value_scale, check_scale]
-    for pair in pairs:
-        fields += pair
-    key = b"".join(map(_field, fields))
-    runs = zip(_qd(pairs, qd_value, value_scale), _qd(pairs, qd_check, check_scale))
-    return _Ladder(size, value_scale, runs), f"{zlib.crc32(key):08x}{zlib.adler32(key):08x}"
+    head = (bits, qd_value.prec, qd_check.prec, value_scale, check_scale)
+    key = marshal.dumps((head, pairs), 2)
+    return f"{zlib.crc32(key):08x}{zlib.adler32(key):08x}", qd_value, qd_check
 
 
-# The shipped tables: one member per series, named by _ladder, one line per
-# coefficient a_i: the value run's integer in hex.  Only tables whose check
-# run is the value run coarsened ship, so each shipped coefficient is read
-# with one check-scale unit of error, as computing it gives.
-_TABLES = Path(__file__).with_name("cfractions.zip")
+def _qd_runs(
+    pairs: Sequence[tuple[int, int]], bits: int, qd_value: Context, qd_check: Context
+) -> Iterator[tuple[int, int]]:
+    """The value and check qd runs of the series pairs at bits, in lockstep."""
+    value_scale, check_scale = _scales(bits)
+    return zip(_qd(pairs, qd_value, value_scale), _qd(pairs, qd_check, check_scale))
+
+
+def _measured(runs: Iterator[tuple[int, int]]) -> Iterator[tuple[int, float]]:
+    """Each value-run coefficient a with its error, from the check run's c.
+
+    The error is the runs' difference in check-scale units, rounded down,
+    plus one unit.
+    """
+    for a, c in runs:
+        yield a, _float(1 + (abs((c << _GUARD_BITS) - a) >> _GUARD_BITS), _GUARD_BITS)
+
+
+# a shipped coefficient's error: one check-scale unit, as _measured gives it
+_SHIPPED_ERROR = 2.0**_GUARD_BITS
+
+# The shipped tables, one file read whole: a little-endian uint32 table
+# count, then one entry per table (its name in 16 ASCII bytes, its
+# coefficient count and the byte width of each coefficient, both uint16),
+# then each table's value-run integers a_i 2**F in order, each in that many
+# bytes of little-endian two's complement.  Only tables whose check run is
+# the value run coarsened ship, so each shipped coefficient is read with
+# one check-scale unit of error, as computing it gives.
+_TABLES = Path(__file__).with_name("cfractions.bin")
+_ENTRY = struct.Struct("<16sHH")
+_COUNT = struct.Struct("<I")
 
 
 @functools.cache
-def _stored_archive() -> zipfile.ZipFile | None:
-    """The shipped archive, its directory read once and its file open for the process."""
+def _stored_archive() -> dict[str, tuple[memoryview, int]]:
+    """Each shipped table's bytes and coefficient width, by name, from one read of the file."""
     try:
-        return zipfile.ZipFile(_TABLES)
+        data = memoryview(_TABLES.read_bytes())
     except FileNotFoundError:
-        return None
+        return {}
+    (count,) = _COUNT.unpack_from(data)
+    start = _COUNT.size + count * _ENTRY.size
+    tables = {}
+    for name, size, width in _ENTRY.iter_unpack(data[_COUNT.size : start]):
+        tables[name.decode("ascii")] = (data[start : start + size * width], width)
+        start += size * width
+    return tables
 
 
-def _stored_table(name: str) -> list[int] | None:
-    """The shipped value run named name, or None when none is shipped."""
-    archive = _stored_archive()
-    if archive is None:
+def _stored_table(name: str) -> Iterator[int] | None:
+    """The shipped value run named name, each coefficient decoded as it is read, or None."""
+    entry = _stored_archive().get(name)
+    if entry is None:
         return None
-    try:
-        text = archive.read(name).decode("ascii")
-    except KeyError:  # no member of that name
-        return None
-    return [int(line, 16) for line in text.splitlines()]
+    body, width = entry
+    return (
+        int.from_bytes(body[i : i + width], "little", signed=True)
+        for i in range(0, len(body), width)
+    )
 
 
 def _table_archive(series: Iterable[Sequence[tuple[int, int]]], bits: int) -> bytes:
     """The archive of the complete tables of series (as pairs) at bits, byte for byte reproducible.
 
     A table whose check run is not its value run coarsened cannot be
-    stored one number per line and raises ValueError.
+    stored as its value run alone and raises ValueError.
     """
-    buffer = io.BytesIO()
-    with zipfile.ZipFile(buffer, "w") as archive:
-        for held in series:
-            ladder, name = _ladder(held, bits)
-            pairs = list(ladder.runs)
-            if any(c != _round_div(a, 1 << _GUARD_BITS) for a, c in pairs):
-                raise ValueError(f"table {name}: the check run is not the value run coarsened")
-            text = "".join(f"{a:x}\n" for a, _ in pairs)
-            info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
-            info.compress_type = zipfile.ZIP_DEFLATED
-            info.create_system = 3  # the default depends on the platform
-            archive.writestr(info, text.encode("ascii"), compresslevel=9)
-    return buffer.getvalue()
+    entries, bodies = [], []
+    for held in series:
+        held = tuple(held)
+        name, qd_value, qd_check = _plan(held, bits)
+        pairs = list(_qd_runs(held, bits, qd_value, qd_check))
+        if any(c != _round_div(a, 1 << _GUARD_BITS) for a, c in pairs):
+            raise ValueError(f"table {name}: the check run is not the value run coarsened")
+        width = max((a.bit_length() for a, _ in pairs), default=0) // 8 + 1
+        entries.append(_ENTRY.pack(name.encode("ascii"), len(pairs), width))
+        bodies.append(b"".join(a.to_bytes(width, "little", signed=True) for a, _ in pairs))
+    return _COUNT.pack(len(entries)) + b"".join(entries) + b"".join(bodies)
 
 
 def _renormalized(cur: int, prev: int, exponent: int, scale: int) -> tuple[int, int, int]:
@@ -425,8 +454,8 @@ class DiagonalResummer:
     are found at most once each, and only as far as the walks read: a
     coefficient first read by a later walk resumes both qd runs from their
     last anti-diagonal, so every coefficient is the one a complete table
-    would hold.  A shipped table is read whole instead, on the first build
-    at its precision.  Once per series and length it finds whether the
+    would hold.  A shipped table is decoded instead, as far as the walks
+    read it too.  Once per series and length it finds whether the
     truncated series terminates.  Each point then costs one walk.
 
     The series is held only as exact integer pairs (p_j, q_j), q_j > 0,
@@ -436,11 +465,13 @@ class DiagonalResummer:
     reduced, once, for the walk's start; qd reads each pair's correctly
     rounded quotient, so any pairs of the same rationals give the same
     tables and the same results.  A shipped table is found only for the
-    pairs it was written from (see _ladder).
+    pairs it was written from (see _plan).
     """
 
     def __init__(self, series: Sequence):
-        self._hold(tuple(Fraction(c).as_integer_ratio() for c in series))
+        # int() turns a NumPy integer, which Fraction keeps, into a Python int
+        ratios = (Fraction(c).as_integer_ratio() for c in series)
+        self._hold(tuple((int(p), int(q)) for p, q in ratios))
 
     @classmethod
     def _from_pairs(cls, pairs: Sequence[tuple[int, int]]) -> DiagonalResummer:
@@ -459,16 +490,16 @@ class DiagonalResummer:
         self._degrees: dict[int, int] = {}
 
     def _cfraction(self, bits: int) -> _Ladder:
-        """The ladder at bits: its shipped table, else its qd runs suspended at the start."""
+        """The ladder at bits, fed by its shipped table, else by its qd runs, as walks read."""
         got = self._fractions.get(bits)
         if got is None:
-            got, name = _ladder(self._pairs, bits)
+            name, qd_value, qd_check = _plan(self._pairs, bits)
             stored = _stored_table(name)
-            if stored is not None:
-                got.runs = None
-                for a in stored:
-                    got.append(a, 2.0**_GUARD_BITS)
-            self._fractions[bits] = got
+            if stored is None:
+                runs = _measured(_qd_runs(self._pairs, bits, qd_value, qd_check))
+            else:
+                runs = ((a, _SHIPPED_ERROR) for a in stored)
+            got = self._fractions[bits] = _Ladder(len(self._pairs) - 1, _scales(bits)[0], runs)
         return got
 
     def _walk(
@@ -479,10 +510,12 @@ class DiagonalResummer:
         The forward (Wallis) recurrence A_i = A_{i-1} - t_i A_{i-2}, t_i =
         a_i x, and the same for B, from A_{-1} = A_0 = q, B_{-1} = 0 and
         B_0 = p where c_0 = p/q, gives [N/N] = B_2N / A_2N.  It runs on
-        integers at the value scale F: x and t_i carry F fraction bits, each
-        product is truncated back to F of them, and the pairs (A_i, A_{i-1})
-        and (B_i, B_{i-1}) each carry a power of two 2**e, renormalized at
-        even i when A_i or B_i leaves F to F + 64 bits.
+        integers at the value scale F: t_i carries F fraction bits (formed
+        from x exactly where x is a dyadic of at most F fraction bits, else
+        from x rounded to F of them), each product is truncated back to F,
+        and the pairs (A_i, A_{i-1}) and (B_i, B_{i-1}) each carry a power
+        of two 2**e, renormalized at even i when A_i or B_i leaves F to
+        F + 64 bits.
 
         Values and the tolerance test.  An order's value v is B/A as a
         sticky quotient (_quotient): F + 2 bits or more plus a sticky bit,
@@ -539,6 +572,11 @@ class DiagonalResummer:
         fv = ladder.scale
         vx = _round_div(x.numerator << fv, x.denominator)
         ax = _float(abs(vx), -fv)
+        # t_i = a_i vx >> F; where x = xm 2**-xe exactly with xe <= F, vx is
+        # xm 2**(F - xe) and a_i xm >> xe is the same floor from a shorter product
+        den = x.denominator
+        xe = den.bit_length() - 1
+        xm, xe = (x.numerator, xe) if den == 1 << xe and xe <= fv else (vx, fv)
         tol_num, tol_den = Fraction(tol).as_integer_ratio()
         # a tol above 1 always takes the exact test
         ftol = tol_num / tol_den if tol_num <= tol_den else math.inf
@@ -555,15 +593,18 @@ class DiagonalResummer:
         # the last value as (B, A, B's exponent, A's exponent), and its float
         kept, kept_float = None, 0.0
         converged = False
-        for i in range(1, 2 * max_order + 1):
+        # two recurrence steps, i - 1 and i, per diagonal order
+        for i in range(2, 2 * max_order + 1, 2):
             if i > len(value_run) and not ladder.reaches(i):
                 break
-            t = value_run[i - 1] * vx >> fv
+            t = value_run[i - 2] * xm >> xe
             va_prev, va = va, va - (t * va_prev >> fv)
             vb_prev, vb = vb, vb - (t * vb_prev >> fv)
-            m_prev, m = m, m + weight[i - 1] * ax * m_prev
-            if i % 2:
-                continue
+            t = value_run[i - 1] * xm >> xe
+            va_prev, va = va, va - (t * va_prev >> fv)
+            vb_prev, vb = vb, vb - (t * vb_prev >> fv)
+            m_odd = m + weight[i - 2] * ax * m_prev
+            m_prev, m = m_odd, m_odd + weight[i - 1] * ax * m
             if not va or not vb:
                 break
             a_bits, b_bits = va.bit_length(), vb.bit_length()

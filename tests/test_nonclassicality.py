@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -265,6 +266,128 @@ def test_find_crossing_stops_at_adjacent_floats():
     root = find_crossing(f, 0.0, 0.0, 1.0, tol=1e-300)
     assert abs(root - 0.1 ** (1 / 3)) <= 2 * math.ulp(root)
     assert evals < 100
+
+
+@pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (0.0, math.inf), (-math.inf, math.inf)])
+def test_find_crossing_rejects_an_infinite_bracket_end(lo, hi):
+    # rejected before fn runs; on (-inf, 1) the infinite end used to come
+    # back as the crossing
+    calls = []
+    with pytest.raises(ValueError, match="finite"):
+        find_crossing(lambda x: calls.append(x) or math.tanh(x), 0.0, lo, hi)
+    assert calls == []
+
+
+def test_find_crossing_on_a_bracket_as_wide_as_the_floats():
+    # hi - lo overflows to inf; every width and step is formed from
+    # half-widths, so the search still closes in on the crossing
+    evals = []
+    root = find_crossing(lambda x: evals.append(x) or x - 1e300, 0.0, -1.7e308, 1.7e308)
+    assert abs(root - 1e300) <= 2 * math.ulp(1e300)
+    assert all(math.isfinite(x) for x in evals)
+    assert len(evals) < 200
+
+
+def _bisection_steps(lo, hi, tol):
+    # the evaluations bisection takes past the two ends when no midpoint
+    # lands on the crossing: the least n with (hi - lo) / 2**n <= tol
+    width, steps = Fraction(hi) - Fraction(lo), 0
+    while width > Fraction(tol):
+        width, steps = width / 2, steps + 1
+    return steps
+
+
+def _check_crossing(fn, level, lo, hi, tol):
+    # the result lies in a sign-change bracket of evaluated points no wider
+    # than tol (or two adjacent floats, where they lie further apart), found
+    # within one evaluation (n0) of bisection's count
+    evals = {}
+
+    def counted(x):
+        evals[x] = fn(x)
+        return evals[x]
+
+    root = find_crossing(counted, level, lo, hi, tol)
+    points = sorted(evals)
+    side = [(evals[x] > level) - (evals[x] < level) for x in points]
+    assert any(
+        a <= root <= b
+        and (b - a <= tol or b == math.nextafter(a, hi))
+        and side[i] * side[i + 1] <= 0
+        for i, (a, b) in enumerate(zip(points, points[1:]))
+    ) or evals[root] == level
+    assert len(evals) - 2 <= _bisection_steps(lo, hi, tol) + 1
+    return root, len(evals) - 2
+
+
+_BRACKETS = st.tuples(
+    st.floats(-10.0, 10.0), st.floats(1e-3, 20.0), st.integers(0, 30), st.floats(0.0, 1.0)
+)
+_CURVES = {
+    "linear": lambda u: u,
+    "cubic": lambda u: u**3 + 1e-3 * u,
+    "exp": lambda u: math.expm1(3.0 * u),
+    "atan": lambda u: math.atan(40.0 * u),
+    "flat then steep": lambda u: math.sinh(8.0 * u),
+}
+
+
+@settings(max_examples=500, deadline=None)
+@given(_BRACKETS, st.sampled_from(sorted(_CURVES)), st.booleans(), st.floats(-1.0, 1.0))
+def test_find_crossing_on_monotone_curves(bracket, curve, falling, level):
+    lo, width, halvings, at = bracket
+    hi = lo + width
+    tol = math.ldexp(width, -halvings)
+    crossing = lo + at * width
+    sign = -1.0 if falling else 1.0
+    g = _CURVES[curve]
+
+    def fn(x):
+        return level + sign * g((x - crossing) / width)
+
+    assume(lo < hi and min(fn(lo), fn(hi)) <= level <= max(fn(lo), fn(hi)))
+    root, _ = _check_crossing(fn, level, lo, hi, tol)
+    # on a monotone curve every sign-change bracket holds the crossing
+    assert abs(root - crossing) <= tol / 2 + 1e-12 * width
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    _BRACKETS,
+    st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-0.3, 0.3)), max_size=12),
+    st.booleans(),
+)
+def test_find_crossing_on_curves_with_jumps(bracket, jumps, falling):
+    # a falling line with jumps of either sign, as the Mermin LHS steps
+    # where the auto cutoff changes: up to several crossings, any of which
+    # may be found, but always inside a sign-change bracket
+    lo, width, halvings, at = bracket
+    hi = lo + width
+    tol = math.ldexp(width, -halvings)
+    sign = -1.0 if falling else 1.0
+    steps = [(lo + where * width, height) for where, height in jumps]
+
+    def fn(x):
+        u = (x - lo) / width - at
+        return sign * u + sum(height for where, height in steps if x > where)
+
+    assume(lo < hi and min(fn(lo), fn(hi)) <= 0.0 <= max(fn(lo), fn(hi)))
+    _check_crossing(fn, 0.0, lo, hi, tol)
+
+
+def test_mermin_crossing_takes_fewer_cold_evaluations():
+    # a bell_scan-shaped bracket, 0.09 wide around the crossing near 0.770:
+    # bisection to 1e-3 evaluates 7 new gains, ITP at most 5
+    evals = []
+
+    def lhs(g):
+        evals.append(g)
+        return mermin_lhs(g)
+
+    root = find_crossing(lhs, 2.0, 0.7167, 0.8067, tol=1e-3)
+    assert _bisection_steps(0.7167, 0.8067, 1e-3) == 7
+    assert len(evals) - 2 <= 5
+    assert abs(root - 0.7700790) <= 5e-4
 
 
 def test_lossless_limit_matches_mermin():

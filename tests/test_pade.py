@@ -5,10 +5,9 @@ import math
 import random
 import subprocess
 import sys
-import zipfile
 from fractions import Fraction
-from io import BytesIO
 from math import factorial
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -564,23 +563,28 @@ def _unseeded(monkeypatch):
     monkeypatch.setattr(pade, "_stored_table", lambda name: None)
 
 
-def test_shipped_tables_are_the_ones_the_code_computes():
-    # every member's uncompressed bytes and header, in order; the deflate
-    # stream itself may differ between zlib builds
-    def members(archive):
-        with zipfile.ZipFile(archive) as z:
-            infos = z.infolist()
-            return [(i.filename, i.date_time, i.compress_type, z.read(i)) for i in infos]
+def _qd_started(monkeypatch):
+    # the arguments of every qd run started from here on
+    started, qd = [], pade._qd
 
-    shipped = members(pade._TABLES)
-    assert len(shipped) == CUTOFF_CAP + 1
-    assert members(BytesIO(_cftables._archive())) == shipped
+    def counted(*args):
+        started.append(args)
+        return qd(*args)
+
+    monkeypatch.setattr(pade, "_qd", counted)
+    return started
+
+
+def test_shipped_tables_are_the_ones_the_code_computes():
+    # the whole file, byte for byte, one table per tuple number
+    assert len(pade._stored_archive()) == CUTOFF_CAP + 1
+    assert _cftables._archive() == pade._TABLES.read_bytes()
 
 
 def test_archive_refuses_a_check_run_of_its_own(monkeypatch):
-    # a member holds one number per line, the value run's, and the reader
-    # gives each one check-scale unit of error; a table whose check run is
-    # not its value run coarsened in one coefficient cannot be stored
+    # a table holds the value run's numbers alone, and the reader gives
+    # each one check-scale unit of error; a table whose check run is not
+    # its value run coarsened in one coefficient cannot be stored
     bits = DEFAULT_POLICY.bits
     series = [_series_pairs(4, 3, 21)]
     assert pade._table_archive(series, bits)
@@ -595,27 +599,50 @@ def test_archive_refuses_a_check_run_of_its_own(monkeypatch):
         pade._table_archive(series, bits)
 
 
-def test_shipped_table_seeds_the_ladder():
+def test_shipped_table_seeds_the_ladder(monkeypatch):
     # the default policy's three-beam series, built as production builds
-    # it: the ladder holds the complete table from the start, with no qd
-    # run, and it is the table qd computes, each coefficient's error included
+    # it: the ladder reads the complete shipped table with no qd run, and
+    # it is the table qd computes, each coefficient's error included
     bits, length = DEFAULT_POLICY.bits, 2 * DEFAULT_POLICY.pade_order + 1
     series = c_series(4, 3, length).coeffs
+    started = _qd_started(monkeypatch)
     seeded = state._resummer.__wrapped__(3, 4, length)
     ladder = seeded._cfraction(bits)
-    assert ladder.runs is None
+    assert ladder.reaches(ladder.size) and ladder.runs is None
+    assert started == []
     assert _lists(ladder) == _lists(_eager_ladder(series, bits))
-    computed, _ = pade._ladder(seeded._pairs, bits)
-    assert computed.reaches(computed.size)
-    assert _lists(ladder) == _lists(computed)
-    # the same series as reduced Fractions misses the archive, and qd
-    # computes the same ladder and the same results
+    # the same series as reduced Fractions misses the archive, and qd (its
+    # value and check runs) computes the same ladder and the same results
     reduced = DiagonalResummer(series)
-    assert reduced._cfraction(bits).runs is not None
     xs = [-(Fraction(g) ** 2) for g in (0.1, 0.6, 0.77, 0.89)]
     assert [reduced.resum(x) for x in xs] == [seeded.resum(x) for x in xs]
+    assert len(started) == 2
     assert reduced._cfraction(bits).reaches(reduced._cfraction(bits).size)
     assert _lists(reduced._cfraction(bits)) == _lists(ladder)
+    # and so does qd on the pairs as held, once nothing ships
+    _unseeded(monkeypatch)
+    computed = DiagonalResummer._from_pairs(seeded._pairs)._cfraction(bits)
+    assert computed.reaches(computed.size) and len(started) == 4
+    assert _lists(computed) == _lists(ladder)
+
+
+@pytest.mark.parametrize("k, gamma", [(0, 0.05), (4, 0.3), (20, 0.6), (40, 0.2)])
+def test_walk_decodes_only_the_shipped_coefficients_it_reads(k, gamma, monkeypatch):
+    # a walk that settles at order N reads a_1..a_2N, and no more of the
+    # shipped table is decoded; nor is any of it before the first walk
+    decoded, stored = [], pade._stored_table
+
+    def counted(name):
+        table = stored(name)
+        return None if table is None else (decoded.append(a) or a for a in table)
+
+    monkeypatch.setattr(pade, "_stored_table", counted)
+    resummer = state._resummer.__wrapped__(3, k, 2 * DEFAULT_POLICY.pade_order + 1)
+    ladder = resummer._cfraction(DEFAULT_POLICY.bits)
+    assert decoded == [] and ladder.runs is not None
+    got = resummer.resum(-(Fraction(gamma) ** 2), max_order=DEFAULT_POLICY.pade_order)
+    assert got.order_used < DEFAULT_POLICY.pade_order
+    assert len(decoded) == len(ladder.value) <= 2 * got.order_used
 
 
 def _no_qd(*args):
@@ -624,17 +651,18 @@ def _no_qd(*args):
 
 
 def test_cold_cap_build_reads_the_archive_directory_once(monkeypatch):
-    # a cold build at the cutoff cap reads 61 shipped tables, one member
-    # each, from one parse of the archive's central directory; every lookup
-    # finds its table, so no qd run starts
+    # a cold build at the cutoff cap looks up 61 shipped tables, all from
+    # one read of the archive file and its index; every lookup finds its
+    # table, so no qd run starts
     parses = []
-    parse = zipfile.ZipFile._RealGetContents
+    read_bytes = Path.read_bytes
 
-    def counted(archive):
-        parses.append(archive)
-        parse(archive)
+    def counted(path):
+        if path == pade._TABLES:
+            parses.append(path)
+        return read_bytes(path)
 
-    monkeypatch.setattr(zipfile.ZipFile, "_RealGetContents", counted)
+    monkeypatch.setattr(Path, "read_bytes", counted)
     read = pade._stored_table
     names, tables = [], []
 
@@ -656,14 +684,15 @@ def test_cold_cap_build_reads_the_archive_directory_once(monkeypatch):
 
 
 def test_walk_does_no_decimal_arithmetic(monkeypatch):
-    # once the table is read, a walk runs on integers alone: without the
-    # decimal module and qd it gives the same results.  The series is held
-    # as state holds it, so its ladder is the shipped table, with no qd run
+    # once the table is looked up, a walk runs on integers alone: without
+    # the decimal module and qd it gives what qd gives.  The series is held
+    # as state holds it, so its ladder reads the shipped table, with no qd
+    # run; the lookup itself forms the qd contexts its name records
     length = 2 * DEFAULT_POLICY.pade_order + 1
-    resummer = DiagonalResummer._from_pairs(_series_pairs(4, 3, length))
-    assert resummer._cfraction(DEFAULT_POLICY.bits).runs is None
     xs = [-(Fraction(g) ** 2) for g in (0.1, 0.6, 0.89)]
-    want = [resummer.resum(x) for x in xs]
+    want = [DiagonalResummer(c_series(4, 3, length).coeffs).resum(x) for x in xs]
+    resummer = DiagonalResummer._from_pairs(_series_pairs(4, 3, length))
+    resummer._cfraction(DEFAULT_POLICY.bits)
     for name in ("decimal", "Decimal", "Context", "_context", "_qd"):
         monkeypatch.setattr(pade, name, None)
     assert [resummer.resum(x) for x in xs] == want
@@ -692,8 +721,10 @@ def test_unshipped_series_or_precision_runs_qd(case, monkeypatch):
     else:
         monkeypatch.setattr(pade, "_QD_BITS_PER_TERM", pade._QD_BITS_PER_TERM + 1)
     xs = [-(Fraction(g) ** 2) for g in (0.2, 0.6, 0.85)]
+    started = _qd_started(monkeypatch)
     resummer = DiagonalResummer._from_pairs(series)
-    assert resummer._cfraction(bits).runs is not None
+    resummer._cfraction(bits)
+    assert len(started) == 2
     got = [resummer.resum(x, max_order=order, bits=bits) for x in xs]
     _unseeded(monkeypatch)
     fresh = DiagonalResummer._from_pairs(series)
@@ -865,3 +896,12 @@ def test_float_tolerance_test_agrees_with_the_exact_one(case):
     if in_range and tol >= 2.0**-45 and abs(abs(v - w) - Fraction(tol) * abs(v)) > Fraction(2.0**-46) * abs(v):
         assert got == exact
 
+
+def test_resummer_takes_numpy_integer_coefficients():
+    # Fraction keeps a NumPy integer as its numerator, which the table's
+    # name cannot encode; the resummer holds Python ints, so NumPy integer
+    # coefficients resum exactly as Python ones do
+    series = [(-1) ** j * factorial(j) for j in range(9)]
+    x = Fraction(-1, 10)
+    want = diagonal_resum(series, x, max_order=4)
+    assert diagonal_resum([np.int64(c) for c in series], x, max_order=4) == want
