@@ -18,12 +18,17 @@ made a float.  Weights and statistics are exact dyadic (mantissa,
 exponent) integer pairs, each operation rounded half to even at its
 precision by pade._rounded.  The amplitude box is rank one,
 A[q, m] = u_q u_m, so one float outer product of those cutoff + 1 factor
-amplitudes fills it.  The
-built state itself is memoized per gain point and policy, with the shell
-moments of its box, which the Stokes kernels read, and, once first read,
-its closed-form t and vacuum probability: a warm build_bghz is one lookup
-and returns the same frozen state.  Only this module reads a state's box.
-A built state's amps is a read-only mapping read off its box.
+amplitudes fills it.
+
+Two bounded memos key on gain point and policy, cutoff included.
+_retained_weights keeps the weights, the signs of their series values and
+the cutoff per beam count: a repeated photon_distribution, or a state
+built where the three-beam weights are kept, walks no ladder, and a failed
+ladder is walked again.  _bright_state keeps the built state, with the
+shell moments of its box, which the Stokes kernels read, and, once first
+read, its closed-form t and vacuum probability: a warm build_bghz is one
+lookup and returns the same frozen state.  Only this module reads a
+state's box.  A built state's amps is a read-only mapping read off its box.
 """
 
 from __future__ import annotations
@@ -121,10 +126,6 @@ class NumericPolicy:
             raise ValueError(f"bits must be >= 64, got {self.bits}")
         if self.cutoff is not None and self.cutoff < 0:
             raise ValueError(f"cutoff must be >= 0, got {self.cutoff}")
-
-    def key(self) -> tuple:
-        """Identity of a resummed value: everything but the cutoff."""
-        return (self.pade_order, self.tol, self.bits)
 
 
 DEFAULT_POLICY = NumericPolicy()
@@ -351,12 +352,8 @@ def _is_count_pair(key) -> bool:
         return False
 
 
-# Per gain point, the settled series value or the ResummationError its
-# ladder ended in.  Every new gain adds about cutoff + 1 values per beam
-# count, so _VALUES is a most-recently-used dict capped at VALUES_MAX
-# entries, over ten times what any benchmark workload holds.
-_VALUES: dict[tuple, object] = {}
-VALUES_MAX = 32768
+# bench/tracing.py reads len(_VALUES); ROADMAP item 12 removes that read and this dict
+_VALUES: dict = {}
 
 
 @cache
@@ -377,46 +374,32 @@ def _series_value(n: int, k: int, gamma: float, policy: NumericPolicy) -> tuple[
     cannot resolve this coefficient and ResummationError is raised.  A
     skipped final order (None) never settles, so two early orders cannot
     stand in for a ladder that broke down later, and a ladder without any
-    value (PoleProximityError) fails at order 0.  Failures are cached like
-    values, so a warm gain never walks a failed ladder again.
+    value (PoleProximityError) fails at order 0.
     """
-    key = (n, k, gamma) + policy.key()
-    got = _VALUES.pop(key, None)
-    if got is None:
-        resummer = _resummer(n, k, 2 * policy.pade_order + 1)
-        u = -(Fraction(gamma) ** 2)
-        try:
-            result = resummer.resum(
-                u, max_order=policy.pade_order, tol=policy.tol, bits=policy.bits
+    resummer = _resummer(n, k, 2 * policy.pade_order + 1)
+    u = -(Fraction(gamma) ** 2)
+    try:
+        result = resummer.resum(u, max_order=policy.pade_order, tol=policy.tol, bits=policy.bits)
+    except PoleProximityError as err:
+        raise ResummationError(
+            f"diagonal ladder for n={n}, k={k} has no value at gamma={gamma}: {err}",
+            order_reached=0,
+        ) from err
+    if not result.converged:
+        vals = [v for _, v in result.diagnostics[-2:]]
+        settled = (
+            len(vals) == 2
+            and None not in vals
+            and vals[-1] != 0
+            and abs(vals[-1] - vals[-2]) <= SOFT_AGREEMENT * abs(vals[-1])
+        )
+        if not settled:
+            raise ResummationError(
+                f"diagonal ladder for n={n}, k={k} did not settle at"
+                f" gamma={gamma} within order {result.order_used}",
+                order_reached=result.order_used,
             )
-        except PoleProximityError as err:
-            got = ResummationError(
-                f"diagonal ladder for n={n}, k={k} has no value at gamma={gamma}: {err}",
-                order_reached=0,
-            )
-        else:
-            got = _dyadic(result.value)
-            if not result.converged:
-                vals = [v for _, v in result.diagnostics[-2:]]
-                settled = (
-                    len(vals) == 2
-                    and None not in vals
-                    and vals[-1] != 0
-                    and abs(vals[-1] - vals[-2]) <= SOFT_AGREEMENT * abs(vals[-1])
-                )
-                if not settled:
-                    got = ResummationError(
-                        f"diagonal ladder for n={n}, k={k} did not settle at"
-                        f" gamma={gamma} within order {result.order_used}",
-                        order_reached=result.order_used,
-                    )
-    _VALUES[key] = got
-    if len(_VALUES) > VALUES_MAX:
-        del _VALUES[next(iter(_VALUES))]
-    if isinstance(got, ResummationError):
-        # raise a fresh copy, so the cached error never holds a traceback
-        raise ResummationError(str(got), got.order_reached)
-    return got
+    return _dyadic(result.value)
 
 
 def resummed_coefficient(
@@ -473,19 +456,20 @@ def _sqrt(a: tuple[int, int], bits: int) -> tuple[int, int]:
     return _rounded(2 * root + (root * root != n), (e - shift) // 2 - 1, bits)
 
 
-def _weight(n: int, gamma: float, k: int, policy: NumericPolicy) -> tuple[int, int]:
-    """Unnormalized p-weight |C_k|^2 (k!)^n at policy.bits, as (mantissa, exponent).
+def _weight(n: int, gamma: float, k: int, policy: NumericPolicy) -> tuple[tuple[int, int], int]:
+    """Unnormalized p-weight |C_k|^2 (k!)^n at policy.bits, as (mantissa, exponent),
+    and the sign, 1 or -1, of the series value s it walked (1 at gain 0).
 
     Taken as gamma^(2k) s s (k!)^n, left to right, every factor and
     partial product rounded at policy.bits.
     """
     if gamma == 0:
-        return (1, 0) if k == 0 else (0, 0)
+        return ((1, 0) if k == 0 else (0, 0)), 1
     bits, (m, e) = policy.bits, _dyadic(gamma)
     s = _series_value(n, k, gamma, policy)
     w = _mul(_mul(_rounded(m ** (2 * k), 2 * k * e, bits), s, bits), s, bits)
     f = _rounded(factorial(k), 0, bits)
-    return _mul(w, _rounded(f[0] ** n, f[1] * n, bits), bits)
+    return _mul(w, _rounded(f[0] ** n, f[1] * n, bits), bits), 1 if s[0] >= 0 else -1
 
 
 def _tail_estimate(w: list) -> float:
@@ -523,10 +507,16 @@ def _omitted_mass(w: list, mass) -> float:
 _STATS_BITS = 53
 
 
+# Per beam count, gain point and policy, cutoff included, most recently
+# used kept: each ladder is walked once per entry, and a pinned cutoff walks
+# its own.  A failed first or pinned weight raises, so only complete ladders
+# are kept, at most CUTOFF_CAP + 1 weights and signs each.
+@lru_cache(maxsize=32)
 def _retained_weights(
     n: int, gamma: float, policy: NumericPolicy
-) -> tuple[list, tuple[int, int], float]:
-    """(w, mass, tail): the retained weights |C_k|^2 (k!)^n, their sum and the omitted mass.
+) -> tuple[tuple, tuple[int, ...], tuple[int, int], float]:
+    """(w, signs, mass, tail): the retained weights |C_k|^2 (k!)^n, the signs
+    of their series values, their sum and the omitted mass.
 
     The one place the cutoff is decided: pinned, or grown until the tail
     drops below TAIL_TARGET of the total, a ladder fails or CUTOFF_CAP.  One
@@ -535,24 +525,29 @@ def _retained_weights(
     and tail taken at _STATS_BITS; the weights are at policy.bits.
     """
     w: list = []
+    signs: list = []
     mass = (0, 0)
     for k in range(2 if policy.cutoff is None else policy.cutoff + 1):
-        w.append(_weight(n, gamma, k, policy))
-        mass = _add(mass, w[-1], _STATS_BITS)
+        x, sign = _weight(n, gamma, k, policy)
+        w.append(x)
+        signs.append(sign)
+        mass = _add(mass, x, _STATS_BITS)
     tail = _omitted_mass(w, mass)
     if policy.cutoff is None:
         while len(w) - 1 < CUTOFF_CAP and (
             tail == inf or not tail < TAIL_TARGET * _float(*_add(mass, _dyadic(tail), _STATS_BITS))
         ):
             try:
-                w.append(_weight(n, gamma, len(w), policy))
+                x, sign = _weight(n, gamma, len(w), policy)
             except ResummationError:
                 # the order budget cannot resolve deeper coefficients; stop
                 # here and let the omitted-mass estimate carry the rest
                 break
-            mass = _add(mass, w[-1], _STATS_BITS)
+            w.append(x)
+            signs.append(sign)
+            mass = _add(mass, x, _STATS_BITS)
             tail = _omitted_mass(w, mass)
-    return w, mass, tail
+    return tuple(w), tuple(signs), mass, tail
 
 
 def photon_distribution(spec: BrightStateSpec) -> TripleDistribution:
@@ -568,7 +563,7 @@ def photon_distribution(spec: BrightStateSpec) -> TripleDistribution:
             RuntimeWarning,
             stacklevel=2,
         )
-    w, mass, tail = _retained_weights(spec.n, spec.gamma, spec.policy)
+    w, _, mass, tail = _retained_weights(spec.n, spec.gamma, spec.policy)
     # no decay across the last five retained orders marks a diverging tail
     scaled = [_float(*x) * k * k for k, x in enumerate(w)]
     diverged = len(scaled) >= 5 and all(
@@ -614,25 +609,25 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
 
 
 # Bright state per gain point and policy, most recently used kept.
-# Rebuilding it climbs the photon ladder again, re-reading every cached
-# value, redoes the working-precision square roots and normalization and
-# bins the box by shell: nearly all of a cold build_bghz once the values are
-# cached.  A failed build raises, so only successful builds are kept.  At
+# Rebuilding it reads the retained weights and signs, walking the photon
+# ladder again unless _retained_weights still holds them, redoes the
+# working-precision square roots and normalization and bins the box by
+# shell.  A failed build raises, so only successful builds are kept.  At
 # the cutoff cap an entry holds a 61 x 61 complex box (59.5 kB) and its
 # moments (5.8 kB), twice that once a witness projects the state, so 32
 # entries stay near 4 MB; no workload revisits more than 17 gains.
 @lru_cache(maxsize=32)
 def _bright_state(gamma: float, policy: NumericPolicy) -> BGHZState:
     """The state at gamma, box u u^T over u_q = i^q sign(s_q) sqrt(w_q / sum(w)),
-    the three-beam weights w_q and series values s_q, with its shell moments."""
-    w, _, _ = _retained_weights(3, gamma, policy)
+    the three-beam weights w_q and the signs of the series values s_q, both
+    from _retained_weights, with its shell moments."""
+    w, signs, _, _ = _retained_weights(3, gamma, policy)
     bits = policy.bits
     col = (0, 0)
     for x in w:
         col = _add(col, x, bits)
     norm_residual = abs(_float(*_add((1, 0), _mul(col, col, bits), bits, -1)))
     root = _sqrt(col, bits)  # amplitude normalization per factor state
-    signs = [1 if _series_value(3, q, gamma, policy)[0] >= 0 else -1 for q in range(len(w))]
     factor = np.array(
         [
             (1j) ** (q % 4) * (signs[q] * _float(*_div(_sqrt(x, bits), root, bits)))

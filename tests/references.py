@@ -507,7 +507,7 @@ def at_bits(value, bits):
 
 # The photon statistics and the bright state's factor as mpmath computed
 # them: weights and factors at the policy's working precision, statistics
-# at 53 bits, every sum taken from scratch.  They read the cached series
+# at 53 bits, every sum taken from scratch.  They read state's series
 # values, so they pin everything after the resummation.
 def mp_weight(n, gamma, k, policy):
     """Unnormalized p-weight |C_k|^2 (k!)^n as an mpf at policy.bits."""

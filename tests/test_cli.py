@@ -242,7 +242,8 @@ def test_broken_continued_fraction_prints_no_number(tmp_path, monkeypatch):
     for keep, extra, count in ((4, [], 17), (0, ["--steps", "2"], 2)):
         monkeypatch.setattr(pade, "_qd", lambda *args: itertools.islice(qd(*args), keep))
         monkeypatch.setattr(pade, "_stored_table", lambda name: cut(stored(name), keep))
-        monkeypatch.setattr(state, "_VALUES", {})
+        weights = functools.lru_cache(32)(state._retained_weights.__wrapped__)
+        monkeypatch.setattr(state, "_retained_weights", weights)
         monkeypatch.setattr(state, "_resummer", functools.cache(state._resummer.__wrapped__))
         code, _, header, rows = run(tmp_path, "--cmd", "pk_curve", *extra)
         assert code == EXIT_HARD

@@ -273,7 +273,6 @@ def test_qd_breakdown_ends_the_ladder_unsettled(monkeypatch):
     assert len(ladder.value) == 5
     # a_1..a_4 give orders 1 and 2; order 3 needs the missing a_6
     _assert_unsettled(resummer.resum(Fraction(1, 5), max_order=12, tol=1e-10, bits=256), 3)
-    monkeypatch.setattr(state, "_VALUES", {})
     monkeypatch.setattr(state, "_resummer", lambda n, k, L: resummer)
     with pytest.raises(ResummationError):
         state._series_value(3, 2, 0.5, NumericPolicy(pade_order=12))
@@ -292,7 +291,6 @@ def test_zero_e_entry_ends_qd():
 def test_failed_precision_guard_ends_the_ladder_unsettled(monkeypatch):
     # without qd headroom the check run no longer reproduces the ladder
     monkeypatch.setattr(pade, "_QD_BITS_PER_TERM", 0)
-    monkeypatch.setattr(state, "_VALUES", {})
     monkeypatch.setattr(state, "_resummer", functools.cache(state._resummer.__wrapped__))
     resummer = DiagonalResummer(c_series(40, 3, 81).coeffs)
     got = resummer.resum(-(Fraction(0.6) ** 2), max_order=40, tol=1e-10, bits=256)
@@ -673,7 +671,8 @@ def test_cold_cap_build_reads_the_archive_directory_once(monkeypatch):
 
     monkeypatch.setattr(pade, "_stored_table", logged)
     monkeypatch.setattr(pade, "_qd", _no_qd)
-    monkeypatch.setattr(state, "_VALUES", {})
+    weights = functools.lru_cache(32)(state._retained_weights.__wrapped__)
+    monkeypatch.setattr(state, "_retained_weights", weights)
     monkeypatch.setattr(state, "_resummer", functools.cache(state._resummer.__wrapped__))
     monkeypatch.setattr(state, "_bright_state", functools.cache(state._bright_state.__wrapped__))
     pade._stored_archive.cache_clear()
@@ -739,7 +738,6 @@ def test_shipped_tables_give_the_computed_series_values(monkeypatch):
     sample += [(5, 0.05), (40, 0.45), (60, 0.3), (60, 0.89)]
 
     def outcomes():
-        monkeypatch.setattr(state, "_VALUES", {})
         monkeypatch.setattr(state, "_resummer", functools.cache(state._resummer.__wrapped__))
         out = []
         for k, gamma in sample:

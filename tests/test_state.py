@@ -4,6 +4,7 @@ import functools
 import math
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -125,7 +126,8 @@ def test_policy_rejects_non_integer_counts(name, value):
 
 def test_policy_accepts_integer_counts():
     policy = NumericPolicy(pade_order=np.int64(30), bits=np.int32(128), cutoff=np.int16(4))
-    assert policy.key() == NumericPolicy(pade_order=30, bits=128).key()
+    assert policy == NumericPolicy(pade_order=30, bits=128, cutoff=4)
+    assert hash(policy) == hash(NumericPolicy(pade_order=30, bits=128, cutoff=4))
     assert all(type(c) is int for c in (policy.pade_order, policy.bits, policy.cutoff))
     assert NumericPolicy(cutoff=None).cutoff is None
     assert build_bghz(0.3, NumericPolicy(cutoff=0)).cutoff == 0
@@ -328,7 +330,6 @@ def test_soft_acceptance_compares_the_last_two_orders(monkeypatch):
             return ResummationResult(Fraction(1.0001), False, max_order, self.diagnostics)
 
     for diagnostics, settles in ((early + skipped, False), (skipped[:-2] + late, True)):
-        monkeypatch.setattr(state_module, "_VALUES", {})
         monkeypatch.setattr(state_module, "_resummer", lambda n, k, L: Stub(diagnostics))
         if settles:
             assert abs(resummed_coefficient(3, 2, 0.5)) == pytest.approx(0.25 * 1.0001)
@@ -410,80 +411,102 @@ def test_vacuum_projection_needs_support():
         project_out_vacuum(build_bghz(0.0))
 
 
-def test_pinned_cutoff_reuses_auto_cutoff_values(monkeypatch):
-    # resummed values do not depend on the cutoff, so the value cache key
-    # leaves it out: a pinned box inside an auto-cutoff one resums nothing
+def test_pinned_cutoff_weights_are_the_auto_ones(monkeypatch):
+    # resummed values do not depend on the cutoff: a pinned build, which
+    # walks its own ladders, retains the leading weights and signs of the
+    # auto-cutoff build at the same gain, bit for bit
+    weights = functools.lru_cache(32)(state_module._retained_weights.__wrapped__)
+    monkeypatch.setattr(state_module, "_retained_weights", weights)
+    monkeypatch.setattr(
+        state_module, "_bright_state", functools.cache(state_module._bright_state.__wrapped__)
+    )
     auto = build_bghz(0.3)
-    calls = []
-    resum = DiagonalResummer.resum
-
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return resum(self, *args, **kwargs)
-
-    monkeypatch.setattr(DiagonalResummer, "resum", counted)
+    calls = _count_resums(monkeypatch)
     pinned = build_bghz(0.3, NumericPolicy(cutoff=4))
-    assert calls == []
+    assert len(calls) == 5
     assert pinned.cutoff == 4 < auto.cutoff
+    w, signs, _, _ = weights(3, 0.3, DEFAULT_POLICY)
+    assert weights(3, 0.3, NumericPolicy(cutoff=4))[:2] == (w[:5], signs[:5])
 
 
 def test_failed_ladder_is_cached(monkeypatch):
     # At gain 0.59 the auto cutoff stops on the unresolvable k = 41; a
-    # warm rebuild reuses the cached failure instead of walking again.
+    # warm rebuild reuses the built state instead of walking again, and a
+    # repeated failure walks again to an equal error.
     first = build_bghz(0.59)
     with pytest.raises(ResummationError) as err:
         resummed_coefficient(3, first.cutoff + 1, 0.59)
     assert err.value.order_reached == DEFAULT_POLICY.pade_order
-    calls = []
-    resum = DiagonalResummer.resum
-
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return resum(self, *args, **kwargs)
-
-    monkeypatch.setattr(DiagonalResummer, "resum", counted)
+    calls = _count_resums(monkeypatch)
     second = build_bghz(0.59)
     assert calls == []
     assert second.cutoff == first.cutoff
     with pytest.raises(ResummationError) as again:
         resummed_coefficient(3, first.cutoff + 1, 0.59)
+    assert len(calls) == 1
     assert again.value is not err.value
     assert str(again.value) == str(err.value)
-
-
-def test_value_cache_is_bounded(monkeypatch):
-    # a long sweep never grows the value cache past its cap, and a value
-    # evicted on the way resums to the same number
-    monkeypatch.setattr(state_module, "_VALUES", {})
-    monkeypatch.setattr(state_module, "VALUES_MAX", 8)
-    first = resummed_coefficient(3, 2, 0.3)
-    for i in range(12):
-        resummed_coefficient(3, 2, 0.31 + 0.01 * i)
-        assert len(state_module._VALUES) <= 8
-    assert not any(key[2] == 0.3 for key in state_module._VALUES)
-    assert resummed_coefficient(3, 2, 0.3) == first
+    assert again.value.order_reached == err.value.order_reached
 
 
 def test_cutoff_cache_is_bounded(monkeypatch):
-    # the per-gain state memo, which holds the auto cutoff, keeps to 32
-    # entries, and a gain evicted on the way finds the same cutoff and
-    # rebuilds the same box
+    # the per-gain memos of the state and of the retained weights, which
+    # hold the auto cutoff, keep to 32 entries each, and a gain evicted from
+    # both on the way walks its ladders again to the same cutoff and box
     assert state_module._bright_state.cache_info().maxsize == 32
+    assert state_module._retained_weights.cache_info().maxsize == 32
     bright = functools.lru_cache(maxsize=4)(state_module._bright_state.__wrapped__)
-    monkeypatch.setattr(state_module, "_VALUES", {})
+    weights = functools.lru_cache(maxsize=4)(state_module._retained_weights.__wrapped__)
     monkeypatch.setattr(state_module, "_bright_state", bright)
-    monkeypatch.setattr(state_module, "VALUES_MAX", 4 * (CUTOFF_CAP + 1))
+    monkeypatch.setattr(state_module, "_retained_weights", weights)
     first = build_bghz(0.1)
     for i in range(8):
         build_bghz(0.11 + 0.01 * i)
         assert bright.cache_info().currsize <= 4
-    assert bright.cache_info().currsize == 4
-    misses = bright.cache_info().misses
+        assert weights.cache_info().currsize <= 4
+    assert bright.cache_info().currsize == weights.cache_info().currsize == 4
+    misses = bright.cache_info().misses, weights.cache_info().misses
+    calls = _count_resums(monkeypatch)
     again = build_bghz(0.1)
-    assert bright.cache_info().misses == misses + 1  # 0.1 was evicted
+    assert bright.cache_info().misses == misses[0] + 1  # 0.1 was evicted
+    assert weights.cache_info().misses == misses[1] + 1
+    assert len(calls) == first.cutoff + 1
     assert again is not first
     assert again.cutoff == first.cutoff
     assert np.array_equal(again._box, first._box)
+
+
+def _count_resums(monkeypatch) -> list:
+    """From here on, the points of every DiagonalResummer.resum call."""
+    calls = []
+    resum = DiagonalResummer.resum
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return resum(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiagonalResummer, "resum", counted)
+    return calls
+
+
+def test_repeated_statistics_walk_no_ladder(monkeypatch):
+    # table1's repeat: the distributions for one, two and three beams at one
+    # gain, asked for again, and a cold state build after them, read the
+    # memoized weights and walk no ladder
+    gamma = 0.8
+    weights = functools.lru_cache(32)(state_module._retained_weights.__wrapped__)
+    monkeypatch.setattr(state_module, "_retained_weights", weights)
+    monkeypatch.setattr(
+        state_module, "_bright_state", functools.cache(state_module._bright_state.__wrapped__)
+    )
+    calls = _count_resums(monkeypatch)
+    first = [photon_distribution(BrightStateSpec(n, gamma)) for n in (1, 2, 3)]
+    assert calls
+    calls.clear()
+    assert [photon_distribution(BrightStateSpec(n, gamma)) for n in (1, 2, 3)] == first
+    state = build_bghz(gamma)
+    assert calls == []
+    assert state.cutoff == first[2].cutoff
 
 
 def test_warm_state_equals_cold_state(monkeypatch):
@@ -491,7 +514,8 @@ def test_warm_state_equals_cold_state(monkeypatch):
     hits = state_module._bright_state.cache_info().hits
     warm = build_bghz(0.563)
     assert state_module._bright_state.cache_info().hits == hits + 1
-    monkeypatch.setattr(state_module, "_VALUES", {})
+    weights = functools.lru_cache(32)(state_module._retained_weights.__wrapped__)
+    monkeypatch.setattr(state_module, "_retained_weights", weights)
     monkeypatch.setattr(
         state_module, "_bright_state", functools.cache(state_module._bright_state.__wrapped__)
     )
@@ -665,8 +689,8 @@ def test_warm_build_reuses_the_shell_moments(monkeypatch):
 
 
 # Properties of the photon ladder over a small pool of gains up to 0.85 and
-# cheap policies, auto and pinned cutoffs; the pool is small so the resummed
-# values are shared across examples and tests.
+# cheap policies, auto and pinned cutoffs; the pool is small so the
+# resummers and the memoized weights are shared across examples and tests.
 LADDER_GAINS = (0.05, 0.2, 0.352, 0.5, 0.63, 0.77, 0.85)
 ladder_policies = st.builds(
     NumericPolicy,
@@ -758,3 +782,58 @@ def test_mermin_terms_are_bounded_by_the_shell_masses(gamma, policy):
     assert len(terms) == len(masses) == 2 * state.cutoff + 1
     assert np.all(masses >= 0.0)
     assert np.all(np.abs(terms) <= 4.0 * masses)
+
+
+def _outcome(call):
+    """call()'s result as bits (float hex, array bytes), or its ResummationError."""
+    try:
+        got = call()
+    except ResummationError as err:
+        return "error", str(err), err.order_reached
+    if isinstance(got, BGHZState):
+        moments = tuple(m.tobytes() for m in got._moments)
+        return got.cutoff, got.norm_residual.hex(), got._box.tobytes(), moments
+    mean = None if got.mean is None else got.mean.hex()
+    probs = tuple(p.hex() for p in got.probs)
+    return got.n, got.gamma.hex(), probs, got.tail_bound.hex(), mean, got.diverged
+
+
+@st.composite
+def _memo_runs(draw):
+    """A few gains up to 0.5 and cheap policies, some differing only in the
+    cutoff, and a run of calls on them."""
+    gains = draw(st.lists(st.floats(0, 0.5), min_size=1, max_size=3))
+    orders = draw(st.lists(st.sampled_from((20, 30, 40)), min_size=1, max_size=2, unique=True))
+    cutoffs = draw(st.lists(st.none() | st.integers(0, 12), min_size=1, max_size=3, unique=True))
+    policies = [NumericPolicy(pade_order=o, cutoff=c) for o in orders for c in cutoffs]
+    point = st.tuples(st.sampled_from(gains), st.sampled_from(policies))
+    call = st.one_of(
+        st.tuples(st.sampled_from((1, 2, 3)), point),
+        st.tuples(st.just("build"), point),
+        st.tuples(st.sampled_from(("clear weights", "clear states")), st.none()),
+    )
+    return draw(st.lists(call, min_size=4, max_size=12))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_memo_runs())
+def test_memos_give_what_cold_calls_give(run):
+    # distributions and builds interleaved with clears of the two memos:
+    # each result equals, bit for bit, the one computed with neither memo
+    weights, bright = state_module._retained_weights, state_module._bright_state
+    memos = {"clear weights": weights, "clear states": bright}
+    cold = {"_retained_weights": weights.__wrapped__, "_bright_state": bright.__wrapped__}
+    for memo in memos.values():
+        memo.cache_clear()
+    for what, point in run:
+        if what in memos:
+            memos[what].cache_clear()
+            continue
+        gamma, policy = point
+        if what == "build":
+            call = functools.partial(build_bghz, gamma, policy)
+        else:
+            call = functools.partial(photon_distribution, BrightStateSpec(what, gamma, policy))
+        got = _outcome(call)
+        with mock.patch.multiple(state_module, **cold):
+            assert got == _outcome(call), (what, gamma, policy)
