@@ -429,21 +429,20 @@ def _agrees(f: float, g: float, tol: float) -> bool | None:
     return None
 
 
-def _exact(x) -> Fraction:
-    """The point x exactly, as a Fraction of Python ints; ValueError if x is not finite.
+def _exact(x) -> tuple[int, int]:
+    """The real x exactly, as a ratio of Python ints in lowest terms; ValueError unless finite.
 
     Fraction(x) would keep a NumPy integer as its numerator, which then
     overflows in the fixed-point walk, and rejects every NumPy float but
-    float64.  A float of any width, and a Decimal, gives its exact ratio.
+    float64.  A float of any width, and a Decimal, gives its exact ratio
+    without forming a Fraction.
     """
-    if isinstance(x, Fraction):
-        return x
     if isinstance(x, numbers.Rational):
-        return Fraction(int(x.numerator), int(x.denominator))
+        return int(x.numerator), int(x.denominator)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     ratio = getattr(x, "as_integer_ratio", None)
-    return Fraction(*map(int, ratio())) if ratio is not None else Fraction(x)
+    return tuple(map(int, ratio())) if ratio is not None else Fraction(x).as_integer_ratio()
 
 
 class DiagonalResummer:
@@ -503,9 +502,17 @@ class DiagonalResummer:
         return got
 
     def _walk(
-        self, x: Fraction, max_order: int, tol: float, bits: int, trace: list | None = None
+        self,
+        x: tuple[int, int],
+        max_order: int,
+        tol: tuple[int, int],
+        bits: int,
+        trace: list | None = None,
     ) -> ResummationResult:
         """The ladder from the C-fraction, up to the first order without a value.
+
+        The point x and tol arrive as exact integer ratios (numerator,
+        denominator), which resum forms once per call (_exact).
 
         The forward (Wallis) recurrence A_i = A_{i-1} - t_i A_{i-2}, t_i =
         a_i x, and the same for B, from A_{-1} = A_0 = q, B_{-1} = 0 and
@@ -570,14 +577,14 @@ class DiagonalResummer:
         ladder = self._cfraction(bits)
         value_run, weight, base, slope = ladder.value, ladder.weight, ladder.base, ladder.slope
         fv = ladder.scale
-        vx = _round_div(x.numerator << fv, x.denominator)
+        x_num, x_den = x
+        vx = _round_div(x_num << fv, x_den)
         ax = _float(abs(vx), -fv)
         # t_i = a_i vx >> F; where x = xm 2**-xe exactly with xe <= F, vx is
         # xm 2**(F - xe) and a_i xm >> xe is the same floor from a shorter product
-        den = x.denominator
-        xe = den.bit_length() - 1
-        xm, xe = (x.numerator, xe) if den == 1 << xe and xe <= fv else (vx, fv)
-        tol_num, tol_den = Fraction(tol).as_integer_ratio()
+        xe = x_den.bit_length() - 1
+        xm, xe = (x_num, xe) if x_den == 1 << xe and xe <= fv else (vx, fv)
+        tol_num, tol_den = tol
         # a tol above 1 always takes the exact test
         ftol = tol_num / tol_den if tol_num <= tol_den else math.inf
         # A and B, current and previous, each pair an integer times 2**(its exponent)
@@ -659,7 +666,7 @@ class DiagonalResummer:
                 f"diagonal order {max_order} needs {2 * max_order + 1}"
                 f" coefficients, got {len(self._pairs)}"
             )
-        x = _exact(x)
+        num, den = point = _exact(x)
         if not 0 < tol < math.inf:
             raise ValueError(f"tol must be finite and > 0, got {tol}")
         need = 2 * max_order + 1
@@ -668,15 +675,15 @@ class DiagonalResummer:
         if degree is None:
             degree = max((j for j, (p, _) in enumerate(self._pairs[:need]) if p), default=-1)
             self._degrees[need] = degree
-        if not x or degree <= max_order:
+        if not num or degree <= max_order:
             # At x = 0 every order is c_0.  A terminating series has every
             # [N/N] with N >= degree equal to the polynomial itself.  Either
             # way sum the polynomial exactly and round it once.
-            total = Fraction(0)
+            x, total = Fraction(num, den), Fraction(0)
             for p, q in reversed(self._pairs[: degree + 1]):
                 total = total * x + Fraction(p, q)
             m, e = _rounded(total.numerator, 0, bits + 64, total.denominator)
-            order = max(1, degree) if x else 1
+            order = max(1, degree) if num else 1
             return ResummationResult(
                 value=_fraction(m, e),
                 converged=True,
@@ -684,7 +691,7 @@ class DiagonalResummer:
                 diagnostics=((order, _float(m, e)),),
             )
 
-        return self._walk(x, max_order, tol, bits)
+        return self._walk(point, max_order, _exact(tol), bits)
 
 
 def diagonal_resum(

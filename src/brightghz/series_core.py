@@ -15,12 +15,20 @@ in the variable u = -G**2:
     C_k = (iG)**k * sum_j c_j * u**j,    c_j = P[k, k + 2j] / (k + 2j)!
 
 All arithmetic in this module is exact (Python integers and fractions);
-floats never enter.  _series_pairs is the one place a series is formed:
-each c_j as the unreduced integer pair (P[k, k + 2j], (k + 2j)!), read
-from the P store and a factorial list grown alongside it.  c_series
-reduces those pairs to its public Fractions; the resummers hold them as
-they are, so the cold path pays no gcd.  Downstream modules resum the
-(generally divergent) series in u and attach the (iG)**k prefactor.
+floats never enter.  The weights live in one store per n, held for the
+life of the process: a list of rows, row l a list of the nonzero weights
+P[k, l] for k = l % 2, l % 2 + 2, ..., l, at index k // 2.  The
+recurrence reads only row l - 1, so growing the store reads only its last
+row, and a row costs one list pointer per weight where a (k, l)-keyed map
+would cost a tuple key and a table slot besides.  No other module knows
+this layout.
+
+_series_pairs is the one place a series is formed: each c_j as the
+unreduced integer pair (P[k, k + 2j], (k + 2j)!), read from the rows and
+a factorial list grown alongside them.  c_series reduces those pairs to
+its public Fractions; the resummers hold them as they are, so the cold
+path pays no gcd.  Downstream modules resum the (generally divergent)
+series in u and attach the (iG)**k prefactor.
 """
 
 from __future__ import annotations
@@ -59,25 +67,27 @@ def _count(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-# One growable store of P[k, l] per n, filled by the recurrence on demand,
-# and the factorials 0!, 1!, ... as far as any series has read.
-_STORE: dict[int, tuple[int, dict[tuple[int, int], int]]] = {}
+# The rows of P per n (see the module docstring), grown on demand, and the
+# factorials 0!, 1!, ... as far as any series has read.
+_STORE: dict[int, list[list[int]]] = {}
 _FACTORIALS = [1]
 
 
-def _ensure_store(n: int, l_max: int) -> dict[tuple[int, int], int]:
-    built, entries = _STORE.get(n, (-1, {}))
-    if built < 0:
-        entries[(0, 0)] = 1
-        built = 0
-    for l in range(built + 1, l_max + 1):
-        for k in range(l % 2, l + 1, 2):
-            v = entries.get((k - 1, l - 1), 0) + (k + 1) ** n * entries.get(
-                (k + 1, l - 1), 0
-            )
-            entries[(k, l)] = v
-    _STORE[n] = (max(built, l_max), entries)
-    return entries
+def _ensure_store(n: int, l_max: int) -> list[list[int]]:
+    """The rows of P for n, grown through row l_max; row l holds P[k, l] at k // 2.
+
+    Each new row is formed from the last one alone: P[k, l] = P[k-1, l-1] +
+    (k+1)**n P[k+1, l-1], the neighbours at the same index and one up for
+    odd l, one down and the same index for even l, with a 0 past either end.
+    """
+    rows = _STORE.setdefault(n, [[1]])
+    while len(rows) <= l_max:
+        l, prev = len(rows), rows[-1]
+        odd = l % 2
+        lower = prev if odd else [0, *prev]
+        upper = [*prev[odd:], 0]
+        rows.append([a + (k + 1) ** n * b for k, a, b in zip(range(odd, l + 1, 2), lower, upper)])
+    return rows
 
 
 def _series_pairs(k: int, n: int, L: int) -> tuple[tuple[int, int], ...]:
@@ -87,10 +97,10 @@ def _series_pairs(k: int, n: int, L: int) -> tuple[tuple[int, int], ...]:
     already be valid counts (c_series checks them).
     """
     l_max = k + 2 * (L - 1)
-    store = _ensure_store(n, l_max)
+    rows, i = _ensure_store(n, l_max), k // 2
     while len(_FACTORIALS) <= l_max:
         _FACTORIALS.append(_FACTORIALS[-1] * len(_FACTORIALS))
-    return tuple((store[k, l], _FACTORIALS[l]) for l in range(k, l_max + 1, 2))
+    return tuple((rows[l][i], _FACTORIALS[l]) for l in range(k, l_max + 1, 2))
 
 
 def c_series(k: int, n: int, L: int) -> FormalSeries:

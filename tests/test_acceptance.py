@@ -103,19 +103,18 @@ def test_criterion_2_closed_form_oracles():
 def test_criterion_3_recurrence_equals_explicit():
     ok = True
     for n in (1, 2, 3, 4):
-        store = _ensure_store(n, 12)
+        rows = _ensure_store(n, 12)
         for l in range(13):
-            for k in range(l + 1):
-                expected = p_explicit(k, n, l) if (l - k) % 2 == 0 else 0
-                if (l - k) % 2 == 1 and store.get((k, l), 0) != 0:
-                    ok = False
-                if store.get((k, l), 0) != expected:
-                    ok = False
+            # row l holds P[k, l] at k // 2 for k = l % 2, l % 2 + 2, ..., l
+            # only; a parity-violating P[k, l] is zero and has no slot
+            expected = [p_explicit(k, n, l) for k in range(l % 2, l + 1, 2)]
+            if rows[l] != expected:
+                ok = False
     _verdict(
         3,
         "weight recurrence equals explicit sum for k <= l <= 12, n <= 4",
         ok,
-        "parity entries exactly zero",
+        "parity entries exactly zero, held in no slot",
     )
 
 

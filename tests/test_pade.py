@@ -5,6 +5,7 @@ import math
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -365,9 +366,9 @@ def test_error_bound_covers_the_walks_rounding(n, k, gamma, order, bits):
     coeffs = c_series(k, n, 2 * order + 1).coeffs
     resummer = DiagonalResummer(coeffs)
     x = -(Fraction(gamma) ** 2)
-    trace = []
+    tol, trace = DEFAULT_POLICY.tol.as_integer_ratio(), []
     try:
-        resummer._walk(x, order, DEFAULT_POLICY.tol, bits, trace)
+        resummer._walk(x.as_integer_ratio(), order, tol, bits, trace)
     except PoleProximityError:
         pass
     ladder = resummer._cfraction(bits)
@@ -817,6 +818,28 @@ def test_numpy_point_walks_as_its_python_value(x):
     assert diagonal_resum(EULER, abs(x), max_order=12) == diagonal_resum(
         EULER, abs(exact), max_order=12
     )
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [
+        np.float32(1e-6),
+        np.float32(1e-15),
+        np.float16(1e-3),
+        np.float64(1e-6),
+        Fraction(1e-6),
+        Decimal(1e-6),
+        Decimal(1e-15),
+    ],
+    ids=lambda tol: f"{type(tol).__name__}({float(tol):.0e})",
+)
+def test_tol_of_any_real_type_walks_as_its_float(tol):
+    # Fraction(tol), once formed on every walk, rejected NumPy floats but
+    # float64; 1e-15 is below the float test's range, so _within decides
+    twin = float(tol)
+    for series, x in ((EXP, -0.5), (EULER, 0.2)):
+        got = diagonal_resum(series, x, max_order=12, tol=tol)
+        assert got == diagonal_resum(series, x, max_order=12, tol=twin)
 
 
 def test_mpmath_point_is_rejected():

@@ -1,56 +1,122 @@
 """Exactness tests for the integer recurrence and series assembly."""
 
 import re
+import sys
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from brightghz.series_core import FormalSeries, _ensure_store, c_series
+from brightghz import series_core
+from brightghz.series_core import FormalSeries, _ensure_store, _series_pairs, c_series
 from references import p_explicit
 
 
-# The tests read the weight store itself, P[k, l] at key (k, l); a key
-# outside the nonzero pattern is absent, which reads as 0.
+# The tests read the weight store itself: the rows of P for one n, row l
+# holding P[k, l] for k = l % 2, l % 2 + 2, ..., l at index k // 2.  Every
+# other P[k, l] is 0 and has no slot.
 def test_base_cases():
-    store = _ensure_store(3, 8)
-    assert store[0, 0] == 1
+    rows = _ensure_store(3, 8)
+    assert rows[0] == [1]
     for k in range(9):
-        assert store[k, k] == 1
+        assert rows[k][k // 2] == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_recurrence_matches_nested_sum_form(n):
-    store = _ensure_store(n, 12)
+    rows = _ensure_store(n, 12)
     for l in range(13):
         for k in range(l % 2, l + 1, 2):
-            assert store[k, l] == p_explicit(k, n, l), (k, n, l)
+            assert rows[l][k // 2] == p_explicit(k, n, l), (k, n, l)
 
 
 def test_structural_zeros():
-    store = _ensure_store(2, 10)
-    # parity-violating and out-of-range pairs are never stored
-    for kl in ((0, 1), (1, 4), (5, 3), (3, 6)):
-        assert kl not in store
-    for (k, l), v in store.items():
-        assert 0 <= k <= l and (l - k) % 2 == 0
-        assert v > 0
+    rows = _ensure_store(2, 10)
+    # parity-violating and out-of-range pairs have no slot: row l holds the
+    # l // 2 + 1 weights with k <= l and l - k even, each one positive
+    for l, row in enumerate(rows):
+        assert len(row) == l // 2 + 1
+        assert all(v > 0 for v in row)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_small_values_match_hand_expansion(n):
     # (A + Adag)^l on vacuum, expanded by hand through l = 4 using
     # A (Adag)^p |0> = p**n (Adag)^(p-1) |0>
-    store = _ensure_store(n, 4)
-    assert store[1, 1] == 1
-    assert store[0, 2] == 1
-    assert store[2, 2] == 1
-    assert store[1, 3] == 1 + 2**n
-    assert store[3, 3] == 1
-    assert store[0, 4] == 1 + 2**n
-    assert store[2, 4] == 1 + 2**n + 3**n
-    assert store[4, 4] == 1
+    rows = _ensure_store(n, 4)
+    assert rows[1] == [1]
+    assert rows[2] == [1, 1]
+    assert rows[3] == [1 + 2**n, 1]
+    assert rows[4] == [1 + 2**n, 1 + 2**n + 3**n, 1]
+
+
+EXPLICIT_ROWS = {
+    n: [[p_explicit(k, n, l) for k in range(l % 2, l + 1, 2)] for l in range(15)]
+    for n in (1, 2, 3, 4)
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(st.integers(1, 4), st.integers(0, 60)),
+            st.tuples(st.integers(0, 30), st.integers(1, 4), st.integers(1, 16)),
+        ),
+        min_size=1,
+        max_size=10,
+    )
+)
+def test_store_growth_order_is_invisible(calls):
+    # from an empty store, growth in any steps (_ensure_store, or a series
+    # reading past the last row) leaves the rows one call would build, and
+    # every series equal to one read from those rows
+    saved = dict(series_core._STORE)
+    series_core._STORE.clear()
+    try:
+        got = []
+        for call in calls:
+            if len(call) == 2:
+                _ensure_store(*call)
+            else:
+                k, n, L = call
+                got.append((call, _series_pairs(k, n, L)))
+        grown = {n: [list(row) for row in rows] for n, rows in series_core._STORE.items()}
+        series_core._STORE.clear()
+        for n, rows in grown.items():
+            assert _ensure_store(n, len(rows) - 1) == rows
+            assert rows[:15] == EXPLICIT_ROWS[n][: len(rows)]
+        for (k, n, L), pairs in got:
+            assert pairs == _series_pairs(k, n, L)
+            rows = series_core._STORE[n]
+            assert pairs == tuple((rows[l][k // 2], factorial(l)) for l in range(k, k + 2 * L, 2))
+    finally:
+        series_core._STORE.clear()
+        series_core._STORE.update(saved)
+
+
+def test_store_holds_little_beyond_its_integers():
+    # the rows of n = 3 to l = 220, the depth the cutoff cap reads, trace at
+    # most a quarter more than their integers; (k, l)-keyed entries traced 1.89x
+    saved = series_core._STORE.pop(3, None)
+    try:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rows = _ensure_store(3, 220)
+            traced = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        held = sum(sys.getsizeof(v) for row in rows for v in row)
+        assert traced <= 1.25 * held, traced / held
+    finally:
+        series_core._STORE.pop(3, None)
+        if saved is not None:
+            series_core._STORE[3] = saved
 
 
 def test_explicit_form_examples():
@@ -65,10 +131,10 @@ def test_explicit_form_examples():
 @pytest.mark.parametrize("n", [1, 3])
 def test_monotone_growth(n):
     # equality only in the lowest cell: P[0, 0] = P[0, 2] = 1
-    store = _ensure_store(n, 14)
+    rows = _ensure_store(n, 14)
     for l in range(13):
         for k in range(l % 2, l + 1, 2):
-            later, earlier = store[k, l + 2], store[k, l]
+            later, earlier = rows[l + 2][k // 2], rows[l][k // 2]
             assert earlier >= 1
             if (k, l) == (0, 0):
                 assert later == earlier
@@ -140,10 +206,10 @@ def test_c_series_frozen_values():
 
 def test_c_series_matches_table():
     n, k, L = 3, 4, 6
-    store = _ensure_store(n, k + 2 * (L - 1))
+    rows = _ensure_store(n, k + 2 * (L - 1))
     series = c_series(k, n, L)
     for j, cf in enumerate(series.coeffs):
-        assert cf == Fraction(store[k, k + 2 * j], factorial(k + 2 * j))
+        assert cf == Fraction(rows[k + 2 * j][k // 2], factorial(k + 2 * j))
 
 
 def test_c_series_validation():

@@ -133,6 +133,23 @@ def test_policy_accepts_integer_counts():
     assert build_bghz(0.3, NumericPolicy(cutoff=0)).cutoff == 0
 
 
+def test_numpy_float_tol_builds_its_float_twin(monkeypatch):
+    # a NumPy float tol passed the policy's checks, then every walk raised
+    builds = []
+    for tol in (np.float32(1e-10), float(np.float32(1e-10))):
+        weights = functools.lru_cache(32)(state_module._retained_weights.__wrapped__)
+        monkeypatch.setattr(state_module, "_retained_weights", weights)
+        monkeypatch.setattr(
+            state_module, "_bright_state", functools.cache(state_module._bright_state.__wrapped__)
+        )
+        builds.append(build_bghz(0.3, NumericPolicy(tol=tol)))
+    narrow, twin = builds
+    assert narrow.cutoff == twin.cutoff
+    assert narrow.amps == twin.amps
+    assert np.array_equal(narrow._box, twin._box)
+    assert narrow.norm_residual == twin.norm_residual
+
+
 def test_coefficient_validation():
     with pytest.raises(ValueError):
         resummed_coefficient(0, 0, 0.5)
