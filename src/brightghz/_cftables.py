@@ -5,13 +5,10 @@
 rewrites src/brightghz/cfractions.bin from the code: the complete value
 qd runs of the three-beam series of every tuple number the auto cutoff can
 reach (0..CUTOFF_CAP) at the default policy's length and precision, each
-checked against its check run.  The file is one block read whole: a
-little-endian uint32 table count; per table a 20-byte entry (its name in
-16 ASCII bytes, its coefficient count and the byte width of each
-coefficient, both uint16); then each table's integers a_i 2**F in that
-width, little-endian two's complement.  A reader slices the block and
-decodes only the coefficients a walk reads, with no per-line parse and no
-decompression.  Each series is taken as the unreduced pairs (P[k, k + 2j],
+checked against its check run.  The file holds the marshal (version 2)
+bytes of one dict, from each table's name to the tuple of its integers
+a_i 2**F; a reader loads it whole with marshal.loads, with no parse of
+its own.  Each series is taken as the unreduced pairs (P[k, k + 2j],
 (k + 2j)!) that series_core forms and state's resummers hold, so every
 table is named by the key those resummers look up, a checksum of
 everything that fixes its numbers (see pade._plan): a table is read only

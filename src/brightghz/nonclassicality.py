@@ -60,6 +60,7 @@ from brightghz.state import (
     DEFAULT_POLICY,
     BGHZState,
     NumericPolicy,
+    _real,
     build_bghz,
 )
 from brightghz.stokes import _mermin_form, _shell_terms, stokes_expectation
@@ -284,12 +285,14 @@ _LOSS_TABLES: dict = {}
 def _thinning(eta: float, k):
     """(alpha_k, beta_k) = (1 - (1 - eta)^k, (1 - eta)^k) on shells k.
 
-    beta_k is the chance that all k photons are lost.  eta outside [0, 1],
-    NaN included, raises ValueError.
+    beta_k is the chance that all k photons are lost.  eta may be a real of
+    any type, converted once (_real), so every efficiency thins as its
+    float.  eta outside [0, 1], NaN included, raises ValueError.
     """
-    if not 0.0 <= eta <= 1.0:
+    value = _real(eta)
+    if not 0.0 <= value <= 1.0:
         raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
-    beta = (1.0 - eta) ** k
+    beta = (1.0 - value) ** k
     return 1.0 - beta, beta
 
 

@@ -39,12 +39,12 @@ by _rounded, the one rounding rule that state applies too.
 The coefficients depend only on the series and the precision, never on
 the point, so the three-beam tables at the default policy (tuple numbers
 0..CUTOFF_CAP, 81 terms, 256 bits: every table a default Bell scan walks)
-ship with the package as cfractions.bin: an index of names, counts and
-byte widths, then every table's value-run integers a_i 2**F in fixed-width
-two's complement.  The first lookup reads the file whole, once per
-process; a table's coefficients are decoded one at a time as walks read
-them, through the same ladder runs that qd feeds, so a walk that settles
-at [N/N] decodes a_1..a_2N and no more.  A table is named by a 64-bit
+ship with the package as cfractions.bin: the marshal (version 2) bytes
+of a dict from each table's name to its value-run integers a_i 2**F.  The
+first lookup reads and loads the file whole, once per process; walks then
+read a table's coefficients one at a time through the same ladder runs
+that qd feeds, so a walk that settles at [N/N] reads a_1..a_2N.  A damaged
+file fails the load with marshal's own error.  A table is named by a 64-bit
 checksum of the marshal bytes of everything that determines it: the
 coefficients as the exact integer pairs (p_j, q_j) the resummer holds (for
 state's resummers, series_core's unreduced (P[k, k + 2j], (k + 2j)!), so
@@ -71,7 +71,6 @@ import functools
 import marshal
 import math
 import numbers
-import struct
 import zlib
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -221,10 +220,10 @@ class _Ladder:
     value holds a_1, a_2, ... as far as walks have read them, as a_i 2**F
     (F the value scale); weight holds each |a_i| as a float, and base and
     slope the running sums of the walk's error terms (see _walk).  runs
-    yields each further coefficient with its error: decoded from the
-    shipped table as read, or from the value and check qd runs advanced in
-    lockstep.  It is None once the table is complete (size coefficients,
-    or up to its end or either run's breakdown).
+    yields each further coefficient with its error: from the shipped table,
+    or from the value and check qd runs advanced in lockstep.  It is None
+    once the table is complete (size coefficients, or up to its end or
+    either run's breakdown).
     """
 
     size: int
@@ -300,44 +299,27 @@ def _measured(runs: Iterator[tuple[int, int]]) -> Iterator[tuple[int, float]]:
 # a shipped coefficient's error: one check-scale unit, as _measured gives it
 _SHIPPED_ERROR = 2.0**_GUARD_BITS
 
-# The shipped tables, one file read whole: a little-endian uint32 table
-# count, then one entry per table (its name in 16 ASCII bytes, its
-# coefficient count and the byte width of each coefficient, both uint16),
-# then each table's value-run integers a_i 2**F in order, each in that many
-# bytes of little-endian two's complement.  Only tables whose check run is
-# the value run coarsened ship, so each shipped coefficient is read with
-# one check-scale unit of error, as computing it gives.
+# The shipped tables: the marshal (version 2) bytes of a dict from each
+# table's name to the tuple of its value-run integers a_i 2**F, read whole.
+# Only tables whose check run is the value run coarsened ship, so each
+# shipped coefficient is read with one check-scale unit of error, as
+# computing it gives.
 _TABLES = Path(__file__).with_name("cfractions.bin")
-_ENTRY = struct.Struct("<16sHH")
-_COUNT = struct.Struct("<I")
 
 
 @functools.cache
-def _stored_archive() -> dict[str, tuple[memoryview, int]]:
-    """Each shipped table's bytes and coefficient width, by name, from one read of the file."""
+def _stored_archive() -> dict[str, tuple[int, ...]]:
+    """Each shipped table's value run, by name, from one read of the file."""
     try:
-        data = memoryview(_TABLES.read_bytes())
+        return marshal.loads(_TABLES.read_bytes())
     except FileNotFoundError:
         return {}
-    (count,) = _COUNT.unpack_from(data)
-    start = _COUNT.size + count * _ENTRY.size
-    tables = {}
-    for name, size, width in _ENTRY.iter_unpack(data[_COUNT.size : start]):
-        tables[name.decode("ascii")] = (data[start : start + size * width], width)
-        start += size * width
-    return tables
 
 
 def _stored_table(name: str) -> Iterator[int] | None:
-    """The shipped value run named name, each coefficient decoded as it is read, or None."""
-    entry = _stored_archive().get(name)
-    if entry is None:
-        return None
-    body, width = entry
-    return (
-        int.from_bytes(body[i : i + width], "little", signed=True)
-        for i in range(0, len(body), width)
-    )
+    """The shipped value run named name, as an iterator, or None."""
+    table = _stored_archive().get(name)
+    return None if table is None else iter(table)
 
 
 def _table_archive(series: Iterable[Sequence[tuple[int, int]]], bits: int) -> bytes:
@@ -346,17 +328,15 @@ def _table_archive(series: Iterable[Sequence[tuple[int, int]]], bits: int) -> by
     A table whose check run is not its value run coarsened cannot be
     stored as its value run alone and raises ValueError.
     """
-    entries, bodies = [], []
+    tables = {}
     for held in series:
         held = tuple(held)
         name, qd_value, qd_check = _plan(held, bits)
         pairs = list(_qd_runs(held, bits, qd_value, qd_check))
         if any(c != _round_div(a, 1 << _GUARD_BITS) for a, c in pairs):
             raise ValueError(f"table {name}: the check run is not the value run coarsened")
-        width = max((a.bit_length() for a, _ in pairs), default=0) // 8 + 1
-        entries.append(_ENTRY.pack(name.encode("ascii"), len(pairs), width))
-        bodies.append(b"".join(a.to_bytes(width, "little", signed=True) for a, _ in pairs))
-    return _COUNT.pack(len(entries)) + b"".join(entries) + b"".join(bodies)
+        tables[name] = tuple(a for a, _ in pairs)
+    return marshal.dumps(tables, 2)
 
 
 def _renormalized(cur: int, prev: int, exponent: int, scale: int) -> tuple[int, int, int]:
@@ -453,13 +433,13 @@ class DiagonalResummer:
     are found at most once each, and only as far as the walks read: a
     coefficient first read by a later walk resumes both qd runs from their
     last anti-diagonal, so every coefficient is the one a complete table
-    would hold.  A shipped table is decoded instead, as far as the walks
-    read it too.  Once per series and length it finds whether the
-    truncated series terminates.  Each point then costs one walk.
+    would hold.  A shipped table is read instead, as far as the walks read.
+    Once per series and length it finds whether the truncated series
+    terminates.  Each point then costs one walk.
 
     The series is held only as exact integer pairs (p_j, q_j), q_j > 0,
     with c_j = p_j / q_j, not necessarily in lowest terms: the constructor
-    takes rationals and keeps their numerators and denominators, and
+    takes reals of any type and keeps their exact ratios (_exact), and
     _from_pairs keeps the pairs series_core forms, unreduced.  Only c_0 is
     reduced, once, for the walk's start; qd reads each pair's correctly
     rounded quotient, so any pairs of the same rationals give the same
@@ -468,9 +448,7 @@ class DiagonalResummer:
     """
 
     def __init__(self, series: Sequence):
-        # int() turns a NumPy integer, which Fraction keeps, into a Python int
-        ratios = (Fraction(c).as_integer_ratio() for c in series)
-        self._hold(tuple((int(p), int(q)) for p, q in ratios))
+        self._hold(tuple(_exact(c) for c in series))
 
     @classmethod
     def _from_pairs(cls, pairs: Sequence[tuple[int, int]]) -> DiagonalResummer:
@@ -667,7 +645,7 @@ class DiagonalResummer:
                 f" coefficients, got {len(self._pairs)}"
             )
         num, den = point = _exact(x)
-        if not 0 < tol < math.inf:
+        if not 0 < float(tol) < math.inf:
             raise ValueError(f"tol must be finite and > 0, got {tol}")
         need = 2 * max_order + 1
 

@@ -39,6 +39,7 @@ import numbers
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from math import factorial, fsum, inf
@@ -75,13 +76,21 @@ SOFT_AGREEMENT = 1e-3
 GAMMA_GUARD = 0.9
 
 
+def _real(value) -> float:
+    """value as a float if it is a real of any type, else NaN, which every range check rejects.
+
+    NumPy scalars, Fractions and Decimals count as reals.
+    """
+    return float(value) if isinstance(value, (numbers.Real, Decimal)) else math.nan
+
+
 def _gain(value) -> float:
     """value as a float; ValueError unless it is a finite real >= 0.
 
-    Any real type is accepted, NumPy scalars and Fractions included, and
-    converted once, so every gain walks the point of its float.
+    Any real type is accepted and converted once (_real), so every gain
+    walks the point of its float.
     """
-    gamma = float(value) if isinstance(value, numbers.Real) else math.nan
+    gamma = _real(value)
     if not 0 <= gamma < inf:
         raise ValueError(f"gain must be finite and >= 0, got {value}")
     return gamma
@@ -118,7 +127,7 @@ class NumericPolicy:
                 object.__setattr__(self, name, _count(name, value))
         if self.pade_order < 2:
             raise ValueError(f"pade_order must be >= 2, got {self.pade_order}")
-        if not 0 < self.tol < SOFT_AGREEMENT:
+        if not 0 < _real(self.tol) < SOFT_AGREEMENT:
             raise ValueError(
                 f"tol must be > 0 and below the soft level {SOFT_AGREEMENT}, got {self.tol}"
             )

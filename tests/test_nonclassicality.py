@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -131,6 +132,33 @@ def test_lossy_mermin_rejects_efficiency_outside_unit_interval(eta):
         lossy_mermin_lhs(0.5, eta, state=state)
     with pytest.raises(ValueError, match="efficiency"):
         per_party_loss_factor(1, 0, eta)
+
+
+@pytest.mark.parametrize(
+    "eta", [Decimal("NaN"), np.float32("nan")], ids=lambda eta: type(eta).__name__
+)
+def test_nan_efficiency_of_any_type_is_rejected(eta):
+    # a Decimal NaN raised decimal.InvalidOperation from the range check
+    state = build_bghz(0.5)
+    with pytest.raises(ValueError, match="efficiency"):
+        lossy_mermin_lhs(0.5, eta, state=state)
+    with pytest.raises(ValueError, match="efficiency"):
+        per_party_loss_factor(1, 0, eta)
+
+
+@pytest.mark.parametrize(
+    "eta",
+    [Decimal("0.5"), Fraction(1, 3), np.float16(0.7), np.float32(0.5), np.float32(0.9)],
+    ids=lambda eta: f"{type(eta).__name__}({float(eta):.3g})",
+)
+def test_efficiency_of_any_real_type_thins_as_its_float(eta):
+    # a Decimal raised TypeError, and a float32 computed in float32
+    state, twin = build_bghz(0.5), float(eta)
+    for ka, kb in ((1, 2), (0, 3), (4, 0)):
+        got = per_party_loss_factor(ka, kb, eta)
+        assert type(got) is float and got == per_party_loss_factor(ka, kb, twin)
+    got = lossy_mermin_lhs(0.5, eta, state=state)
+    assert type(got) is float and got == lossy_mermin_lhs(0.5, twin, state=state)
 
 
 @pytest.mark.parametrize("gamma", [0.1, 0.3, 0.5, 0.7, 0.8])

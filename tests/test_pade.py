@@ -626,22 +626,22 @@ def test_shipped_table_seeds_the_ladder(monkeypatch):
 
 
 @pytest.mark.parametrize("k, gamma", [(0, 0.05), (4, 0.3), (20, 0.6), (40, 0.2)])
-def test_walk_decodes_only_the_shipped_coefficients_it_reads(k, gamma, monkeypatch):
+def test_walk_reads_only_the_shipped_coefficients_it_uses(k, gamma, monkeypatch):
     # a walk that settles at order N reads a_1..a_2N, and no more of the
-    # shipped table is decoded; nor is any of it before the first walk
-    decoded, stored = [], pade._stored_table
+    # shipped table; nor any of it before the first walk
+    read, stored = [], pade._stored_table
 
     def counted(name):
         table = stored(name)
-        return None if table is None else (decoded.append(a) or a for a in table)
+        return None if table is None else (read.append(a) or a for a in table)
 
     monkeypatch.setattr(pade, "_stored_table", counted)
     resummer = state._resummer.__wrapped__(3, k, 2 * DEFAULT_POLICY.pade_order + 1)
     ladder = resummer._cfraction(DEFAULT_POLICY.bits)
-    assert decoded == [] and ladder.runs is not None
+    assert read == [] and ladder.runs is not None
     got = resummer.resum(-(Fraction(gamma) ** 2), max_order=DEFAULT_POLICY.pade_order)
     assert got.order_used < DEFAULT_POLICY.pade_order
-    assert len(decoded) == len(ladder.value) <= 2 * got.order_used
+    assert len(read) == len(ladder.value) <= 2 * got.order_used
 
 
 def _no_qd(*args):
@@ -651,8 +651,8 @@ def _no_qd(*args):
 
 def test_cold_cap_build_reads_the_archive_directory_once(monkeypatch):
     # a cold build at the cutoff cap looks up 61 shipped tables, all from
-    # one read of the archive file and its index; every lookup finds its
-    # table, so no qd run starts
+    # one read and load of the archive file; every lookup finds its table,
+    # so no qd run starts
     parses = []
     read_bytes = Path.read_bytes
 
@@ -681,6 +681,27 @@ def test_cold_cap_build_reads_the_archive_directory_once(monkeypatch):
     assert len(parses) == 1
     assert len(names) == len(set(names)) == CUTOFF_CAP + 1
     assert all(table is not None for table in tables)
+
+
+@pytest.mark.parametrize("cut", [0.9, 0.5, None], ids=["90%", "50%", "one byte"])
+def test_damaged_archive_fails_loudly(cut, tmp_path, monkeypatch):
+    # a cut file raises marshal's own error at the first lookup; read as
+    # shortened tables it would end walks early and, at the cutoff cap, stop
+    # the auto cutoff short of CUTOFF_CAP without a word
+    data = pade._TABLES.read_bytes()
+    damaged = tmp_path / "cfractions.bin"
+    damaged.write_bytes(data[: len(data) - 1 if cut is None else int(len(data) * cut)])
+    monkeypatch.setattr(pade, "_TABLES", damaged)
+    weights = functools.lru_cache(32)(state._retained_weights.__wrapped__)
+    monkeypatch.setattr(state, "_retained_weights", weights)
+    monkeypatch.setattr(state, "_resummer", functools.cache(state._resummer.__wrapped__))
+    monkeypatch.setattr(state, "_bright_state", functools.cache(state._bright_state.__wrapped__))
+    pade._stored_archive.cache_clear()
+    try:
+        with pytest.raises((EOFError, ValueError)):
+            state.build_bghz(0.352)
+    finally:
+        pade._stored_archive.cache_clear()
 
 
 def test_walk_does_no_decimal_arithmetic(monkeypatch):
@@ -774,6 +795,19 @@ def test_tol_must_be_finite_and_positive(tol):
         diagonal_resum(EULER, 0.2, max_order=12, tol=tol)
 
 
+@pytest.mark.parametrize(
+    "tol",
+    [Decimal("NaN"), np.float32("nan"), np.float16("nan")],
+    ids=lambda tol: type(tol).__name__,
+)
+def test_nan_tol_of_any_type_is_rejected(tol):
+    # a Decimal NaN raised decimal.InvalidOperation from the range check
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        diagonal_resum(EULER, 0.2, max_order=12, tol=tol)
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        NumericPolicy(tol=tol)
+
+
 def test_max_order_must_be_positive():
     with pytest.raises(ValueError, match="max_order must be >= 1, got 0"):
         DiagonalResummer([1] * 9).resum(0.5, max_order=0)
@@ -840,6 +874,22 @@ def test_tol_of_any_real_type_walks_as_its_float(tol):
     for series, x in ((EXP, -0.5), (EULER, 0.2)):
         got = diagonal_resum(series, x, max_order=12, tol=tol)
         assert got == diagonal_resum(series, x, max_order=12, tol=twin)
+
+
+@pytest.mark.parametrize(
+    "kind", [np.float16, np.float32, np.float64, Decimal, np.int64], ids=lambda kind: kind.__name__
+)
+def test_series_of_any_real_type_resums_as_its_exact_twin(kind):
+    # Fraction(c) rejected NumPy float32 and float16 coefficients; order 4
+    # walks the ladder, order 12 sums the terminating float16 series
+    base, x, orders = (EULER[:17], 0.2, (8,)) if kind is np.int64 else (EXP, -0.5, (4, 12))
+    series = [kind(c.numerator) if c.denominator == 1 else kind(float(c)) for c in base]
+    twin = [
+        Fraction(int(c)) if kind is np.int64 else Fraction(*c.as_integer_ratio()) for c in series
+    ]
+    for order in orders:
+        got = DiagonalResummer(series).resum(x, max_order=order)
+        assert got == DiagonalResummer(twin).resum(x, max_order=order)
 
 
 def test_mpmath_point_is_rejected():

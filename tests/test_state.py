@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -61,7 +62,7 @@ def test_spec_validation():
     assert not BrightStateSpec(n=2, gamma=1.5).validity_warning
 
 
-@pytest.mark.parametrize("gamma", [-0.1, float("nan"), float("inf")])
+@pytest.mark.parametrize("gamma", [-0.1, float("nan"), float("inf"), Decimal("NaN")])
 def test_gain_must_be_finite_and_non_negative(gamma):
     with pytest.raises(ValueError, match="finite and >= 0"):
         BrightStateSpec(n=3, gamma=gamma)
@@ -73,7 +74,8 @@ def test_gain_must_be_finite_and_non_negative(gamma):
 
 @pytest.mark.filterwarnings("ignore:gain 1.0 is at or past")
 @pytest.mark.parametrize(
-    "gamma", [np.float32(0.3), np.float64(0.3), 0.3, 0, 1, Fraction(1, 3), np.float32(0.77)]
+    "gamma",
+    [np.float32(0.3), np.float64(0.3), 0.3, 0, 1, Fraction(1, 3), np.float32(0.77), Decimal("0.3")],
 )
 def test_gain_of_any_real_type_is_its_float(gamma):
     # a gain is converted to float once, so every real type gives the
