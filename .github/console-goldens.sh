@@ -31,6 +31,8 @@ exact pk_curve_n3 --cmd pk_curve --n 3 --steps 2
 exact pk_curve_n3_order60 --cmd pk_curve --n 3 --steps 2 --pade-order 60 --bits 320
 exact pk_curve_n1 --cmd pk_curve --n 1 --steps 3
 exact pk_curve_n2 --cmd pk_curve --n 2 --steps 3
+exact pk_curve_n1_dense --cmd pk_curve --n 1 --gamma-min 0.01 --gamma-max 0.85 --steps 29
+exact pk_curve_n2_dense --cmd pk_curve --n 2 --gamma-min 0.01 --gamma-max 0.85 --steps 29
 stokes mermin_crossing --cmd mermin --gamma-min 0.7 --gamma-max 0.8 --steps 3
 stokes eta_window --cmd eta --gamma-min 0.45 --gamma-max 0.85 --steps 3 --eta-max 0.9
 stokes eta_cap --cmd eta --gamma-min 0.352 --steps 1

@@ -2,7 +2,9 @@
 
 Each case covers a row kind: table1 and pk_curve statistics (one, two and
 three beams, and three beams at a policy whose continued-fraction tables
-are computed at run time rather than shipped), a Mermin grid that brackets
+are computed at run time rather than shipped), dense one- and two-beam
+pk_curve grids whose gains cross those where the tail target sets the
+auto cutoff, a Mermin grid that brackets
 the crossing, eta rows that are violated, outside the efficiency window and
 not violated, one eta row at a gain whose auto cutoff reaches CUTOFF_CAP
 (the largest amplitude box), both projected witnesses, the unprojected w2
@@ -38,6 +40,18 @@ CASES = [
     ("table1", ["--cmd", "table1"], 0),
     ("pk_curve_n1", ["--cmd", "pk_curve", "--n", "1", "--steps", "3"], 0),
     ("pk_curve_n2", ["--cmd", "pk_curve", "--n", "2", "--steps", "3"], 0),
+    (
+        "pk_curve_n1_dense",
+        ["--cmd", "pk_curve", "--n", "1", "--gamma-min", "0.01", "--gamma-max", "0.85",
+         "--steps", "29"],
+        0,
+    ),
+    (
+        "pk_curve_n2_dense",
+        ["--cmd", "pk_curve", "--n", "2", "--gamma-min", "0.01", "--gamma-max", "0.85",
+         "--steps", "29"],
+        0,
+    ),
     ("pk_curve_n3", ["--cmd", "pk_curve", "--n", "3", "--steps", "2"], 0),
     (
         "pk_curve_n3_order60",
