@@ -19,6 +19,7 @@ nothing could be computed or a threshold search failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -317,8 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: parsing reads it and changes nothing in it.
+_parser = functools.cache(build_parser)
+
+
 def parse_config(argv=None) -> RunConfig:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.cmd == "table1":
         gamma_min = 0.8 if args.gamma_min is None else args.gamma_min
         gamma_max, steps = gamma_min, 1

@@ -146,7 +146,10 @@ def _rounded(m: int, e: int, bits: int, q: int = 1) -> tuple[int, int]:
         return 0, 0
     n = abs(m)
     shift = bits + 1 - n.bit_length() + q.bit_length()
-    top, rest = divmod(n << shift, q) if shift >= 0 else divmod(n, q << -shift)
+    if q == 1 and shift < 0:  # shifts, not a long division by a power of two
+        top, rest = n >> -shift, n & ~(-1 << -shift)
+    else:
+        top, rest = divmod(n << shift, q) if shift >= 0 else divmod(n, q << -shift)
     cut = top.bit_length() - bits
     half = 1 << (cut - 1)
     low = top & ((half << 1) - 1)
@@ -409,8 +412,9 @@ def _agrees(f: float, g: float, tol: float) -> bool | None:
     return None
 
 
-def _exact(x) -> tuple[int, int]:
-    """The real x exactly, as a ratio of Python ints in lowest terms; ValueError unless finite.
+def _exact(x, name: str = "x") -> tuple[int, int]:
+    """The real x exactly, as a ratio of Python ints in lowest terms; ValueError naming it
+    unless finite.
 
     Fraction(x) would keep a NumPy integer as its numerator, which then
     overflows in the fixed-point walk, and rejects every NumPy float but
@@ -420,7 +424,7 @@ def _exact(x) -> tuple[int, int]:
     if isinstance(x, numbers.Rational):
         return int(x.numerator), int(x.denominator)
     if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
+        raise ValueError(f"{name} must be finite, got {x}")
     ratio = getattr(x, "as_integer_ratio", None)
     return tuple(map(int, ratio())) if ratio is not None else Fraction(x).as_integer_ratio()
 
@@ -441,14 +445,14 @@ class DiagonalResummer:
     with c_j = p_j / q_j, not necessarily in lowest terms: the constructor
     takes reals of any type and keeps their exact ratios (_exact), and
     _from_pairs keeps the pairs series_core forms, unreduced.  Only c_0 is
-    reduced, once, for the walk's start; qd reads each pair's correctly
-    rounded quotient, so any pairs of the same rationals give the same
-    tables and the same results.  A shipped table is found only for the
-    pairs it was written from (see _plan).
+    reduced, once, to the integer pair the walk starts from; qd reads each
+    pair's correctly rounded quotient, so any pairs of the same rationals
+    give the same tables and the same results.  A shipped table is found
+    only for the pairs it was written from (see _plan).
     """
 
     def __init__(self, series: Sequence):
-        self._hold(tuple(_exact(c) for c in series))
+        self._hold(tuple(_exact(c, f"series coefficient c_{j}") for j, c in enumerate(series)))
 
     @classmethod
     def _from_pairs(cls, pairs: Sequence[tuple[int, int]]) -> DiagonalResummer:
@@ -460,7 +464,7 @@ class DiagonalResummer:
     def _hold(self, pairs: tuple[tuple[int, int], ...]) -> None:
         self._pairs = pairs
         # c_0 = p/q in lowest terms: the walk starts from A_0 = q 2**F, B_0 = p 2**F
-        self._c0 = Fraction(*pairs[0]) if pairs else Fraction(0)
+        self._c0 = Fraction(*pairs[0]).as_integer_ratio() if pairs else (0, 1)
         # working bits -> the C-fraction at that precision
         self._fractions: dict[int, _Ladder] = {}
         # coefficients used -> degree of their polynomial, -1 when all vanish
@@ -490,7 +494,7 @@ class DiagonalResummer:
         """The ladder from the C-fraction, up to the first order without a value.
 
         The point x and tol arrive as exact integer ratios (numerator,
-        denominator), which resum forms once per call (_exact).
+        denominator), which resum forms once per call.
 
         The forward (Wallis) recurrence A_i = A_{i-1} - t_i A_{i-2}, t_i =
         a_i x, and the same for B, from A_{-1} = A_0 = q, B_{-1} = 0 and
@@ -566,7 +570,7 @@ class DiagonalResummer:
         # a tol above 1 always takes the exact test
         ftol = tol_num / tol_den if tol_num <= tol_den else math.inf
         # A and B, current and previous, each pair an integer times 2**(its exponent)
-        c0_num, c0_den = self._c0.numerator, self._c0.denominator
+        c0_num, c0_den = self._c0
         va = va_prev = c0_den << fv
         vb, vb_prev = c0_num << fv, 0
         va_exp = vb_exp = -fv
@@ -578,10 +582,16 @@ class DiagonalResummer:
         # the last value as (B, A, B's exponent, A's exponent), and its float
         kept, kept_float = None, 0.0
         converged = False
-        # two recurrence steps, i - 1 and i, per diagonal order
+        # the coefficients read so far, the error bound's exponent limit and
+        # the top of the renormalization band
+        have, limit, top = len(value_run), -bits - 4, fv + 64
+        inf, frexp, ldexp = math.inf, math.frexp, math.ldexp
+        # two recurrence steps, i - 1 and i, for diagonal order i / 2
         for i in range(2, 2 * max_order + 1, 2):
-            if i > len(value_run) and not ladder.reaches(i):
-                break
+            if i > have:
+                if not ladder.reaches(i):
+                    break
+                have = len(value_run)
             t = value_run[i - 2] * xm >> xe
             va_prev, va = va, va - (t * va_prev >> fv)
             vb_prev, vb = vb, vb - (t * vb_prev >> fv)
@@ -598,18 +608,20 @@ class DiagonalResummer:
                 two, parts = Fraction(2), ((va, va_exp), (vb, vb_exp), (bound, va_exp + m_exp + 1))
                 trace.append([Fraction(v) * two**e for v, e in parts])
             # bound < 2**E; NaN and overflow fail
-            exps = max(va_exp - vb_exp + ratio_bits - b_bits, -a_bits) + m_exp
-            if not bound < math.inf or math.frexp(bound)[1] + exps > -bits - 4:
+            exps = va_exp - vb_exp + ratio_bits - b_bits
+            if exps < -a_bits:
+                exps = -a_bits
+            if not bound < inf or frexp(bound)[1] + exps + m_exp > limit:
                 break
             cur = (vb, va, vb_exp, va_exp)
             # |vb / va| lies in [2**(d - 1), 2**(d + 1)); the scaled quotient
             # rounds B/A correctly where both it and B/A are normal floats
-            d = b_bits - a_bits
-            if -1000 < d < 1000 and -1000 < d + vb_exp - va_exp < 1000:
-                f = math.ldexp(vb / va, vb_exp - va_exp)
+            d, e = b_bits - a_bits, vb_exp - va_exp
+            if -1000 < d < 1000 and -1000 < d + e < 1000:
+                f = ldexp(vb / va, e)
             else:
                 f = _float(*_quotient(*cur, fv))
-            diagnostics.append((len(diagnostics) + 1, f))
+            diagnostics.append((i >> 1, f))
             if kept is not None:
                 agree = _agrees(f, kept_float, ftol)
                 if agree is None:
@@ -618,12 +630,12 @@ class DiagonalResummer:
                     kept, converged = cur, True
                     break
             kept, kept_float = cur, f
-            if not fv <= a_bits <= fv + 64:
+            if not fv <= a_bits <= top:
                 shift = m_exp + va_exp
                 va, va_prev, va_exp = _renormalized(va, va_prev, va_exp, fv)
                 shift -= va_exp
-                m, m_prev, m_exp = math.ldexp(m, shift), math.ldexp(m_prev, shift), 0
-            if not fv <= b_bits <= fv + 64:
+                m, m_prev, m_exp = ldexp(m, shift), ldexp(m_prev, shift), 0
+            if not fv <= b_bits <= top:
                 vb, vb_prev, vb_exp = _renormalized(vb, vb_prev, vb_exp, fv)
         if kept is None:
             raise PoleProximityError("no diagonal order has a value at this point")
@@ -636,18 +648,23 @@ class DiagonalResummer:
     def resum(
         self, x, max_order: int = 40, tol: float = 1e-10, bits: int = 256
     ) -> ResummationResult:
-        max_order, bits = _count("max_order", max_order), _count("bits", bits)
+        # Python int counts, a Fraction point and a float tol, as state
+        # passes them, skip _count and _exact
+        if type(max_order) is not int or type(bits) is not int:
+            max_order, bits = _count("max_order", max_order), _count("bits", bits)
         if max_order < 1:
             raise ValueError(f"max_order must be >= 1, got {max_order}")
-        if len(self._pairs) < 2 * max_order + 1:
+        need = 2 * max_order + 1
+        if len(self._pairs) < need:
             raise ValueError(
-                f"diagonal order {max_order} needs {2 * max_order + 1}"
-                f" coefficients, got {len(self._pairs)}"
+                f"diagonal order {max_order} needs {need} coefficients, got {len(self._pairs)}"
             )
-        num, den = point = _exact(x)
+        num, den = point = (
+            (int(x.numerator), int(x.denominator)) if type(x) is Fraction else _exact(x)
+        )
         if not 0 < float(tol) < math.inf:
             raise ValueError(f"tol must be finite and > 0, got {tol}")
-        need = 2 * max_order + 1
+        ratio = tol.as_integer_ratio() if type(tol) is float else _exact(tol)
 
         degree = self._degrees.get(need)
         if degree is None:
@@ -669,7 +686,7 @@ class DiagonalResummer:
                 diagnostics=((order, _float(m, e)),),
             )
 
-        return self._walk(point, max_order, _exact(tol), bits)
+        return self._walk(point, max_order, ratio, bits)
 
 
 def diagonal_resum(

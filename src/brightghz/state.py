@@ -15,8 +15,11 @@ Statistics and states read one photon ladder, _retained_weights, where the
 cutoff is decided: each factor magnitude |u_q| of the state is the square
 root of a normalized three-beam weight, taken at working precision, then
 made a float.  Weights and statistics are exact dyadic (mantissa,
-exponent) integer pairs, each operation rounded half to even at its
-precision by pade._rounded.  The amplitude box is rank one,
+exponent) integer pairs, rounded half to even by pade._rounded: each
+weight once, as the exact product of its integer factors, at working
+precision, and each operation of the statistics at 53 bits.  Floats only
+screen the cutoff test: where they prove that the cutoff grows, no exact
+tail is formed.  The amplitude box is rank one,
 A[q, m] = u_q u_m, so one float outer product of those cutoff + 1 factor
 amplitudes fills it.
 
@@ -37,12 +40,12 @@ import itertools
 import math
 import numbers
 import warnings
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from math import factorial, fsum, inf
+from math import fsum, inf
 
 import numpy as np
 
@@ -374,8 +377,8 @@ def _resummer(n: int, k: int, L: int) -> DiagonalResummer:
     return DiagonalResummer._from_pairs(_series_pairs(k, n, L))
 
 
-def _series_value(n: int, k: int, gamma: float, policy: NumericPolicy) -> tuple[int, int]:
-    """Resummed value of sum_j c_j u^j at u = -gamma**2, as (mantissa, exponent).
+def _series_value(n: int, k: int, gamma: float, policy: NumericPolicy, u=None) -> tuple[int, int]:
+    """Resummed value of sum_j c_j u^j at u = -gamma**2 (unless given), as (mantissa, exponent).
 
     A value is usable when the ladder meets the strict policy tolerance,
     or failing that when the last two orders tried both have values that
@@ -386,7 +389,8 @@ def _series_value(n: int, k: int, gamma: float, policy: NumericPolicy) -> tuple[
     value (PoleProximityError) fails at order 0.
     """
     resummer = _resummer(n, k, 2 * policy.pade_order + 1)
-    u = -(Fraction(gamma) ** 2)
+    if u is None:
+        u = -(Fraction(gamma) ** 2)
     try:
         result = resummer.resum(u, max_order=policy.pade_order, tol=policy.tol, bits=policy.bits)
     except PoleProximityError as err:
@@ -465,20 +469,24 @@ def _sqrt(a: tuple[int, int], bits: int) -> tuple[int, int]:
     return _rounded(2 * root + (root * root != n), (e - shift) // 2 - 1, bits)
 
 
-def _weight(n: int, gamma: float, k: int, policy: NumericPolicy) -> tuple[tuple[int, int], int]:
-    """Unnormalized p-weight |C_k|^2 (k!)^n at policy.bits, as (mantissa, exponent),
-    and the sign, 1 or -1, of the series value s it walked (1 at gain 0).
+def _weights(n: int, gamma: float, policy: NumericPolicy) -> Iterator[tuple[tuple[int, int], int]]:
+    """Unnormalized p-weights |C_k|^2 (k!)^n at policy.bits, as (mantissa, exponent),
+    for k = 0, 1, ..., each with the sign, 1 or -1, of the series value s it
+    walked (1 at gain 0).
 
-    Taken as gamma^(2k) s s (k!)^n, left to right, every factor and
-    partial product rounded at policy.bits.
+    Each is the exact integer product gamma^(2k) (k!)^n s^2 rounded once at
+    policy.bits.  The point u = -gamma**2 and the product gamma^(2k) (k!)^n
+    are carried from one k to the next.
     """
     if gamma == 0:
-        return ((1, 0) if k == 0 else (0, 0)), 1
-    bits, (m, e) = policy.bits, _dyadic(gamma)
-    s = _series_value(n, k, gamma, policy)
-    w = _mul(_mul(_rounded(m ** (2 * k), 2 * k * e, bits), s, bits), s, bits)
-    f = _rounded(factorial(k), 0, bits)
-    return _mul(w, _rounded(f[0] ** n, f[1] * n, bits), bits), 1 if s[0] >= 0 else -1
+        yield (1, 0), 1
+        yield from itertools.repeat(((0, 0), 1))  # endless, and no walk
+    (m, e), u, scale = _dyadic(gamma), -(Fraction(gamma) ** 2), 1
+    for k in itertools.count():
+        if k:
+            scale *= m * m * k**n
+        sm, se = _series_value(n, k, gamma, policy, u)
+        yield _rounded(scale * (sm * sm), 2 * (k * e + se), policy.bits), 1 if sm >= 0 else -1
 
 
 def _tail_estimate(w: list) -> float:
@@ -509,11 +517,34 @@ def _omitted_mass(w: list, mass) -> float:
     return max(_tail_estimate(w), shortfall, 0.0)
 
 
+def _growing(before: float, last: float, mass: float) -> bool:
+    """Whether the floats of the last two weights and of the mass prove that
+    the cutoff grows, that is, that the exact test continues too.
+
+    The omitted mass is never below the geometric estimate G = w r / (1 - r)
+    (_tail_estimate: w the last weight, r its ratio to the one before).
+    While G > 2 TAIL_TARGET mass, TAIL_TARGET (mass + tail) < tail / 2 +
+    TAIL_TARGET tail < tail, rounding included, so the cutoff grows.  The
+    screen forms G in floats.  With u = 2**-53 and the last float at least
+    2**-960 (so it and the mass, which holds it, are normal), the float r
+    is within 4.1u of the exact one; the 8u added to 1 - r covers that and
+    its rounding, and a ratio at or past 1 keeps the 8u alone.  That bounds
+    G from below up to 12u, which the 2**-40 of the bound covers.  A last
+    float below 2**-960 or a NaN estimate leaves the decision to the exact
+    test; an infinite one (overflow, or a ratio past 1) still bounds G.
+    """
+    if not (last >= 2.0**-960 and before > 0):
+        return False
+    r = last / before
+    return last * r / (max(1.0 - r, 0.0) + 2.0**-50) > _SCREEN_BOUND * mass
+
+
 # Precision of the statistics built from the weights: the retained mass,
 # the tail estimate, the normalization and the probabilities, each rounded
 # to it before it becomes a float.  53 bits is the precision the checked-in
-# golden CSVs were made at.
-_STATS_BITS = 53
+# golden CSVs were made at.  _growing screens against twice the tail target,
+# with room for its rounding.
+_STATS_BITS, _SCREEN_BOUND = 53, 2 * TAIL_TARGET * (1 + 2.0**-40)
 
 
 # Per beam count, gain point and policy, cutoff included, most recently
@@ -531,23 +562,28 @@ def _retained_weights(
     drops below TAIL_TARGET of the total, a ladder fails or CUTOFF_CAP.  One
     pass: each appended weight is added once to the running mass, left to
     right as sum() adds.  mass is rounded at _STATS_BITS after each addition
-    and tail taken at _STATS_BITS; the weights are at policy.bits.
+    and tail taken at _STATS_BITS; the weights are at policy.bits.  The
+    exact tail is formed only where _growing cannot prove that the cutoff
+    grows, and once for the tail returned.
     """
+    weights = _weights(n, gamma, policy)
     w: list = []
     signs: list = []
     mass = (0, 0)
-    for k in range(2 if policy.cutoff is None else policy.cutoff + 1):
-        x, sign = _weight(n, gamma, k, policy)
+    for _ in range(2 if policy.cutoff is None else policy.cutoff + 1):
+        x, sign = next(weights)
         w.append(x)
         signs.append(sign)
         mass = _add(mass, x, _STATS_BITS)
-    tail = _omitted_mass(w, mass)
     if policy.cutoff is None:
+        before, last = _float(*w[0]), _float(*w[1])
         while len(w) - 1 < CUTOFF_CAP and (
-            tail == inf or not tail < TAIL_TARGET * _float(*_add(mass, _dyadic(tail), _STATS_BITS))
+            _growing(before, last, _float(*mass))
+            or (tail := _omitted_mass(w, mass)) == inf
+            or not tail < TAIL_TARGET * _float(*_add(mass, _dyadic(tail), _STATS_BITS))
         ):
             try:
-                x, sign = _weight(n, gamma, len(w), policy)
+                x, sign = next(weights)
             except ResummationError:
                 # the order budget cannot resolve deeper coefficients; stop
                 # here and let the omitted-mass estimate carry the rest
@@ -555,8 +591,8 @@ def _retained_weights(
             w.append(x)
             signs.append(sign)
             mass = _add(mass, x, _STATS_BITS)
-            tail = _omitted_mass(w, mass)
-    return tuple(w), tuple(signs), mass, tail
+            before, last = last, _float(*x)
+    return tuple(w), tuple(signs), mass, _omitted_mass(w, mass)
 
 
 def photon_distribution(spec: BrightStateSpec) -> TripleDistribution:

@@ -13,7 +13,8 @@ Each one computes a number of the package by an independent route:
 - Stokes expectations by explicit operator matrices on exhaustively
   enumerated six-mode occupations (DenseTruncatedState, dense_expectation,
   random_product_state), where the package never materializes a matrix;
-- the photon statistics and the bright state's factor by an mpmath chain.
+- the photon statistics and the bright state's factor by an mpmath chain,
+  and the cutoff loop with its exact test at every k (no float screen).
 
 Random exchange-diagonal states for property tests live here too.  This is
 where the tests' mpmath use sits; the package itself runs on NumPy and the
@@ -555,6 +556,35 @@ def mp_retained_weights(n, gamma, policy):
                 break
             tail = _mp_omitted(w)
         return w, tail
+
+
+def exact_retained_weights(n, gamma, policy):
+    """state._retained_weights for an auto cutoff with no float screen: the
+    exact omitted mass and the exact cutoff test at every k."""
+    weights = state_module._weights(n, gamma, policy)
+    w, signs, mass = [], [], (0, 0)
+
+    def grow():
+        nonlocal mass
+        x, sign = next(weights)
+        w.append(x)
+        signs.append(sign)
+        mass = state_module._add(mass, x, state_module._STATS_BITS)
+
+    def settled(tail):
+        total = state_module._add(mass, state_module._dyadic(tail), state_module._STATS_BITS)
+        return tail < state_module.TAIL_TARGET * pade._float(*total)
+
+    grow()
+    grow()
+    tail = state_module._omitted_mass(w, mass)
+    while len(w) - 1 < state_module.CUTOFF_CAP and (tail == math.inf or not settled(tail)):
+        try:
+            grow()
+        except ResummationError:
+            break
+        tail = state_module._omitted_mass(w, mass)
+    return tuple(w), tuple(signs), mass, tail
 
 
 def mp_distribution(spec):

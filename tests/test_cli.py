@@ -3,6 +3,8 @@
 import functools
 import itertools
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -250,3 +252,31 @@ def test_broken_continued_fraction_prints_no_number(tmp_path, monkeypatch):
         assert len(rows) == count
         for row in rows:
             assert row[1:] == ["nan"] * (len(header) - 2) + ["error"]
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    # main parses with one parser per process; each run in one process,
+    # a flag given then left out, a pinned cutoff then the auto one and a
+    # bad argv between two good ones, prints what a fresh process prints
+    grid = ["--gamma-min", "0.1", "--gamma-max", "0.3", "--steps", "2"]
+    runs = [
+        ["--cmd", "w1", *grid, "--projected"],
+        ["--cmd", "w1", *grid],
+        ["--cmd", "pk_curve", "--steps", "2", "--cutoff", "12"],
+        ["--cmd", "pk_curve", "--steps", "2"],
+        ["--cmd", "table1", "--gamma-min", "0.4"],
+        ["--cmd", "table1", "--steps", "two"],
+        ["--cmd", "table1"],
+    ]
+    codes = []
+    for argv in runs:
+        try:
+            codes.append(main(argv))
+        except SystemExit as exit:
+            codes.append(exit.code)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "brightghz.cli", *argv], capture_output=True, text=True
+        )
+        assert (codes[-1], out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert codes[-3:] == [EXIT_OK, 2, EXIT_OK]

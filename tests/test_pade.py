@@ -789,6 +789,14 @@ def test_non_finite_point_rejected(x):
         diagonal_resum(EULER, x, max_order=12)
 
 
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), mpmath.nan])
+def test_non_finite_coefficient_is_named(c):
+    # the error names the coefficient and its index, not the point
+    message = r"^series coefficient c_1 must be finite, got (nan|inf)$"
+    with pytest.raises(ValueError, match=message):
+        DiagonalResummer([1.0, c, 1.0])
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
 def test_tol_must_be_finite_and_positive(tol):
     with pytest.raises(ValueError, match="tol must be finite and > 0"):
@@ -976,3 +984,4 @@ def test_resummer_takes_numpy_integer_coefficients():
     x = Fraction(-1, 10)
     want = diagonal_resum(series, x, max_order=4)
     assert diagonal_resum([np.int64(c) for c in series], x, max_order=4) == want
+    assert diagonal_resum(series, Fraction(np.int64(-1), np.int64(10)), max_order=4) == want

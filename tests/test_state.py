@@ -30,7 +30,7 @@ from brightghz.state import (
     resummed_coefficient,
 )
 from brightghz.stokes import _mermin_form, _shell_terms
-from references import mp_distribution, mp_factor, to_mpf
+from references import exact_retained_weights, mp_distribution, mp_factor, to_mpf
 
 # Reference distribution at gain 0.8, k = 0..10, for one, two, and three
 # beams; entries carry the precision they were published with.
@@ -856,3 +856,19 @@ def test_memos_give_what_cold_calls_give(run):
         got = _outcome(call)
         with mock.patch.multiple(state_module, **cold):
             assert got == _outcome(call), (what, gamma, policy)
+
+
+# The cutoff loop screens its exact test with floats; the screen may only
+# say "keep growing" where the exact test does too, so the weights, signs,
+# mass and tail equal the exact-only loop's bit for bit.  Orders below 40
+# read no shipped table, so those draws run qd.
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 3),
+    gamma=st.floats(0.0, 0.9, exclude_min=True, exclude_max=True),
+    order=st.integers(20, 40),
+)
+def test_screened_cutoff_loop_equals_the_exact_one(n, gamma, order):
+    policy = NumericPolicy(pade_order=order)
+    got = state_module._retained_weights.__wrapped__(n, gamma, policy)
+    assert got == exact_retained_weights(n, gamma, policy)
