@@ -14,7 +14,7 @@ table is named by the key those resummers look up, a checksum of
 everything that fixes its numbers (see pade._plan): a table is read only
 where the code would compute those same numbers.  Run it after any change
 that moves those tables or their names (the recurrence, the form of the
-pairs, the qd algorithm, its contexts or the default policy); the test
+pairs, the qd algorithm, its precisions or the default policy); the test
 suite regenerates them and fails while the shipped file is stale.
 """
 

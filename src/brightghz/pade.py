@@ -20,10 +20,9 @@ a_j do not depend on x.  Rutishauser's quotient-difference (qd) algorithm
 finds them with O(order**2) high-precision operations, once per series and
 precision, and only as far as some walk has read: a walk that settles at
 [N/N] reads a_1..a_2N, and the table resumes from its last anti-diagonal
-when a later walk reads further.  qd runs in the C-accelerated decimal
-module, about three times faster than mpmath's pure-Python backend, and
-hands each a_i out once as the fixed-point integer a_i 2**F; each point
-then costs one O(order) forward (Wallis) recurrence on those integers.
+when a later walk reads further.  qd runs on binary fixed-point integers
+and hands each a_i out once as the integer a_i 2**F; each point then
+costs one O(order) forward (Wallis) recurrence on those integers.
 Both steps lose bits to cancellation, so each runs well above the
 requested precision: a second qd run, 64 bits coarser, sizes each
 coefficient's error, and the walk carries a running bound on its own.
@@ -44,29 +43,22 @@ of a dict from each table's name to its value-run integers a_i 2**F.  The
 first lookup reads and loads the file whole, once per process; walks then
 read a table's coefficients one at a time through the same ladder runs
 that qd feeds, so a walk that settles at [N/N] reads a_1..a_2N.  A damaged
-file fails the load with marshal's own error.  A table is named by a 64-bit
-checksum of the marshal bytes of everything that determines it: the
-coefficients as the exact integer pairs (p_j, q_j) the resummer holds (for
-state's resummers, series_core's unreduced (P[k, k + 2j], (k + 2j)!), so
-no gcd is paid to look a table up), bits, the decimal precisions of both
-qd runs and both fixed-point scales.  A table is therefore read only where
-the code would compute exactly those numbers: the marshal bytes encode
-their values one way (no back-references, and marshal reads them back),
-equal pairs are equal rationals, which give equal tables, and every input
-of qd's arithmetic is in the name, so two series or precisions could
-share a table only through a collision of that checksum.  The same series
-held in other pairs (its reduced Fractions, say) only misses the archive,
-as does any other series or precision, including a changed guard
-constant, and runs qd as above to the identical table.  Decimal rounds
-correctly on every platform and the rounding to an integer is exact, so
-a stored table is the one the code computes.
-`python -m brightghz._cftables` rewrites the archive, and a test
-regenerates it and compares it byte for byte.
+file fails the load with marshal's own error.  A table is named by a
+checksum of everything that determines it (_plan): the coefficients as the
+exact integer pairs (p_j, q_j) the resummer holds (for state's resummers,
+series_core's unreduced (P[k, k + 2j], (k + 2j)!), so no gcd is paid to
+look a table up), bits, and both qd runs' fraction bits and scales.  So a
+table is read only where the code would compute exactly those numbers;
+the same series held in other pairs (its reduced Fractions, say) only
+misses the archive, as does any other series or precision, including a
+changed guard constant, and runs qd as above to the identical table.  qd
+runs on Python integers, exact on every platform, so a stored table is
+the one the code computes.  `python -m brightghz._cftables` rewrites the
+archive, and a test regenerates it and compares it byte for byte.
 """
 
 from __future__ import annotations
 
-import decimal
 import functools
 import marshal
 import math
@@ -74,7 +66,6 @@ import numbers
 import zlib
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -115,23 +106,16 @@ class ResummationResult:
 # beams at 81 and 121 terms; far more, but only in negligible late
 # coefficients, for one and two beams) and in the fixed-point recurrence.
 # So the walk runs at F = bits + 3 * _GUARD_BITS, the check qd run at bits +
-# 2 * _GUARD_BITS + _QD_BITS_PER_TERM per term, the value qd run _GUARD_BITS higher.
+# 2 * _GUARD_BITS + _QD_BITS_PER_TERM per term, the value qd run _GUARD_BITS
+# higher, and both carry _QD_HEADROOM fraction bits more (see _qd).
 _GUARD_BITS = 64
 _QD_BITS_PER_TERM = 3
+_QD_HEADROOM = 128
 
 
 def _scales(bits: int) -> tuple[int, int]:
     """Fixed-point scales F_v, F_c (fraction bits) of the value and check qd runs at bits."""
     return bits + 3 * _GUARD_BITS, bits + 2 * _GUARD_BITS
-
-
-def _context(bits: int) -> Context:
-    """Decimal arithmetic carrying at least `bits` bits, with no exponent limits."""
-    return Context(
-        prec=math.ceil(bits * math.log10(2)) + 1,
-        Emax=decimal.MAX_EMAX,
-        Emin=decimal.MIN_EMIN,
-    )
 
 
 def _rounded(m: int, e: int, bits: int, q: int = 1) -> tuple[int, int]:
@@ -168,14 +152,16 @@ def _fraction(m: int, e: int) -> Fraction:
 
 
 def _round_div(num: int, den: int) -> int:
-    """num / den rounded half to even, for den > 0."""
+    """num / den rounded half to even, for den != 0."""
+    if den < 0:
+        num, den = -num, -den
     q, r = divmod(num, den)
     if 2 * r > den or 2 * r == den and q & 1:
         q += 1
     return q
 
 
-def _qd(pairs: Sequence[tuple[int, int]], ctx: Context, scale: int) -> Iterator[int]:
+def _qd(pairs: Sequence[tuple[int, int]], work: int, scale: int) -> Iterator[int]:
     """C-fraction coefficients a_1, a_2, ... of the series c_j = p_j / q_j, by progressive qd.
 
     With q_1^(k) = c_{k+1} / c_k and e_0^(k) = 0, the rhombus rules
@@ -187,33 +173,44 @@ def _qd(pairs: Sequence[tuple[int, int]], ctx: Context, scale: int) -> Iterator[
     c_k..c_{k+2m-1} and e_m^(k) involves c_k..c_{k+2m}, so each term c_s
     adds one anti-diagonal q_1^(s-1), e_1^(s-2), q_2^(s-3), ..., a_s that
     needs only the previous one.  The run reads c_s only when a_s is asked
-    for, and between coefficients holds just that anti-diagonal and
-    c_{s-1}.  Arithmetic runs in ctx, c_s being p_s / q_s correctly
-    rounded, whether or not the pair is in lowest terms; each a_s is handed
-    out as the integer a_s 2**scale, rounded once (half to even) from the
-    exact decimal.  The run ends after a_{len(pairs)-1}, or earlier at a
+    for, and between coefficients holds just that anti-diagonal and the
+    pair of c_{s-1}.  The run ends after a_{len(pairs)-1}, or earlier at a
     zero divisor (a zero c_j or e entry).
+
+    Each entry is an integer x standing for x 2**-work: q_1^(s-1) = p_s
+    q_{s-1} / (q_s p_{s-1}) from the exact pairs (any pairs of the same
+    rationals give the same run), each later q entry a product of two
+    entries over a third, both one signed _round_div (half to even), and
+    each e entry an exact sum.  Each a_s is handed out as a_s 2**scale,
+    rounded once (half to even).  work is the run's scale plus
+    _QD_BITS_PER_TERM bits per term, for what the rules lose to
+    cancellation, plus _QD_HEADROOM, because fixed point rounds
+    absolutely: an entry near 2**-t keeps t bits fewer than one near 1.
+    The smallest entries at 81 terms are near 2**-250 for two beams at
+    k = 0 (2**-8 from k = 40), 2**-13 for one and 2**-10 for three.  At
+    128 bits of headroom the two-beam k = 0 value run is the exactly
+    rounded a_i through a_40; with none it is off from a_32 on, by up to
+    2**95 units of 2**-scale.  The runs' difference still sizes each
+    coefficient's error (_measured), so the headroom moves how many come
+    out exact, not the walk's bound.
     """
-    add, sub, mul, div = ctx.add, ctx.subtract, ctx.multiply, ctx.divide
-    prev: list[Decimal] = []
-    last = div(Decimal(pairs[0][0]), Decimal(pairs[0][1]))
+    prev: list[int] = []
+    p_last, q_last = pairs[0]
     for s in range(1, len(pairs)):
-        if not last:
+        if not p_last:
             return
-        c = div(Decimal(pairs[s][0]), Decimal(pairs[s][1]))
-        cur = [div(c, last)]
+        p, q = pairs[s]
+        cur = [_round_div(p * q_last << work, q * p_last)]
         for j in range(1, s):
             if j % 2:
-                e = sub(cur[j - 1], prev[j - 1])
-                cur.append(add(e, prev[j - 2]) if j > 1 else e)
+                cur.append(cur[j - 1] - prev[j - 1] + (prev[j - 2] if j > 1 else 0))
             elif not prev[j - 1]:
                 return
             else:
-                cur.append(div(mul(prev[j - 2], cur[j - 1]), prev[j - 1]))
+                cur.append(_round_div(prev[j - 2] * cur[j - 1], prev[j - 1]))
         prev = cur
-        last = c
-        num, den = cur[-1].as_integer_ratio()
-        yield _round_div(num << scale, den)
+        p_last, q_last = p, q
+        yield _round_div(cur[-1], 1 << (work - scale))
 
 
 @dataclass(eq=False)
@@ -259,34 +256,33 @@ class _Ladder:
         return True
 
 
-def _plan(pairs: tuple[tuple[int, int], ...], bits: int) -> tuple[str, Context, Context]:
-    """The name of the table of the series pairs at bits, and its value and check qd contexts.
+def _plan(pairs: tuple[tuple[int, int], ...], bits: int) -> tuple[str, tuple]:
+    """The name of the table of the series pairs at bits, and its value and check qd runs.
 
-    The name is a 64-bit checksum (CRC-32, then Adler-32) of the marshal
-    (version 2) bytes of everything that fixes the table: bits, the decimal
-    precisions of both qd runs, both fixed-point scales, and the pairs
-    (p_j, q_j) as the resummer holds them.  Version 2 writes no
-    back-references, so the bytes depend on the values alone, and marshal
-    reads them back, so equal bytes are equal values.  Equal pairs are equal
-    rationals, so a name stands for one table; the same series held in
-    other pairs (reduced, say) only gets another name, and computes that
-    same table.  hashlib would load OpenSSL, about 3.6 MB resident, for
-    the same job.
+    Each run is (work, scale), the arguments of its _qd.  The name is a
+    64-bit checksum (CRC-32, then Adler-32) of the marshal (version 2)
+    bytes of every input of qd's arithmetic: bits, both runs' work and
+    scale, and the pairs (p_j, q_j) as the resummer holds them.  Version 2
+    writes no back-references, so the bytes depend on the values alone, and
+    marshal reads them back, so equal bytes are equal values.  Equal pairs
+    are equal rationals, so a name stands for one table, and two series or
+    precisions share one only through a collision of the checksum; the same
+    series held in other pairs (reduced, say) only gets another name, and
+    computes that same table.  hashlib would load OpenSSL, about 3.6 MB
+    resident, for the same job.
     """
     value_scale, check_scale = _scales(bits)
-    qd_bits = check_scale + _QD_BITS_PER_TERM * (len(pairs) - 1)
-    qd_value, qd_check = _context(qd_bits + _GUARD_BITS), _context(qd_bits)
-    head = (bits, qd_value.prec, qd_check.prec, value_scale, check_scale)
+    check_work = check_scale + _QD_BITS_PER_TERM * (len(pairs) - 1) + _QD_HEADROOM
+    value_work = check_work + _GUARD_BITS
+    head = (bits, value_work, check_work, value_scale, check_scale)
     key = marshal.dumps((head, pairs), 2)
-    return f"{zlib.crc32(key):08x}{zlib.adler32(key):08x}", qd_value, qd_check
+    name = f"{zlib.crc32(key):08x}{zlib.adler32(key):08x}"
+    return name, ((value_work, value_scale), (check_work, check_scale))
 
 
-def _qd_runs(
-    pairs: Sequence[tuple[int, int]], bits: int, qd_value: Context, qd_check: Context
-) -> Iterator[tuple[int, int]]:
-    """The value and check qd runs of the series pairs at bits, in lockstep."""
-    value_scale, check_scale = _scales(bits)
-    return zip(_qd(pairs, qd_value, value_scale), _qd(pairs, qd_check, check_scale))
+def _qd_runs(pairs: Sequence[tuple[int, int]], runs: tuple) -> Iterator[tuple[int, int]]:
+    """The value and check qd runs (work, scale) of the series pairs, in lockstep."""
+    return zip(*(_qd(pairs, work, scale) for work, scale in runs))
 
 
 def _measured(runs: Iterator[tuple[int, int]]) -> Iterator[tuple[int, float]]:
@@ -334,8 +330,8 @@ def _table_archive(series: Iterable[Sequence[tuple[int, int]]], bits: int) -> by
     tables = {}
     for held in series:
         held = tuple(held)
-        name, qd_value, qd_check = _plan(held, bits)
-        pairs = list(_qd_runs(held, bits, qd_value, qd_check))
+        name, runs = _plan(held, bits)
+        pairs = list(_qd_runs(held, runs))
         if any(c != _round_div(a, 1 << _GUARD_BITS) for a, c in pairs):
             raise ValueError(f"table {name}: the check run is not the value run coarsened")
         tables[name] = tuple(a for a, _ in pairs)
@@ -445,9 +441,9 @@ class DiagonalResummer:
     with c_j = p_j / q_j, not necessarily in lowest terms: the constructor
     takes reals of any type and keeps their exact ratios (_exact), and
     _from_pairs keeps the pairs series_core forms, unreduced.  Only c_0 is
-    reduced, once, to the integer pair the walk starts from; qd reads each
-    pair's correctly rounded quotient, so any pairs of the same rationals
-    give the same tables and the same results.  A shipped table is found
+    reduced, once, to the integer pair the walk starts from; qd rounds
+    each c_s / c_{s-1} once from the exact pairs, so any pairs of the same
+    rationals give the same tables and the same results.  A shipped table is found
     only for the pairs it was written from (see _plan).
     """
 
@@ -474,13 +470,13 @@ class DiagonalResummer:
         """The ladder at bits, fed by its shipped table, else by its qd runs, as walks read."""
         got = self._fractions.get(bits)
         if got is None:
-            name, qd_value, qd_check = _plan(self._pairs, bits)
+            name, runs = _plan(self._pairs, bits)
             stored = _stored_table(name)
             if stored is None:
-                runs = _measured(_qd_runs(self._pairs, bits, qd_value, qd_check))
+                read = _measured(_qd_runs(self._pairs, runs))
             else:
-                runs = ((a, _SHIPPED_ERROR) for a in stored)
-            got = self._fractions[bits] = _Ladder(len(self._pairs) - 1, _scales(bits)[0], runs)
+                read = ((a, _SHIPPED_ERROR) for a in stored)
+            got = self._fractions[bits] = _Ladder(len(self._pairs) - 1, runs[0][1], read)
         return got
 
     def _walk(
@@ -654,6 +650,9 @@ class DiagonalResummer:
             max_order, bits = _count("max_order", max_order), _count("bits", bits)
         if max_order < 1:
             raise ValueError(f"max_order must be >= 1, got {max_order}")
+        # the walk's error argument needs 2**-bits small; NumericPolicy's floor
+        if bits < 64:
+            raise ValueError(f"bits must be >= 64, got {bits}")
         need = 2 * max_order + 1
         if len(self._pairs) < need:
             raise ValueError(

@@ -6,8 +6,10 @@ Each one computes a number of the package by an independent route:
 - the [N/M] Pade approximant solved exactly and evaluated in mpmath
   (build_pade, evaluate), and the diagonal ladder by Wynn's epsilon
   recursion on partial sums (epsilon_ladder), the two references for the
-  continued-fraction ladder of pade; the qd table run eagerly, the decimal
-  walk the fixed-point one replaced and the exact fixed-point recurrence;
+  continued-fraction ladder of pade; the qd table run eagerly, column by
+  column, on exact rationals and on pade's fixed-point integers; the qd
+  runs in decimal with the decimal walk the fixed-point one replaced; and
+  the exact fixed-point recurrence;
 - the shell blocks by binomial expansion of the rotated creation
   operators (binomial_shell_rotation, reference_block);
 - Stokes expectations by explicit operator matrices on exhaustively
@@ -22,11 +24,12 @@ standard library alone.
 """
 
 import cmath
+import decimal
 import functools
 import itertools
 import math
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
@@ -362,6 +365,67 @@ def epsilon_ladder(coeffs, x, tol: float, bits: int) -> ResummationResult:
     )
 
 
+def _column_qd(first, ratio):
+    """C-fraction coefficients a_1, a_2, ... from the first qd column
+    first[k] = q_1^(k), None where c_k vanishes: the rhombus rules run
+    column by column, e_m^(k) = q_m^(k+1) - q_m^(k) + e_{m-1}^(k+1) and
+    q_{m+1}^(k) = ratio(q_m^(k+1), e_m^(k+1), e_m^(k)), the product of the
+    first two over the third.  An entry with a zero divisor, or a None
+    input, is None, and the coefficients end before the first None, as
+    pade._qd's run ends at its first zero divisor."""
+    found = []
+    q, e = list(first), [0] * len(first)
+    while q:
+        found.append(q[0])
+        e = [
+            None if None in (q[k + 1], q[k], e[k + 1]) else q[k + 1] - q[k] + e[k + 1]
+            for k in range(len(q) - 1)
+        ]
+        if not e:
+            break
+        found.append(e[0])
+        q = [
+            None
+            if None in (q[k + 1], e[k + 1], e[k]) or not e[k]
+            else ratio(q[k + 1], e[k + 1], e[k])
+            for k in range(len(e) - 1)
+        ]
+    return found[: found.index(None)] if None in found else found
+
+
+def exact_qd(coeffs):
+    """C-fraction coefficients a_1, a_2, ... of the Fractions coeffs, exactly."""
+    first = [None if not a else b / a for a, b in zip(coeffs, coeffs[1:])]
+    return _column_qd(first, lambda x, y, z: x * y / z)
+
+
+def fixed_qd(coeffs, work, scale):
+    """pade._qd's coefficients of the Fractions coeffs, from the same
+    integer rules run eagerly: each entry the integer x standing for
+    x 2**-work, q_1^(k) = c_{k+1} / c_k and each later q entry rounded
+    once, half to even, and each a_i rounded once to a_i 2**scale."""
+    first = [None if not a else round(b / a * 2**work) for a, b in zip(coeffs, coeffs[1:])]
+    found = _column_qd(first, lambda x, y, z: round(Fraction(x * y, z)))
+    return [round(Fraction(a, 2 ** (work - scale))) for a in found]
+
+
+def integer_qd_runs(coeffs, bits):
+    """The value and check qd runs of coeffs at bits, as integers a_i 2**F
+    (fixed_qd) at the work and scale pade gives each, cut to the shorter."""
+    value_scale, check_scale = pade._scales(bits)
+    check_work = check_scale + pade._QD_BITS_PER_TERM * (len(coeffs) - 1) + pade._QD_HEADROOM
+    value = fixed_qd(coeffs, check_work + pade._GUARD_BITS, value_scale)
+    check = fixed_qd(coeffs, check_work, check_scale)
+    return value[: len(check)], check
+
+
+def _context(bits: int) -> Context:
+    """Decimal arithmetic carrying at least `bits` bits, with no exponent limits."""
+    return Context(
+        prec=math.ceil(bits * math.log10(2)) + 1, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
+    )
+
+
 def eager_qd(coeffs, ctx):
     """C-fraction coefficients a_1, a_2, ... of coeffs by the progressive qd
     loop run eagerly over every term in ctx, unrounded; it ends at the first
@@ -390,12 +454,14 @@ def eager_qd(coeffs, ctx):
 
 
 def qd_runs(coeffs, bits):
-    """The value and check qd runs of coeffs at bits, unrounded and cut to
-    the shorter run, at the precisions pade gives them."""
+    """The value and check qd runs of coeffs at bits in decimal, unrounded and
+    cut to the shorter run, at the precisions pade gave them before its qd
+    moved to fixed point: the check run's scale plus _QD_BITS_PER_TERM bits
+    per term, the value run _GUARD_BITS higher."""
     _, check_scale = pade._scales(bits)
     qd_bits = check_scale + pade._QD_BITS_PER_TERM * (len(coeffs) - 1)
-    value = eager_qd(coeffs, pade._context(qd_bits + pade._GUARD_BITS))
-    check = eager_qd(coeffs, pade._context(qd_bits))
+    value = eager_qd(coeffs, _context(qd_bits + pade._GUARD_BITS))
+    check = eager_qd(coeffs, _context(qd_bits))
     return value[: len(check)], check
 
 
@@ -410,8 +476,8 @@ def decimal_walk(coeffs, x, max_order, tol, bits):
     run's number wherever the two agree at the check precision.
     """
     check_bits = bits + 2 * pade._GUARD_BITS
-    value_ctx = pade._context(check_bits + pade._GUARD_BITS)
-    check_ctx = pade._context(check_bits)
+    value_ctx = _context(check_bits + pade._GUARD_BITS)
+    check_ctx = _context(check_bits)
     value_run, check_run = qd_runs(coeffs, bits)
     value_run = [value_ctx.plus(v) for v in value_run]
     check_run = [check_ctx.plus(w) for w in check_run]

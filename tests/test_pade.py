@@ -26,8 +26,9 @@ from references import (
     decimal_walk,
     epsilon_ladder,
     evaluate,
+    exact_qd,
     exact_recurrence,
-    qd_runs,
+    integer_qd_runs,
     to_mpf,
 )
 
@@ -290,8 +291,10 @@ def test_zero_e_entry_ends_qd():
 
 
 def test_failed_precision_guard_ends_the_ladder_unsettled(monkeypatch):
-    # without qd headroom the check run no longer reproduces the ladder
+    # without qd headroom, per term or for small entries, the check run no
+    # longer reproduces the ladder
     monkeypatch.setattr(pade, "_QD_BITS_PER_TERM", 0)
+    monkeypatch.setattr(pade, "_QD_HEADROOM", 0)
     monkeypatch.setattr(state, "_resummer", functools.cache(state._resummer.__wrapped__))
     resummer = DiagonalResummer(c_series(40, 3, 81).coeffs)
     got = resummer.resum(-(Fraction(0.6) ** 2), max_order=40, tol=1e-10, bits=256)
@@ -394,8 +397,8 @@ def test_qd_disagreement_ends_the_walk(monkeypatch):
     assert clean.order_used > 2
     qd, (_, check_scale) = pade._qd, pade._scales(bits)
 
-    def nudged(coeffs, ctx, scale):
-        for i, a in enumerate(qd(coeffs, ctx, scale)):
+    def nudged(pairs, work, scale):
+        for i, a in enumerate(qd(pairs, work, scale)):
             yield a + (scale == check_scale and i == 3) * (1 << (check_scale - 8))
 
     monkeypatch.setattr(pade, "_qd", nudged)
@@ -446,24 +449,13 @@ def test_float_rounds_once_below_the_normal_range(p, q, offset, negative):
     assert pade._float(m, e) == want == float(exact)
 
 
-# The resumable qd table against the eager one: the progressive qd loop run
-# to completion on every term, each run's number rounded once, half to
-# even, to its fixed-point scale, as the table was built before it became
-# resumable.
-def _eager_table(coeffs, bits):
-    value, check = qd_runs(coeffs, bits)
-    value_scale, check_scale = bits + 3 * pade._GUARD_BITS, bits + 2 * pade._GUARD_BITS
-    return (
-        [round(Fraction(a) * 2**value_scale) for a in value],
-        [round(Fraction(a) * 2**check_scale) for a in check],
-    )
-
-
+# The resumable qd table against the eager one: the same integer rules run
+# to completion on every term, column by column (references.fixed_qd).
 def _eager_ladder(coeffs, bits):
     # the walk's lists from the eager table: each value-run coefficient with
     # its error, the runs' difference in check-scale units rounded down,
     # plus one unit
-    value, check = _eager_table(coeffs, bits)
+    value, check = integer_qd_runs(coeffs, bits)
     ladder = pade._Ladder(len(coeffs) - 1, pade._scales(bits)[0], None)
     unit = 2**pade._GUARD_BITS
     for a, c in zip(value, check):
@@ -519,6 +511,20 @@ def test_resumable_table_equals_the_eager_one(series, build):
         assert _lists(ladder) == tuple(w[: len(ladder.value)] for w in want)
     assert ladder.reaches(len(series) - 1) == (len(want[0]) == len(series) - 1)
     assert _lists(ladder) == want
+
+
+# The value run against exact-rational qd (references.exact_qd): each a_i
+# 2**F is the exactly rounded coefficient.  The two-beam k = 0 table has
+# entries near 2**-250, which the fixed point's headroom carries.
+@pytest.mark.parametrize(
+    "n, k, terms", [(1, 0, 41), (3, 0, 41), (3, 30, 41), (2, 0, 81)], ids=lambda v: str(v)
+)
+def test_value_run_is_the_exactly_rounded_c_fraction(n, k, terms):
+    read = 40
+    ladder = DiagonalResummer(c_series(k, n, terms).coeffs)._cfraction(DEFAULT_POLICY.bits)
+    assert ladder.reaches(read)
+    exact = exact_qd(c_series(k, n, read + 1).coeffs)
+    assert ladder.value[:read] == [round(a * 2**ladder.scale) for a in exact]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -589,8 +595,8 @@ def test_archive_refuses_a_check_run_of_its_own(monkeypatch):
     assert pade._table_archive(series, bits)
     qd, (_, check_scale) = pade._qd, pade._scales(bits)
 
-    def nudged(coeffs, ctx, scale):
-        for i, a in enumerate(qd(coeffs, ctx, scale)):
+    def nudged(pairs, work, scale):
+        for i, a in enumerate(qd(pairs, work, scale)):
             yield a + (scale == check_scale and i == 3)
 
     monkeypatch.setattr(pade, "_qd", nudged)
@@ -704,18 +710,14 @@ def test_damaged_archive_fails_loudly(cut, tmp_path, monkeypatch):
         pade._stored_archive.cache_clear()
 
 
-def test_walk_does_no_decimal_arithmetic(monkeypatch):
-    # once the table is looked up, a walk runs on integers alone: without
-    # the decimal module and qd it gives what qd gives.  The series is held
-    # as state holds it, so its ladder reads the shipped table, with no qd
-    # run; the lookup itself forms the qd contexts its name records
+def test_shipped_table_walk_needs_no_qd(monkeypatch):
+    # a series held as state holds it reads the shipped table: without qd
+    # its walks give what qd gives
     length = 2 * DEFAULT_POLICY.pade_order + 1
     xs = [-(Fraction(g) ** 2) for g in (0.1, 0.6, 0.89)]
     want = [DiagonalResummer(c_series(4, 3, length).coeffs).resum(x) for x in xs]
     resummer = DiagonalResummer._from_pairs(_series_pairs(4, 3, length))
-    resummer._cfraction(DEFAULT_POLICY.bits)
-    for name in ("decimal", "Decimal", "Context", "_context", "_qd"):
-        monkeypatch.setattr(pade, name, None)
+    monkeypatch.setattr(pade, "_qd", None)
     assert [resummer.resum(x) for x in xs] == want
 
 
@@ -724,7 +726,9 @@ def test_import_reads_no_table():
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
-@pytest.mark.parametrize("case", ["perturbed", "bits=320", "pade_order=30", "qd_bits"])
+@pytest.mark.parametrize(
+    "case", ["perturbed", "bits=320", "pade_order=30", "qd_bits", "qd_headroom"]
+)
 def test_unshipped_series_or_precision_runs_qd(case, monkeypatch):
     # any change to what fixes the table of a series held as production
     # holds it misses the archive and computes, giving exactly what a
@@ -739,8 +743,10 @@ def test_unshipped_series_or_precision_runs_qd(case, monkeypatch):
     elif case == "pade_order=30":
         order = 30
         series = series[:61]
-    else:
+    elif case == "qd_bits":
         monkeypatch.setattr(pade, "_QD_BITS_PER_TERM", pade._QD_BITS_PER_TERM + 1)
+    else:
+        monkeypatch.setattr(pade, "_QD_HEADROOM", pade._QD_HEADROOM + 1)
     xs = [-(Fraction(g) ** 2) for g in (0.2, 0.6, 0.85)]
     started = _qd_started(monkeypatch)
     resummer = DiagonalResummer._from_pairs(series)
@@ -819,6 +825,17 @@ def test_nan_tol_of_any_type_is_rejected(tol):
 def test_max_order_must_be_positive():
     with pytest.raises(ValueError, match="max_order must be >= 1, got 0"):
         DiagonalResummer([1] * 9).resum(0.5, max_order=0)
+
+
+@pytest.mark.parametrize("bits", [63, 0, -1, -300])
+def test_bits_below_the_policy_floor_are_rejected(bits):
+    # bits = 0 and -1 returned a converged value under the vacuous guard
+    # 2**-bits, at the walk and at x = 0 alike
+    message = f"bits must be >= 64, got {bits}"
+    with pytest.raises(ValueError, match=message):
+        diagonal_resum(EULER, 0.2, max_order=12, bits=bits)
+    with pytest.raises(ValueError, match=message):
+        DiagonalResummer(EXP).resum(0, max_order=12, bits=bits)
 
 
 @pytest.mark.parametrize(
