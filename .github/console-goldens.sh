@@ -29,6 +29,7 @@ stokes() {
 exact table1 --cmd table1
 exact pk_curve_n3 --cmd pk_curve --n 3 --steps 2
 exact pk_curve_n3_order60 --cmd pk_curve --n 3 --steps 2 --pade-order 60 --bits 320
+exact pk_curve_n3_bits64 --cmd pk_curve --n 3 --steps 3 --bits 64
 exact pk_curve_n1 --cmd pk_curve --n 1 --steps 3
 exact pk_curve_n2 --cmd pk_curve --n 2 --steps 3
 exact pk_curve_n1_dense --cmd pk_curve --n 1 --gamma-min 0.01 --gamma-max 0.85 --steps 29

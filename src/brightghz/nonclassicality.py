@@ -510,6 +510,7 @@ def witness_sweep(
 ) -> SweepResult:
     """w1 or w2 over a gain grid; the threshold is where the witness rises
     through 0 and loses its negativity."""
+    which = _count("which", which)
     if which not in (1, 2):
         raise ValueError(f"witness index must be 1 or 2, got {which}")
 

@@ -346,14 +346,14 @@ def _renormalized(cur: int, prev: int, exponent: int, scale: int) -> tuple[int, 
     return cur << -shift, prev << -shift, exponent + shift
 
 
-def _float(m: int, e: int) -> float:
-    """m * 2**e as the nearest float (inf past the range).
+def _float(m: int, e: int, q: int = 1) -> float:
+    """m / q * 2**e as the nearest float (inf past the range), for q > 0.
 
-    Python's int true division and int-to-float conversion round once,
-    half to even, subnormal results included.
+    Python's int true division rounds once, half to even, subnormal
+    results included, so an exact ratio of integers is one rounding.
     """
     try:
-        return m / (1 << -e) if e < 0 else float(m << e)
+        return m / (q << -e) if e < 0 else (m << e) / q
     except OverflowError:
         return math.inf if m > 0 else -math.inf
 

@@ -12,16 +12,17 @@ which lives on the exchange-symmetric diagonal: every observer holds the
 same occupation pair (q photons polarized a, m polarized b).
 
 Statistics and states read one photon ladder, _retained_weights, where the
-cutoff is decided: each factor magnitude |u_q| of the state is the square
-root of a normalized three-beam weight, taken at working precision, then
-made a float.  Weights and statistics are exact dyadic (mantissa,
-exponent) integer pairs, rounded half to even by pade._rounded: each
-weight once, as the exact product of its integer factors, at working
-precision, and each operation of the statistics at 53 bits.  Floats only
-screen the cutoff test: where they prove that the cutoff grows, no exact
-tail is formed.  The amplitude box is rank one,
-A[q, m] = u_q u_m, so one float outer product of those cutoff + 1 factor
-amplitudes fills it.
+cutoff is decided.  Weights and the sums over them are exact dyadic
+(mantissa, exponent) integer pairs, rounded half to even by pade._rounded:
+each weight once, as the exact product of its integer factors, at working
+precision, and each step of a sum at 53 bits for the statistics and at
+working precision for the state's normalization.  Each probability,
+resummed coefficient and factor magnitude |u_q| of the state (the square
+root of a normalized three-beam weight) is one rounding of an exact
+integer ratio to a float.  Floats only screen the cutoff test: where they
+prove that the cutoff grows, no exact tail is formed.  The amplitude box
+is rank one, A[q, m] = u_q u_m, so one float outer product of those
+cutoff + 1 factor amplitudes fills it.
 
 Two bounded memos key on gain point and policy, cutoff included.
 _retained_weights keeps the weights, the signs of their series values and
@@ -427,10 +428,9 @@ def resummed_coefficient(
     gamma = _gain(gamma)
     if gamma == 0:
         return complex(1.0) if k == 0 else complex(0.0)
-    s = _series_value(n, k, gamma, policy)
+    sm, se = _series_value(n, k, gamma, policy)
     m, e = _dyadic(gamma)
-    magnitude = _float(*_mul(_rounded(m**k, e * k, policy.bits), s, policy.bits))
-    return (1j) ** (k % 4) * magnitude
+    return (1j) ** (k % 4) * _float(m**k * sm, k * e + se)
 
 
 # Values are exact dyadics, (mantissa, exponent) integer pairs.  Each
@@ -457,16 +457,15 @@ def _div(a: tuple[int, int], b: tuple[int, int], bits: int) -> tuple[int, int]:
     return _rounded(a[0], a[1] - b[1], bits, b[0])
 
 
-def _sqrt(a: tuple[int, int], bits: int) -> tuple[int, int]:
-    """The square root of a >= 0, from math.isqrt with a sticky bit."""
-    m, e = a
-    if not m:
-        return 0, 0
-    shift = max(2 * bits + 4 - m.bit_length(), 0)
+def _root(m: int, e: int, q: int) -> float:
+    """The nearest float to sqrt(m / q * 2**e), for m >= 0 and q > 0: one
+    divmod to 112 bits or more at an even exponent, one math.isqrt to 56 or
+    more, and a sticky bit for either remainder, so _float rounds once."""
+    shift = max(112 - m.bit_length() + q.bit_length(), 0)
     shift += (e - shift) & 1  # an even exponent left
-    n = m << shift
+    n, rest = divmod(m << shift, q)
     root = math.isqrt(n)
-    return _rounded(2 * root + (root * root != n), (e - shift) // 2 - 1, bits)
+    return _float(2 * root + (rest != 0 or root * root != n), (e - shift) // 2 - 1)
 
 
 def _weights(n: int, gamma: float, policy: NumericPolicy) -> Iterator[tuple[tuple[int, int], int]]:
@@ -539,11 +538,10 @@ def _growing(before: float, last: float, mass: float) -> bool:
     return last * r / (max(1.0 - r, 0.0) + 2.0**-50) > _SCREEN_BOUND * mass
 
 
-# Precision of the statistics built from the weights: the retained mass,
-# the tail estimate, the normalization and the probabilities, each rounded
-# to it before it becomes a float.  53 bits is the precision the checked-in
-# golden CSVs were made at.  _growing screens against twice the tail target,
-# with room for its rounding.
+# Precision of the sums built from the weights: the retained mass, the tail
+# estimate and the total that divides the probabilities.  53 bits is what the
+# checked-in golden CSVs were made at.  _growing screens against twice the
+# tail target, with room for its rounding.
 _STATS_BITS, _SCREEN_BOUND = 53, 2 * TAIL_TARGET * (1 + 2.0**-40)
 
 
@@ -599,7 +597,7 @@ def photon_distribution(spec: BrightStateSpec) -> TripleDistribution:
     """Probability of observing k emitted n-tuples, up to an adaptive cutoff.
 
     The weights and the cutoff are _retained_weights', the ladder build_bghz
-    reads too; the statistics run at _STATS_BITS.
+    reads too; each probability is one rounding of a weight over the total.
     """
     if spec.validity_warning:
         warnings.warn(
@@ -615,12 +613,13 @@ def photon_distribution(spec: BrightStateSpec) -> TripleDistribution:
         scaled[k + 1] >= scaled[k] for k in range(len(scaled) - 5, len(scaled) - 1)
     )
     # an infinite tail leaves the retained weights normalized on their own
-    total = mass if tail == inf else _add(mass, _dyadic(tail), _STATS_BITS)
-    probs = tuple(_float(*_div(x, total, _STATS_BITS)) for x in w)
+    tm, te = mass if tail == inf else _add(mass, _dyadic(tail), _STATS_BITS)
+    probs = tuple(_float(m, e - te, tm) for m, e in w)
     if tail == inf:
         diverged, tail_bound = True, inf
     else:
-        tail_bound = _float(*_div(_dyadic(tail), total, _STATS_BITS))
+        m, e = _dyadic(tail)
+        tail_bound = _float(m, e - te, tm)
     mean = None if diverged else fsum(k * p for k, p in enumerate(probs))
     return TripleDistribution(
         n=spec.n,
@@ -637,9 +636,9 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
 
     Raw amplitudes are C_q * C_m * (q! m!)**1.5 over pairs with q, m <= the
     cutoff.  The cutoff and the factor magnitudes |C_q| (q!)**1.5, square
-    roots of the three-beam weights, come from _retained_weights.  The
-    factors are normalized at working precision and converted to floats
-    once each; the box is their outer product.  The state is memoized per
+    roots of the three-beam weights, come from _retained_weights.  Each
+    normalized factor is one rounding of its exact root to a float
+    (_root); the box is their outer product.  The state is memoized per
     gain and policy, so a warm call returns the same frozen state.
     """
     gamma = _gain(gamma)
@@ -656,28 +655,26 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
 # Bright state per gain point and policy, most recently used kept.
 # Rebuilding it reads the retained weights and signs, walking the photon
 # ladder again unless _retained_weights still holds them, redoes the
-# working-precision square roots and normalization and bins the box by
+# normalization and the correctly rounded square roots and bins the box by
 # shell.  A failed build raises, so only successful builds are kept.  At
 # the cutoff cap an entry holds a 61 x 61 complex box (59.5 kB) and its
 # moments (5.8 kB), twice that once a witness projects the state, so 32
 # entries stay near 4 MB; no workload revisits more than 17 gains.
 @lru_cache(maxsize=32)
 def _bright_state(gamma: float, policy: NumericPolicy) -> BGHZState:
-    """The state at gamma, box u u^T over u_q = i^q sign(s_q) sqrt(w_q / sum(w)),
-    the three-beam weights w_q and the signs of the series values s_q, both
-    from _retained_weights, with its shell moments."""
+    """The state at gamma, box u u^T over u_q = i^q sign(s_q) sqrt(w_q / W),
+    each root rounded once (_root), the three-beam weights w_q and the signs
+    of the series values s_q from _retained_weights and W their sum at
+    policy.bits, which norm_residual reads too; with its shell moments."""
     w, signs, _, _ = _retained_weights(3, gamma, policy)
     bits = policy.bits
     col = (0, 0)
     for x in w:
         col = _add(col, x, bits)
     norm_residual = abs(_float(*_add((1, 0), _mul(col, col, bits), bits, -1)))
-    root = _sqrt(col, bits)  # amplitude normalization per factor state
+    cm, ce = col  # amplitude normalization per factor state
     factor = np.array(
-        [
-            (1j) ** (q % 4) * (signs[q] * _float(*_div(_sqrt(x, bits), root, bits)))
-            for q, x in enumerate(w)
-        ]
+        [(1j) ** (q % 4) * (signs[q] * _root(m, e - ce, cm)) for q, (m, e) in enumerate(w)]
     )
     state = BGHZState._from_box(gamma, len(w) - 1, np.outer(factor, factor), norm_residual)
     state._moments  # binned here, so the first kernel call on a built state bins nothing

@@ -1,8 +1,9 @@
 """Byte contract of the CSV front end against checked-in golden files.
 
 Each case covers a row kind: table1 and pk_curve statistics (one, two and
-three beams, and three beams at a policy whose continued-fraction tables
-are computed at run time rather than shipped), dense one- and two-beam
+three beams, and three beams at policies whose continued-fraction tables
+are computed at run time rather than shipped, one of them at the 64-bit
+floor), dense one- and two-beam
 pk_curve grids whose gains cross those where the tail target sets the
 auto cutoff, a Mermin grid that brackets
 the crossing, eta rows that are violated, outside the efficiency window and
@@ -58,6 +59,7 @@ CASES = [
         ["--cmd", "pk_curve", "--n", "3", "--steps", "2", "--pade-order", "60", "--bits", "320"],
         0,
     ),
+    ("pk_curve_n3_bits64", ["--cmd", "pk_curve", "--n", "3", "--steps", "3", "--bits", "64"], 0),
     (
         "mermin_crossing",
         ["--cmd", "mermin", "--gamma-min", "0.7", "--gamma-max", "0.8", "--steps", "3"],

@@ -662,3 +662,10 @@ def test_witness_sweep_values_and_diagnostics():
     assert all(d["agreement"] <= 1e-8 for d in result.diagnostics)
     with pytest.raises(ValueError):
         witness_sweep(3, (0.2, 0.4))
+
+
+@pytest.mark.parametrize("which", [True, 1.0, "1"], ids=repr)
+def test_witness_sweep_index_must_be_an_integer(which):
+    # True and 1.0 used to evaluate w1
+    with pytest.raises(ValueError, match="which must be an integer"):
+        witness_sweep(which, (0.1, 0.2))

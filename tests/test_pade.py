@@ -922,10 +922,11 @@ def test_mpmath_point_is_rejected():
         diagonal_resum(EXP, mpmath.mpf("0.2"), max_order=12)
 
 
-# The dyadic rounding and the square root against mpmath's, and the float
-# against Fraction's: half to even at any precision, sign and exponent,
-# exact ties included.  mpmath's to_float rounds twice below 2**-1021 (to
-# 53 bits, then to the subnormal grid); float of a Fraction rounds once.
+# The dyadic rounding against mpmath's, the float against Fraction's and
+# the root against exact squares: half to even at any precision, sign and
+# exponent, exact ties included.  mpmath's to_float rounds twice below
+# 2**-1021 (to 53 bits, then to the subnormal grid); float of a Fraction
+# rounds once.
 @st.composite
 def _dyadics(draw):
     bits = draw(st.integers(2, 512))
@@ -939,22 +940,46 @@ def _dyadics(draw):
     return m, draw(st.integers(-5000, 5000)), bits
 
 
+def _nearest(x: Fraction) -> float:
+    """float(x), inf past the range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _is_nearest_root(f: float, x: Fraction) -> bool:
+    """Whether f is sqrt(x), x >= 0, rounded half to even: the midpoints
+    between f and its neighbouring floats, squared, bracket x, and at a tie
+    the last bit of f is 0 (inf stands for the even 2**1024)."""
+    top = math.nextafter(math.inf, 0)
+    if f == math.inf:
+        return x >= (Fraction(top) + Fraction(math.ulp(top)) / 2) ** 2
+    below = (Fraction(math.nextafter(f, 0)) + Fraction(f)) / 2 if f else Fraction(0)
+    above = Fraction(f) + Fraction(math.ulp(f)) / 2
+    if not below**2 <= x <= above**2:
+        return False
+    return f == 0 or int(f / math.ulp(f)) % 2 == 0 or below**2 < x < above**2
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_dyadics(), st.integers(1, 1 << 300) | st.just(1))
 # a double-rounding midpoint: 5e-324 rounded once, 1e-323 by to_float
 @example(((1 << 79) + (1 << 78) - (1 << 25), -1153, 53), 1)
+# roots on a tie between two floats, to even: down, and up through a divisor
+@example((((1 << 53) + 1) ** 2, -106, 53), 1)
+@example((((1 << 53) + 3) ** 2 * 9, -106, 64), 9)
+# the floor quotient a square on a tie, the remainder deciding: up
+@example((3 * ((1 << 56) + 8) ** 2 + 1, 0, 64), 3)
 def test_rounding_float_and_root_equal_mpmath(value, q):
     m, e, bits = value
     p, d = (m << e, q) if e >= 0 else (m, q << -e)
     want = mpmath.libmp.from_rational(p, d, bits, mpmath.libmp.round_nearest)
     assert mpmath.libmp.from_man_exp(*pade._rounded(m, e, bits, q)) == want
-    try:
-        nearest = float(Fraction(m) * Fraction(2) ** e)
-    except OverflowError:
-        nearest = math.inf if m > 0 else -math.inf
-    assert pade._float(m, e) == nearest
-    want = mpmath.libmp.mpf_sqrt(mpmath.libmp.from_man_exp(abs(m), e), bits, "n")
-    assert mpmath.libmp.from_man_exp(*state._sqrt((abs(m), e), bits)) == want
+    assert pade._float(m, e) == _nearest(Fraction(m) * Fraction(2) ** e)
+    exact = Fraction(m, q) * Fraction(2) ** e
+    assert pade._float(m, e, q) == _nearest(exact)
+    assert _is_nearest_root(state._root(abs(m), e, q), abs(exact))
 
 
 # The walk's tolerance test on floats against the exact one on the sticky
