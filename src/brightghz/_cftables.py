@@ -28,7 +28,7 @@ from brightghz.state import CUTOFF_CAP, DEFAULT_POLICY
 def _archive() -> bytes:
     """The shipped archive's bytes, as the code computes them now."""
     length = 2 * DEFAULT_POLICY.pade_order + 1
-    series = (_series_pairs(k, 3, length) for k in range(CUTOFF_CAP + 1))
+    series = (_series_pairs(k, 3, length, CUTOFF_CAP) for k in range(CUTOFF_CAP + 1))
     return pade._table_archive(series, DEFAULT_POLICY.bits)
 
 

@@ -31,9 +31,10 @@ whose bound no longer keeps the value within 2**-bits relative ends the
 walk unconverged, recorded with no value.  Each order's float comes from
 one int true division, and the tolerance test runs on those floats within
 a proven error margin, falling back to exact integers only inside it.  So
-the exact quotient is formed once per walk, for the value handed out: an
-exact dyadic Fraction, rounded once (half to even) to the walk's precision
-by _rounded, the one rounding rule that state applies too.
+the exact quotient is formed once per walk, for the value handed out: a
+(mantissa, exponent) pair, rounded once (half to even) to the walk's
+precision by _rounded, the one rounding rule that state applies too.  state
+reads that pair; the result forms its exact dyadic Fraction only when read.
 
 The coefficients depend only on the series and the precision, never on
 the point, so the three-beam tables at the default policy (tuple numbers
@@ -89,7 +90,8 @@ class ResummationResult:
 
     ``value`` is an exact dyadic Fraction at the full working precision
     (bits + 3 * _GUARD_BITS bits for a walk, bits + 64 for a summed
-    polynomial); ``diagnostics`` holds one
+    polynomial); resum forms it only when it is read, as state reads the
+    rounded (mantissa, exponent) pair instead.  ``diagnostics`` holds one
     (order, value) pair per diagonal order tried, and a final value None
     marks the order at which the ladder stopped without a value.  converged
     means the last two retained values agreed to tol relative, which also
@@ -100,6 +102,25 @@ class ResummationResult:
     converged: bool
     order_used: int
     diagnostics: tuple[tuple[int, float | None], ...]
+
+    @classmethod
+    def _of_dyadic(
+        cls, dyadic: tuple[int, int], converged: bool, order_used: int, diagnostics: tuple
+    ) -> ResummationResult:
+        """The result whose value is m 2**e, dyadic = (m, e): it holds the
+        pair as _dyadic, which state reads, and forms value on first read."""
+        result = cls.__new__(cls)
+        result.__dict__.update(
+            _dyadic=dyadic, converged=converged, order_used=order_used, diagnostics=diagnostics
+        )
+        return result
+
+    def __getattr__(self, name: str):
+        # reached only for a name the instance lacks: value, in a result of _of_dyadic
+        if name != "value" or "_dyadic" not in self.__dict__:
+            raise AttributeError(name)
+        value = self.__dict__["value"] = _fraction(*self._dyadic)
+        return value
 
 
 # The C-fraction loses bits in qd (about 2.4 per coefficient for three
@@ -638,8 +659,8 @@ class DiagonalResummer:
         order_used = len(diagnostics)
         if not converged and order_used < max_order:
             diagnostics.append((order_used + 1, None))
-        value = _fraction(*_rounded(*_quotient(*kept, fv), fv))
-        return ResummationResult(value, converged, order_used, tuple(diagnostics))
+        value = _rounded(*_quotient(*kept, fv), fv)
+        return ResummationResult._of_dyadic(value, converged, order_used, tuple(diagnostics))
 
     def resum(
         self, x, max_order: int = 40, tol: float = 1e-10, bits: int = 256
@@ -667,7 +688,10 @@ class DiagonalResummer:
 
         degree = self._degrees.get(need)
         if degree is None:
-            degree = max((j for j, (p, _) in enumerate(self._pairs[:need]) if p), default=-1)
+            # from the end: an emission series' last coefficient is nonzero
+            degree = need - 1
+            while degree >= 0 and not self._pairs[degree][0]:
+                degree -= 1
             self._degrees[need] = degree
         if not num or degree <= max_order:
             # At x = 0 every order is c_0.  A terminating series has every
@@ -678,12 +702,7 @@ class DiagonalResummer:
                 total = total * x + Fraction(p, q)
             m, e = _rounded(total.numerator, 0, bits + 64, total.denominator)
             order = max(1, degree) if num else 1
-            return ResummationResult(
-                value=_fraction(m, e),
-                converged=True,
-                order_used=order,
-                diagnostics=((order, _float(m, e)),),
-            )
+            return ResummationResult._of_dyadic((m, e), True, order, ((order, _float(m, e)),))
 
         return self._walk(point, max_order, ratio, bits)
 

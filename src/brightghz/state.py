@@ -373,9 +373,10 @@ _VALUES: dict = {}
 def _resummer(n: int, k: int, L: int) -> DiagonalResummer:
     """The resummer of one coefficient series, held as series_core's exact pairs.
 
-    Bounded, as no gain enters its key.
+    Bounded, as no gain enters its key.  The store is asked for every k the
+    auto cutoff can reach, so the ladder's series come from one pass.
     """
-    return DiagonalResummer._from_pairs(_series_pairs(k, n, L))
+    return DiagonalResummer._from_pairs(_series_pairs(k, n, L, CUTOFF_CAP))
 
 
 def _series_value(n: int, k: int, gamma: float, policy: NumericPolicy, u=None) -> tuple[int, int]:
@@ -413,7 +414,9 @@ def _series_value(n: int, k: int, gamma: float, policy: NumericPolicy, u=None) -
                 f" gamma={gamma} within order {result.order_used}",
                 order_reached=result.order_used,
             )
-    return _dyadic(result.value)
+    # resum's result carries its rounded pair; one built from a Fraction does not
+    pair = getattr(result, "_dyadic", None)
+    return _dyadic(result.value) if pair is None else pair
 
 
 def resummed_coefficient(

@@ -2,7 +2,8 @@
 
 Each one computes a number of the package by an independent route:
 
-- the weights P[k, l] from their closed nested-sum form (p_explicit);
+- the weights P[k, l] from their closed nested-sum form (p_explicit), and
+  the whole triangle of them by the recurrence (p_rows);
 - the [N/M] Pade approximant solved exactly and evaluated in mpmath
   (build_pade, evaluate), and the diagonal ladder by Wynn's epsilon
   recursion on partial sums (epsilon_ladder), the two references for the
@@ -146,6 +147,24 @@ def p_explicit(k: int, n: int, l: int) -> int:
         return got
 
     return tower(depth, k + 1)
+
+
+def p_rows(n: int, l_max: int) -> list[list[int]]:
+    """Rows 0..l_max of P by its recurrence, every row kept: row l holds
+    P[k, l] for k = l % 2, l % 2 + 2, ..., l at index k // 2.
+
+    The whole triangle, of which series_core keeps only the columns a
+    series reads and the last row; each entry is read by its (k, l) index.
+    """
+    rows = [[1]]
+    for l in range(1, l_max + 1):
+        prev = rows[-1]
+
+        def at(k: int) -> int:
+            return prev[k // 2] if 0 <= k < l and (l - 1 - k) % 2 == 0 else 0
+
+        rows.append([at(k - 1) + (k + 1) ** n * at(k + 1) for k in range(l % 2, l + 1, 2)])
+    return rows
 
 
 # Coefficient magnitudes span hundreds of orders, so explicit approximant

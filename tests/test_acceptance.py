@@ -24,7 +24,7 @@ from brightghz.nonclassicality import (
 )
 from brightghz.oracles import coherent_pk, squeezed_pk
 from brightghz.pade import diagonal_resum
-from brightghz.series_core import _ensure_store, c_series
+from brightghz.series_core import _columns, c_series
 from brightghz.state import BrightStateSpec, NumericPolicy, build_bghz, photon_distribution
 from brightghz.stokes import stokes_expectation
 from references import (
@@ -103,12 +103,12 @@ def test_criterion_2_closed_form_oracles():
 def test_criterion_3_recurrence_equals_explicit():
     ok = True
     for n in (1, 2, 3, 4):
-        rows = _ensure_store(n, 12)
+        columns = _columns(n, 12, 12)
         for l in range(13):
-            # row l holds P[k, l] at k // 2 for k = l % 2, l % 2 + 2, ..., l
+            # column k holds P[k, l] at (l - k) // 2 for l = k, k + 2, ...
             # only; a parity-violating P[k, l] is zero and has no slot
             expected = [p_explicit(k, n, l) for k in range(l % 2, l + 1, 2)]
-            if rows[l] != expected:
+            if [columns[k][(l - k) // 2] for k in range(l % 2, l + 1, 2)] != expected:
                 ok = False
     _verdict(
         3,

@@ -1,7 +1,9 @@
 """Construction and resummation tests for the diagonal Pade ladder."""
 
+import copy
 import functools
 import math
+import pickle
 import random
 import subprocess
 import sys
@@ -173,6 +175,9 @@ def test_ladder_values_match_explicit_approximants():
         [Fraction(1, j + 1) for j in range(6)] + [Fraction(0)] * 7,
         # a gap: the first five terms end at degree 2, so order 2 sums them
         [Fraction(1), Fraction(1, 2), Fraction(1, 3), 0, 0, Fraction(1, 6)] + [0] * 7,
+        # the last term read sets the degree: order 2 reads c_4 past a zero
+        # c_3, so it walks, while 5 and 6 sum
+        [Fraction(1), Fraction(1, 2), Fraction(1, 3), 0, Fraction(1, 5)] + [0] * 8,
     ],
 )
 def test_terminating_series_branch_follows_the_length_used(series):
@@ -188,9 +193,26 @@ def test_terminating_series_branch_follows_the_length_used(series):
             degree = max(j for j, c in enumerate(prefix) if c)
             summed = degree <= order
             assert (got.diagnostics == ((max(1, degree), float(got.value)),)) == summed
+            assert (len(got.diagnostics) == 1) == summed
             if summed:
                 exact = sum(Fraction(c) * x**j for j, c in enumerate(prefix))
                 assert abs(got.value - exact) <= abs(exact) / 2**bits
+
+
+@pytest.mark.parametrize("series", [c_series(4, 3, 41).coeffs, [Fraction(1), Fraction(1, 2)] + [0] * 39])
+def test_result_value_is_formed_from_its_rounded_pair_on_first_read(series):
+    # resum hands out the rounded (mantissa, exponent) pair, which state
+    # reads, from a walk or from a summed polynomial; the exact Fraction is
+    # formed only when value is read, and the result compares, hashes,
+    # prints, copies and pickles as one built from that Fraction
+    got = DiagonalResummer(series).resum(Fraction(-1, 4), max_order=20)
+    assert "value" not in vars(got)
+    m, e = got._dyadic
+    built = pade.ResummationResult(
+        Fraction(m) * Fraction(2) ** e, got.converged, got.order_used, got.diagnostics
+    )
+    assert got == built and hash(got) == hash(built) and repr(got) == repr(built)
+    assert copy.copy(got) == pickle.loads(pickle.dumps(got)) == built
 
 
 def test_short_series_rejected():
@@ -249,7 +271,7 @@ def test_default_policy_ladder_never_stops_for_three_beams():
     # on the series as state holds them, so the walks read the shipped tables
     tol, bits, order = DEFAULT_POLICY.tol, DEFAULT_POLICY.bits, DEFAULT_POLICY.pade_order
     for k in range(0, CUTOFF_CAP + 1, 3):
-        resummer = DiagonalResummer._from_pairs(_series_pairs(k, 3, 2 * order + 1))
+        resummer = DiagonalResummer._from_pairs(_series_pairs(k, 3, 2 * order + 1, CUTOFF_CAP))
         for gamma in (0.05, 0.45, 0.77, 0.89):
             x = -(Fraction(gamma) ** 2)
             got = resummer.resum(x, max_order=order, tol=tol, bits=bits)
@@ -591,7 +613,7 @@ def test_archive_refuses_a_check_run_of_its_own(monkeypatch):
     # each one check-scale unit of error; a table whose check run is not
     # its value run coarsened in one coefficient cannot be stored
     bits = DEFAULT_POLICY.bits
-    series = [_series_pairs(4, 3, 21)]
+    series = [_series_pairs(4, 3, 21, CUTOFF_CAP)]
     assert pade._table_archive(series, bits)
     qd, (_, check_scale) = pade._qd, pade._scales(bits)
 
@@ -716,7 +738,7 @@ def test_shipped_table_walk_needs_no_qd(monkeypatch):
     length = 2 * DEFAULT_POLICY.pade_order + 1
     xs = [-(Fraction(g) ** 2) for g in (0.1, 0.6, 0.89)]
     want = [DiagonalResummer(c_series(4, 3, length).coeffs).resum(x) for x in xs]
-    resummer = DiagonalResummer._from_pairs(_series_pairs(4, 3, length))
+    resummer = DiagonalResummer._from_pairs(_series_pairs(4, 3, length, CUTOFF_CAP))
     monkeypatch.setattr(pade, "_qd", None)
     assert [resummer.resum(x) for x in xs] == want
 
@@ -733,7 +755,7 @@ def test_unshipped_series_or_precision_runs_qd(case, monkeypatch):
     # any change to what fixes the table of a series held as production
     # holds it misses the archive and computes, giving exactly what a
     # resummer without shipped tables gives
-    series = list(_series_pairs(20, 3, 81))
+    series = list(_series_pairs(20, 3, 81, CUTOFF_CAP))
     order, bits = 40, 256
     if case == "perturbed":
         p, q = series[37]
