@@ -19,6 +19,16 @@ exact() {
     cmp "$out/$name.csv" "tests/data/cli/$name.csv"
 }
 
+# as exact, for a grid with a point flagged diverged: the command exits 2
+exact_diverged() {
+    name=$1
+    shift
+    code=0
+    brightghz "$@" > "$out/$name.csv" || code=$?
+    [ "$code" -eq 2 ]
+    cmp "$out/$name.csv" "tests/data/cli/$name.csv"
+}
+
 # name, then the command's arguments: written for the caller
 stokes() {
     name=$1
@@ -30,6 +40,7 @@ exact table1 --cmd table1
 exact pk_curve_n3 --cmd pk_curve --n 3 --steps 2
 exact pk_curve_n3_order60 --cmd pk_curve --n 3 --steps 2 --pade-order 60 --bits 320
 exact pk_curve_n3_bits64 --cmd pk_curve --n 3 --steps 3 --bits 64
+exact_diverged pk_curve_n3_cutoff8 --cmd pk_curve --n 3 --steps 3 --cutoff 8
 exact pk_curve_n1 --cmd pk_curve --n 1 --steps 3
 exact pk_curve_n2 --cmd pk_curve --n 2 --steps 3
 exact pk_curve_n1_dense --cmd pk_curve --n 1 --gamma-min 0.01 --gamma-max 0.85 --steps 29

@@ -3,7 +3,8 @@
 Each case covers a row kind: table1 and pk_curve statistics (one, two and
 three beams, and three beams at policies whose continued-fraction tables
 are computed at run time rather than shipped, one of them at the 64-bit
-floor), dense one- and two-beam
+floor, and three beams at a pinned cutoff, whose tail lies far below the
+auto cutoff's target), dense one- and two-beam
 pk_curve grids whose gains cross those where the tail target sets the
 auto cutoff, a Mermin grid that brackets
 the crossing, eta rows that are violated, outside the efficiency window and
@@ -60,6 +61,8 @@ CASES = [
         0,
     ),
     ("pk_curve_n3_bits64", ["--cmd", "pk_curve", "--n", "3", "--steps", "3", "--bits", "64"], 0),
+    # the gamma = 0.85 row is flagged diverged, so the command exits 2
+    ("pk_curve_n3_cutoff8", ["--cmd", "pk_curve", "--n", "3", "--steps", "3", "--cutoff", "8"], 2),
     (
         "mermin_crossing",
         ["--cmd", "mermin", "--gamma-min", "0.7", "--gamma-max", "0.8", "--steps", "3"],
