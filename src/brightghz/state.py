@@ -12,16 +12,14 @@ which lives on the exchange-symmetric diagonal: every observer holds the
 same occupation pair (q photons polarized a, m polarized b).
 
 Statistics and states read one photon ladder, _retained_weights, where the
-cutoff is decided.  Weights and the sums over them are exact dyadic
-(mantissa, exponent) integer pairs, rounded half to even by pade._rounded:
-each weight once, as the exact product of its integer factors, at working
-precision, and each step of a sum at 53 bits for the statistics and at
-working precision for the state's normalization.  Each probability,
-resummed coefficient and factor magnitude |u_q| of the state (the square
-root of a normalized three-beam weight) is one rounding of an exact
-integer ratio to a float.  Floats only screen the cutoff test: where they
-prove that the cutoff grows, no exact tail is formed.  The amplitude box
-is rank one, A[q, m] = u_q u_m, so one float outer product of those
+cutoff is decided.  Weights are exact dyadic (mantissa, exponent) integer
+pairs, each the exact product of its integer factors rounded once, half to
+even, at working precision (pade._rounded).  Sums and ratios of them are
+exact.  Each probability, tail bound, mean, norm residual, resummed
+coefficient and factor magnitude |u_q| of the state (the square root of a
+normalized three-beam weight) is one rounding of an exact integer ratio to
+a float.  Floats only screen the cutoff test: where they prove that the
+cutoff grows, no exact tail is formed.  The amplitude box is rank one, A[q, m] = u_q u_m, so one float outer product of those
 cutoff + 1 factor amplitudes fills it.
 
 Two bounded memos key on gain point and policy, cutoff included.
@@ -71,9 +69,12 @@ TAIL_TARGET = 1e-10
 CUTOFF_CAP = 60
 # Deep emission orders stop meeting the strict ladder tolerance long before
 # their values turn into noise.  A value whose final two diagonal entries
-# agree to this relative level is still good to ~0.1 percent, which enters
-# probabilities squared at ~0.2 percent: ample for any downstream float
-# use.  Anything looser is treated as unresolved.
+# agree to this relative level is accepted; anything looser is treated as
+# unresolved.  The agreement does not bound the error: of 183 unconverged
+# order-40 three-beam ladders (gamma 0.40-0.85, k 10-44) two that the rule
+# accepts miss the order-60, 512-bit value by 4.6e-3 (gamma 0.75, k 35) and
+# 4.4e-3 (gamma 0.85, k 31).  The auto cutoffs stop before both, at 32 and
+# 29, so only a pinned cutoff reads them.
 SOFT_AGREEMENT = 1e-3
 # Gain from which three-beam statistics, and with them the bright state,
 # stop converging; at or past it the builders warn.
@@ -83,9 +84,11 @@ GAMMA_GUARD = 0.9
 def _real(value) -> float:
     """value as a float if it is a real of any type, else NaN, which every range check rejects.
 
-    NumPy scalars, Fractions and Decimals count as reals.
+    NumPy scalars, Fractions and Decimals count as reals.  A bool does not,
+    as _count rejects it for a count.
     """
-    return float(value) if isinstance(value, (numbers.Real, Decimal)) else math.nan
+    real = isinstance(value, (numbers.Real, Decimal)) and not isinstance(value, bool)
+    return float(value) if real else math.nan
 
 
 def _gain(value) -> float:
@@ -172,9 +175,9 @@ class BrightStateSpec:
 class TripleDistribution:
     """Normalized p(k) over retained k, with an estimate of the omitted tail.
 
-    probs sums to 1 - tail_bound; mean, sum k p(k) over the retained
-    probs, is correctly rounded (math.fsum), and None when the retained
-    weights show no decay (diverged set) or the tail estimate is infinite.
+    probs sums to 1 - tail_bound.  mean is sum k p(k) over the retained k,
+    None when the retained weights show no decay (diverged set) or the tail
+    estimate is infinite.  Each float is one rounding of an exact ratio.
     """
 
     n: int
@@ -436,28 +439,17 @@ def resummed_coefficient(
     return (1j) ** (k % 4) * _float(m**k * sm, k * e + se)
 
 
-# Values are exact dyadics, (mantissa, exponent) integer pairs.  Each
-# operation rounds its exact result half to even to the bits it is given.
+# Values are exact dyadics, (mantissa, exponent) integer pairs.
 def _dyadic(x) -> tuple[int, int]:
     """A finite float or dyadic Fraction as (mantissa, exponent), exactly."""
     m, d = x.as_integer_ratio()
     return m, 1 - d.bit_length()
 
 
-def _add(a: tuple[int, int], b: tuple[int, int], bits: int, sign: int = 1) -> tuple[int, int]:
-    """a + sign * b."""
-    (m, e), (n, f) = a, b
-    low = min(e, f)
-    return _rounded((m << (e - low)) + sign * (n << (f - low)), low, bits)
-
-
-def _mul(a: tuple[int, int], b: tuple[int, int], bits: int) -> tuple[int, int]:
-    return _rounded(a[0] * b[0], a[1] + b[1], bits)
-
-
-def _div(a: tuple[int, int], b: tuple[int, int], bits: int) -> tuple[int, int]:
-    """a / b for b > 0."""
-    return _rounded(a[0], a[1] - b[1], bits, b[0])
+def _sum(*terms: tuple[int, int]) -> tuple[int, int]:
+    """The exact sum of dyadics, at the least exponent among them."""
+    low = min(e for _, e in terms)
+    return sum(m << (e - low) for m, e in terms), low
 
 
 def _root(m: int, e: int, q: int) -> float:
@@ -491,21 +483,9 @@ def _weights(n: int, gamma: float, policy: NumericPolicy) -> Iterator[tuple[tupl
         yield _rounded(scale * (sm * sm), 2 * (k * e + se), policy.bits), 1 if sm >= 0 else -1
 
 
-def _tail_estimate(w: list) -> float:
-    """Geometric extrapolation of the omitted mass from the last two weights."""
-    if len(w) < 2 or not w[-1][0]:
-        return 0.0
-    if not w[-2][0]:
-        return inf
-    r = _div(w[-1], w[-2], _STATS_BITS)
-    if _float(*r) >= 1:
-        return inf
-    rest = _add((1, 0), r, _STATS_BITS, -1)
-    return _float(*_div(_mul(w[-1], r, _STATS_BITS), rest, _STATS_BITS))
-
-
-def _omitted_mass(w: list, mass) -> float:
-    """Best estimate of the probability mass beyond the retained weights w.
+def _omitted_mass(w: list, mass: tuple[int, int]) -> tuple[int, int, int] | None:
+    """Best estimate of the probability mass beyond the retained weights w,
+    exactly, as (m, e, q) for m / q * 2**e; None where it is infinite.
 
     mass is sum(w).  The weights of a normalized emission state must
     total exactly 1, so the retained-sum shortfall measures the omitted
@@ -513,27 +493,48 @@ def _omitted_mass(w: list, mass) -> float:
     climbing toward its limit, where a geometric extrapolation from the
     last two entries undershoots.  The larger of the two estimates is
     kept, which also preserves the geometric bound as the conservative
-    choice whenever the ratio is falling instead.
+    choice whenever the ratio is falling instead.  With w the last weight
+    and r its ratio to the one before, the geometric estimate is
+    G = w r / (1 - r) = w**2 / (before - w): 0 for fewer than two weights
+    or w = 0, and infinite where w >= before.
     """
-    shortfall = _float(*_add((1, 0), mass, _STATS_BITS, -1))
-    return max(_tail_estimate(w), shortfall, 0.0)
+    s, e = _sum((1, 0), (-mass[0], mass[1]))  # the shortfall s 2**e
+    if len(w) < 2 or not w[-1][0]:
+        return max(s, 0), e, 1
+    (m, f), (q, h) = w[-1], _sum(w[-2], (-w[-1][0], w[-1][1]))
+    if q <= 0:
+        return None
+    n, g = m * m, 2 * f - h  # G = n / q * 2**g
+    low = min(e, g)
+    return (s, e, 1) if (s * q) << (e - low) > n << (g - low) else (n, g, q)
+
+
+def _settled(tail: tuple[int, int, int], mass: tuple[int, int]) -> bool:
+    """Whether tail < TAIL_TARGET (mass + tail), decided exactly on integers.
+
+    With TAIL_TARGET = a / b exactly, the test is tail (b - a) < a mass.
+    """
+    (m, e, q), (n, f) = tail, mass
+    low = min(e, f)
+    return (m << (e - low)) * (_TARGET[1] - _TARGET[0]) < (_TARGET[0] * n * q) << (f - low)
 
 
 def _growing(before: float, last: float, mass: float) -> bool:
     """Whether the floats of the last two weights and of the mass prove that
     the cutoff grows, that is, that the exact test continues too.
 
-    The omitted mass is never below the geometric estimate G = w r / (1 - r)
-    (_tail_estimate: w the last weight, r its ratio to the one before).
-    While G > 2 TAIL_TARGET mass, TAIL_TARGET (mass + tail) < tail / 2 +
-    TAIL_TARGET tail < tail, rounding included, so the cutoff grows.  The
-    screen forms G in floats.  With u = 2**-53 and the last float at least
-    2**-960 (so it and the mass, which holds it, are normal), the float r
-    is within 4.1u of the exact one; the 8u added to 1 - r covers that and
-    its rounding, and a ratio at or past 1 keeps the 8u alone.  That bounds
-    G from below up to 12u, which the 2**-40 of the bound covers.  A last
-    float below 2**-960 or a NaN estimate leaves the decision to the exact
-    test; an infinite one (overflow, or a ratio past 1) still bounds G.
+    The omitted mass T is never below the geometric estimate G = w r / (1 - r)
+    (_omitted_mass: w the last weight, r its ratio to the one before).
+    While G > 2 TAIL_TARGET mass, T (1 - TAIL_TARGET) > TAIL_TARGET mass, so
+    T > TAIL_TARGET (mass + T) and the cutoff grows.  The screen forms G in
+    floats.  With u = 2**-53 and the last float at least 2**-960 (so it and
+    the mass, which holds it, are normal), the float r is within 4.1u of the
+    exact one; the 8u added to 1 - r covers that and its rounding, and a
+    ratio at or past 1 keeps the 8u alone.  That bounds G from below up to
+    12u.  The mass's float (one rounding of the exact sum), the bound's and
+    their product add 3u, and the 2**-40 of the bound covers the 15u.  A
+    last float below 2**-960 or a NaN estimate leaves the decision to the
+    exact test; an infinite one (overflow, or a ratio past 1) still bounds G.
     """
     if not (last >= 2.0**-960 and before > 0):
         return False
@@ -541,11 +542,9 @@ def _growing(before: float, last: float, mass: float) -> bool:
     return last * r / (max(1.0 - r, 0.0) + 2.0**-50) > _SCREEN_BOUND * mass
 
 
-# Precision of the sums built from the weights: the retained mass, the tail
-# estimate and the total that divides the probabilities.  53 bits is what the
-# checked-in golden CSVs were made at.  _growing screens against twice the
-# tail target, with room for its rounding.
-_STATS_BITS, _SCREEN_BOUND = 53, 2 * TAIL_TARGET * (1 + 2.0**-40)
+# TAIL_TARGET as the exact ratio of integers the cutoff test reads, and the
+# bound _growing screens against: twice the target, with room for rounding.
+_TARGET, _SCREEN_BOUND = TAIL_TARGET.as_integer_ratio(), 2 * TAIL_TARGET * (1 + 2.0**-40)
 
 
 # Per beam count, gain point and policy, cutoff included, most recently
@@ -555,16 +554,15 @@ _STATS_BITS, _SCREEN_BOUND = 53, 2 * TAIL_TARGET * (1 + 2.0**-40)
 @lru_cache(maxsize=32)
 def _retained_weights(
     n: int, gamma: float, policy: NumericPolicy
-) -> tuple[tuple, tuple[int, ...], tuple[int, int], float]:
+) -> tuple[tuple, tuple[int, ...], tuple[int, int], tuple[int, int, int] | None]:
     """(w, signs, mass, tail): the retained weights |C_k|^2 (k!)^n, the signs
-    of their series values, their sum and the omitted mass.
+    of their series values, their exact sum and the omitted mass.
 
     The one place the cutoff is decided: pinned, or grown until the tail
     drops below TAIL_TARGET of the total, a ladder fails or CUTOFF_CAP.  One
-    pass: each appended weight is added once to the running mass, left to
-    right as sum() adds.  mass is rounded at _STATS_BITS after each addition
-    and tail taken at _STATS_BITS; the weights are at policy.bits.  The
-    exact tail is formed only where _growing cannot prove that the cutoff
+    pass: each appended weight is added once to the running mass.  The
+    weights are at policy.bits; the mass, the tail and the test are exact.
+    The tail is formed only where _growing cannot prove that the cutoff
     grows, and once for the tail returned.
     """
     weights = _weights(n, gamma, policy)
@@ -575,13 +573,13 @@ def _retained_weights(
         x, sign = next(weights)
         w.append(x)
         signs.append(sign)
-        mass = _add(mass, x, _STATS_BITS)
+        mass = _sum(mass, x)
     if policy.cutoff is None:
         before, last = _float(*w[0]), _float(*w[1])
         while len(w) - 1 < CUTOFF_CAP and (
             _growing(before, last, _float(*mass))
-            or (tail := _omitted_mass(w, mass)) == inf
-            or not tail < TAIL_TARGET * _float(*_add(mass, _dyadic(tail), _STATS_BITS))
+            or (tail := _omitted_mass(w, mass)) is None
+            or not _settled(tail, mass)
         ):
             try:
                 x, sign = next(weights)
@@ -591,7 +589,7 @@ def _retained_weights(
                 break
             w.append(x)
             signs.append(sign)
-            mass = _add(mass, x, _STATS_BITS)
+            mass = _sum(mass, x)
             before, last = last, _float(*x)
     return tuple(w), tuple(signs), mass, _omitted_mass(w, mass)
 
@@ -600,7 +598,7 @@ def photon_distribution(spec: BrightStateSpec) -> TripleDistribution:
     """Probability of observing k emitted n-tuples, up to an adaptive cutoff.
 
     The weights and the cutoff are _retained_weights', the ladder build_bghz
-    reads too; each probability is one rounding of a weight over the total.
+    reads too; the total is their mass plus the tail.
     """
     if spec.validity_warning:
         warnings.warn(
@@ -615,15 +613,17 @@ def photon_distribution(spec: BrightStateSpec) -> TripleDistribution:
     diverged = len(scaled) >= 5 and all(
         scaled[k + 1] >= scaled[k] for k in range(len(scaled) - 5, len(scaled) - 1)
     )
-    # an infinite tail leaves the retained weights normalized on their own
-    tm, te = mass if tail == inf else _add(mass, _dyadic(tail), _STATS_BITS)
-    probs = tuple(_float(m, e - te, tm) for m, e in w)
-    if tail == inf:
-        diverged, tail_bound = True, inf
+    # each float is one rounding of its ratio to the total t / q * 2**e; an
+    # infinite tail leaves the retained weights normalized on their own
+    if tail is None:
+        diverged, tail_bound, (t, e), q = True, inf, mass, 1
     else:
-        m, e = _dyadic(tail)
-        tail_bound = _float(m, e - te, tm)
-    mean = None if diverged else fsum(k * p for k, p in enumerate(probs))
+        q = tail[2]
+        t, e = _sum((mass[0] * q, mass[1]), tail[:2])
+        tail_bound = _float(tail[0], tail[1] - e, t)
+    probs = tuple(_float(m * q, f - e, t) for m, f in w)
+    m, f = _sum(*((k * m, f) for k, (m, f) in enumerate(w)))  # sum k w_k
+    mean = None if diverged else _float(m * q, f - e, t)
     return TripleDistribution(
         n=spec.n,
         gamma=spec.gamma,
@@ -666,16 +666,12 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
 @lru_cache(maxsize=32)
 def _bright_state(gamma: float, policy: NumericPolicy) -> BGHZState:
     """The state at gamma, box u u^T over u_q = i^q sign(s_q) sqrt(w_q / W),
-    each root rounded once (_root), the three-beam weights w_q and the signs
-    of the series values s_q from _retained_weights and W their sum at
-    policy.bits, which norm_residual reads too; with its shell moments."""
-    w, signs, _, _ = _retained_weights(3, gamma, policy)
-    bits = policy.bits
-    col = (0, 0)
-    for x in w:
-        col = _add(col, x, bits)
-    norm_residual = abs(_float(*_add((1, 0), _mul(col, col, bits), bits, -1)))
-    cm, ce = col  # amplitude normalization per factor state
+    each root rounded once (_root), the three-beam weights w_q, the signs of
+    the series values s_q and W, the weights' exact sum, from
+    _retained_weights; norm_residual is one rounding of |1 - W^2|.  With its
+    shell moments."""
+    w, signs, (cm, ce), _ = _retained_weights(3, gamma, policy)
+    norm_residual = abs(_float(*_sum((1, 0), (-cm * cm, 2 * ce))))
     factor = np.array(
         [(1j) ** (q % 4) * (signs[q] * _root(m, e - ce, cm)) for q, (m, e) in enumerate(w)]
     )

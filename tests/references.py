@@ -16,8 +16,9 @@ Each one computes a number of the package by an independent route:
 - Stokes expectations by explicit operator matrices on exhaustively
   enumerated six-mode occupations (DenseTruncatedState, dense_expectation,
   random_product_state), where the package never materializes a matrix;
-- the photon statistics and the bright state's factor by an mpmath chain,
-  and the cutoff loop with its exact test at every k (no float screen).
+- the photon statistics, the cutoff loop and the bright state's factor
+  from exact rationals, the loop with its exact test at every k (no float
+  screen), and each float one rounding of a Fraction.
 
 Random exchange-diagonal states for property tests live here too.  This is
 where the tests' mpmath use sits; the package itself runs on NumPy and the
@@ -591,123 +592,110 @@ def at_bits(value, bits):
     return from_rational(value.numerator, value.denominator, bits, round_nearest)
 
 
-# The photon statistics and the bright state's factor as mpmath computed
-# them: weights and factors at the policy's working precision, statistics
-# at 53 bits, every sum taken from scratch.  They read state's series
-# values, so they pin everything after the resummation.
-def mp_weight(n, gamma, k, policy):
-    """Unnormalized p-weight |C_k|^2 (k!)^n as an mpf at policy.bits."""
-    with mp.workprec(policy.bits):
-        if gamma == 0:
-            return mpf(1) if k == 0 else mpf(0)
-        s = to_mpf(state_module._series_value(n, k, gamma, policy))
-        return mpf(gamma) ** (2 * k) * s * s * mpf(factorial(k)) ** n
+# The photon statistics and the bright state's factor from exact rationals:
+# each weight the exact product of state's series value, rounded once at
+# policy.bits by mpmath, and every sum, tail and cutoff test a Fraction,
+# taken from scratch at every k.  They read state's series values, so they
+# pin everything after the resummation.
+def exact_weight(n, gamma, k, policy):
+    """(w, sign): the p-weight |C_k|^2 (k!)^n as a Fraction rounded once at
+    policy.bits, and the sign of the series value (1 at gain 0)."""
+    if gamma == 0:
+        return Fraction(k == 0), 1
+    m, e = state_module._series_value(n, k, gamma, policy)
+    exact = Fraction(gamma) ** (2 * k) * factorial(k) ** n * (m * Fraction(2) ** e) ** 2
+    return Fraction(*to_rational(at_bits(exact, policy.bits))), 1 if m >= 0 else -1
 
 
-def _mp_tail_estimate(w):
+def _geometric_tail(w):
+    """w r / (1 - r) for the last weight w and its ratio r to the one before."""
     if len(w) < 2 or w[-1] == 0:
-        return 0.0
+        return Fraction(0)
     if w[-2] == 0:
         return math.inf
     r = w[-1] / w[-2]
-    if r >= 1:
-        return math.inf
-    return float(w[-1] * r / (1 - r))
+    return math.inf if r >= 1 else w[-1] * r / (1 - r)
 
 
-def _mp_omitted(w):
-    geometric = _mp_tail_estimate(w)
-    if geometric == math.inf:
-        return geometric
-    return max(geometric, float(1 - sum(w)), 0.0)
-
-
-def mp_retained_weights(n, gamma, policy):
-    """(w, tail): the retained weights as mpfs and the omitted mass, the
-    cutoff grown as photon_distribution grows it."""
-    weight = functools.partial(mp_weight, n, gamma, policy=policy)
-    with mp.workprec(53):
-        if policy.cutoff is not None:
-            w = [weight(k) for k in range(policy.cutoff + 1)]
-            return w, _mp_omitted(w)
-        w = [weight(0), weight(1)]
-        tail = _mp_omitted(w)
-        while not (
-            tail < state_module.TAIL_TARGET * float(sum(w) + tail)
-        ) and len(w) - 1 < state_module.CUTOFF_CAP:
-            try:
-                w.append(weight(len(w)))
-            except ResummationError:
-                break
-            tail = _mp_omitted(w)
-        return w, tail
+def _omitted(w):
+    """The geometric tail or the shortfall 1 - sum(w), the larger, and at least 0."""
+    geometric = _geometric_tail(w)
+    return geometric if geometric == math.inf else max(geometric, 1 - sum(w), Fraction(0))
 
 
 def exact_retained_weights(n, gamma, policy):
-    """state._retained_weights for an auto cutoff with no float screen: the
-    exact omitted mass and the exact cutoff test at every k."""
-    weights = state_module._weights(n, gamma, policy)
-    w, signs, mass = [], [], (0, 0)
+    """(w, signs, mass, tail) of state._retained_weights from exact
+    rationals: the weights, their sum and the omitted mass as Fractions, an
+    infinite tail as math.inf.  An auto cutoff grows as state grows it, with
+    the exact test at every k (no float screen)."""
+    w, signs = [], []
 
     def grow():
-        nonlocal mass
-        x, sign = next(weights)
+        x, sign = exact_weight(n, gamma, len(w), policy)
         w.append(x)
         signs.append(sign)
-        mass = state_module._add(mass, x, state_module._STATS_BITS)
 
-    def settled(tail):
-        total = state_module._add(mass, state_module._dyadic(tail), state_module._STATS_BITS)
-        return tail < state_module.TAIL_TARGET * pade._float(*total)
-
-    grow()
-    grow()
-    tail = state_module._omitted_mass(w, mass)
-    while len(w) - 1 < state_module.CUTOFF_CAP and (tail == math.inf or not settled(tail)):
+    for _ in range(2 if policy.cutoff is None else policy.cutoff + 1):
+        grow()
+    target = Fraction(state_module.TAIL_TARGET)
+    while policy.cutoff is None and len(w) - 1 < state_module.CUTOFF_CAP:
+        tail = _omitted(w)
+        if tail != math.inf and tail < target * (sum(w) + tail):
+            break
         try:
             grow()
         except ResummationError:
             break
-        tail = state_module._omitted_mass(w, mass)
-    return tuple(w), tuple(signs), mass, tail
+    return tuple(w), tuple(signs), sum(w), _omitted(w)
 
 
-def mp_distribution(spec):
-    """photon_distribution(spec) by the mpmath chain at 53 bits."""
-    w, tail = mp_retained_weights(spec.n, spec.gamma, spec.policy)
-    scaled = [float(w[k]) * k * k for k in range(len(w))]
+def exact_distribution(spec):
+    """photon_distribution(spec) from exact_retained_weights, each float one
+    rounding of a Fraction."""
+    w, _, mass, tail = exact_retained_weights(spec.n, spec.gamma, spec.policy)
+    scaled = [float(x) * k * k for k, x in enumerate(w)]
     diverged = len(scaled) >= 5 and all(
         scaled[k + 1] >= scaled[k] for k in range(len(scaled) - 5, len(scaled) - 1)
     )
-    with mp.workprec(53):
-        if tail == math.inf:
-            total = sum(w)
-            probs = tuple(float(x / total) for x in w)
-            return TripleDistribution(spec.n, spec.gamma, probs, math.inf, None, True)
-        total = sum(w) + mpf(tail)
-        probs = tuple(float(x / total) for x in w)
-        tail_bound = float(mpf(tail) / total)
-    mean = None if diverged else math.fsum(k * p for k, p in enumerate(probs))
-    return TripleDistribution(spec.n, spec.gamma, probs, tail_bound, mean, diverged)
+    if tail == math.inf:
+        probs = tuple(float(x / mass) for x in w)
+        return TripleDistribution(spec.n, spec.gamma, probs, math.inf, None, True)
+    total = mass + tail
+    probs = tuple(float(x / total) for x in w)
+    mean = None if diverged else float(sum(k * x for k, x in enumerate(w)) / total)
+    return TripleDistribution(spec.n, spec.gamma, probs, float(tail / total), mean, diverged)
 
 
-def mp_factor(gamma, policy):
-    """(factor, norm_residual) of build_bghz by the mpmath chain: the
-    three-beam weights normalized, their square roots taken and divided at
-    policy.bits, each made a float once."""
-    w, _ = mp_retained_weights(3, gamma, policy)
-    with mp.workprec(policy.bits):
-        col = sum(w)
-        norm_residual = float(abs(1 - col * col))
-        root = col**0.5
-        values = [state_module._series_value(3, q, gamma, policy) for q in range(len(w))]
-        factor = np.array(
-            [
-                (1j) ** (q % 4) * ((1 if s[0] >= 0 else -1) * float(x**0.5 / root))
-                for q, (s, x) in enumerate(zip(values, w))
-            ]
-        )
-    return factor, norm_residual
+def nearest_root(x):
+    """sqrt(x) rounded half to even to a float, for a Fraction x >= 0: a
+    first guess from mpmath, stepped to the float whose midpoints with its
+    neighbours, squared, bracket x."""
+    with mp.workprec(120):
+        f = float(mp.sqrt(mp.make_mpf(at_bits(x, 120))))
+    while True:
+        below = (Fraction(math.nextafter(f, 0)) + Fraction(f)) / 2 if f else Fraction(0)
+        above = Fraction(f) + Fraction(math.ulp(f)) / 2
+        odd = int(f / math.ulp(f)) % 2 == 1
+        if x < below**2 or x == below**2 and odd:
+            f = math.nextafter(f, 0)
+        elif x > above**2 or x == above**2 and odd:
+            f = math.nextafter(f, math.inf)
+        else:
+            return f
+
+
+def exact_factor(gamma, policy):
+    """(factor, norm_residual) of build_bghz from exact rationals: each
+    factor sign(s_q) sqrt(w_q / W) rounded once, W the exact sum of the
+    three-beam weights, and |1 - W^2| rounded once."""
+    w, signs, mass, _ = exact_retained_weights(3, gamma, policy)
+    factor = np.array(
+        [
+            (1j) ** (q % 4) * (sign * nearest_root(x / mass))
+            for q, (x, sign) in enumerate(zip(w, signs))
+        ]
+    )
+    return factor, float(abs(1 - mass * mass))
 
 
 # Per-party photon cap of the dense reference states.

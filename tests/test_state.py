@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 import brightghz.state as state_module
-from brightghz.nonclassicality import mermin_lhs
+from brightghz.nonclassicality import lossy_mermin_lhs, mermin_lhs, per_party_loss_factor
 from brightghz.oracles import coherent_pk, squeezed_pk
-from brightghz.pade import DiagonalResummer, ResummationResult
+from brightghz.pade import DiagonalResummer, ResummationResult, _fraction
 from brightghz.state import (
     CUTOFF_CAP,
     DEFAULT_POLICY,
@@ -30,7 +30,7 @@ from brightghz.state import (
     resummed_coefficient,
 )
 from brightghz.stokes import _mermin_form, _shell_terms
-from references import exact_retained_weights, mp_distribution, mp_factor, to_mpf
+from references import exact_distribution, exact_factor, exact_retained_weights, to_mpf
 
 # Reference distribution at gain 0.8, k = 0..10, for one, two, and three
 # beams; entries carry the precision they were published with.
@@ -70,6 +70,23 @@ def test_gain_must_be_finite_and_non_negative(gamma):
         build_bghz(gamma)
     with pytest.raises(ValueError, match="finite and >= 0"):
         resummed_coefficient(3, 2, gamma)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_a_bool_is_not_a_real(flag):
+    # a gain, an efficiency or a tolerance given as a bool is rejected, as a
+    # count given as one is, instead of running at 1 or 0
+    calls = [
+        lambda: build_bghz(flag),
+        lambda: BrightStateSpec(3, flag),
+        lambda: resummed_coefficient(3, 2, flag),
+        lambda: lossy_mermin_lhs(0.3, flag),
+        lambda: per_party_loss_factor(1, 2, flag),
+        lambda: NumericPolicy(tol=flag),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 @pytest.mark.filterwarnings("ignore:gain 1.0 is at or past")
@@ -306,9 +323,19 @@ def test_validity_boundary_warns_and_flags():
 @pytest.mark.parametrize("gamma", [0.05, 0.5, 0.77, 0.85])
 @pytest.mark.parametrize("cutoff", [None, 12])
 def test_distribution_equals_the_quadratic_loop(n, gamma, cutoff):
-    # every retained sum of the mpmath chain is taken from scratch
+    # every retained sum of the exact referee is taken from scratch
     spec = BrightStateSpec(n, gamma, NumericPolicy(cutoff=cutoff))
-    assert photon_distribution(spec) == mp_distribution(spec)
+    assert photon_distribution(spec) == exact_distribution(spec)
+
+
+def test_pinned_cutoff_tail_is_the_exact_ratio():
+    # at gamma = 0.05 the tail past a cutoff of 8 lies far below 2**-53, the
+    # grain of a 1 - mass rounded to 53 bits, which set it to 1.11e-16; it is
+    # the geometric estimate's exact ratio to the total, rounded once
+    spec = BrightStateSpec(3, 0.05, NumericPolicy(cutoff=8))
+    dist = photon_distribution(spec)
+    assert dist == exact_distribution(spec)
+    assert dist.tail_bound == 1.0978735435731935e-18
 
 
 def test_three_beam_cutoff_stops_at_the_first_unresolved_order():
@@ -764,14 +791,14 @@ def test_factor_is_the_square_root_of_the_weights(gamma, policy):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(LADDER_GAINS), ladder_policies)
 def test_statistics_and_state_equal_the_mpmath_chain(gamma, policy):
-    # the exact dyadic arithmetic gives what the mpmath chain gave: the
-    # distributions field for field, and the state's cutoff, box bytes and
-    # norm residual
+    # the integer arithmetic gives what the exact referee gives, each float
+    # correctly rounded from Fractions: the distributions field for field,
+    # and the state's cutoff, box bytes and norm residual
     for n in (1, 2, 3):
         spec = BrightStateSpec(n, gamma, policy)
-        assert photon_distribution(spec) == mp_distribution(spec)
+        assert photon_distribution(spec) == exact_distribution(spec)
     state = build_bghz(gamma, policy)
-    factor, norm_residual = mp_factor(gamma, policy)
+    factor, norm_residual = exact_factor(gamma, policy)
     assert state.cutoff == len(factor) - 1
     assert state._box.tobytes() == np.outer(factor, factor).tobytes()
     assert state.norm_residual == norm_residual
@@ -860,7 +887,7 @@ def test_memos_give_what_cold_calls_give(run):
 
 # The cutoff loop screens its exact test with floats; the screen may only
 # say "keep growing" where the exact test does too, so the weights, signs,
-# mass and tail equal the exact-only loop's bit for bit.  Orders below 40
+# mass and tail equal the exact-only loop's, exactly.  Orders below 40
 # read no shipped table, so those draws run qd.
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(
@@ -870,5 +897,11 @@ def test_memos_give_what_cold_calls_give(run):
 )
 def test_screened_cutoff_loop_equals_the_exact_one(n, gamma, order):
     policy = NumericPolicy(pade_order=order)
-    got = state_module._retained_weights.__wrapped__(n, gamma, policy)
+    w, signs, mass, tail = state_module._retained_weights.__wrapped__(n, gamma, policy)
+    got = (
+        tuple(_fraction(*x) for x in w),
+        signs,
+        _fraction(*mass),
+        math.inf if tail is None else _fraction(*tail[:2]) / tail[2],
+    )
     assert got == exact_retained_weights(n, gamma, policy)
