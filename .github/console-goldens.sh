@@ -41,6 +41,7 @@ exact pk_curve_n3 --cmd pk_curve --n 3 --steps 2
 exact pk_curve_n3_order60 --cmd pk_curve --n 3 --steps 2 --pade-order 60 --bits 320
 exact pk_curve_n3_bits64 --cmd pk_curve --n 3 --steps 3 --bits 64
 exact_diverged pk_curve_n3_cutoff8 --cmd pk_curve --n 3 --steps 3 --cutoff 8
+exact pk_curve_n1_gain0_cutoff4 --cmd pk_curve --n 1 --gamma-min 0 --gamma-max 0.1 --steps 2 --cutoff 4
 exact pk_curve_n1 --cmd pk_curve --n 1 --steps 3
 exact pk_curve_n2 --cmd pk_curve --n 2 --steps 3
 exact pk_curve_n1_dense --cmd pk_curve --n 1 --gamma-min 0.01 --gamma-max 0.85 --steps 29

@@ -455,8 +455,8 @@ class DiagonalResummer:
     coefficient first read by a later walk resumes both qd runs from their
     last anti-diagonal, so every coefficient is the one a complete table
     would hold.  A shipped table is read instead, as far as the walks read.
-    Once per series and length it finds whether the truncated series
-    terminates.  Each point then costs one walk.
+    Each call finds, from the end, whether the truncated series
+    terminates; a point on one that does not costs one walk.
 
     The series is held only as exact integer pairs (p_j, q_j), q_j > 0,
     with c_j = p_j / q_j, not necessarily in lowest terms: the constructor
@@ -484,8 +484,6 @@ class DiagonalResummer:
         self._c0 = Fraction(*pairs[0]).as_integer_ratio() if pairs else (0, 1)
         # working bits -> the C-fraction at that precision
         self._fractions: dict[int, _Ladder] = {}
-        # coefficients used -> degree of their polynomial, -1 when all vanish
-        self._degrees: dict[int, int] = {}
 
     def _cfraction(self, bits: int) -> _Ladder:
         """The ladder at bits, fed by its shipped table, else by its qd runs, as walks read."""
@@ -686,13 +684,11 @@ class DiagonalResummer:
             raise ValueError(f"tol must be finite and > 0, got {tol}")
         ratio = tol.as_integer_ratio() if type(tol) is float else _exact(tol)
 
-        degree = self._degrees.get(need)
-        if degree is None:
-            # from the end: an emission series' last coefficient is nonzero
-            degree = need - 1
-            while degree >= 0 and not self._pairs[degree][0]:
-                degree -= 1
-            self._degrees[need] = degree
+        # the degree of the polynomial the coefficients used form, -1 when all
+        # vanish; from the end, as an emission series' last one is nonzero
+        degree = need - 1
+        while degree >= 0 and not self._pairs[degree][0]:
+            degree -= 1
         if not num or degree <= max_order:
             # At x = 0 every order is c_0.  A terminating series has every
             # [N/N] with N >= degree equal to the polynomial itself.  Either

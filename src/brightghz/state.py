@@ -18,9 +18,9 @@ even, at working precision (pade._rounded).  Sums and ratios of them are
 exact.  Each probability, tail bound, mean, norm residual, resummed
 coefficient and factor magnitude |u_q| of the state (the square root of a
 normalized three-beam weight) is one rounding of an exact integer ratio to
-a float.  Floats only screen the cutoff test: where they prove that the
-cutoff grows, no exact tail is formed.  The amplitude box is rank one, A[q, m] = u_q u_m, so one float outer product of those
-cutoff + 1 factor amplitudes fills it.
+a float.  The cutoff is decided by exact integer tests alone.  The
+amplitude box is rank one, A[q, m] = u_q u_m, so one float outer product of
+those cutoff + 1 factor amplitudes fills it.
 
 Two bounded memos key on gain point and policy, cutoff included.
 _retained_weights keeps the weights, the signs of their series values and
@@ -391,7 +391,8 @@ def _series_value(n: int, k: int, gamma: float, policy: NumericPolicy, u=None) -
     cannot resolve this coefficient and ResummationError is raised.  A
     skipped final order (None) never settles, so two early orders cannot
     stand in for a ladder that broke down later, and a ladder without any
-    value (PoleProximityError) fails at order 0.
+    value (PoleProximityError) fails at order 0.  The pair is the rounded
+    one that every result of resum carries (ResummationResult._of_dyadic).
     """
     resummer = _resummer(n, k, 2 * policy.pade_order + 1)
     if u is None:
@@ -417,9 +418,7 @@ def _series_value(n: int, k: int, gamma: float, policy: NumericPolicy, u=None) -
                 f" gamma={gamma} within order {result.order_used}",
                 order_reached=result.order_used,
             )
-    # resum's result carries its rounded pair; one built from a Fraction does not
-    pair = getattr(result, "_dyadic", None)
-    return _dyadic(result.value) if pair is None else pair
+    return result._dyadic
 
 
 def resummed_coefficient(
@@ -487,7 +486,8 @@ def _omitted_mass(w: list, mass: tuple[int, int]) -> tuple[int, int, int] | None
     """Best estimate of the probability mass beyond the retained weights w,
     exactly, as (m, e, q) for m / q * 2**e; None where it is infinite.
 
-    mass is sum(w).  The weights of a normalized emission state must
+    mass is sum(w), at an exponent of at most 0 (_retained_weights sums it
+    from (0, 0)).  The weights of a normalized emission state must
     total exactly 1, so the retained-sum shortfall measures the omitted
     mass directly; it stays honest even while the weight ratio is still
     climbing toward its limit, where a geometric extrapolation from the
@@ -498,13 +498,16 @@ def _omitted_mass(w: list, mass: tuple[int, int]) -> tuple[int, int, int] | None
     G = w r / (1 - r) = w**2 / (before - w): 0 for fewer than two weights
     or w = 0, and infinite where w >= before.
     """
-    s, e = _sum((1, 0), (-mass[0], mass[1]))  # the shortfall s 2**e
+    m, e = mass
+    s = (1 << -e) - m  # the shortfall s 2**e
     if len(w) < 2 or not w[-1][0]:
         return max(s, 0), e, 1
-    (m, f), (q, h) = w[-1], _sum(w[-2], (-w[-1][0], w[-1][1]))
+    (a, f), (b, g) = w[-2], w[-1]
+    low = min(f, g)
+    q = (a << (f - low)) - (b << (g - low))  # before - w, at 2**low
     if q <= 0:
         return None
-    n, g = m * m, 2 * f - h  # G = n / q * 2**g
+    n, g = b * b, 2 * g - low  # G = n / q * 2**g
     low = min(e, g)
     return (s, e, 1) if (s * q) << (e - low) > n << (g - low) else (n, g, q)
 
@@ -519,32 +522,8 @@ def _settled(tail: tuple[int, int, int], mass: tuple[int, int]) -> bool:
     return (m << (e - low)) * (_TARGET[1] - _TARGET[0]) < (_TARGET[0] * n * q) << (f - low)
 
 
-def _growing(before: float, last: float, mass: float) -> bool:
-    """Whether the floats of the last two weights and of the mass prove that
-    the cutoff grows, that is, that the exact test continues too.
-
-    The omitted mass T is never below the geometric estimate G = w r / (1 - r)
-    (_omitted_mass: w the last weight, r its ratio to the one before).
-    While G > 2 TAIL_TARGET mass, T (1 - TAIL_TARGET) > TAIL_TARGET mass, so
-    T > TAIL_TARGET (mass + T) and the cutoff grows.  The screen forms G in
-    floats.  With u = 2**-53 and the last float at least 2**-960 (so it and
-    the mass, which holds it, are normal), the float r is within 4.1u of the
-    exact one; the 8u added to 1 - r covers that and its rounding, and a
-    ratio at or past 1 keeps the 8u alone.  That bounds G from below up to
-    12u.  The mass's float (one rounding of the exact sum), the bound's and
-    their product add 3u, and the 2**-40 of the bound covers the 15u.  A
-    last float below 2**-960 or a NaN estimate leaves the decision to the
-    exact test; an infinite one (overflow, or a ratio past 1) still bounds G.
-    """
-    if not (last >= 2.0**-960 and before > 0):
-        return False
-    r = last / before
-    return last * r / (max(1.0 - r, 0.0) + 2.0**-50) > _SCREEN_BOUND * mass
-
-
-# TAIL_TARGET as the exact ratio of integers the cutoff test reads, and the
-# bound _growing screens against: twice the target, with room for rounding.
-_TARGET, _SCREEN_BOUND = TAIL_TARGET.as_integer_ratio(), 2 * TAIL_TARGET * (1 + 2.0**-40)
+# TAIL_TARGET as the exact ratio of integers the cutoff test reads.
+_TARGET = TAIL_TARGET.as_integer_ratio()
 
 
 # Per beam count, gain point and policy, cutoff included, most recently
@@ -561,9 +540,8 @@ def _retained_weights(
     The one place the cutoff is decided: pinned, or grown until the tail
     drops below TAIL_TARGET of the total, a ladder fails or CUTOFF_CAP.  One
     pass: each appended weight is added once to the running mass.  The
-    weights are at policy.bits; the mass, the tail and the test are exact.
-    The tail is formed only where _growing cannot prove that the cutoff
-    grows, and once for the tail returned.
+    weights are at policy.bits; the mass, the tail and the test are exact,
+    and the tail is formed once per retained k.
     """
     weights = _weights(n, gamma, policy)
     w: list = []
@@ -574,13 +552,9 @@ def _retained_weights(
         w.append(x)
         signs.append(sign)
         mass = _sum(mass, x)
+    tail = _omitted_mass(w, mass)
     if policy.cutoff is None:
-        before, last = _float(*w[0]), _float(*w[1])
-        while len(w) - 1 < CUTOFF_CAP and (
-            _growing(before, last, _float(*mass))
-            or (tail := _omitted_mass(w, mass)) is None
-            or not _settled(tail, mass)
-        ):
+        while len(w) - 1 < CUTOFF_CAP and (tail is None or not _settled(tail, mass)):
             try:
                 x, sign = next(weights)
             except ResummationError:
@@ -590,8 +564,8 @@ def _retained_weights(
             w.append(x)
             signs.append(sign)
             mass = _sum(mass, x)
-            before, last = last, _float(*x)
-    return tuple(w), tuple(signs), mass, _omitted_mass(w, mass)
+            tail = _omitted_mass(w, mass)
+    return tuple(w), tuple(signs), mass, tail
 
 
 def photon_distribution(spec: BrightStateSpec) -> TripleDistribution:
@@ -608,10 +582,11 @@ def photon_distribution(spec: BrightStateSpec) -> TripleDistribution:
             stacklevel=2,
         )
     w, _, mass, tail = _retained_weights(spec.n, spec.gamma, spec.policy)
-    # no decay across the last five retained orders marks a diverging tail
+    # no decay across the last five retained orders marks a diverging tail;
+    # a zero float (gain 0, or a weight past underflow) is no growth
     scaled = [_float(*x) * k * k for k, x in enumerate(w)]
     diverged = len(scaled) >= 5 and all(
-        scaled[k + 1] >= scaled[k] for k in range(len(scaled) - 5, len(scaled) - 1)
+        0 < scaled[k + 1] >= scaled[k] for k in range(len(scaled) - 5, len(scaled) - 1)
     )
     # each float is one rounding of its ratio to the total t / q * 2**e; an
     # infinite tail leaves the retained weights normalized on their own

@@ -17,8 +17,8 @@ Each one computes a number of the package by an independent route:
   enumerated six-mode occupations (DenseTruncatedState, dense_expectation,
   random_product_state), where the package never materializes a matrix;
 - the photon statistics, the cutoff loop and the bright state's factor
-  from exact rationals, the loop with its exact test at every k (no float
-  screen), and each float one rounding of a Fraction.
+  from exact rationals, the loop with every sum and tail taken from
+  scratch at every k, and each float one rounding of a Fraction.
 
 Random exchange-diagonal states for property tests live here too.  This is
 where the tests' mpmath use sits; the package itself runs on NumPy and the
@@ -627,7 +627,7 @@ def exact_retained_weights(n, gamma, policy):
     """(w, signs, mass, tail) of state._retained_weights from exact
     rationals: the weights, their sum and the omitted mass as Fractions, an
     infinite tail as math.inf.  An auto cutoff grows as state grows it, with
-    the exact test at every k (no float screen)."""
+    the exact test at every k on sums taken from scratch."""
     w, signs = [], []
 
     def grow():
@@ -655,7 +655,7 @@ def exact_distribution(spec):
     w, _, mass, tail = exact_retained_weights(spec.n, spec.gamma, spec.policy)
     scaled = [float(x) * k * k for k, x in enumerate(w)]
     diverged = len(scaled) >= 5 and all(
-        scaled[k + 1] >= scaled[k] for k in range(len(scaled) - 5, len(scaled) - 1)
+        0 < scaled[k + 1] >= scaled[k] for k in range(len(scaled) - 5, len(scaled) - 1)
     )
     if tail == math.inf:
         probs = tuple(float(x / mass) for x in w)

@@ -4,7 +4,8 @@ Each case covers a row kind: table1 and pk_curve statistics (one, two and
 three beams, and three beams at policies whose continued-fraction tables
 are computed at run time rather than shipped, one of them at the 64-bit
 floor, and three beams at a pinned cutoff, whose tail lies far below the
-auto cutoff's target), dense one- and two-beam
+auto cutoff's target, and one beam at a pinned cutoff from gain 0, whose
+zero weights are not flagged diverged), dense one- and two-beam
 pk_curve grids whose gains cross those where the tail target sets the
 auto cutoff, a Mermin grid that brackets
 the crossing, eta rows that are violated, outside the efficiency window and
@@ -63,6 +64,13 @@ CASES = [
     ("pk_curve_n3_bits64", ["--cmd", "pk_curve", "--n", "3", "--steps", "3", "--bits", "64"], 0),
     # the gamma = 0.85 row is flagged diverged, so the command exits 2
     ("pk_curve_n3_cutoff8", ["--cmd", "pk_curve", "--n", "3", "--steps", "3", "--cutoff", "8"], 2),
+    # gain 0 retains zero weights past k = 0, which are no divergence
+    (
+        "pk_curve_n1_gain0_cutoff4",
+        ["--cmd", "pk_curve", "--n", "1", "--gamma-min", "0", "--gamma-max", "0.1",
+         "--steps", "2", "--cutoff", "4"],
+        0,
+    ),
     (
         "mermin_crossing",
         ["--cmd", "mermin", "--gamma-min", "0.7", "--gamma-max", "0.8", "--steps", "3"],

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -30,7 +30,13 @@ from brightghz.state import (
     resummed_coefficient,
 )
 from brightghz.stokes import _mermin_form, _shell_terms
-from references import exact_distribution, exact_factor, exact_retained_weights, to_mpf
+from references import (
+    _omitted,
+    exact_distribution,
+    exact_factor,
+    exact_retained_weights,
+    to_mpf,
+)
 
 # Reference distribution at gain 0.8, k = 0..10, for one, two, and three
 # beams; entries carry the precision they were published with.
@@ -312,6 +318,25 @@ def test_infinite_tail_estimate_marks_divergence():
     assert math.fsum(dist.probs) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        BrightStateSpec(3, 0.0, NumericPolicy(cutoff=4)),
+        BrightStateSpec(1, 0.001, NumericPolicy(cutoff=60)),
+    ],
+    ids=["gain_0", "underflow"],
+)
+def test_zero_weights_do_not_mark_divergence(spec):
+    # every weight past k = 0 is 0 at gain 0, and the last weights' floats
+    # are 0 past underflow at gain 0.001: zeros do not grow, so the
+    # distribution is not flagged diverged and keeps its mean
+    dist = photon_distribution(spec)
+    assert dist.probs[-4:] == (0.0,) * 4
+    assert not dist.diverged
+    assert dist.mean is not None
+    assert dist == exact_distribution(spec)
+
+
 def test_validity_boundary_warns_and_flags():
     with pytest.warns(RuntimeWarning):
         dist = photon_distribution(BrightStateSpec(n=3, gamma=0.95))
@@ -373,7 +398,8 @@ def test_soft_acceptance_compares_the_last_two_orders(monkeypatch):
             self.diagnostics = diagnostics
 
         def resum(self, u, max_order, tol, bits):
-            return ResummationResult(Fraction(1.0001), False, max_order, self.diagnostics)
+            pair = state_module._dyadic(1.0001)
+            return ResummationResult._of_dyadic(pair, False, max_order, self.diagnostics)
 
     for diagnostics, settles in ((early + skipped, False), (skipped[:-2] + late, True)):
         monkeypatch.setattr(state_module, "_resummer", lambda n, k, L: Stub(diagnostics))
@@ -885,10 +911,10 @@ def test_memos_give_what_cold_calls_give(run):
             assert got == _outcome(call), (what, gamma, policy)
 
 
-# The cutoff loop screens its exact test with floats; the screen may only
-# say "keep growing" where the exact test does too, so the weights, signs,
-# mass and tail equal the exact-only loop's, exactly.  Orders below 40
-# read no shipped table, so those draws run qd.
+# The cutoff loop carries its mass and forms one tail per k; its weights,
+# signs, mass and tail equal those of the referee's loop, which takes every
+# sum from scratch in Fractions, exactly.  Orders below 40 read no shipped
+# table, so those draws run qd.
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(
     n=st.integers(1, 3),
@@ -905,3 +931,56 @@ def test_screened_cutoff_loop_equals_the_exact_one(n, gamma, order):
         math.inf if tail is None else _fraction(*tail[:2]) / tail[2],
     )
     assert got == exact_retained_weights(n, gamma, policy)
+
+
+# Dyadic weights (m, e) below 2**-d, or small mantissas at exponents near 0,
+# a mantissa of 0 among them; the cutoff loop sums the mass from (0, 0).
+_weight = st.one_of(
+    st.builds(
+        lambda m, d: (m, -m.bit_length() - d), st.integers(0, 2**70), st.integers(0, 40)
+    ),
+    st.tuples(st.integers(0, 7), st.integers(-3, 0)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_weight, min_size=1, max_size=6))
+@example([(1, -1)])  # one weight
+@example([(3, -1)])  # one weight past 1: the shortfall is negative, the tail 0
+@example([(1, -1), (1, -2), (0, 0)])  # a last weight of 0
+@example([(1, 0), (1, -1), (0, -5)])  # a last weight of 0 past a mass of 1
+@example([(1, -2), (1, -2)])  # w_K = w_{K-1}: no finite tail
+@example([(1, -3), (3, -3)])  # w_K > w_{K-1}
+@example([(1, -1), (1, -40)])  # the shortfall is the larger estimate
+@example([(1, -1), (1, -2), (1, -3)])  # the geometric one is, on a mass of 7/8
+@example([(1, -2), (3, -4)])  # w_{K-1} at the higher exponent, G the larger
+@example([(3, -3), (1, -2)])  # w_K at the higher exponent: no finite tail
+@example([(1, 0), (1, -1)])  # a mass exponent of -1
+def test_omitted_mass_and_cutoff_test_are_exact(w):
+    # _omitted_mass is the referee's omitted mass, the larger of the
+    # geometric estimate and the shortfall, exactly, and _settled is the
+    # test tail < TAIL_TARGET (mass + tail) on Fractions
+    mass = state_module._sum((0, 0), *w)
+    exact = [_fraction(*x) for x in w]
+    want = _omitted(exact)
+    tail = state_module._omitted_mass(w, mass)
+    if want == math.inf:
+        assert tail is None
+        return
+    m, e, q = tail
+    assert q > 0
+    assert _fraction(m, e) / q == want
+    target = Fraction(state_module.TAIL_TARGET)
+    assert state_module._settled(tail, mass) == (want < target * (sum(exact) + want))
+
+
+@pytest.mark.parametrize("mass", [(1, 0), (3, -2), (2**300 - 1, -300), (5, 40)])
+def test_cutoff_test_is_strict_at_the_target(mass):
+    # a tail of exactly TAIL_TARGET (mass + tail) is not settled; one just
+    # below it is
+    a, b = state_module.TAIL_TARGET.as_integer_ratio()
+    n, f = mass
+    assert not state_module._settled((a * n, f, b - a), mass)
+    assert state_module._settled((a * n - 1, f, b - a), mass)
+    assert state_module._settled((a * n * 2**64 - 1, f - 64, b - a), mass)
+    assert not state_module._settled((a * n * 2**64, f - 64, b - a), mass)
