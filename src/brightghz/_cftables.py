@@ -8,27 +8,26 @@ reach (0..CUTOFF_CAP) at the default policy's length and precision, each
 checked against its check run.  The file holds the marshal (version 2)
 bytes of one dict, from each table's name to the tuple of its integers
 a_i 2**F; a reader loads it whole with marshal.loads, with no parse of
-its own.  Each series is taken as the unreduced pairs (P[k, k + 2j],
-(k + 2j)!) that series_core forms and state's resummers hold, so every
-table is named by the key those resummers look up, a checksum of
-everything that fixes its numbers (see pade._plan): a table is read only
-where the code would compute those same numbers.  Run it after any change
-that moves those tables or their names (the recurrence, the form of the
-pairs, the qd algorithm, its precisions or the default policy); the test
-suite regenerates them and fails while the shipped file is stale.
+its own.  Each series is read off state's own resummers, which hold
+series_core's unreduced pairs (P[k, k + 2j], (k + 2j)!), so every table is
+named by the key they look up, a checksum of everything that fixes its
+numbers (see pade._plan): a table is read only where the code would
+compute those same numbers.  Run it after any change that moves those
+tables or their names (the recurrence, the form of the pairs, the qd
+algorithm, its precisions or the default policy); the test suite
+regenerates them and fails while the shipped file is stale.
 """
 
 from __future__ import annotations
 
-from brightghz import pade
-from brightghz.series_core import _series_pairs
+from brightghz import pade, state
 from brightghz.state import CUTOFF_CAP, DEFAULT_POLICY
 
 
 def _archive() -> bytes:
     """The shipped archive's bytes, as the code computes them now."""
     length = 2 * DEFAULT_POLICY.pade_order + 1
-    series = (_series_pairs(k, 3, length, CUTOFF_CAP) for k in range(CUTOFF_CAP + 1))
+    series = (state._resummer(3, k, length)._pairs for k in range(CUTOFF_CAP + 1))
     return pade._table_archive(series, DEFAULT_POLICY.bits)
 
 

@@ -55,12 +55,11 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from brightghz.series_core import _count
+from brightghz.series_core import _count, _real
 from brightghz.state import (
     DEFAULT_POLICY,
     BGHZState,
     NumericPolicy,
-    _real,
     build_bghz,
 )
 from brightghz.stokes import _mermin_form, _shell_terms, stokes_expectation
@@ -192,16 +191,16 @@ def find_crossing(fn, level, lo, hi, tol=1e-3):
     Returns the midpoint of the final bracket, which is at most tol wide
     (or two adjacent floats, when the float spacing there is coarser), so
     the result is within tol / 2 of a crossing.  lo and hi must be finite
-    with lo below hi, and tol finite and positive; fn is not called
-    otherwise.  A non-finite value at an endpoint or a step raises
-    ValueError: NaN sits on neither side of the level, so no bracket
-    survives it.
+    reals with lo below hi, and tol a finite positive real (_real: a bool
+    is none); fn is not called otherwise.  A non-finite value at an
+    endpoint or a step raises ValueError: NaN sits on neither side of the
+    level, so no bracket survives it.
     """
-    if not (math.isfinite(tol) and tol > 0):
+    if not 0 < _real(tol) < math.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     if not lo < hi:
         raise ValueError(f"bracket needs lo < hi, got lo={lo}, hi={hi}")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if not (math.isfinite(_real(lo)) and math.isfinite(_real(hi))):
         raise ValueError(f"bracket ends must be finite, got lo={lo}, hi={hi}")
 
     def offset(x):
@@ -443,10 +442,10 @@ def _sweep(gammas, evaluate, level=None, rising=False) -> SweepResult:
     The threshold search reads evaluate(g)[0], the value the grid points carry.
     A point that raises RuntimeError (ResummationError included) or
     ValueError becomes NaN marked failed, and NaN brackets nothing.  The
-    grid must be finite, non-negative and strictly increasing; it is
-    checked before the first evaluation.
+    grid must be reals (_real: no bool or string), finite, non-negative
+    and strictly increasing; it is checked before the first evaluation.
     """
-    gammas = tuple(float(g) for g in gammas)
+    gammas = tuple(map(_real, gammas))
     if not all(0 <= g < math.inf for g in gammas):
         raise ValueError("gains must be finite and >= 0")
     if any(b <= a for a, b in zip(gammas, gammas[1:])):

@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from brightghz.series_core import _count
+from brightghz.series_core import _count, _real
 
 __all__ = [
     "ResummationResult",
@@ -582,8 +582,7 @@ class DiagonalResummer:
         xe = x_den.bit_length() - 1
         xm, xe = (x_num, xe) if x_den == 1 << xe and xe <= fv else (vx, fv)
         tol_num, tol_den = tol
-        # a tol above 1 always takes the exact test
-        ftol = tol_num / tol_den if tol_num <= tol_den else math.inf
+        ftol = tol_num / tol_den
         # A and B, current and previous, each pair an integer times 2**(its exponent)
         c0_num, c0_den = self._c0
         va = va_prev = c0_den << fv
@@ -663,6 +662,20 @@ class DiagonalResummer:
     def resum(
         self, x, max_order: int = 40, tol: float = 1e-10, bits: int = 256
     ) -> ResummationResult:
+        """Walk [1/1], [2/2], ..., [max_order/max_order] at x until two values agree.
+
+        x and tol are reals of any type, taken exactly (_exact); bits is the
+        working precision.  Agreement is |v_N - v_{N-1}| <= tol |v_N|,
+        relative, as the values span hundreds of orders of magnitude.  The
+        first order without a value (a vanishing convergent, a qd breakdown,
+        or an error bound past 2**-bits) is recorded as (order, None) and
+        ends the walk unconverged.  At x = 0 (c_0 alone) or on a series that
+        terminates by order max_order, the polynomial is summed exactly and
+        rounded once instead: converged, with one diagnostic.  ValueError
+        for a max_order below 1 or bits below 64, either not an integer,
+        fewer than 2 max_order + 1 coefficients, or a point or tol that is
+        not a finite real (tol > 0); PoleProximityError if no order has a value.
+        """
         # Python int counts, a Fraction point and a float tol, as state
         # passes them, skip _count and _exact
         if type(max_order) is not int or type(bits) is not int:
@@ -680,7 +693,7 @@ class DiagonalResummer:
         num, den = point = (
             (int(x.numerator), int(x.denominator)) if type(x) is Fraction else _exact(x)
         )
-        if not 0 < float(tol) < math.inf:
+        if not 0 < _real(tol) < math.inf:
             raise ValueError(f"tol must be finite and > 0, got {tol}")
         ratio = tol.as_integer_ratio() if type(tol) is float else _exact(tol)
 
@@ -690,11 +703,8 @@ class DiagonalResummer:
         while degree >= 0 and not self._pairs[degree][0]:
             degree -= 1
         if not num or degree <= max_order:
-            # At x = 0 every order is c_0.  A terminating series has every
-            # [N/N] with N >= degree equal to the polynomial itself.  Either
-            # way sum the polynomial exactly and round it once.
             x, total = Fraction(num, den), Fraction(0)
-            for p, q in reversed(self._pairs[: degree + 1]):
+            for p, q in reversed(self._pairs[: degree + 1 if num else 1]):
                 total = total * x + Fraction(p, q)
             m, e = _rounded(total.numerator, 0, bits + 64, total.denominator)
             order = max(1, degree) if num else 1
@@ -706,14 +716,5 @@ class DiagonalResummer:
 def diagonal_resum(
     series: Sequence, x, max_order: int = 40, tol: float = 1e-10, bits: int = 256
 ) -> ResummationResult:
-    """Walk [1/1], [2/2], ... at x until two successive values agree.
-
-    Agreement means |v_N - v_{N-1}| <= tol * |v_N|, a relative criterion:
-    the resummed values here range over hundreds of orders of magnitude,
-    and any absolute floor would declare victory on pure noise at the
-    small end.  The first order whose value is unavailable at x (a
-    vanishing convergent, a qd breakdown, or an error bound past 2**-bits)
-    is recorded with a None diagnostic and ends the walk unconverged; if no
-    order has a value the pole error is raised.
-    """
+    """DiagonalResummer(series).resum(x, ...): the ladder at x until two values agree."""
     return DiagonalResummer(series).resum(x, max_order=max_order, tol=tol, bits=bits)

@@ -38,8 +38,11 @@ series in u and attach the (iG)**k prefactor.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 __all__ = ["FormalSeries", "c_series"]
@@ -70,6 +73,21 @@ def _count(name: str, value) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(value) -> float:
+    """value as a float if it is a real of any type, else NaN, which every range check rejects.
+
+    NumPy scalars, Fractions and Decimals are reals, a bool is not (as for
+    _count); one too large for a float is +-inf, as a Decimal's is."""
+    if type(value) is float:  # the common case, without the ABC check
+        return value
+    if not isinstance(value, (numbers.Real, Decimal)) or isinstance(value, bool):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 class _Columns:

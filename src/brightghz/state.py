@@ -11,10 +11,12 @@ prepare the bright GHZ state
 which lives on the exchange-symmetric diagonal: every observer holds the
 same occupation pair (q photons polarized a, m polarized b).
 
-Statistics and states read one photon ladder, _retained_weights, where the
-cutoff is decided.  Weights are exact dyadic (mantissa, exponent) integer
-pairs, each the exact product of its integer factors rounded once, half to
-even, at working precision (pade._rounded).  Sums and ratios of them are
+Statistics and states read one photon ladder, _retained_weights, whose
+one loop forms each weight, adds it to the exact mass and decides the
+cutoff; a gain of 0 climbs the same ladder, its weights 0 past k = 0.
+Weights are exact dyadic (mantissa, exponent) integer pairs, each the
+exact product of its integer factors rounded once, half to even, at
+working precision (pade._rounded).  Sums and ratios of them are
 exact.  Each probability, tail bound, mean, norm residual, resummed
 coefficient and factor magnitude |u_q| of the state (the square root of a
 normalized three-beam weight) is one rounding of an exact integer ratio to
@@ -37,11 +39,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import warnings
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from math import fsum, inf
@@ -49,7 +49,7 @@ from math import fsum, inf
 import numpy as np
 
 from brightghz.pade import DiagonalResummer, PoleProximityError, _float, _rounded
-from brightghz.series_core import _count, _series_pairs
+from brightghz.series_core import _count, _real, _series_pairs
 
 __all__ = [
     "CUTOFF_CAP",
@@ -79,16 +79,6 @@ SOFT_AGREEMENT = 1e-3
 # Gain from which three-beam statistics, and with them the bright state,
 # stop converging; at or past it the builders warn.
 GAMMA_GUARD = 0.9
-
-
-def _real(value) -> float:
-    """value as a float if it is a real of any type, else NaN, which every range check rejects.
-
-    NumPy scalars, Fractions and Decimals count as reals.  A bool does not,
-    as _count rejects it for a count.
-    """
-    real = isinstance(value, (numbers.Real, Decimal)) and not isinstance(value, bool)
-    return float(value) if real else math.nan
 
 
 def _gain(value) -> float:
@@ -447,8 +437,13 @@ def _dyadic(x) -> tuple[int, int]:
 
 def _sum(*terms: tuple[int, int]) -> tuple[int, int]:
     """The exact sum of dyadics, at the least exponent among them."""
-    low = min(e for _, e in terms)
-    return sum(m << (e - low) for m, e in terms), low
+    total, low = terms[0]
+    for m, e in terms[1:]:
+        if e < low:
+            total, low = (total << (low - e)) + m, e
+        else:
+            total += m << (e - low)
+    return total, low
 
 
 def _root(m: int, e: int, q: int) -> float:
@@ -460,26 +455,6 @@ def _root(m: int, e: int, q: int) -> float:
     n, rest = divmod(m << shift, q)
     root = math.isqrt(n)
     return _float(2 * root + (rest != 0 or root * root != n), (e - shift) // 2 - 1)
-
-
-def _weights(n: int, gamma: float, policy: NumericPolicy) -> Iterator[tuple[tuple[int, int], int]]:
-    """Unnormalized p-weights |C_k|^2 (k!)^n at policy.bits, as (mantissa, exponent),
-    for k = 0, 1, ..., each with the sign, 1 or -1, of the series value s it
-    walked (1 at gain 0).
-
-    Each is the exact integer product gamma^(2k) (k!)^n s^2 rounded once at
-    policy.bits.  The point u = -gamma**2 and the product gamma^(2k) (k!)^n
-    are carried from one k to the next.
-    """
-    if gamma == 0:
-        yield (1, 0), 1
-        yield from itertools.repeat(((0, 0), 1))  # endless, and no walk
-    (m, e), u, scale = _dyadic(gamma), -(Fraction(gamma) ** 2), 1
-    for k in itertools.count():
-        if k:
-            scale *= m * m * k**n
-        sm, se = _series_value(n, k, gamma, policy, u)
-        yield _rounded(scale * (sm * sm), 2 * (k * e + se), policy.bits), 1 if sm >= 0 else -1
 
 
 def _omitted_mass(w: list, mass: tuple[int, int]) -> tuple[int, int, int] | None:
@@ -528,8 +503,8 @@ _TARGET = TAIL_TARGET.as_integer_ratio()
 
 # Per beam count, gain point and policy, cutoff included, most recently
 # used kept: each ladder is walked once per entry, and a pinned cutoff walks
-# its own.  A failed first or pinned weight raises, so only complete ladders
-# are kept, at most CUTOFF_CAP + 1 weights and signs each.
+# its own.  A failed weight below k = 2 or at a pinned cutoff raises, so only
+# complete ladders are kept, at most CUTOFF_CAP + 1 weights and signs each.
 @lru_cache(maxsize=32)
 def _retained_weights(
     n: int, gamma: float, policy: NumericPolicy
@@ -537,34 +512,39 @@ def _retained_weights(
     """(w, signs, mass, tail): the retained weights |C_k|^2 (k!)^n, the signs
     of their series values, their exact sum and the omitted mass.
 
-    The one place the cutoff is decided: pinned, or grown until the tail
-    drops below TAIL_TARGET of the total, a ladder fails or CUTOFF_CAP.  One
-    pass: each appended weight is added once to the running mass.  The
-    weights are at policy.bits; the mass, the tail and the test are exact,
-    and the tail is formed once per retained k.
+    The one place the cutoff is decided, in one loop over k: pinned, or
+    grown until the tail drops below TAIL_TARGET of the total (tested at
+    every k >= 1), a ladder past k = 1 fails or CUTOFF_CAP.  Each weight is
+    the exact product gamma^(2k) (k!)^n s^2, s the series value at u =
+    -gamma**2, rounded once at policy.bits; the point and gamma^(2k) (k!)^n
+    are carried from one k to the next.  The mass, tail and test are exact.
     """
-    weights = _weights(n, gamma, policy)
+    pinned = policy.cutoff
+    (m, e), u, scale = _dyadic(gamma), -(Fraction(gamma) ** 2), 1
     w: list = []
     signs: list = []
-    mass = (0, 0)
-    for _ in range(2 if policy.cutoff is None else policy.cutoff + 1):
-        x, sign = next(weights)
+    mass, tail = (0, 0), None
+    for k in range(CUTOFF_CAP + 1 if pinned is None else pinned + 1):
+        if k:
+            scale *= m * m * k**n
+        try:
+            sm, se = _series_value(n, k, gamma, policy, u)
+        except ResummationError:
+            if pinned is not None or k < 2:
+                raise
+            # the order budget cannot resolve deeper coefficients; stop
+            # here and let the omitted-mass estimate carry the rest
+            break
+        x = _rounded(scale * (sm * sm), 2 * (k * e + se), policy.bits)
         w.append(x)
-        signs.append(sign)
+        signs.append(1 if sm >= 0 else -1)
         mass = _sum(mass, x)
-    tail = _omitted_mass(w, mass)
-    if policy.cutoff is None:
-        while len(w) - 1 < CUTOFF_CAP and (tail is None or not _settled(tail, mass)):
-            try:
-                x, sign = next(weights)
-            except ResummationError:
-                # the order budget cannot resolve deeper coefficients; stop
-                # here and let the omitted-mass estimate carry the rest
-                break
-            w.append(x)
-            signs.append(sign)
-            mass = _sum(mass, x)
+        if pinned is None and k:
             tail = _omitted_mass(w, mass)
+            if tail is not None and _settled(tail, mass):
+                break
+    if pinned is not None:
+        tail = _omitted_mass(w, mass)
     return tuple(w), tuple(signs), mass, tail
 
 

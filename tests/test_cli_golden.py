@@ -13,7 +13,8 @@ not violated, one eta row at a gain whose auto cutoff reaches CUTOFF_CAP
 (the largest amplitude box), both projected witnesses, the unprojected w2
 agreement column up to a gain at CUTOFF_CAP, a witness grid with one failed
 point (exit 2) and a Mermin grid where every point fails (exit 1, the CSV
-still written).
+still written).  .github/console-goldens.sh, the list the console script
+runs in CI, names its cases by hand; a test holds it to CASES.
 
 table1 and pk_curve must match byte for byte.  The Stokes commands end in
 floating-point sums over the amplitude box whose last digits depend on
@@ -29,6 +30,7 @@ Regenerate the golden files with the commit the contract pins:
 """
 
 import math
+import shlex
 import sys
 from pathlib import Path
 
@@ -116,6 +118,11 @@ CASES = [
 
 BYTE_EXACT = {"table1", "pk_curve"}
 
+# the console-script goldens CI runs, and the exit code each of its kinds of
+# line expects
+SCRIPT = Path(__file__).parents[1] / ".github" / "console-goldens.sh"
+SCRIPT_EXITS = {"exact": 0, "exact_diverged": 2, "stokes": 0}
+
 
 def _number(cell):
     try:
@@ -160,6 +167,25 @@ def test_cli_matches_golden(name, argv, code, tmp_path, capsys):
         assert got == want
         return
     assert_stokes_csv_matches(got.decode(), want.decode())
+
+
+def test_console_script_lists_the_cases():
+    # the script names its cases by hand: each of its lines must be a case
+    # with the same argv and exit code, every byte-exact case must be
+    # compared byte for byte there, and every other case that exits 0 run
+    cases = {name: (argv, code) for name, argv, code in CASES}
+    listed = {}
+    for line in SCRIPT.read_text().splitlines():
+        words = shlex.split(line, comments=True)
+        if words and words[0] in SCRIPT_EXITS:
+            kind, name, *argv = words
+            assert cases.get(name) == (argv, SCRIPT_EXITS[kind]), line
+            listed[name] = kind
+    for name, (argv, code) in cases.items():
+        if argv[1] in BYTE_EXACT:
+            assert listed.get(name) in ("exact", "exact_diverged"), name
+        elif code == 0:
+            assert listed.get(name) == "stokes", name
 
 
 if __name__ == "__main__":

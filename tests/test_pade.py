@@ -911,12 +911,15 @@ def test_numpy_point_walks_as_its_python_value(x):
         Fraction(1e-6),
         Decimal(1e-6),
         Decimal(1e-15),
+        np.float64(2.0),
+        Fraction(3, 2),
     ],
     ids=lambda tol: f"{type(tol).__name__}({float(tol):.0e})",
 )
 def test_tol_of_any_real_type_walks_as_its_float(tol):
     # Fraction(tol), once formed on every walk, rejected NumPy floats but
-    # float64; 1e-15 is below the float test's range, so _within decides
+    # float64; 1e-15 is below the float test's range, and a tol above 1
+    # above it, so _within decides
     twin = float(tol)
     for series, x in ((EXP, -0.5), (EULER, 0.2)):
         got = diagonal_resum(series, x, max_order=12, tol=tol)

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 import brightghz.state as state_module
-from brightghz.nonclassicality import lossy_mermin_lhs, mermin_lhs, per_party_loss_factor
+from brightghz.nonclassicality import (
+    find_crossing,
+    lossy_mermin_lhs,
+    mermin_lhs,
+    mermin_sweep,
+    per_party_loss_factor,
+)
 from brightghz.oracles import coherent_pk, squeezed_pk
 from brightghz.pade import DiagonalResummer, ResummationResult, _fraction
 from brightghz.state import (
@@ -93,6 +99,43 @@ def test_a_bool_is_not_a_real(flag):
     for call in calls:
         with pytest.raises(ValueError):
             call()
+
+
+HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: NumericPolicy(tol=HUGE),
+        lambda: NumericPolicy(tol=Fraction(HUGE)),
+        lambda: BrightStateSpec(3, HUGE),
+        lambda: build_bghz(Fraction(HUGE)),
+        lambda: resummed_coefficient(3, 1, HUGE),
+        lambda: per_party_loss_factor(1, 1, HUGE),
+        lambda: lossy_mermin_lhs(0.3, HUGE),
+        lambda: DiagonalResummer([1.0] * 9).resum(0.5, max_order=4, tol=HUGE),
+        lambda: mermin_sweep([HUGE]),
+        lambda: find_crossing(lambda x: x, 0.0, -HUGE, 1.0),
+    ],
+    ids=[
+        "policy_tol",
+        "policy_tol_fraction",
+        "spec_gain",
+        "build_gain_fraction",
+        "coefficient_gain",
+        "loss_factor_eta",
+        "lossy_lhs_eta",
+        "resum_tol",
+        "sweep_grid",
+        "crossing_bracket",
+    ],
+)
+def test_a_real_too_large_for_a_float_fails_its_range_check(call):
+    # float() of such an int or Fraction raised OverflowError past every
+    # check; its float is now infinite, as a Decimal's is
+    with pytest.raises(ValueError, match="finite|must lie in|below the soft level"):
+        call()
 
 
 @pytest.mark.filterwarnings("ignore:gain 1.0 is at or past")
@@ -345,7 +388,7 @@ def test_validity_boundary_warns_and_flags():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("gamma", [0.05, 0.5, 0.77, 0.85])
+@pytest.mark.parametrize("gamma", [0.0, 0.05, 0.5, 0.77, 0.85])
 @pytest.mark.parametrize("cutoff", [None, 12])
 def test_distribution_equals_the_quadratic_loop(n, gamma, cutoff):
     # every retained sum of the exact referee is taken from scratch
