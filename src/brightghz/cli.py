@@ -76,10 +76,12 @@ class RunConfig:
     def grid(self) -> list[float]:
         if self.steps == 1:
             return [self.gamma_min]
+        # the last point is gamma_max itself, which the interior formula can
+        # miss by an ulp
         span = self.gamma_max - self.gamma_min
         return [
-            self.gamma_min + span * i / (self.steps - 1) for i in range(self.steps)
-        ]
+            self.gamma_min + span * i / (self.steps - 1) for i in range(self.steps - 1)
+        ] + [self.gamma_max]
 
 
 def _fmt(value: float) -> str:
@@ -117,6 +119,13 @@ class _Emitter:
                 fh.write(payload)
 
 
+def _probability_cells(dist) -> list[str]:
+    """p(0..TABLE_MAX_K) of a distribution, 0 past its cutoff."""
+    return [
+        _fmt(dist.probs[k] if k < len(dist.probs) else 0.0) for k in range(TABLE_MAX_K + 1)
+    ]
+
+
 def _echo(config: RunConfig, text: str) -> None:
     # threshold lines live in the CSV; echo them to the terminal only when
     # the CSV itself went to a file, so piped output stays parseable
@@ -138,11 +147,8 @@ def cmd_table1(config: RunConfig) -> int:
         warned |= dist.diverged
         distributions.append(dist)
     emitter.row(["k", "p_n1", "p_n2", "p_n3"])
-    for k in range(TABLE_MAX_K + 1):
-        cells = [k]
-        for dist in distributions:
-            cells.append(_fmt(dist.probs[k] if k < len(dist.probs) else 0.0))
-        emitter.row(cells)
+    for k, cells in enumerate(zip(*map(_probability_cells, distributions))):
+        emitter.row([k, *cells])
     emitter.write(config.out)
     return EXIT_WARNINGS if warned else EXIT_OK
 
@@ -167,13 +173,8 @@ def cmd_pk_curve(config: RunConfig) -> int:
             )
             continue
         warned |= dist.diverged
-        probs = [
-            _fmt(dist.probs[k] if k < len(dist.probs) else 0.0)
-            for k in range(TABLE_MAX_K + 1)
-        ]
-        emitter.row(
-            [_fmt(gamma), *probs, _fmt(dist.tail_bound), str(dist.diverged).lower()]
-        )
+        cells = [*_probability_cells(dist), _fmt(dist.tail_bound), str(dist.diverged).lower()]
+        emitter.row([_fmt(gamma), *cells])
     emitter.write(config.out)
     if failures == config.steps:
         return EXIT_HARD
@@ -276,8 +277,6 @@ _COMMANDS = {
     "w2": cmd_w2,
 }
 
-_SWEEP_DEFAULTS = {"gamma_min": 0.05, "gamma_max": 0.85, "steps": 17}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -292,12 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--gamma-min",
         type=float,
         default=None,
-        help="grid start; for table1, the single gain (default 0.8)",
+        help="grid start (default 0.05); for table1, the single gain (default 0.8)",
     )
-    parser.add_argument("--gamma-max", type=float, default=None, help="grid end")
-    parser.add_argument(
-        "--steps", type=int, default=None, help="grid points (default 17)"
-    )
+    parser.add_argument("--gamma-max", type=float, default=0.85, help="grid end (default %(default)s)")
+    parser.add_argument("--steps", type=int, default=17, help="grid points (default %(default)s)")
     parser.add_argument("--n", type=int, default=3, help="beam count for pk_curve")
     parser.add_argument(
         "--cutoff",
@@ -328,13 +325,8 @@ def parse_config(argv=None) -> RunConfig:
         gamma_min = 0.8 if args.gamma_min is None else args.gamma_min
         gamma_max, steps = gamma_min, 1
     else:
-        gamma_min = (
-            _SWEEP_DEFAULTS["gamma_min"] if args.gamma_min is None else args.gamma_min
-        )
-        gamma_max = (
-            _SWEEP_DEFAULTS["gamma_max"] if args.gamma_max is None else args.gamma_max
-        )
-        steps = _SWEEP_DEFAULTS["steps"] if args.steps is None else args.steps
+        gamma_min = 0.05 if args.gamma_min is None else args.gamma_min
+        gamma_max, steps = args.gamma_max, args.steps
     return RunConfig(
         command=args.cmd,
         gamma_min=gamma_min,

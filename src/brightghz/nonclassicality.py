@@ -202,6 +202,7 @@ def find_crossing(fn, level, lo, hi, tol=1e-3):
         raise ValueError(f"bracket needs lo < hi, got lo={lo}, hi={hi}")
     if not (math.isfinite(_real(lo)) and math.isfinite(_real(hi))):
         raise ValueError(f"bracket ends must be finite, got lo={lo}, hi={hi}")
+    lo, hi, tol = _real(lo), _real(hi), _real(tol)
 
     def offset(x):
         value = fn(x)

@@ -421,11 +421,11 @@ def resummed_coefficient(
     if k < 0:
         raise ValueError(f"tuple number k must be >= 0, got {k}")
     gamma = _gain(gamma)
-    if gamma == 0:
-        return complex(1.0) if k == 0 else complex(0.0)
     sm, se = _series_value(n, k, gamma, policy)
     m, e = _dyadic(gamma)
-    return (1j) ** (k % 4) * _float(m**k * sm, k * e + se)
+    # the phase i**k as a sign and a part, so each zero part is +0.0
+    v = _float((-1) ** (k // 2) * m**k * sm, k * e + se)
+    return complex(v, 0.0) if k % 2 == 0 else complex(0.0, v)
 
 
 # Values are exact dyadics, (mantissa, exponent) integer pairs.

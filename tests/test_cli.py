@@ -210,13 +210,20 @@ def test_stdout_is_default_sink(capsys):
 
 
 def test_grid_endpoints_are_exact():
-    cfg = parse_config(
-        ["--cmd", "w1", "--gamma-min", "0.1", "--gamma-max", "0.7", "--steps", "7"]
-    )
-    grid = cfg.grid()
-    assert len(grid) == 7
-    assert grid[0] == 0.1 and grid[-1] == 0.7
-    assert all(b > a for a, b in zip(grid, grid[1:]))
+    # gamma_min + span * (steps - 1) / (steps - 1) missed the last two ends
+    # by an ulp
+    for cmd, lo, hi, steps in [
+        ("w1", "0.1", "0.7", 7),
+        ("pk_curve", "0.03", "0.3", 2),
+        ("pk_curve", "0", "0.47", 29),
+    ]:
+        cfg = parse_config(
+            ["--cmd", cmd, "--gamma-min", lo, "--gamma-max", hi, "--steps", str(steps)]
+        )
+        grid = cfg.grid()
+        assert len(grid) == steps
+        assert grid[0] == float(lo) and grid[-1] == float(hi), grid
+        assert all(b > a for a, b in zip(grid, grid[1:]))
 
 
 def test_nan_cells_render_as_nan_token(tmp_path):

@@ -1,159 +1,21 @@
 """Byte contract of the CSV front end against checked-in golden files.
 
-Each case covers a row kind: table1 and pk_curve statistics (one, two and
-three beams, and three beams at policies whose continued-fraction tables
-are computed at run time rather than shipped, one of them at the 64-bit
-floor, and three beams at a pinned cutoff, whose tail lies far below the
-auto cutoff's target, and one beam at a pinned cutoff from gain 0, whose
-zero weights are not flagged diverged), dense one- and two-beam
-pk_curve grids whose gains cross those where the tail target sets the
-auto cutoff, a Mermin grid that brackets
-the crossing, eta rows that are violated, outside the efficiency window and
-not violated, one eta row at a gain whose auto cutoff reaches CUTOFF_CAP
-(the largest amplitude box), both projected witnesses, the unprojected w2
-agreement column up to a gain at CUTOFF_CAP, a witness grid with one failed
-point (exit 2) and a Mermin grid where every point fails (exit 1, the CSV
-still written).  .github/console-goldens.sh, the list the console script
-runs in CI, names its cases by hand; a test holds it to CASES.
-
-table1 and pk_curve must match byte for byte.  The Stokes commands end in
-floating-point sums over the amplitude box whose last digits depend on
-NumPy's summation order, so their numeric cells need only
-agree to 1e-12 relative (1e-12 absolute
-below magnitude 1, where the agreement diagnostics are rounding noise);
-comments, headers, row counts, exit codes and every non-numeric cell must
-match exactly.
+main() writes each case of tests/cli_cases.py, the one list of CLI
+goldens, to a file through --out, and the file is compared with its
+golden by the case's rule there.  CI also runs the same cases through the
+installed console script, with the CSV on stdout (python tests/cli_cases.py).
 
 Regenerate the golden files with the commit the contract pins:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
 
-import math
-import shlex
 import sys
-from pathlib import Path
 
 import pytest
 
 from brightghz.cli import main
-
-GOLDEN = Path(__file__).parent / "data" / "cli"
-
-# name, argv, expected exit code
-CASES = [
-    ("table1", ["--cmd", "table1"], 0),
-    ("pk_curve_n1", ["--cmd", "pk_curve", "--n", "1", "--steps", "3"], 0),
-    ("pk_curve_n2", ["--cmd", "pk_curve", "--n", "2", "--steps", "3"], 0),
-    (
-        "pk_curve_n1_dense",
-        ["--cmd", "pk_curve", "--n", "1", "--gamma-min", "0.01", "--gamma-max", "0.85",
-         "--steps", "29"],
-        0,
-    ),
-    (
-        "pk_curve_n2_dense",
-        ["--cmd", "pk_curve", "--n", "2", "--gamma-min", "0.01", "--gamma-max", "0.85",
-         "--steps", "29"],
-        0,
-    ),
-    ("pk_curve_n3", ["--cmd", "pk_curve", "--n", "3", "--steps", "2"], 0),
-    (
-        "pk_curve_n3_order60",
-        ["--cmd", "pk_curve", "--n", "3", "--steps", "2", "--pade-order", "60", "--bits", "320"],
-        0,
-    ),
-    ("pk_curve_n3_bits64", ["--cmd", "pk_curve", "--n", "3", "--steps", "3", "--bits", "64"], 0),
-    # the gamma = 0.85 row is flagged diverged, so the command exits 2
-    ("pk_curve_n3_cutoff8", ["--cmd", "pk_curve", "--n", "3", "--steps", "3", "--cutoff", "8"], 2),
-    # gain 0 retains zero weights past k = 0, which are no divergence
-    (
-        "pk_curve_n1_gain0_cutoff4",
-        ["--cmd", "pk_curve", "--n", "1", "--gamma-min", "0", "--gamma-max", "0.1",
-         "--steps", "2", "--cutoff", "4"],
-        0,
-    ),
-    (
-        "mermin_crossing",
-        ["--cmd", "mermin", "--gamma-min", "0.7", "--gamma-max", "0.8", "--steps", "3"],
-        0,
-    ),
-    (
-        "eta_window",
-        ["--cmd", "eta", "--gamma-min", "0.45", "--gamma-max", "0.85", "--steps", "3",
-         "--eta-max", "0.9"],
-        0,
-    ),
-    ("eta_cap", ["--cmd", "eta", "--gamma-min", "0.352", "--steps", "1"], 0),
-    (
-        "w1_projected",
-        ["--cmd", "w1", "--gamma-min", "0.1", "--gamma-max", "0.3", "--steps", "2",
-         "--projected"],
-        0,
-    ),
-    (
-        "w2_projected",
-        ["--cmd", "w2", "--gamma-min", "0.1", "--gamma-max", "0.3", "--steps", "2",
-         "--projected"],
-        0,
-    ),
-    (
-        "w2_unprojected",
-        ["--cmd", "w2", "--gamma-min", "0.1", "--gamma-max", "0.35", "--steps", "2"],
-        0,
-    ),
-    (
-        "w1_failed_point",
-        ["--cmd", "w1", "--gamma-min", "0.3", "--gamma-max", "0.59", "--steps", "2",
-         "--cutoff", "45"],
-        2,
-    ),
-    (
-        "mermin_all_failed",
-        ["--cmd", "mermin", "--gamma-min", "0.55", "--gamma-max", "0.59", "--steps", "2",
-         "--cutoff", "45"],
-        1,
-    ),
-]
-
-BYTE_EXACT = {"table1", "pk_curve"}
-
-# the console-script goldens CI runs, and the exit code each of its kinds of
-# line expects
-SCRIPT = Path(__file__).parents[1] / ".github" / "console-goldens.sh"
-SCRIPT_EXITS = {"exact": 0, "exact_diverged": 2, "stokes": 0}
-
-
-def _number(cell):
-    try:
-        value = float(cell)
-    except ValueError:
-        return None
-    return None if math.isnan(value) else value
-
-
-def _assert_cells_match(got_line, want_line):
-    got, want = got_line.split(","), want_line.split(",")
-    assert len(got) == len(want), (got_line, want_line)
-    for g, w in zip(got, want):
-        gv, wv = _number(g), _number(w)
-        if gv is None or wv is None:
-            assert g == w, (got_line, want_line)
-        else:
-            assert abs(gv - wv) <= 1e-12 * max(1.0, abs(wv)), (got_line, want_line)
-
-
-def assert_stokes_csv_matches(got: str, want: str) -> None:
-    """The contract for a Stokes command's CSV: the same lines, comments
-    byte for byte, numeric cells to the 1e-12 rule above.  The CI workflow
-    also runs it on the console script's output."""
-    got_lines, want_lines = got.splitlines(), want.splitlines()
-    assert len(got_lines) == len(want_lines)
-    for g, w in zip(got_lines, want_lines):
-        if w.startswith("#"):
-            assert g == w
-        else:
-            _assert_cells_match(g, w)
+from cli_cases import CASES, GOLDEN, assert_matches_golden
 
 
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
@@ -161,31 +23,7 @@ def test_cli_matches_golden(name, argv, code, tmp_path, capsys):
     out = tmp_path / f"{name}.csv"
     assert main([*argv, "--out", str(out)]) == code
     capsys.readouterr()
-    got = out.read_bytes()
-    want = (GOLDEN / f"{name}.csv").read_bytes()
-    if argv[1] in BYTE_EXACT:
-        assert got == want
-        return
-    assert_stokes_csv_matches(got.decode(), want.decode())
-
-
-def test_console_script_lists_the_cases():
-    # the script names its cases by hand: each of its lines must be a case
-    # with the same argv and exit code, every byte-exact case must be
-    # compared byte for byte there, and every other case that exits 0 run
-    cases = {name: (argv, code) for name, argv, code in CASES}
-    listed = {}
-    for line in SCRIPT.read_text().splitlines():
-        words = shlex.split(line, comments=True)
-        if words and words[0] in SCRIPT_EXITS:
-            kind, name, *argv = words
-            assert cases.get(name) == (argv, SCRIPT_EXITS[kind]), line
-            listed[name] = kind
-    for name, (argv, code) in cases.items():
-        if argv[1] in BYTE_EXACT:
-            assert listed.get(name) in ("exact", "exact_diverged"), name
-        elif code == 0:
-            assert listed.get(name) == "stokes", name
+    assert_matches_golden(name, argv, out.read_bytes())
 
 
 if __name__ == "__main__":

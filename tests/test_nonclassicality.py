@@ -306,6 +306,15 @@ def test_find_crossing_rejects_an_infinite_bracket_end(lo, hi):
     assert calls == []
 
 
+@pytest.mark.parametrize("real", [Decimal, Fraction, np.float32, np.float64])
+def test_find_crossing_reads_any_real_bracket_as_floats(real):
+    # a Decimal bracket used to raise TypeError, and NumPy ends came back as
+    # NumPy scalars
+    want = find_crossing(lambda x: x**3, 0.2, 0.125, 0.875, tol=2**-20)
+    got = find_crossing(lambda x: x**3, 0.2, real("0.125"), real("0.875"), tol=real(2**-20))
+    assert type(got) is float and got == want
+
+
 def test_find_crossing_on_a_bracket_as_wide_as_the_floats():
     # hi - lo overflows to inf; every width and step is formed from
     # half-widths, so the search still closes in on the crossing

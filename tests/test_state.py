@@ -1,6 +1,7 @@
 """Resummed coefficients, photon statistics, and bright-state construction."""
 
 import functools
+import itertools
 import math
 import re
 from decimal import Decimal
@@ -250,8 +251,11 @@ def test_counts_accept_numpy_integers():
 
 
 def test_coefficient_at_zero_gain():
-    assert resummed_coefficient(3, 0, 0.0) == 1.0 + 0j
-    assert resummed_coefficient(3, 4, 0.0) == 0.0 + 0j
+    # 1 at k = 0, else 0; every zero part is +0.0, whatever the phase i**k
+    for n, k in itertools.product((1, 2, 3), range(8)):
+        c = resummed_coefficient(n, k, 0.0)
+        assert c == (1.0 if k == 0 else 0.0)
+        assert math.copysign(1.0, c.real) == math.copysign(1.0, c.imag) == 1.0
 
 
 def test_coefficient_matches_coherent_closed_form():
