@@ -37,25 +37,32 @@ precision by _rounded, the one rounding rule that state applies too.  state
 reads that pair; the result forms its exact dyadic Fraction only when read.
 
 The coefficients depend only on the series and the precision, never on
-the point, so the three-beam tables at the default policy (tuple numbers
-0..CUTOFF_CAP, 81 terms, 256 bits: every table a default Bell scan walks)
-ship with the package as cfractions.bin: the marshal (version 2) bytes
-of a dict from each table's name to its value-run integers a_i 2**F.  The
-first lookup reads and loads the file whole, once per process; walks then
-read a table's coefficients one at a time through the same ladder runs
-that qd feeds, so a walk that settles at [N/N] reads a_1..a_2N.  A damaged
-file fails the load with marshal's own error.  A table is named by a
-checksum of everything that determines it (_plan): the coefficients as the
-exact integer pairs (p_j, q_j) the resummer holds (for state's resummers,
-series_core's unreduced (P[k, k + 2j], (k + 2j)!), so no gcd is paid to
-look a table up), bits, and both qd runs' fraction bits and scales.  So a
-table is read only where the code would compute exactly those numbers;
-the same series held in other pairs (its reduced Fractions, say) only
-misses the archive, as does any other series or precision, including a
-changed guard constant, and runs qd as above to the identical table.  qd
-runs on Python integers, exact on every platform, so a stored table is
-the one the code computes.  `python -m brightghz._cftables` rewrites the
-archive, and a test regenerates it and compares it byte for byte.
+the point, so the three-beam tables (tuple numbers 0..CUTOFF_CAP, 81
+terms, at _SHIPPED_BITS = 256) ship with the package as cfractions.bin:
+the marshal (version 2) bytes of a dict from each table's name to its
+value-run integers a_i 2**F.  One table serves every precision up to 256
+bits: a ladder at fewer bits reads each a_i 2**F rounded (half to even) to
+its own value scale, which on every series tried is qd's value run at
+those bits, integer for integer.  state holds each series at 81 terms for
+every pade_order up to 40, so a lower order reads a prefix of the same
+table.  Every walk of a Bell scan at such a policy, the default 128 bits
+included, thus reads a shipped table.  The first lookup reads and loads
+the file whole, once per process; walks then read a table's coefficients
+one at a time through the same ladder runs that qd feeds, so a walk that
+settles at [N/N] reads a_1..a_2N.  A damaged file fails the load with
+marshal's own error.  A table is named by a checksum of everything that
+determines it (_name): the coefficients as the exact integer pairs
+(p_j, q_j) the resummer holds (for state's resummers, series_core's
+unreduced (P[k, k + 2j], (k + 2j)!), so no gcd is paid to look a table
+up), bits, and both qd runs' fraction bits and scales.  So a table is read
+only where the code would compute exactly those numbers (at 256 bits, or
+coarsened from them); the same series held in other pairs (its reduced
+Fractions, or a shorter prefix, say) only misses the archive, as does any
+other series or a precision past 256 bits, including a changed guard
+constant, and runs qd as above to the identical table.  qd runs on Python
+integers, exact on every platform, so a stored table is the one the code
+computes.  `python -m brightghz._cftables` rewrites the archive, and a
+test regenerates it and compares it byte for byte.
 """
 
 from __future__ import annotations
@@ -132,6 +139,12 @@ class ResummationResult:
 _GUARD_BITS = 64
 _QD_BITS_PER_TERM = 3
 _QD_HEADROOM = 128
+
+
+# NumericPolicy's and resum's working precision, and that of the shipped
+# tables, which serve every precision up to theirs (DiagonalResummer._cfraction)
+_DEFAULT_BITS = 128
+_SHIPPED_BITS = 256
 
 
 def _scales(bits: int) -> tuple[int, int]:
@@ -277,28 +290,32 @@ class _Ladder:
         return True
 
 
-def _plan(pairs: tuple[tuple[int, int], ...], bits: int) -> tuple[str, tuple]:
-    """The name of the table of the series pairs at bits, and its value and check qd runs.
-
-    Each run is (work, scale), the arguments of its _qd.  The name is a
-    64-bit checksum (CRC-32, then Adler-32) of the marshal (version 2)
-    bytes of every input of qd's arithmetic: bits, both runs' work and
-    scale, and the pairs (p_j, q_j) as the resummer holds them.  Version 2
-    writes no back-references, so the bytes depend on the values alone, and
-    marshal reads them back, so equal bytes are equal values.  Equal pairs
-    are equal rationals, so a name stands for one table, and two series or
-    precisions share one only through a collision of the checksum; the same
-    series held in other pairs (reduced, say) only gets another name, and
-    computes that same table.  hashlib would load OpenSSL, about 3.6 MB
-    resident, for the same job.
-    """
+def _runs(terms: int, bits: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The value and check qd runs of a series of terms coefficients at bits,
+    each as (work, scale), the arguments of its _qd."""
     value_scale, check_scale = _scales(bits)
-    check_work = check_scale + _QD_BITS_PER_TERM * (len(pairs) - 1) + _QD_HEADROOM
-    value_work = check_work + _GUARD_BITS
+    check_work = check_scale + _QD_BITS_PER_TERM * (terms - 1) + _QD_HEADROOM
+    return (check_work + _GUARD_BITS, value_scale), (check_work, check_scale)
+
+
+def _name(pairs: tuple[tuple[int, int], ...], bits: int) -> str:
+    """The name of the table of the series pairs at bits.
+
+    The name is a 64-bit checksum (CRC-32, then Adler-32) of the marshal
+    (version 2) bytes of every input of qd's arithmetic: bits, both runs'
+    work and scale, and the pairs (p_j, q_j) as the resummer holds them.
+    Version 2 writes no back-references, so the bytes depend on the values
+    alone, and marshal reads them back, so equal bytes are equal values.
+    Equal pairs are equal rationals, so a name stands for one table, and two
+    series or precisions share one only through a collision of the checksum;
+    the same series held in other pairs (reduced, say) only gets another
+    name, and computes that same table.  hashlib would load OpenSSL, about
+    3.6 MB resident, for the same job.
+    """
+    (value_work, value_scale), (check_work, check_scale) = _runs(len(pairs), bits)
     head = (bits, value_work, check_work, value_scale, check_scale)
     key = marshal.dumps((head, pairs), 2)
-    name = f"{zlib.crc32(key):08x}{zlib.adler32(key):08x}"
-    return name, ((value_work, value_scale), (check_work, check_scale))
+    return f"{zlib.crc32(key):08x}{zlib.adler32(key):08x}"
 
 
 def _qd_runs(pairs: Sequence[tuple[int, int]], runs: tuple) -> Iterator[tuple[int, int]]:
@@ -316,7 +333,11 @@ def _measured(runs: Iterator[tuple[int, int]]) -> Iterator[tuple[int, float]]:
         yield a, _float(1 + (abs((c << _GUARD_BITS) - a) >> _GUARD_BITS), _GUARD_BITS)
 
 
-# a shipped coefficient's error: one check-scale unit, as _measured gives it
+# A shipped coefficient's error: one check-scale unit, as _measured gives it
+# where the runs agree.  Coarsened to bits < 256 it is charged one unit at
+# bits, which bounds its error: half a value unit of rounding plus the 256-bit
+# unit, 2**(bits - 256) units at bits.  Charging that sum instead would give
+# the walk's bound back about 64 bits of margin; that is left for later.
 _SHIPPED_ERROR = 2.0**_GUARD_BITS
 
 # The shipped tables: the marshal (version 2) bytes of a dict from each
@@ -351,7 +372,7 @@ def _table_archive(series: Iterable[Sequence[tuple[int, int]]], bits: int) -> by
     tables = {}
     for held in series:
         held = tuple(held)
-        name, runs = _plan(held, bits)
+        name, runs = _name(held, bits), _runs(len(held), bits)
         pairs = list(_qd_runs(held, runs))
         if any(c != _round_div(a, 1 << _GUARD_BITS) for a, c in pairs):
             raise ValueError(f"table {name}: the check run is not the value run coarsened")
@@ -454,7 +475,8 @@ class DiagonalResummer:
     are found at most once each, and only as far as the walks read: a
     coefficient first read by a later walk resumes both qd runs from their
     last anti-diagonal, so every coefficient is the one a complete table
-    would hold.  A shipped table is read instead, as far as the walks read.
+    would hold.  A shipped table is read instead, as far as the walks read,
+    coarsened to the working precision below the shipped one.
     Each call finds, from the end, whether the truncated series
     terminates; a point on one that does not costs one walk.
 
@@ -465,7 +487,7 @@ class DiagonalResummer:
     reduced, once, to the integer pair the walk starts from; qd rounds
     each c_s / c_{s-1} once from the exact pairs, so any pairs of the same
     rationals give the same tables and the same results.  A shipped table is found
-    only for the pairs it was written from (see _plan).
+    only for the pairs it was written from (see _name).
     """
 
     def __init__(self, series: Sequence):
@@ -486,15 +508,19 @@ class DiagonalResummer:
         self._fractions: dict[int, _Ladder] = {}
 
     def _cfraction(self, bits: int) -> _Ladder:
-        """The ladder at bits, fed by its shipped table, else by its qd runs, as walks read."""
+        """The ladder at bits, fed as walks read by the shipped table at
+        max(bits, _SHIPPED_BITS), each coefficient rounded to the value scale
+        at bits (the identity at that precision), else by its qd runs."""
         got = self._fractions.get(bits)
         if got is None:
-            name, runs = _plan(self._pairs, bits)
-            stored = _stored_table(name)
+            runs, top = _runs(len(self._pairs), bits), max(bits, _SHIPPED_BITS)
+            stored = _stored_table(_name(self._pairs, top))
             if stored is None:
                 read = _measured(_qd_runs(self._pairs, runs))
             else:
-                read = ((a, _SHIPPED_ERROR) for a in stored)
+                # the value scales at top and at bits differ by top - bits
+                cut = 1 << (top - bits)
+                read = ((_round_div(a, cut), _SHIPPED_ERROR) for a in stored)
             got = self._fractions[bits] = _Ladder(len(self._pairs) - 1, runs[0][1], read)
         return got
 
@@ -660,7 +686,7 @@ class DiagonalResummer:
         return ResummationResult._of_dyadic(value, converged, order_used, tuple(diagnostics))
 
     def resum(
-        self, x, max_order: int = 40, tol: float = 1e-10, bits: int = 256
+        self, x, max_order: int = 40, tol: float = 1e-10, bits: int = _DEFAULT_BITS
     ) -> ResummationResult:
         """Walk [1/1], [2/2], ..., [max_order/max_order] at x until two values agree.
 
@@ -714,7 +740,7 @@ class DiagonalResummer:
 
 
 def diagonal_resum(
-    series: Sequence, x, max_order: int = 40, tol: float = 1e-10, bits: int = 256
+    series: Sequence, x, max_order: int = 40, tol: float = 1e-10, bits: int = _DEFAULT_BITS
 ) -> ResummationResult:
     """DiagonalResummer(series).resum(x, ...): the ladder at x until two values agree."""
     return DiagonalResummer(series).resum(x, max_order=max_order, tol=tol, bits=bits)

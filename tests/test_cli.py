@@ -197,9 +197,9 @@ def test_bits_default_ignores_environment(monkeypatch):
     # --bits is the one way to set the precision; the old variable is inert
     monkeypatch.setenv("BRIGHTGHZ_BITS", "320")
     cfg = parse_config(["--cmd", "table1"])
-    assert cfg.policy.bits == state.DEFAULT_POLICY.bits == 256
-    cfg = parse_config(["--cmd", "table1", "--bits", "128"])
-    assert cfg.policy.bits == 128
+    assert cfg.policy.bits == state.DEFAULT_POLICY.bits == 128
+    cfg = parse_config(["--cmd", "table1", "--bits", "256"])
+    assert cfg.policy.bits == 256
 
 
 def test_stdout_is_default_sink(capsys):

@@ -412,10 +412,10 @@ def test_qd_disagreement_ends_the_walk(monkeypatch):
     # the check qd run off by 2**-8 in a_4 of an unshipped series: the
     # coefficient's error ends the ladder at order 2, the first to read it,
     # though the value run, and so every value, is unchanged
-    bits = DEFAULT_POLICY.bits
+    bits = pade._DEFAULT_BITS
     series = c_series(4, 3, 41).coeffs
     x = -(Fraction(0.5) ** 2)
-    clean = DiagonalResummer(series).resum(x, max_order=20)
+    clean = DiagonalResummer(series).resum(x, max_order=20, bits=bits)
     assert clean.order_used > 2
     qd, (_, check_scale) = pade._qd, pade._scales(bits)
 
@@ -424,7 +424,7 @@ def test_qd_disagreement_ends_the_walk(monkeypatch):
             yield a + (scale == check_scale and i == 3) * (1 << (check_scale - 8))
 
     monkeypatch.setattr(pade, "_qd", nudged)
-    got = DiagonalResummer(series).resum(x, max_order=20)
+    got = DiagonalResummer(series).resum(x, max_order=20, bits=bits)
     _assert_unsettled(got, 2)
     assert got.diagnostics[0] == clean.diagnostics[0]
 
@@ -553,10 +553,11 @@ def test_value_run_is_the_exactly_rounded_c_fraction(n, k, terms):
 def test_walk_builds_only_the_coefficients_it_reads(n):
     # a walk that settles at order N reads a_1..a_2N, and qd stops there;
     # 121 terms, where no table ships, so qd runs for three beams too
+    bits = pade._DEFAULT_BITS
     resummer = DiagonalResummer(c_series(4, n, 121).coeffs)
-    got = resummer.resum(-(Fraction(0.3) ** 2), max_order=40)
+    got = resummer.resum(-(Fraction(0.3) ** 2), max_order=40, bits=bits)
     assert got.converged and got.order_used < 40
-    ladder = resummer._cfraction(DEFAULT_POLICY.bits)
+    ladder = resummer._cfraction(bits)
     assert [len(built) for built in _lists(ladder)] == [2 * got.order_used] * 4
     assert ladder.runs is not None
 
@@ -630,7 +631,7 @@ def test_shipped_table_seeds_the_ladder(monkeypatch):
     # the default policy's three-beam series, built as production builds
     # it: the ladder reads the complete shipped table with no qd run, and
     # it is the table qd computes, each coefficient's error included
-    bits, length = DEFAULT_POLICY.bits, 2 * DEFAULT_POLICY.pade_order + 1
+    bits, length = pade._SHIPPED_BITS, 2 * DEFAULT_POLICY.pade_order + 1
     series = c_series(4, 3, length).coeffs
     started = _qd_started(monkeypatch)
     seeded = state._resummer.__wrapped__(3, 4, length)
@@ -642,7 +643,7 @@ def test_shipped_table_seeds_the_ladder(monkeypatch):
     # value and check runs) computes the same ladder and the same results
     reduced = DiagonalResummer(series)
     xs = [-(Fraction(g) ** 2) for g in (0.1, 0.6, 0.77, 0.89)]
-    assert [reduced.resum(x) for x in xs] == [seeded.resum(x) for x in xs]
+    assert [reduced.resum(x, bits=bits) for x in xs] == [seeded.resum(x, bits=bits) for x in xs]
     assert len(started) == 2
     assert reduced._cfraction(bits).reaches(reduced._cfraction(bits).size)
     assert _lists(reduced._cfraction(bits)) == _lists(ladder)
@@ -656,7 +657,8 @@ def test_shipped_table_seeds_the_ladder(monkeypatch):
 @pytest.mark.parametrize("k, gamma", [(0, 0.05), (4, 0.3), (20, 0.6), (40, 0.2)])
 def test_walk_reads_only_the_shipped_coefficients_it_uses(k, gamma, monkeypatch):
     # a walk that settles at order N reads a_1..a_2N, and no more of the
-    # shipped table; nor any of it before the first walk
+    # shipped table, coarsened to the default precision; nor any of it
+    # before the first walk
     read, stored = [], pade._stored_table
 
     def counted(name):
@@ -664,12 +666,35 @@ def test_walk_reads_only_the_shipped_coefficients_it_uses(k, gamma, monkeypatch)
         return None if table is None else (read.append(a) or a for a in table)
 
     monkeypatch.setattr(pade, "_stored_table", counted)
+    bits = pade._DEFAULT_BITS
     resummer = state._resummer.__wrapped__(3, k, 2 * DEFAULT_POLICY.pade_order + 1)
-    ladder = resummer._cfraction(DEFAULT_POLICY.bits)
+    ladder = resummer._cfraction(bits)
     assert read == [] and ladder.runs is not None
-    got = resummer.resum(-(Fraction(gamma) ** 2), max_order=DEFAULT_POLICY.pade_order)
+    got = resummer.resum(-(Fraction(gamma) ** 2), max_order=DEFAULT_POLICY.pade_order, bits=bits)
     assert got.order_used < DEFAULT_POLICY.pade_order
     assert len(read) == len(ladder.value) <= 2 * got.order_used
+
+
+@pytest.mark.parametrize(
+    "bits, order",
+    [(64, DEFAULT_POLICY.pade_order), (pade._DEFAULT_BITS, DEFAULT_POLICY.pade_order),
+     (pade._DEFAULT_BITS, 20)],
+    ids=["bits64", "default", "order20"],
+)
+def test_coarsened_shipped_table_is_the_qd_run(bits, order, monkeypatch):
+    # below the shipped precision a ladder reads the shipped table, each
+    # coefficient rounded to the value scale at bits, with no qd run; that
+    # prefix is the ladder qd computes at bits, each coefficient's error
+    # included, and for a lower order on the shorter series it reads
+    started = _qd_started(monkeypatch)
+    length = 2 * order + 1
+    for k in range(0, CUTOFF_CAP + 1, 6):
+        resummer = state._resummer.__wrapped__(3, k, 2 * DEFAULT_POLICY.pade_order + 1)
+        ladder = resummer._cfraction(bits)
+        assert ladder.reaches(length - 1)
+        want = _lists(_eager_ladder(c_series(k, 3, length).coeffs, bits))
+        assert tuple(built[: length - 1] for built in _lists(ladder)) == want, k
+    assert started == []
 
 
 def _no_qd(*args):
@@ -709,6 +734,21 @@ def test_cold_cap_build_reads_the_archive_directory_once(monkeypatch):
     assert len(parses) == 1
     assert len(names) == len(set(names)) == CUTOFF_CAP + 1
     assert all(table is not None for table in tables)
+
+
+@pytest.mark.parametrize(
+    "policy", [NumericPolicy(bits=64), NumericPolicy(pade_order=20)], ids=["bits64", "order20"]
+)
+def test_cold_cap_build_starts_no_qd_run(policy, monkeypatch):
+    # as at the default policy (above): every precision up to the shipped
+    # one and every order up to its depth reads the shipped tables, so a
+    # cold build at the cutoff cap's gain finds every table it looks up
+    monkeypatch.setattr(pade, "_qd", _no_qd)
+    weights = functools.lru_cache(32)(state._retained_weights.__wrapped__)
+    monkeypatch.setattr(state, "_retained_weights", weights)
+    monkeypatch.setattr(state, "_resummer", functools.cache(state._resummer.__wrapped__))
+    monkeypatch.setattr(state, "_bright_state", functools.cache(state._bright_state.__wrapped__))
+    state.build_bghz(0.352, policy)
 
 
 @pytest.mark.parametrize("cut", [0.9, 0.5, None], ids=["90%", "50%", "one byte"])

@@ -1,9 +1,10 @@
 """Golden digest of the photon ladder: every built state and distribution, bit for bit.
 
 64 gains (60 drawn with seed 19 in (0.01, 0.85), plus 0.352, which reaches
-the cutoff cap, 0.77 and two tiny gains) under four policies: the
-default, a pinned cutoff of 12, 320 bits with a pinned cutoff of 20, and
-the 64-bit floor with an auto cutoff.
+the cutoff cap, 0.77 and two tiny gains) under six policies: the shipped
+tables' own 256 bits with an auto cutoff and with a pinned cutoff of 12,
+320 bits with a pinned cutoff of 20, the 64-bit floor with an auto cutoff,
+and the default 128 bits with an auto cutoff and with a pinned cutoff of 12.
 Per policy and beam count one line holds the SHA-256 of every record: for
 n = 3 the state build_bghz builds (cutoff, norm_residual as float.hex,
 the bytes of its box and of its shell moments), and for n = 1, 2 and 3 the
@@ -20,6 +21,7 @@ import hashlib
 import random
 from pathlib import Path
 
+from brightghz.pade import _SHIPPED_BITS
 from brightghz.state import (
     DEFAULT_POLICY,
     BrightStateSpec,
@@ -33,10 +35,12 @@ GOLDEN = Path(__file__).parent / "data" / "state_digest.txt"
 _draw = random.Random(19)
 GAINS = [_draw.uniform(0.01, 0.85) for _ in range(60)] + [0.352, 0.77, 1e-3, 5e-4]
 POLICIES = (
-    DEFAULT_POLICY,
-    NumericPolicy(cutoff=12),
+    NumericPolicy(bits=_SHIPPED_BITS),
+    NumericPolicy(bits=_SHIPPED_BITS, cutoff=12),
     NumericPolicy(bits=320, cutoff=20),
     NumericPolicy(bits=64),
+    DEFAULT_POLICY,
+    NumericPolicy(cutoff=12),
 )
 
 

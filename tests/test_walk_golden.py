@@ -1,13 +1,14 @@
 """Golden digest of the continued-fraction walk: every field of every result.
 
 The grid is every series a default Bell scan walks (three beams, k =
-0..60) and every fifth series of one and two beams, at 34 gains, through
-the shipped tables at the default policy, plus a few series at pade_order
-60 and 320 bits, whose tables are computed at run time.  One line per
-walk records the point, the value's numerator and denominator, converged,
-order_used and each diagnostic as float.hex (or the pole error); the
-golden file holds the SHA-256 of each series' lines, so a mismatch names
-the series.
+0..60) and every fifth series of one and two beams, at 34 gains, at the
+shipped tables' own 256 bits and at the default policy's 128, where the
+three-beam walks read those tables coarsened, plus a few series at
+pade_order 60 and 320 bits, whose tables are computed at run time.  One
+line per walk records the point, the value's numerator and denominator,
+converged, order_used and each diagnostic as float.hex (or the pole
+error); the golden file holds the SHA-256 of each series' lines, so a
+mismatch names the series.
 
 Regenerate the golden file with the commit the contract pins:
 
@@ -18,7 +19,7 @@ import hashlib
 from fractions import Fraction
 from pathlib import Path
 
-from brightghz.pade import PoleProximityError
+from brightghz.pade import _SHIPPED_BITS, PoleProximityError
 from brightghz.state import CUTOFF_CAP, DEFAULT_POLICY, NumericPolicy, _resummer
 
 GOLDEN = Path(__file__).parent / "data" / "walk_digest.txt"
@@ -28,8 +29,12 @@ DEEP = NumericPolicy(pade_order=60, bits=320)
 
 # (n, k, policy, gains)
 SERIES = (
-    [(3, k, DEFAULT_POLICY, GAINS) for k in range(CUTOFF_CAP + 1)]
-    + [(n, k, DEFAULT_POLICY, GAINS) for n in (1, 2) for k in range(0, CUTOFF_CAP + 1, 5)]
+    [
+        entry
+        for policy in (NumericPolicy(bits=_SHIPPED_BITS), DEFAULT_POLICY)
+        for entry in [(3, k, policy, GAINS) for k in range(CUTOFF_CAP + 1)]
+        + [(n, k, policy, GAINS) for n in (1, 2) for k in range(0, CUTOFF_CAP + 1, 5)]
+    ]
     + [(3, k, DEEP, (0.3, 0.7698, 0.8067, 0.88)) for k in (0, 9, 30, 60)]
     + [(1, 5, DEEP, (0.5, 0.88))]
 )
