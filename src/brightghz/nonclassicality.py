@@ -32,8 +32,15 @@ on every shell past the vacuum, so the entrywise cube is
 alpha_k^3 B*B*B - beta_k^3 I; on the vacuum, where alpha_0 = 0 and
 beta_0 = 1, it is -I, the lossless cube.  The lossy Mermin sum is thus
 sum_k (alpha_k^3 m_k + 2 beta_k^3 p_k) over the lossless per-shell terms
-m_k of the Mermin kernel and the shell masses p_k: one kernel pass on a state
-serves every efficiency.
+m_k of the Mermin kernel and the shell masses p_k.  With c = 1 - eta,
+beta_k = c^k and alpha_k^3 = 1 - 3 c^k + 3 c^2k - c^3k, so the sum is one
+polynomial in c whose coefficients come from one kernel pass on a state;
+each efficiency then costs one power and one multiply-and-sum.  Its
+constant coefficient, all that survives at eta = 1, is summed as the
+eta = 1 array [2 p_0, m_1, m_2, ...], so the lossy LHS at eta = 1 is the
+lossless one bit for bit.  The expansion cancels between its c^k, c^2k
+and c^3k coefficients as eta falls, which costs a few units in the last
+place against the per-shell sum.
 
 Both witnesses flag entanglement strictly below zero: w1 transplants the
 three-qubit GHZ projector witness to normalized Stokes operators, and w2
@@ -62,7 +69,7 @@ from brightghz.state import (
     NumericPolicy,
     build_bghz,
 )
-from brightghz.stokes import _mermin_form, _shell_terms, stokes_expectation
+from brightghz.stokes import _form_terms, _mermin_form
 
 __all__ = [
     "SweepResult",
@@ -282,18 +289,17 @@ def gamma_threshold(
 _LOSS_TABLES: dict = {}
 
 
-def _thinning(eta: float, k):
-    """(alpha_k, beta_k) = (1 - (1 - eta)^k, (1 - eta)^k) on shells k.
+def _loss(eta: float) -> float:
+    """c = 1 - eta, so that beta_k = c^k is the chance that all k photons are lost.
 
-    beta_k is the chance that all k photons are lost.  eta may be a real of
-    any type, converted once (_real), so every efficiency thins as its
-    float.  eta outside [0, 1], NaN included, raises ValueError.
+    eta may be a real of any type, converted once (_real), so every
+    efficiency thins as its float.  eta outside [0, 1], NaN included,
+    raises ValueError.
     """
     value = _real(eta)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
-    beta = (1.0 - value) ** k
-    return 1.0 - beta, beta
+    return 1.0 - value
 
 
 def per_party_loss_factor(k_a: int, k_b: int, eta: float) -> float:
@@ -308,24 +314,29 @@ def per_party_loss_factor(k_a: int, k_b: int, eta: float) -> float:
     if k_a < 0 or k_b < 0:
         raise ValueError("photon counts must be non-negative")
     k = k_a + k_b
-    alpha, beta = _thinning(eta, k)
-    return alpha * (k_a - k_b) / k - beta if k else -1.0
+    beta = _loss(eta) ** k
+    return (1.0 - beta) * (k_a - k_b) / k - beta if k else -1.0
 
 
 def _lossy_lhs(state: BGHZState) -> Callable[[float], float]:
-    """eta -> lossy Mermin LHS of state, from one pass of the Mermin kernel.
+    """eta -> lossy Mermin LHS of state, the module docstring's polynomial
+    sum_j d_j c^j in c = 1 - eta, d built once from one Mermin kernel pass.
 
-    Float shells and masses doubled once give the values of integer shells
-    and doubling per call bit for bit, with less work per efficiency.
+    Shell k >= 1 puts -3 m_k on c^k, 3 m_k on c^2k and 2 p_k - m_k on c^3k;
+    d_0 is the eta = 1 value, 2 p_0 + sum_(k>=1) m_k.
     """
     terms = _mermin_form(state, "S1p")
-    twice_mass = 2.0 * _shell_terms(state, ("I", "I", "I"))
-    k = np.arange(len(terms), dtype=float)
+    masses = state._moments[0][0]
+    d = np.zeros(3 * len(terms) - 2)
+    d[0] = np.concatenate(([2.0 * masses[0]], terms[1:])).sum()
+    d[1 : len(terms)] = -3.0 * terms[1:]
+    d[2 : 2 * len(terms) - 1 : 2] += 3.0 * terms[1:]
+    d[3::3] += 2.0 * masses[1:] - terms[1:]
+    j = np.arange(len(d), dtype=float)
     scale = 1.0 - state.norm_residual
 
     def lhs(eta):
-        alpha, beta = _thinning(eta, k)
-        return scale * abs(float((alpha**3 * terms + beta**3 * twice_mass).sum()))
+        return scale * abs(float((d * _loss(eta) ** j).sum()))
 
     return lhs
 
@@ -372,6 +383,26 @@ def eta_threshold(
     return find_crossing(lhs, CLASSICAL_BOUND, 1e-6, 1.0, tol)
 
 
+def _projected(projected) -> bool:
+    """projected as a bool; ValueError naming it unless it is a bool or a NumPy bool."""
+    if not isinstance(projected, (bool, np.bool_)):
+        raise ValueError(f"projected must be a bool, got {projected!r}")
+    return bool(projected)
+
+
+# Each witness as one stokes form of (diagonal weight, band weight, selector
+# triple) entries: w1 as written below, and the Mermin part of w2 as the
+# negated unprimed Mermin form (diagonal -2, band 4).
+_W1_FORM = (
+    (1.5, 1.5, ("S0", "S0", "S0")),
+    (-1.0, -1.0, ("S1", "S1", "S1")),
+    (-0.5, -0.5, ("S3", "S3", "S0")),
+    (-0.5, -0.5, ("S0", "S3", "S3")),
+    (-0.5, -0.5, ("S3", "S0", "S3")),
+)
+_W2_FORM = ((2.0, -4.0, ("S1", "S1", "S1")), (1.0, 1.0, ("Pi", "Pi", "Pi")))
+
+
 def witness_w1(
     gamma: float,
     projected: bool = False,
@@ -382,19 +413,14 @@ def witness_w1(
 
     (3/2) S0 S0 S0 - S1 S1 S1 - (1/2)(S3 S3 S0 + S0 S3 S3 + S3 S0 S3);
     negative expectation flags entanglement, the three-qubit GHZ state
-    reaching -1.  projected evaluates on the vacuum-removed state.
+    reaching -1.  projected, a bool, evaluates on the vacuum-removed
+    state.  The five terms are one form, so one moment pass.
     """
+    projected = _projected(projected)
     state = build_bghz(gamma, policy) if state is None else state
     if projected:
         state = state._vacuum_projected
-    value = 1.5 * stokes_expectation(state, ("S0", "S0", "S0"))
-    value -= stokes_expectation(state, ("S1", "S1", "S1"))
-    value -= 0.5 * (
-        stokes_expectation(state, ("S3", "S3", "S0"))
-        + stokes_expectation(state, ("S0", "S3", "S3"))
-        + stokes_expectation(state, ("S3", "S0", "S3"))
-    )
-    return value
+    return float(_form_terms(state, _W1_FORM).sum())
 
 
 def evaluate_w2(
@@ -406,17 +432,18 @@ def evaluate_w2(
     """Mermin-operator witness with the non-vacuum projector added.
 
     value is <S1 S2 S2 + S2 S1 S2 + S2 S2 S1 - S1 S1 S1> + <Pi Pi Pi>, the
-    Mermin part being the negated Mermin kernel on unprimed operators;
+    Mermin part being the negated Mermin kernel on unprimed operators,
+    evaluated with the projector as one form in one moment pass;
     closed_form is -4t + 1 - p_vac on the same state, t its closed-form
     double sum (computed once per state), and agreement records their
-    difference.  Negative value
-    flags entanglement (separable bound 0).
+    difference.  Negative value flags entanglement (separable bound 0).
+    projected, a bool, evaluates on the vacuum-removed state.
     """
+    projected = _projected(projected)
     state = build_bghz(gamma, policy) if state is None else state
     if projected:
         state = state._vacuum_projected
-    m_value = -float(_mermin_form(state, "S1").sum())
-    value = m_value + stokes_expectation(state, ("Pi", "Pi", "Pi"))
+    value = float(_form_terms(state, _W2_FORM).sum())
     closed = -4.0 * state._closed_form_t + 1.0 - state._vacuum_probability
     return WitnessEvaluation(
         gamma=state.gamma,
@@ -509,8 +536,9 @@ def witness_sweep(
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> SweepResult:
     """w1 or w2 over a gain grid; the threshold is where the witness rises
-    through 0 and loses its negativity."""
+    through 0 and loses its negativity; projected must be a bool."""
     which = _count("which", which)
+    projected = _projected(projected)
     if which not in (1, 2):
         raise ValueError(f"witness index must be 1 or 2, got {which}")
 

@@ -38,10 +38,13 @@ over the state's shell moments (BGHZState._moments), M_p[k] = sum
 (q - m)^p |A[q, m]|^2 for p = 0..3 and N[k] = sum conj(A[q, m])
 ((q+1) m)^(3/2) A[q+1, m-1], both over the pairs on shell k.  The moments
 are built once per state (build_bghz memoizes the state per gain).  The
-weights e_p[k] and i^n2 b0_k b1_k b2_k depend only on the triple and k:
-they are read-only tables built once per triple and band weight (_WEIGHTS)
-and sliced per call, so a selector triple costs one lookup and one
-weighted moment sum, with no pass over the box.  The closed form for t
+weights e_p[k] and i^n2 b0_k b1_k b2_k depend only on the triple and k,
+and an expectation is linear in them, so a form, a weighted sum of
+triples (a witness, the Mermin combination), has weights that are the
+weighted sums of its triples'.  They are read-only tables built once per
+form (_WEIGHTS) and sliced per call, so a form of any length costs one
+lookup and one weighted moment sum, with no pass over the box; a single
+selector triple is the one-entry form.  The closed form for t
 (BGHZState._closed_form_t, computed once per state) reads the box itself,
 so CorrelationTensor.cross_check and the agreement diagnostics compare two
 different computations.
@@ -51,7 +54,8 @@ basis-1 bands: a basis-2 upper band is the basis-1 one times i, so each
 mixed setting is minus the basis-1 cube on the band.  The combination is
 the basis-1 form weighted by J - 3 Sigma (J all ones, Sigma[q, q'] =
 (-1)^(q-q')): -2 on the diagonal, 4 on the band.  `_mermin_form` returns
-it per shell, which the lossy Mermin test reweighs.
+it per shell, which the lossy Mermin test expands into a polynomial in the
+loss.
 """
 
 from __future__ import annotations
@@ -98,60 +102,67 @@ def _affine(kind: str, k: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
 # bench/tracing.py reads _SHELL_BLOCKS; ROADMAP item 12 removes that read and this dict
 _SHELL_BLOCKS: dict = {}
 
-# Shell weights per (selector triple, band weight): the cubic coefficients
-# e_p[k] of the diagonal, one row per power p of q - m, and the band weight
-# 2 on_band i^n2 b0_k b1_k b2_k, or None once a basis-3 party leaves no band.
-# They depend on neither the state nor the gain, so each is built once,
-# read-only, through shell 2 CUTOFF_CAP (grown for a box with more shells: a
-# hand-made one, or a cutoff pinned past the cap) and sliced per call; the
-# diagonal weight scales the moment sum per call and is no part of the key.
-# The keys come from the 10-selector alphabet and the callers' band weights
-# (1 and 4 in production): at most 1000 tables per band weight, about 5.8 kB
-# each at 2 CUTOFF_CAP + 1 shells.
+# Shell weights per form, a tuple of (diagonal weight, band weight, selector
+# triple) entries: the cubic coefficients e_p[k] of the diagonal, one row
+# per power p of q - m, and the band weight 2 on_band i^n2 b0_k b1_k b2_k,
+# or None once every entry has a basis-3 party, each summed over the
+# entries.  They depend on neither the state nor the gain, so each is built
+# once, read-only, through shell 2 CUTOFF_CAP (grown for a box with more
+# shells: a hand-made one, or a cutoff pinned past the cap) and sliced per
+# call.  Production uses one-entry forms (expectations and the Mermin
+# forms) and the two witnesses, about 5.8 kB each at 2 CUTOFF_CAP + 1 shells.
 _WEIGHTS: dict[tuple, tuple[np.ndarray, np.ndarray | None]] = {}
 
 
-def _shell_weights(ops: tuple, on_band: float, shells: int):
-    """(e_p[k], band weight[k]) of the selector triple ops over shells 0..shells-1."""
-    got = _WEIGHTS.get((ops, on_band))
+def _triple_weights(ops: tuple, on_band: float, k: np.ndarray):
+    """(e_p[k], band weight[k]) of the selector triple ops over shells k."""
+    # the diagonal product as a polynomial in q - m, one coefficient row per power
+    poly = np.zeros((4, len(k)))
+    poly[0] = 1.0
+    band = 2.0 * on_band  # None once a basis-3 party leaves no band
+    for op in ops:
+        basis_index, kind = _SELECTORS[op]
+        a, b = _affine(kind, k)
+        if basis_index == 3:
+            poly[1:] = a * poly[1:] + b * poly[:-1]
+            poly[0] *= a
+            band = None
+        else:
+            poly *= a
+            if band is not None:
+                band = band * (1j * b if basis_index == 2 else b)
+    return poly, band
+
+
+def _form_terms(state: BGHZState, form: tuple) -> np.ndarray:
+    """Per-shell terms of a form, a tuple of (on_diag, on_band, selector triple) entries.
+
+    Entry k, for k from 0 to twice the box's largest photon count, is the
+    shell-k part of the entries' sum D |A|^2 + 2 Re sum conj(A[q, m]) O
+    A[q+1, m-1], each D weighted by its on_diag and O by its on_band: one
+    weighted sum of the state's shell moments over the form's summed weights
+    (a one-entry form's are exactly its triple's, the diagonal times on_diag).
+    """
+    moments, hops = state._moments
+    shells = len(hops)
+    got = _WEIGHTS.get(form)
     if got is None or got[0].shape[1] < shells:
         k = np.arange(max(shells, 2 * CUTOFF_CAP + 1))
-        # the diagonal product as a polynomial in q - m, one coefficient row per power
-        poly = np.zeros((4, len(k)))
-        poly[0] = 1.0
-        band = 2.0 * on_band  # None once a basis-3 party leaves no band
-        for op in ops:
-            basis_index, kind = _SELECTORS[op]
-            a, b = _affine(kind, k)
-            if basis_index == 3:
-                poly[1:] = a * poly[1:] + b * poly[:-1]
-                poly[0] *= a
-                band = None
-            else:
-                poly *= a
-                if band is not None:
-                    band = band * (1j * b if basis_index == 2 else b)
+        poly = band = None
+        for on_diag, on_band, ops in form:
+            entry_poly, entry_band = _triple_weights(ops, on_band, k)
+            entry_poly *= on_diag
+            poly = entry_poly if poly is None else poly + entry_poly
+            if entry_band is not None:
+                band = entry_band if band is None else band + entry_band
         poly.setflags(write=False)
         if band is not None:
             band.setflags(write=False)
-        got = _WEIGHTS[ops, on_band] = poly, band
+        got = _WEIGHTS[form] = poly, band
     poly, band = got
-    return poly[:, :shells], None if band is None else band[:shells]
-
-
-def _shell_terms(state: BGHZState, ops, on_diag=1.0, on_band=1.0) -> np.ndarray:
-    """Per-shell terms of the band product of three selectors on a bright state.
-
-    Entry k, for k from 0 to twice the box's largest photon count, is the
-    shell-k part of sum D |A|^2 + 2 Re sum conj(A[q, m]) O A[q+1, m-1],
-    with the diagonal D weighted by on_diag and the band O by on_band:
-    one weighted sum of the state's shell moments.
-    """
-    moments, hops = state._moments
-    poly, band = _shell_weights(tuple(ops), on_band, len(hops))
-    terms = on_diag * (poly * moments).sum(axis=0)
+    terms = (poly[:, :shells] * moments).sum(axis=0)
     if band is not None:
-        terms += (band * hops).real
+        terms += (band[:shells] * hops).real
     return terms
 
 
@@ -171,10 +182,10 @@ def _mermin_form(state: BGHZState, selector: str) -> np.ndarray:
     """Per-shell terms of <111> - <122> - <212> - <221> on a bright state.
 
     selector names the basis-1 per-party operator ("S1p" or "S1"); the
-    terms are those of _shell_terms, with the J - 3 Sigma weights of the
-    module docstring, and the combination is their sum.
+    terms are those of the one-entry form with the J - 3 Sigma weights of
+    the module docstring, and the combination is their sum.
     """
-    return _shell_terms(state, (selector,) * 3, -2.0, 4.0)
+    return _form_terms(state, ((-2.0, 4.0, (selector,) * 3),))
 
 
 def stokes_expectation(state, ops) -> float:
@@ -188,7 +199,7 @@ def stokes_expectation(state, ops) -> float:
     ops = _validate_selectors(ops)
     if not isinstance(state, BGHZState):
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    return float(_shell_terms(state, ops).sum())
+    return float(_form_terms(state, ((1.0, 1.0, ops),)).sum())
 
 
 @dataclass(frozen=True)

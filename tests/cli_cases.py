@@ -21,7 +21,10 @@ commands end in floating-point sums over the amplitude box whose last
 digits depend on NumPy's summation order, so their numeric cells need only
 agree to 1e-12 relative (1e-12 absolute below magnitude 1, where the
 agreement diagnostics are rounding noise); comments, headers, row counts
-and every non-numeric cell must match exactly.
+and every non-numeric cell must match exactly.  That holds each threshold
+comment line ("# threshold gamma = ..." and "# eta threshold at gamma =
+...: ...") byte for byte, so a change that moves a threshold's last digit
+regenerates that golden and states the move.
 
 tests/test_cli_golden.py holds main(), writing to a file, to these cases.
 Run as a script,

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from brightghz import nonclassicality
 from brightghz import state as state_module
+from brightghz import stokes as stokes_module
 from brightghz.nonclassicality import (
     SweepResult,
     eta_threshold,
@@ -29,7 +30,7 @@ from brightghz.nonclassicality import (
     witness_w2,
 )
 from brightghz.state import BGHZState, NumericPolicy, build_bghz, project_out_vacuum
-from brightghz.stokes import stokes_expectation, tensor_t
+from brightghz.stokes import _form_terms, _mermin_form, stokes_expectation, tensor_t
 from references import (
     amplitude_boxes,
     dense_expectation,
@@ -134,6 +135,63 @@ def test_lossy_mermin_rejects_efficiency_outside_unit_interval(eta):
         per_party_loss_factor(1, 0, eta)
 
 
+@pytest.mark.parametrize("eta", [True, False, np.True_])
+def test_bool_efficiency_is_rejected(eta):
+    state = build_bghz(0.5)
+    with pytest.raises(ValueError, match="efficiency"):
+        lossy_mermin_lhs(0.5, eta, state=state)
+    with pytest.raises(ValueError, match="efficiency"):
+        per_party_loss_factor(1, 0, eta)
+    with pytest.raises(ValueError, match="efficiency"):
+        per_party_loss_factor(0, 0, eta)
+
+
+# one gain in each loss_scan benchmark band; at 0.352 the auto cutoff
+# reaches CUTOFF_CAP, so the lossy polynomial has its full 361 terms
+LOSS_SCAN_GAINS = (0.075, 0.352, 0.58)
+
+# hand-made boxes, exchange-symmetric or not, and the loss_scan band states
+_FORM_STATES = st.one_of(
+    st.sampled_from(LOSS_SCAN_GAINS).map(build_bghz),
+    st.tuples(amplitude_boxes(8), st.booleans()).map(lambda drawn: diagonal_state(*drawn)),
+)
+
+
+def _thinned_shell_sum(state, eta):
+    """The lossy Mermin LHS as the sum over shells of alpha_k^3 m_k + 2 beta_k^3 p_k."""
+    terms = _mermin_form(state, "S1p")
+    masses = _form_terms(state, ((1.0, 1.0, ("I", "I", "I")),))
+    beta = (1.0 - eta) ** np.arange(len(terms), dtype=float)
+    total = ((1.0 - beta) ** 3 * terms + beta**3 * 2.0 * masses).sum()
+    return (1.0 - state.norm_residual) * abs(float(total))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_FORM_STATES, st.floats(0.0, 1.0))
+def test_lossy_polynomial_matches_the_thinned_shell_sum(state, eta):
+    # the polynomial in 1 - eta cancels between its c^k, c^2k and c^3k
+    # coefficients, more as eta falls; the bound is relative to the band
+    # states' LHS, near 2 or above, and absolute for a hand-made box's
+    assume(state is not None)
+    want = _thinned_shell_sum(state, eta)
+    got = lossy_mermin_lhs(state.gamma, eta, state=state)
+    assert abs(got - want) <= 1e-14 * max(1.0, want)
+    assert lossy_mermin_lhs(state.gamma, 1.0, state=state) == mermin_lhs(0.0, state=state)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(LOSS_SCAN_GAINS),
+    st.lists(st.floats(0.5, 1.0), min_size=2, max_size=8, unique=True),
+)
+def test_lossy_polynomial_rises_with_efficiency(gamma, etas):
+    # above its minimum, near eta = 0.4 on every band state (the LHS is 2 at
+    # eta = 0 and dips below it first), where the thresholds lie
+    state = build_bghz(gamma)
+    values = [lossy_mermin_lhs(gamma, eta, state=state) for eta in sorted(etas)]
+    assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
 @pytest.mark.parametrize(
     "eta", [Decimal("NaN"), np.float32("nan")], ids=lambda eta: type(eta).__name__
 )
@@ -196,10 +254,8 @@ def test_eta_threshold_evaluates_each_efficiency_once(monkeypatch):
     # one evaluation, and the threshold is the bisection of lossy_mermin_lhs
     gamma = 0.3
     seen = []
-    thinning = nonclassicality._thinning
-    monkeypatch.setattr(
-        nonclassicality, "_thinning", lambda eta, k: seen.append(eta) or thinning(eta, k)
-    )
+    loss = nonclassicality._loss
+    monkeypatch.setattr(nonclassicality, "_loss", lambda eta: seen.append(eta) or loss(eta))
     eta = eta_threshold(gamma)
     assert seen.count(1.0) == 1
     assert len(seen) == len(set(seen))
@@ -369,7 +425,7 @@ _CURVES = {
 }
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(_BRACKETS, st.sampled_from(sorted(_CURVES)), st.booleans(), st.floats(-1.0, 1.0))
 def test_find_crossing_on_monotone_curves(bracket, curve, falling, level):
     lo, width, halvings, at = bracket
@@ -388,7 +444,7 @@ def test_find_crossing_on_monotone_curves(bracket, curve, falling, level):
     assert abs(root - crossing) <= tol / 2 + 1e-12 * width
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(
     _BRACKETS,
     st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-0.3, 0.3)), max_size=12),
@@ -464,27 +520,27 @@ def test_eta_threshold_brackets_violation(monkeypatch):
 
 
 def test_eta_threshold_reuses_the_lossless_value(monkeypatch):
-    # one Mermin kernel pass per threshold: every efficiency reweighs its
-    # terms, eta = 1, the upper bracket, too, where the weights (1, 0) give
-    # the unweighted sum bit for bit
+    # one Mermin kernel pass per threshold: every efficiency evaluates the
+    # polynomial built from its terms, eta = 1, the upper bracket, too, where
+    # only the constant coefficient, the lossless sum, survives bit for bit
     gamma = 0.4
     state = build_bghz(gamma)
     reference = find_crossing(
         lambda e: lossy_mermin_lhs(gamma, e, state=state), 2.0, 1e-6, 1.0, 1e-3
     )
     passes, etas = [], []
-    kernel, thinning = nonclassicality._mermin_form, nonclassicality._thinning
+    kernel, loss = nonclassicality._mermin_form, nonclassicality._loss
 
     def counted_kernel(state, selector):
         passes.append(selector)
         return kernel(state, selector)
 
-    def counted_thinning(eta, k):
+    def counted_loss(eta):
         etas.append(eta)
-        return thinning(eta, k)
+        return loss(eta)
 
     monkeypatch.setattr(nonclassicality, "_mermin_form", counted_kernel)
-    monkeypatch.setattr(nonclassicality, "_thinning", counted_thinning)
+    monkeypatch.setattr(nonclassicality, "_loss", counted_loss)
     assert eta_threshold(gamma, state=state) == reference
     assert passes == ["S1p"]
     assert 1.0 in etas
@@ -533,6 +589,63 @@ def test_projected_witnesses_project_each_state_once(monkeypatch):
         assert witness_w1(0.352, projected=True, state=state) == want_w1
         assert evaluate_w2(0.352, projected=True, state=state) == want_w2
     assert len(calls) == 1 and calls[0] is state
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_FORM_STATES, st.booleans())
+def test_witness_forms_match_their_terms(state, projected):
+    # each witness in one moment pass, against its terms evaluated apart
+    # and combined as the witness is written
+    assume(state is not None)
+    if projected:
+        assume(1.0 - state._vacuum_probability > 1e-12)
+    on = state._vacuum_projected if projected else state
+
+    def term(*ops):
+        return stokes_expectation(on, ops)
+
+    w1 = 1.5 * term("S0", "S0", "S0")
+    w1 -= term("S1", "S1", "S1")
+    w1 -= 0.5 * (term("S3", "S3", "S0") + term("S0", "S3", "S3") + term("S3", "S0", "S3"))
+    got = witness_w1(state.gamma, projected, state=state)
+    assert abs(got - w1) <= 1e-14 * max(1.0, abs(w1))
+    w2 = -_mermin_form(on, "S1").sum() + term("Pi", "Pi", "Pi")
+    got = evaluate_w2(state.gamma, projected, state=state).value
+    assert abs(got - w2) <= 1e-14 * max(1.0, abs(w2))
+
+
+def test_warm_witnesses_build_no_weights(monkeypatch):
+    # each witness's summed weights are one table, built on first use
+    state = build_bghz(0.352)
+    before = witness_w1(0.352, state=state), evaluate_w2(0.352, state=state)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a warm witness rebuilt its weights")
+
+    monkeypatch.setattr(stokes_module, "_affine", forbidden)
+    assert (witness_w1(0.352, state=state), evaluate_w2(0.352, state=state)) == before
+
+
+_WITNESS_CALLS = {
+    "witness_w1": lambda projected: witness_w1(0.4, projected),
+    "evaluate_w2": lambda projected: evaluate_w2(0.4, projected),
+    "witness_w2": lambda projected: witness_w2(0.4, projected),
+    "witness_sweep": lambda projected: witness_sweep(1, (0.3, 0.4), projected),
+}
+
+
+@pytest.mark.parametrize("projected", ["no", None, 1, 0.0], ids=repr)
+@pytest.mark.parametrize("call", sorted(_WITNESS_CALLS))
+def test_projected_must_be_a_bool(call, projected):
+    # "no" used to evaluate the projected witness and None the unprojected one
+    with pytest.raises(ValueError, match="projected must be a bool"):
+        _WITNESS_CALLS[call](projected)
+
+
+@pytest.mark.parametrize("call", sorted(_WITNESS_CALLS))
+def test_numpy_bool_projected_reads_as_its_bool(call):
+    assert _WITNESS_CALLS[call](np.True_) == _WITNESS_CALLS[call](True)
+    assert _WITNESS_CALLS[call](np.False_) == _WITNESS_CALLS[call](False)
 
 
 def test_witness_w2_limits():

@@ -36,7 +36,7 @@ from brightghz.state import (
     project_out_vacuum,
     resummed_coefficient,
 )
-from brightghz.stokes import _mermin_form, _shell_terms
+from brightghz.stokes import _form_terms, _mermin_form
 from references import (
     _omitted,
     exact_distribution,
@@ -897,7 +897,7 @@ def test_mermin_terms_are_bounded_by_the_shell_masses(gamma, policy):
     # operator's norm is at most 4 there: |m_k| <= 4 p_k
     state = build_bghz(gamma, policy)
     terms = _mermin_form(state, "S1p")
-    masses = _shell_terms(state, ("I", "I", "I"))
+    masses = _form_terms(state, ((1.0, 1.0, ("I", "I", "I")),))
     assert len(terms) == len(masses) == 2 * state.cutoff + 1
     assert np.all(masses >= 0.0)
     assert np.all(np.abs(terms) <= 4.0 * masses)

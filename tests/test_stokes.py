@@ -23,7 +23,7 @@ from brightghz.stokes import (
     _SELECTORS,
     _affine,
     _mermin_form,
-    _shell_terms,
+    _form_terms,
     CorrelationTensor,
     stokes_expectation,
     tensor_t,
@@ -203,7 +203,7 @@ def test_shell_terms_match_reference_per_shell(entries, ops, weights):
     # not only their sum
     state = diagonal_state(entries)
     assume(state is not None)
-    got = _shell_terms(state, ops, *weights)
+    got = _form_terms(state, ((*weights, ops),))
     want = _reference_shell_terms(state, ops, *weights)
     assert got.shape == want.shape == (2 * state.cutoff + 1,)
     assert np.abs(got - want).max() <= 1e-12
@@ -228,7 +228,7 @@ def _direct_shell_terms(state, ops, on_diag=1.0, on_band=1.0):
             poly *= a
             if band is not None:
                 band = band * (1j * b if basis_index == 2 else b)
-    terms = on_diag * (poly * moments).sum(axis=0)
+    terms = (on_diag * poly * moments).sum(axis=0)
     if band is not None:
         terms += (band * hops).real
     return terms
@@ -266,8 +266,8 @@ def test_shell_terms_do_not_depend_on_the_first_table_size(monkeypatch):
             assert len(first._moments[1]) > len(small._moments[1]) == 9
             for ops in triples:
                 for w in weights:
-                    _shell_terms(first, ops, *w)
-        got.append([_shell_terms(small, ops, *w) for ops in triples for w in weights])
+                    _form_terms(first, ((*w, ops),))
+        got.append([_form_terms(small, ((*w, ops),)) for ops in triples for w in weights])
     want = [_direct_shell_terms(small, ops, *w) for ops in triples for w in weights]
     for terms in got:
         assert all(np.array_equal(a, b) for a, b in zip(terms, want))
@@ -300,10 +300,10 @@ def test_tables_grow_past_the_cap(monkeypatch):
     triples = [("S1", "S1", "S1"), ("S1p", "S2p", "S2p"), ("S2", "S2", "S1"), ("S3", "S3", "S0")]
     small = build_bghz(0.3, NumericPolicy(cutoff=4))
     for ops in triples:
-        _shell_terms(small, ops)  # a table first built at the default size
-        assert stokes_module._WEIGHTS[ops, 1.0][0].shape[1] == 2 * CUTOFF_CAP + 1
-        got = _shell_terms(state, ops)
-        assert stokes_module._WEIGHTS[ops, 1.0][0].shape[1] >= shells
+        _form_terms(small, ((1.0, 1.0, ops),))  # a table first built at the default size
+        assert stokes_module._WEIGHTS[((1.0, 1.0, ops),)][0].shape[1] == 2 * CUTOFF_CAP + 1
+        got = _form_terms(state, ((1.0, 1.0, ops),))
+        assert stokes_module._WEIGHTS[((1.0, 1.0, ops),)][0].shape[1] >= shells
         assert np.array_equal(got, _direct_shell_terms(state, ops))
         reach = shells if set(ops) <= {"S3", "S0", "I"} else 2 * CUTOFF_CAP + 1
         want = _reference_shell_terms(state, ops)
@@ -317,8 +317,8 @@ def test_tables_grow_past_the_cap(monkeypatch):
 def test_weight_tables_are_read_only():
     state = build_bghz(0.3, NumericPolicy(cutoff=4))
     for ops in [("S1", "S2", "S2"), ("S3", "S3", "S0")]:
-        _shell_terms(state, ops)
-        poly, band = stokes_module._WEIGHTS[ops, 1.0]
+        _form_terms(state, ((1.0, 1.0, ops),))
+        poly, band = stokes_module._WEIGHTS[((1.0, 1.0, ops),)]
         with pytest.raises(ValueError, match="read-only"):
             poly[0, 0] = 0.0
         if band is not None:
