@@ -3,17 +3,17 @@
 Every command writes one CSV document: a comment line recording the full
 numeric policy, a header row, data rows, and for threshold commands a
 trailing comment with the detected crossing.  Output is deterministic:
-the same configuration produces byte-identical bytes, so downstream
-plotting and regression diffs can rely on it.
+the same configuration produces byte-identical bytes.
 
-The gain-grid commands (mermin, eta, w1, w2) are formatters over the
-library sweeps of `nonclassicality`, which evaluate the grid, mark failed
-points and solve for thresholds; a failed point prints as a row of nan.  The
-numeric knobs travel as one `NumericPolicy`, validated where it is built.
-
-Exit codes: 0 clean, 2 when divergence or validity warnings were raised
-along the way or some points failed (rows are still emitted), 1 when
-nothing could be computed or a threshold search failed.
+Each command returns its Rows; the gain-grid commands (mermin, eta, w1,
+w2) format the library sweeps of `nonclassicality`, where a failed point
+prints as a row of nan.  main runs the command, threshold search included,
+while recording warnings, then writes the document once and decides the
+exit code once: 1 when every gain row failed (the CSV is still written) or
+the run raised ("error:" on stderr, no CSV); else 2 when a warning was
+raised or a row diverged or failed; else 0.  Each distinct warning message
+and row reason goes to stderr once, as a "warning:" line, so only a clean
+run prints nothing there.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from brightghz.nonclassicality import (
     SweepResult,
@@ -88,35 +89,23 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-class _Emitter:
-    """Collects CSV lines so a run is written (and hashed) atomically.
+def _row(cells) -> str:
+    return ",".join(map(str, cells))
 
-    The package's one CSV writer: the library hands out values, not files.
+
+class Rows(NamedTuple):
+    """What a command produces for main to write and judge.
+
+    lines are the CSV lines after the policy comment; failed holds one flag
+    per gain row (none for table1, which has no gain rows); reasons says why
+    each diverged or failed row is one; trailer is the closing comment, if
+    any, without its "# ".
     """
 
-    def __init__(self, config: RunConfig):
-        self.lines: list[str] = []
-        policy = config.policy
-        self.comment(
-            "policy: "
-            f"pade_order={policy.pade_order} tol={_fmt(policy.tol)} "
-            f"bits={policy.bits} cutoff={'auto' if policy.cutoff is None else policy.cutoff} "
-            f"n={config.n} projected={str(config.projected).lower()}"
-        )
-
-    def comment(self, text: str) -> None:
-        self.lines.append(f"# {text}")
-
-    def row(self, cells) -> None:
-        self.lines.append(",".join(str(c) for c in cells))
-
-    def write(self, out: str | None) -> None:
-        payload = "\n".join(self.lines) + "\n"
-        if out is None or out == "-":
-            sys.stdout.write(payload)
-        else:
-            with open(out, "w", newline="") as fh:
-                fh.write(payload)
+    lines: list[str]
+    failed: list[bool]
+    reasons: list[str]
+    trailer: str | None = None
 
 
 def _probability_cells(dist) -> list[str]:
@@ -126,89 +115,64 @@ def _probability_cells(dist) -> list[str]:
     ]
 
 
-def _echo(config: RunConfig, text: str) -> None:
-    # threshold lines live in the CSV; echo them to the terminal only when
-    # the CSV itself went to a file, so piped output stays parseable
-    if config.out not in (None, "-"):
-        print(text)
-
-
-def cmd_table1(config: RunConfig) -> int:
+def cmd_table1(config: RunConfig) -> Rows:
     """Emission probabilities p(0..10) at one gain for one, two, three beams."""
     gamma = config.gamma_min
-    emitter = _Emitter(config)
-    emitter.comment(f"emission probabilities at gamma={_fmt(gamma)}")
-    distributions = []
-    warned = False
-    for n in (1, 2, 3):
-        spec = BrightStateSpec(n=n, gamma=gamma, policy=config.policy)
-        warned |= spec.validity_warning
-        dist = photon_distribution(spec)
-        warned |= dist.diverged
-        distributions.append(dist)
-    emitter.row(["k", "p_n1", "p_n2", "p_n3"])
+    distributions = [
+        photon_distribution(BrightStateSpec(n=n, gamma=gamma, policy=config.policy))
+        for n in (1, 2, 3)
+    ]
+    lines = [f"# emission probabilities at gamma={_fmt(gamma)}", "k,p_n1,p_n2,p_n3"]
     for k, cells in enumerate(zip(*map(_probability_cells, distributions))):
-        emitter.row([k, *cells])
-    emitter.write(config.out)
-    return EXIT_WARNINGS if warned else EXIT_OK
+        lines.append(_row([k, *cells]))
+    reasons = [
+        f"gamma={_fmt(gamma)}: n={d.n} photon statistics diverged"
+        for d in distributions
+        if d.diverged
+    ]
+    return Rows(lines, [], reasons)
 
 
-def cmd_pk_curve(config: RunConfig) -> int:
+def cmd_pk_curve(config: RunConfig) -> Rows:
     """p(0..10) and the tail estimate against the gain, for n beams."""
-    emitter = _Emitter(config)
-    emitter.row(
-        ["gamma", *(f"p{k}" for k in range(TABLE_MAX_K + 1)), "tail", "diverged"]
-    )
-    warned = False
-    failures = 0
+    lines = [_row(["gamma", *(f"p{k}" for k in range(TABLE_MAX_K + 1)), "tail", "diverged"])]
+    failed, reasons = [], []
     for gamma in config.grid():
         spec = BrightStateSpec(n=config.n, gamma=gamma, policy=config.policy)
-        warned |= spec.validity_warning
         try:
             dist = photon_distribution(spec)
-        except ResummationError:
-            failures += 1
-            emitter.row(
-                [_fmt(gamma), *(["nan"] * (TABLE_MAX_K + 1)), "nan", "error"]
-            )
+        except ResummationError as err:
+            failed.append(True)
+            reasons.append(f"gamma={_fmt(gamma)}: {err}")
+            lines.append(_row([_fmt(gamma), *(["nan"] * (TABLE_MAX_K + 1)), "nan", "error"]))
             continue
-        warned |= dist.diverged
+        failed.append(False)
+        if dist.diverged:
+            reasons.append(f"gamma={_fmt(gamma)}: photon statistics diverged")
         cells = [*_probability_cells(dist), _fmt(dist.tail_bound), str(dist.diverged).lower()]
-        emitter.row([_fmt(gamma), *cells])
-    emitter.write(config.out)
-    if failures == config.steps:
-        return EXIT_HARD
-    return EXIT_WARNINGS if warned or failures else EXIT_OK
+        lines.append(_row([_fmt(gamma), *cells]))
+    return Rows(lines, failed, reasons)
 
 
-def _format_sweep(config: RunConfig, sweep, columns, cells, summary=None) -> int:
-    """Print a library sweep over the config's grid as CSV rows.
+def _format_sweep(result: SweepResult, columns, cells, summary=None) -> Rows:
+    """A library sweep as CSV rows.
 
-    sweep maps the grid to a SweepResult; cells formats the columns of one
-    point that did not fail; summary, when given, turns the result into
-    the trailing comment unless every point failed.  Warnings raised while
-    the grid is evaluated turn into exit code 2.
+    cells formats the columns of one point that did not fail; a failed point
+    prints as nan.  summary, when given, turns the result into the trailing
+    comment unless every point failed.
     """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = sweep(config.grid())
     failed = [bool(d.get("failed")) for d in result.diagnostics]
-    line = None if all(failed) or summary is None else summary(result)
-    emitter = _Emitter(config)
-    emitter.row(["gamma", *columns])
+    lines = [_row(["gamma", *columns])]
+    reasons = []
     for gamma, value, diag, bad in zip(result.axis, result.values, result.diagnostics, failed):
-        emitter.row([_fmt(gamma), *(["nan"] * len(columns) if bad else cells(value, diag))])
-    if line:
-        emitter.comment(line)
-    emitter.write(config.out)
-    if line:
-        _echo(config, line)
-    if all(failed):
-        return EXIT_HARD
-    return EXIT_WARNINGS if caught or any(failed) else EXIT_OK
+        lines.append(_row([_fmt(gamma), *(["nan"] * len(columns) if bad else cells(value, diag))]))
+        if bad:
+            reasons.append(f"gamma={_fmt(gamma)}: {diag['error']}")
+    trailer = None if all(failed) or summary is None else summary(result)
+    return Rows(lines, failed, reasons, trailer)
 
 
-def cmd_mermin(config: RunConfig) -> int:
+def cmd_mermin(config: RunConfig) -> Rows:
     """Mermin-like LHS against the gain, with the violation threshold."""
 
     def summary(result: SweepResult) -> str:
@@ -217,15 +181,14 @@ def cmd_mermin(config: RunConfig) -> int:
         return f"threshold gamma = {_fmt(result.threshold)}"
 
     return _format_sweep(
-        config,
-        lambda grid: mermin_sweep(grid, config.policy),
+        mermin_sweep(config.grid(), config.policy),
         ["lhs", "agreement"],
         lambda value, diag: [_fmt(value), _fmt(diag["agreement"])],
         summary,
     )
 
 
-def cmd_eta(config: RunConfig) -> int:
+def cmd_eta(config: RunConfig) -> Rows:
     """Critical detector efficiency against the gain, inside the eta window."""
 
     def shown(value, diag) -> bool:
@@ -240,29 +203,26 @@ def cmd_eta(config: RunConfig) -> int:
         return "eta threshold = none (no violated point on this grid)"
 
     return _format_sweep(
-        config,
-        lambda grid: eta_threshold_sweep(grid, config.policy),
+        eta_threshold_sweep(config.grid(), config.policy),
         ["eta_tr", "violated"],
         lambda value, diag: [_fmt(value), "true"] if shown(value, diag) else ["nan", "false"],
         summary,
     )
 
 
-def cmd_w1(config: RunConfig) -> int:
+def cmd_w1(config: RunConfig) -> Rows:
     """First witness against the gain, optionally vacuum-projected."""
     return _format_sweep(
-        config,
-        lambda grid: witness_sweep(1, grid, config.projected, config.policy),
+        witness_sweep(1, config.grid(), config.projected, config.policy),
         ["w1"],
         lambda value, diag: [_fmt(value)],
     )
 
 
-def cmd_w2(config: RunConfig) -> int:
+def cmd_w2(config: RunConfig) -> Rows:
     """Second witness against the gain, optionally vacuum-projected."""
     return _format_sweep(
-        config,
-        lambda grid: witness_sweep(2, grid, config.projected, config.policy),
+        witness_sweep(2, config.grid(), config.projected, config.policy),
         ["w2", "agreement"],
         lambda value, diag: [_fmt(value), _fmt(diag["agreement"])],
     )
@@ -343,17 +303,50 @@ def parse_config(argv=None) -> RunConfig:
     )
 
 
+def _write(config: RunConfig, rows: Rows) -> None:
+    """The package's one CSV writer: the library hands out values, not files.
+
+    The document is written in one piece.  The trailer is echoed to the
+    terminal only when the CSV itself went to a file, so piped output stays
+    parseable.
+    """
+    policy = config.policy
+    lines = [
+        "# policy: "
+        f"pade_order={policy.pade_order} tol={_fmt(policy.tol)} "
+        f"bits={policy.bits} cutoff={'auto' if policy.cutoff is None else policy.cutoff} "
+        f"n={config.n} projected={str(config.projected).lower()}",
+        *rows.lines,
+    ]
+    if rows.trailer:
+        lines.append(f"# {rows.trailer}")
+    payload = "\n".join(lines) + "\n"
+    if config.out in (None, "-"):
+        sys.stdout.write(payload)
+        return
+    with open(config.out, "w", newline="") as fh:
+        fh.write(payload)
+    if rows.trailer:
+        print(rows.trailer)
+
+
 def main(argv=None) -> int:
     try:
         config = parse_config(argv)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_HARD
-    try:
-        return _COMMANDS[config.command](config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = _COMMANDS[config.command](config)
+        _write(config, rows)
     except Exception as err:  # noqa: BLE001 - the contract is an exit code
         print(f"error: {err}", file=sys.stderr)
         return EXIT_HARD
+    # the warnings in the order raised, then the rows' reasons in row order
+    reasons = dict.fromkeys([*(str(w.message) for w in caught), *rows.reasons])
+    for reason in reasons:
+        print(f"warning: {reason}", file=sys.stderr)
+    if rows.failed and all(rows.failed):
+        return EXIT_HARD
+    return EXIT_WARNINGS if reasons else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -333,18 +333,18 @@ def _measured(runs: Iterator[tuple[int, int]]) -> Iterator[tuple[int, float]]:
         yield a, _float(1 + (abs((c << _GUARD_BITS) - a) >> _GUARD_BITS), _GUARD_BITS)
 
 
-# A shipped coefficient's error: one check-scale unit, as _measured gives it
-# where the runs agree.  Coarsened to bits < 256 it is charged one unit at
-# bits, which bounds its error: half a value unit of rounding plus the 256-bit
-# unit, 2**(bits - 256) units at bits.  Charging that sum instead would give
-# the walk's bound back about 64 bits of margin; that is left for later.
+# A shipped coefficient's error at the shipped precision: one check-scale
+# unit, 2**64 value units, as _measured gives it where the runs agree.
+# Coarsened to bits < 256, rounded half to even to the value scale at bits,
+# it is known to half a value unit plus that unit, 2**(bits - 192) value
+# units at bits, and is charged that (DiagonalResummer._cfraction).
 _SHIPPED_ERROR = 2.0**_GUARD_BITS
 
 # The shipped tables: the marshal (version 2) bytes of a dict from each
 # table's name to the tuple of its value-run integers a_i 2**F, read whole.
 # Only tables whose check run is the value run coarsened ship, so each
-# shipped coefficient is read with one check-scale unit of error, as
-# computing it gives.
+# shipped coefficient is read at 256 bits with one check-scale unit of
+# error, as computing it gives.
 _TABLES = Path(__file__).with_name("cfractions.bin")
 
 
@@ -520,7 +520,8 @@ class DiagonalResummer:
             else:
                 # the value scales at top and at bits differ by top - bits
                 cut = 1 << (top - bits)
-                read = ((_round_div(a, cut), _SHIPPED_ERROR) for a in stored)
+                error = _SHIPPED_ERROR if cut == 1 else 0.5 + _SHIPPED_ERROR / cut
+                read = ((_round_div(a, cut), error) for a in stored)
             got = self._fractions[bits] = _Ladder(len(self._pairs) - 1, runs[0][1], read)
         return got
 
@@ -575,7 +576,8 @@ class DiagonalResummer:
         Â_{i-2} - r_i, E_0 = E_{-1} = 0, where 0 <= r_i < 2**e truncates
         t_i A_{i-2} and |t_i - a*_i x| <= 2**-F (1 + |a_i| / 2) + |x| d_i:
         truncating t_i, rounding x, and the coefficient's error d_i, one
-        check-scale unit plus the qd runs' difference.  The majorant
+        check-scale unit plus the qd runs' difference (read coarsened from a
+        shipped table, half a value unit plus 2**(bits - 192)).  The majorant
         M_i = M_{i-1} + w_i M_{i-2}, M_0 = M_{-1} = q, w_i >= |t_i|, |a*_i x|,
         bounds |Â_i| and never decreases, so |E_i| <= S_i M_i with
         S_i = S_{i-1} + |t_i - a*_i x| + r_i / M_i.  A passed test leaves

@@ -111,10 +111,12 @@ class NumericPolicy:
     capped at CUTOFF_CAP.  tol must lie below SOFT_AGREEMENT: a looser
     strict level stops the ladder as soon as two early orders roughly agree.
 
-    bits defaults to 128, not less: every output is a float64, but the
-    walk's error bound keeps only about 34 bits of margin past bits, and at
-    64 bits the deepest pk_curve cells already move, by 2e-9 relative.  Every
-    bits up to 256 and pade_order up to 40 reads the shipped tables.
+    bits defaults to 128, not less: every output is a float64, but at 64
+    bits the deepest pk_curve cells already move, by 2e-9 relative.  Every
+    bits up to 256 and pade_order up to 40 reads the shipped tables, below
+    256 bits coarsened, each coefficient charged the error it has; so the
+    walk's error bound on the three-beam walks keeps about 88 bits of margin
+    past 2**-(bits + 4) at 128 bits, against about 35 at 256 bits.
     """
 
     pade_order: int = 40

@@ -26,14 +26,18 @@ comment line ("# threshold gamma = ..." and "# eta threshold at gamma =
 ...: ...") byte for byte, so a change that moves a threshold's last digit
 regenerates that golden and states the move.
 
+stderr is held by the exit code: empty on exit 0; on exit 2 at least one
+line, each a "warning: " line saying why (a warning raised on the way, or a
+diverged or failed row); on exit 1 at least one line.
+
 tests/test_cli_golden.py holds main(), writing to a file, to these cases.
 Run as a script,
 
     python tests/cli_cases.py
 
 runs every case through the brightghz console script found on PATH,
-with the CSV on stdout, and exits non-zero if any exit code or output
-differs.  It needs the standard library only, so it runs against an
+with the CSV on stdout, and exits non-zero if any exit code, stderr or
+output breaks the contract.  It needs the standard library only, so it runs against an
 install that has no test extras.
 """
 
@@ -163,6 +167,19 @@ def assert_matches_golden(name: str, argv: list[str], got: bytes) -> None:
         assert_stokes_csv_matches(got.decode(), want.decode())
 
 
+def assert_stderr_fits(code: int, err: str) -> None:
+    """stderr against the exit code, by the rule above."""
+    lines = err.splitlines()
+    if code == 0:
+        assert err == "", f"exit 0 with stderr {err!r}"
+    elif code == 2:
+        assert lines and all(line.startswith("warning: ") for line in lines), (
+            f"exit 2 with stderr {err!r}"
+        )
+    else:
+        assert lines, f"exit {code} with nothing on stderr"
+
+
 def main() -> int:
     """Run every case through the brightghz on PATH; 1 if any fails."""
     if not __debug__:
@@ -174,6 +191,7 @@ def main() -> int:
             assert run.returncode == code, (
                 f"exit {run.returncode}, expected {code}: {run.stderr.decode()}"
             )
+            assert_stderr_fits(run.returncode, run.stderr.decode())
             assert_matches_golden(name, argv, run.stdout)
         except AssertionError as err:
             failed += 1

@@ -1,16 +1,20 @@
 """End-to-end checks of the CSV command line front end."""
 
+import dataclasses
 import functools
 import itertools
 import math
 import subprocess
 import sys
+import warnings
+from types import SimpleNamespace
 
 import pytest
 
-from brightghz import nonclassicality, pade, state
+from brightghz import cli, nonclassicality, pade, state
 from brightghz.cli import EXIT_HARD, EXIT_OK, EXIT_WARNINGS, main, parse_config
 from brightghz.oracles import coherent_pk, squeezed_pk
+from cli_cases import CASES
 
 
 def read_csv(path):
@@ -263,14 +267,19 @@ def test_broken_continued_fraction_prints_no_number(tmp_path, monkeypatch):
 
 def test_reused_parser_keeps_no_state_between_calls(capsys):
     # main parses with one parser per process; each run in one process,
-    # a flag given then left out, a pinned cutoff then the auto one and a
-    # bad argv between two good ones, prints what a fresh process prints
+    # a flag given then left out, a pinned cutoff then the auto one, the
+    # same warnings twice and a bad argv between two good ones, prints what
+    # a fresh process prints, on stderr too
     grid = ["--gamma-min", "0.1", "--gamma-max", "0.3", "--steps", "2"]
+    high = ["--gamma-min", "0.9", "--gamma-max", "0.92", "--steps", "2"]
     runs = [
         ["--cmd", "w1", *grid, "--projected"],
         ["--cmd", "w1", *grid],
         ["--cmd", "pk_curve", "--steps", "2", "--cutoff", "12"],
         ["--cmd", "pk_curve", "--steps", "2"],
+        ["--cmd", "pk_curve", *high],
+        ["--cmd", "pk_curve", *high],
+        ["--cmd", "w1", *high],
         ["--cmd", "table1", "--gamma-min", "0.4"],
         ["--cmd", "table1", "--steps", "two"],
         ["--cmd", "table1"],
@@ -287,3 +296,125 @@ def test_reused_parser_keeps_no_state_between_calls(capsys):
         )
         assert (codes[-1], out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert codes[-3:] == [EXIT_OK, 2, EXIT_OK]
+
+
+def test_failed_point_says_which_gain_and_why(tmp_path, capsys):
+    # the one failed gain of the golden case, with the library's own error
+    argv = next(argv for name, argv, _ in CASES if name == "w1_failed_point")
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == EXIT_WARNINGS
+    err = capsys.readouterr().err
+    with pytest.raises(state.ResummationError) as raised:
+        nonclassicality.witness_w1(0.59, False, state.NumericPolicy(cutoff=45))
+    assert err == f"warning: gamma=0.58999999999999997: {raised.value}\n"
+
+
+# One exit rule for all six commands, with each command's library call
+# stubbed: outcome(gamma) returns, warns or raises at each gain, and the stub
+# then gives a value that brackets no crossing.
+GRID = ["--gamma-min", "0.1", "--gamma-max", "0.2", "--steps", "2"]
+ROWS = {0.1: "0.10000000000000001", 0.2: "0.20000000000000001"}
+GAIN_ROW_COMMANDS = ["pk_curve", "mermin", "eta", "w1", "w2"]
+
+
+def _stub_library(monkeypatch, command, outcome):
+    def distribution(spec):
+        outcome(spec.gamma)
+        return state.TripleDistribution(
+            n=spec.n, gamma=spec.gamma, probs=(1.0,), tail_bound=0.0, mean=0.0, diverged=False
+        )
+
+    stubs = {
+        "table1": (cli, "photon_distribution", distribution),
+        "pk_curve": (cli, "photon_distribution", distribution),
+        "mermin": (
+            nonclassicality,
+            "evaluate_mermin",
+            lambda g, policy: outcome(g) or SimpleNamespace(lhs=2.5, reduced=2.5, agreement=0.0),
+        ),
+        "eta": (nonclassicality, "eta_threshold", lambda g, policy: outcome(g) or 0.8),
+        "w1": (nonclassicality, "witness_w1", lambda g, projected, policy: outcome(g) or -0.5),
+        "w2": (
+            nonclassicality,
+            "evaluate_w2",
+            lambda g, projected, policy: outcome(g) or SimpleNamespace(value=-0.5, agreement=0.0),
+        ),
+    }
+    monkeypatch.setattr(*stubs[command])
+
+
+def _fails_at(*gains):
+    def outcome(gamma):
+        if gamma in gains:
+            raise state.ResummationError("stub failure", 40)
+
+    return outcome
+
+
+def _run_stubbed(tmp_path, monkeypatch, capsys, command, outcome):
+    _stub_library(monkeypatch, command, outcome)
+    out = tmp_path / "out.csv"
+    code = main(["--cmd", command, *GRID, "--out", str(out)])
+    return code, out, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["table1", *GAIN_ROW_COMMANDS])
+def test_clean_run_exits_0_with_nothing_on_stderr(command, tmp_path, monkeypatch, capsys):
+    code, out, err = _run_stubbed(tmp_path, monkeypatch, capsys, command, lambda g: None)
+    assert (code, err) == (EXIT_OK, "")
+    assert "nan" not in out.read_text()
+
+
+@pytest.mark.parametrize("command", ["table1", *GAIN_ROW_COMMANDS])
+def test_warning_exits_2_and_is_printed_once(command, tmp_path, monkeypatch, capsys):
+    # table1 warns three times at its one gain, once per beam count
+    def outcome(gamma):
+        warnings.warn(f"stub warning at {gamma}", RuntimeWarning)
+
+    code, out, err = _run_stubbed(tmp_path, monkeypatch, capsys, command, outcome)
+    gains = [0.1] if command == "table1" else [0.1, 0.2]
+    assert code == EXIT_WARNINGS
+    assert err == "".join(f"warning: stub warning at {g}\n" for g in gains)
+    assert "nan" not in out.read_text()
+
+
+@pytest.mark.parametrize("command", GAIN_ROW_COMMANDS)
+def test_one_failed_row_exits_2_and_says_which(command, tmp_path, monkeypatch, capsys):
+    code, out, err = _run_stubbed(tmp_path, monkeypatch, capsys, command, _fails_at(0.2))
+    assert code == EXIT_WARNINGS
+    assert err == f"warning: gamma={ROWS[0.2]}: stub failure\n"
+    _, _, rows = read_csv(out)
+    assert [row[0] for row in rows] == list(ROWS.values())
+    assert rows[0][1] != "nan" and rows[1][1] == "nan"
+
+
+@pytest.mark.parametrize("command", GAIN_ROW_COMMANDS)
+def test_every_row_failed_exits_1_with_the_csv(command, tmp_path, monkeypatch, capsys):
+    code, out, err = _run_stubbed(tmp_path, monkeypatch, capsys, command, _fails_at(0.1, 0.2))
+    assert code == EXIT_HARD
+    assert err == "".join(f"warning: gamma={cell}: stub failure\n" for cell in ROWS.values())
+    comments, _, rows = read_csv(out)
+    assert [row[0] for row in rows] == list(ROWS.values())
+    assert all(row[1] == "nan" for row in rows)
+    assert len(comments) == 1
+
+
+def test_table1_failure_exits_1_without_csv(tmp_path, monkeypatch, capsys):
+    # table1 has no gain rows to mark failed, so the error ends the run
+    code, out, err = _run_stubbed(tmp_path, monkeypatch, capsys, "table1", _fails_at(0.1))
+    assert (code, err) == (EXIT_HARD, "error: stub failure\n")
+    assert not out.exists()
+
+
+def test_diverged_table1_column_exits_2_and_says_which(tmp_path, monkeypatch, capsys):
+    distribution = state.photon_distribution
+
+    def three_beams_diverge(spec):
+        got = distribution(spec)
+        return dataclasses.replace(got, diverged=True) if spec.n == 3 else got
+
+    monkeypatch.setattr(cli, "photon_distribution", three_beams_diverge)
+    code, _, _, _ = run(tmp_path, "--cmd", "table1", "--gamma-min", "0.1")
+    assert code == EXIT_WARNINGS
+    assert capsys.readouterr().err == (
+        "warning: gamma=0.10000000000000001: n=3 photon statistics diverged\n"
+    )

@@ -1,9 +1,10 @@
 """Byte contract of the CSV front end against checked-in golden files.
 
 main() writes each case of tests/cli_cases.py, the one list of CLI
-goldens, to a file through --out, and the file is compared with its
-golden by the case's rule there.  CI also runs the same cases through the
-installed console script, with the CSV on stdout (python tests/cli_cases.py).
+goldens, to a file through --out; the file is compared with its golden,
+and stderr with the exit code, by the rules there.  CI also runs the same
+cases through the installed console script, with the CSV on stdout
+(python tests/cli_cases.py).
 
 Regenerate the golden files with the commit the contract pins:
 
@@ -15,14 +16,14 @@ import sys
 import pytest
 
 from brightghz.cli import main
-from cli_cases import CASES, GOLDEN, assert_matches_golden
+from cli_cases import CASES, GOLDEN, assert_matches_golden, assert_stderr_fits
 
 
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
 def test_cli_matches_golden(name, argv, code, tmp_path, capsys):
     out = tmp_path / f"{name}.csv"
     assert main([*argv, "--out", str(out)]) == code
-    capsys.readouterr()
+    assert_stderr_fits(code, capsys.readouterr().err)
     assert_matches_golden(name, argv, out.read_bytes())
 
 

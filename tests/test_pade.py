@@ -33,6 +33,7 @@ from references import (
     integer_qd_runs,
     to_mpf,
 )
+from test_walk_golden import GAINS as WALK_GAINS
 
 
 def _taylor_of_rational(num, den, order):
@@ -684,17 +685,51 @@ def test_walk_reads_only_the_shipped_coefficients_it_uses(k, gamma, monkeypatch)
 def test_coarsened_shipped_table_is_the_qd_run(bits, order, monkeypatch):
     # below the shipped precision a ladder reads the shipped table, each
     # coefficient rounded to the value scale at bits, with no qd run; that
-    # prefix is the ladder qd computes at bits, each coefficient's error
-    # included, and for a lower order on the shorter series it reads
+    # prefix is the ladder qd computes at bits, values, weights and base
+    # sums, and for a lower order on the shorter series it reads.  Each
+    # coefficient is charged half a value unit plus the shipped check-scale
+    # unit at bits, which covers its distance from the exact coefficient
     started = _qd_started(monkeypatch)
+    charged, append = [], pade._Ladder.append
+
+    def logged(ladder, a, error):
+        charged.append((a, error))
+        append(ladder, a, error)
+
+    monkeypatch.setattr(pade._Ladder, "append", logged)
     length = 2 * order + 1
+    error = 0.5 + 2.0 ** (bits - 192)
     for k in range(0, CUTOFF_CAP + 1, 6):
+        want = _lists(_eager_ladder(c_series(k, 3, length).coeffs, bits))[:3]
+        charged.clear()
         resummer = state._resummer.__wrapped__(3, k, 2 * DEFAULT_POLICY.pade_order + 1)
         ladder = resummer._cfraction(bits)
         assert ladder.reaches(length - 1)
-        want = _lists(_eager_ladder(c_series(k, 3, length).coeffs, bits))
-        assert tuple(built[: length - 1] for built in _lists(ladder)) == want, k
+        assert tuple(built[: length - 1] for built in _lists(ladder)[:3]) == want, k
+        assert {e for _, e in charged} == {error}
+        if k % 30 == 0:
+            scale, read = ladder.scale, 20
+            exact = exact_qd(c_series(k, 3, read + 1).coeffs)
+            assert all(abs(a - x * 2**scale) <= e for (a, e), x in zip(charged, exact)), k
     assert started == []
+
+
+# The walk's B/A bound on the shipped three-beam tables at the default
+# policy, which reads them coarsened: with each coefficient charged the error
+# it has, the least margin past bits on this grid is 96.4 bits (k = 51,
+# gamma = 0.49); charged one shipped check-scale unit it was 42.3.
+def test_coarsened_tables_keep_the_bound_80_bits_past_bits():
+    bits, order = DEFAULT_POLICY.bits, DEFAULT_POLICY.pade_order
+    tol, limit = DEFAULT_POLICY.tol.as_integer_ratio(), Fraction(1, 2 ** (bits + 80))
+    for k in range(0, CUTOFF_CAP + 1, 3):
+        resummer = state._resummer(3, k, 2 * order + 1)
+        c0 = abs(Fraction(*resummer._pairs[0]))
+        for gamma in WALK_GAINS[::2]:
+            trace = []
+            resummer._walk((-(Fraction(gamma) ** 2)).as_integer_ratio(), order, tol, bits, trace)
+            assert trace
+            for a, b, da in trace:
+                assert c0 * da / abs(b) + da / abs(a) <= limit, (k, gamma)
 
 
 def _no_qd(*args):
