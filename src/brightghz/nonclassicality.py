@@ -3,11 +3,20 @@
 The Mermin-like combination takes the four setting triples 111, 122, 212,
 221 over bases 1 (+-45) and 2 (circular) with primed Stokes operators, so
 no-photon events answer -1 instead of dropping out; any local realistic
-model keeps the combination at or below 2.  The lossless, the lossy and
-the w2 Mermin terms all come from the `stokes` Mermin kernel, one term per
-photon shell.  On the diagonal bright states the combination reduces to
-|4t + 2 p_vac| with t the only independent tensor element, whose closed-form
-double sum this module cross-checks against the kernel at every point.
+model keeps the combination at or below 2.  On the diagonal bright states
+the combination reduces to |4t + 2 p_vac| with t the only independent
+tensor element, whose closed-form double sum this module cross-checks
+against the kernel at every point.
+
+The three Bell forms live here as constants, each a `stokes` form of
+(diagonal weight, band weight, selector triple) entries that
+`stokes._form_terms` evaluates as one term per photon shell: the Mermin
+form, and the witnesses w1 and w2.  The Mermin combination <111> - <122> -
+<212> - <221> needs only the basis-1 bands: a basis-2 upper band is the
+basis-1 one times i, so each mixed setting is minus the basis-1 cube on the
+band.  The combination is the basis-1 form weighted by J - 3 Sigma (J all
+ones, Sigma[q, q'] = (-1)^(q-q')): -2 on the diagonal, 4 on the band.  The
+lossless and the lossy Mermin tests both read its per-shell terms.
 
 Normalization convention for the Bell test: the retained amplitude box
 carries squared mass 1 - norm_residual of the untruncated state, and the
@@ -32,9 +41,9 @@ on every shell past the vacuum, so the entrywise cube is
 alpha_k^3 B*B*B - beta_k^3 I; on the vacuum, where alpha_0 = 0 and
 beta_0 = 1, it is -I, the lossless cube.  The lossy Mermin sum is thus
 sum_k (alpha_k^3 m_k + 2 beta_k^3 p_k) over the lossless per-shell terms
-m_k of the Mermin kernel and the shell masses p_k.  With c = 1 - eta,
+m_k of the Mermin form and the shell masses p_k.  With c = 1 - eta,
 beta_k = c^k and alpha_k^3 = 1 - 3 c^k + 3 c^2k - c^3k, so the sum is one
-polynomial in c whose coefficients come from one kernel pass on a state;
+polynomial in c whose coefficients come from one form pass on a state;
 each efficiency then costs one power and one multiply-and-sum.  Its
 constant coefficient, all that survives at eta = 1, is summed as the
 eta = 1 array [2 p_0, m_1, m_2, ...], so the lossy LHS at eta = 1 is the
@@ -69,7 +78,7 @@ from brightghz.state import (
     NumericPolicy,
     build_bghz,
 )
-from brightghz.stokes import _form_terms, _mermin_form
+from brightghz.stokes import _form_terms, _given_state
 
 __all__ = [
     "SweepResult",
@@ -92,6 +101,20 @@ __all__ = [
 
 CLASSICAL_BOUND = 2.0
 
+# The three Bell forms, each a stokes form of (diagonal weight, band
+# weight, selector triple) entries: the Mermin combination as the primed
+# basis-1 cube weighted by J - 3 Sigma (module docstring), w1 as written in
+# witness_w1, and the Mermin part of w2 as the negated unprimed Mermin form.
+_MERMIN_FORM = ((-2.0, 4.0, ("S1p",) * 3),)
+_W1_FORM = (
+    (1.5, 1.5, ("S0", "S0", "S0")),
+    (-1.0, -1.0, ("S1", "S1", "S1")),
+    (-0.5, -0.5, ("S3", "S3", "S0")),
+    (-0.5, -0.5, ("S0", "S3", "S3")),
+    (-0.5, -0.5, ("S3", "S0", "S3")),
+)
+_W2_FORM = ((2.0, -4.0, ("S1", "S1", "S1")), (1.0, 1.0, ("Pi", "Pi", "Pi")))
+
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -105,6 +128,8 @@ class SweepResult:
     default tol of 1e-3, computed on first access (None without a
     bracket), so a caller that never reads it never pays for the search.
     An evaluation that fails during the search raises from that access.
+    bisect runs that search on the bracket's ends; a bracket without it
+    is rejected.
     """
 
     axis: tuple[float, ...]
@@ -122,6 +147,8 @@ class SweepResult:
             raise ValueError("axis must be strictly increasing, without NaN")
         if not len(self.axis) == len(self.values) == len(self.diagnostics):
             raise ValueError("axis, values, diagnostics must align")
+        if self.bracket is not None and self.bisect is None:
+            raise ValueError("a bracket needs the bisect that solves inside it")
 
     @cached_property
     def threshold(self) -> float | None:
@@ -154,8 +181,8 @@ def mermin_lhs(
     state: BGHZState | None = None,
 ) -> float:
     """Mermin-like LHS with primed operators, scaled by the retained mass."""
-    state = build_bghz(gamma, policy) if state is None else state
-    return (1.0 - state.norm_residual) * abs(float(_mermin_form(state, "S1p").sum()))
+    state = build_bghz(gamma, policy) if state is None else _given_state(state)
+    return (1.0 - state.norm_residual) * abs(float(_form_terms(state, _MERMIN_FORM).sum()))
 
 
 def evaluate_mermin(
@@ -172,7 +199,7 @@ def evaluate_mermin(
     Both carry the same retained-mass scale.  The closed form holds only on
     exchange-symmetric boxes, A[q, m] = A[m, q], like every bright state.
     """
-    state = build_bghz(gamma, policy) if state is None else state
+    state = build_bghz(gamma, policy) if state is None else _given_state(state)
     lhs = mermin_lhs(gamma, policy, state)
     t = state._closed_form_t
     reduced = (1.0 - state.norm_residual) * abs(4.0 * t + 2.0 * state._vacuum_probability)
@@ -197,19 +224,21 @@ def find_crossing(fn, level, lo, hi, tol=1e-3):
 
     Returns the midpoint of the final bracket, which is at most tol wide
     (or two adjacent floats, when the float spacing there is coarser), so
-    the result is within tol / 2 of a crossing.  lo and hi must be finite
-    reals with lo below hi, and tol a finite positive real (_real: a bool
-    is none); fn is not called otherwise.  A non-finite value at an
+    the result is within tol / 2 of a crossing.  level, lo and hi must be
+    finite reals with lo below hi, and tol a finite positive real (_real: a
+    bool is none); fn is not called otherwise.  A non-finite value at an
     endpoint or a step raises ValueError: NaN sits on neither side of the
     level, so no bracket survives it.
     """
+    if not math.isfinite(_real(level)):
+        raise ValueError(f"level must be a finite real, got {level!r}")
     if not 0 < _real(tol) < math.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     if not lo < hi:
         raise ValueError(f"bracket needs lo < hi, got lo={lo}, hi={hi}")
     if not (math.isfinite(_real(lo)) and math.isfinite(_real(hi))):
         raise ValueError(f"bracket ends must be finite, got lo={lo}, hi={hi}")
-    lo, hi, tol = _real(lo), _real(hi), _real(tol)
+    lo, hi, tol, level = _real(lo), _real(hi), _real(tol), _real(level)
 
     def offset(x):
         value = fn(x)
@@ -320,12 +349,12 @@ def per_party_loss_factor(k_a: int, k_b: int, eta: float) -> float:
 
 def _lossy_lhs(state: BGHZState) -> Callable[[float], float]:
     """eta -> lossy Mermin LHS of state, the module docstring's polynomial
-    sum_j d_j c^j in c = 1 - eta, d built once from one Mermin kernel pass.
+    sum_j d_j c^j in c = 1 - eta, d built once from one Mermin form pass.
 
     Shell k >= 1 puts -3 m_k on c^k, 3 m_k on c^2k and 2 p_k - m_k on c^3k;
     d_0 is the eta = 1 value, 2 p_0 + sum_(k>=1) m_k.
     """
-    terms = _mermin_form(state, "S1p")
+    terms = _form_terms(state, _MERMIN_FORM)
     masses = state._moments[0][0]
     d = np.zeros(3 * len(terms) - 2)
     d[0] = np.concatenate(([2.0 * masses[0]], terms[1:])).sum()
@@ -354,7 +383,7 @@ def lossy_mermin_lhs(
     untruncated-state normalization; at eta = 1 it equals mermin_lhs
     exactly.
     """
-    return _lossy_lhs(build_bghz(gamma, policy) if state is None else state)(eta)
+    return _lossy_lhs(build_bghz(gamma, policy) if state is None else _given_state(state))(eta)
 
 
 class _NotViolated(ValueError):
@@ -377,7 +406,7 @@ def eta_threshold(
     computed once, every efficiency reweighs them, and each efficiency,
     eta = 1 included, is evaluated once.
     """
-    lhs = cache(_lossy_lhs(build_bghz(gamma, policy) if state is None else state))
+    lhs = cache(_lossy_lhs(build_bghz(gamma, policy) if state is None else _given_state(state)))
     if lhs(1.0) <= CLASSICAL_BOUND:
         raise _NotViolated(f"not violated at eta=1 (gamma={gamma})")
     return find_crossing(lhs, CLASSICAL_BOUND, 1e-6, 1.0, tol)
@@ -388,19 +417,6 @@ def _projected(projected) -> bool:
     if not isinstance(projected, (bool, np.bool_)):
         raise ValueError(f"projected must be a bool, got {projected!r}")
     return bool(projected)
-
-
-# Each witness as one stokes form of (diagonal weight, band weight, selector
-# triple) entries: w1 as written below, and the Mermin part of w2 as the
-# negated unprimed Mermin form (diagonal -2, band 4).
-_W1_FORM = (
-    (1.5, 1.5, ("S0", "S0", "S0")),
-    (-1.0, -1.0, ("S1", "S1", "S1")),
-    (-0.5, -0.5, ("S3", "S3", "S0")),
-    (-0.5, -0.5, ("S0", "S3", "S3")),
-    (-0.5, -0.5, ("S3", "S0", "S3")),
-)
-_W2_FORM = ((2.0, -4.0, ("S1", "S1", "S1")), (1.0, 1.0, ("Pi", "Pi", "Pi")))
 
 
 def witness_w1(
@@ -417,7 +433,7 @@ def witness_w1(
     state.  The five terms are one form, so one moment pass.
     """
     projected = _projected(projected)
-    state = build_bghz(gamma, policy) if state is None else state
+    state = build_bghz(gamma, policy) if state is None else _given_state(state)
     if projected:
         state = state._vacuum_projected
     return float(_form_terms(state, _W1_FORM).sum())
@@ -432,7 +448,7 @@ def evaluate_w2(
     """Mermin-operator witness with the non-vacuum projector added.
 
     value is <S1 S2 S2 + S2 S1 S2 + S2 S2 S1 - S1 S1 S1> + <Pi Pi Pi>, the
-    Mermin part being the negated Mermin kernel on unprimed operators,
+    Mermin part being the negated unprimed Mermin form (_W2_FORM),
     evaluated with the projector as one form in one moment pass;
     closed_form is -4t + 1 - p_vac on the same state, t its closed-form
     double sum (computed once per state), and agreement records their
@@ -440,7 +456,7 @@ def evaluate_w2(
     projected, a bool, evaluates on the vacuum-removed state.
     """
     projected = _projected(projected)
-    state = build_bghz(gamma, policy) if state is None else state
+    state = build_bghz(gamma, policy) if state is None else _given_state(state)
     if projected:
         state = state._vacuum_projected
     value = float(_form_terms(state, _W2_FORM).sum())

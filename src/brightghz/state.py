@@ -144,6 +144,13 @@ class NumericPolicy:
 DEFAULT_POLICY = NumericPolicy()
 
 
+def _policy(policy) -> NumericPolicy:
+    """policy itself; TypeError unless it is a NumericPolicy."""
+    if not isinstance(policy, NumericPolicy):
+        raise TypeError(f"policy must be a NumericPolicy, got {type(policy).__name__}")
+    return policy
+
+
 @dataclass(frozen=True)
 class BrightStateSpec:
     """One emission configuration: beam count, gain, and numeric policy.
@@ -161,6 +168,7 @@ class BrightStateSpec:
         if self.n < 1:
             raise ValueError(f"beam count n must be >= 1, got {self.n}")
         object.__setattr__(self, "gamma", _gain(self.gamma))
+        _policy(self.policy)
 
     @property
     def validity_warning(self) -> bool:
@@ -430,7 +438,7 @@ def resummed_coefficient(
     if k < 0:
         raise ValueError(f"tuple number k must be >= 0, got {k}")
     gamma = _gain(gamma)
-    sm, se = _series_value(n, k, gamma, policy)
+    sm, se = _series_value(n, k, gamma, _policy(policy))
     m, e = _dyadic(gamma)
     # the phase i**k as a sign and a part, so each zero part is +0.0
     v = _float((-1) ** (k // 2) * m**k * sm, k * e + se)
@@ -613,7 +621,7 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
     (_root); the box is their outer product.  The state is memoized per
     gain and policy, so a warm call returns the same frozen state.
     """
-    gamma = _gain(gamma)
+    gamma, policy = _gain(gamma), _policy(policy)
     if gamma >= GAMMA_GUARD:
         warnings.warn(
             f"gain {gamma} is at or past the guard {GAMMA_GUARD};"

@@ -49,13 +49,10 @@ selector triple is the one-entry form.  The closed form for t
 so CorrelationTensor.cross_check and the agreement diagnostics compare two
 different computations.
 
-The Mermin combination <111> - <122> - <212> - <221> needs only the
-basis-1 bands: a basis-2 upper band is the basis-1 one times i, so each
-mixed setting is minus the basis-1 cube on the band.  The combination is
-the basis-1 form weighted by J - 3 Sigma (J all ones, Sigma[q, q'] =
-(-1)^(q-q')): -2 on the diagonal, 4 on the band.  `_mermin_form` returns
-it per shell, which the lossy Mermin test expands into a polynomial in the
-loss.
+This module holds the engine: the selector table (_SELECTORS, one row of
+numbers per per-party operator) and the form evaluator (_form_terms).  The
+forms it evaluates, the Mermin combination and the two witnesses, are
+constants in nonclassicality.
 """
 
 from __future__ import annotations
@@ -73,31 +70,21 @@ __all__ = [
     "tensor_t",
 ]
 
-# selector -> (measurement basis index, diagonal functional id)
+# selector -> (measurement basis, value on the party vacuum, value on k > 0
+# photons, whether the Stokes slope 1/k applies): the count function is
+# a + b (2 kappa - k), a the vacuum or k > 0 value and b = 1/k or 0
 _SELECTORS = {
-    "S0": (3, "Pi"),
-    "S1": (1, "S"),
-    "S2": (2, "S"),
-    "S3": (3, "S"),
-    "S1p": (1, "Sp"),
-    "S2p": (2, "Sp"),
-    "S3p": (3, "Sp"),
-    "Pi": (3, "Pi"),
-    "Pvac": (3, "Pvac"),
-    "I": (3, "I"),
+    "S0": (3, 0.0, 1.0, False),
+    "S1": (1, 0.0, 0.0, True),
+    "S2": (2, 0.0, 0.0, True),
+    "S3": (3, 0.0, 0.0, True),
+    "S1p": (1, -1.0, 0.0, True),
+    "S2p": (2, -1.0, 0.0, True),
+    "S3p": (3, -1.0, 0.0, True),
+    "Pi": (3, 0.0, 1.0, False),
+    "Pvac": (3, 1.0, 0.0, False),
+    "I": (3, 1.0, 1.0, False),
 }
-
-
-def _affine(kind: str, k: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
-    """(a, b) over shells k: the count function of kind is a + b (2 kappa - k)."""
-    vacuum = k == 0
-    if kind in ("S", "Sp"):
-        a = np.where(vacuum, -1.0 if kind == "Sp" else 0.0, 0.0)
-        return a, np.divide(1.0, k, out=np.zeros(k.shape), where=~vacuum)
-    if kind == "I":
-        return np.ones(k.shape), 0.0
-    return (vacuum if kind == "Pvac" else ~vacuum).astype(float), 0.0
-
 
 # bench/tracing.py reads _SHELL_BLOCKS; ROADMAP item 12 removes that read and this dict
 _SHELL_BLOCKS: dict = {}
@@ -110,27 +97,30 @@ _SHELL_BLOCKS: dict = {}
 # once, read-only, through shell 2 CUTOFF_CAP (grown for a box with more
 # shells: a hand-made one, or a cutoff pinned past the cap) and sliced per
 # call.  Production uses one-entry forms (expectations and the Mermin
-# forms) and the two witnesses, about 5.8 kB each at 2 CUTOFF_CAP + 1 shells.
+# form) and the two witnesses, about 5.8 kB each at 2 CUTOFF_CAP + 1 shells.
 _WEIGHTS: dict[tuple, tuple[np.ndarray, np.ndarray | None]] = {}
 
 
 def _triple_weights(ops: tuple, on_band: float, k: np.ndarray):
     """(e_p[k], band weight[k]) of the selector triple ops over shells k."""
+    vacuum = k == 0
+    slope = np.divide(1.0, k, out=np.zeros(k.shape), where=~vacuum)
     # the diagonal product as a polynomial in q - m, one coefficient row per power
     poly = np.zeros((4, len(k)))
     poly[0] = 1.0
     band = 2.0 * on_band  # None once a basis-3 party leaves no band
     for op in ops:
-        basis_index, kind = _SELECTORS[op]
-        a, b = _affine(kind, k)
-        if basis_index == 3:
+        basis, on_vacuum, on_photons, sloped = _SELECTORS[op]
+        a = np.where(vacuum, on_vacuum, on_photons)
+        b = slope if sloped else 0.0
+        if basis == 3:
             poly[1:] = a * poly[1:] + b * poly[:-1]
             poly[0] *= a
             band = None
         else:
             poly *= a
             if band is not None:
-                band = band * (1j * b if basis_index == 2 else b)
+                band = band * (1j * b if basis == 2 else b)
     return poly, band
 
 
@@ -178,14 +168,11 @@ def _validate_selectors(ops) -> tuple[str, str, str]:
     return ops
 
 
-def _mermin_form(state: BGHZState, selector: str) -> np.ndarray:
-    """Per-shell terms of <111> - <122> - <212> - <221> on a bright state.
-
-    selector names the basis-1 per-party operator ("S1p" or "S1"); the
-    terms are those of the one-entry form with the J - 3 Sigma weights of
-    the module docstring, and the combination is their sum.
-    """
-    return _form_terms(state, ((-2.0, 4.0, (selector,) * 3),))
+def _given_state(state) -> BGHZState:
+    """state itself; TypeError unless it is a BGHZState."""
+    if not isinstance(state, BGHZState):
+        raise TypeError(f"unsupported state type {type(state).__name__}")
+    return state
 
 
 def stokes_expectation(state, ops) -> float:
@@ -197,9 +184,7 @@ def stokes_expectation(state, ops) -> float:
     marginals).  state must be a BGHZState.
     """
     ops = _validate_selectors(ops)
-    if not isinstance(state, BGHZState):
-        raise TypeError(f"unsupported state type {type(state).__name__}")
-    return float(_form_terms(state, ((1.0, 1.0, ops),)).sum())
+    return float(_form_terms(_given_state(state), ((1.0, 1.0, ops),)).sum())
 
 
 @dataclass(frozen=True)
@@ -231,8 +216,7 @@ def tensor_t(
     and cross-checks t against the generic evaluation of <S1 S1 S1>.  A provided state must be
     exchange-symmetric, A[q, m] = A[m, q], for t to be its T_111.
     """
-    if state is None:
-        state = build_bghz(gamma, policy)
+    state = build_bghz(gamma, policy) if state is None else _given_state(state)
     t = state._closed_form_t
     generic = stokes_expectation(state, ("S1", "S1", "S1"))
     elements = dict.fromkeys(itertools.product((1, 2, 3), repeat=3), 0.0)

@@ -27,6 +27,13 @@ def test_cli_matches_golden(name, argv, code, tmp_path, capsys):
     assert_matches_golden(name, argv, out.read_bytes())
 
 
+def test_every_golden_file_has_a_case_and_every_case_a_file():
+    # a golden with no case would go stale unseen
+    names = [name for name, _, _ in CASES]
+    assert len(set(names)) == len(names)
+    assert {path.stem for path in GOLDEN.glob("*.csv")} == set(names)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for name, argv, code in CASES:

@@ -1,6 +1,7 @@
 """Mermin-like inequality, detector loss, thresholds, and witnesses."""
 
 import math
+import re
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -14,6 +15,7 @@ from brightghz import nonclassicality
 from brightghz import state as state_module
 from brightghz import stokes as stokes_module
 from brightghz.nonclassicality import (
+    _MERMIN_FORM,
     SweepResult,
     eta_threshold,
     eta_threshold_sweep,
@@ -30,7 +32,7 @@ from brightghz.nonclassicality import (
     witness_w2,
 )
 from brightghz.state import BGHZState, NumericPolicy, build_bghz, project_out_vacuum
-from brightghz.stokes import _form_terms, _mermin_form, stokes_expectation, tensor_t
+from brightghz.stokes import _form_terms, stokes_expectation, tensor_t
 from references import (
     amplitude_boxes,
     dense_expectation,
@@ -159,7 +161,7 @@ _FORM_STATES = st.one_of(
 
 def _thinned_shell_sum(state, eta):
     """The lossy Mermin LHS as the sum over shells of alpha_k^3 m_k + 2 beta_k^3 p_k."""
-    terms = _mermin_form(state, "S1p")
+    terms = _form_terms(state, _MERMIN_FORM)
     masses = _form_terms(state, ((1.0, 1.0, ("I", "I", "I")),))
     beta = (1.0 - eta) ** np.arange(len(terms), dtype=float)
     total = ((1.0 - beta) ** 3 * terms + beta**3 * 2.0 * masses).sum()
@@ -326,6 +328,18 @@ def test_find_crossing_rejects_non_finite_values():
         find_crossing(f, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="non-finite"):
         find_crossing(f, 0.0, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf, "2", True, None], ids=repr)
+def test_find_crossing_rejects_a_level_that_is_not_a_finite_real(level):
+    # NaN and inf used to reach the endpoint test ("no crossing: endpoints
+    # give nan and nan, both on the same side of inf"), a string the
+    # subtraction (TypeError), and True was taken as 1
+    def fn(x):
+        raise AssertionError("fn was called")
+
+    with pytest.raises(ValueError, match=re.escape(f"level must be a finite real, got {level!r}")):
+        find_crossing(fn, level, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
@@ -520,7 +534,7 @@ def test_eta_threshold_brackets_violation(monkeypatch):
 
 
 def test_eta_threshold_reuses_the_lossless_value(monkeypatch):
-    # one Mermin kernel pass per threshold: every efficiency evaluates the
+    # one Mermin form pass per threshold: every efficiency evaluates the
     # polynomial built from its terms, eta = 1, the upper bracket, too, where
     # only the constant coefficient, the lossless sum, survives bit for bit
     gamma = 0.4
@@ -529,20 +543,20 @@ def test_eta_threshold_reuses_the_lossless_value(monkeypatch):
         lambda e: lossy_mermin_lhs(gamma, e, state=state), 2.0, 1e-6, 1.0, 1e-3
     )
     passes, etas = [], []
-    kernel, loss = nonclassicality._mermin_form, nonclassicality._loss
+    kernel, loss = nonclassicality._form_terms, nonclassicality._loss
 
-    def counted_kernel(state, selector):
-        passes.append(selector)
-        return kernel(state, selector)
+    def counted_kernel(state, form):
+        passes.append(form)
+        return kernel(state, form)
 
     def counted_loss(eta):
         etas.append(eta)
         return loss(eta)
 
-    monkeypatch.setattr(nonclassicality, "_mermin_form", counted_kernel)
+    monkeypatch.setattr(nonclassicality, "_form_terms", counted_kernel)
     monkeypatch.setattr(nonclassicality, "_loss", counted_loss)
     assert eta_threshold(gamma, state=state) == reference
-    assert passes == ["S1p"]
+    assert passes == [_MERMIN_FORM]
     assert 1.0 in etas
     assert nonclassicality._lossy_lhs(state)(1.0) == mermin_lhs(gamma, state=state)
 
@@ -609,7 +623,7 @@ def test_witness_forms_match_their_terms(state, projected):
     w1 -= 0.5 * (term("S3", "S3", "S0") + term("S0", "S3", "S3") + term("S3", "S0", "S3"))
     got = witness_w1(state.gamma, projected, state=state)
     assert abs(got - w1) <= 1e-14 * max(1.0, abs(w1))
-    w2 = -_mermin_form(on, "S1").sum() + term("Pi", "Pi", "Pi")
+    w2 = -_form_terms(on, ((-2.0, 4.0, ("S1",) * 3),)).sum() + term("Pi", "Pi", "Pi")
     got = evaluate_w2(state.gamma, projected, state=state).value
     assert abs(got - w2) <= 1e-14 * max(1.0, abs(w2))
 
@@ -622,8 +636,31 @@ def test_warm_witnesses_build_no_weights(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a warm witness rebuilt its weights")
 
-    monkeypatch.setattr(stokes_module, "_affine", forbidden)
+    monkeypatch.setattr(stokes_module, "_triple_weights", forbidden)
     assert (witness_w1(0.352, state=state), evaluate_w2(0.352, state=state)) == before
+
+
+_STATE_CALLS = {
+    "mermin_lhs": lambda state: mermin_lhs(0.3, state=state),
+    "evaluate_mermin": lambda state: evaluate_mermin(0.3, state=state),
+    "lossy_mermin_lhs": lambda state: lossy_mermin_lhs(0.3, 0.9, state=state),
+    "eta_threshold": lambda state: eta_threshold(0.3, state=state),
+    "witness_w1": lambda state: witness_w1(0.3, True, state=state),
+    "evaluate_w2": lambda state: evaluate_w2(0.3, state=state),
+    "witness_w2": lambda state: witness_w2(0.3, True, state=state),
+    "tensor_t": lambda state: tensor_t(0.3, state=state),
+    "stokes_expectation": lambda state: stokes_expectation(state, ("S1", "S1", "S1")),
+}
+
+
+@pytest.mark.parametrize("state", ["x", {(0, 0): 1.0}, 0.3], ids=repr)
+@pytest.mark.parametrize("call", sorted(_STATE_CALLS))
+def test_a_given_state_must_be_a_bright_state(call, state):
+    # each used to raise AttributeError from inside the kernel, but for
+    # stokes_expectation, whose message every one now gives
+    message = f"unsupported state type {type(state).__name__}"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        _STATE_CALLS[call](state)
 
 
 _WITNESS_CALLS = {
@@ -681,6 +718,14 @@ def test_separable_states_respect_witness_bound():
         largest = max(largest, abs(m_value))
     # the sampler must actually exercise the bound, not orbit zero
     assert largest > 0.1
+
+
+def test_sweep_result_with_a_bracket_needs_its_bisect():
+    # threshold used to raise TypeError: 'NoneType' object is not callable
+    with pytest.raises(ValueError, match="bracket needs the bisect"):
+        SweepResult(axis=(0.1, 0.2), values=(3.0, 1.0), diagnostics=({}, {}), bracket=(0.1, 0.2))
+    bare = SweepResult(axis=(0.1, 0.2), values=(3.0, 1.0), diagnostics=({}, {}))
+    assert bare.threshold is None
 
 
 def test_sweep_result_validates_axis():

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import re
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -16,6 +17,7 @@ from mpmath import mp, mpf
 
 import brightghz.state as state_module
 from brightghz.nonclassicality import (
+    _MERMIN_FORM,
     find_crossing,
     lossy_mermin_lhs,
     mermin_lhs,
@@ -36,7 +38,7 @@ from brightghz.state import (
     project_out_vacuum,
     resummed_coefficient,
 )
-from brightghz.stokes import _form_terms, _mermin_form
+from brightghz.stokes import _form_terms
 from references import (
     _omitted,
     exact_distribution,
@@ -243,6 +245,27 @@ def test_counts_must_be_integers(call, message):
     # named at the call, not met later as a TypeError inside the series
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+_POLICY_CALLS = {
+    "BrightStateSpec": lambda policy: BrightStateSpec(3, 0.3, policy),
+    "build_bghz": lambda policy: build_bghz(0.3, policy),
+    "build_bghz_past_the_guard": lambda policy: build_bghz(0.95, policy),
+    "resummed_coefficient": lambda policy: resummed_coefficient(3, 1, 0.3, policy),
+    "mermin_sweep": lambda policy: mermin_sweep([0.3], policy),
+}
+
+
+@pytest.mark.parametrize("policy", [None, {"bits": 64}, 128, "default"], ids=repr)
+@pytest.mark.parametrize("call", sorted(_POLICY_CALLS))
+def test_policy_must_be_a_numeric_policy(call, policy):
+    # the spec used to accept it, and the builders raised AttributeError
+    # from inside the ladder; rejected before the guard warning too
+    message = f"policy must be a NumericPolicy, got {type(policy).__name__}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError, match=re.escape(message)):
+            _POLICY_CALLS[call](policy)
 
 
 def test_counts_accept_numpy_integers():
@@ -896,7 +919,7 @@ def test_mermin_terms_are_bounded_by_the_shell_masses(gamma, policy):
     # every primed selector is bounded by 1 on a photon shell, so the Mermin
     # operator's norm is at most 4 there: |m_k| <= 4 p_k
     state = build_bghz(gamma, policy)
-    terms = _mermin_form(state, "S1p")
+    terms = _form_terms(state, _MERMIN_FORM)
     masses = _form_terms(state, ((1.0, 1.0, ("I", "I", "I")),))
     assert len(terms) == len(masses) == 2 * state.cutoff + 1
     assert np.all(masses >= 0.0)

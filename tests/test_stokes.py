@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import brightghz.stokes as stokes_module
+from brightghz.nonclassicality import _MERMIN_FORM
 from brightghz.state import (
     CUTOFF_CAP,
     BGHZState,
@@ -21,9 +22,8 @@ from brightghz.state import (
 )
 from brightghz.stokes import (
     _SELECTORS,
-    _affine,
-    _mermin_form,
     _form_terms,
+    _triple_weights,
     CorrelationTensor,
     stokes_expectation,
     tensor_t,
@@ -81,6 +81,21 @@ def test_basis_unitarity_and_unbiasedness():
             assert np.allclose(np.abs(overlap) ** 2, 0.5, atol=1e-14)
 
 
+# each selector's count function, spelled apart from the production rows
+_KINDS = {
+    "S0": "Pi",
+    "S1": "S",
+    "S2": "S",
+    "S3": "S",
+    "S1p": "Sp",
+    "S2p": "Sp",
+    "S3p": "Sp",
+    "Pi": "Pi",
+    "Pvac": "Pvac",
+    "I": "I",
+}
+
+
 def _count_values(kind, k):
     """The count function of kind on kappa photons in the measured mode of shell k."""
     values = []
@@ -103,13 +118,15 @@ def _eigenbasis_block(values, k):
 
 
 def _band_blocks(selector, top):
-    """Shell-k blocks for k = 0..top, assembled from the production affine
-    data: a + b (2q - k) on the diagonal in basis 3, a elsewhere, and the
-    upper band b sqrt((q+1)(k-q)) on |q, k-q> -> |q+1, k-q-1>, times i in
-    basis 2."""
-    basis, kind = _SELECTORS[selector]
-    a, b = _affine(kind, np.arange(top + 1))
-    b = np.broadcast_to(b, a.shape)
+    """Shell-k blocks for k = 0..top, assembled from the production row:
+    a, the vacuum value on shell 0 and the k > 0 value past it, and b = 1/k
+    where the Stokes slope applies, else 0; a + b (2q - k) on the diagonal
+    in basis 3, a elsewhere, and the upper band b sqrt((q+1)(k-q)) on
+    |q, k-q> -> |q+1, k-q-1>, times i in basis 2."""
+    basis, on_vacuum, on_photons, sloped = _SELECTORS[selector]
+    k = np.arange(top + 1)
+    a = np.where(k == 0, on_vacuum, on_photons)
+    b = np.divide(1.0, k, out=np.zeros(k.shape), where=k > 0) if sloped else np.zeros(k.shape)
     blocks = []
     for k in range(top + 1):
         q = np.arange(k + 1)
@@ -127,10 +144,11 @@ def _band_blocks(selector, top):
 @pytest.mark.parametrize("basis", [1, 2, 3], ids=["basis1", "basis2", "basis3"])
 def test_shell_rotation_matches_binomial_reference(basis):
     # blocks, unlike the basis vectors, carry no sign or phase convention
-    selectors = [sel for sel, (b, _) in _SELECTORS.items() if b == basis]
+    assert _KINDS.keys() == _SELECTORS.keys()
+    selectors = [sel for sel, (b, *_) in _SELECTORS.items() if b == basis]
     for sel in selectors:
         for k, block in enumerate(_band_blocks(sel, 20)):
-            want = reference_block(basis, _count_values(_SELECTORS[sel][1], k), k)
+            want = reference_block(basis, _count_values(_KINDS[sel], k), k)
             assert np.abs(block - want).max() <= 1e-13, (sel, k)
 
 
@@ -167,8 +185,7 @@ def test_basis2_block_is_hermitian_basis1_times_quarter_turns(kind, suffix):
 
 @functools.lru_cache(maxsize=None)
 def _reference_block(selector, k):
-    basis, kind = _SELECTORS[selector]
-    return reference_block(basis, _count_values(kind, k), k)
+    return reference_block(_SELECTORS[selector][0], _count_values(_KINDS[selector], k), k)
 
 
 def _reference_shell_terms(state, ops, on_diag=1.0, on_band=1.0):
@@ -210,24 +227,9 @@ def test_shell_terms_match_reference_per_shell(entries, ops, weights):
 
 
 def _direct_shell_terms(state, ops, on_diag=1.0, on_band=1.0):
-    # the per-shell weights built afresh over exactly the state's shells, by
-    # the same elementwise operations as the production tables
+    # the per-shell weights built afresh over exactly the state's shells
     moments, hops = state._moments
-    k = np.arange(len(hops))
-    poly = np.zeros(moments.shape)
-    poly[0] = 1.0
-    band = 2.0 * on_band
-    for op in ops:
-        basis_index, kind = _SELECTORS[op]
-        a, b = _affine(kind, k)
-        if basis_index == 3:
-            poly[1:] = a * poly[1:] + b * poly[:-1]
-            poly[0] *= a
-            band = None
-        else:
-            poly *= a
-            if band is not None:
-                band = band * (1j * b if basis_index == 2 else b)
+    poly, band = _triple_weights(ops, on_band, np.arange(len(hops)))
     terms = (on_diag * poly * moments).sum(axis=0)
     if band is not None:
         terms += (band * hops).real
@@ -337,7 +339,7 @@ def test_warm_kernels_build_no_weights(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a warm kernel rebuilt its shell weights")
 
-    monkeypatch.setattr(stokes_module, "_affine", forbidden)
+    monkeypatch.setattr(stokes_module, "_triple_weights", forbidden)
     monkeypatch.setattr(np, "outer", forbidden)
     assert [stokes_expectation(state, ops) for ops in triples] == before
     assert tensor_t(0.352, state=state).t == state._closed_form_t == t
@@ -372,7 +374,11 @@ def test_mermin_kernel_equals_four_setting_sum(entries, projected):
         for ops, term in zip(triples, terms):
             assert term == pytest.approx(_full_shell_expectation(state, ops), abs=1e-12)
         want = terms[0] - sum(terms[1:])
-        got = _mermin_form(state, f"S1{suffix}")
+        # the J - 3 Sigma weights: -2 on the diagonal, 4 on the band
+        form = ((-2.0, 4.0, (f"S1{suffix}",) * 3),)
+        if suffix:
+            assert form == _MERMIN_FORM
+        got = _form_terms(state, form)
         assert got.shape == (2 * len(state._box) - 1,)
         assert got.sum() == pytest.approx(want, abs=1e-12)
 
