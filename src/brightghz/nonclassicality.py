@@ -43,13 +43,14 @@ beta_0 = 1, it is -I, the lossless cube.  The lossy Mermin sum is thus
 sum_k (alpha_k^3 m_k + 2 beta_k^3 p_k) over the lossless per-shell terms
 m_k of the Mermin form and the shell masses p_k.  With c = 1 - eta,
 beta_k = c^k and alpha_k^3 = 1 - 3 c^k + 3 c^2k - c^3k, so the sum is one
-polynomial in c whose coefficients come from one form pass on a state;
-each efficiency then costs one power and one multiply-and-sum.  Its
-constant coefficient, all that survives at eta = 1, is summed as the
-eta = 1 array [2 p_0, m_1, m_2, ...], so the lossy LHS at eta = 1 is the
-lossless one bit for bit.  The expansion cancels between its c^k, c^2k
-and c^3k coefficients as eta falls, which costs a few units in the last
-place against the per-shell sum.
+polynomial P in c whose coefficients come from one form pass on a state;
+each efficiency then costs one power vector and one multiply-and-sum,
+which gives P and P' together.  Its constant coefficient, all that
+survives at eta = 1, is the lossless sum itself (m_0 = 2 p_0), so the
+lossy LHS at eta = 1 is the lossless one bit for bit.  The expansion
+cancels between its c^k, c^2k and c^3k coefficients as eta falls, which
+costs a few units in the last place against the per-shell sum.
+eta_threshold solves it for 2 by Newton in c, to a few ulps.
 
 Both witnesses flag entanglement strictly below zero: w1 transplants the
 three-qubit GHZ projector witness to normalized Stokes operators, and w2
@@ -67,7 +68,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -76,9 +77,10 @@ from brightghz.state import (
     DEFAULT_POLICY,
     BGHZState,
     NumericPolicy,
+    _given_state,
     build_bghz,
 )
-from brightghz.stokes import _form_terms, _given_state
+from brightghz.stokes import _form_terms
 
 __all__ = [
     "SweepResult",
@@ -347,27 +349,33 @@ def per_party_loss_factor(k_a: int, k_b: int, eta: float) -> float:
     return (1.0 - beta) * (k_a - k_b) / k - beta if k else -1.0
 
 
-def _lossy_lhs(state: BGHZState) -> Callable[[float], float]:
-    """eta -> lossy Mermin LHS of state, the module docstring's polynomial
-    sum_j d_j c^j in c = 1 - eta, d built once from one Mermin form pass.
+def _lossy_lhs(state: BGHZState) -> tuple[np.ndarray, np.ndarray, float]:
+    """The module docstring's polynomial P in c = 1 - eta, built once from
+    one Mermin form pass, as (rows, powers, scale): rows holds P's
+    coefficients d_j and P''s, (j + 1) d_(j+1), both on c^j = c**powers,
+    and the LHS is scale |P(c)|, scale the retained mass.
 
     Shell k >= 1 puts -3 m_k on c^k, 3 m_k on c^2k and 2 p_k - m_k on c^3k;
-    d_0 is the eta = 1 value, 2 p_0 + sum_(k>=1) m_k.
+    d_0 is the eta = 1 value, the lossless sum itself, as m_0 = 2 p_0.
     """
     terms = _form_terms(state, _MERMIN_FORM)
     masses = state._moments[0][0]
-    d = np.zeros(3 * len(terms) - 2)
-    d[0] = np.concatenate(([2.0 * masses[0]], terms[1:])).sum()
+    rows = np.zeros((2, 3 * len(terms) - 2))
+    d = rows[0]
+    d[0] = terms.sum()
     d[1 : len(terms)] = -3.0 * terms[1:]
     d[2 : 2 * len(terms) - 1 : 2] += 3.0 * terms[1:]
     d[3::3] += 2.0 * masses[1:] - terms[1:]
-    j = np.arange(len(d), dtype=float)
-    scale = 1.0 - state.norm_residual
+    powers = np.arange(len(d), dtype=float)
+    rows[1, :-1] = powers[1:] * d[1:]
+    return rows, powers, 1.0 - state.norm_residual
 
-    def lhs(eta):
-        return scale * abs(float((d * _loss(eta) ** j).sum()))
 
-    return lhs
+def _lossy_at(lossy: tuple, c: float) -> tuple[float, float]:
+    """(LHS, its slope in c) of a _lossy_lhs polynomial at c; eta = 1 reads d_0 alone."""
+    rows, powers, scale = lossy
+    p, slope = (rows[:, 0] if c == 0.0 else rows @ c**powers).tolist()
+    return scale * abs(p), math.copysign(scale, p) * slope
 
 
 def lossy_mermin_lhs(
@@ -383,7 +391,8 @@ def lossy_mermin_lhs(
     untruncated-state normalization; at eta = 1 it equals mermin_lhs
     exactly.
     """
-    return _lossy_lhs(build_bghz(gamma, policy) if state is None else _given_state(state))(eta)
+    state = build_bghz(gamma, policy) if state is None else _given_state(state)
+    return _lossy_at(_lossy_lhs(state), _loss(eta))[0]
 
 
 class _NotViolated(ValueError):
@@ -398,18 +407,40 @@ def eta_threshold(
 ) -> float:
     """Detector efficiency below which the Mermin violation dies.
 
-    Solves lossy_mermin_lhs = 2 in eta by find_crossing to tol, so within
-    tol / 2 of the crossing, on one state, built here or reused when
-    given; requires a violation at eta = 1 (raises "not violated at
-    eta=1" otherwise).  The lower bracket starts just above 0 because
-    eta = 0 gives exactly 2.  The state's Mermin terms are
-    computed once, every efficiency reweighs them, and each efficiency,
-    eta = 1 included, is evaluated once.
+    Solves lossy_mermin_lhs = 2 on one state, built here or reused when
+    given, by Newton in c = 1 - eta on its polynomial, through the same
+    evaluator.  Requires the LHS above 2 at eta = 1 ("not violated at eta=1"
+    otherwise) and not above it at eta = 1e-6 ("no crossing" otherwise).
+    Steps are at least 2**-53 long; one that leaves that bracket or does
+    not halve the step before last bisects it instead, until it is 2**-52
+    wide.  The result is the crossing of this state's float polynomial to
+    2 ulps plus ulp(2) / |LHS'| (at most 2.3 ulps from gain 0.3 up, 19.6
+    at 0.075, where the LHS is flattest), so within tol / 2; tol is only
+    checked.  The state's own truncation error is not included.
     """
-    lhs = cache(_lossy_lhs(build_bghz(gamma, policy) if state is None else _given_state(state)))
-    if lhs(1.0) <= CLASSICAL_BOUND:
-        raise _NotViolated(f"not violated at eta=1 (gamma={gamma})")
-    return find_crossing(lhs, CLASSICAL_BOUND, 1e-6, 1.0, tol)
+    state = build_bghz(gamma, policy) if state is None else _given_state(state)
+    lossy = _lossy_lhs(state)
+    value, slope = _lossy_at(lossy, 0.0)
+    if value <= CLASSICAL_BOUND:
+        raise _NotViolated(f"not violated at eta=1 (gamma={state.gamma})")
+    if not 0 < _real(tol) < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    lo, hi = 0.0, _loss(1e-6)
+    end = _lossy_at(lossy, hi)[0]
+    if end > CLASSICAL_BOUND:
+        raise ValueError(f"no crossing: the LHS is {value} at eta=1 and {end} at eta=1e-6")
+    c, last, before = 0.0, hi, hi
+    while hi - lo > 2.0**-52:
+        step = (CLASSICAL_BOUND - value) / slope if slope else math.inf
+        x = c + math.copysign(max(abs(step), 2.0**-53), step)
+        if not (lo < x < hi and abs(x - c) <= before / 2):
+            x = lo / 2 + hi / 2
+        last, before, c = abs(x - c), last, x
+        value, slope = _lossy_at(lossy, c)
+        if value == CLASSICAL_BOUND:
+            return 1.0 - c
+        lo, hi = (c, hi) if value > CLASSICAL_BOUND else (lo, c)
+    return 1.0 - (lo / 2 + hi / 2)
 
 
 def _projected(projected) -> bool:

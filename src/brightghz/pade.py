@@ -145,6 +145,9 @@ _QD_HEADROOM = 128
 # tables, which serve every precision up to theirs (DiagonalResummer._cfraction)
 _DEFAULT_BITS = 128
 _SHIPPED_BITS = 256
+# The most bits NumericPolicy and resum take, far past any depth bits buy;
+# the walk's shifts overflow or exhaust memory at absurd widths
+_MAX_BITS = 1 << 16
 
 
 def _scales(bits: int) -> tuple[int, int]:
@@ -700,9 +703,10 @@ class DiagonalResummer:
         ends the walk unconverged.  At x = 0 (c_0 alone) or on a series that
         terminates by order max_order, the polynomial is summed exactly and
         rounded once instead: converged, with one diagnostic.  ValueError
-        for a max_order below 1 or bits below 64, either not an integer,
-        fewer than 2 max_order + 1 coefficients, or a point or tol that is
-        not a finite real (tol > 0); PoleProximityError if no order has a value.
+        for a max_order below 1 or bits outside [64, 65536] (_MAX_BITS),
+        either not an integer, fewer than 2 max_order + 1 coefficients, or
+        a point or tol that is not a finite real (tol > 0);
+        PoleProximityError if no order has a value.
         """
         # Python int counts, a Fraction point and a float tol, as state
         # passes them, skip _count and _exact
@@ -710,9 +714,11 @@ class DiagonalResummer:
             max_order, bits = _count("max_order", max_order), _count("bits", bits)
         if max_order < 1:
             raise ValueError(f"max_order must be >= 1, got {max_order}")
-        # the walk's error argument needs 2**-bits small; NumericPolicy's floor
+        # the walk's error argument needs 2**-bits small; NumericPolicy's bounds
         if bits < 64:
             raise ValueError(f"bits must be >= 64, got {bits}")
+        if bits > _MAX_BITS:
+            raise ValueError(f"bits must be <= {_MAX_BITS}, got {bits}")
         need = 2 * max_order + 1
         if len(self._pairs) < need:
             raise ValueError(

@@ -48,7 +48,14 @@ from math import fsum, inf
 
 import numpy as np
 
-from brightghz.pade import _DEFAULT_BITS, DiagonalResummer, PoleProximityError, _float, _rounded
+from brightghz.pade import (
+    _DEFAULT_BITS,
+    _MAX_BITS,
+    DiagonalResummer,
+    PoleProximityError,
+    _float,
+    _rounded,
+)
 from brightghz.series_core import _count, _real, _series_pairs
 
 __all__ = [
@@ -116,7 +123,8 @@ class NumericPolicy:
     bits up to 256 and pade_order up to 40 reads the shipped tables, below
     256 bits coarsened, each coefficient charged the error it has; so the
     walk's error bound on the three-beam walks keeps about 88 bits of margin
-    past 2**-(bits + 4) at 128 bits, against about 35 at 256 bits.
+    past 2**-(bits + 4) at 128 bits, against about 35 at 256 bits.  bits
+    lies in [64, 65536] (pade._MAX_BITS, where the walk's shifts overflow).
     """
 
     pade_order: int = 40
@@ -137,6 +145,8 @@ class NumericPolicy:
             )
         if self.bits < 64:
             raise ValueError(f"bits must be >= 64, got {self.bits}")
+        if self.bits > _MAX_BITS:
+            raise ValueError(f"bits must be <= {_MAX_BITS}, got {self.bits}")
         if self.cutoff is not None and self.cutoff < 0:
             raise ValueError(f"cutoff must be >= 0, got {self.cutoff}")
 
@@ -149,6 +159,13 @@ def _policy(policy) -> NumericPolicy:
     if not isinstance(policy, NumericPolicy):
         raise TypeError(f"policy must be a NumericPolicy, got {type(policy).__name__}")
     return policy
+
+
+def _given_state(state) -> BGHZState:
+    """state itself; TypeError unless it is a BGHZState."""
+    if not isinstance(state, BGHZState):
+        raise TypeError(f"unsupported state type {type(state).__name__}")
+    return state
 
 
 @dataclass(frozen=True)
@@ -574,8 +591,11 @@ def photon_distribution(spec: BrightStateSpec) -> TripleDistribution:
     """Probability of observing k emitted n-tuples, up to an adaptive cutoff.
 
     The weights and the cutoff are _retained_weights', the ladder build_bghz
-    reads too; the total is their mass plus the tail.
+    reads too; the total is their mass plus the tail.  TypeError unless
+    spec is a BrightStateSpec.
     """
+    if not isinstance(spec, BrightStateSpec):
+        raise TypeError(f"spec must be a BrightStateSpec, got {type(spec).__name__}")
     if spec.validity_warning:
         warnings.warn(
             f"gain {spec.gamma} is at or past the n={spec.n} validity boundary;"
@@ -665,9 +685,10 @@ def project_out_vacuum(state: BGHZState) -> BGHZState:
     box is copied with A[0, 0] zeroed, its squared magnitudes are summed
     correctly rounded (math.fsum, the same on every Python version; builtin
     sum compensates only from 3.12 on), and the scaled copy is handed to
-    the projected state, whose amps has no (0, 0) key.
+    the projected state, whose amps has no (0, 0) key.  TypeError unless
+    state is a BGHZState.
     """
-    box = state._box.copy()
+    box = _given_state(state)._box.copy()
     box[0, 0] = 0.0
     total = fsum((np.abs(box) ** 2).ravel().tolist())
     if total <= 0:

@@ -62,7 +62,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from brightghz.state import CUTOFF_CAP, BGHZState, DEFAULT_POLICY, NumericPolicy, build_bghz
+from brightghz.state import (
+    CUTOFF_CAP,
+    DEFAULT_POLICY,
+    BGHZState,
+    NumericPolicy,
+    _given_state,
+    build_bghz,
+)
 
 __all__ = [
     "CorrelationTensor",
@@ -166,13 +173,6 @@ def _validate_selectors(ops) -> tuple[str, str, str]:
                 f"unknown selector {op!r}; valid: {sorted(_SELECTORS)}"
             )
     return ops
-
-
-def _given_state(state) -> BGHZState:
-    """state itself; TypeError unless it is a BGHZState."""
-    if not isinstance(state, BGHZState):
-        raise TypeError(f"unsupported state type {type(state).__name__}")
-    return state
 
 
 def stokes_expectation(state, ops) -> float:

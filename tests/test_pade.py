@@ -5,6 +5,7 @@ import functools
 import math
 import pickle
 import random
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -932,6 +933,20 @@ def test_bits_below_the_policy_floor_are_rejected(bits):
     with pytest.raises(ValueError, match=message):
         diagonal_resum(EULER, 0.2, max_order=12, bits=bits)
     with pytest.raises(ValueError, match=message):
+        DiagonalResummer(EXP).resum(0, max_order=12, bits=bits)
+
+
+@pytest.mark.parametrize(
+    "bits", [65537, 2**64, 10**400], ids=lambda bits: f"{len(str(bits))}-digit"
+)
+def test_bits_past_the_ceiling_are_rejected(bits):
+    # 10**400 raised OverflowError ("too many digits in integer") from the
+    # walk's first shift, and 2**64 MemoryError; the x = 0 path takes the
+    # same bound
+    message = f"bits must be <= 65536, got {bits}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        diagonal_resum([1.0] * 81, 0.1, bits=bits)
+    with pytest.raises(ValueError, match=re.escape(message)):
         DiagonalResummer(EXP).resum(0, max_order=12, bits=bits)
 
 

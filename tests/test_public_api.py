@@ -90,7 +90,7 @@ def test_readme_library_block_prints_what_its_comments_say(capsys):
     assert stated == {
         "mermin_lhs(0.5)": "2.3194",
         "gamma_threshold()": "0.7697",
-        "eta_threshold(0.05)": "0.7919",
+        "eta_threshold(0.05)": "0.7918",
     }
 
 

@@ -268,6 +268,27 @@ def test_policy_must_be_a_numeric_policy(call, policy):
             _POLICY_CALLS[call](policy)
 
 
+@pytest.mark.parametrize("value", ["x", None, 3, BrightStateSpec], ids=repr)
+def test_spec_and_state_arguments_must_have_their_type(value):
+    # both raised AttributeError from inside (validity_warning, _box)
+    name = type(value).__name__
+    with pytest.raises(TypeError, match=re.escape(f"spec must be a BrightStateSpec, got {name}")):
+        photon_distribution(value)
+    with pytest.raises(TypeError, match=re.escape(f"unsupported state type {name}")):
+        project_out_vacuum(value)
+
+
+@pytest.mark.parametrize(
+    "bits", [65537, 2**64, 10**400], ids=lambda bits: f"{len(str(bits))}-digit"
+)
+def test_bits_past_the_ceiling_are_rejected(bits):
+    # 10**400 raised OverflowError ("too many digits in integer") from the
+    # walk's first shift, at every gain that walks instead of reading a table
+    with pytest.raises(ValueError, match=re.escape(f"bits must be <= 65536, got {bits}")):
+        NumericPolicy(bits=bits)
+    assert NumericPolicy(bits=65536).bits == 65536
+
+
 def test_counts_accept_numpy_integers():
     assert type(BrightStateSpec(n=np.int64(3), gamma=0.3).n) is int
     assert resummed_coefficient(np.int64(3), np.int32(2), 0.3) == resummed_coefficient(3, 2, 0.3)
