@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -32,6 +31,7 @@ from brightghz.nonclassicality import (
     mermin_sweep,
     witness_sweep,
 )
+from brightghz.series_core import _MAX_BEAMS, _count
 from brightghz.state import (
     DEFAULT_POLICY,
     BrightStateSpec,
@@ -63,16 +63,12 @@ class RunConfig:
     out: str | None
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        _count("steps", self.steps, 1)
         if self.steps > 1 and not self.gamma_min < self.gamma_max:
             raise ValueError("gamma grid needs gamma-min < gamma-max")
-        if not (0 <= self.gamma_min < math.inf and 0 <= self.gamma_max < math.inf):
-            raise ValueError("gains must be finite and >= 0")
         if not 0.0 <= self.eta_min < self.eta_max <= 1.0:
             raise ValueError("eta window must satisfy 0 <= min < max <= 1")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        _count("n", self.n, 1, _MAX_BEAMS)
 
     def grid(self) -> list[float]:
         if self.steps == 1:
@@ -238,8 +234,13 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # raised, so main reports it as any error
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="brightghz",
         description=(
             "Photon statistics and non-classicality curves of bright "

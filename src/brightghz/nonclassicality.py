@@ -66,20 +66,14 @@ sweep's direction, when it is first read.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from brightghz.series_core import _count, _real
-from brightghz.state import (
-    DEFAULT_POLICY,
-    BGHZState,
-    NumericPolicy,
-    _given_state,
-    build_bghz,
-)
+from brightghz.series_core import _count, _real, _shown, _typed
+from brightghz.state import DEFAULT_POLICY, BGHZState, NumericPolicy, _state_at
 from brightghz.stokes import _form_terms
 
 __all__ = [
@@ -183,7 +177,7 @@ def mermin_lhs(
     state: BGHZState | None = None,
 ) -> float:
     """Mermin-like LHS with primed operators, scaled by the retained mass."""
-    state = build_bghz(gamma, policy) if state is None else _given_state(state)
+    state = _state_at(gamma, policy, state)
     return (1.0 - state.norm_residual) * abs(float(_form_terms(state, _MERMIN_FORM).sum()))
 
 
@@ -201,7 +195,7 @@ def evaluate_mermin(
     Both carry the same retained-mass scale.  The closed form holds only on
     exchange-symmetric boxes, A[q, m] = A[m, q], like every bright state.
     """
-    state = build_bghz(gamma, policy) if state is None else _given_state(state)
+    state = _state_at(gamma, policy, state)
     lhs = mermin_lhs(gamma, policy, state)
     t = state._closed_form_t
     reduced = (1.0 - state.norm_residual) * abs(4.0 * t + 2.0 * state._vacuum_probability)
@@ -232,15 +226,10 @@ def find_crossing(fn, level, lo, hi, tol=1e-3):
     endpoint or a step raises ValueError: NaN sits on neither side of the
     level, so no bracket survives it.
     """
-    if not math.isfinite(_real(level)):
-        raise ValueError(f"level must be a finite real, got {level!r}")
-    if not 0 < _real(tol) < math.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    level, tol = _real("level", level), _real("tol", tol, 0)
+    lo, hi = _real("lo", lo), _real("hi", hi)
     if not lo < hi:
         raise ValueError(f"bracket needs lo < hi, got lo={lo}, hi={hi}")
-    if not (math.isfinite(_real(lo)) and math.isfinite(_real(hi))):
-        raise ValueError(f"bracket ends must be finite, got lo={lo}, hi={hi}")
-    lo, hi, tol, level = _real(lo), _real(hi), _real(tol), _real(level)
 
     def offset(x):
         value = fn(x)
@@ -310,27 +299,19 @@ def gamma_threshold(
     gamma_max; raises "no crossing" otherwise (e.g. on a range that ends
     while the inequality is still violated).  The default gamma_max lies
     past the crossing near 0.77, inside the 0.9 guard, so it does not warn.
+    policy, the gains (reals in [0, inf)) and tol are checked before any work.
     """
-    return find_crossing(
-        lambda g: mermin_lhs(g, policy), CLASSICAL_BOUND, gamma_min, gamma_max, tol
-    )
+    policy = _typed("policy", policy, NumericPolicy)
+    lo = _real("gamma_min", gamma_min, 0, closed="[)")
+    hi = _real("gamma_max", gamma_max, 0, closed="[)")
+    return find_crossing(lambda g: mermin_lhs(g, policy), CLASSICAL_BOUND, lo, hi, tol)
 
 
 # bench/tracing.py reads len(_LOSS_TABLES); ROADMAP item 12 removes that read and this dict
 _LOSS_TABLES: dict = {}
 
 
-def _loss(eta: float) -> float:
-    """c = 1 - eta, so that beta_k = c^k is the chance that all k photons are lost.
-
-    eta may be a real of any type, converted once (_real), so every
-    efficiency thins as its float.  eta outside [0, 1], NaN included,
-    raises ValueError.
-    """
-    value = _real(eta)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
-    return 1.0 - value
+_MAX_PHOTONS = 2**53
 
 
 def per_party_loss_factor(k_a: int, k_b: int, eta: float) -> float:
@@ -339,13 +320,12 @@ def per_party_loss_factor(k_a: int, k_b: int, eta: float) -> float:
     Each photon survives independently with probability eta; surviving
     counts answer their count asymmetry, losing everything answers -1.
     That is alpha_k (k_a - k_b)/k - beta_k on k = k_a + k_b > 0 photons,
-    and -1 on none.  Counts must be non-negative integers.
+    and -1 on none.  Counts are integers in [0, 2**53] (_MAX_PHOTONS), the
+    floats' exact integers, and eta a real in [0, 1], converted once (_real).
     """
-    k_a, k_b = _count("k_a", k_a), _count("k_b", k_b)
-    if k_a < 0 or k_b < 0:
-        raise ValueError("photon counts must be non-negative")
+    k_a, k_b = _count("k_a", k_a, 0, _MAX_PHOTONS), _count("k_b", k_b, 0, _MAX_PHOTONS)
     k = k_a + k_b
-    beta = _loss(eta) ** k
+    beta = (1.0 - _real("eta", eta, 0, 1, "[]")) ** k
     return (1.0 - beta) * (k_a - k_b) / k - beta if k else -1.0
 
 
@@ -389,10 +369,10 @@ def lossy_mermin_lhs(
     The closed form over the lossless per-shell Mermin terms and shell
     masses given in the module docstring.  Reported in the
     untruncated-state normalization; at eta = 1 it equals mermin_lhs
-    exactly.
+    exactly.  eta is a real in [0, 1], converted once (_real).
     """
-    state = build_bghz(gamma, policy) if state is None else _given_state(state)
-    return _lossy_at(_lossy_lhs(state), _loss(eta))[0]
+    c = 1.0 - _real("eta", eta, 0, 1, "[]")
+    return _lossy_at(_lossy_lhs(_state_at(gamma, policy, state)), c)[0]
 
 
 class _NotViolated(ValueError):
@@ -418,14 +398,13 @@ def eta_threshold(
     at 0.075, where the LHS is flattest), so within tol / 2; tol is only
     checked.  The state's own truncation error is not included.
     """
-    state = build_bghz(gamma, policy) if state is None else _given_state(state)
+    _real("tol", tol, 0)
+    state = _state_at(gamma, policy, state)
     lossy = _lossy_lhs(state)
     value, slope = _lossy_at(lossy, 0.0)
     if value <= CLASSICAL_BOUND:
         raise _NotViolated(f"not violated at eta=1 (gamma={state.gamma})")
-    if not 0 < _real(tol) < math.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    lo, hi = 0.0, _loss(1e-6)
+    lo, hi = 0.0, 1.0 - 1e-6
     end = _lossy_at(lossy, hi)[0]
     if end > CLASSICAL_BOUND:
         raise ValueError(f"no crossing: the LHS is {value} at eta=1 and {end} at eta=1e-6")
@@ -446,7 +425,7 @@ def eta_threshold(
 def _projected(projected) -> bool:
     """projected as a bool; ValueError naming it unless it is a bool or a NumPy bool."""
     if not isinstance(projected, (bool, np.bool_)):
-        raise ValueError(f"projected must be a bool, got {projected!r}")
+        raise ValueError(f"projected must be a bool, got {_shown(projected)}")
     return bool(projected)
 
 
@@ -463,10 +442,7 @@ def witness_w1(
     reaching -1.  projected, a bool, evaluates on the vacuum-removed
     state.  The five terms are one form, so one moment pass.
     """
-    projected = _projected(projected)
-    state = build_bghz(gamma, policy) if state is None else _given_state(state)
-    if projected:
-        state = state._vacuum_projected
+    state = _state_at(gamma, policy, state, _projected(projected))
     return float(_form_terms(state, _W1_FORM).sum())
 
 
@@ -486,10 +462,7 @@ def evaluate_w2(
     difference.  Negative value flags entanglement (separable bound 0).
     projected, a bool, evaluates on the vacuum-removed state.
     """
-    projected = _projected(projected)
-    state = build_bghz(gamma, policy) if state is None else _given_state(state)
-    if projected:
-        state = state._vacuum_projected
+    state = _state_at(gamma, policy, state, _projected(projected))
     value = float(_form_terms(state, _W2_FORM).sum())
     closed = -4.0 * state._closed_form_t + 1.0 - state._vacuum_probability
     return WitnessEvaluation(
@@ -517,14 +490,12 @@ def _sweep(gammas, evaluate, level=None, rising=False) -> SweepResult:
     The threshold search reads evaluate(g)[0], the value the grid points carry.
     A point that raises RuntimeError (ResummationError included) or
     ValueError becomes NaN marked failed, and NaN brackets nothing.  The
-    grid must be reals (_real: no bool or string), finite, non-negative
-    and strictly increasing; it is checked before the first evaluation.
+    grid must be an iterable of reals in [0, inf) (_real: no bool or
+    string), strictly increasing; it is checked before the first evaluation.
     """
-    gammas = tuple(map(_real, gammas))
-    if not all(0 <= g < math.inf for g in gammas):
-        raise ValueError("gains must be finite and >= 0")
+    gammas = tuple(_real("gammas", g, 0, closed="[)") for g in _typed("gammas", gammas, Iterable))
     if any(b <= a for a, b in zip(gammas, gammas[1:])):
-        raise ValueError("gains must be strictly increasing")
+        raise ValueError("gammas must be strictly increasing")
     values, diagnostics = [], []
     for g in gammas:
         try:
@@ -584,10 +555,8 @@ def witness_sweep(
 ) -> SweepResult:
     """w1 or w2 over a gain grid; the threshold is where the witness rises
     through 0 and loses its negativity; projected must be a bool."""
-    which = _count("which", which)
+    which = _count("which", which, 1, 2)
     projected = _projected(projected)
-    if which not in (1, 2):
-        raise ValueError(f"witness index must be 1 or 2, got {which}")
 
     def evaluate(g):
         if which == 1:

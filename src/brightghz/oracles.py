@@ -20,17 +20,13 @@ from brightghz.series_core import _count
 
 def coherent_pk(gamma: float, k: int) -> float:
     """Poisson weight exp(-G^2) G^(2k) / k! of a coherent state with mean G^2."""
-    k = _count("k", k)
-    if k < 0:
-        raise ValueError(f"photon number must be >= 0, got {k}")
+    k = _count("k", k, 0)
     lam = gamma * gamma
     return math.exp(-lam) * lam**k / math.factorial(k)
 
 
 def squeezed_pk(gamma: float, k: int) -> float:
     """Geometric weight (1 - tanh^2 G) tanh^(2k) G of two-mode squeezed vacuum."""
-    k = _count("k", k)
-    if k < 0:
-        raise ValueError(f"photon number must be >= 0, got {k}")
+    k = _count("k", k, 0)
     t = math.tanh(gamma) ** 2
     return (1.0 - t) * t**k

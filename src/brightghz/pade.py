@@ -77,7 +77,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from brightghz.series_core import _count, _real
+from brightghz.series_core import _count, _real, _typed
 
 __all__ = [
     "ResummationResult",
@@ -453,19 +453,23 @@ def _agrees(f: float, g: float, tol: float) -> bool | None:
     return None
 
 
-def _exact(x, name: str = "x") -> tuple[int, int]:
-    """The real x exactly, as a ratio of Python ints in lowest terms; ValueError naming it
-    unless finite.
+def _exact(x, name: str = "x", low: float = -math.inf) -> tuple[int, int]:
+    """The real x exactly, as a ratio of Python ints in lowest terms;
+    ValueError naming it unless it is a real, a bool being none, and finite
+    or rational, or, given a finite low, a float-range real above low (_real).
 
-    Fraction(x) would keep a NumPy integer as its numerator, which then
-    overflows in the fixed-point walk, and rejects every NumPy float but
-    float64.  A float of any width, and a Decimal, gives its exact ratio
-    without forming a Fraction.
+    Without low a rational has no float range to leave: an Euler series
+    passes the float maximum at c_171 (a tol, given low, also enters the
+    walk as a float).  Fraction(x) would keep a NumPy integer as its
+    numerator, which then overflows in the fixed-point walk, and rejects
+    every NumPy float but float64.  A float of any width, and a Decimal,
+    gives its exact ratio without forming a Fraction.
     """
-    if isinstance(x, numbers.Rational):
+    rational = isinstance(x, numbers.Rational) and not isinstance(x, bool)
+    if not rational or low > -math.inf:
+        _real(name, x, low)
+    if rational:
         return int(x.numerator), int(x.denominator)
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {x}")
     ratio = getattr(x, "as_integer_ratio", None)
     return tuple(map(int, ratio())) if ratio is not None else Fraction(x).as_integer_ratio()
 
@@ -494,7 +498,8 @@ class DiagonalResummer:
     """
 
     def __init__(self, series: Sequence):
-        self._hold(tuple(_exact(c, f"series coefficient c_{j}") for j, c in enumerate(series)))
+        series = enumerate(_typed("series", series, Iterable))
+        self._hold(tuple(_exact(c, f"series coefficient c_{j}") for j, c in series))
 
     @classmethod
     def _from_pairs(cls, pairs: Sequence[tuple[int, int]]) -> DiagonalResummer:
@@ -703,37 +708,20 @@ class DiagonalResummer:
         ends the walk unconverged.  At x = 0 (c_0 alone) or on a series that
         terminates by order max_order, the polynomial is summed exactly and
         rounded once instead: converged, with one diagnostic.  ValueError
-        for a max_order below 1 or bits outside [64, 65536] (_MAX_BITS),
-        either not an integer, fewer than 2 max_order + 1 coefficients, or
-        a point or tol that is not a finite real (tol > 0);
-        PoleProximityError if no order has a value.
+        naming it for a max_order outside [1, (len(series) - 1) // 2] or bits
+        outside [64, 65536] (_MAX_BITS), either not an integer, or a point
+        or tol that is not a real, finite or rational (tol a float-range
+        real > 0); PoleProximityError if no order has a value.
         """
-        # Python int counts, a Fraction point and a float tol, as state
-        # passes them, skip _count and _exact
-        if type(max_order) is not int or type(bits) is not int:
-            max_order, bits = _count("max_order", max_order), _count("bits", bits)
-        if max_order < 1:
-            raise ValueError(f"max_order must be >= 1, got {max_order}")
+        max_order = _count("max_order", max_order, 1, (len(self._pairs) - 1) // 2)
         # the walk's error argument needs 2**-bits small; NumericPolicy's bounds
-        if bits < 64:
-            raise ValueError(f"bits must be >= 64, got {bits}")
-        if bits > _MAX_BITS:
-            raise ValueError(f"bits must be <= {_MAX_BITS}, got {bits}")
-        need = 2 * max_order + 1
-        if len(self._pairs) < need:
-            raise ValueError(
-                f"diagonal order {max_order} needs {need} coefficients, got {len(self._pairs)}"
-            )
-        num, den = point = (
-            (int(x.numerator), int(x.denominator)) if type(x) is Fraction else _exact(x)
-        )
-        if not 0 < _real(tol) < math.inf:
-            raise ValueError(f"tol must be finite and > 0, got {tol}")
-        ratio = tol.as_integer_ratio() if type(tol) is float else _exact(tol)
+        bits = _count("bits", bits, 64, _MAX_BITS)
+        num, den = point = _exact(x)
+        ratio = _exact(tol, "tol", 0)
 
         # the degree of the polynomial the coefficients used form, -1 when all
         # vanish; from the end, as an emission series' last one is nonzero
-        degree = need - 1
+        degree = 2 * max_order
         while degree >= 0 and not self._pairs[degree][0]:
             degree -= 1
         if not num or degree <= max_order:

@@ -56,7 +56,7 @@ from brightghz.pade import (
     _float,
     _rounded,
 )
-from brightghz.series_core import _count, _real, _series_pairs
+from brightghz.series_core import _MAX_BEAMS, _MAX_ROW, _count, _real, _series_pairs, _typed
 
 __all__ = [
     "CUTOFF_CAP",
@@ -86,18 +86,13 @@ SOFT_AGREEMENT = 1e-3
 # Gain from which three-beam statistics, and with them the bright state,
 # stop converging; at or past it the builders warn.
 GAMMA_GUARD = 0.9
-
-
-def _gain(value) -> float:
-    """value as a float; ValueError unless it is a finite real >= 0.
-
-    Any real type is accepted and converted once (_real), so every gain
-    walks the point of its float.
-    """
-    gamma = _real(value)
-    if not 0 <= gamma < inf:
-        raise ValueError(f"gain must be finite and >= 0, got {value}")
-    return gamma
+# The ceilings of a policy's pade_order and pinned cutoff: a build reads
+# rows through cutoff + 4 max(pade_order, 40), within series_core's _MAX_ROW.
+_MAX_PADE_ORDER = 100
+_MAX_CUTOFF = _MAX_ROW - 4 * _MAX_PADE_ORDER
+# The most bits of a deep policy, one past pade_order 40 or CUTOFF_CAP: with
+# 65536 bits, an order-100 ladder took minutes; bits buy it no depth past 768.
+_MAX_DEEP_BITS = 768
 
 
 class ResummationError(RuntimeError):
@@ -123,8 +118,17 @@ class NumericPolicy:
     bits up to 256 and pade_order up to 40 reads the shipped tables, below
     256 bits coarsened, each coefficient charged the error it has; so the
     walk's error bound on the three-beam walks keeps about 88 bits of margin
-    past 2**-(bits + 4) at 128 bits, against about 35 at 256 bits.  bits
-    lies in [64, 65536] (pade._MAX_BITS, where the walk's shifts overflow).
+    past 2**-(bits + 4) at 128 bits, against about 35 at 256 bits.  bits buy
+    no ladder depth past the walk's headroom, which moves with them: at gain
+    0.77 and pade_order 100 the k = 46 and 48 ladders fail at orders 97 and
+    93 at 768, 1024 and 2048 bits alike.  ValueError names a field unless
+    pade_order lies in [2, 100] (_MAX_PADE_ORDER), tol in (0, SOFT_AGREEMENT),
+    cutoff, unless None, in [0, 200] (_MAX_CUTOFF) and bits in [64, 65536]
+    (pade._MAX_BITS), or in [64, 768] (_MAX_DEEP_BITS) for a deep policy,
+    one with pade_order past 40 or cutoff past CUTOFF_CAP; each count is an
+    integer.  Cold on a 2-core VM, a deep policy at its ceilings builds in
+    4 s or less (gains 0.1 to 0.77), but 65536 bits at order 40 in 634 s
+    (gain 0.77).
     """
 
     pade_order: int = 40
@@ -133,39 +137,29 @@ class NumericPolicy:
     cutoff: int | None = None
 
     def __post_init__(self):
-        for name in ("pade_order", "bits", "cutoff"):
-            value = getattr(self, name)
-            if not (name == "cutoff" and value is None):
-                object.__setattr__(self, name, _count(name, value))
-        if self.pade_order < 2:
-            raise ValueError(f"pade_order must be >= 2, got {self.pade_order}")
-        if not 0 < _real(self.tol) < SOFT_AGREEMENT:
-            raise ValueError(
-                f"tol must be > 0 and below the soft level {SOFT_AGREEMENT}, got {self.tol}"
-            )
-        if self.bits < 64:
-            raise ValueError(f"bits must be >= 64, got {self.bits}")
-        if self.bits > _MAX_BITS:
-            raise ValueError(f"bits must be <= {_MAX_BITS}, got {self.bits}")
-        if self.cutoff is not None and self.cutoff < 0:
-            raise ValueError(f"cutoff must be >= 0, got {self.cutoff}")
+        order = _count("pade_order", self.pade_order, 2, _MAX_PADE_ORDER)
+        cutoff = None if self.cutoff is None else _count("cutoff", self.cutoff, 0, _MAX_CUTOFF)
+        deep = order > 40 or cutoff is not None and cutoff > CUTOFF_CAP
+        bits = _count("bits", self.bits, 64, _MAX_DEEP_BITS if deep else _MAX_BITS)
+        for name, value in ("pade_order", order), ("bits", bits), ("cutoff", cutoff):
+            object.__setattr__(self, name, value)
+        _real("tol", self.tol, 0, SOFT_AGREEMENT)
 
 
 DEFAULT_POLICY = NumericPolicy()
 
 
-def _policy(policy) -> NumericPolicy:
-    """policy itself; TypeError unless it is a NumericPolicy."""
-    if not isinstance(policy, NumericPolicy):
-        raise TypeError(f"policy must be a NumericPolicy, got {type(policy).__name__}")
-    return policy
-
-
-def _given_state(state) -> BGHZState:
-    """state itself; TypeError unless it is a BGHZState."""
-    if not isinstance(state, BGHZState):
-        raise TypeError(f"unsupported state type {type(state).__name__}")
-    return state
+def _state_at(gamma, policy, state, projected: bool = False) -> BGHZState:
+    """build_bghz(gamma, policy) if state is None, else state, which must be
+    a BGHZState, with gamma and policy checked beside it as build_bghz does;
+    its vacuum-removed twin (_vacuum_projected) when projected."""
+    if state is None:
+        state = build_bghz(gamma, policy)
+    else:
+        _real("gamma", gamma, 0, closed="[)")
+        _typed("policy", policy, NumericPolicy)
+        _typed("state", state, BGHZState)
+    return state._vacuum_projected if projected else state
 
 
 @dataclass(frozen=True)
@@ -181,11 +175,9 @@ class BrightStateSpec:
     policy: NumericPolicy = DEFAULT_POLICY
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _count("n", self.n))
-        if self.n < 1:
-            raise ValueError(f"beam count n must be >= 1, got {self.n}")
-        object.__setattr__(self, "gamma", _gain(self.gamma))
-        _policy(self.policy)
+        object.__setattr__(self, "n", _count("n", self.n, 1, _MAX_BEAMS))
+        object.__setattr__(self, "gamma", _real("gamma", self.gamma, 0, closed="[)"))
+        _typed("policy", self.policy, NumericPolicy)
 
     @property
     def validity_warning(self) -> bool:
@@ -448,14 +440,14 @@ def _series_value(n: int, k: int, gamma: float, policy: NumericPolicy, u=None) -
 def resummed_coefficient(
     n: int, k: int, gamma: float, policy: NumericPolicy = DEFAULT_POLICY
 ) -> complex:
-    """Emission coefficient C_k = (i*gamma)**k times the resummed series value."""
-    n, k = _count("n", n), _count("k", k)
-    if n < 1:
-        raise ValueError(f"beam count n must be >= 1, got {n}")
-    if k < 0:
-        raise ValueError(f"tuple number k must be >= 0, got {k}")
-    gamma = _gain(gamma)
-    sm, se = _series_value(n, k, gamma, _policy(policy))
+    """Emission coefficient C_k = (i*gamma)**k times the resummed series value.
+
+    n is an integer in [1, 16] (_MAX_BEAMS), k one in [0, 200] (_MAX_CUTOFF,
+    the deepest pinned cutoff) and gamma a real in [0, inf).
+    """
+    n, k = _count("n", n, 1, _MAX_BEAMS), _count("k", k, 0, _MAX_CUTOFF)
+    gamma = _real("gamma", gamma, 0, closed="[)")
+    sm, se = _series_value(n, k, gamma, _typed("policy", policy, NumericPolicy))
     m, e = _dyadic(gamma)
     # the phase i**k as a sign and a part, so each zero part is +0.0
     v = _float((-1) ** (k // 2) * m**k * sm, k * e + se)
@@ -594,9 +586,7 @@ def photon_distribution(spec: BrightStateSpec) -> TripleDistribution:
     reads too; the total is their mass plus the tail.  TypeError unless
     spec is a BrightStateSpec.
     """
-    if not isinstance(spec, BrightStateSpec):
-        raise TypeError(f"spec must be a BrightStateSpec, got {type(spec).__name__}")
-    if spec.validity_warning:
+    if _typed("spec", spec, BrightStateSpec).validity_warning:
         warnings.warn(
             f"gain {spec.gamma} is at or past the n={spec.n} validity boundary;"
             " photon statistics may not converge",
@@ -641,7 +631,7 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
     (_root); the box is their outer product.  The state is memoized per
     gain and policy, so a warm call returns the same frozen state.
     """
-    gamma, policy = _gain(gamma), _policy(policy)
+    gamma, policy = _real("gamma", gamma, 0, closed="[)"), _typed("policy", policy, NumericPolicy)
     if gamma >= GAMMA_GUARD:
         warnings.warn(
             f"gain {gamma} is at or past the guard {GAMMA_GUARD};"
@@ -688,7 +678,7 @@ def project_out_vacuum(state: BGHZState) -> BGHZState:
     the projected state, whose amps has no (0, 0) key.  TypeError unless
     state is a BGHZState.
     """
-    box = _given_state(state)._box.copy()
+    box = _typed("state", state, BGHZState)._box.copy()
     box[0, 0] = 0.0
     total = fsum((np.abs(box) ** 2).ravel().tolist())
     if total <= 0:

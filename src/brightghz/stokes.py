@@ -58,6 +58,7 @@ constants in nonclassicality.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,9 +68,9 @@ from brightghz.state import (
     DEFAULT_POLICY,
     BGHZState,
     NumericPolicy,
-    _given_state,
-    build_bghz,
+    _state_at,
 )
+from brightghz.series_core import _shown, _typed
 
 __all__ = [
     "CorrelationTensor",
@@ -164,15 +165,11 @@ def _form_terms(state: BGHZState, form: tuple) -> np.ndarray:
 
 
 def _validate_selectors(ops) -> tuple[str, str, str]:
-    ops = tuple(ops)
-    if len(ops) != 3:
-        raise ValueError(f"need one selector per party, got {len(ops)}")
-    for op in ops:
-        if op not in _SELECTORS:
-            raise ValueError(
-                f"unknown selector {op!r}; valid: {sorted(_SELECTORS)}"
-            )
-    return ops
+    """ops as a tuple; ValueError naming it unless it is three selectors, one per party."""
+    triple = tuple(_typed("ops", ops, Iterable))
+    if len(triple) != 3 or not all(isinstance(op, str) and op in _SELECTORS for op in triple):
+        raise ValueError(f"ops must be three of {sorted(_SELECTORS)}, got {_shown(ops)}")
+    return triple
 
 
 def stokes_expectation(state, ops) -> float:
@@ -184,7 +181,7 @@ def stokes_expectation(state, ops) -> float:
     marginals).  state must be a BGHZState.
     """
     ops = _validate_selectors(ops)
-    return float(_form_terms(_given_state(state), ((1.0, 1.0, ops),)).sum())
+    return float(_form_terms(_typed("state", state, BGHZState), ((1.0, 1.0, ops),)).sum())
 
 
 @dataclass(frozen=True)
@@ -216,7 +213,7 @@ def tensor_t(
     and cross-checks t against the generic evaluation of <S1 S1 S1>.  A provided state must be
     exchange-symmetric, A[q, m] = A[m, q], for t to be its T_111.
     """
-    state = build_bghz(gamma, policy) if state is None else _given_state(state)
+    state = _state_at(gamma, policy, state)
     t = state._closed_form_t
     generic = stokes_expectation(state, ("S1", "S1", "S1"))
     elements = dict.fromkeys(itertools.product((1, 2, 3), repeat=3), 0.0)

@@ -6,6 +6,7 @@ import itertools
 import math
 import subprocess
 import sys
+import time
 import warnings
 from types import SimpleNamespace
 
@@ -166,6 +167,39 @@ def test_invalid_config_exits_hard(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--cmd", "table1", "--steps", "x"], "--steps"),
+        (["--cmd", "nope"], "--cmd"),
+        (["--steps", "3"], "--cmd"),
+        (["--cmd", "table1", "--bogus"], "--bogus"),
+    ],
+)
+def test_a_malformed_command_line_exits_1_naming_the_argument(argv, named, capsys):
+    # argparse printed its usage and raised SystemExit(2), the code of a run
+    # that only warned, where an invalid configuration exits 1
+    assert main(argv) == EXIT_HARD
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit:
+        main(["--help"])
+    assert exit.value.code == EXIT_OK
+    assert "--cmd" in capsys.readouterr().out
+
+
+def test_a_cutoff_past_the_ceiling_exits_1_at_once(capsys):
+    # the policy took it, and the cutoff loop ran toward 10**11 photons
+    start = time.perf_counter()
+    assert main(["--cmd", "table1", "--cutoff", "100000000000"]) == EXIT_HARD
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err.startswith("error: cutoff must be <= 200")
+
+
 def test_failed_bisection_aborts_without_csv(tmp_path, monkeypatch, capsys):
     # the grid brackets the crossing in (0.75, 0.8); every LHS evaluation
     # inside that bracket fails, so no threshold line can be written
@@ -286,16 +320,13 @@ def test_reused_parser_keeps_no_state_between_calls(capsys):
     ]
     codes = []
     for argv in runs:
-        try:
-            codes.append(main(argv))
-        except SystemExit as exit:
-            codes.append(exit.code)
+        codes.append(main(argv))
         out, err = capsys.readouterr()
         fresh = subprocess.run(
             [sys.executable, "-m", "brightghz.cli", *argv], capture_output=True, text=True
         )
         assert (codes[-1], out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
-    assert codes[-3:] == [EXIT_OK, 2, EXIT_OK]
+    assert codes[-3:] == [EXIT_OK, EXIT_HARD, EXIT_OK]
 
 
 def test_failed_point_says_which_gain_and_why(tmp_path, capsys):

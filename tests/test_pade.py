@@ -889,21 +889,48 @@ EULER = [Fraction((-1) ** j * factorial(j)) for j in range(25)]
     "x", [float("inf"), float("-inf"), float("nan"), mpmath.inf, mpmath.nan]
 )
 def test_non_finite_point_rejected(x):
-    with pytest.raises(ValueError, match="x must be finite"):
+    with pytest.raises(ValueError, match=re.escape("x must lie in (-inf, inf)")):
         diagonal_resum(EULER, x, max_order=12)
 
 
 @pytest.mark.parametrize("c", [float("nan"), float("inf"), mpmath.nan])
 def test_non_finite_coefficient_is_named(c):
     # the error names the coefficient and its index, not the point
-    message = r"^series coefficient c_1 must be finite, got (nan|inf)$"
+    message = r"^series coefficient c_1 must lie in \(-inf, inf\), got (nan|inf|mpf\('nan'\))$"
     with pytest.raises(ValueError, match=message):
         DiagonalResummer([1.0, c, 1.0])
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_], ids=repr)
+def test_a_bool_is_neither_a_point_nor_a_coefficient(flag):
+    # diagonal_resum([True, ...], x) and diagonal_resum(series, True) ran, at
+    # 1 or 0, where a bool tol was rejected
+    message = f"x must lie in (-inf, inf), got {flag!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        diagonal_resum(EULER, flag, max_order=12)
+    message = f"series coefficient c_0 must lie in (-inf, inf), got {flag!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        diagonal_resum([flag, 1.0, 1.0], 0.1, max_order=1)
+
+
+def test_rationals_past_the_float_maximum_are_taken_exactly():
+    # an exact rational has no float range to leave: the Euler series passes
+    # the float maximum at c_171, and a coefficient or point may be 10**400
+    euler = [Fraction((-1) ** j * factorial(j)) for j in range(201)]
+    deep = diagonal_resum(euler, 0.001, max_order=100)
+    assert deep.value == diagonal_resum(euler[:81], 0.001, max_order=40).value
+    huge = diagonal_resum([1, Fraction(10**400), 10**400], 0, max_order=1)
+    assert huge.value == 1 and huge.converged
+    far = diagonal_resum([1, 1, 0], Fraction(10**400), max_order=1).value
+    assert abs(far / (1 + 10**400) - 1) < Fraction(1, 2**128)
+    # a tol enters the walk as a float too, so it keeps the float range
+    with pytest.raises(ValueError, match=re.escape("tol must lie in (0, inf)")):
+        diagonal_resum(euler, 0.2, max_order=12, tol=Fraction(10**400))
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
 def test_tol_must_be_finite_and_positive(tol):
-    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+    with pytest.raises(ValueError, match=re.escape("tol must lie in (0, inf)")):
         diagonal_resum(EULER, 0.2, max_order=12, tol=tol)
 
 
@@ -914,9 +941,9 @@ def test_tol_must_be_finite_and_positive(tol):
 )
 def test_nan_tol_of_any_type_is_rejected(tol):
     # a Decimal NaN raised decimal.InvalidOperation from the range check
-    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+    with pytest.raises(ValueError, match=re.escape("tol must lie in (0, inf)")):
         diagonal_resum(EULER, 0.2, max_order=12, tol=tol)
-    with pytest.raises(ValueError, match="tol must be > 0"):
+    with pytest.raises(ValueError, match=re.escape("tol must lie in (0, 0.001)")):
         NumericPolicy(tol=tol)
 
 
@@ -943,7 +970,8 @@ def test_bits_past_the_ceiling_are_rejected(bits):
     # 10**400 raised OverflowError ("too many digits in integer") from the
     # walk's first shift, and 2**64 MemoryError; the x = 0 path takes the
     # same bound
-    message = f"bits must be <= 65536, got {bits}"
+    shown = str(bits) if bits.bit_length() <= 64 else f"an integer of {bits.bit_length()} bits"
+    message = f"bits must be <= 65536, got {shown}"
     with pytest.raises(ValueError, match=re.escape(message)):
         diagonal_resum([1.0] * 81, 0.1, bits=bits)
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -16,13 +16,16 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 import brightghz.state as state_module
+import brightghz.stokes as stokes_module
 from brightghz.nonclassicality import (
     _MERMIN_FORM,
+    evaluate_w2,
     find_crossing,
     lossy_mermin_lhs,
     mermin_lhs,
     mermin_sweep,
     per_party_loss_factor,
+    witness_w1,
 )
 from brightghz.oracles import coherent_pk, squeezed_pk
 from brightghz.pade import DiagonalResummer, ResummationResult, _fraction
@@ -38,7 +41,7 @@ from brightghz.state import (
     project_out_vacuum,
     resummed_coefficient,
 )
-from brightghz.stokes import _form_terms
+from brightghz.stokes import _form_terms, stokes_expectation, tensor_t
 from references import (
     _omitted,
     exact_distribution,
@@ -79,11 +82,11 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("gamma", [-0.1, float("nan"), float("inf"), Decimal("NaN")])
 def test_gain_must_be_finite_and_non_negative(gamma):
-    with pytest.raises(ValueError, match="finite and >= 0"):
+    with pytest.raises(ValueError, match=re.escape("gamma must lie in [0, inf)")):
         BrightStateSpec(n=3, gamma=gamma)
-    with pytest.raises(ValueError, match="finite and >= 0"):
+    with pytest.raises(ValueError, match=re.escape("gamma must lie in [0, inf)")):
         build_bghz(gamma)
-    with pytest.raises(ValueError, match="finite and >= 0"):
+    with pytest.raises(ValueError, match=re.escape("gamma must lie in [0, inf)")):
         resummed_coefficient(3, 2, gamma)
 
 
@@ -274,7 +277,7 @@ def test_spec_and_state_arguments_must_have_their_type(value):
     name = type(value).__name__
     with pytest.raises(TypeError, match=re.escape(f"spec must be a BrightStateSpec, got {name}")):
         photon_distribution(value)
-    with pytest.raises(TypeError, match=re.escape(f"unsupported state type {name}")):
+    with pytest.raises(TypeError, match=re.escape(f"state must be a BGHZState, got {name}")):
         project_out_vacuum(value)
 
 
@@ -284,9 +287,21 @@ def test_spec_and_state_arguments_must_have_their_type(value):
 def test_bits_past_the_ceiling_are_rejected(bits):
     # 10**400 raised OverflowError ("too many digits in integer") from the
     # walk's first shift, at every gain that walks instead of reading a table
-    with pytest.raises(ValueError, match=re.escape(f"bits must be <= 65536, got {bits}")):
+    shown = str(bits) if bits.bit_length() <= 64 else f"an integer of {bits.bit_length()} bits"
+    with pytest.raises(ValueError, match=re.escape(f"bits must be <= 65536, got {shown}")):
         NumericPolicy(bits=bits)
     assert NumericPolicy(bits=65536).bits == 65536
+
+
+@pytest.mark.parametrize("deep", [{"pade_order": 41}, {"cutoff": CUTOFF_CAP + 1}], ids=repr)
+def test_a_deep_policy_takes_fewer_bits(deep):
+    # order 100, cutoff 200 and 65536 bits were each admitted alone, and
+    # together ran for minutes a ladder
+    assert NumericPolicy(**deep, bits=768).bits == 768
+    with pytest.raises(ValueError, match=re.escape("bits must be <= 768, got 769")):
+        NumericPolicy(**deep, bits=769)
+    assert NumericPolicy(pade_order=100, cutoff=200, bits=768).bits == 768
+    assert NumericPolicy(pade_order=40, cutoff=CUTOFF_CAP, bits=65536).bits == 65536
 
 
 def test_counts_accept_numpy_integers():
@@ -337,7 +352,7 @@ def test_closed_forms_take_only_photon_counts(oracle):
     for k in (2.5, 2.0, True, "2"):
         with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):
             oracle(0.5, k)
-    with pytest.raises(ValueError, match="photon number must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="k must be >= 0, got -1"):
         oracle(0.5, -1)
     assert oracle(0.5, np.int64(2)) == oracle(0.5, 2)
 
@@ -948,23 +963,52 @@ def test_mermin_terms_are_bounded_by_the_shell_masses(gamma, policy):
 
 
 def _outcome(call):
-    """call()'s result as bits (float hex, array bytes), or its ResummationError."""
+    """call()'s result as bits (float hex, array bytes, a float's repr, which
+    round-trips), or its ResummationError or ValueError."""
     try:
         got = call()
     except ResummationError as err:
         return "error", str(err), err.order_reached
+    except ValueError as err:  # projecting a state that holds vacuum only
+        return "error", str(err)
     if isinstance(got, BGHZState):
         moments = tuple(m.tobytes() for m in got._moments)
         return got.cutoff, got.norm_residual.hex(), got._box.tobytes(), moments
+    if not hasattr(got, "probs"):
+        return repr(got)
     mean = None if got.mean is None else got.mean.hex()
     probs = tuple(p.hex() for p in got.probs)
     return got.n, got.gamma.hex(), probs, got.tail_bound.hex(), mean, got.diverged
 
 
+# A kernel at (gamma, policy) as a run calls it, building the state through
+# the memos and projecting through the state's own memo; cold, on a state
+# built by the patched builders and projected by hand (project_out_vacuum),
+# so that a projection memo keyed by less than its state shows.
+def _kernel(name, gamma, policy, eta, cold=False):
+    state, projected = None, name.endswith("projected")
+    if cold:
+        state = build_bghz(gamma, policy)
+        if projected:
+            state, projected = project_out_vacuum(state), False
+    if name.startswith("w1"):
+        return witness_w1(gamma, projected, policy, state)
+    if name.startswith("w2"):
+        return evaluate_w2(gamma, projected, policy, state)
+    if name == "stokes":
+        state = build_bghz(gamma, policy) if state is None else state
+        return stokes_expectation(state, ("S1p", "S2", "S3"))
+    kernel = {"mermin": mermin_lhs, "tensor": tensor_t}.get(name)
+    return kernel(gamma, policy, state) if kernel else lossy_mermin_lhs(gamma, eta, policy, state)
+
+
+_KERNELS = ("mermin", "lossy", "w1", "w1 projected", "w2", "w2 projected", "tensor", "stokes")
+
+
 @st.composite
 def _memo_runs(draw):
     """A few gains up to 0.5 and cheap policies, some differing only in the
-    cutoff, and a run of calls on them."""
+    cutoff, and a run of calls on them: statistics, builds and kernels."""
     gains = draw(st.lists(st.floats(0, 0.5), min_size=1, max_size=3))
     orders = draw(st.lists(st.sampled_from((20, 30, 40)), min_size=1, max_size=2, unique=True))
     cutoffs = draw(st.lists(st.none() | st.integers(0, 12), min_size=1, max_size=3, unique=True))
@@ -973,7 +1017,8 @@ def _memo_runs(draw):
     call = st.one_of(
         st.tuples(st.sampled_from((1, 2, 3)), point),
         st.tuples(st.just("build"), point),
-        st.tuples(st.sampled_from(("clear weights", "clear states")), st.none()),
+        st.tuples(st.sampled_from(_KERNELS), st.tuples(point, st.floats(0, 1))),
+        st.tuples(st.sampled_from(("clear weights", "clear states", "clear forms")), st.none()),
     )
     return draw(st.lists(call, min_size=4, max_size=12))
 
@@ -981,25 +1026,32 @@ def _memo_runs(draw):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(_memo_runs())
 def test_memos_give_what_cold_calls_give(run):
-    # distributions and builds interleaved with clears of the two memos:
-    # each result equals, bit for bit, the one computed with neither memo
+    # distributions, builds and the Bell, witness and Stokes kernels
+    # interleaved with clears of the two state memos and of the Stokes form
+    # weights: each result equals, bit for bit, the one computed with no memo
     weights, bright = state_module._retained_weights, state_module._bright_state
-    memos = {"clear weights": weights, "clear states": bright}
+    memos = {"clear weights": weights.cache_clear, "clear states": bright.cache_clear}
+    memos["clear forms"] = stokes_module._WEIGHTS.clear
     cold = {"_retained_weights": weights.__wrapped__, "_bright_state": bright.__wrapped__}
-    for memo in memos.values():
-        memo.cache_clear()
+    for clear in memos.values():
+        clear()
     for what, point in run:
         if what in memos:
-            memos[what].cache_clear()
+            memos[what]()
             continue
-        gamma, policy = point
         if what == "build":
-            call = functools.partial(build_bghz, gamma, policy)
+            call = cold_call = functools.partial(build_bghz, *point)
+        elif what in _KERNELS:
+            (gamma, policy), eta = point
+            call = functools.partial(_kernel, what, gamma, policy, eta)
+            cold_call = functools.partial(call, cold=True)
         else:
-            call = functools.partial(photon_distribution, BrightStateSpec(what, gamma, policy))
+            call = cold_call = functools.partial(photon_distribution, BrightStateSpec(what, *point))
         got = _outcome(call)
-        with mock.patch.multiple(state_module, **cold):
-            assert got == _outcome(call), (what, gamma, policy)
+        with mock.patch.multiple(state_module, **cold), mock.patch.object(
+            stokes_module, "_WEIGHTS", {}
+        ):
+            assert got == _outcome(cold_call), (what, point)
 
 
 # The cutoff loop carries its mass and forms one tail per k; its weights,
