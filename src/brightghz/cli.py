@@ -34,7 +34,6 @@ from brightghz.nonclassicality import (
 from brightghz.series_core import _MAX_BEAMS, _count
 from brightghz.state import (
     DEFAULT_POLICY,
-    BrightStateSpec,
     NumericPolicy,
     ResummationError,
     photon_distribution,
@@ -114,10 +113,7 @@ def _probability_cells(dist) -> list[str]:
 def cmd_table1(config: RunConfig) -> Rows:
     """Emission probabilities p(0..10) at one gain for one, two, three beams."""
     gamma = config.gamma_min
-    distributions = [
-        photon_distribution(BrightStateSpec(n=n, gamma=gamma, policy=config.policy))
-        for n in (1, 2, 3)
-    ]
+    distributions = [photon_distribution(n, gamma, config.policy) for n in (1, 2, 3)]
     lines = [f"# emission probabilities at gamma={_fmt(gamma)}", "k,p_n1,p_n2,p_n3"]
     for k, cells in enumerate(zip(*map(_probability_cells, distributions))):
         lines.append(_row([k, *cells]))
@@ -134,9 +130,8 @@ def cmd_pk_curve(config: RunConfig) -> Rows:
     lines = [_row(["gamma", *(f"p{k}" for k in range(TABLE_MAX_K + 1)), "tail", "diverged"])]
     failed, reasons = [], []
     for gamma in config.grid():
-        spec = BrightStateSpec(n=config.n, gamma=gamma, policy=config.policy)
         try:
-            dist = photon_distribution(spec)
+            dist = photon_distribution(config.n, gamma, config.policy)
         except ResummationError as err:
             failed.append(True)
             reasons.append(f"gamma={_fmt(gamma)}: {err}")

@@ -382,7 +382,6 @@ class _NotViolated(ValueError):
 def eta_threshold(
     gamma: float,
     policy: NumericPolicy = DEFAULT_POLICY,
-    tol: float = 1e-3,
     state: BGHZState | None = None,
 ) -> float:
     """Detector efficiency below which the Mermin violation dies.
@@ -395,10 +394,9 @@ def eta_threshold(
     not halve the step before last bisects it instead, until it is 2**-52
     wide.  The result is the crossing of this state's float polynomial to
     2 ulps plus ulp(2) / |LHS'| (at most 2.3 ulps from gain 0.3 up, 19.6
-    at 0.075, where the LHS is flattest), so within tol / 2; tol is only
-    checked.  The state's own truncation error is not included.
+    at 0.075, where the LHS is flattest).  The state's own truncation error
+    is not included.
     """
-    _real("tol", tol, 0)
     state = _state_at(gamma, policy, state)
     lossy = _lossy_lhs(state)
     value, slope = _lossy_at(lossy, 0.0)

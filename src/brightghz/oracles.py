@@ -19,10 +19,12 @@ from brightghz.series_core import _count
 
 
 def coherent_pk(gamma: float, k: int) -> float:
-    """Poisson weight exp(-G^2) G^(2k) / k! of a coherent state with mean G^2."""
+    """Poisson weight exp(-G^2) G^(2k) / k! of a coherent state with mean G^2,
+    G^(2k) / k! one rounding of its exact ratio, so 0.0 past underflow."""
     k = _count("k", k, 0)
     lam = gamma * gamma
-    return math.exp(-lam) * lam**k / math.factorial(k)
+    m, d = lam.as_integer_ratio()
+    return math.exp(-lam) * (m**k / (d**k * math.factorial(k)))
 
 
 def squeezed_pk(gamma: float, k: int) -> float:

@@ -145,9 +145,9 @@ _QD_HEADROOM = 128
 # tables, which serve every precision up to theirs (DiagonalResummer._cfraction)
 _DEFAULT_BITS = 128
 _SHIPPED_BITS = 256
-# The most bits NumericPolicy and resum take, far past any depth bits buy;
-# the walk's shifts overflow or exhaust memory at absurd widths
-_MAX_BITS = 1 << 16
+# The most bits NumericPolicy and resum take, the deepest any golden or table
+# uses: bits buy a ladder no depth past it, and a wider walk only runs longer
+_MAX_BITS = 768
 
 
 def _scales(bits: int) -> tuple[int, int]:
@@ -709,7 +709,7 @@ class DiagonalResummer:
         terminates by order max_order, the polynomial is summed exactly and
         rounded once instead: converged, with one diagnostic.  ValueError
         naming it for a max_order outside [1, (len(series) - 1) // 2] or bits
-        outside [64, 65536] (_MAX_BITS), either not an integer, or a point
+        outside [64, 768] (_MAX_BITS), either not an integer, or a point
         or tol that is not a real, finite or rational (tol a float-range
         real > 0); PoleProximityError if no order has a value.
         """

@@ -62,7 +62,6 @@ __all__ = [
     "CUTOFF_CAP",
     "DEFAULT_POLICY",
     "NumericPolicy",
-    "BrightStateSpec",
     "TripleDistribution",
     "BGHZState",
     "ResummationError",
@@ -84,15 +83,12 @@ CUTOFF_CAP = 60
 # 29, so only a pinned cutoff reads them.
 SOFT_AGREEMENT = 1e-3
 # Gain from which three-beam statistics, and with them the bright state,
-# stop converging; at or past it the builders warn.
+# stop converging; at or past it the builders warn (_warn_past_guard).
 GAMMA_GUARD = 0.9
 # The ceilings of a policy's pade_order and pinned cutoff: a build reads
 # rows through cutoff + 4 max(pade_order, 40), within series_core's _MAX_ROW.
 _MAX_PADE_ORDER = 100
 _MAX_CUTOFF = _MAX_ROW - 4 * _MAX_PADE_ORDER
-# The most bits of a deep policy, one past pade_order 40 or CUTOFF_CAP: with
-# 65536 bits, an order-100 ladder took minutes; bits buy it no depth past 768.
-_MAX_DEEP_BITS = 768
 
 
 class ResummationError(RuntimeError):
@@ -107,11 +103,11 @@ class ResummationError(RuntimeError):
 class NumericPolicy:
     """Precision and truncation knobs shared by every resummed quantity.
 
-    The only carrier of these four values: specs, states, kernels and the
-    CLI all read them from here.  cutoff None means: grow the photon cutoff
-    until the estimated omitted probability mass drops below TAIL_TARGET,
-    capped at CUTOFF_CAP.  tol must lie below SOFT_AGREEMENT: a looser
-    strict level stops the ladder as soon as two early orders roughly agree.
+    The only carrier of these four values: states, kernels and the CLI all
+    read them from here.  cutoff None means: grow the photon cutoff until
+    the estimated omitted probability mass drops below TAIL_TARGET, capped
+    at CUTOFF_CAP.  tol must lie below SOFT_AGREEMENT: a looser strict
+    level stops the ladder as soon as two early orders roughly agree.
 
     bits defaults to 128, not less: every output is a float64, but at 64
     bits the deepest pk_curve cells already move, by 2e-9 relative.  Every
@@ -123,12 +119,9 @@ class NumericPolicy:
     0.77 and pade_order 100 the k = 46 and 48 ladders fail at orders 97 and
     93 at 768, 1024 and 2048 bits alike.  ValueError names a field unless
     pade_order lies in [2, 100] (_MAX_PADE_ORDER), tol in (0, SOFT_AGREEMENT),
-    cutoff, unless None, in [0, 200] (_MAX_CUTOFF) and bits in [64, 65536]
-    (pade._MAX_BITS), or in [64, 768] (_MAX_DEEP_BITS) for a deep policy,
-    one with pade_order past 40 or cutoff past CUTOFF_CAP; each count is an
-    integer.  Cold on a 2-core VM, a deep policy at its ceilings builds in
-    4 s or less (gains 0.1 to 0.77), but 65536 bits at order 40 in 634 s
-    (gain 0.77).
+    cutoff, unless None, in [0, 200] (_MAX_CUTOFF) and bits in [64, 768]
+    (pade._MAX_BITS); each count is an integer.  Cold on a 2-core VM, a
+    policy at its ceilings builds in 4 s or less (gains 0.1 to 0.77).
     """
 
     pade_order: int = 40
@@ -139,8 +132,7 @@ class NumericPolicy:
     def __post_init__(self):
         order = _count("pade_order", self.pade_order, 2, _MAX_PADE_ORDER)
         cutoff = None if self.cutoff is None else _count("cutoff", self.cutoff, 0, _MAX_CUTOFF)
-        deep = order > 40 or cutoff is not None and cutoff > CUTOFF_CAP
-        bits = _count("bits", self.bits, 64, _MAX_DEEP_BITS if deep else _MAX_BITS)
+        bits = _count("bits", self.bits, 64, _MAX_BITS)
         for name, value in ("pade_order", order), ("bits", bits), ("cutoff", cutoff):
             object.__setattr__(self, name, value)
         _real("tol", self.tol, 0, SOFT_AGREEMENT)
@@ -162,27 +154,11 @@ def _state_at(gamma, policy, state, projected: bool = False) -> BGHZState:
     return state._vacuum_projected if projected else state
 
 
-@dataclass(frozen=True)
-class BrightStateSpec:
-    """One emission configuration: beam count, gain, and numeric policy.
-
-    The policy carries pade_order, tol, bits and the cutoff; the spec holds
-    no copies of them.
-    """
-
-    n: int
-    gamma: float
-    policy: NumericPolicy = DEFAULT_POLICY
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", _count("n", self.n, 1, _MAX_BEAMS))
-        object.__setattr__(self, "gamma", _real("gamma", self.gamma, 0, closed="[)"))
-        _typed("policy", self.policy, NumericPolicy)
-
-    @property
-    def validity_warning(self) -> bool:
-        """True past the gain where three-beam statistics stop converging."""
-        return self.n >= 3 and self.gamma >= GAMMA_GUARD
+def _warn_past_guard(gamma: float) -> None:
+    """RuntimeWarning, on the public caller's line, at or past GAMMA_GUARD."""
+    if gamma >= GAMMA_GUARD:
+        message = f"gain {gamma} is at or past the guard {GAMMA_GUARD}"
+        warnings.warn(f"{message}; three-beam statistics may not converge", RuntimeWarning, 3)
 
 
 @dataclass(frozen=True)
@@ -579,21 +555,21 @@ def _retained_weights(
     return tuple(w), tuple(signs), mass, tail
 
 
-def photon_distribution(spec: BrightStateSpec) -> TripleDistribution:
+def photon_distribution(
+    n: int, gamma: float, policy: NumericPolicy = DEFAULT_POLICY
+) -> TripleDistribution:
     """Probability of observing k emitted n-tuples, up to an adaptive cutoff.
 
-    The weights and the cutoff are _retained_weights', the ladder build_bghz
-    reads too; the total is their mass plus the tail.  TypeError unless
-    spec is a BrightStateSpec.
+    n is an integer in [1, 16] (_MAX_BEAMS) and gamma a real in [0, inf);
+    for n >= 3 it warns at or past GAMMA_GUARD.  The weights and the cutoff
+    are _retained_weights', the ladder build_bghz reads too; the total is
+    their mass plus the tail.
     """
-    if _typed("spec", spec, BrightStateSpec).validity_warning:
-        warnings.warn(
-            f"gain {spec.gamma} is at or past the n={spec.n} validity boundary;"
-            " photon statistics may not converge",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    w, _, mass, tail = _retained_weights(spec.n, spec.gamma, spec.policy)
+    n, gamma = _count("n", n, 1, _MAX_BEAMS), _real("gamma", gamma, 0, closed="[)")
+    _typed("policy", policy, NumericPolicy)
+    if n >= 3:
+        _warn_past_guard(gamma)
+    w, _, mass, tail = _retained_weights(n, gamma, policy)
     # no decay across the last five retained orders marks a diverging tail;
     # a zero float (gain 0, or a weight past underflow) is no growth
     scaled = [_float(*x) * k * k for k, x in enumerate(w)]
@@ -612,8 +588,8 @@ def photon_distribution(spec: BrightStateSpec) -> TripleDistribution:
     m, f = _sum(*((k * m, f) for k, (m, f) in enumerate(w)))  # sum k w_k
     mean = None if diverged else _float(m * q, f - e, t)
     return TripleDistribution(
-        n=spec.n,
-        gamma=spec.gamma,
+        n=n,
+        gamma=gamma,
         probs=probs,
         tail_bound=tail_bound,
         mean=mean,
@@ -632,13 +608,7 @@ def build_bghz(gamma: float, policy: NumericPolicy = DEFAULT_POLICY) -> BGHZStat
     gain and policy, so a warm call returns the same frozen state.
     """
     gamma, policy = _real("gamma", gamma, 0, closed="[)"), _typed("policy", policy, NumericPolicy)
-    if gamma >= GAMMA_GUARD:
-        warnings.warn(
-            f"gain {gamma} is at or past the guard {GAMMA_GUARD};"
-            " bright-state construction may not converge",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    _warn_past_guard(gamma)
     return _bright_state(gamma, policy)
 
 

@@ -649,21 +649,21 @@ def exact_retained_weights(n, gamma, policy):
     return tuple(w), tuple(signs), sum(w), _omitted(w)
 
 
-def exact_distribution(spec):
-    """photon_distribution(spec) from exact_retained_weights, each float one
+def exact_distribution(n, gamma, policy=state_module.DEFAULT_POLICY):
+    """photon_distribution(n, gamma, policy) from exact_retained_weights, each float one
     rounding of a Fraction."""
-    w, _, mass, tail = exact_retained_weights(spec.n, spec.gamma, spec.policy)
+    w, _, mass, tail = exact_retained_weights(n, gamma, policy)
     scaled = [float(x) * k * k for k, x in enumerate(w)]
     diverged = len(scaled) >= 5 and all(
         0 < scaled[k + 1] >= scaled[k] for k in range(len(scaled) - 5, len(scaled) - 1)
     )
     if tail == math.inf:
         probs = tuple(float(x / mass) for x in w)
-        return TripleDistribution(spec.n, spec.gamma, probs, math.inf, None, True)
+        return TripleDistribution(n, gamma, probs, math.inf, None, True)
     total = mass + tail
     probs = tuple(float(x / total) for x in w)
     mean = None if diverged else float(sum(k * x for k, x in enumerate(w)) / total)
-    return TripleDistribution(spec.n, spec.gamma, probs, float(tail / total), mean, diverged)
+    return TripleDistribution(n, gamma, probs, float(tail / total), mean, diverged)
 
 
 def nearest_root(x):

@@ -25,7 +25,7 @@ from brightghz.nonclassicality import (
 from brightghz.oracles import coherent_pk, squeezed_pk
 from brightghz.pade import diagonal_resum
 from brightghz.series_core import _columns, c_series
-from brightghz.state import BrightStateSpec, NumericPolicy, build_bghz, photon_distribution
+from brightghz.state import NumericPolicy, build_bghz, photon_distribution
 from brightghz.stokes import stokes_expectation
 from references import (
     DenseTruncatedState,
@@ -67,7 +67,7 @@ def test_criterion_1_table_reproduction():
     started = time.perf_counter()
     worst = 0.0
     for n, column in TABLE1.items():
-        dist = photon_distribution(BrightStateSpec(n=n, gamma=0.8))
+        dist = photon_distribution(n, 0.8)
         for k, text in enumerate(column):
             got = dist.probs[k]
             # several published entries are truncated rather than rounded,
@@ -89,7 +89,7 @@ def test_criterion_2_closed_form_oracles():
     for tenth in range(1, 9):
         gamma = tenth / 10.0
         for n, oracle in ((1, coherent_pk), (2, squeezed_pk)):
-            dist = photon_distribution(BrightStateSpec(n=n, gamma=gamma))
+            dist = photon_distribution(n, gamma)
             for k in range(min(dist.cutoff, 12) + 1):
                 worst = max(worst, abs(dist.probs[k] - oracle(gamma, k)))
     _verdict(

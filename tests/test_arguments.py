@@ -20,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 import brightghz
-from brightghz import BrightStateSpec, DiagonalResummer, build_bghz
+from brightghz import DiagonalResummer, build_bghz
 
 PROBES = {
     "None": None,
@@ -66,9 +66,8 @@ VALID = {
     "DiagonalResummer": {"series": SERIES},
     "DiagonalResummer.resum": {"x": 0.1, "max_order": 4, "tol": 1e-10, "bits": 128},
     "NumericPolicy": {"pade_order": 40, "tol": 1e-10, "bits": 128, "cutoff": None},
-    "BrightStateSpec": {"n": 3, "gamma": 0.3, "policy": POLICY},
     "resummed_coefficient": {"n": 3, "k": 2, "gamma": 0.3, "policy": POLICY},
-    "photon_distribution": {"spec": BrightStateSpec(3, 0.3)},
+    "photon_distribution": {"n": 3, "gamma": 0.3, "policy": POLICY},
     "build_bghz": {"gamma": 0.3, "policy": POLICY},
     "project_out_vacuum": {"state": STATE},
     "stokes_expectation": {"state": STATE, "ops": ("S1", "S1", "S1")},
@@ -78,7 +77,7 @@ VALID = {
     "gamma_threshold": {"policy": POLICY, "gamma_min": 0.05, "gamma_max": 0.85, "tol": 1e-3},
     "per_party_loss_factor": {"k_a": 1, "k_b": 2, "eta": 0.5},
     "lossy_mermin_lhs": {"gamma": 0.3, "eta": 0.9, "policy": POLICY, "state": STATE},
-    "eta_threshold": {"gamma": 0.3, "policy": POLICY, "tol": 1e-3, "state": STATE},
+    "eta_threshold": {"gamma": 0.3, "policy": POLICY, "state": STATE},
     "witness_w1": {"gamma": 0.3, "projected": False, "policy": POLICY, "state": STATE},
     "evaluate_w2": {"gamma": 0.3, "projected": False, "policy": POLICY, "state": STATE},
     "witness_w2": {"gamma": 0.3, "projected": False, "policy": POLICY, "state": STATE},

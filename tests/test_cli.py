@@ -348,10 +348,10 @@ GAIN_ROW_COMMANDS = ["pk_curve", "mermin", "eta", "w1", "w2"]
 
 
 def _stub_library(monkeypatch, command, outcome):
-    def distribution(spec):
-        outcome(spec.gamma)
+    def distribution(n, gamma, policy):
+        outcome(gamma)
         return state.TripleDistribution(
-            n=spec.n, gamma=spec.gamma, probs=(1.0,), tail_bound=0.0, mean=0.0, diverged=False
+            n=n, gamma=gamma, probs=(1.0,), tail_bound=0.0, mean=0.0, diverged=False
         )
 
     stubs = {
@@ -439,9 +439,9 @@ def test_table1_failure_exits_1_without_csv(tmp_path, monkeypatch, capsys):
 def test_diverged_table1_column_exits_2_and_says_which(tmp_path, monkeypatch, capsys):
     distribution = state.photon_distribution
 
-    def three_beams_diverge(spec):
-        got = distribution(spec)
-        return dataclasses.replace(got, diverged=True) if spec.n == 3 else got
+    def three_beams_diverge(n, gamma, policy):
+        got = distribution(n, gamma, policy)
+        return dataclasses.replace(got, diverged=True) if n == 3 else got
 
     monkeypatch.setattr(cli, "photon_distribution", three_beams_diverge)
     code, _, _, _ = run(tmp_path, "--cmd", "table1", "--gamma-min", "0.1")

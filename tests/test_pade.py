@@ -964,18 +964,19 @@ def test_bits_below_the_policy_floor_are_rejected(bits):
 
 
 @pytest.mark.parametrize(
-    "bits", [65537, 2**64, 10**400], ids=lambda bits: f"{len(str(bits))}-digit"
+    "bits", [769, 65537, 2**64, 10**400], ids=lambda bits: f"{len(str(bits))}-digit"
 )
 def test_bits_past_the_ceiling_are_rejected(bits):
     # 10**400 raised OverflowError ("too many digits in integer") from the
     # walk's first shift, and 2**64 MemoryError; the x = 0 path takes the
-    # same bound
+    # same bound, NumericPolicy's
     shown = str(bits) if bits.bit_length() <= 64 else f"an integer of {bits.bit_length()} bits"
-    message = f"bits must be <= 65536, got {shown}"
+    message = f"bits must be <= 768, got {shown}"
     with pytest.raises(ValueError, match=re.escape(message)):
         diagonal_resum([1.0] * 81, 0.1, bits=bits)
     with pytest.raises(ValueError, match=re.escape(message)):
         DiagonalResummer(EXP).resum(0, max_order=12, bits=bits)
+    assert diagonal_resum(EXP, 0.5, max_order=12, bits=768).converged
 
 
 @pytest.mark.parametrize(

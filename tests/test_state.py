@@ -33,7 +33,6 @@ from brightghz.state import (
     CUTOFF_CAP,
     DEFAULT_POLICY,
     BGHZState,
-    BrightStateSpec,
     NumericPolicy,
     ResummationError,
     build_bghz,
@@ -70,20 +69,17 @@ def _last_digit_unit(ref: float) -> float:
     return 10.0**-decimals
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        BrightStateSpec(n=0, gamma=0.5)
-    with pytest.raises(ValueError):
-        BrightStateSpec(n=3, gamma=-0.1)
-    assert BrightStateSpec(n=3, gamma=0.9).validity_warning
-    assert not BrightStateSpec(n=3, gamma=0.89).validity_warning
-    assert not BrightStateSpec(n=2, gamma=1.5).validity_warning
+def test_distribution_validation():
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        photon_distribution(0, 0.5)
+    with pytest.raises(ValueError, match=re.escape("gamma must lie in [0, inf)")):
+        photon_distribution(3, -0.1)
 
 
 @pytest.mark.parametrize("gamma", [-0.1, float("nan"), float("inf"), Decimal("NaN")])
 def test_gain_must_be_finite_and_non_negative(gamma):
     with pytest.raises(ValueError, match=re.escape("gamma must lie in [0, inf)")):
-        BrightStateSpec(n=3, gamma=gamma)
+        photon_distribution(3, gamma)
     with pytest.raises(ValueError, match=re.escape("gamma must lie in [0, inf)")):
         build_bghz(gamma)
     with pytest.raises(ValueError, match=re.escape("gamma must lie in [0, inf)")):
@@ -96,7 +92,7 @@ def test_a_bool_is_not_a_real(flag):
     # count given as one is, instead of running at 1 or 0
     calls = [
         lambda: build_bghz(flag),
-        lambda: BrightStateSpec(3, flag),
+        lambda: photon_distribution(3, flag),
         lambda: resummed_coefficient(3, 2, flag),
         lambda: lossy_mermin_lhs(0.3, flag),
         lambda: per_party_loss_factor(1, 2, flag),
@@ -115,7 +111,7 @@ HUGE = 10**400
     [
         lambda: NumericPolicy(tol=HUGE),
         lambda: NumericPolicy(tol=Fraction(HUGE)),
-        lambda: BrightStateSpec(3, HUGE),
+        lambda: photon_distribution(3, HUGE),
         lambda: build_bghz(Fraction(HUGE)),
         lambda: resummed_coefficient(3, 1, HUGE),
         lambda: per_party_loss_factor(1, 1, HUGE),
@@ -127,7 +123,7 @@ HUGE = 10**400
     ids=[
         "policy_tol",
         "policy_tol_fraction",
-        "spec_gain",
+        "distribution_gain",
         "build_gain_fraction",
         "coefficient_gain",
         "loss_factor_eta",
@@ -153,9 +149,9 @@ def test_gain_of_any_real_type_is_its_float(gamma):
     # a gain is converted to float once, so every real type gives the
     # numbers of its float and shares its cached values
     g = float(gamma)
-    spec = BrightStateSpec(3, gamma)
-    assert type(spec.gamma) is float and spec.gamma == g
-    assert photon_distribution(spec) == photon_distribution(BrightStateSpec(3, g))
+    dist = photon_distribution(3, gamma)
+    assert type(dist.gamma) is float and dist.gamma == g
+    assert dist == photon_distribution(3, g)
     assert resummed_coefficient(3, 2, gamma) == resummed_coefficient(3, 2, g)
     assert build_bghz(gamma) is build_bghz(g)
 
@@ -236,8 +232,8 @@ def test_coefficient_validation():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: BrightStateSpec(n=2.5, gamma=0.3), "n must be an integer, got 2.5"),
-        (lambda: BrightStateSpec(n=True, gamma=0.3), "n must be an integer, got True"),
+        (lambda: photon_distribution(2.5, 0.3), "n must be an integer, got 2.5"),
+        (lambda: photon_distribution(True, 0.3), "n must be an integer, got True"),
         (lambda: resummed_coefficient(True, 1, 0.3), "n must be an integer, got True"),
         (lambda: resummed_coefficient(3.0, 1, 0.3), "n must be an integer, got 3.0"),
         (lambda: resummed_coefficient(3, 1.5, 0.3), "k must be an integer, got 1.5"),
@@ -251,7 +247,8 @@ def test_counts_must_be_integers(call, message):
 
 
 _POLICY_CALLS = {
-    "BrightStateSpec": lambda policy: BrightStateSpec(3, 0.3, policy),
+    "photon_distribution": lambda policy: photon_distribution(3, 0.3, policy),
+    "photon_distribution_past_the_guard": lambda policy: photon_distribution(3, 0.95, policy),
     "build_bghz": lambda policy: build_bghz(0.3, policy),
     "build_bghz_past_the_guard": lambda policy: build_bghz(0.95, policy),
     "resummed_coefficient": lambda policy: resummed_coefficient(3, 1, 0.3, policy),
@@ -262,8 +259,8 @@ _POLICY_CALLS = {
 @pytest.mark.parametrize("policy", [None, {"bits": 64}, 128, "default"], ids=repr)
 @pytest.mark.parametrize("call", sorted(_POLICY_CALLS))
 def test_policy_must_be_a_numeric_policy(call, policy):
-    # the spec used to accept it, and the builders raised AttributeError
-    # from inside the ladder; rejected before the guard warning too
+    # the builders raised AttributeError from inside the ladder; rejected
+    # before the guard warning too
     message = f"policy must be a NumericPolicy, got {type(policy).__name__}"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -271,41 +268,40 @@ def test_policy_must_be_a_numeric_policy(call, policy):
             _POLICY_CALLS[call](policy)
 
 
-@pytest.mark.parametrize("value", ["x", None, 3, BrightStateSpec], ids=repr)
-def test_spec_and_state_arguments_must_have_their_type(value):
-    # both raised AttributeError from inside (validity_warning, _box)
+@pytest.mark.parametrize("value", ["x", None, 3, BGHZState], ids=repr)
+def test_state_argument_must_be_a_state(value):
+    # raised AttributeError from inside (_box)
     name = type(value).__name__
-    with pytest.raises(TypeError, match=re.escape(f"spec must be a BrightStateSpec, got {name}")):
-        photon_distribution(value)
     with pytest.raises(TypeError, match=re.escape(f"state must be a BGHZState, got {name}")):
         project_out_vacuum(value)
 
 
 @pytest.mark.parametrize(
-    "bits", [65537, 2**64, 10**400], ids=lambda bits: f"{len(str(bits))}-digit"
+    "bits", [769, 65537, 2**64, 10**400], ids=lambda bits: f"{len(str(bits))}-digit"
 )
 def test_bits_past_the_ceiling_are_rejected(bits):
     # 10**400 raised OverflowError ("too many digits in integer") from the
-    # walk's first shift, at every gain that walks instead of reading a table
+    # walk's first shift, at every gain that walks instead of reading a table,
+    # and 65536 bits at order 40 built one state in 634 s
     shown = str(bits) if bits.bit_length() <= 64 else f"an integer of {bits.bit_length()} bits"
-    with pytest.raises(ValueError, match=re.escape(f"bits must be <= 65536, got {shown}")):
+    with pytest.raises(ValueError, match=re.escape(f"bits must be <= 768, got {shown}")):
         NumericPolicy(bits=bits)
-    assert NumericPolicy(bits=65536).bits == 65536
 
 
-@pytest.mark.parametrize("deep", [{"pade_order": 41}, {"cutoff": CUTOFF_CAP + 1}], ids=repr)
-def test_a_deep_policy_takes_fewer_bits(deep):
-    # order 100, cutoff 200 and 65536 bits were each admitted alone, and
-    # together ran for minutes a ladder
-    assert NumericPolicy(**deep, bits=768).bits == 768
+@pytest.mark.parametrize(
+    "fields",
+    [{}, {"pade_order": 41}, {"cutoff": CUTOFF_CAP + 1}, {"pade_order": 100, "cutoff": 200}],
+    ids=repr,
+)
+def test_every_policy_takes_bits_up_to_one_ceiling(fields):
+    # the ceiling was 768 past order 40 or CUTOFF_CAP and 65536 below them
+    assert NumericPolicy(**fields, bits=768).bits == 768
     with pytest.raises(ValueError, match=re.escape("bits must be <= 768, got 769")):
-        NumericPolicy(**deep, bits=769)
-    assert NumericPolicy(pade_order=100, cutoff=200, bits=768).bits == 768
-    assert NumericPolicy(pade_order=40, cutoff=CUTOFF_CAP, bits=65536).bits == 65536
+        NumericPolicy(**fields, bits=769)
 
 
 def test_counts_accept_numpy_integers():
-    assert type(BrightStateSpec(n=np.int64(3), gamma=0.3).n) is int
+    assert type(photon_distribution(np.int64(3), 0.3).n) is int
     assert resummed_coefficient(np.int64(3), np.int32(2), 0.3) == resummed_coefficient(3, 2, 0.3)
 
 
@@ -341,7 +337,7 @@ def test_coefficient_matches_squeezed_closed_form():
 @pytest.mark.parametrize("n,oracle", [(1, coherent_pk), (2, squeezed_pk)])
 def test_distribution_matches_closed_forms(n, oracle):
     for gamma in [x / 10 for x in range(1, 9)]:
-        dist = photon_distribution(BrightStateSpec(n=n, gamma=gamma))
+        dist = photon_distribution(n, gamma)
         for k, p in enumerate(dist.probs):
             assert p == pytest.approx(oracle(gamma, k), abs=1e-6)
 
@@ -357,9 +353,19 @@ def test_closed_forms_take_only_photon_counts(oracle):
     assert oracle(0.5, np.int64(2)) == oracle(0.5, 2)
 
 
+def test_coherent_weight_past_the_float_factorial():
+    # 171! has no float, so every k >= 171 raised OverflowError; the weight
+    # is now its value, 0.0 past underflow
+    assert coherent_pk(0.3, 171) == 0.0
+    with mp.workprec(256):
+        want = float(mp.exp(-16) * mpf(16) ** 171 / mp.factorial(171))
+    assert coherent_pk(4.0, 171) == pytest.approx(want, rel=4 * 2**-53)
+    assert math.fsum(coherent_pk(4.0, k) for k in range(400)) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_reference_distribution_all_beams():
     for n, column in REFERENCE_PK.items():
-        dist = photon_distribution(BrightStateSpec(n=n, gamma=0.8))
+        dist = photon_distribution(n, 0.8)
         assert not dist.diverged
         for k, ref in enumerate(column):
             assert abs(dist.probs[k] - ref) <= _last_digit_unit(ref) + 1e-12, (
@@ -369,22 +375,22 @@ def test_reference_distribution_all_beams():
 
 def test_vacuum_probability_grows_with_beams():
     p0 = [
-        photon_distribution(BrightStateSpec(n=n, gamma=0.8)).probs[0]
+        photon_distribution(n, 0.8).probs[0]
         for n in (1, 2, 3)
     ]
     assert p0[0] < p0[1] < p0[2]
 
 
 def test_three_beam_tail_overtakes_two_beam():
-    d2 = photon_distribution(BrightStateSpec(n=2, gamma=0.8))
-    d3 = photon_distribution(BrightStateSpec(n=3, gamma=0.8))
+    d2 = photon_distribution(2, 0.8)
+    d3 = photon_distribution(3, 0.8)
     for k in range(4, 11):
         assert d3.probs[k] > d2.probs[k]
 
 
 def test_distribution_invariants():
     for n in (1, 2, 3):
-        dist = photon_distribution(BrightStateSpec(n=n, gamma=0.8))
+        dist = photon_distribution(n, 0.8)
         assert all(0.0 <= p <= 1.0 for p in dist.probs)
         assert sum(dist.probs) + dist.tail_bound == pytest.approx(1.0, abs=1e-9)
         assert dist.cutoff <= CUTOFF_CAP
@@ -394,19 +400,19 @@ def test_distribution_invariants():
 
 
 def test_poisson_mean():
-    dist = photon_distribution(BrightStateSpec(n=1, gamma=0.5))
+    dist = photon_distribution(1, 0.5)
     assert dist.mean == pytest.approx(0.25, abs=1e-6)
 
 
 def test_zero_gain_distribution():
-    dist = photon_distribution(BrightStateSpec(n=3, gamma=0.0))
+    dist = photon_distribution(3, 0.0)
     assert dist.probs[0] == 1.0
     assert all(p == 0.0 for p in dist.probs[1:])
     assert dist.tail_bound == 0.0
 
 
 def test_pinned_cutoff_reports_fat_tail():
-    dist = photon_distribution(BrightStateSpec(n=3, gamma=0.8, policy=NumericPolicy(cutoff=5)))
+    dist = photon_distribution(3, 0.8, NumericPolicy(cutoff=5))
     assert dist.cutoff == 5
     assert dist.tail_bound > 0.01
     assert sum(dist.probs) + dist.tail_bound == pytest.approx(1.0, abs=1e-9)
@@ -417,7 +423,7 @@ def test_infinite_tail_estimate_marks_divergence():
     # their ratio is at least 1, so the geometric tail estimate, and with it
     # the omitted mass, is infinite; the retained weights are normalized on
     # their own, flagged diverged, without a mean
-    dist = photon_distribution(BrightStateSpec(1, 1.5, NumericPolicy(cutoff=1)))
+    dist = photon_distribution(1, 1.5, NumericPolicy(cutoff=1))
     assert dist.tail_bound == math.inf
     assert dist.diverged and dist.mean is None
     assert dist.probs == pytest.approx((4 / 13, 9 / 13), rel=1e-12)
@@ -425,29 +431,36 @@ def test_infinite_tail_estimate_marks_divergence():
 
 
 @pytest.mark.parametrize(
-    "spec",
-    [
-        BrightStateSpec(3, 0.0, NumericPolicy(cutoff=4)),
-        BrightStateSpec(1, 0.001, NumericPolicy(cutoff=60)),
-    ],
+    "args",
+    [(3, 0.0, NumericPolicy(cutoff=4)), (1, 0.001, NumericPolicy(cutoff=60))],
     ids=["gain_0", "underflow"],
 )
-def test_zero_weights_do_not_mark_divergence(spec):
+def test_zero_weights_do_not_mark_divergence(args):
     # every weight past k = 0 is 0 at gain 0, and the last weights' floats
     # are 0 past underflow at gain 0.001: zeros do not grow, so the
     # distribution is not flagged diverged and keeps its mean
-    dist = photon_distribution(spec)
+    dist = photon_distribution(*args)
     assert dist.probs[-4:] == (0.0,) * 4
     assert not dist.diverged
     assert dist.mean is not None
-    assert dist == exact_distribution(spec)
+    assert dist == exact_distribution(*args)
 
 
 def test_validity_boundary_warns_and_flags():
-    with pytest.warns(RuntimeWarning):
-        dist = photon_distribution(BrightStateSpec(n=3, gamma=0.95))
+    # three-beam statistics and the state warn alike from GAMMA_GUARD on, on
+    # the caller's line; fewer beams and lower gains do not warn
+    with pytest.warns(RuntimeWarning) as caught:
+        dist = photon_distribution(3, 0.95)
+        build_bghz(0.95, NumericPolicy(cutoff=6))
     assert dist.diverged
     assert dist.mean is None
+    message = "gain 0.95 is at or past the guard 0.9; three-beam statistics may not converge"
+    assert [str(w.message) for w in caught] == [message] * 2
+    assert {w.filename for w in caught} == {__file__}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        photon_distribution(3, 0.89)
+        photon_distribution(2, 1.5)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -455,24 +468,24 @@ def test_validity_boundary_warns_and_flags():
 @pytest.mark.parametrize("cutoff", [None, 12])
 def test_distribution_equals_the_quadratic_loop(n, gamma, cutoff):
     # every retained sum of the exact referee is taken from scratch
-    spec = BrightStateSpec(n, gamma, NumericPolicy(cutoff=cutoff))
-    assert photon_distribution(spec) == exact_distribution(spec)
+    policy = NumericPolicy(cutoff=cutoff)
+    assert photon_distribution(n, gamma, policy) == exact_distribution(n, gamma, policy)
 
 
 def test_pinned_cutoff_tail_is_the_exact_ratio():
     # at gamma = 0.05 the tail past a cutoff of 8 lies far below 2**-53, the
     # grain of a 1 - mass rounded to 53 bits, which set it to 1.11e-16; it is
     # the geometric estimate's exact ratio to the total, rounded once
-    spec = BrightStateSpec(3, 0.05, NumericPolicy(cutoff=8))
-    dist = photon_distribution(spec)
-    assert dist == exact_distribution(spec)
+    policy = NumericPolicy(cutoff=8)
+    dist = photon_distribution(3, 0.05, policy)
+    assert dist == exact_distribution(3, 0.05, policy)
     assert dist.tail_bound == 1.0978735435731935e-18
 
 
 def test_three_beam_cutoff_stops_at_the_first_unresolved_order():
     # at the Bell threshold the auto cutoff ends on a ladder that does not
     # settle, not on the tail target or the cap
-    dist = photon_distribution(BrightStateSpec(3, 0.77))
+    dist = photon_distribution(3, 0.77)
     assert dist.cutoff == 32
     with pytest.raises(ResummationError):
         resummed_coefficient(3, 33, 0.77)
@@ -480,11 +493,10 @@ def test_three_beam_cutoff_stops_at_the_first_unresolved_order():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_distribution_ignores_global_precision(n):
-    spec = BrightStateSpec(n, 0.5)
-    default = photon_distribution(spec)
+    default = photon_distribution(n, 0.5)
     for bits in (300, 20):
         with mp.workprec(bits):
-            assert photon_distribution(spec) == default, bits
+            assert photon_distribution(n, 0.5) == default, bits
 
 
 def test_unresolvable_coefficient_raises():
@@ -553,7 +565,7 @@ def test_state_zero_gain_is_vacuum():
         assert abs(state.amps[0, 0]) == 1.0
         assert all(a == 0 for qm, a in state.amps.items() if qm != (0, 0))
         assert state._box.shape == (state.cutoff + 1,) * 2
-        assert state.cutoff == photon_distribution(BrightStateSpec(3, 0.0, policy)).cutoff
+        assert state.cutoff == photon_distribution(3, 0.0, policy).cutoff
         assert state.cutoff == (1 if policy.cutoff is None else policy.cutoff)
         assert mermin_lhs(0.0, policy) == 2.0
     assert build_bghz(0.0).cutoff == build_bghz(1e-9).cutoff
@@ -678,10 +690,10 @@ def test_repeated_statistics_walk_no_ladder(monkeypatch):
         state_module, "_bright_state", functools.cache(state_module._bright_state.__wrapped__)
     )
     calls = _count_resums(monkeypatch)
-    first = [photon_distribution(BrightStateSpec(n, gamma)) for n in (1, 2, 3)]
+    first = [photon_distribution(n, gamma) for n in (1, 2, 3)]
     assert calls
     calls.clear()
-    assert [photon_distribution(BrightStateSpec(n, gamma)) for n in (1, 2, 3)] == first
+    assert [photon_distribution(n, gamma) for n in (1, 2, 3)] == first
     state = build_bghz(gamma)
     assert calls == []
     assert state.cutoff == first[2].cutoff
@@ -912,7 +924,7 @@ def test_factor_is_the_square_root_of_the_weights(gamma, policy):
     assert state_module._bright_state.cache_info().hits == hits + 1
     cutoff = state.cutoff
     if policy.cutoff is None:
-        assert cutoff == photon_distribution(BrightStateSpec(3, gamma, policy)).cutoff
+        assert cutoff == photon_distribution(3, gamma, policy).cutoff
     else:
         assert cutoff == policy.cutoff
     want, want_residual = _magnitude_formula_factor(gamma, policy, cutoff)
@@ -927,8 +939,7 @@ def test_statistics_and_state_equal_the_mpmath_chain(gamma, policy):
     # correctly rounded from Fractions: the distributions field for field,
     # and the state's cutoff, box bytes and norm residual
     for n in (1, 2, 3):
-        spec = BrightStateSpec(n, gamma, policy)
-        assert photon_distribution(spec) == exact_distribution(spec)
+        assert photon_distribution(n, gamma, policy) == exact_distribution(n, gamma, policy)
     state = build_bghz(gamma, policy)
     factor, norm_residual = exact_factor(gamma, policy)
     assert state.cutoff == len(factor) - 1
@@ -939,7 +950,7 @@ def test_statistics_and_state_equal_the_mpmath_chain(gamma, policy):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from((1, 2, 3)), st.sampled_from(LADDER_GAINS), ladder_policies)
 def test_distribution_splits_unit_probability(n, gamma, policy):
-    dist = photon_distribution(BrightStateSpec(n, gamma, policy))
+    dist = photon_distribution(n, gamma, policy)
     assert min(dist.probs) >= 0.0
     if math.isinf(dist.tail_bound):
         # no finite tail: the retained weights are normalized on their own
@@ -960,6 +971,37 @@ def test_mermin_terms_are_bounded_by_the_shell_masses(gamma, policy):
     assert len(terms) == len(masses) == 2 * state.cutoff + 1
     assert np.all(masses >= 0.0)
     assert np.all(np.abs(terms) <= 4.0 * masses)
+
+
+# The bounds at gains drawn from the whole range below the guard, each a
+# cold build at the default policy; the tests above share the pool of
+# LADDER_GAINS, where non-default policies stay warm.
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.0, 0.9, exclude_min=True, exclude_max=True))
+@example(math.nextafter(0.9, 0.0))  # the last gain below the guard: diverged, tail finite
+def test_bounds_hold_at_random_gains(gamma):
+    for n in (1, 2, 3):
+        dist = photon_distribution(n, gamma)
+        assert min(dist.probs) >= 0.0
+        if math.isinf(dist.tail_bound):
+            assert dist.diverged
+            assert abs(math.fsum(dist.probs) - 1.0) <= 2 * math.ulp(1.0)
+        else:
+            assert abs(math.fsum((*dist.probs, dist.tail_bound)) - 1.0) <= 2 * math.ulp(1.0)
+    state = build_bghz(gamma)
+    terms = _form_terms(state, _MERMIN_FORM)
+    masses = _form_terms(state, ((1.0, 1.0, ("I", "I", "I")),))
+    assert np.all(np.abs(terms) <= 4.0 * masses)
+    assert lossy_mermin_lhs(gamma, 1.0) == mermin_lhs(gamma)
+    # the GHZ sign pattern, T_111 = -T_122 = -T_212 = -T_221 = t and every
+    # other element 0, is the state's, not only tensor_t's bookkeeping
+    tensor = tensor_t(gamma)
+    assert tensor.cross_check <= 1e-8
+    for index in itertools.product((1, 2, 3), repeat=3):
+        sign = {(1, 1, 1): 1.0, (1, 2, 2): -1.0, (2, 1, 2): -1.0, (2, 2, 1): -1.0}.get(index, 0.0)
+        assert tensor.elements[index] == sign * tensor.t
+        ops = tuple(f"S{i}" for i in index)
+        assert stokes_expectation(state, ops) == pytest.approx(sign * tensor.t, abs=1e-8)
 
 
 def _outcome(call):
@@ -1046,7 +1088,7 @@ def test_memos_give_what_cold_calls_give(run):
             call = functools.partial(_kernel, what, gamma, policy, eta)
             cold_call = functools.partial(call, cold=True)
         else:
-            call = cold_call = functools.partial(photon_distribution, BrightStateSpec(what, *point))
+            call = cold_call = functools.partial(photon_distribution, what, *point)
         got = _outcome(call)
         with mock.patch.multiple(state_module, **cold), mock.patch.object(
             stokes_module, "_WEIGHTS", {}

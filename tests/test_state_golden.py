@@ -24,7 +24,6 @@ from pathlib import Path
 from brightghz.pade import _SHIPPED_BITS
 from brightghz.state import (
     DEFAULT_POLICY,
-    BrightStateSpec,
     NumericPolicy,
     build_bghz,
     photon_distribution,
@@ -60,7 +59,7 @@ def _state_record(gamma: float, policy: NumericPolicy) -> bytes:
 
 def _distribution_record(n: int, gamma: float, policy: NumericPolicy) -> bytes:
     try:
-        dist = photon_distribution(BrightStateSpec(n, gamma, policy))
+        dist = photon_distribution(n, gamma, policy)
     except Exception as err:  # noqa: BLE001 - a failure is part of the record
         return repr(err).encode()
     probs = ",".join(p.hex() for p in dist.probs)
