@@ -74,7 +74,7 @@ import numpy as np
 
 from brightghz.series_core import _count, _real, _shown, _typed
 from brightghz.state import DEFAULT_POLICY, BGHZState, NumericPolicy, _state_at
-from brightghz.stokes import _form_terms
+from brightghz.stokes import _form_terms, _form_value
 
 __all__ = [
     "SweepResult",
@@ -178,7 +178,7 @@ def mermin_lhs(
 ) -> float:
     """Mermin-like LHS with primed operators, scaled by the retained mass."""
     state = _state_at(gamma, policy, state)
-    return (1.0 - state.norm_residual) * abs(float(_form_terms(state, _MERMIN_FORM).sum()))
+    return (1.0 - state.norm_residual) * abs(_form_value(state, _MERMIN_FORM))
 
 
 def evaluate_mermin(
@@ -331,18 +331,19 @@ def per_party_loss_factor(k_a: int, k_b: int, eta: float) -> float:
 
 def _lossy_lhs(state: BGHZState) -> tuple[np.ndarray, np.ndarray, float]:
     """The module docstring's polynomial P in c = 1 - eta, built once from
-    one Mermin form pass, as (rows, powers, scale): rows holds P's
+    one Mermin form product, as (rows, powers, scale): rows holds P's
     coefficients d_j and P''s, (j + 1) d_(j+1), both on c^j = c**powers,
     and the LHS is scale |P(c)|, scale the retained mass.
 
-    Shell k >= 1 puts -3 m_k on c^k, 3 m_k on c^2k and 2 p_k - m_k on c^3k;
-    d_0 is the eta = 1 value, the lossless sum itself, as m_0 = 2 p_0.
+    Shell k >= 1 puts -3 m_k on c^k, 3 m_k on c^2k and 2 p_k - m_k on c^3k,
+    m_k the product's column sums; as m_0 = 2 p_0, d_0 is the eta = 1 value,
+    the product's whole sum, the very reduction that mermin_lhs reads.
     """
-    terms = _form_terms(state, _MERMIN_FORM)
-    masses = state._moments[0][0]
+    product = _form_terms(state, _MERMIN_FORM)
+    terms, masses = product.sum(axis=0), state._moments[0]
     rows = np.zeros((2, 3 * len(terms) - 2))
     d = rows[0]
-    d[0] = terms.sum()
+    d[0] = product.sum()
     d[1 : len(terms)] = -3.0 * terms[1:]
     d[2 : 2 * len(terms) - 1 : 2] += 3.0 * terms[1:]
     d[3::3] += 2.0 * masses[1:] - terms[1:]
@@ -441,7 +442,7 @@ def witness_w1(
     state.  The five terms are one form, so one moment pass.
     """
     state = _state_at(gamma, policy, state, _projected(projected))
-    return float(_form_terms(state, _W1_FORM).sum())
+    return _form_value(state, _W1_FORM)
 
 
 def evaluate_w2(
@@ -461,7 +462,7 @@ def evaluate_w2(
     projected, a bool, evaluates on the vacuum-removed state.
     """
     state = _state_at(gamma, policy, state, _projected(projected))
-    value = float(_form_terms(state, _W2_FORM).sum())
+    value = _form_value(state, _W2_FORM)
     closed = -4.0 * state._closed_form_t + 1.0 - state._vacuum_probability
     return WitnessEvaluation(
         gamma=state.gamma,

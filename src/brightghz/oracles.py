@@ -19,12 +19,18 @@ from brightghz.series_core import _count
 
 
 def coherent_pk(gamma: float, k: int) -> float:
-    """Poisson weight exp(-G^2) G^(2k) / k! of a coherent state with mean G^2,
-    G^(2k) / k! one rounding of its exact ratio, so 0.0 past underflow."""
+    """Poisson weight exp(-G^2) G^(2k) / k! of a coherent state with mean G^2.
+
+    G^(2k) / k! = r 2^e, r one rounding of the exact ratio within a factor 2
+    of 1, and exp(-G^2) = exp(j ln 2 - G^2) 2^-j, j = floor(G^2 / ln 2): one
+    ldexp scales their product, so 0.0 only past its underflow."""
     k = _count("k", k, 0)
     lam = gamma * gamma
     m, d = lam.as_integer_ratio()
-    return math.exp(-lam) * (m**k / (d**k * math.factorial(k)))
+    num, den = m**k, d**k * math.factorial(k)
+    e, j = num.bit_length() - den.bit_length(), math.floor(lam / math.log(2))
+    r = (num << max(-e, 0)) / (den << max(e, 0))
+    return math.ldexp(math.exp(j * math.log(2) - lam) * r, e - j)
 
 
 def squeezed_pk(gamma: float, k: int) -> float:

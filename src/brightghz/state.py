@@ -29,10 +29,11 @@ _retained_weights keeps the weights, the signs of their series values and
 the cutoff per beam count: a repeated photon_distribution, or a state
 built where the three-beam weights are kept, walks no ladder, and a failed
 ladder is walked again.  _bright_state keeps the built state, with the
-shell moments of its box, which the Stokes kernels read, and, once first
-read, its closed-form t and vacuum probability: a warm build_bghz is one
-lookup and returns the same frozen state.  Only this module reads a
-state's box.  A built state's amps is a read-only mapping read off its box.
+shell moments of its box, one read-only (6, shells) float array that the
+Stokes kernels read, and, once first read, its closed-form t and vacuum
+probability: a warm build_bghz is one lookup and returns the same frozen
+state.  Only this module reads a state's box.  A built state's amps is a
+read-only mapping read off its box.
 """
 
 from __future__ import annotations
@@ -226,11 +227,14 @@ class BGHZState:
         return box
 
     @cached_property
-    def _moments(self) -> tuple[np.ndarray, np.ndarray]:
+    def _moments(self) -> np.ndarray:
         """Per-shell moments of the box: all that the selector kernels read of a state.
 
-        _shell_moments(self._box), built once per state; build_bghz bins
-        the box when it builds the state.
+        _shell_moments(self._box), one read-only (6, shells) float array,
+        rows M_0..M_3 then Re N and Im N, built once per state; build_bghz
+        bins the box when it builds the state.  Every Stokes, Bell and
+        witness value is one product of it with a form's weight rows and
+        one NumPy sum (stokes module docstring).
         """
         return _shell_moments(self._box)
 
@@ -326,28 +330,28 @@ class _BoxAmplitudes(Mapping):
         return repr(dict(self))
 
 
-def _shell_moments(box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only per-shell moments (M, N) of an amplitude box.
+def _shell_moments(box: np.ndarray) -> np.ndarray:
+    """Read-only per-shell moments of an amplitude box, one (6, shells) float array.
 
-    M[p, k] = sum (q - m)^p |A[q, m]|^2 for p = 0..3 and the band moment
-    N[k] = sum conj(A[q, m]) ((q+1) m)^(3/2) A[q+1, m-1], both over the
-    pairs on shell k = q + m, for k up to twice the box's largest photon
-    count; the stokes module docstring derives every selector triple from
-    them.
+    Rows 0..3 are M_p[k] = sum (q - m)^p |A[q, m]|^2, rows 4 and 5 the real
+    and imaginary parts of the band moment N[k] = sum conj(A[q, m])
+    ((q+1) m)^(3/2) A[q+1, m-1], all over the pairs on shell k = q + m, for
+    k up to twice the box's largest photon count; the stokes module
+    docstring derives every selector triple from them.
     """
     q = np.arange(len(box))
     shells = 2 * len(box) - 1
     k = np.add.outer(q, q)
     mass = (box.real**2 + box.imag**2).ravel()
     powers = np.subtract.outer(q, q).ravel() ** np.arange(4)[:, None]
-    moments = np.array([np.bincount(k.ravel(), w, shells) for w in powers * mass])
+    rows = [np.bincount(k.ravel(), w, shells) for w in powers * mass]
     # over (q, m) -> (q+1, m-1), entry [q, m-1], on shell k[q, m]
     band = (box[:-1, 1:].conj() * np.outer(q[1:], q[1:]) ** 1.5 * box[1:, :-1]).ravel()
     on = k[:-1, 1:].ravel()
-    hops = np.bincount(on, band.real, shells) + 1j * np.bincount(on, band.imag, shells)
+    rows += [np.bincount(on, band.real, shells), np.bincount(on, band.imag, shells)]
+    moments = np.array(rows)
     moments.setflags(write=False)
-    hops.setflags(write=False)
-    return moments, hops
+    return moments
 
 
 def _is_count_pair(key) -> bool:

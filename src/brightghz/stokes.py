@@ -36,23 +36,27 @@ of basis-2 parties.  Shell k of the expectation is therefore
 
 over the state's shell moments (BGHZState._moments), M_p[k] = sum
 (q - m)^p |A[q, m]|^2 for p = 0..3 and N[k] = sum conj(A[q, m])
-((q+1) m)^(3/2) A[q+1, m-1], both over the pairs on shell k.  The moments
-are built once per state (build_bghz memoizes the state per gain).  The
-weights e_p[k] and i^n2 b0_k b1_k b2_k depend only on the triple and k,
-and an expectation is linear in them, so a form, a weighted sum of
-triples (a witness, the Mermin combination), has weights that are the
-weighted sums of its triples'.  They are read-only tables built once per
-form (_WEIGHTS) and sliced per call, so a form of any length costs one
-lookup and one weighted moment sum, with no pass over the box; a single
-selector triple is the one-entry form.  The closed form for t
+((q+1) m)^(3/2) A[q+1, m-1], both over the pairs on shell k: one
+read-only (6, shells) float array per state, rows M_0..M_3, Re N, Im N,
+built once (build_bghz memoizes the state per gain).  The weights e_p[k]
+and w = i^n2 b0_k b1_k b2_k depend only on the triple and k, and an
+expectation is linear in them, so a form, a weighted sum of triples (a
+witness, the Mermin combination), has the weighted sums of its triples'.
+They are one read-only (6, width) array per form (_WEIGHTS), rows e_0..e_3,
+2 Re w and -2 Im w, so that a form of any length costs one slice, one
+product with the moments and one NumPy sum, with no pass over the box; a
+single selector triple is the one-entry form.  That sum is NumPy's own
+pairwise reduction, not a BLAS dot (np.dot, np.vdot, @): a dot is faster,
+but its last bits follow the BLAS kernel that the CPU selects, and the CLI
+goldens hold thresholds byte for byte.  The closed form for t
 (BGHZState._closed_form_t, computed once per state) reads the box itself,
 so CorrelationTensor.cross_check and the agreement diagnostics compare two
 different computations.
 
 This module holds the engine: the selector table (_SELECTORS, one row of
-numbers per per-party operator) and the form evaluator (_form_terms).  The
-forms it evaluates, the Mermin combination and the two witnesses, are
-constants in nonclassicality.
+numbers per per-party operator) and the form evaluator (_form_terms and
+_form_value).  The forms it evaluates, the Mermin combination and the two
+witnesses, are constants in nonclassicality.
 """
 
 from __future__ import annotations
@@ -97,26 +101,25 @@ _SELECTORS = {
 # bench/tracing.py reads _SHELL_BLOCKS; ROADMAP item 12 removes that read and this dict
 _SHELL_BLOCKS: dict = {}
 
-# Shell weights per form, a tuple of (diagonal weight, band weight, selector
-# triple) entries: the cubic coefficients e_p[k] of the diagonal, one row
-# per power p of q - m, and the band weight 2 on_band i^n2 b0_k b1_k b2_k,
-# or None once every entry has a basis-3 party, each summed over the
+# Weight rows per form, a tuple of (diagonal weight, band weight, selector
+# triple) entries: the module docstring's (6, width) array, summed over the
 # entries.  They depend on neither the state nor the gain, so each is built
 # once, read-only, through shell 2 CUTOFF_CAP (grown for a box with more
 # shells: a hand-made one, or a cutoff pinned past the cap) and sliced per
-# call.  Production uses one-entry forms (expectations and the Mermin
-# form) and the two witnesses, about 5.8 kB each at 2 CUTOFF_CAP + 1 shells.
-_WEIGHTS: dict[tuple, tuple[np.ndarray, np.ndarray | None]] = {}
+# call.  Production uses one-entry forms (expectations and the Mermin form)
+# and the two witnesses, about 5.8 kB each at 2 CUTOFF_CAP + 1 shells.
+_WEIGHTS: dict[tuple, np.ndarray] = {}
 
 
-def _triple_weights(ops: tuple, on_band: float, k: np.ndarray):
-    """(e_p[k], band weight[k]) of the selector triple ops over shells k."""
+def _triple_weights(ops: tuple, on_diag: float, on_band: float, k: np.ndarray) -> np.ndarray:
+    """The (6, len(k)) weight rows of on_diag D + on_band O for the selector triple ops."""
     vacuum = k == 0
     slope = np.divide(1.0, k, out=np.zeros(k.shape), where=~vacuum)
+    rows = np.zeros((6, len(k)))
     # the diagonal product as a polynomial in q - m, one coefficient row per power
-    poly = np.zeros((4, len(k)))
-    poly[0] = 1.0
-    band = 2.0 * on_band  # None once a basis-3 party leaves no band
+    poly = rows[:4]
+    poly[0] = on_diag
+    band = 2.0 * on_band
     for op in ops:
         basis, on_vacuum, on_photons, sloped = _SELECTORS[op]
         a = np.where(vacuum, on_vacuum, on_photons)
@@ -124,44 +127,37 @@ def _triple_weights(ops: tuple, on_band: float, k: np.ndarray):
         if basis == 3:
             poly[1:] = a * poly[1:] + b * poly[:-1]
             poly[0] *= a
-            band = None
+            band = 0.0  # a basis-3 party leaves no band
         else:
             poly *= a
-            if band is not None:
-                band = band * (1j * b if basis == 2 else b)
-    return poly, band
+            band = band * (1j * b if basis == 2 else b)
+    rows[4], rows[5] = np.real(band), -np.imag(band)
+    return rows
 
 
 def _form_terms(state: BGHZState, form: tuple) -> np.ndarray:
-    """Per-shell terms of a form, a tuple of (on_diag, on_band, selector triple) entries.
+    """Terms of a form, a tuple of (on_diag, on_band, selector triple) entries.
 
-    Entry k, for k from 0 to twice the box's largest photon count, is the
-    shell-k part of the entries' sum D |A|^2 + 2 Re sum conj(A[q, m]) O
-    A[q+1, m-1], each D weighted by its on_diag and O by its on_band: one
-    weighted sum of the state's shell moments over the form's summed weights
-    (a one-entry form's are exactly its triple's, the diagonal times on_diag).
+    The (6, shells) product of the form's weight rows with the state's shell
+    moments, shells running from 0 to twice the box's largest photon count.
+    Column k sums to the shell-k part of the entries' sum D |A|^2 + 2 Re sum
+    conj(A[q, m]) O A[q+1, m-1], each D weighted by its on_diag and O by its
+    on_band; the whole product sums to the form's value (_form_value).
     """
-    moments, hops = state._moments
-    shells = len(hops)
-    got = _WEIGHTS.get(form)
-    if got is None or got[0].shape[1] < shells:
+    moments = state._moments
+    shells = moments.shape[1]
+    weights = _WEIGHTS.get(form)
+    if weights is None or weights.shape[1] < shells:
         k = np.arange(max(shells, 2 * CUTOFF_CAP + 1))
-        poly = band = None
-        for on_diag, on_band, ops in form:
-            entry_poly, entry_band = _triple_weights(ops, on_band, k)
-            entry_poly *= on_diag
-            poly = entry_poly if poly is None else poly + entry_poly
-            if entry_band is not None:
-                band = entry_band if band is None else band + entry_band
-        poly.setflags(write=False)
-        if band is not None:
-            band.setflags(write=False)
-        got = _WEIGHTS[form] = poly, band
-    poly, band = got
-    terms = (poly[:, :shells] * moments).sum(axis=0)
-    if band is not None:
-        terms += (band[:shells] * hops).real
-    return terms
+        weights = sum(_triple_weights(ops, on_diag, on_band, k) for on_diag, on_band, ops in form)
+        weights.setflags(write=False)
+        _WEIGHTS[form] = weights
+    return weights[:, :shells] * moments
+
+
+def _form_value(state: BGHZState, form: tuple) -> float:
+    """A form's value on a state: its terms summed in one NumPy reduction."""
+    return float(_form_terms(state, form).sum())
 
 
 def _validate_selectors(ops) -> tuple[str, str, str]:
@@ -181,7 +177,7 @@ def stokes_expectation(state, ops) -> float:
     marginals).  state must be a BGHZState.
     """
     ops = _validate_selectors(ops)
-    return float(_form_terms(_typed("state", state, BGHZState), ((1.0, 1.0, ops),)).sum())
+    return _form_value(_typed("state", state, BGHZState), ((1.0, 1.0, ops),))
 
 
 @dataclass(frozen=True)
@@ -201,6 +197,10 @@ class CorrelationTensor:
     cross_check: float
 
 
+# every element of a CorrelationTensor zero, copied per call before the GHZ pattern is filled
+_NO_ELEMENTS = dict.fromkeys(itertools.product((1, 2, 3), repeat=3), 0.0)
+
+
 def tensor_t(
     gamma: float,
     policy: NumericPolicy = DEFAULT_POLICY,
@@ -216,8 +216,7 @@ def tensor_t(
     state = _state_at(gamma, policy, state)
     t = state._closed_form_t
     generic = stokes_expectation(state, ("S1", "S1", "S1"))
-    elements = dict.fromkeys(itertools.product((1, 2, 3), repeat=3), 0.0)
-    elements.update({(1, 1, 1): t, (1, 2, 2): -t, (2, 1, 2): -t, (2, 2, 1): -t})
+    elements = {**_NO_ELEMENTS, (1, 1, 1): t, (1, 2, 2): -t, (2, 1, 2): -t, (2, 2, 1): -t}
     return CorrelationTensor(
         gamma=state.gamma,
         t=t,

@@ -17,14 +17,17 @@ column up to a gain at CUTOFF_CAP, a witness grid with one failed point
 written).
 
 table1 and pk_curve must match their golden byte for byte.  The Stokes
-commands end in floating-point sums over the amplitude box whose last
-digits depend on NumPy's summation order, so their numeric cells need only
-agree to 1e-12 relative (1e-12 absolute below magnitude 1, where the
-agreement diagnostics are rounding noise); comments, headers, row counts
-and every non-numeric cell must match exactly.  That holds each threshold
-comment line ("# threshold gamma = ..." and "# eta threshold at gamma =
-...: ...") byte for byte, so a change that moves a threshold's last digit
-regenerates that golden and states the move.
+commands end in floating-point sums over each state's moment matrix (a
+form's weight rows times the moments, summed by NumPy's own reduction),
+whose last digits depend on the summation order, so their numeric cells
+need only agree to 1e-12 relative (1e-12 absolute below magnitude 1, where
+the agreement diagnostics are rounding noise); comments, headers, row
+counts and every non-numeric cell must match exactly.  That holds each
+threshold comment line ("# threshold gamma = ..." and "# eta threshold at
+gamma = ...: ...") byte for byte, so a change that moves a threshold's last
+digit regenerates that golden and states the move.  No byte-held line may
+depend on the BLAS kernel, which OpenBLAS picks by CPU: CI runs the golden
+tests again with OPENBLAS_CORETYPE forced to two kernels.
 
 stderr is held by the exit code: empty on exit 0; on exit 2 at least one
 line, each a "warning: " line saying why (a warning raised on the way, or a

@@ -164,8 +164,8 @@ _FORM_STATES = st.one_of(
 
 def _thinned_shell_sum(state, eta):
     """The lossy Mermin LHS as the sum over shells of alpha_k^3 m_k + 2 beta_k^3 p_k."""
-    terms = _form_terms(state, _MERMIN_FORM)
-    masses = _form_terms(state, ((1.0, 1.0, ("I", "I", "I")),))
+    terms = _form_terms(state, _MERMIN_FORM).sum(axis=0)
+    masses = _form_terms(state, ((1.0, 1.0, ("I", "I", "I")),)).sum(axis=0)
     beta = (1.0 - eta) ** np.arange(len(terms), dtype=float)
     total = ((1.0 - beta) ** 3 * terms + beta**3 * 2.0 * masses).sum()
     return (1.0 - state.norm_residual) * abs(float(total))
@@ -244,8 +244,7 @@ def test_cross_checks_never_read_the_shell_moments():
     assert evaluate_mermin(gamma, state=built).agreement <= 1e-12
     assert tensor_t(gamma, state=built).cross_check <= 1e-12
     state = BGHZState._from_box(gamma, built.cutoff, built._box.copy(), built.norm_residual)
-    moments, hops = built._moments
-    state.__dict__["_moments"] = (1.5 * moments, 1.5 * hops)
+    state.__dict__["_moments"] = 1.5 * built._moments
     assert "_closed_form_t" not in vars(state)
     assert abs(stokes_expectation(state, ("S1", "S1", "S1")) - 1.5 * s111) <= 1e-12
     assert abs(mermin_lhs(gamma, state=state) - lhs) > 0.1

@@ -52,9 +52,11 @@ def _state_record(gamma: float, policy: NumericPolicy) -> bytes:
         state = build_bghz(gamma, policy)
     except Exception as err:  # noqa: BLE001 - a failure is part of the record
         return repr(err).encode()
-    moments, hops = state._moments
+    # the moment rows as first recorded: M_0..M_3, then the complex band moment
+    rows = state._moments
+    band = rows[4] + 1j * rows[5]
     head = f"{state.cutoff} {state.norm_residual.hex()}".encode()
-    return b" ".join((head, state._box.tobytes(), moments.tobytes(), hops.tobytes()))
+    return b" ".join((head, state._box.tobytes(), rows[:4].tobytes(), band.tobytes()))
 
 
 def _distribution_record(n: int, gamma: float, policy: NumericPolicy) -> bytes:

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import brightghz.stokes as stokes_module
-from brightghz.nonclassicality import _MERMIN_FORM
+from brightghz.nonclassicality import _MERMIN_FORM, _W1_FORM, _W2_FORM
 from brightghz.state import (
     CUTOFF_CAP,
     BGHZState,
@@ -220,7 +220,7 @@ def test_shell_terms_match_reference_per_shell(entries, ops, weights):
     # not only their sum
     state = diagonal_state(entries)
     assume(state is not None)
-    got = _form_terms(state, ((*weights, ops),))
+    got = _form_terms(state, ((*weights, ops),)).sum(axis=0)
     want = _reference_shell_terms(state, ops, *weights)
     assert got.shape == want.shape == (2 * state.cutoff + 1,)
     assert np.abs(got - want).max() <= 1e-12
@@ -228,12 +228,9 @@ def test_shell_terms_match_reference_per_shell(entries, ops, weights):
 
 def _direct_shell_terms(state, ops, on_diag=1.0, on_band=1.0):
     # the per-shell weights built afresh over exactly the state's shells
-    moments, hops = state._moments
-    poly, band = _triple_weights(ops, on_band, np.arange(len(hops)))
-    terms = (on_diag * poly * moments).sum(axis=0)
-    if band is not None:
-        terms += (band * hops).real
-    return terms
+    moments = state._moments
+    weights = _triple_weights(ops, on_diag, on_band, np.arange(moments.shape[1]))
+    return (weights * moments).sum(axis=0)
 
 
 def _hand_state(side, amps):
@@ -265,11 +262,13 @@ def test_shell_terms_do_not_depend_on_the_first_table_size(monkeypatch):
     for first in firsts:
         monkeypatch.setattr(stokes_module, "_WEIGHTS", {})
         if first is not None:
-            assert len(first._moments[1]) > len(small._moments[1]) == 9
+            assert first._moments.shape[1] > small._moments.shape[1] == 9
             for ops in triples:
                 for w in weights:
                     _form_terms(first, ((*w, ops),))
-        got.append([_form_terms(small, ((*w, ops),)) for ops in triples for w in weights])
+        got.append(
+            [_form_terms(small, ((*w, ops),)).sum(axis=0) for ops in triples for w in weights]
+        )
     want = [_direct_shell_terms(small, ops, *w) for ops in triples for w in weights]
     for terms in got:
         assert all(np.array_equal(a, b) for a, b in zip(terms, want))
@@ -303,9 +302,9 @@ def test_tables_grow_past_the_cap(monkeypatch):
     small = build_bghz(0.3, NumericPolicy(cutoff=4))
     for ops in triples:
         _form_terms(small, ((1.0, 1.0, ops),))  # a table first built at the default size
-        assert stokes_module._WEIGHTS[((1.0, 1.0, ops),)][0].shape[1] == 2 * CUTOFF_CAP + 1
-        got = _form_terms(state, ((1.0, 1.0, ops),))
-        assert stokes_module._WEIGHTS[((1.0, 1.0, ops),)][0].shape[1] >= shells
+        assert stokes_module._WEIGHTS[((1.0, 1.0, ops),)].shape == (6, 2 * CUTOFF_CAP + 1)
+        got = _form_terms(state, ((1.0, 1.0, ops),)).sum(axis=0)
+        assert stokes_module._WEIGHTS[((1.0, 1.0, ops),)].shape[1] >= shells
         assert np.array_equal(got, _direct_shell_terms(state, ops))
         reach = shells if set(ops) <= {"S3", "S0", "I"} else 2 * CUTOFF_CAP + 1
         want = _reference_shell_terms(state, ops)
@@ -320,12 +319,10 @@ def test_weight_tables_are_read_only():
     state = build_bghz(0.3, NumericPolicy(cutoff=4))
     for ops in [("S1", "S2", "S2"), ("S3", "S3", "S0")]:
         _form_terms(state, ((1.0, 1.0, ops),))
-        poly, band = stokes_module._WEIGHTS[((1.0, 1.0, ops),)]
-        with pytest.raises(ValueError, match="read-only"):
-            poly[0, 0] = 0.0
-        if band is not None:
+        weights = stokes_module._WEIGHTS[((1.0, 1.0, ops),)]
+        for row in (0, 5):
             with pytest.raises(ValueError, match="read-only"):
-                band[0] = 0.0
+                weights[row, 0] = 0.0
 
 
 def test_warm_kernels_build_no_weights(monkeypatch):
@@ -358,6 +355,58 @@ def test_band_product_matches_reference_blocks(entries, ops):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_stack(k):
+    # every selector's shell-k reference block, in sorted(_SELECTORS) order
+    return np.array([_reference_block(sel, k) for sel in sorted(_SELECTORS)], dtype=complex)
+
+
+def _reference_values(state):
+    """<ops> for all 1000 selector triples from the dense reference blocks,
+    indexed by the triple's positions in sorted(_SELECTORS)."""
+    shells = {}
+    for (q, m), amp in state.amps.items():
+        shells.setdefault(q + m, np.zeros(q + m + 1, dtype=complex))[q] = amp
+    values = np.zeros((len(_SELECTORS),) * 3)
+    for k, vec in shells.items():
+        blocks = _reference_stack(k)
+        outer = np.outer(vec.conj(), vec)
+        values += np.einsum("aij,bij,cij,ij->abc", blocks, blocks, blocks, outer).real
+    return values
+
+
+# Rounding allowances of the bounds below, each a few times the largest seen
+# on 200 drawn boxes: |<ops>| reached 1 + 1 ulp, a form's value lay 2 ulps
+# of its terms' absolute sum from the fsum of its per-shell terms, and the
+# cross check reached 2.8e-17 (1.1e-16 with the per-shell sum)
+_UNIT_SLACK = 8 * 2**-52
+_FSUM_ULPS = 8
+_CROSS_CHECK_BOUND = 4e-16
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(amplitude_boxes(12), st.booleans())
+def test_hand_made_boxes_keep_every_bound(entries, symmetric):
+    # complex boxes with zeros anywhere, exchange-symmetric or not, 1 to 12
+    # photons per mode: every product of selectors is bounded by 1, each
+    # value matches the dense reference, a form's value is its per-shell
+    # terms summed, and on symmetric boxes the closed form's t is <S1 S1 S1>
+    state = diagonal_state(entries, symmetric)
+    assume(state is not None and state.cutoff >= 1)
+    triples = list(itertools.product(sorted(_SELECTORS), repeat=3))
+    got = np.array([stokes_expectation(state, ops) for ops in triples]).reshape((10,) * 3)
+    assert np.abs(got).max() <= 1.0 + _UNIT_SLACK
+    assert np.abs(got - _reference_values(state)).max() <= 1e-12
+    for form in (_MERMIN_FORM, _W1_FORM, _W2_FORM, ((1.0, 1.0, ("S2", "S1", "S1")),)):
+        terms = _form_terms(state, form)
+        value = stokes_module._form_value(state, form)
+        assert value == terms.sum()
+        shell_sum = math.fsum(terms.sum(axis=0).tolist())
+        assert abs(value - shell_sum) <= _FSUM_ULPS * math.ulp(max(1.0, np.abs(terms).sum()))
+    if symmetric:
+        assert tensor_t(0.0, state=state).cross_check <= _CROSS_CHECK_BOUND
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(amplitude_boxes(12), st.booleans())
 def test_mermin_kernel_equals_four_setting_sum(entries, projected):
@@ -379,7 +428,7 @@ def test_mermin_kernel_equals_four_setting_sum(entries, projected):
         if suffix:
             assert form == _MERMIN_FORM
         got = _form_terms(state, form)
-        assert got.shape == (2 * len(state._box) - 1,)
+        assert got.shape == (6, 2 * len(state._box) - 1)
         assert got.sum() == pytest.approx(want, abs=1e-12)
 
 
