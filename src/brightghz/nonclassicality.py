@@ -43,14 +43,14 @@ beta_0 = 1, it is -I, the lossless cube.  The lossy Mermin sum is thus
 sum_k (alpha_k^3 m_k + 2 beta_k^3 p_k) over the lossless per-shell terms
 m_k of the Mermin form and the shell masses p_k.  With c = 1 - eta,
 beta_k = c^k and alpha_k^3 = 1 - 3 c^k + 3 c^2k - c^3k, so the sum is one
-polynomial P in c whose coefficients come from one form pass on a state;
-each efficiency then costs one power vector and one multiply-and-sum,
-which gives P and P' together.  Its constant coefficient, all that
-survives at eta = 1, is the lossless sum itself (m_0 = 2 p_0), so the
-lossy LHS at eta = 1 is the lossless one bit for bit.  The expansion
-cancels between its c^k, c^2k and c^3k coefficients as eta falls, which
-costs a few units in the last place against the per-shell sum.
-eta_threshold solves it for 2 by Newton in c, to a few ulps.
+polynomial P in c whose coefficients come from one form pass on a state,
+kept on the state; each efficiency sums P and P' in plain floats, upward
+in c, only as far as P's last bit needs (_lossy_at).  Its constant
+coefficient, all that survives at eta = 1, is the lossless sum itself
+(m_0 = 2 p_0), so the lossy LHS at eta = 1 is the lossless one bit for
+bit.  The expansion cancels between its c^k, c^2k and c^3k coefficients as
+eta falls, which costs a few units in the last place against the per-shell
+sum.  eta_threshold solves it for 2 by Newton in c, to a few ulps.
 
 Both witnesses flag entanglement strictly below zero: w1 transplants the
 three-qubit GHZ projector witness to normalized Stokes operators, and w2
@@ -329,33 +329,51 @@ def per_party_loss_factor(k_a: int, k_b: int, eta: float) -> float:
     return (1.0 - beta) * (k_a - k_b) / k - beta if k else -1.0
 
 
-def _lossy_lhs(state: BGHZState) -> tuple[np.ndarray, np.ndarray, float]:
-    """The module docstring's polynomial P in c = 1 - eta, built once from
-    one Mermin form product, as (rows, powers, scale): rows holds P's
-    coefficients d_j and P''s, (j + 1) d_(j+1), both on c^j = c**powers,
-    and the LHS is scale |P(c)|, scale the retained mass.
+def _lossy_lhs(state: BGHZState) -> tuple[tuple, float, float]:
+    """The module docstring's polynomial P in c = 1 - eta, built from one
+    Mermin form product and kept in the state's __dict__ (so it dies with
+    the state), as (terms, d_0, scale): terms holds (d_j, j d_j, 2**60 t_j)
+    for j >= 1, t_j = sum over i >= j of (1 + i) |d_i|, and the LHS is
+    scale |P(c)|, scale the retained mass.
 
     Shell k >= 1 puts -3 m_k on c^k, 3 m_k on c^2k and 2 p_k - m_k on c^3k,
     m_k the product's column sums; as m_0 = 2 p_0, d_0 is the eta = 1 value,
     the product's whole sum, the very reduction that mermin_lhs reads.
     """
-    product = _form_terms(state, _MERMIN_FORM)
-    terms, masses = product.sum(axis=0), state._moments[0]
-    rows = np.zeros((2, 3 * len(terms) - 2))
-    d = rows[0]
-    d[0] = product.sum()
-    d[1 : len(terms)] = -3.0 * terms[1:]
-    d[2 : 2 * len(terms) - 1 : 2] += 3.0 * terms[1:]
-    d[3::3] += 2.0 * masses[1:] - terms[1:]
-    powers = np.arange(len(d), dtype=float)
-    rows[1, :-1] = powers[1:] * d[1:]
-    return rows, powers, 1.0 - state.norm_residual
+    lossy = state.__dict__.get("_lossy_lhs")
+    if lossy is None:
+        product = _form_terms(state, _MERMIN_FORM)
+        terms, masses = product.sum(axis=0), state._moments[0]
+        d = np.zeros(3 * len(terms) - 2)
+        d[0] = product.sum()
+        d[1 : len(terms)] = -3.0 * terms[1:]
+        d[2 : 2 * len(terms) - 1 : 2] += 3.0 * terms[1:]
+        d[3::3] += 2.0 * masses[1:] - terms[1:]
+        powers = np.arange(len(d), dtype=float)
+        tails = np.cumsum((np.abs(d) * (powers + 1.0))[::-1])[::-1] * 2.0**60
+        rows = zip(d[1:].tolist(), (powers * d)[1:].tolist(), tails[1:].tolist())
+        state.__dict__["_lossy_lhs"] = lossy = (tuple(rows), float(d[0]), 1.0 - state.norm_residual)
+    return lossy
 
 
 def _lossy_at(lossy: tuple, c: float) -> tuple[float, float]:
-    """(LHS, its slope in c) of a _lossy_lhs polynomial at c; eta = 1 reads d_0 alone."""
-    rows, powers, scale = lossy
-    p, slope = (rows[:, 0] if c == 0.0 else rows @ c**powers).tolist()
+    """(LHS, its slope in c) of a _lossy_lhs polynomial at c in [0, 1].
+
+    Sums P and P' upward in j, c^j by repeated products, the terms past
+    d_0 apart, and stops before the first j with t_j c^(j-1) <= 2**-60 |P|,
+    P the sum so far: the terms left out add at most that, under 1/128 of
+    P's last bit, and rounding at most 2**-53 (|P| + (J + 1) sum |d_j| c^j)
+    over the J terms read past d_0 (likewise for P').  c = 0 gives d_0.
+    """
+    terms, d_0, scale = lossy
+    p, rest, slope, x = d_0, 0.0, 0.0, 1.0  # x = c^(j-1)
+    for d, slope_d, tail in terms:
+        if tail * x <= abs(p):
+            break
+        slope += slope_d * x
+        x *= c
+        rest += d * x
+        p = d_0 + rest
     return scale * abs(p), math.copysign(scale, p) * slope
 
 
@@ -389,25 +407,23 @@ def eta_threshold(
 
     Solves lossy_mermin_lhs = 2 on one state, built here or reused when
     given, by Newton in c = 1 - eta on its polynomial, through the same
-    evaluator.  Requires the LHS above 2 at eta = 1 ("not violated at eta=1"
-    otherwise) and not above it at eta = 1e-6 ("no crossing" otherwise).
-    Steps are at least 2**-53 long; one that leaves that bracket or does
-    not halve the step before last bisects it instead, until it is 2**-52
-    wide.  The result is the crossing of this state's float polynomial to
-    2 ulps plus ulp(2) / |LHS'| (at most 2.3 ulps from gain 0.3 up, 19.6
-    at 0.075, where the LHS is flattest).  The state's own truncation error
-    is not included.
+    evaluator, in [0, 1 - 1e-6].  Requires the LHS above 2 at eta = 1 ("not
+    violated at eta=1" otherwise).  Steps are at least 2**-53 long; one
+    that leaves the bracket or does not halve the step before last bisects
+    it, until it is 2**-52 wide.  eta = 1e-6 is evaluated only if no point
+    fell to 2, raising "no crossing" if above 2; a point at or below 2 gives
+    a crossing even if the LHS is back above 2 at 1e-6.  The result is the
+    crossing of this state's float polynomial to 2 ulps plus ulp(2) / |LHS'|
+    (at most 3.0 ulps from gain 0.3 up, 19.4 at 0.075, where the LHS is
+    flattest).  The state's own truncation error is not included.
     """
     state = _state_at(gamma, policy, state)
     lossy = _lossy_lhs(state)
-    value, slope = _lossy_at(lossy, 0.0)
-    if value <= CLASSICAL_BOUND:
+    lossless, slope = _lossy_at(lossy, 0.0)
+    if lossless <= CLASSICAL_BOUND:
         raise _NotViolated(f"not violated at eta=1 (gamma={state.gamma})")
-    lo, hi = 0.0, 1.0 - 1e-6
-    end = _lossy_at(lossy, hi)[0]
-    if end > CLASSICAL_BOUND:
-        raise ValueError(f"no crossing: the LHS is {value} at eta=1 and {end} at eta=1e-6")
-    c, last, before = 0.0, hi, hi
+    value, lo, hi = lossless, 0.0, 1.0 - 1e-6
+    c, last, before, end = 0.0, hi, hi, hi
     while hi - lo > 2.0**-52:
         step = (CLASSICAL_BOUND - value) / slope if slope else math.inf
         x = c + math.copysign(max(abs(step), 2.0**-53), step)
@@ -418,6 +434,8 @@ def eta_threshold(
         if value == CLASSICAL_BOUND:
             return 1.0 - c
         lo, hi = (c, hi) if value > CLASSICAL_BOUND else (lo, c)
+    if hi == end and (value := _lossy_at(lossy, end)[0]) > CLASSICAL_BOUND:
+        raise ValueError(f"no crossing: the LHS is {lossless} at eta=1 and {value} at eta=1e-6")
     return 1.0 - (lo / 2 + hi / 2)
 
 

@@ -253,7 +253,7 @@ class BGHZState:
         box = self._box
         # over (q, m) -> (q+1, m-1), entry [q, m-1]: ((q+1) m)^(3/2) / k^3
         q = np.arange(1, len(box))
-        weight = np.outer(q, q) ** 1.5 / np.add.outer(q - 1, q) ** 3
+        weight = np.sqrt(np.outer(q, q) ** 3) / np.add.outer(q - 1, q) ** 3
         direct = (box[:-1, 1:].conj() * box[1:, :-1]).real
         transposed = (box.T[1:, :-1].conj() * box[:-1, 1:]).real
         return float((weight * (direct + transposed)).sum())
@@ -345,8 +345,9 @@ def _shell_moments(box: np.ndarray) -> np.ndarray:
     mass = (box.real**2 + box.imag**2).ravel()
     powers = np.subtract.outer(q, q).ravel() ** np.arange(4)[:, None]
     rows = [np.bincount(k.ravel(), w, shells) for w in powers * mass]
-    # over (q, m) -> (q+1, m-1), entry [q, m-1], on shell k[q, m]
-    band = (box[:-1, 1:].conj() * np.outer(q[1:], q[1:]) ** 1.5 * box[1:, :-1]).ravel()
+    # over (q, m) -> (q+1, m-1), entry [q, m-1], on shell k[q, m]; the root of
+    # the exact cube is correctly rounded on any CPU, unlike NumPy's SIMD pow
+    band = (box[:-1, 1:].conj() * np.sqrt(np.outer(q[1:], q[1:]) ** 3) * box[1:, :-1]).ravel()
     on = k[:-1, 1:].ravel()
     rows += [np.bincount(on, band.real, shells), np.bincount(on, band.imag, shells)]
     moments = np.array(rows)

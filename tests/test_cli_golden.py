@@ -8,7 +8,9 @@ cases through the installed console script, with the CSV on stdout
 
 Regenerate the golden files with the commit the contract pins:
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py --write
+
+Any other arguments print a usage line and exit 2, writing nothing.
 """
 
 import sys
@@ -35,6 +37,9 @@ def test_every_golden_file_has_a_case_and_every_case_a_file():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        print("usage: PYTHONPATH=src python tests/test_cli_golden.py --write", file=sys.stderr)
+        sys.exit(2)
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for name, argv, code in CASES:
         got = main([*argv, "--out", str(GOLDEN / f"{name}.csv")])

@@ -1,10 +1,12 @@
 """Mermin-like inequality, detector loss, thresholds, and witnesses."""
 
 import cmath
+import gc
 import itertools
 import math
 import re
 import warnings
+import weakref
 from decimal import Decimal
 from fractions import Fraction
 
@@ -554,15 +556,18 @@ def test_eta_threshold_brackets_violation(monkeypatch):
     assert eta_threshold(gamma, state=state) == threshold
 
 
+def _fresh(state):
+    """A copy of state that holds none of its memos."""
+    return BGHZState._from_box(state.gamma, state.cutoff, state._box.copy(), state.norm_residual)
+
+
 def test_eta_threshold_reuses_the_lossless_value(monkeypatch):
-    # one Mermin form pass per threshold: every efficiency evaluates the
-    # polynomial built from its terms, eta = 1, the upper bracket, too, where
-    # only the constant coefficient, the lossless sum, survives bit for bit
+    # one Mermin form pass per state, across calls: the polynomial is built
+    # once and kept on the state, every efficiency evaluates it, eta = 1
+    # too, where only the constant coefficient, the lossless sum, survives
+    # bit for bit, and a copy of the state builds its own
     gamma = 0.4
-    state = build_bghz(gamma)
-    reference = find_crossing(
-        lambda e: lossy_mermin_lhs(gamma, e, state=state), 2.0, 1e-6, 1.0, 1e-3
-    )
+    state = _fresh(build_bghz(gamma))
     passes = []
     kernel = nonclassicality._form_terms
 
@@ -571,12 +576,31 @@ def test_eta_threshold_reuses_the_lossless_value(monkeypatch):
         return kernel(state, form)
 
     monkeypatch.setattr(nonclassicality, "_form_terms", counted_kernel)
+    reference = find_crossing(
+        lambda e: lossy_mermin_lhs(gamma, e, state=state), 2.0, 1e-6, 1.0, 1e-3
+    )
     seen = _counted_points(monkeypatch)
-    assert abs(eta_threshold(gamma, state=state) - reference) <= 5e-4
+    eta = eta_threshold(gamma, state=state)
+    assert abs(eta - reference) <= 5e-4
+    assert eta_threshold(gamma, state=state) == eta
     assert passes == [_MERMIN_FORM]
     assert 0.0 in seen
     lossless = nonclassicality._lossy_at(nonclassicality._lossy_lhs(state), 0.0)[0]
     assert lossless == mermin_lhs(gamma, state=state)
+    assert eta_threshold(gamma, state=_fresh(state)) == eta
+    assert passes == [_MERMIN_FORM] * 2
+
+
+def test_the_lossy_polynomial_dies_with_its_state():
+    # the memo lives on the state, so no module-level table keeps a state
+    # (or its polynomial) alive after the last reference to it goes
+    state = _fresh(build_bghz(0.3))
+    eta_threshold(0.3, state=state)
+    assert "_lossy_lhs" in vars(state)
+    gone = weakref.ref(state)
+    del state
+    gc.collect()
+    assert gone() is None
 
 
 def test_not_violated_names_the_gain_of_the_given_state():
@@ -605,12 +629,18 @@ _HAND_BOXES = {
 }
 
 
+def _coefficients(state):
+    """The float coefficients d_0, d_1, ... of the state's lossy polynomial, and its scale."""
+    terms, d_0, scale = nonclassicality._lossy_lhs(state)
+    return [d_0, *(d for d, _, _ in terms)], scale
+
+
 def _mp_crossing(state):
     """1 - c at the root of sign(d_0) P(c) = 2 / scale near the threshold,
     at 50 digits on the state's own float coefficients d."""
-    rows, _, scale = nonclassicality._lossy_lhs(state)
+    coefficients, scale = _coefficients(state)
     with mpmath.workdps(50):
-        d = [mpmath.mpf(float(x)) for x in rows[0][::-1]]
+        d = [mpmath.mpf(x) for x in coefficients[::-1]]
         sign = 1 if d[-1] > 0 else -1
 
         def offset(c):
@@ -622,12 +652,62 @@ def _mp_crossing(state):
         return 1 - c, sign * mpmath.polyval(d, c, derivative=True)[1] * scale
 
 
+class _Read:
+    """An iterable over items that counts how many of them were taken."""
+
+    def __init__(self, items):
+        self.items, self.taken = items, 0
+
+    def __iter__(self):
+        for item in self.items:
+            self.taken += 1
+            yield item
+
+
+@pytest.mark.parametrize("state", [*_HAND_BOXES, *LOSS_SCAN_GAINS])
+def test_truncated_sum_is_the_float_polynomial_to_its_stated_bound(state):
+    # against the full polynomial on the same float coefficients, at 50
+    # digits, across [0, 1): the sum of the terms read is off by at most
+    # 2**-60 |P| for the terms left out and 2**-53 |P| + (J + 1) 2**-53 sum
+    # |d_j| c^j (j >= 1, J <= n terms) for rounding, and its slope likewise;
+    # and it stops at the first term whose suffix bound t_j c^(j-1) falls to
+    # 2**-60 |P|, not one term sooner
+    state = _HAND_BOXES[state] if state in _HAND_BOXES else build_bghz(state)
+    lossy = nonclassicality._lossy_lhs(state)
+    coefficients, scale = _coefficients(state)
+    n = len(coefficients)
+    eta = eta_threshold(state.gamma, state=state)
+    grid = [0.0, 1e-3, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 1 - 1e-6, 1 - eta]
+    with mpmath.workdps(50):
+        d = [mpmath.mpf(x) for x in coefficients]
+        suffix = [mpmath.fsum((1 + i) * abs(d[i]) for i in range(j, n)) for j in range(n)]
+        for c in grid:
+            # at scale 1 the evaluator reports |P| and sign(P) P'
+            read = _Read(lossy[0])
+            value, slope = nonclassicality._lossy_at((read, lossy[1], 1.0), c)
+            assert (scale * value, scale * slope) == nonclassicality._lossy_at(lossy, c)
+            x = mpmath.mpf(c)
+            p = mpmath.fsum(d[j] * x**j for j in range(n))
+            dp = mpmath.fsum(j * d[j] * x ** (j - 1) for j in range(1, n))
+            size = mpmath.fsum(abs(d[j]) * x**j for j in range(1, n))
+            dsize = mpmath.fsum(j * abs(d[j]) * x ** (j - 1) for j in range(1, n))
+            left_out, rounding = 2**-60 * value, (n + 1) * mpmath.mpf(2) ** -53 * 1.001
+            assert abs(value - abs(p)) <= left_out + 2**-53 * value + rounding * size, c
+            assert abs(slope - mpmath.sign(p) * dp) <= left_out + rounding * dsize, c
+            # taken counts the terms added, plus the one that stopped the sum
+            stop = read.taken
+            if stop < n - 1:
+                assert suffix[stop] * x ** (stop - 1) <= left_out * (1 + 2**-40), c
+            if stop > 1:
+                assert suffix[stop - 1] * x ** (stop - 2) > left_out * (1 - 2**-30), c
+
+
 @pytest.mark.parametrize("state", [*_HAND_BOXES, *LOSS_SCAN_GAINS, 0.3, 0.7])
 def test_eta_threshold_is_the_crossing_of_the_float_polynomial(state):
     # the bracket closes to 2**-52 in c, 2 ulps of eta, around where the
     # float LHS crosses 2, and that lies within its own last bit, ulp(2),
-    # over the slope from the exact crossing.  Measured: 0.2-0.4 ulps on the
-    # hand boxes, 0.5-2.3 on the states from 0.3 up, and 19.6 at 0.075,
+    # over the slope from the exact crossing.  Measured: 0.5-0.6 ulps on the
+    # hand boxes, 0.1-0.7 on the states from 0.3 up, and 19.4 at 0.075,
     # where the LHS is flattest (slope -0.08 in c), against a bound of 52
     state = _HAND_BOXES[state] if state in _HAND_BOXES else build_bghz(state)
     eta = eta_threshold(state.gamma, state=state)
@@ -649,6 +729,30 @@ def test_eta_threshold_lies_on_the_itp_crossing(gamma):
 
     assert abs(eta - find_crossing(lhs, 2.0, 1e-6, 1.0)) <= 5e-4
     assert lhs(eta + 1e-9) > 2.0 > lhs(eta - 1e-9)
+
+
+def test_no_crossing_is_raised_only_when_no_point_reaches_two(monkeypatch):
+    # a vacuum box of squared norm 1.5 keeps the LHS at 3 (to an ulp) for every
+    # efficiency: no Newton or bisection point reaches 2, so the bracket's
+    # end is evaluated, once and last, and "no crossing" is raised
+    heavy = BGHZState(gamma=0.0, cutoff=0, amps={(0, 0): math.sqrt(1.5)}, norm_residual=0.0)
+    seen = _counted_points(monkeypatch)
+    message = r"no crossing: the LHS is \S+ at eta=1 and \S+ at eta=1e-6"
+    with pytest.raises(ValueError, match=message):
+        eta_threshold(0.0, state=heavy)
+    assert seen[-1] == 1 - 1e-6 and seen.count(1 - 1e-6) == 1
+    assert lossy_mermin_lhs(0.0, 1e-6, state=heavy) == pytest.approx(3.0)
+    # a bright box of squared norm 1.01 ends above 2 at eta = 1e-6 too, but
+    # falls below 2 in between: the crossing there is returned, and the end
+    # is never evaluated
+    built = build_bghz(0.3)
+    state = BGHZState._from_box(0.3, built.cutoff, built._box * math.sqrt(1.01), 0.0)
+    seen.clear()
+    eta = eta_threshold(0.3, state=state)
+    assert 1 - 1e-6 not in seen
+    assert lossy_mermin_lhs(0.3, 1e-6, state=state) > 2.0
+    assert lossy_mermin_lhs(0.3, eta + 1e-9, state=state) > 2.0
+    assert lossy_mermin_lhs(0.3, eta - 1e-9, state=state) < 2.0
 
 
 def test_eta_threshold_requires_violation():

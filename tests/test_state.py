@@ -19,6 +19,7 @@ import brightghz.state as state_module
 import brightghz.stokes as stokes_module
 from brightghz.nonclassicality import (
     _MERMIN_FORM,
+    eta_threshold,
     evaluate_w2,
     find_crossing,
     lossy_mermin_lhs,
@@ -1053,11 +1054,21 @@ def _kernel(name, gamma, policy, eta, cold=False):
     if name == "stokes":
         state = build_bghz(gamma, policy) if state is None else state
         return stokes_expectation(state, ("S1p", "S2", "S3"))
-    kernel = {"mermin": mermin_lhs, "tensor": tensor_t}.get(name)
+    kernel = {"mermin": mermin_lhs, "tensor": tensor_t, "eta": eta_threshold}.get(name)
     return kernel(gamma, policy, state) if kernel else lossy_mermin_lhs(gamma, eta, policy, state)
 
 
-_KERNELS = ("mermin", "lossy", "w1", "w1 projected", "w2", "w2 projected", "tensor", "stokes")
+_KERNELS = (
+    "mermin", "lossy", "eta", "w1", "w1 projected", "w2", "w2 projected", "tensor", "stokes"
+)
+
+
+def _clear_lossy(gamma, policy):
+    """Drop the lossy polynomial kept on the memoized state at (gamma, policy), if any."""
+    try:
+        vars(build_bghz(gamma, policy)).pop("_lossy_lhs", None)
+    except ResummationError:
+        pass
 
 
 @st.composite
@@ -1074,6 +1085,7 @@ def _memo_runs(draw):
         st.tuples(st.just("build"), point),
         st.tuples(st.sampled_from(_KERNELS), st.tuples(point, st.floats(0, 1))),
         st.tuples(st.sampled_from(("clear weights", "clear states", "clear forms")), st.none()),
+        st.tuples(st.just("clear lossy"), point),
     )
     return draw(st.lists(call, min_size=4, max_size=12))
 
@@ -1081,9 +1093,10 @@ def _memo_runs(draw):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(_memo_runs())
 def test_memos_give_what_cold_calls_give(run):
-    # distributions, builds and the Bell, witness and Stokes kernels
-    # interleaved with clears of the two state memos and of the Stokes form
-    # weights: each result equals, bit for bit, the one computed with no memo
+    # distributions, builds and the Bell, loss, witness and Stokes kernels
+    # interleaved with clears of the two state memos, of the Stokes form
+    # weights and of a state's lossy polynomial: each result equals, bit for
+    # bit, the one computed with no memo
     weights, bright = state_module._retained_weights, state_module._bright_state
     memos = {"clear weights": weights.cache_clear, "clear states": bright.cache_clear}
     memos["clear forms"] = stokes_module._WEIGHTS.clear
@@ -1093,6 +1106,9 @@ def test_memos_give_what_cold_calls_give(run):
     for what, point in run:
         if what in memos:
             memos[what]()
+            continue
+        if what == "clear lossy":
+            _clear_lossy(*point)
             continue
         if what == "build":
             call = cold_call = functools.partial(build_bghz, *point)

@@ -14,11 +14,14 @@ beam count.
 
 Regenerate the golden file with the commit the contract pins:
 
-    PYTHONPATH=src python tests/test_state_golden.py
+    PYTHONPATH=src python tests/test_state_golden.py --write
+
+Any other arguments print a usage line and exit 2, writing nothing.
 """
 
 import hashlib
 import random
+import sys
 from pathlib import Path
 
 from brightghz.pade import _SHIPPED_BITS
@@ -92,4 +95,7 @@ def test_states_and_distributions_match_the_golden_digest():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        print("usage: PYTHONPATH=src python tests/test_state_golden.py --write", file=sys.stderr)
+        sys.exit(2)
     GOLDEN.write_text("".join(line + "\n" for line in digest()))

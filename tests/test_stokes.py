@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import brightghz.stokes as stokes_module
@@ -384,7 +384,16 @@ _FSUM_ULPS = 8
 _CROSS_CHECK_BOUND = 4e-16
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+# No shrink phase: a counterexample here is a box and 1000 selector triples,
+# and shrinking one took minutes where finding it took a second; a failure
+# reports the example as drawn, which detects the same faults
+@settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
+)
 @given(amplitude_boxes(12), st.booleans())
 def test_hand_made_boxes_keep_every_bound(entries, symmetric):
     # complex boxes with zeros anywhere, exchange-symmetric or not, 1 to 12

@@ -12,10 +12,13 @@ mismatch names the series.
 
 Regenerate the golden file with the commit the contract pins:
 
-    PYTHONPATH=src python tests/test_walk_golden.py
+    PYTHONPATH=src python tests/test_walk_golden.py --write
+
+Any other arguments print a usage line and exit 2, writing nothing.
 """
 
 import hashlib
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -70,4 +73,7 @@ def test_walks_match_the_golden_digest():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        print("usage: PYTHONPATH=src python tests/test_walk_golden.py --write", file=sys.stderr)
+        sys.exit(2)
     GOLDEN.write_text("".join(line + "\n" for line in digest()))
