@@ -6,9 +6,11 @@ tables' own 256 bits with an auto cutoff and with a pinned cutoff of 12,
 320 bits with a pinned cutoff of 20, the 64-bit floor with an auto cutoff,
 and the default 128 bits with an auto cutoff and with a pinned cutoff of 12.
 Per policy and beam count one line holds the SHA-256 of every record: for
-n = 3 the state build_bghz builds (cutoff, norm_residual as float.hex,
-the bytes of its box and of its shell moments), and for n = 1, 2 and 3 the
-photon_distribution (probs, tail_bound and mean as float.hex, diverged).
+n = 3 the state build_bghz builds (cutoff, norm_residual, closed-form t
+and vacuum probability as float.hex, the bytes of its box and of its shell
+moments, then the bytes of its vacuum-projected twin's box and moments),
+and for n = 1, 2 and 3 the photon_distribution (probs, tail_bound and mean
+as float.hex, diverged).
 An error is recorded by its repr.  So a mismatch names the policy and the
 beam count.
 
@@ -59,7 +61,14 @@ def _state_record(gamma: float, policy: NumericPolicy) -> bytes:
     rows = state._moments
     band = rows[4] + 1j * rows[5]
     head = f"{state.cutoff} {state.norm_residual.hex()}".encode()
-    return b" ".join((head, state._box.tobytes(), rows[:4].tobytes(), band.tobytes()))
+    values = f"{state._closed_form_t.hex()} {state._vacuum_probability.hex()}".encode()
+    try:
+        twin = state._vacuum_projected
+        projected = b" ".join((twin._box.tobytes(), twin._moments.tobytes()))
+    except ValueError as err:  # a state that holds vacuum only
+        projected = repr(err).encode()
+    record = (head, state._box.tobytes(), rows[:4].tobytes(), band.tobytes(), values, projected)
+    return b" ".join(record)
 
 
 def _distribution_record(n: int, gamma: float, policy: NumericPolicy) -> bytes:
