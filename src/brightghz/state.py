@@ -32,8 +32,9 @@ ladder is walked again.  _bright_state keeps the built state, with the
 shell moments of its box, one read-only (6, shells) float array that the
 Stokes kernels read, and, once first read, its closed-form t and vacuum
 probability: a warm build_bghz is one lookup and returns the same frozen
-state.  Only this module reads a state's box.  A built state's amps is a
-read-only mapping read off its box.
+state; the box geometry that no gain enters is one table per process
+(_geometry).  Only this module reads a state's box.  A built state's amps
+is a read-only mapping read off its box.
 """
 
 from __future__ import annotations
@@ -208,19 +209,20 @@ class BGHZState:
 
         Built once per state, with one vectorized conversion, and shared by
         every Stokes kernel call on it; a state from _from_box holds it
-        already.  A key that is not a pair of non-negative integer photon
-        counts raises ValueError naming it.
+        already.  A key that is not a pair of integer photon counts in [0,
+        200] (_MAX_CUTOFF, the deepest built state) raises ValueError naming
+        it: past 1448 photons the ladder factors' exact cube overflows int64.
         """
         try:
             index = np.fromiter(itertools.chain.from_iterable(self.amps), float)
             valid = set(map(len, self.amps)) <= {2} and np.all(
-                (index >= 0) & (index < np.inf) & (index == np.trunc(index))
+                (index >= 0) & (index <= _MAX_CUTOFF) & (index == np.trunc(index))
             )
         except (TypeError, ValueError):
             valid = False
         if not valid:
             bad = next((key for key in self.amps if not _is_count_pair(key)), None)
-            raise ValueError(f"amplitude key {bad!r} is not a pair of photon counts")
+            raise ValueError(f"amplitude key {bad!r} is not two photon counts <= {_MAX_CUTOFF}")
         index = index.astype(np.intp).reshape(-1, 2)
         box = np.zeros((index.max(initial=0) + 1,) * 2, complex)
         box[index[:, 0], index[:, 1]] = np.fromiter(self.amps.values(), complex, len(index))
@@ -251,9 +253,7 @@ class BGHZState:
         cross-checks compare two different computations.
         """
         box = self._box
-        # over (q, m) -> (q+1, m-1), entry [q, m-1]: ((q+1) m)^(3/2) / k^3
-        q = np.arange(1, len(box))
-        weight = np.sqrt(np.outer(q, q) ** 3) / np.add.outer(q - 1, q) ** 3
+        *_, weight = _geometry(len(box))
         direct = (box[:-1, 1:].conj() * box[1:, :-1]).real
         transposed = (box.T[1:, :-1].conj() * box[:-1, 1:]).real
         return float((weight * (direct + transposed)).sum())
@@ -339,26 +339,43 @@ def _shell_moments(box: np.ndarray) -> np.ndarray:
     k up to twice the box's largest photon count; the stokes module
     docstring derives every selector triple from them.
     """
-    q = np.arange(len(box))
+    shell, powers, ladder, _ = _geometry(len(box))
     shells = 2 * len(box) - 1
-    k = np.add.outer(q, q)
-    mass = (box.real**2 + box.imag**2).ravel()
-    powers = np.subtract.outer(q, q).ravel() ** np.arange(4)[:, None]
-    rows = [np.bincount(k.ravel(), w, shells) for w in powers * mass]
-    # over (q, m) -> (q+1, m-1), entry [q, m-1], on shell k[q, m]; the root of
-    # the exact cube is correctly rounded on any CPU, unlike NumPy's SIMD pow
-    band = (box[:-1, 1:].conj() * np.sqrt(np.outer(q[1:], q[1:]) ** 3) * box[1:, :-1]).ravel()
-    on = k[:-1, 1:].ravel()
+    weights, index = (powers * (box.real**2 + box.imag**2)).reshape(4, -1), shell.ravel()
+    rows = [np.bincount(index, w, shells) for w in weights]
+    band = (box[:-1, 1:].conj() * ladder * box[1:, :-1]).ravel()
+    on = shell[:-1, 1:].ravel()
     rows += [np.bincount(on, band.real, shells), np.bincount(on, band.imag, shells)]
     moments = np.array(rows)
     moments.setflags(write=False)
     return moments
 
 
+# A box's geometry, which no gain enters: [q + m, (q - m)^p for p = 0..3 as
+# floats, the ladder factors ((q+1) m)^(3/2) at [q, m-1], each the root of the
+# exact int64 cube (correctly rounded on any CPU, unlike NumPy's SIMD pow),
+# and those over (q + m + 1)^3, the closed form's weights].  One read-only
+# table grown to the largest side seen: sides stop at 201, about 2.3 MB.
+_GEOMETRY: list[np.ndarray] = []
+
+
+def _geometry(side: int) -> list[np.ndarray]:
+    """_GEOMETRY sliced to a side x side box, grown first if it is smaller."""
+    if not _GEOMETRY or len(_GEOMETRY[0]) < side:
+        q = np.arange(side)
+        shell, ladder = np.add.outer(q, q), np.sqrt(np.outer(q[1:], q[1:]) ** 3)
+        powers = (np.subtract.outer(q, q) ** np.arange(4)[:, None, None]).astype(float)
+        _GEOMETRY[:] = shell, powers, ladder, ladder / shell[:-1, 1:] ** 3
+        for table in _GEOMETRY:
+            table.setflags(write=False)
+    (shell, powers, ladder, weight), full, band = _GEOMETRY, slice(side), slice(side - 1)
+    return [shell[full, full], powers[:, full, full], ladder[band, band], weight[band, band]]
+
+
 def _is_count_pair(key) -> bool:
     """BGHZState._box's test on the index array, for one key."""
     try:
-        return all(c >= 0 and c % 1 == 0 for c in key) and len(key) == 2
+        return all(0 <= c <= _MAX_CUTOFF and c % 1 == 0 for c in key) and len(key) == 2
     except TypeError:
         return False
 
@@ -655,7 +672,7 @@ def project_out_vacuum(state: BGHZState) -> BGHZState:
     """
     box = _typed("state", state, BGHZState)._box.copy()
     box[0, 0] = 0.0
-    total = fsum((np.abs(box) ** 2).ravel().tolist())
+    total = fsum(memoryview((np.abs(box) ** 2).ravel()))
     if total <= 0:
         raise ValueError("state has no nonvacuum support to keep")
     box *= total**-0.5

@@ -43,15 +43,15 @@ and w = i^n2 b0_k b1_k b2_k depend only on the triple and k, and an
 expectation is linear in them, so a form, a weighted sum of triples (a
 witness, the Mermin combination), has the weighted sums of its triples'.
 They are one read-only (6, width) array per form (_WEIGHTS), rows e_0..e_3,
-2 Re w and -2 Im w, so that a form of any length costs one slice, one
-product with the moments and one NumPy sum, with no pass over the box; a
-single selector triple is the one-entry form.  That sum is NumPy's own
-pairwise reduction, not a BLAS dot (np.dot, np.vdot, @): a dot is faster,
-but its last bits follow the BLAS kernel that the CPU selects, and the CLI
-goldens hold thresholds byte for byte.  The closed form for t
-(BGHZState._closed_form_t, computed once per state) reads the box itself,
-so CorrelationTensor.cross_check and the agreement diagnostics compare two
-different computations.
+2 Re w and -2 Im w, built once per process from one row per selector, so
+that a form of any length costs one slice, one product with the moments and
+one NumPy sum, with no pass over the box; a single selector triple is the
+one-entry form.  That sum is NumPy's own pairwise reduction, not a BLAS dot
+(np.dot, np.vdot, @): a dot is faster, but its last bits follow the BLAS
+kernel that the CPU selects, and the CLI goldens hold thresholds byte for
+byte.  The closed form for t (BGHZState._closed_form_t, computed once per
+state) reads the box itself, so CorrelationTensor.cross_check and the
+agreement diagnostics compare two different computations.
 
 This module holds the engine: the selector table (_SELECTORS, one row of
 numbers per per-party operator) and the form evaluator (_form_terms and
@@ -106,24 +106,33 @@ _SHELL_BLOCKS: dict = {}
 # entries.  They depend on neither the state nor the gain, so each is built
 # once, read-only, through shell 2 CUTOFF_CAP (grown for a box with more
 # shells: a hand-made one, or a cutoff pinned past the cap) and sliced per
-# call.  Production uses one-entry forms (expectations and the Mermin form)
-# and the two witnesses, about 5.8 kB each at 2 CUTOFF_CAP + 1 shells.
+# call, each selector's row formed once per build.  Production uses one-entry
+# forms (expectations and the Mermin form) and the two witnesses, about
+# 5.8 kB each at 2 CUTOFF_CAP + 1 shells.
 _WEIGHTS: dict[tuple, np.ndarray] = {}
 
 
-def _triple_weights(ops: tuple, on_diag: float, on_band: float, k: np.ndarray) -> np.ndarray:
-    """The (6, len(k)) weight rows of on_diag D + on_band O for the selector triple ops."""
+def _selector_rows(ops: Iterable, k: np.ndarray) -> dict:
+    """Per selector in ops, (basis, a, b) over shells k, its count function
+    a + b (2 kappa - k): b = 1/k (0 on the vacuum) or 0."""
     vacuum = k == 0
     slope = np.divide(1.0, k, out=np.zeros(k.shape), where=~vacuum)
-    rows = np.zeros((6, len(k)))
+    return {
+        op: (basis, np.where(vacuum, on_vacuum, on_photons), slope if sloped else 0.0)
+        for op, (basis, on_vacuum, on_photons, sloped) in _SELECTORS.items()
+        if op in ops
+    }
+
+
+def _triple_weights(ops: tuple, on_diag: float, on_band: float, selectors: dict) -> np.ndarray:
+    """The (6, shells) weight rows of on_diag D + on_band O for ops, from their _selector_rows."""
+    rows = np.zeros((6, len(selectors[ops[0]][1])))
     # the diagonal product as a polynomial in q - m, one coefficient row per power
     poly = rows[:4]
     poly[0] = on_diag
     band = 2.0 * on_band
     for op in ops:
-        basis, on_vacuum, on_photons, sloped = _SELECTORS[op]
-        a = np.where(vacuum, on_vacuum, on_photons)
-        b = slope if sloped else 0.0
+        basis, a, b = selectors[op]
         if basis == 3:
             poly[1:] = a * poly[1:] + b * poly[:-1]
             poly[0] *= a
@@ -149,7 +158,8 @@ def _form_terms(state: BGHZState, form: tuple) -> np.ndarray:
     weights = _WEIGHTS.get(form)
     if weights is None or weights.shape[1] < shells:
         k = np.arange(max(shells, 2 * CUTOFF_CAP + 1))
-        weights = sum(_triple_weights(ops, on_diag, on_band, k) for on_diag, on_band, ops in form)
+        rows = _selector_rows({op for *_, ops in form for op in ops}, k)
+        weights = sum(_triple_weights(ops, diag, band, rows) for diag, band, ops in form)
         weights.setflags(write=False)
         _WEIGHTS[form] = weights
     return weights[:, :shells] * moments

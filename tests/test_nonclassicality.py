@@ -13,7 +13,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from brightghz import nonclassicality
@@ -116,7 +116,13 @@ def _dense_lossy_mermin(state, eta):
     return (1.0 - state.norm_residual) * abs(total)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+# No shrink phase, here and in the next test: shrinking a counterexample
+# took minutes where finding it took seconds; a failure reports the example
+# as drawn, which detects the same faults
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None, phases=_NO_SHRINK)
 @given(amplitude_boxes(10), st.floats(0.0, 1.0))
 def test_lossy_closed_form_matches_thinned_blocks(entries, eta):
     # random exchange-diagonal states through shell 20, against binomial
@@ -173,7 +179,7 @@ def _thinned_shell_sum(state, eta):
     return (1.0 - state.norm_residual) * abs(float(total))
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@settings(max_examples=50, deadline=None, derandomize=True, database=None, phases=_NO_SHRINK)
 @given(_FORM_STATES, st.floats(0.0, 1.0))
 def test_lossy_polynomial_matches_the_thinned_shell_sum(state, eta):
     # the polynomial in 1 - eta cancels between its c^k, c^2k and c^3k

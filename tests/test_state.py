@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import random
 import re
 import warnings
 from decimal import Decimal
@@ -1084,7 +1085,10 @@ def _memo_runs(draw):
         st.tuples(st.sampled_from((1, 2, 3)), point),
         st.tuples(st.just("build"), point),
         st.tuples(st.sampled_from(_KERNELS), st.tuples(point, st.floats(0, 1))),
-        st.tuples(st.sampled_from(("clear weights", "clear states", "clear forms")), st.none()),
+        st.tuples(
+            st.sampled_from(("clear weights", "clear states", "clear forms", "clear geometry")),
+            st.none(),
+        ),
         st.tuples(st.just("clear lossy"), point),
     )
     return draw(st.lists(call, min_size=4, max_size=12))
@@ -1095,11 +1099,12 @@ def _memo_runs(draw):
 def test_memos_give_what_cold_calls_give(run):
     # distributions, builds and the Bell, loss, witness and Stokes kernels
     # interleaved with clears of the two state memos, of the Stokes form
-    # weights and of a state's lossy polynomial: each result equals, bit for
-    # bit, the one computed with no memo
+    # weights, of the box geometry and of a state's lossy polynomial: each
+    # result equals, bit for bit, the one computed with no memo
     weights, bright = state_module._retained_weights, state_module._bright_state
     memos = {"clear weights": weights.cache_clear, "clear states": bright.cache_clear}
     memos["clear forms"] = stokes_module._WEIGHTS.clear
+    memos["clear geometry"] = state_module._GEOMETRY.clear
     cold = {"_retained_weights": weights.__wrapped__, "_bright_state": bright.__wrapped__}
     for clear in memos.values():
         clear()
@@ -1119,10 +1124,78 @@ def test_memos_give_what_cold_calls_give(run):
         else:
             call = cold_call = functools.partial(photon_distribution, what, *point)
         got = _outcome(call)
-        with mock.patch.multiple(state_module, **cold), mock.patch.object(
+        with mock.patch.multiple(state_module, **cold, _GEOMETRY=[]), mock.patch.object(
             stokes_module, "_WEIGHTS", {}
         ):
             assert got == _outcome(cold_call), (what, point)
+
+
+# The box geometry as each formula built it inline before it was tabled:
+# the shell moments, the closed-form t and the vacuum projection.
+def _inline_moments(box):
+    q = np.arange(len(box))
+    shells = 2 * len(box) - 1
+    k = np.add.outer(q, q)
+    mass = (box.real**2 + box.imag**2).ravel()
+    powers = np.subtract.outer(q, q).ravel() ** np.arange(4)[:, None]
+    rows = [np.bincount(k.ravel(), w, shells) for w in powers * mass]
+    band = (box[:-1, 1:].conj() * np.sqrt(np.outer(q[1:], q[1:]) ** 3) * box[1:, :-1]).ravel()
+    on = k[:-1, 1:].ravel()
+    rows += [np.bincount(on, band.real, shells), np.bincount(on, band.imag, shells)]
+    return np.array(rows)
+
+
+def _inline_closed_form_t(box):
+    q = np.arange(1, len(box))
+    weight = np.sqrt(np.outer(q, q) ** 3) / np.add.outer(q - 1, q) ** 3
+    direct = (box[:-1, 1:].conj() * box[1:, :-1]).real
+    transposed = (box.T[1:, :-1].conj() * box[:-1, 1:]).real
+    return float((weight * (direct + transposed)).sum())
+
+
+def _inline_projected(box):
+    box = box.copy()
+    box[0, 0] = 0.0
+    return box * math.fsum((np.abs(box) ** 2).ravel().tolist()) ** -0.5
+
+
+def _geometry_states():
+    """Built states of sides 61 (the cutoff cap), 6 and 41, the loss_scan
+    band gains, and a dense hand-made box of side 81, past the cap."""
+    states = {g: build_bghz(g) for g in (0.352, 0.075, 0.58)}
+    draw = np.random.default_rng(81)
+    box = draw.normal(size=(81, 81)) + 1j * draw.normal(size=(81, 81))
+    box /= np.sqrt((np.abs(box) ** 2).sum())
+    amps = {(q, m): complex(box[q, m]) for q in range(81) for m in range(81)}
+    hand = BGHZState(gamma=0.0, cutoff=80, amps=amps, norm_residual=0.0)
+    return [states[0.352], states[0.075], hand, states[0.58]]
+
+
+def test_box_geometry_does_not_depend_on_the_order_of_sides(monkeypatch):
+    # sides 61, 6, 81 and 41 in that order and in shuffled orders, each from
+    # an empty geometry table: every state's moments, closed-form t and
+    # vacuum-projected twin equal, bit for bit, the inline formulas', and the
+    # table never holds more than the largest side seen
+    states = _geometry_states()
+    assert [len(s._box) for s in states] == [61, 6, 81, 41]
+    orders = [states] + [random.Random(seed).sample(states, len(states)) for seed in range(5)]
+    for order in orders:
+        monkeypatch.setattr(state_module, "_GEOMETRY", [])
+        largest = 0
+        for built in order:
+            state = BGHZState._from_box(
+                built.gamma, built.cutoff, built._box.copy(), built.norm_residual
+            )
+            box = state._box
+            twin = state._vacuum_projected
+            assert twin._box.tobytes() == _inline_projected(box).tobytes()
+            assert state._moments.tobytes() == _inline_moments(box).tobytes()
+            assert twin._moments.tobytes() == _inline_moments(twin._box).tobytes()
+            assert state._closed_form_t.hex() == _inline_closed_form_t(box).hex()
+            largest = max(largest, len(box))
+            shell, powers, ladder, weight = state_module._GEOMETRY
+            assert shell.shape == powers.shape[1:] == (largest, largest)
+            assert ladder.shape == weight.shape == (largest - 1, largest - 1)
 
 
 # The cutoff loop carries its mass and forms one tail per k; its weights,

@@ -23,6 +23,7 @@ from brightghz.state import (
 from brightghz.stokes import (
     _SELECTORS,
     _form_terms,
+    _selector_rows,
     _triple_weights,
     CorrelationTensor,
     stokes_expectation,
@@ -229,7 +230,8 @@ def test_shell_terms_match_reference_per_shell(entries, ops, weights):
 def _direct_shell_terms(state, ops, on_diag=1.0, on_band=1.0):
     # the per-shell weights built afresh over exactly the state's shells
     moments = state._moments
-    weights = _triple_weights(ops, on_diag, on_band, np.arange(moments.shape[1]))
+    rows = _selector_rows(ops, np.arange(moments.shape[1]))
+    weights = _triple_weights(ops, on_diag, on_band, rows)
     return (weights * moments).sum(axis=0)
 
 
@@ -481,6 +483,10 @@ def test_selector_validation(ghz):
         pytest.param({"ab": 0.8}, id="ab"),
         # lengths that compensate were once read as the pairs (1, 2), (3, 4)
         pytest.param({(1,): 0.6, (2, 3, 4): 0.2}, id="compensating_lengths"),
+        # past 200 photons (_MAX_CUTOFF, the deepest built state); from 1449
+        # on, the ladder factors' int64 cube once overflowed to nan
+        pytest.param({(1499, 0): 0.8}, id="past_cutoff0"),
+        pytest.param({(0, 201): 0.8}, id="past_cutoff1"),
     ],
 )
 def test_amplitude_keys_must_be_photon_counts(bad):
@@ -491,6 +497,15 @@ def test_amplitude_keys_must_be_photon_counts(bad):
     state = BGHZState(gamma=0.0, cutoff=2, amps={(1, 2): 0.6, **bad}, norm_residual=0.0)
     with pytest.raises(ValueError, match=re.escape(repr(next(iter(bad))))):
         stokes_expectation(state, ("S3", "I", "I"))
+
+
+def test_counts_at_the_deepest_cutoff_keep_their_values():
+    # 200 photons, the most a key may hold, give <S3 S3 S3> = 1 to the ulp
+    # (1/200 is rounded before it is cubed) and a finite closed-form t
+    top = BGHZState(gamma=0.0, cutoff=0, amps={(200, 0): 1.0}, norm_residual=0.0)
+    assert stokes_expectation(top, ("I", "I", "I")) == 1.0
+    assert abs(stokes_expectation(top, ("S3", "S3", "S3")) - 1.0) <= 2.0**-52
+    assert top._closed_form_t == 0.0
 
 
 def test_fast_path_matches_joint_path(bright_small):
