@@ -17,6 +17,9 @@ basis-1 one times i, so each mixed setting is minus the basis-1 cube on the
 band.  The combination is the basis-1 form weighted by J - 3 Sigma (J all
 ones, Sigma[q, q'] = (-1)^(q-q')): -2 on the diagonal, 4 on the band.  The
 lossless and the lossy Mermin tests both read its per-shell terms.
+Arguments are checked once, at the public entry (_state_at, _projected);
+past it, evaluate_mermin and mermin_lhs share the private LHS _mermin_lhs,
+each value is one stokes._form_value, and each record is series_core._record.
 
 Normalization convention for the Bell test: the retained amplitude box
 carries squared mass 1 - norm_residual of the untruncated state, and the
@@ -72,7 +75,7 @@ from functools import cached_property
 
 import numpy as np
 
-from brightghz.series_core import _count, _real, _shown, _typed
+from brightghz.series_core import _count, _real, _record, _shown, _typed
 from brightghz.state import DEFAULT_POLICY, BGHZState, NumericPolicy, _state_at
 from brightghz.stokes import _form_terms, _form_value
 
@@ -177,7 +180,11 @@ def mermin_lhs(
     state: BGHZState | None = None,
 ) -> float:
     """Mermin-like LHS with primed operators, scaled by the retained mass."""
-    state = _state_at(gamma, policy, state)
+    return _mermin_lhs(_state_at(gamma, policy, state))
+
+
+def _mermin_lhs(state: BGHZState) -> float:
+    """mermin_lhs on a state that a public entry has already checked."""
     return (1.0 - state.norm_residual) * abs(_form_value(state, _MERMIN_FORM))
 
 
@@ -196,11 +203,10 @@ def evaluate_mermin(
     exchange-symmetric boxes, A[q, m] = A[m, q], like every bright state.
     """
     state = _state_at(gamma, policy, state)
-    lhs = mermin_lhs(gamma, policy, state)
-    t = state._closed_form_t
+    lhs, t = _mermin_lhs(state), state._closed_form_t
     reduced = (1.0 - state.norm_residual) * abs(4.0 * t + 2.0 * state._vacuum_probability)
-    return MerminEvaluation(
-        gamma=state.gamma, lhs=lhs, reduced=reduced, agreement=abs(lhs - reduced)
+    return _record(
+        MerminEvaluation, gamma=state.gamma, lhs=lhs, reduced=reduced, agreement=abs(lhs - reduced)
     )
 
 
@@ -484,7 +490,8 @@ def evaluate_w2(
     state = _state_at(gamma, policy, state, _projected(projected))
     value = _form_value(state, _W2_FORM)
     closed = -4.0 * state._closed_form_t + 1.0 - state._vacuum_probability
-    return WitnessEvaluation(
+    return _record(
+        WitnessEvaluation,
         gamma=state.gamma,
         value=value,
         closed_form=closed,

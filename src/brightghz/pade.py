@@ -77,7 +77,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from brightghz.series_core import _count, _real, _typed
+from brightghz.series_core import _count, _real, _record, _typed
 
 __all__ = [
     "ResummationResult",
@@ -110,20 +110,9 @@ class ResummationResult:
     order_used: int
     diagnostics: tuple[tuple[int, float | None], ...]
 
-    @classmethod
-    def _of_dyadic(
-        cls, dyadic: tuple[int, int], converged: bool, order_used: int, diagnostics: tuple
-    ) -> ResummationResult:
-        """The result whose value is m 2**e, dyadic = (m, e): it holds the
-        pair as _dyadic, which state reads, and forms value on first read."""
-        result = cls.__new__(cls)
-        result.__dict__.update(
-            _dyadic=dyadic, converged=converged, order_used=order_used, diagnostics=diagnostics
-        )
-        return result
-
     def __getattr__(self, name: str):
-        # reached only for a name the instance lacks: value, in a result of _of_dyadic
+        # reached only for a name the instance lacks: value, in a result resum
+        # built with _record from the rounded pair _dyadic = (m, e), value m 2**e
         if name != "value" or "_dyadic" not in self.__dict__:
             raise AttributeError(name)
         value = self.__dict__["value"] = _fraction(*self._dyadic)
@@ -692,8 +681,13 @@ class DiagonalResummer:
         order_used = len(diagnostics)
         if not converged and order_used < max_order:
             diagnostics.append((order_used + 1, None))
-        value = _rounded(*_quotient(*kept, fv), fv)
-        return ResummationResult._of_dyadic(value, converged, order_used, tuple(diagnostics))
+        return _record(
+            ResummationResult,
+            _dyadic=_rounded(*_quotient(*kept, fv), fv),
+            converged=converged,
+            order_used=order_used,
+            diagnostics=tuple(diagnostics),
+        )
 
     def resum(
         self, x, max_order: int = 40, tol: float = 1e-10, bits: int = _DEFAULT_BITS
@@ -730,7 +724,13 @@ class DiagonalResummer:
                 total = total * x + Fraction(p, q)
             m, e = _rounded(total.numerator, 0, bits + 64, total.denominator)
             order = max(1, degree) if num else 1
-            return ResummationResult._of_dyadic((m, e), True, order, ((order, _float(m, e)),))
+            return _record(
+                ResummationResult,
+                _dyadic=(m, e),
+                converged=True,
+                order_used=order,
+                diagnostics=((order, _float(m, e)),),
+            )
 
         return self._walk(point, max_order, ratio, bits)
 

@@ -105,6 +105,15 @@ def _typed(name: str, value, cls: type):
     return value
 
 
+def _record(cls: type, **fields):
+    """The frozen dataclass cls holding fields, built without its __init__.
+    Only for records with no __post_init__: MerminEvaluation, WitnessEvaluation,
+    CorrelationTensor, and ResummationResult (_dyadic in place of value)."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
 def _real(
     name: str, value, low: float = -math.inf, high: float = math.inf, closed: str = "()"
 ) -> float:

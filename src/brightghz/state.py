@@ -212,6 +212,7 @@ class BGHZState:
         already.  A key that is not a pair of integer photon counts in [0,
         200] (_MAX_CUTOFF, the deepest built state) raises ValueError naming
         it: past 1448 photons the ladder factors' exact cube overflows int64.
+        So does a key whose amplitude has a NaN or infinite part.
         """
         try:
             index = np.fromiter(itertools.chain.from_iterable(self.amps), float)
@@ -224,8 +225,12 @@ class BGHZState:
             bad = next((key for key in self.amps if not _is_count_pair(key)), None)
             raise ValueError(f"amplitude key {bad!r} is not two photon counts <= {_MAX_CUTOFF}")
         index = index.astype(np.intp).reshape(-1, 2)
+        values = np.fromiter(self.amps.values(), complex, len(index))
+        if not np.isfinite(values).all():
+            bad = list(self.amps)[np.flatnonzero(~np.isfinite(values))[0]]
+            raise ValueError(f"amplitude {self.amps[bad]!r} at key {bad!r} is not finite")
         box = np.zeros((index.max(initial=0) + 1,) * 2, complex)
-        box[index[:, 0], index[:, 1]] = np.fromiter(self.amps.values(), complex, len(index))
+        box[index[:, 0], index[:, 1]] = values
         return box
 
     @cached_property
@@ -406,7 +411,7 @@ def _series_value(n: int, k: int, gamma: float, policy: NumericPolicy, u=None) -
     skipped final order (None) never settles, so two early orders cannot
     stand in for a ladder that broke down later, and a ladder without any
     value (PoleProximityError) fails at order 0.  The pair is the rounded
-    one that every result of resum carries (ResummationResult._of_dyadic).
+    one that every result of resum carries (ResummationResult._dyadic).
     """
     resummer = _resummer(n, k, 2 * max(policy.pade_order, DEFAULT_POLICY.pade_order) + 1)
     if u is None:

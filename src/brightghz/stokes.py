@@ -56,7 +56,9 @@ agreement diagnostics compare two different computations.
 This module holds the engine: the selector table (_SELECTORS, one row of
 numbers per per-party operator) and the form evaluator (_form_terms and
 _form_value).  The forms it evaluates, the Mermin combination and the two
-witnesses, are constants in nonclassicality.
+witnesses, are constants in nonclassicality.  Arguments are checked once, at
+the public entry (_state_at, _validate_selectors); internal hops, such as
+tensor_t's generic <S1 S1 S1>, go straight to _form_value.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from brightghz.state import (
     NumericPolicy,
     _state_at,
 )
-from brightghz.series_core import _shown, _typed
+from brightghz.series_core import _record, _shown, _typed
 
 __all__ = [
     "CorrelationTensor",
@@ -166,8 +168,9 @@ def _form_terms(state: BGHZState, form: tuple) -> np.ndarray:
 
 
 def _form_value(state: BGHZState, form: tuple) -> float:
-    """A form's value on a state: its terms summed in one NumPy reduction."""
-    return float(_form_terms(state, form).sum())
+    """A form's value on a state: its terms summed in one NumPy reduction,
+    np.add.reduce called without ndarray.sum's Python wrapper."""
+    return float(np.add.reduce(_form_terms(state, form), None))
 
 
 def _validate_selectors(ops) -> tuple[str, str, str]:
@@ -209,6 +212,8 @@ class CorrelationTensor:
 
 # every element of a CorrelationTensor zero, copied per call before the GHZ pattern is filled
 _NO_ELEMENTS = dict.fromkeys(itertools.product((1, 2, 3), repeat=3), 0.0)
+# <S1 S1 S1> as a one-entry form: the generic value tensor_t checks its closed form against
+_S1_CUBE = ((1.0, 1.0, ("S1", "S1", "S1")),)
 
 
 def tensor_t(
@@ -225,11 +230,6 @@ def tensor_t(
     """
     state = _state_at(gamma, policy, state)
     t = state._closed_form_t
-    generic = stokes_expectation(state, ("S1", "S1", "S1"))
+    check = abs(t - _form_value(state, _S1_CUBE))
     elements = {**_NO_ELEMENTS, (1, 1, 1): t, (1, 2, 2): -t, (2, 1, 2): -t, (2, 2, 1): -t}
-    return CorrelationTensor(
-        gamma=state.gamma,
-        t=t,
-        elements=elements,
-        cross_check=abs(t - generic),
-    )
+    return _record(CorrelationTensor, gamma=state.gamma, t=t, elements=elements, cross_check=check)

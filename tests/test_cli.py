@@ -203,14 +203,14 @@ def test_a_cutoff_past_the_ceiling_exits_1_at_once(capsys):
 def test_failed_bisection_aborts_without_csv(tmp_path, monkeypatch, capsys):
     # the grid brackets the crossing in (0.75, 0.8); every LHS evaluation
     # inside that bracket fails, so no threshold line can be written
-    lhs = nonclassicality.mermin_lhs
+    lhs = nonclassicality._mermin_lhs
 
-    def failing_inside(gamma, *args):
-        if 0.75 < gamma < 0.8:
+    def failing_inside(bright):
+        if 0.75 < bright.gamma < 0.8:
             raise state.ResummationError("stub ladder failure", 40)
-        return lhs(gamma, *args)
+        return lhs(bright)
 
-    monkeypatch.setattr(nonclassicality, "mermin_lhs", failing_inside)
+    monkeypatch.setattr(nonclassicality, "_mermin_lhs", failing_inside)
     out = tmp_path / "out.csv"
     argv = ["--cmd", "mermin", "--gamma-min", "0.7", "--gamma-max", "0.8", "--steps", "3"]
     assert main([*argv, "--out", str(out)]) == EXIT_HARD

@@ -21,6 +21,8 @@ from brightghz import state as state_module
 from brightghz import stokes as stokes_module
 from brightghz.nonclassicality import (
     _MERMIN_FORM,
+    _W1_FORM,
+    _W2_FORM,
     SweepResult,
     eta_threshold,
     eta_threshold_sweep,
@@ -243,7 +245,10 @@ def test_cross_checks_never_read_the_shell_moments():
     # the kernels read only the state's cached shell moments and the closed
     # form only its box, so corrupted moments move the kernels, leave the
     # closed form alone and show up in both diagnostics; the moments are
-    # corrupted on a private copy of the memoized state, before its t is read
+    # corrupted on a private copy of the memoized state, before its t is read;
+    # on both, tensor_t and evaluate_mermin, which skip the public re-checks,
+    # give the public values bit for bit, and each form's value is its terms'
+    # one NumPy sum
     gamma = 0.4
     built = build_bghz(gamma)
     t = built._closed_form_t
@@ -259,6 +264,13 @@ def test_cross_checks_never_read_the_shell_moments():
     assert state._closed_form_t == t
     assert evaluate_mermin(gamma, state=state).agreement > 0.1
     assert tensor_t(gamma, state=state).cross_check > 0.1
+    for bright in (built, state):
+        generic = stokes_expectation(bright, ("S1", "S1", "S1"))
+        assert tensor_t(gamma, state=bright).cross_check == abs(t - generic)
+        assert evaluate_mermin(gamma, state=bright).lhs == mermin_lhs(gamma, state=bright)
+        for form in (_MERMIN_FORM, _W1_FORM, _W2_FORM):
+            value = float(_form_terms(bright, form).sum())
+            assert stokes_module._form_value(bright, form) == value
 
 
 def _counted_points(monkeypatch):

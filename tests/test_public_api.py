@@ -1,14 +1,26 @@
 """The package's public surface: production names only, one CSV writer."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import brightghz
+from brightghz import (
+    DiagonalResummer,
+    build_bghz,
+    c_series,
+    evaluate_mermin,
+    evaluate_w2,
+    tensor_t,
+)
 
 LAYERS = ("series_core", "pade", "state", "stokes", "nonclassicality", "cli")
 PACKAGE_DIR = Path(brightghz.__file__).parent
@@ -92,6 +104,37 @@ def test_readme_library_block_prints_what_its_comments_say(capsys):
         "gamma_threshold()": "0.7697",
         "eta_threshold(0.05)": "0.7918",
     }
+
+
+_LADDER = DiagonalResummer(c_series(4, 3, 41).coeffs)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: evaluate_mermin(0.352, state=build_bghz(0.352)), id="mermin"),
+        pytest.param(lambda: evaluate_w2(0.075, True, state=build_bghz(0.075)), id="w2"),
+        pytest.param(lambda: tensor_t(0.58, state=build_bghz(0.58)), id="tensor"),
+        pytest.param(lambda: _LADDER.resum(Fraction(-1, 4), max_order=20), id="walked"),
+        pytest.param(lambda: _LADDER.resum(0, max_order=20), id="summed_polynomial"),
+    ],
+)
+def test_records_built_past_init_match_their_dataclass(make):
+    # records built without __init__ (series_core._record) hold exactly their
+    # fields, a resummation the rounded pair _dyadic in place of value until
+    # value is read, and behave as the record __init__ builds from them
+    record = make()
+    names = [field.name for field in dataclasses.fields(record)]
+    held = set(names)
+    if "_dyadic" in vars(record):
+        held = held - {"value"} | {"_dyadic"}
+    assert set(vars(record)) == held
+    twin = type(record)(**{name: getattr(record, name) for name in names})
+    assert record == twin and repr(record) == repr(twin)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, names[1], getattr(record, names[1]))
+    changed = dataclasses.replace(record, **{names[0]: getattr(record, names[0])})
+    assert type(changed) is type(record) and changed == record
 
 
 # Small grids of the six commands: the statistics, a threshold search, a

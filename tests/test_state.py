@@ -31,6 +31,7 @@ from brightghz.nonclassicality import (
 )
 from brightghz.oracles import coherent_pk, squeezed_pk
 from brightghz.pade import DiagonalResummer, ResummationResult, _fraction
+from brightghz.series_core import _record
 from brightghz.state import (
     CUTOFF_CAP,
     DEFAULT_POLICY,
@@ -534,7 +535,13 @@ def test_soft_acceptance_compares_the_last_two_orders(monkeypatch):
 
         def resum(self, u, max_order, tol, bits):
             pair = state_module._dyadic(1.0001)
-            return ResummationResult._of_dyadic(pair, False, max_order, self.diagnostics)
+            return _record(
+                ResummationResult,
+                _dyadic=pair,
+                converged=False,
+                order_used=max_order,
+                diagnostics=self.diagnostics,
+            )
 
     for diagnostics, settles in ((early + skipped, False), (skipped[:-2] + late, True)):
         monkeypatch.setattr(state_module, "_resummer", lambda n, k, L: Stub(diagnostics))

@@ -12,7 +12,13 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import brightghz.stokes as stokes_module
-from brightghz.nonclassicality import _MERMIN_FORM, _W1_FORM, _W2_FORM
+from brightghz.nonclassicality import (
+    _MERMIN_FORM,
+    _W1_FORM,
+    _W2_FORM,
+    evaluate_mermin,
+    mermin_lhs,
+)
 from brightghz.state import (
     CUTOFF_CAP,
     BGHZState,
@@ -401,7 +407,9 @@ def test_hand_made_boxes_keep_every_bound(entries, symmetric):
     # complex boxes with zeros anywhere, exchange-symmetric or not, 1 to 12
     # photons per mode: every product of selectors is bounded by 1, each
     # value matches the dense reference, a form's value is its per-shell
-    # terms summed, and on symmetric boxes the closed form's t is <S1 S1 S1>
+    # terms summed, and on symmetric boxes the closed form's t is <S1 S1 S1>;
+    # tensor_t and evaluate_mermin, which skip the public re-checks, give
+    # the public values bit for bit on any box
     state = diagonal_state(entries, symmetric)
     assume(state is not None and state.cutoff >= 1)
     triples = list(itertools.product(sorted(_SELECTORS), repeat=3))
@@ -414,6 +422,9 @@ def test_hand_made_boxes_keep_every_bound(entries, symmetric):
         assert value == terms.sum()
         shell_sum = math.fsum(terms.sum(axis=0).tolist())
         assert abs(value - shell_sum) <= _FSUM_ULPS * math.ulp(max(1.0, np.abs(terms).sum()))
+    s111 = stokes_expectation(state, ("S1", "S1", "S1"))
+    assert tensor_t(0.0, state=state).cross_check == abs(state._closed_form_t - s111)
+    assert evaluate_mermin(0.0, state=state).lhs == mermin_lhs(0.0, state=state)
     if symmetric:
         assert tensor_t(0.0, state=state).cross_check <= _CROSS_CHECK_BOUND
 
@@ -487,6 +498,11 @@ def test_selector_validation(ghz):
         # on, the ladder factors' int64 cube once overflowed to nan
         pytest.param({(1499, 0): 0.8}, id="past_cutoff0"),
         pytest.param({(0, 201): 0.8}, id="past_cutoff1"),
+        # a non-finite amplitude once turned every value, <I I I> included, into nan
+        pytest.param({(1, 1): complex(math.nan, 0)}, id="nan"),
+        pytest.param({(2, 0): math.inf}, id="inf"),
+        pytest.param({(0, 2): -math.inf}, id="minus_inf"),
+        pytest.param({(1, 1): complex(0, math.nan)}, id="nan_imaginary"),
     ],
 )
 def test_amplitude_keys_must_be_photon_counts(bad):
