@@ -28,10 +28,9 @@ expectation series, i.e. the unit-state evaluation scaled back by the
 retained mass.  Renormalizing the box instead would inflate correlations
 and vacuum weight together and bias the test toward violation; near the
 threshold the inflation exceeds the distance to the classical bound, so
-the convention moves the detected crossing by more than the threshold
-tolerance.  The witnesses are a statement about whatever state is handed
-to them, so they stay on the unit-norm truncated state, where their
-closed-form identities are exact.
+the convention moves the detected crossing.  The witnesses are a
+statement about whatever state is handed to them, so they stay on the
+unit-norm truncated state, where their closed-form identities are exact.
 
 Detector loss is binomial thinning at efficiency eta on all six
 detectors.  If j of a party's k photons survive, the surviving split is
@@ -63,7 +62,7 @@ separable bound to half the local realistic one.
 Every gain grid, for the library sweeps and the CLI threshold commands
 alike, runs through one engine here: a point that fails becomes a NaN value
 marked failed, and the threshold is solved for by find_crossing, in the
-sweep's direction, when it is first read.
+sweep's direction and to a few ulps, when it is first read.
 """
 
 from __future__ import annotations
@@ -122,13 +121,11 @@ class SweepResult:
     diagnostics carries one dict per point.  A point whose evaluation
     failed has value NaN and diagnostics {"failed": True, "error": ...}.
     bracket, when not None, is the first pair of grid neighbours across
-    which the value crosses the sweep's level in the sweep's direction;
-    threshold is the crossing that find_crossing finds inside it, to its
-    default tol of 1e-3, computed on first access (None without a
-    bracket), so a caller that never reads it never pays for the search.
-    An evaluation that fails during the search raises from that access.
-    bisect runs that search on the bracket's ends; a bracket without it
-    is rejected.
+    which the value crosses the sweep's level in the sweep's direction.
+    threshold is the computed value's crossing inside it to a few ulps,
+    searched for by bisect (_sweep) only when first read; an evaluation
+    that fails in the search raises from that read.  A bracket without
+    bisect is rejected.
     """
 
     axis: tuple[float, ...]
@@ -151,8 +148,8 @@ class SweepResult:
 
     @cached_property
     def threshold(self) -> float | None:
-        """The crossing inside bracket, by find_crossing at its default tol of
-        1e-3, so within 5e-4 of a crossing; None without a bracket."""
+        """The computed value's crossing inside bracket to a few ulps, or where
+        it jumps across the level (a cutoff step); None without a bracket."""
         return None if self.bracket is None else self.bisect(*self.bracket)
 
 
@@ -296,21 +293,27 @@ def gamma_threshold(
     policy: NumericPolicy = DEFAULT_POLICY,
     gamma_min: float = 0.05,
     gamma_max: float = 0.85,
-    tol: float = 1e-3,
 ) -> float:
-    """Gain at which the Mermin violation dies, found by find_crossing to tol.
+    """Gain at which the Mermin violation dies: mermin_sweep((gamma_min,
+    gamma_max), policy).threshold, the crossing of the computed LHS through
+    2 to a few ulps, or the gain where a cutoff step jumps across 2.
 
-    The result lies within tol / 2 of a crossing of the LHS through 2.
-    Requires the LHS to sit above 2 at gamma_min and at or below 2 at
-    gamma_max; raises "no crossing" otherwise (e.g. on a range that ends
-    while the inequality is still violated).  The default gamma_max lies
-    past the crossing near 0.77, inside the 0.9 guard, so it does not warn.
-    policy, the gains (reals in [0, inf)) and tol are checked before any work.
+    The LHS must lie above 2 at gamma_min, which gain 0 (LHS 2) never does,
+    and at or below 2 at gamma_max; "no crossing" otherwise, naming each end's
+    LHS or failed evaluation.  The default gamma_max, past the crossing near
+    0.77 and inside the 0.9 guard, does not warn.  policy and the gains (reals
+    in [0, inf), gamma_min below gamma_max) are checked before any work.
     """
     policy = _typed("policy", policy, NumericPolicy)
     lo = _real("gamma_min", gamma_min, 0, closed="[)")
     hi = _real("gamma_max", gamma_max, 0, closed="[)")
-    return find_crossing(lambda g: mermin_lhs(g, policy), CLASSICAL_BOUND, lo, hi, tol)
+    if not lo < hi:
+        raise ValueError(f"bracket needs lo < hi, got gamma_min={lo}, gamma_max={hi}")
+    sweep = mermin_sweep((lo, hi), policy)
+    if sweep.threshold is None:
+        ends = [d.get("error", f"LHS {v}") for v, d in zip(sweep.values, sweep.diagnostics)]
+        raise ValueError(f"no crossing: at gamma_min={lo}, {ends[0]}; at gamma_max={hi}, {ends[1]}")
+    return sweep.threshold
 
 
 # bench/tracing.py reads len(_LOSS_TABLES); ROADMAP item 12 removes that read and this dict
@@ -513,11 +516,14 @@ def _sweep(gammas, evaluate, level=None, rising=False) -> SweepResult:
     bracket the first crossing of level: falling through it (value > level
     >= next) or, when rising, rising through it (value < level <= next).
 
-    The threshold search reads evaluate(g)[0], the value the grid points carry.
-    A point that raises RuntimeError (ResummationError included) or
-    ValueError becomes NaN marked failed, and NaN brackets nothing.  The
-    grid must be an iterable of reals in [0, inf) (_real: no bool or
-    string), strictly increasing; it is checked before the first evaluation.
+    The threshold search reads evaluate(g)[0], the value the grid points carry,
+    by find_crossing at tol 16 ulps of the bracket's top (with fewer, its aim
+    leaves ITP no room to project): the crossing to a few ulps, or where the
+    value jumps across the level.  A point that raises RuntimeError
+    (ResummationError included) or ValueError becomes NaN marked failed, and
+    NaN brackets nothing.  The grid must be an iterable of reals in [0, inf)
+    (_real: no bool or string), strictly increasing; it is checked before the
+    first evaluation.
     """
     gammas = tuple(_real("gammas", g, 0, closed="[)") for g in _typed("gammas", gammas, Iterable))
     if any(b <= a for a, b in zip(gammas, gammas[1:])):
@@ -541,7 +547,7 @@ def _sweep(gammas, evaluate, level=None, rising=False) -> SweepResult:
         values=tuple(values),
         diagnostics=tuple(diagnostics),
         bracket=bracket,
-        bisect=lambda a, b: find_crossing(lambda g: evaluate(g)[0], level, a, b),
+        bisect=lambda a, b: find_crossing(lambda g: evaluate(g)[0], level, a, b, 16 * math.ulp(b)),
     )
 
 

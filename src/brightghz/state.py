@@ -212,7 +212,7 @@ class BGHZState:
         already.  A key that is not a pair of integer photon counts in [0,
         200] (_MAX_CUTOFF, the deepest built state) raises ValueError naming
         it: past 1448 photons the ladder factors' exact cube overflows int64.
-        So does a key whose amplitude has a NaN or infinite part.
+        So does a key whose amplitude is no number, or has a NaN or infinite part.
         """
         try:
             index = np.fromiter(itertools.chain.from_iterable(self.amps), float)
@@ -225,10 +225,14 @@ class BGHZState:
             bad = next((key for key in self.amps if not _is_count_pair(key)), None)
             raise ValueError(f"amplitude key {bad!r} is not two photon counts <= {_MAX_CUTOFF}")
         index = index.astype(np.intp).reshape(-1, 2)
-        values = np.fromiter(self.amps.values(), complex, len(index))
-        if not np.isfinite(values).all():
-            bad = list(self.amps)[np.flatnonzero(~np.isfinite(values))[0]]
-            raise ValueError(f"amplitude {self.amps[bad]!r} at key {bad!r} is not finite")
+        try:
+            values = np.fromiter(self.amps.values(), complex, len(index))
+            valid = np.isfinite(values).all()
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            bad = next(key for key, value in self.amps.items() if not _is_finite_amplitude(value))
+            raise ValueError(f"amplitude {self.amps[bad]!r} at key {bad!r} is not a finite number")
         box = np.zeros((index.max(initial=0) + 1,) * 2, complex)
         box[index[:, 0], index[:, 1]] = values
         return box
@@ -382,6 +386,14 @@ def _is_count_pair(key) -> bool:
     try:
         return all(0 <= c <= _MAX_CUTOFF and c % 1 == 0 for c in key) and len(key) == 2
     except TypeError:
+        return False
+
+
+def _is_finite_amplitude(value) -> bool:
+    """BGHZState._box's test on the values array, for one value."""
+    try:
+        return bool(np.isfinite(np.fromiter((value,), complex, 1)).all())
+    except (TypeError, ValueError, OverflowError):
         return False
 
 

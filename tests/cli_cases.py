@@ -29,6 +29,12 @@ digit regenerates that golden and states the move.  No byte-held line may
 depend on the BLAS kernel, which OpenBLAS picks by CPU: CI runs the golden
 tests again with OPENBLAS_CORETYPE forced to two kernels.
 
+A Mermin CSV is also held to itself: the gain of its "# threshold gamma =
+x" line must lie strictly between the two grid gains where its lhs column
+first falls through 2 (above 2, then at or below it), and "none" only where
+no such pair exists.  So a threshold outside its own rows' bracket fails
+even against a golden regenerated to match it.
+
 stderr is held by the exit code: empty on exit 0; on exit 2 at least one
 line, each a "warning: " line saying why (a warning raised on the way, or a
 diverged or failed row); on exit 1 at least one line.
@@ -161,13 +167,34 @@ def assert_stokes_csv_matches(got: str, want: str) -> None:
             _assert_cells_match(g, w)
 
 
+def assert_threshold_in_bracket(csv: str) -> None:
+    """A Mermin CSV's threshold line against its rows, by the rule above."""
+    lines = csv.splitlines()
+    if "gamma,lhs,agreement" not in lines:
+        return
+    rows = [line.split(",") for line in lines if line[:1].isdigit()]
+    points = [(float(gamma), float(lhs)) for gamma, lhs, _ in rows]
+    brackets = [(a, b) for (a, la), (b, lb) in zip(points, points[1:]) if la > 2.0 >= lb]
+    for line in lines:
+        if line.startswith("# threshold gamma = "):
+            value = line.removeprefix("# threshold gamma = ")
+            if value.startswith("none"):
+                assert not brackets, f"{line!r}, but the lhs falls through 2 in {brackets[0]}"
+            else:
+                assert brackets, f"{line!r}, but the lhs never falls through 2"
+                a, b = brackets[0]
+                assert a < float(value) < b, f"{line!r} lies outside its bracket ({a}, {b})"
+
+
 def assert_matches_golden(name: str, argv: list[str], got: bytes) -> None:
-    """The case's CSV, got, against its golden, by the rule for its command."""
+    """The case's CSV, got, against its golden, by the rule for its command,
+    and a Mermin threshold against its own rows."""
     want = (GOLDEN / f"{name}.csv").read_bytes()
     if argv[1] in BYTE_EXACT:
         assert got == want, "not byte for byte its golden"
     else:
         assert_stokes_csv_matches(got.decode(), want.decode())
+        assert_threshold_in_bracket(got.decode())
 
 
 def assert_stderr_fits(code: int, err: str) -> None:

@@ -74,7 +74,7 @@ VALID = {
     "tensor_t": AT,
     "mermin_lhs": AT,
     "evaluate_mermin": AT,
-    "gamma_threshold": {"policy": POLICY, "gamma_min": 0.05, "gamma_max": 0.85, "tol": 1e-3},
+    "gamma_threshold": {"policy": POLICY, "gamma_min": 0.05, "gamma_max": 0.85},
     "per_party_loss_factor": {"k_a": 1, "k_b": 2, "eta": 0.5},
     "lossy_mermin_lhs": {"gamma": 0.3, "eta": 0.9, "policy": POLICY, "state": STATE},
     "eta_threshold": {"gamma": 0.3, "policy": POLICY, "state": STATE},

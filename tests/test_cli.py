@@ -77,6 +77,10 @@ def test_mermin_sweep_reports_threshold(tmp_path, capsys):
     assert len(threshold_lines) == 1
     value = float(threshold_lines[0].split("=")[1])
     assert value == pytest.approx(0.77, abs=0.02)
+    # the grid brackets the crossing in (0.75, 0.8), and the summary is the
+    # library's threshold there: one number per crossing
+    bracketed = nonclassicality.gamma_threshold(gamma_min=0.75, gamma_max=0.8)
+    assert threshold_lines[0] == f"# threshold gamma = {cli._fmt(bracketed)}"
     # echoed to the terminal because the CSV went to a file
     assert "threshold gamma" in capsys.readouterr().out
 

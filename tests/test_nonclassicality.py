@@ -321,7 +321,9 @@ def test_gamma_threshold_matches_reference():
 
 def test_thresholds_hold_under_a_deeper_ladder():
     # the printed thresholds rest on the default order budget; one ten orders
-    # deeper moves them by less than their bisection tolerance
+    # deeper moves them by less than 1e-3: the gamma crossing by 1.1e-4, from
+    # 0.770079 to 0.770186, the truncation's drift, and eta_threshold(0.05),
+    # whose auto cutoff is 4 at either order, not at all
     deeper = NumericPolicy(pade_order=50)
     assert gamma_threshold() == pytest.approx(gamma_threshold(deeper), abs=1e-3)
     assert eta_threshold(0.05) == pytest.approx(eta_threshold(0.05, deeper), abs=1e-3)
@@ -330,6 +332,56 @@ def test_thresholds_hold_under_a_deeper_ladder():
 def test_gamma_threshold_no_crossing_on_restricted_range():
     with pytest.raises(ValueError, match="no crossing"):
         gamma_threshold(gamma_min=0.05, gamma_max=0.3)
+
+
+def test_gamma_threshold_from_gain_zero_has_no_crossing():
+    # the LHS is exactly 2 at gain 0, where the violation has not begun; the
+    # search once returned that end, 0.0, as the gain where it dies
+    with pytest.raises(ValueError, match="no crossing"):
+        gamma_threshold(gamma_min=0.0)
+
+
+def test_gamma_threshold_names_a_failed_end():
+    # with the cutoff pinned at 45 the ladder cannot resolve gain 0.59
+    with pytest.raises(ValueError, match="no crossing: .* did not settle at gamma=0.59"):
+        gamma_threshold(NumericPolicy(cutoff=45), gamma_min=0.3, gamma_max=0.59)
+
+
+def _bisected(policy, lo, hi):
+    """The adjacent floats (a, b) inside (lo, hi) with the LHS above 2 at a and
+    at or below 2 at b, by plain bisection."""
+    while (mid := lo / 2 + hi / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if mermin_lhs(mid, policy) > 2.0 else (lo, mid)
+    return lo, hi
+
+
+@pytest.mark.parametrize("bracket", [(0.05, 0.85), (0.75, 0.8)])
+@pytest.mark.parametrize("pade_order, bits", [(40, 128), (40, 256), (30, 128)])
+def test_gamma_threshold_is_the_float_crossing(pade_order, bits, bracket):
+    # policies that read the shipped tables, from a wide and a narrow bracket:
+    # within 2 ulps plus the LHS's own rounding, ulp(2) / |LHS'|, of the
+    # adjacent floats that bisection run to the end finds
+    policy = NumericPolicy(pade_order=pade_order, bits=bits)
+    a, b = _bisected(policy, *bracket)
+    x = gamma_threshold(policy, *bracket)
+    slope = (mermin_lhs(x + 1e-6, policy) - mermin_lhs(x - 1e-6, policy)) / 2e-6
+    ulps = 2 + math.ulp(2.0) / abs(slope) / math.ulp(x)
+    assert a - ulps * math.ulp(x) <= x <= b + ulps * math.ulp(x), (a, x, ulps)
+
+
+def test_gamma_threshold_evaluates_few_gains(monkeypatch):
+    # the sweep's two ends are evaluated again inside the search, on memoized
+    # states, so gains are counted, not calls
+    gains = set()
+    evaluate = nonclassicality.evaluate_mermin
+
+    def counted(gamma, policy, state=None):
+        gains.add(gamma)
+        return evaluate(gamma, policy, state)
+
+    monkeypatch.setattr(nonclassicality, "evaluate_mermin", counted)
+    gamma_threshold()
+    assert len(gains) <= 14
 
 
 def test_find_crossing_on_analytic_function():
@@ -971,11 +1023,14 @@ def test_sweep_checks_the_grid_before_evaluating(monkeypatch, grid):
 
 
 def test_mermin_sweep_brackets_threshold():
-    result = mermin_sweep((0.6, 0.7, 0.75, 0.8))
-    assert result.values[0] > 2.0 > result.values[-1]
-    assert all(d["agreement"] <= 1e-8 for d in result.diagnostics)
-    assert result.threshold == pytest.approx(0.77, abs=0.02)
-    assert result.threshold == gamma_threshold(gamma_min=0.75, gamma_max=0.8)
+    # a sweep's threshold and gamma_threshold on its bracket are one number
+    for grid in [(0.6, 0.7, 0.75, 0.8), (0.7, 0.75, 0.8), (0.05, 0.85), (0.5, 0.77, 0.771, 0.89)]:
+        result = mermin_sweep(grid)
+        assert result.values[0] > 2.0 > result.values[-1]
+        assert all(d["agreement"] <= 1e-8 for d in result.diagnostics)
+        assert result.threshold == pytest.approx(0.77, abs=0.02)
+        lo, hi = result.bracket
+        assert result.threshold == gamma_threshold(gamma_min=lo, gamma_max=hi), grid
 
 
 def test_mermin_sweep_from_zero_gain_has_no_threshold():

@@ -101,7 +101,7 @@ def test_readme_library_block_prints_what_its_comments_say(capsys):
             assert out.startswith(comment.group(1)), (expr, out)
     assert stated == {
         "mermin_lhs(0.5)": "2.3194",
-        "gamma_threshold()": "0.7697",
+        "gamma_threshold()": "0.77007",
         "eta_threshold(0.05)": "0.7918",
     }
 

@@ -503,6 +503,11 @@ def test_selector_validation(ghz):
         pytest.param({(2, 0): math.inf}, id="inf"),
         pytest.param({(0, 2): -math.inf}, id="minus_inf"),
         pytest.param({(1, 1): complex(0, math.nan)}, id="nan_imaginary"),
+        # an amplitude that is no number once raised NumPy's bare conversion error
+        pytest.param({(1, 1): "x"}, id="string"),
+        pytest.param({(1, 1): [1]}, id="list"),
+        pytest.param({(1, 1): object()}, id="object"),
+        pytest.param({(1, 1): 10**400}, id="past_float"),
     ],
 )
 def test_amplitude_keys_must_be_photon_counts(bad):
